@@ -113,15 +113,12 @@ def cmd_ingest(corpus_file, out_dir, catalog_path, acrostic, min_count, max_seq_
             vocab = vocab_mod.build_vocab(samples, min_count=min_count)
 
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        with (out / "dataset.jsonl").open("w", encoding="utf-8") as fh:
-            for s in samples:
-                fh.write(json.dumps({"text": s.text, "source_id": s.source_id},
-                                    ensure_ascii=False) + "\n")
-        vocab_mod.save_vocab(vocab, out / "vocab.txt")
-    except OSError as exc:
-        raise _InternalIO(str(exc))
+    out.mkdir(parents=True, exist_ok=True)
+    with (out / "dataset.jsonl").open("w", encoding="utf-8") as fh:
+        for s in samples:
+            fh.write(json.dumps({"text": s.text, "source_id": s.source_id},
+                                ensure_ascii=False) + "\n")
+    vocab_mod.save_vocab(vocab, out / "vocab.txt")
     _err(f"ingested {len(result.poems)} poems "
          f"({len(result.diagnostics)} skipped records), "
          f"wrote {len(samples)} samples, vocab size {vocab.size}")
@@ -206,11 +203,8 @@ def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, layers,
         novelty_eval_interval=novelty_interval, seed=_resolve_seed(seed),
         heldout_fraction=heldout_fraction,
         early_stop_novelty=early_stop_novelty)
-    try:
-        params, report = trainer_mod.fine_tune(usable, vocab, params, cfg,
-                                               out_dir=out_dir)
-    except OSError as exc:
-        raise _InternalIO(str(exc))
+    params, report = trainer_mod.fine_tune(usable, vocab, params, cfg,
+                                           out_dir=out_dir)
     for line in report.metric_lines():
         click.echo(line)
     _err(f"ran {report.steps_run} steps in {report.wall_clock_sec:.1f}s; "
@@ -346,10 +340,6 @@ def cmd_validate(poems, catalog_path, table_path, as_json, skip_unknown,
     click.echo(f"well-formed rate: {ok}/{len(result.poems)} = {rate:.3f}")
 
 
-class _InternalIO(Exception):
-    pass
-
-
 def _read_dataset(path: str, catalog: FormCatalog) -> list:
     p = Path(path)
     try:
@@ -357,7 +347,7 @@ def _read_dataset(path: str, catalog: FormCatalog) -> list:
     except OSError as exc:
         raise click.ClickException(f"cannot read dataset {p}: {exc}")
     samples = []
-    for line_no, line in enumerate(raw.splitlines(), start=1):
+    for line_no, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -389,9 +379,6 @@ def main(argv: list[str] | None = None) -> int:
     except GutiError as exc:
         _err(str(exc))
         return EXIT_USER
-    except _InternalIO as exc:
-        _err(f"I/O failure: {exc}")
-        return EXIT_INTERNAL
     except OSError as exc:
         _err(f"I/O failure: {exc}")
         return EXIT_INTERNAL

@@ -214,7 +214,7 @@ def ingest_corpus(path: str | Path, catalog: FormCatalog) -> IngestResult:
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {p}: {exc}") from exc
     result = IngestResult()
-    for line_no, raw_line in enumerate(raw.splitlines(), start=1):
+    for line_no, raw_line in enumerate(raw.split("\n"), start=1):
         if not raw_line.strip():
             continue
         source_id = f"{p.name}:{line_no}"

@@ -56,18 +56,6 @@ class LineTemplate:
     groups: tuple[tuple[tuple[int, ...], ...], ...] = ()
     uniform_len: int = 0
 
-    def line_count(self) -> int | None:
-        """Total segment count, or None when not fixed by the template."""
-        if self.kind != "groups":
-            return None
-        total = 0
-        for group in self.groups:
-            sizes = {len(alt) for alt in group}
-            if len(sizes) != 1:
-                return None
-            total += sizes.pop()
-        return total
-
 
 @dataclass(frozen=True)
 class FormSpec:
@@ -101,12 +89,9 @@ class FormSpec:
 
 @dataclass
 class FormCatalog:
-    """All known forms plus the identifier-token table."""
+    """All known forms, by form id."""
 
     entries: dict[str, FormSpec] = field(default_factory=dict)
-    identifier_tokens: dict[str, tuple[str, str]] = field(
-        default_factory=lambda: dict(MARKER_PAIRS)
-    )
 
     def resolve(self, form_id: str) -> FormSpec:
         try:

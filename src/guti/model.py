@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,15 +58,6 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.d_model // self.n_heads
-
-    def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers, "n_heads": self.n_heads,
-            "d_model": self.d_model, "d_ff": self.d_ff,
-            "context_len": self.context_len, "vocab_size": self.vocab_size,
-            "dropout_rate": self.dropout_rate,
-            "tie_embeddings": self.tie_embeddings,
-        }
 
 
 def param_names(config: ModelConfig) -> list[str]:
@@ -158,7 +149,6 @@ class SequenceBatch:
 
     tokens: np.ndarray            # (B, S) int
     loss_mask: np.ndarray         # (B, S) 0/1
-    lengths: np.ndarray | None = None
 
     def __post_init__(self):
         self.tokens = np.asarray(self.tokens, dtype=np.int64)
@@ -167,9 +157,6 @@ class SequenceBatch:
             raise ModelError("tokens and loss_mask must share a (B, S) shape")
         if np.any(self.loss_mask[:, 0] != 0):
             raise ModelError("position 0 cannot carry next-token loss")
-        if self.lengths is None:
-            self.lengths = np.full(self.tokens.shape[0], self.tokens.shape[1],
-                                   dtype=np.int64)
 
 
 def _layer_norm(x, g, b):
@@ -250,7 +237,7 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
     rate = c.dropout_rate if train_mode else 0.0
 
     x = t["tok_emb"][tokens] + t["pos_emb"][:s]
-    emb_drop = _dropout_mask(rng, x.shape, rate, dtype) if rate else None
+    emb_drop = _dropout_mask(rng, x.shape, rate, dtype)
     x = _apply_mask(x, emb_drop)
 
     causal = np.tril(np.ones((s, s), dtype=bool))
@@ -268,18 +255,18 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
         att = att - att.max(axis=-1, keepdims=True)
         ea = np.exp(att)
         probs = ea / ea.sum(axis=-1, keepdims=True)
-        att_drop = _dropout_mask(rng, probs.shape, rate, dtype) if rate else None
+        att_drop = _dropout_mask(rng, probs.shape, rate, dtype)
         probs_d = _apply_mask(probs, att_drop)
         ctx = _merge_heads(probs_d @ vh)
         attn_out = ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]
-        res_drop1 = _dropout_mask(rng, attn_out.shape, rate, dtype) if rate else None
+        res_drop1 = _dropout_mask(rng, attn_out.shape, rate, dtype)
         x_attn = x + _apply_mask(attn_out, res_drop1)
 
         h2, ln2_cache = _layer_norm(x_attn, t[p + "ln2.g"], t[p + "ln2.b"])
         u = h2 @ t[p + "ff.w1"] + t[p + "ff.b1"]
         a = _gelu(u)
         ff_out = a @ t[p + "ff.w2"] + t[p + "ff.b2"]
-        res_drop2 = _dropout_mask(rng, ff_out.shape, rate, dtype) if rate else None
+        res_drop2 = _dropout_mask(rng, ff_out.shape, rate, dtype)
         x_new = x_attn + _apply_mask(ff_out, res_drop2)
 
         if want_cache:
@@ -451,7 +438,7 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     """Write the versioned binary checkpoint (tensors as little-endian f32)."""
     p = Path(path)
-    cfg_json = json.dumps(params.config.to_dict(), sort_keys=True).encode("utf-8")
+    cfg_json = json.dumps(asdict(params.config), sort_keys=True).encode("utf-8")
     names = param_names(params.config)
     chunks = [CHECKPOINT_MAGIC,
               struct.pack("<I", CHECKPOINT_VERSION),

@@ -32,7 +32,6 @@ class PhonologyTable:
 
     rhyme_group: dict[str, str] = field(default_factory=dict)
     tone_class: dict[str, str] = field(default_factory=dict)
-    label: str = ""
 
     def group_of(self, ch: str) -> str | None:
         return self.rhyme_group.get(ch)
@@ -46,7 +45,7 @@ class PhonologyTable:
 
 def parse_table(text: str, source: str = "<table>") -> PhonologyTable:
     """One record per line: ``character<TAB>rhyme-group<TAB>tone-class``."""
-    table = PhonologyTable(label=source)
+    table = PhonologyTable()
     seen_header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

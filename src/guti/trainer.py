@@ -109,28 +109,27 @@ class NoveltyResult:
 
 
 class NoveltyIndex:
-    """Line-level exact-match set plus a character n-gram index (n=5)."""
+    """Line-level exact-match set plus the corpus text.
+
+    Poems are joined with "\n", which no query holds, so a common substring
+    never spans two poems and ``shares_ngram`` is ``max_overlap >= NGRAM``.
+    """
 
     NGRAM = 5
 
-    def __init__(self, line_set: set[str], ngrams: set[str], corpus_text: str):
+    def __init__(self, line_set: set[str], corpus_text: str):
         self._lines = line_set
-        self._ngrams = ngrams
         self._corpus_text = corpus_text
 
     @classmethod
     def from_texts(cls, body_texts: list[str]) -> "NoveltyIndex":
         line_set: set[str] = set()
-        ngrams: set[str] = set()
         chunks: list[str] = []
         for text in body_texts:
             lines = [ln.characters for ln in parse_body(text)]
             line_set.update(lines)
-            chars = "".join(lines)
-            chunks.append(chars)
-            for i in range(len(chars) - cls.NGRAM + 1):
-                ngrams.add(chars[i:i + cls.NGRAM])
-        return cls(line_set, ngrams, "\n".join(chunks))
+            chunks.append("".join(lines))
+        return cls(line_set, "\n".join(chunks))
 
     @classmethod
     def from_samples(cls, samples: list[SerializedSample]) -> "NoveltyIndex":
@@ -141,15 +140,14 @@ class NoveltyIndex:
             raise TrainingError("cannot score an empty poem")
         hits = sum(1 for ln in lines if ln in self._lines)
         chars = "".join(lines)
-        shares = any(chars[i:i + self.NGRAM] in self._ngrams
-                     for i in range(len(chars) - self.NGRAM + 1))
         matcher = difflib.SequenceMatcher(None, chars, self._corpus_text,
                                           autojunk=False)
         overlap = matcher.find_longest_match(0, len(chars),
                                              0, len(self._corpus_text)).size
         return NoveltyResult(score=1.0 - hits / len(lines),
                              verbatim_lines=hits, total_lines=len(lines),
-                             max_overlap=overlap, shares_ngram=shares)
+                             max_overlap=overlap,
+                             shares_ngram=overlap >= self.NGRAM)
 
 
 def novelty_score(poem: Poem, index: NoveltyIndex) -> NoveltyResult:
@@ -173,7 +171,6 @@ class TrainReport:
     step_losses: list[float] = field(default_factory=list)
     skipped_nonfinite: int = 0
     wall_clock_sec: float = 0.0
-    final_train_loss: float | None = None
     stopped_early: bool = False
 
     def smoothed_losses(self, window: int = 10) -> list[float]:
@@ -214,12 +211,10 @@ def make_batch(sequences: list[list[int]], pad_id: int) -> SequenceBatch:
     width = max(len(s) for s in sequences)
     tokens = np.full((len(sequences), width), pad_id, dtype=np.int64)
     mask = np.zeros((len(sequences), width), dtype=np.float64)
-    lengths = np.zeros(len(sequences), dtype=np.int64)
     for i, seq in enumerate(sequences):
         tokens[i, :len(seq)] = seq
         mask[i, 1:len(seq)] = 1.0
-        lengths[i] = len(seq)
-    return SequenceBatch(tokens=tokens, loss_mask=mask, lengths=lengths)
+    return SequenceBatch(tokens=tokens, loss_mask=mask)
 
 
 def _eval_nll(params: ModelParams, sequences: list[list[int]], pad_id: int,
@@ -315,8 +310,7 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
             order.extend(perm)
         picks = [order.pop(0) for _ in range(min(cfg.batch_size, len(order)))]
         batch = make_batch([train_seqs[i] for i in picks], vocab.pad_id)
-        dropout_rng = rng if params.config.dropout_rate > 0 else None
-        loss, grads = backward(params, batch, train_mode=True, rng=dropout_rng)
+        loss, grads = backward(params, batch, train_mode=True, rng=rng)
         step += 1
         lr_scale = min(1.0, step / cfg.warmup_steps) if cfg.warmup_steps else 1.0
         try:
@@ -326,7 +320,6 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
             continue
         window_losses.append(loss)
         report.step_losses.append(loss)
-        report.final_train_loss = loss
 
         if cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
             record_interval()

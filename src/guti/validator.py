@@ -334,8 +334,7 @@ def check_acrostic(poem: Poem | Sequence[str], target: str,
 
 def validate(poem: Poem, catalog: FormCatalog,
              table: PhonologyTable | None = None,
-             strict_phonology: bool = False,
-             acrostic_target: str | None = None) -> ValidationReport:
+             strict_phonology: bool = False) -> ValidationReport:
     """Run every applicable check; well_formed is the AND of hard rules."""
     spec = catalog.resolve(poem.form_id)
     phon_level = HARD if strict_phonology else ADVISORY
@@ -347,8 +346,6 @@ def validate(poem: Poem, catalog: FormCatalog,
         report.results.extend(check_rhyme(poem, spec, table, phon_level))
     if spec.tone_patterns:
         report.results.extend(check_tone(poem, spec, table, phon_level))
-    target = acrostic_target if acrostic_target is not None else (
-        poem.theme if spec.acrostic else None)
-    if target:
-        report.results.append(check_acrostic(poem, target, spec.acrostic_slots))
+    if spec.acrostic and poem.theme:
+        report.results.append(check_acrostic(poem, poem.theme, spec.acrostic_slots))
     return report

@@ -134,7 +134,7 @@ def load_vocab(path: str | Path) -> Vocab:
         raw = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise VocabError(f"cannot read vocab {p}: {exc}") from exc
-    lines = raw.splitlines()
+    lines = raw.removesuffix("\n").split("\n")
     if not lines or not lines[0].startswith(f"guti-vocab v{VOCAB_FORMAT_VERSION}"):
         raise VocabError(f"{p}: missing or unsupported vocab header")
     try:

@@ -70,6 +70,31 @@ class TestIngest:
                          "-o", str(tmp_path / "o"))
         assert code == 1
 
+    @pytest.mark.parametrize("escaped", [False, True], ids=["raw", "escaped"])
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"],
+                             ids=["U+2028", "U+2029", "U+0085"])
+    def test_theme_with_unicode_line_break_round_trips(self, capsys, tmp_path,
+                                                       toy_poems, sep, escaped):
+        # str.splitlines() also breaks on these; guti's own files must not
+        corpus = tmp_path / "themes.jsonl"
+        with corpus.open("w", encoding="utf-8") as fh:
+            for i, p in enumerate(toy_poems[:4]):
+                theme = p.theme[0] + sep + p.theme[1:] if i == 1 else p.theme
+                fh.write(json.dumps({"form": p.form_id, "theme": theme,
+                                     "body": p.body_text()},
+                                    ensure_ascii=escaped) + "\n")
+        data = tmp_path / "data"
+        code, _, err = run(capsys, "ingest", str(corpus), "-o", str(data))
+        assert code == 0, err
+        assert "ingested 4 poems (0 skipped records)" in err
+        code, _, err = run(capsys, "train", str(data / "dataset.jsonl"),
+                           "--vocab", str(data / "vocab.txt"),
+                           "-o", str(tmp_path / "run"),
+                           "--layers", "1", "--heads", "2", "--d-model", "16",
+                           "--d-ff", "32", "--max-steps", "0",
+                           "--heldout-fraction", "0")
+        assert code == 0, err
+
 
 class TestTrain:
     def test_max_steps_zero_writes_nothing(self, capsys, tmp_path, pipeline):
@@ -289,3 +314,11 @@ class TestExitCodes:
     def test_bad_flag(self, capsys):
         code, _, _ = run(capsys, "validate", "--no-such-flag")
         assert code == 1
+
+    def test_io_failure_exits_2(self, capsys, tmp_path, mini_corpus):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("", encoding="utf-8")
+        code, _, err = run(capsys, "ingest", str(mini_corpus),
+                           "-o", str(not_a_dir / "sub"))
+        assert code == 2
+        assert "I/O failure" in err

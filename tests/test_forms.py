@@ -18,7 +18,7 @@ class TestCatalogParsing:
         catalog = parse_catalog(MINIMAL)
         spec = catalog.resolve("试形")
         assert spec.form_class == "jintishi"
-        assert spec.line_template.line_count() == 4
+        assert sum(len(group[0]) for group in spec.line_template.groups) == 4
         assert spec.rhyme_slots == (2, 4)
         assert spec.markers == MARKER_PAIRS["shi"]
 
@@ -88,7 +88,7 @@ class TestBuiltinCatalog:
         for form_id in ("五绝", "七绝", "五律", "七律"):
             spec = catalog.resolve(form_id)
             assert len(spec.tone_patterns) == 4
-            lines = spec.line_template.line_count()
+            lines = sum(len(group[0]) for group in spec.line_template.groups)
             width = spec.line_template.groups[0][0][0]
             for variant in spec.tone_patterns:
                 assert len(variant) == lines

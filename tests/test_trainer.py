@@ -104,6 +104,10 @@ class TestNovelty:
         assert result.score == 0.0
         assert result.verbatim_lines == 4
         assert result.max_overlap >= 5
+        assert result.shares_ngram
+        # "地上霜" ends line 2 and "举头" starts line 3: 5 shared characters
+        assert index.score_lines(["空地上霜", "举头空"]).shares_ngram
+        assert not index.score_lines(["空上霜", "举头空"]).shares_ngram
 
     def test_disjoint_poem_scores_one(self):
         index = self.make_index()
