@@ -269,7 +269,9 @@ def cmd_generate(checkpoint, vocab_path, form, theme, acrostic_target, count,
         if as_json:
             rec = {"index": cand.index, "seed": cand.seed, "text": cand.text,
                    "body": cand.body_text, "truncated": cand.truncated,
-                   "well_formed": cand.well_formed}
+                   "well_formed": cand.well_formed,
+                   "prompt_ms": cand.prompt_ms, "decode_ms": cand.decode_ms,
+                   "tokens": cand.tokens}
             if cand.report is not None:
                 rec["rules"] = cand.report.to_dict()["rules"]
             if cand.error:

@@ -77,6 +77,9 @@ class Poem:
         for marker in ALL_MARKERS:
             if marker in self.theme:
                 raise CorpusError(f"theme contains identifier marker {marker!r}")
+        # vocab.txt holds one token per line, so no token may be "\n" or "\r"
+        if "\n" in self.theme or "\r" in self.theme:
+            raise CorpusError("theme contains a line break")
 
     def body_text(self) -> str:
         return "".join(line.text() for line in self.body)

@@ -13,7 +13,10 @@ float64 forwards for high-precision checks.
 
 Nothing here mutates ModelParams: any number of concurrent forward calls
 may share one parameter set, and all randomness (dropout) comes from a
-caller-supplied generator, never global state.
+caller-supplied generator, never global state.  The one caller-owned
+object ``forward`` mutates is its optional ``kv`` list, the per-layer
+key/value cache of incremental decoding: each call appends the new
+positions' keys and values, and the next call continues from them.
 """
 
 from __future__ import annotations
@@ -218,29 +221,31 @@ def _check_inputs(params: ModelParams, tokens: np.ndarray) -> np.ndarray:
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2:
         raise ModelError("tokens must be a (batch, seq) array")
-    if tokens.shape[1] > c.context_len:
-        raise ModelError(
-            f"sequence length {tokens.shape[1]} exceeds context {c.context_len}")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= c.vocab_size):
         raise ModelError("token id out of vocabulary range")
     return tokens
 
 
 def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
-                  rng, want_cache: bool):
+                  rng, want_cache: bool, kv: list | None = None):
     c = params.config
     t = params.tensors
     dtype = params.dtype
     if train_mode and c.dropout_rate > 0.0 and rng is None:
         raise ModelError("train-mode forward with dropout needs an rng")
     b, s = tokens.shape
+    start = kv[0][0].shape[2] if kv else 0
+    if start + s > c.context_len:
+        raise ModelError(
+            f"sequence length {start + s} exceeds context {c.context_len}")
     rate = c.dropout_rate if train_mode else 0.0
 
-    x = t["tok_emb"][tokens] + t["pos_emb"][:s]
+    x = t["tok_emb"][tokens] + t["pos_emb"][start:start + s]
     emb_drop = _dropout_mask(rng, x.shape, rate, dtype)
     x = _apply_mask(x, emb_drop)
 
-    causal = np.tril(np.ones((s, s), dtype=bool))
+    # query row i sits at position start + i and sees keys 0..start + i
+    causal = np.tril(np.ones((s, start + s), dtype=bool), k=start)
     scale = dtype.type(1.0 / np.sqrt(c.head_dim))
     caches = []
     for i in range(c.n_layers):
@@ -250,6 +255,13 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
         k = h1 @ t[p + "attn.wk"] + t[p + "attn.bk"]
         v = h1 @ t[p + "attn.wv"] + t[p + "attn.bv"]
         qh, kh, vh = (_split_heads(z, c.n_heads) for z in (q, k, v))
+        if kv is not None:
+            if i < len(kv):
+                kh = np.concatenate((kv[i][0], kh), axis=2)
+                vh = np.concatenate((kv[i][1], vh), axis=2)
+                kv[i] = (kh, vh)
+            else:
+                kv.append((kh, vh))
         att = (qh @ kh.transpose(0, 1, 3, 2)) * scale
         att = np.where(causal, att, -np.inf)
         att = att - att.max(axis=-1, keepdims=True)
@@ -290,15 +302,24 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
 
 
 def forward(params: ModelParams, tokens: np.ndarray, train_mode: bool = False,
-            rng: np.random.Generator | None = None) -> np.ndarray:
+            rng: np.random.Generator | None = None,
+            kv: list | None = None) -> np.ndarray:
     """Causal forward pass; returns logits of shape (batch, seq, vocab).
 
     Position i logits depend only on tokens at positions <= i.  Eval mode
     (the default) is deterministic; train mode applies dropout driven by
     the caller-supplied generator.
+
+    ``kv`` is an optional key/value cache, one ``(k_heads, v_heads)`` pair
+    per layer; pass an empty list on the first call.  ``tokens`` then
+    continue the sequence the cache holds: they take positions from the
+    cached length on, attend to every cached position, and their keys and
+    values are appended to the cache in place.  Feeding a sequence in any
+    split of chunks gives the logits one full call would give.
     """
     tokens = _check_inputs(params, tokens)
-    logits, _ = _forward_impl(params, tokens, train_mode, rng, want_cache=False)
+    logits, _ = _forward_impl(params, tokens, train_mode, rng, want_cache=False,
+                              kv=kv)
     return logits
 
 

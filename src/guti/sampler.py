@@ -5,10 +5,16 @@ then decodes the body token by token until it emits EOS.  No hard form
 constraint is applied while decoding: the candidate set at each step is
 just the k highest-probability tokens (structural tokens masked out), and
 one of them is sampled from the renormalized distribution.
+
+Decoding is incremental: one forward pass over the prompt fills a per-layer
+key/value cache, and each later step feeds only the newest token through
+the same forward path, so a step costs O(length) instead of a full
+recompute of the prefix.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -98,34 +104,48 @@ class GenerationResult:
     token_ids: tuple[int, ...]      # body tokens (after id2, EOS excluded)
     text: str
     truncated: bool                 # ran out of budget/context before EOS
+    # wall time, not part of the result's value: equal decodes compare equal
+    prompt_ms: float = field(compare=False)   # prompt pass to first sampled token
+    decode_ms: float = field(compare=False)   # every later decode step
 
 
 def generate(params: ModelParams, prompt: list[int], cfg: SampleConfig,
              vocab: Vocab) -> GenerationResult:
     """Decode token-by-token until EOS, max_new_tokens, or context is full."""
     context_len = params.config.context_len
+    if not prompt:
+        raise SamplingError("empty prompt")
     if len(prompt) > context_len:
         raise SamplingError(f"prompt length {len(prompt)} exceeds context "
                             f"{context_len}")
     if cfg.forbid is None:
         cfg = replace(cfg, forbid=default_forbid(vocab))
     rng = np.random.default_rng(cfg.seed)
-    ids = list(prompt)
+    kv: list = []
+    step = list(prompt)       # tokens not yet in the cache
     body: list[int] = []
     truncated = True
+    t0 = time.perf_counter()
+    t_first = None
     for _ in range(cfg.max_new_tokens):
-        if len(ids) >= context_len:
+        if len(prompt) + len(body) >= context_len:
             break
-        logits = forward(params, np.asarray([ids]))[0, -1]
+        logits = forward(params, np.asarray([step]), kv=kv)[0, -1]
         nxt = top_k_sample(logits, cfg, rng)
+        if t_first is None:
+            t_first = time.perf_counter()
         if nxt == vocab.eos_id:
             truncated = False
             break
-        ids.append(nxt)
+        step = [nxt]
         body.append(nxt)
+    t_end = time.perf_counter()
+    t_first = t_end if t_first is None else t_first
     return GenerationResult(token_ids=tuple(body),
                             text=vocab_mod.decode(body, vocab),
-                            truncated=truncated)
+                            truncated=truncated,
+                            prompt_ms=1e3 * (t_first - t0),
+                            decode_ms=1e3 * (t_end - t_first))
 
 
 @dataclass
@@ -135,6 +155,9 @@ class Candidate:
     text: str                       # full serialized text (prompt + body)
     body_text: str
     truncated: bool
+    prompt_ms: float = field(compare=False)
+    decode_ms: float = field(compare=False)
+    tokens: int                     # body tokens decoded
     poem: Poem | None = None
     report: ValidationReport | None = None
     error: str | None = None
@@ -172,7 +195,9 @@ def generate_batch(params: ModelParams, form_id: str, theme: str, n: int,
         seed = int(np.random.default_rng([cfg.seed, i]).integers(0, 2 ** 31))
         out = generate(params, prompt, replace(cfg, seed=seed), vocab)
         cand = Candidate(index=i, seed=seed, text=prompt_text + out.text,
-                         body_text=out.text, truncated=out.truncated)
+                         body_text=out.text, truncated=out.truncated,
+                         prompt_ms=out.prompt_ms, decode_ms=out.decode_ms,
+                         tokens=len(out.token_ids))
         try:
             cand.poem = deserialize(cand.text, catalog)
             cand.report = validate(cand.poem, catalog, table,

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from guti.cli import main
+from guti.vocab import build_vocab, load_vocab
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -95,6 +96,24 @@ class TestIngest:
                            "--heldout-fraction", "0")
         assert code == 0, err
 
+    @pytest.mark.parametrize("sep", ["\r", "\n"], ids=["CR", "LF"])
+    def test_theme_with_line_break_is_skipped(self, capsys, tmp_path, toy_poems, sep):
+        # vocab.txt holds one token per line: a "\r" or "\n" token cannot round-trip
+        corpus = tmp_path / "themes.jsonl"
+        with corpus.open("w", encoding="utf-8") as fh:
+            for i, p in enumerate(toy_poems[:4]):
+                theme = p.theme[0] + sep + p.theme[1:] if i == 1 else p.theme
+                fh.write(json.dumps({"form": p.form_id, "theme": theme,
+                                     "body": p.body_text()}, ensure_ascii=False) + "\n")
+        data = tmp_path / "data"
+        code, _, err = run(capsys, "ingest", str(corpus), "-o", str(data))
+        assert code == 0, err
+        assert f"{corpus}:2: skipped:" in err
+        assert "ingested 3 poems (1 skipped records)" in err
+        lines = (data / "dataset.jsonl").read_text("utf-8").splitlines()
+        built = build_vocab(json.loads(line)["text"] for line in lines)
+        assert load_vocab(data / "vocab.txt").tokens == built.tokens
+
 
 class TestTrain:
     def test_max_steps_zero_writes_nothing(self, capsys, tmp_path, pipeline):
@@ -175,15 +194,22 @@ class TestGenerate:
         assert "well-formed:" in err
 
     def test_json_output_parses(self, capsys, pipeline, toy_poems):
-        code, out, _ = run(capsys, "generate", str(pipeline / "run" / "last.ckpt"),
-                           "--vocab", str(pipeline / "vocab.txt"),
-                           "--form", "五绝", "--theme", toy_poems[0].theme,
-                           "-n", "3", "-k", "5", "--seed", "3", "--json",
-                           "--max-new-tokens", "40")
+        args = ("generate", str(pipeline / "run" / "last.ckpt"),
+                "--vocab", str(pipeline / "vocab.txt"),
+                "--form", "五绝", "--theme", toy_poems[0].theme,
+                "-n", "3", "-k", "5", "--seed", "3", "--max-new-tokens", "40")
+        code, out, _ = run(capsys, *args, "--json")
         assert code == 0
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert len(records) == 3
-        assert all({"index", "text", "well_formed"} <= set(r) for r in records)
+        keys = {"index", "text", "body", "well_formed", "prompt_ms", "decode_ms", "tokens"}
+        assert all(keys <= set(r) for r in records)
+        assert all(r["tokens"] == len(r["body"]) and r["text"].endswith(r["body"])
+                   for r in records)
+        # the timings leave the decoded text as a plain-text run prints it
+        code, text_out, _ = run(capsys, *args)
+        assert code == 0
+        assert [r["text"] for r in records] == text_out.splitlines()[0::2]
 
     def test_seeded_runs_identical(self, capsys, pipeline, toy_poems):
         outs = []

@@ -102,6 +102,33 @@ class TestForward:
         assert np.all(np.isfinite(out))
 
 
+class TestKVCache:
+    @pytest.mark.parametrize("chunks", [(4, 1, 1, 1, 1, 1, 1), (3, 5, 1, 1)],
+                             ids=["prompt+steps", "uneven"])
+    @pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
+    def test_cached_logits_match_full_forward(self, tie, chunks):
+        config = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=24,
+                             context_len=10, vocab_size=13, tie_embeddings=tie)
+        params = init_params(config, seed=3, dtype=np.float64)
+        tokens = np.random.default_rng(4).integers(0, 13, size=(2, 10))
+        kv, parts, pos = [], [], 0
+        for n in chunks:
+            parts.append(forward(params, tokens[:, pos:pos + n], kv=kv))
+            pos += n
+        assert len(kv) == 2 and kv[0][0].shape[2] == 10
+        np.testing.assert_allclose(np.concatenate(parts, axis=1),
+                                   forward(params, tokens), rtol=0, atol=1e-12)
+
+    def test_cache_past_context_rejected(self):
+        params = init_params(TINY, seed=0)
+        kv = []
+        forward(params, np.zeros((1, 6), dtype=np.int64), kv=kv)
+        with pytest.raises(ModelError):
+            forward(params, np.zeros((1, 3), dtype=np.int64), kv=kv)
+        forward(params, np.zeros((1, 2), dtype=np.int64), kv=kv)
+        assert kv[0][0].shape[2] == TINY.context_len
+
+
 def reference_forward(params, tokens):
     """Scalar re-computation of the whole forward pass, written
     independently of the vectorized implementation (single head only)."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from guti.errors import SamplingError, UnknownFormError
-from guti.model import ModelConfig, init_params
+from guti.model import ModelConfig, forward, init_params
 from guti.sampler import (
     SampleConfig,
     build_prompt,
@@ -157,6 +157,29 @@ class TestGenerate:
         out = generate(params, prompt, cfg, toy_vocab)
         assert out.truncated
         assert len(prompt) + len(out.token_ids) == 16
+
+    def test_empty_prompt_rejected(self, random_params, toy_vocab):
+        with pytest.raises(SamplingError, match="empty prompt"):
+            generate(random_params, [], SampleConfig(seed=0), toy_vocab)
+
+    @pytest.mark.parametrize("k", [1, 20])
+    def test_cached_decode_matches_full_recompute(self, toy_vocab, catalog, k):
+        config = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=32,
+                             context_len=40, vocab_size=toy_vocab.size)
+        params = init_params(config, seed=1, dtype=np.float64)
+        prompt = build_prompt("五绝", "静夜思", catalog, toy_vocab)
+        for seed in range(5):
+            cfg = SampleConfig(k=k, max_new_tokens=40, seed=seed,
+                               forbid=default_forbid(toy_vocab))
+            # reference: rerun the whole prefix for every token
+            rng, ids = np.random.default_rng(seed), list(prompt)
+            while len(ids) < config.context_len:
+                nxt = top_k_sample(forward(params, np.asarray([ids]))[0, -1], cfg, rng)
+                if nxt == toy_vocab.eos_id:
+                    break
+                ids.append(nxt)
+            out = generate(params, prompt, cfg, toy_vocab)
+            assert out.token_ids == tuple(ids[len(prompt):])
 
     def test_prompt_longer_than_context_rejected(self, toy_vocab):
         config = ModelConfig(n_layers=1, n_heads=1, d_model=8, d_ff=8,
