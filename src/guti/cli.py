@@ -19,6 +19,7 @@ from . import corpus as corpus_mod
 from . import trainer as trainer_mod
 from . import vocab as vocab_mod
 from .errors import GutiError, UnknownFormError
+from .fileio import write_atomic
 from .forms import FormCatalog, default_catalog, load_catalog
 from .model import (
     ModelConfig,
@@ -114,10 +115,9 @@ def cmd_ingest(corpus_file, out_dir, catalog_path, acrostic, min_count, max_seq_
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with (out / "dataset.jsonl").open("w", encoding="utf-8") as fh:
-        for s in samples:
-            fh.write(json.dumps({"text": s.text, "source_id": s.source_id},
-                                ensure_ascii=False) + "\n")
+    write_atomic(out / "dataset.jsonl", "".join(
+        json.dumps({"text": s.text, "source_id": s.source_id},
+                   ensure_ascii=False) + "\n" for s in samples).encode("utf-8"))
     vocab_mod.save_vocab(vocab, out / "vocab.txt")
     _err(f"ingested {len(result.poems)} poems "
          f"({len(result.diagnostics)} skipped records), "

@@ -4,7 +4,10 @@ Pre-norm residual blocks, learned positional embeddings, tanh-form GELU,
 multi-head causal self-attention, and a weight-tied output projection by
 default.  Both the forward pass and the analytic backward pass are written
 out explicitly; gradients are exact up to floating point, which the test
-suite pins against central finite differences.
+suite pins against central finite differences.  The forward pass caches
+each GELU's tanh for the backward pass, every weight gradient is one
+matmul over the flattened (batch * seq) rows, and one softmax/cross-entropy
+serves both the loss and its gradient.
 
 Parameters are plain numpy arrays in an ordered name->array mapping.  The
 canonical storage dtype is float32 (matching the checkpoint format); the
@@ -17,10 +20,13 @@ caller-supplied generator, never global state.  The one caller-owned
 object ``forward`` mutates is its optional ``kv`` list, the per-layer
 key/value cache of incremental decoding: each call appends the new
 positions' keys and values, and the next call continues from them.
+Importing the module sets glibc's malloc, once for the whole process, to
+keep freed memory for reuse (see ``_keep_freed_memory``).
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import struct
 from dataclasses import asdict, dataclass
@@ -29,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, ModelError
+from .fileio import write_atomic
 
 CHECKPOINT_MAGIC = b"GUTICKPT"
 CHECKPOINT_VERSION = 1
@@ -36,6 +43,27 @@ CHECKPOINT_VERSION = 1
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 _LN_EPS = 1e-5
+
+
+def _keep_freed_memory() -> None:
+    """Make glibc's malloc reuse freed arrays instead of returning them.
+
+    By default glibc gives large freed blocks back to the kernel, so each
+    training step faults its temporaries in again and the kernel zeroes
+    every page: about 45 MB, a tenth of a CLI-default step's time, and a
+    cost that swings with the machine's memory traffic.  Here arrays up to
+    32 MB come from the heap, and the heap is trimmed only past 1 GB free.
+    Where the C library has no ``mallopt`` (macOS, Windows), nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 1 << 30)    # M_TRIM_THRESHOLD
+
+
+_keep_freed_memory()
 
 
 @dataclass(frozen=True)
@@ -183,16 +211,20 @@ def _layer_norm_backward(dy, cache, g):
 
 
 def _gelu(u):
-    inner = _GELU_C * (u + _GELU_A * u ** 3)
-    return 0.5 * u * (1.0 + np.tanh(inner))
+    """tanh-form GELU; returns the activation and the tanh, which the
+    backward pass reuses."""
+    t = np.tanh(_GELU_C * (u + _GELU_A * (u * u * u)))
+    return 0.5 * u * (1.0 + t), t
 
 
-def _gelu_backward(du_out, u):
-    inner = _GELU_C * (u + _GELU_A * u ** 3)
-    t = np.tanh(inner)
-    sech2 = 1.0 - t * t
+def _gelu_backward(du_out, u, t):
     dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * u * u)
-    return du_out * (0.5 * (1.0 + t) + 0.5 * u * sech2 * dinner)
+    return du_out * (0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * dinner)
+
+
+def _wgrad(x, dy):
+    """Gradient of ``w`` in ``y = x @ w``, summed over every leading axis."""
+    return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
 def _dropout_mask(rng, shape, rate, dtype):
@@ -276,7 +308,7 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
 
         h2, ln2_cache = _layer_norm(x_attn, t[p + "ln2.g"], t[p + "ln2.b"])
         u = h2 @ t[p + "ff.w1"] + t[p + "ff.b1"]
-        a = _gelu(u)
+        a, gelu_t = _gelu(u)
         ff_out = a @ t[p + "ff.w2"] + t[p + "ff.b2"]
         res_drop2 = _dropout_mask(rng, ff_out.shape, rate, dtype)
         x_new = x_attn + _apply_mask(ff_out, res_drop2)
@@ -287,7 +319,7 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
                 "probs": probs, "att_drop": att_drop, "probs_d": probs_d,
                 "ctx": ctx, "res_drop1": res_drop1, "x_attn": x_attn,
                 "h2": h2, "ln2": ln2_cache, "u": u, "a": a,
-                "res_drop2": res_drop2,
+                "gelu_t": gelu_t, "res_drop2": res_drop2,
             })
         x = x_new
 
@@ -323,23 +355,38 @@ def forward(params: ModelParams, tokens: np.ndarray, train_mode: bool = False,
     return logits
 
 
+def _softmax_nll(logits: np.ndarray, batch: SequenceBatch):
+    """Masked mean next-token NLL, computed in the logits' dtype.
+
+    Log-probabilities are ``shifted - log(sum(exp(shifted)))``, so a target
+    far below its row max costs a large finite loss, not ``log(0)``.  Only
+    the predicting positions ``rows`` (b, t-1) are computed.  Returns
+    ``(loss, probs, rows, tgt, w)``: the softmax at those rows, the target
+    ids, and each target's weight ``mask / n``.
+    """
+    mask = batch.loss_mask.astype(logits.dtype)
+    n = mask.sum()
+    if n <= 0:
+        raise ModelError("loss mask selects no positions")
+    b_idx, t_idx = np.nonzero(batch.loss_mask)
+    rows = (b_idx, t_idx - 1)
+    tgt = batch.tokens[b_idx, t_idx]
+    pred = logits[rows]
+    shifted = pred - pred.max(axis=-1, keepdims=True)
+    el = np.exp(shifted)
+    z = el.sum(axis=-1, keepdims=True)
+    logp = shifted[np.arange(tgt.size), tgt] - np.log(z[:, 0])
+    m = mask[b_idx, t_idx]
+    return float(-(logp * m).sum() / n), el / z, rows, tgt, m / n
+
+
 def nll_loss(logits: np.ndarray, batch: SequenceBatch) -> float:
     """Mean negative log-likelihood over masked next-token positions.
 
     Computed in float64 regardless of the logits dtype.  Minimizing this
     maximizes the summed log-probability of each sequence.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    mask = batch.loss_mask.astype(np.float64)
-    n = mask.sum()
-    if n <= 0:
-        raise ModelError("loss mask selects no positions")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1)) + logits.max(axis=-1)
-    b_idx, t_idx = np.nonzero(batch.loss_mask)
-    tgt = batch.tokens[b_idx, t_idx]
-    tok_logp = logits[b_idx, t_idx - 1, tgt] - logz[b_idx, t_idx - 1]
-    return float(-(tok_logp * mask[b_idx, t_idx]).sum() / n)
+    return _softmax_nll(np.asarray(logits, dtype=np.float64), batch)[0]
 
 
 def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False,
@@ -353,34 +400,21 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
     t = params.tensors
     tokens = _check_inputs(params, batch.tokens)
     logits, cache = _forward_impl(params, tokens, train_mode, rng, want_cache=True)
-    dtype = params.dtype
+    loss, probs, rows, tgt, w = _softmax_nll(logits, batch)
 
-    mask = batch.loss_mask.astype(dtype)
-    n = mask.sum()
-    if n <= 0:
-        raise ModelError("loss mask selects no positions")
-
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    el = np.exp(shifted)
-    probs = el / el.sum(axis=-1, keepdims=True)
-    b_idx, t_idx = np.nonzero(batch.loss_mask)
-    tgt = tokens[b_idx, t_idx]
-    logp = np.log(probs[b_idx, t_idx - 1, tgt])
-    loss = float(-(logp * mask[b_idx, t_idx]).sum() / n)
-
-    # dL/dlogits at position t-1 for each masked target position t
+    # dL/dlogits at position t-1 for each masked target position t; every
+    # (b, t-1) is distinct, so plain assignment needs no accumulation
     dlogits = np.zeros_like(logits)
-    w = (mask[b_idx, t_idx] / n)[:, None]
-    np.add.at(dlogits, (b_idx, t_idx - 1), probs[b_idx, t_idx - 1] * w)
-    np.subtract.at(dlogits, (b_idx, t_idx - 1, tgt), mask[b_idx, t_idx] / n)
+    dlogits[rows] = probs * w[:, None]
+    dlogits[rows + (tgt,)] -= w
 
     grads = {name: np.zeros_like(arr) for name, arr in t.items()}
     hf = cache["hf"]
     if c.tie_embeddings:
-        grads["tok_emb"] += np.einsum("bsv,bsd->vd", dlogits, hf)
+        grads["tok_emb"] += _wgrad(dlogits, hf)
         dhf = dlogits @ t["tok_emb"]
     else:
-        grads["out_proj"] += np.einsum("bsd,bsv->dv", hf, dlogits)
+        grads["out_proj"] += _wgrad(hf, dlogits)
         dhf = dlogits @ t["out_proj"].T
 
     dx, dg, db = _layer_norm_backward(dhf, cache["lnf"], t["ln_f.g"])
@@ -394,11 +428,11 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
         # feed-forward branch
         dff_out = _apply_mask(dx, lc["res_drop2"])
         grads[p + "ff.b2"] += dff_out.sum(axis=(0, 1))
-        grads[p + "ff.w2"] += np.einsum("bsf,bsd->fd", lc["a"], dff_out)
+        grads[p + "ff.w2"] += _wgrad(lc["a"], dff_out)
         da = dff_out @ t[p + "ff.w2"].T
-        du = _gelu_backward(da, lc["u"])
+        du = _gelu_backward(da, lc["u"], lc["gelu_t"])
         grads[p + "ff.b1"] += du.sum(axis=(0, 1))
-        grads[p + "ff.w1"] += np.einsum("bsd,bsf->df", lc["h2"], du)
+        grads[p + "ff.w1"] += _wgrad(lc["h2"], du)
         dh2 = du @ t[p + "ff.w1"].T
         dx_attn, dg, db = _layer_norm_backward(dh2, lc["ln2"], t[p + "ln2.g"])
         grads[p + "ln2.g"] += dg
@@ -408,7 +442,7 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
         # attention branch
         dattn_out = _apply_mask(dx_attn, lc["res_drop1"])
         grads[p + "attn.bo"] += dattn_out.sum(axis=(0, 1))
-        grads[p + "attn.wo"] += np.einsum("bsd,bse->de", lc["ctx"], dattn_out)
+        grads[p + "attn.wo"] += _wgrad(lc["ctx"], dattn_out)
         dctx = dattn_out @ t[p + "attn.wo"].T
         dctx_h = _split_heads(dctx, c.n_heads)
         dprobs_d = dctx_h @ lc["vh"].transpose(0, 1, 3, 2)
@@ -426,9 +460,9 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
         grads[p + "attn.bq"] += dq.sum(axis=(0, 1))
         grads[p + "attn.bk"] += dk.sum(axis=(0, 1))
         grads[p + "attn.bv"] += dv.sum(axis=(0, 1))
-        grads[p + "attn.wq"] += np.einsum("bsd,bse->de", h1, dq)
-        grads[p + "attn.wk"] += np.einsum("bsd,bse->de", h1, dk)
-        grads[p + "attn.wv"] += np.einsum("bsd,bse->de", h1, dv)
+        grads[p + "attn.wq"] += _wgrad(h1, dq)
+        grads[p + "attn.wk"] += _wgrad(h1, dk)
+        grads[p + "attn.wv"] += _wgrad(h1, dv)
         dh1 = dq @ t[p + "attn.wq"].T + dk @ t[p + "attn.wk"].T \
             + dv @ t[p + "attn.wv"].T
         dx_res, dg, db = _layer_norm_backward(dh1, lc["ln1"], t[p + "ln1.g"])
@@ -458,7 +492,6 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     """Write the versioned binary checkpoint (tensors as little-endian f32)."""
-    p = Path(path)
     cfg_json = json.dumps(asdict(params.config), sort_keys=True).encode("utf-8")
     names = param_names(params.config)
     chunks = [CHECKPOINT_MAGIC,
@@ -473,7 +506,7 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
         chunks.append(struct.pack("<B", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    p.write_bytes(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:

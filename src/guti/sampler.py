@@ -77,14 +77,18 @@ def top_k_distribution(logits: np.ndarray, cfg: SampleConfig) -> tuple[np.ndarra
     if cfg.forbid:
         logits = logits.copy()
         logits[list(cfg.forbid)] = -np.inf
-    if not np.any(logits > -np.inf):
+    hi = logits.max()
+    if hi == -np.inf:
         raise SamplingError("every token is masked")
-    if not np.all(np.isfinite(logits[logits > -np.inf])):
+    if not hi < np.inf:       # NaN or +inf
         raise SamplingError("non-finite logits")
     k = min(cfg.k, logits.size)
-    # stable sort on the negated logits: equal logits keep ascending id order
-    order = np.argsort(-logits, kind="stable")[:k]
-    candidates = order[logits[order] > -np.inf]
+    # the k-th highest logit in O(V); the ids at or above it come in id
+    # order, so a stable sort on the logit keeps equal logits lowest id first
+    kth = np.partition(logits, logits.size - k)[logits.size - k]
+    top = np.flatnonzero(logits >= kth)
+    top = top[np.argsort(-logits[top], kind="stable")[:k]]
+    candidates = top[logits[top] > -np.inf]
     z = logits[candidates] / cfg.temperature
     z = z - z.max()
     p = np.exp(z)

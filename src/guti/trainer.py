@@ -21,6 +21,7 @@ import numpy as np
 from . import vocab as vocab_mod
 from .corpus import Poem, SerializedSample, parse_body
 from .errors import GutiError, TrainingError
+from .fileio import write_atomic
 from .model import (
     ModelParams,
     SequenceBatch,
@@ -342,8 +343,8 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
         ckpt = out_path / "last.ckpt"
         save_checkpoint(params, ckpt)
         report.checkpoint_paths.append(str(ckpt))
-        metrics = out_path / "metrics.jsonl"
-        metrics.write_text("\n".join(report.metric_lines()) + "\n", encoding="utf-8")
+        write_atomic(out_path / "metrics.jsonl",
+                     ("\n".join(report.metric_lines()) + "\n").encode("utf-8"))
     report.steps_run = step
     report.wall_clock_sec = time.time() - started
     return params, report

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import VocabError
+from .fileio import write_atomic
 from .forms import ALL_MARKERS
 
 VOCAB_FORMAT_VERSION = 1
@@ -125,7 +126,7 @@ def decode(ids: Sequence[int], vocab: Vocab) -> str:
 def save_vocab(vocab: Vocab, path: str | Path) -> None:
     lines = [f"guti-vocab v{VOCAB_FORMAT_VERSION} min_count={vocab.min_count}"]
     lines.extend(vocab.tokens)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_vocab(path: str | Path) -> Vocab:

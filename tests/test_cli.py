@@ -1,8 +1,11 @@
+import io
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from guti import fileio
 from guti.cli import main
 from guti.vocab import build_vocab, load_vocab
 
@@ -348,3 +351,66 @@ class TestExitCodes:
                            "-o", str(not_a_dir / "sub"))
         assert code == 2
         assert "I/O failure" in err
+
+
+class TestAtomicWrites:
+    """A write that fails leaves the previous file byte-identical and no
+    temporary file in its directory."""
+
+    @pytest.fixture
+    def fail_replace_of(self, monkeypatch):
+        def arm(name):
+            real = os.replace
+
+            def replace(src, dst):
+                if Path(dst).name == name:
+                    raise OSError(f"injected failure replacing {name}")
+                return real(src, dst)
+            monkeypatch.setattr(os, "replace", replace)
+        return arm
+
+    @pytest.mark.parametrize("target", ["dataset.jsonl", "vocab.txt"])
+    def test_failed_ingest_keeps_previous_file(self, capsys, tmp_path, mini_corpus,
+                                               fail_replace_of, target):
+        assert run(capsys, "ingest", str(mini_corpus), "-o", str(tmp_path))[0] == 0
+        old = (tmp_path / target).read_bytes()
+        names = sorted(p.name for p in tmp_path.iterdir())
+        fail_replace_of(target)
+        code, _, err = run(capsys, "ingest", str(mini_corpus), "-o", str(tmp_path),
+                           "--acrostic")
+        assert code == 2 and "injected failure" in err
+        assert (tmp_path / target).read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+    @pytest.mark.parametrize("target", ["last.ckpt", "metrics.jsonl"])
+    def test_failed_train_keeps_previous_file(self, capsys, tmp_path, pipeline,
+                                              fail_replace_of, target):
+        def train(seed):
+            return run(capsys, "train", str(pipeline / "dataset.jsonl"),
+                       "--vocab", str(pipeline / "vocab.txt"),
+                       "-o", str(tmp_path), "--layers", "1", "--heads", "2",
+                       "--d-model", "16", "--d-ff", "32", "--context-len", "96",
+                       "--max-steps", "4", "--checkpoint-interval", "2",
+                       "--seed", seed, "--heldout-fraction", "0")
+        assert train("1")[0] == 0
+        old = (tmp_path / target).read_bytes()
+        names = sorted(p.name for p in tmp_path.iterdir())
+        fail_replace_of(target)
+        code, _, err = train("2")
+        assert code == 2 and "injected failure" in err
+        assert (tmp_path / target).read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+    def test_write_raising_midway_keeps_previous_file(self, tmp_path, monkeypatch):
+        class HalfWrite(io.FileIO):
+            def write(self, data):
+                super().write(data[:len(data) // 2])
+                raise OSError("disk full")
+
+        target = tmp_path / "vocab.txt"
+        target.write_bytes(b"previous")
+        monkeypatch.setattr(fileio, "open", HalfWrite, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            fileio.write_atomic(target, b"0123456789")
+        assert target.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]

@@ -6,6 +6,7 @@ import pytest
 from guti.errors import CheckpointError, ModelError
 from guti.model import (
     ModelConfig,
+    ModelParams,
     SequenceBatch,
     backward,
     forward,
@@ -276,7 +277,15 @@ class TestLoss:
         assert abs(loss - loss_p) < 1e-12
 
 
-def finite_difference_grads(params, batch, h=1e-5):
+def finite_difference_grads(params, batch, h=1e-5, dropout_seed=None):
+    """Central differences of nll_loss; with ``dropout_seed`` every
+    evaluation runs in train mode on a fresh generator from that seed, so
+    each one draws the dropout masks ``backward`` draws from it."""
+    def loss():
+        rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
+        logits = forward(params, batch.tokens, train_mode=rng is not None, rng=rng)
+        return nll_loss(logits, batch)
+
     grads = {}
     for name, arr in params.tensors.items():
         g = np.zeros_like(arr)
@@ -284,13 +293,18 @@ def finite_difference_grads(params, batch, h=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            lp = nll_loss(forward(params, batch.tokens), batch)
+            lp = loss()
             flat[i] = orig - h
-            lm = nll_loss(forward(params, batch.tokens), batch)
+            lm = loss()
             flat[i] = orig
             gf[i] = (lp - lm) / (2.0 * h)
         grads[name] = g
     return grads
+
+
+def rel_err(got, want):
+    num = np.linalg.norm(np.asarray(got, dtype=np.float64) - want)
+    return num / max(np.linalg.norm(got), np.linalg.norm(want), 1e-12)
 
 
 class TestBackward:
@@ -302,9 +316,8 @@ class TestBackward:
         assert abs(loss - nll_loss(forward(params, batch.tokens), batch)) < 1e-12
         fd = finite_difference_grads(params, batch, h=1e-4)
         for name in grads:
-            num = np.linalg.norm(fd[name] - grads[name])
-            den = max(np.linalg.norm(fd[name]), np.linalg.norm(grads[name]), 1e-12)
-            assert num / den < 1e-3, f"{name}: rel err {num / den:.2e}"
+            err = rel_err(grads[name], fd[name])
+            assert err < 1e-3, f"{name}: rel err {err:.2e}"
 
     def test_unused_positional_rows_get_zero_grad(self):
         rng = np.random.default_rng(5)
@@ -325,9 +338,7 @@ class TestBackward:
         _, grads = backward(params, batch)
         fd = finite_difference_grads(params, batch, h=1e-4)
         for name in ("out_proj", "tok_emb"):
-            num = np.linalg.norm(fd[name] - grads[name])
-            den = max(np.linalg.norm(fd[name]), np.linalg.norm(grads[name]), 1e-12)
-            assert num / den < 1e-3
+            assert rel_err(grads[name], fd[name]) < 1e-3
 
     def test_dropout_gradients_consistent(self):
         config = ModelConfig(n_layers=1, n_heads=1, d_model=8, d_ff=12,
@@ -340,6 +351,70 @@ class TestBackward:
         assert a[0] == b[0]
         for name in a[1]:
             assert np.array_equal(a[1][name], b[1][name])
+
+    def test_dropout_gradients_match_finite_differences(self):
+        config = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=12,
+                             context_len=8, vocab_size=10, dropout_rate=0.3)
+        params = init_params(config, seed=2, dtype=np.float64)
+        batch = rand_batch(np.random.default_rng(3), config, b=2, s=5)
+        loss, grads = backward(params, batch, train_mode=True,
+                               rng=np.random.default_rng(42))
+        # the masks are live: the train-mode loss is not the eval loss
+        assert abs(loss - nll_loss(forward(params, batch.tokens), batch)) > 1e-6
+        fd = finite_difference_grads(params, batch, h=1e-4, dropout_seed=42)
+        for name in grads:
+            err = rel_err(grads[name], fd[name])
+            assert err < 1e-3, f"{name}: rel err {err:.2e}"
+
+    @pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
+    def test_float32_gradients_match_float64(self, tie):
+        # training runs in float32; the same weights in float64 give the
+        # reference gradients.  Weights of scale 0.3 put the GELU inputs
+        # around +-1, where its tanh is far from linear.
+        config = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=32,
+                             context_len=12, vocab_size=20, tie_embeddings=tie)
+        rng = np.random.default_rng(8)
+        p32 = init_params(config, seed=2)
+        for arr in p32.tensors.values():
+            arr += rng.normal(0.0, 0.3, arr.shape).astype(np.float32)
+        p64 = ModelParams(config, {name: arr.astype(np.float64)
+                                   for name, arr in p32.tensors.items()})
+        batch = rand_batch(rng, config, b=3, s=12)
+        loss32, g32 = backward(p32, batch)
+        loss64, g64 = backward(p64, batch)
+        assert abs(loss32 - loss64) < 1e-5 * loss64
+        for name in g64:
+            assert g32[name].dtype == np.float32
+            if name.endswith("attn.bk"):
+                # a key bias shifts every score of a query row alike, which
+                # the softmax ignores: its gradient is zero up to rounding
+                assert np.linalg.norm(g32[name]) < 1e-6
+                continue
+            # float32 epsilon is 1.2e-7; 1e-5 leaves room for the rounding
+            # of sums over every position and both layers
+            err = rel_err(g32[name], g64[name])
+            assert err < 1e-5, f"{name}: rel err {err:.2e}"
+
+    def test_loss_finite_when_float32_softmax_underflows(self):
+        # a gain of 60 on the final norm spreads the logits so far that the
+        # float32 softmax of some targets underflows to 0; the loss is still
+        # the finite log-sum-exp value nll_loss gives
+        config = ModelConfig(n_layers=1, n_heads=1, d_model=8, d_ff=12,
+                             context_len=8, vocab_size=4, tie_embeddings=False)
+        params = init_params(config, seed=0)
+        params.tensors["ln_f.g"][:] = 60.0
+        params.tensors["out_proj"][:] = np.random.default_rng(0).standard_normal((8, 4))
+        batch = SequenceBatch(tokens=np.array([[0, 1, 2, 3, 0, 1, 2, 3]]),
+                              loss_mask=np.array([[0, 1, 1, 1, 1, 1, 1, 1]]))
+        logits = forward(params, batch.tokens)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        target_p = np.exp(shifted[0, np.arange(7), batch.tokens[0, 1:]])
+        assert logits.dtype == np.float32 and np.any(target_p == 0.0)
+        with np.errstate(divide="raise"):
+            loss, grads = backward(params, batch)
+        want = nll_loss(logits, batch)
+        assert np.isfinite(loss) and abs(loss - want) < 1e-5 * want
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
 
 
 class TestCheckpoint:

@@ -57,6 +57,17 @@ class TestBuildPrompt:
             build_prompt("五绝", "秋(标题)思", catalog, toy_vocab)
 
 
+def stable_argsort_top_k(logits, cfg):
+    """Reference top-k: a stable sort of the whole vocabulary."""
+    logits = np.asarray(logits, dtype=np.float64).copy()
+    logits[list(cfg.forbid)] = -np.inf
+    order = np.argsort(-logits, kind="stable")[:cfg.k]
+    candidates = order[logits[order] > -np.inf]
+    z = logits[candidates] / cfg.temperature
+    p = np.exp(z - z.max())
+    return candidates, p / p.sum()
+
+
 class TestTopK:
     def test_k1_is_argmax(self):
         rng = np.random.default_rng(0)
@@ -111,6 +122,31 @@ class TestTopK:
             counts[top_k_sample(logits, cfg, rng)] += 1
         chi2 = float((((counts - n * probs) ** 2) / (n * probs)).sum())
         assert chi2 < 15.086   # alpha = 0.01, 5 degrees of freedom
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_stable_argsort_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            v = int(rng.integers(1, 30))
+            if rng.random() < 0.5:
+                logits = rng.integers(-2, 3, size=v).astype(float)   # many ties
+            else:
+                logits = rng.normal(size=v)
+            forbid = frozenset(rng.choice(v, size=int(rng.integers(0, v)),
+                                          replace=False).tolist())
+            # k runs past the number of unforbidden ids; with small integer
+            # logits a run of ties often straddles the k-th place
+            cfg = SampleConfig(k=int(rng.integers(1, v + 3)), forbid=forbid,
+                               temperature=float(rng.choice([0.5, 1.0, 2.0])))
+            got = top_k_distribution(logits, cfg)
+            want = stable_argsort_top_k(logits, cfg)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_logits_rejected(self, bad):
+        with pytest.raises(SamplingError):
+            top_k_distribution(np.array([0.0, bad, 1.0]), SampleConfig(k=1))
 
     def test_all_masked_rejected(self):
         cfg = SampleConfig(k=2, forbid=frozenset({0, 1, 2}))
