@@ -9,7 +9,7 @@ signal.
 
 from __future__ import annotations
 
-import difflib
+import bisect
 import hashlib
 import json
 import time
@@ -109,11 +109,40 @@ class NoveltyResult:
     shares_ngram: bool
 
 
+def _suffix_array(text: str) -> np.ndarray:
+    """Start offsets of ``text``'s suffixes in code-point order (prefix doubling).
+
+    Each round sorts on one int64 key, the rank of a suffix's first k code
+    points times (n + 1) plus one more than the rank of the next k (0 past
+    the end, so a shorter suffix sorts first), then re-ranks; it stops once
+    every rank is distinct, after at most log2(n) rounds.
+    """
+    n = len(text)
+    codes = np.fromiter(map(ord, text), dtype=np.int64, count=n)
+    rank = np.unique(codes, return_inverse=True)[1].astype(np.int64)
+    sa = np.argsort(rank)
+    k = 1
+    while n and rank[sa[-1]] < n - 1:
+        nxt = np.zeros(n, dtype=np.int64)
+        nxt[:n - k] = rank[k:] + 1
+        key = rank * (n + 1) + nxt
+        sa = np.argsort(key)
+        ordered = key[sa]
+        rank[sa] = np.concatenate(([0], np.cumsum(ordered[1:] != ordered[:-1])))
+        k *= 2
+    return sa
+
+
 class NoveltyIndex:
-    """Line-level exact-match set plus the corpus text.
+    """Line-level exact-match set plus a suffix array of the corpus text.
 
     Poems are joined with "\n", which no query holds, so a common substring
     never spans two poems and ``shares_ngram`` is ``max_overlap >= NGRAM``.
+
+    The suffix array is sorted once, in O(n log n) numpy work over the n
+    corpus characters. ``max_overlap``, the longest substring a query shares
+    with the corpus text, then costs O(m) binary searches for an m-character
+    query, each O(log n) string comparisons.
     """
 
     NGRAM = 5
@@ -121,6 +150,7 @@ class NoveltyIndex:
     def __init__(self, line_set: set[str], corpus_text: str):
         self._lines = line_set
         self._corpus_text = corpus_text
+        self._suffixes = _suffix_array(corpus_text)
 
     @classmethod
     def from_texts(cls, body_texts: list[str]) -> "NoveltyIndex":
@@ -136,15 +166,24 @@ class NoveltyIndex:
     def from_samples(cls, samples: list[SerializedSample]) -> "NoveltyIndex":
         return cls.from_texts([s.fields()["body"] for s in samples])
 
+    def _max_overlap(self, chars: str) -> int:
+        """Length of the longest substring of ``chars`` found in the corpus."""
+        text, sa, best = self._corpus_text, self._suffixes, 0
+        for i in range(len(chars)):
+            # grow the best length while chars[i:i + best + 1] occurs
+            while i + best < len(chars):
+                q = chars[i:i + best + 1]
+                j = bisect.bisect_left(sa, q, key=lambda p: text[p:p + len(q)])
+                if j == len(sa) or text[sa[j]:sa[j] + len(q)] != q:
+                    break
+                best += 1
+        return best
+
     def score_lines(self, lines: list[str]) -> NoveltyResult:
         if not lines:
             raise TrainingError("cannot score an empty poem")
         hits = sum(1 for ln in lines if ln in self._lines)
-        chars = "".join(lines)
-        matcher = difflib.SequenceMatcher(None, chars, self._corpus_text,
-                                          autojunk=False)
-        overlap = matcher.find_longest_match(0, len(chars),
-                                             0, len(self._corpus_text)).size
+        overlap = self._max_overlap("".join(lines))
         return NoveltyResult(score=1.0 - hits / len(lines),
                              verbatim_lines=hits, total_lines=len(lines),
                              max_overlap=overlap,

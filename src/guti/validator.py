@@ -10,13 +10,15 @@ hard rules.  Every check is a pure function of its inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import Line, Poem, parse_body
 from .errors import CorpusError
-from .forms import COMMA, PERIOD, TONE_ANY, TONE_PING, FormCatalog, FormSpec
+from .forms import (COMMA, PERIOD, TONE_ANY, TONE_PING, FormCatalog, FormSpec,
+                    LineTemplate)
 from .phonology import PING, PhonologyTable
 
 HARD = "hard"
@@ -61,17 +63,18 @@ class ValidationReport:
                 "rules": [r.to_dict() for r in self.results]}
 
 
-def _expand_templates(spec: FormSpec) -> list[tuple[tuple[int, str], ...]]:
+@functools.cache
+def _expand_templates(template: LineTemplate) -> tuple[tuple[tuple[int, str], ...], ...]:
     """All full (length, punct) line sequences a groups-template allows."""
     combos = []
-    for picks in itertools.product(*spec.line_template.groups):
+    for picks in itertools.product(*template.groups):
         seq: list[tuple[int, str]] = []
         for alt in picks:
             for j, seg_len in enumerate(alt):
                 punct = PERIOD if j == len(alt) - 1 else COMMA
                 seq.append((seg_len, punct))
         combos.append(tuple(seq))
-    return combos
+    return tuple(combos)
 
 
 def _best_template(templates, lines: Sequence[Line]):
@@ -135,7 +138,7 @@ def check_structure(poem: Poem, spec: FormSpec) -> list[RuleResult]:
             "internal punctuation must mirror the first line"))
         return results
 
-    templates = _expand_templates(spec)
+    templates = _expand_templates(spec.line_template)
     feasible_counts = sorted({len(t) for t in templates})
     ok_count = len(lines) in feasible_counts
     results.append(RuleResult(

@@ -1,8 +1,11 @@
+import difflib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guti.corpus import Poem, parse_body
 from guti.errors import TrainingError
@@ -89,6 +92,17 @@ class TestAdam:
         assert abs(out["w"][0] + 0.25) < 1e-12
 
 
+def longest_match(query: str, corpus_text: str) -> int:
+    """Longest common substring, by difflib: the oracle for ``max_overlap``."""
+    matcher = difflib.SequenceMatcher(None, query, corpus_text, autojunk=False)
+    return matcher.find_longest_match(0, len(query), 0, len(corpus_text)).size
+
+
+# a small alphabet forces long repeats; "\n" separates poems, U+20000 is
+# outside the BMP and U+D800 is a lone surrogate
+SMALL_ALPHABET = "春风\n\U00020000\ud800"
+
+
 class TestNovelty:
     def make_index(self):
         return NoveltyIndex.from_texts([
@@ -131,6 +145,54 @@ class TestNovelty:
     def test_empty_poem_rejected(self):
         with pytest.raises(TrainingError):
             self.make_index().score_lines([])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(SMALL_ALPHABET, max_size=30), max_size=5),
+           st.text(SMALL_ALPHABET, max_size=40))
+    def test_overlap_matches_difflib(self, texts, query):
+        corpus_text = "\n".join(texts)
+        index = NoveltyIndex(set(), corpus_text)
+        assert index.score_lines([query]).max_overlap == longest_match(query, corpus_text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.text("春风花", min_size=1, max_size=7),
+                             min_size=1, max_size=4), max_size=5),
+           st.lists(st.text("春风花月", max_size=9), min_size=1, max_size=4))
+    def test_from_texts_overlap_matches_difflib(self, bodies, lines):
+        index = NoveltyIndex.from_texts(["，".join(body) + "。" for body in bodies])
+        corpus_text = "\n".join("".join(body) for body in bodies)
+        result = index.score_lines(lines)
+        assert result.max_overlap == longest_match("".join(lines), corpus_text)
+        assert result.shares_ngram == (result.max_overlap >= NoveltyIndex.NGRAM)
+
+    def test_empty_corpus(self):
+        result = NoveltyIndex.from_texts([]).score_lines(["床前明月光"])
+        assert result.max_overlap == 0 and result.score == 1.0
+
+    def test_query_longer_than_corpus(self):
+        index = NoveltyIndex.from_texts(["春眠不觉晓。"])
+        assert index.score_lines(["夜春眠不觉晓处处闻啼鸟"]).max_overlap == 5
+        assert index.score_lines(["春眠不觉晓春眠不觉晓"]).max_overlap == 5
+
+    def test_one_repeated_character(self):
+        # every suffix shares its prefix with the next: the most doubling rounds
+        index = NoveltyIndex.from_texts(["春" * 300 + "。"])
+        for n in (1, 299, 300, 301, 700):
+            assert index.score_lines(["春" * n]).max_overlap == min(n, 300)
+        assert index.score_lines(["风" + "春" * 40 + "风"]).max_overlap == 40
+
+    def test_fixture_poems(self, fixture_poems):
+        bodies = [[ln.characters for ln in p.body] for p in fixture_poems]
+        index = NoveltyIndex.from_texts([p.body_text() for p in fixture_poems])
+        corpus_text = "\n".join("".join(lines) for lines in bodies)
+        for lines, nxt in zip(bodies, bodies[1:] + bodies[:1]):
+            verbatim = index.score_lines(lines)
+            assert verbatim.max_overlap == len("".join(lines))
+            assert verbatim.score == 0.0
+            half, nxt_half = len(lines) // 2, len(nxt) // 2
+            spliced = lines[:max(half, 1)] + nxt[nxt_half:]
+            assert (index.score_lines(spliced).max_overlap
+                    == longest_match("".join(spliced), corpus_text))
 
 
 class TestBatching:

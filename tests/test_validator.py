@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from guti.corpus import Line, Poem, parse_body
 from guti.errors import UnknownFormError
 from guti.phonology import parse_table
 from guti.validator import (
+    _expand_templates,
     check_acrostic,
     check_pairing,
     check_rhyme,
@@ -70,6 +73,20 @@ class TestStructure:
         good = by_source(fixture_poems, "t5-shuidiaogetou")
         assert all(r.passed for r in check_structure(good, spec)
                    if r.level == "hard")
+
+    def test_cached_templates_match_fresh_expansion(self, catalog):
+        specs = [catalog.resolve(f) for f in catalog.form_ids()]
+        groups_specs = [s for s in specs if s.line_template.kind == "groups"]
+        assert groups_specs
+        for spec in groups_specs:
+            fresh = []
+            for picks in itertools.product(*spec.line_template.groups):
+                fresh.append(tuple(
+                    (seg_len, "。" if j == len(alt) - 1 else "，")
+                    for alt in picks for j, seg_len in enumerate(alt)))
+            cached = _expand_templates(spec.line_template)
+            assert cached == tuple(fresh)
+            assert _expand_templates(spec.line_template) is cached
 
 
 class TestPairing:
