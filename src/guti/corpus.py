@@ -36,6 +36,10 @@ def is_cjk(ch: str) -> bool:
         0x4E00 <= cp <= 0x9FFF      # CJK Unified Ideographs
         or 0x3400 <= cp <= 0x4DBF   # Extension A
         or 0xF900 <= cp <= 0xFAFF   # Compatibility Ideographs
+        or 0x20000 <= cp <= 0x2A6DF     # Extension B
+        or 0x2A700 <= cp <= 0x2EE5F     # Extensions C, D, E, F, I
+        or 0x2F800 <= cp <= 0x2FA1F     # Compatibility Ideographs Supplement
+        or 0x30000 <= cp <= 0x323AF     # Extensions G, H
     )
 
 

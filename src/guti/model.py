@@ -6,8 +6,23 @@ default.  Both the forward pass and the analytic backward pass are written
 out explicitly; gradients are exact up to floating point, which the test
 suite pins against central finite differences.  The forward pass caches
 each GELU's tanh for the backward pass, every weight gradient is one
-matmul over the flattened (batch * seq) rows, and one softmax/cross-entropy
-serves both the loss and its gradient.
+matmul over the flat rows, and one softmax/cross-entropy serves both the
+loss and its gradient.
+
+Rows: activations are flat (N, d) rows, one per (batch, position) cell
+that runs.  Attention is causal, so an output at position t reads only
+positions 0..t of its sequence.  A caller that asks for the logits at
+some positions only (``backward`` and held-out evaluation ask for the
+rows that predict a masked token) therefore runs, in each sequence, just
+the positions up to its last requested one: pads and the EOS column drop
+out, exactly.  Embedding, layer norms, projections, the FFN and GELU run
+on the kept rows; attention scatters them into a (B, S', ·) grid and
+gathers its output back.  Only the requested rows are projected to
+logits.  When every cell runs (public ``forward`` without ``rows``, any
+call with a ``kv`` cache, and so every decoding step) the move between
+rows and grid is a reshape, not a gather.  Dropout masks are drawn at the
+untrimmed (B, S, ·) shape and cut down, so a run draws the same random
+numbers whichever cells it keeps.
 
 Parameters are plain numpy arrays in an ordered name->array mapping.  The
 canonical storage dtype is float32 (matching the checkpoint format); the
@@ -201,8 +216,8 @@ def _layer_norm(x, g, b):
 
 def _layer_norm_backward(dy, cache, g):
     xhat, inv = cache
-    dg = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
-    db = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
+    dg = np.sum(dy * xhat, axis=0)
+    db = np.sum(dy, axis=0)
     dxhat = dy * g
     dx = inv * (dxhat
                 - dxhat.mean(axis=-1, keepdims=True)
@@ -212,40 +227,110 @@ def _layer_norm_backward(dy, cache, g):
 
 def _gelu(u):
     """tanh-form GELU; returns the activation and the tanh, which the
-    backward pass reuses."""
-    t = np.tanh(_GELU_C * (u + _GELU_A * (u * u * u)))
-    return 0.5 * u * (1.0 + t), t
+    backward pass reuses.  Those two are the only arrays it allocates."""
+    t = u * u
+    t *= u
+    t *= _GELU_A
+    t += u
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    a = t + 1.0
+    a *= u
+    a *= 0.5
+    return a, t
 
 
 def _gelu_backward(du_out, u, t):
-    dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * u * u)
-    return du_out * (0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * dinner)
+    """``du_out`` times 0.5 (1 + t + u (1 - t*t) C (1 + 3A u*u)), the
+    derivative of ``_gelu``, in two temporaries."""
+    g = u * u
+    g *= 3.0 * _GELU_A
+    g += 1.0
+    g *= _GELU_C
+    g *= u
+    sech2 = t * t
+    np.subtract(1.0, sech2, out=sech2)
+    g *= sech2
+    g += t
+    g += 1.0
+    g *= 0.5
+    g *= du_out
+    return g
 
 
-def _wgrad(x, dy):
-    """Gradient of ``w`` in ``y = x @ w``, summed over every leading axis."""
-    return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+def _dropout_mask(rng, shape, rate, dtype, take):
+    """Inverted-dropout mask, or None at rate 0.
 
-
-def _dropout_mask(rng, shape, rate, dtype):
+    The mask is drawn at the untrimmed ``shape`` and then cut down to the
+    cells that run by ``take``: the generator advances alike whichever
+    cells run, and each kept cell gets the same mask value.
+    """
     if rate <= 0.0:
         return None
     keep = (rng.random(shape) >= rate).astype(dtype) / dtype.type(1.0 - rate)
-    return keep
+    return take(keep)
 
 
 def _apply_mask(x, mask):
     return x if mask is None else x * mask
 
 
-def _split_heads(x, n_heads):
-    b, s, d = x.shape
-    return x.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+class _Layout:
+    """The (batch, position) cells a forward pass runs, as flat rows.
+
+    Each sequence runs a prefix of its positions.  ``width`` is the longest
+    prefix, and ``cells`` holds the flat index ``b * width + t`` of every
+    kept cell of the (B, width) grid, in row-major order.  When every cell
+    is kept, ``cells`` is None and moving between rows and the grid is a
+    reshape, not a gather.
+    """
+
+    def __init__(self, batch: int, width: int, cells: np.ndarray | None = None):
+        self.batch, self.width, self.cells = batch, width, cells
+
+    def to_rows(self, x):
+        """(B, >= width, ...) grid -> (N, ...) rows of the kept cells."""
+        flat = x[:, :self.width].reshape(self.batch * self.width, *x.shape[2:])
+        return flat if self.cells is None else flat[self.cells]
+
+    def to_grid(self, x):
+        """(N, ...) rows -> (B, width, ...) grid, zero at the cells not kept."""
+        shape = (self.batch, self.width) + x.shape[1:]
+        if self.cells is None:
+            return x.reshape(shape)
+        grid = np.zeros((self.batch * self.width,) + x.shape[1:], dtype=x.dtype)
+        grid[self.cells] = x
+        return grid.reshape(shape)
+
+    def split_heads(self, x, n_heads: int):
+        """(N, d) rows -> (B, n_heads, width, d // n_heads) grid."""
+        grid = x if self.cells is None else self.to_grid(x)
+        return grid.reshape(self.batch, self.width, n_heads, -1).transpose(0, 2, 1, 3)
+
+    def merge_heads(self, x):
+        """(B, heads, width, head_dim) grid -> (N, heads * head_dim) rows."""
+        b, h, w, dh = x.shape
+        flat = x.transpose(0, 2, 1, 3).reshape(b * w, h * dh)
+        return flat if self.cells is None else flat[self.cells]
+
+    def index(self, out, seq: int):
+        """Row numbers of the kept cells at ``out``, flat indices b * seq + t."""
+        if seq != self.width:
+            out = out // seq * self.width + out % seq
+        return out if self.cells is None else np.searchsorted(self.cells, out)
 
 
-def _merge_heads(x):
-    b, h, s, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, s, h * dh)
+def _rows_reaching(batch: int, seq: int, out) -> _Layout:
+    """The cells that the outputs at ``out``, flat indices b * seq + t, read.
+
+    Attention is causal, so the output at (b, t) depends on positions
+    0..t of sequence b only; every later position is left out.
+    """
+    last = np.full(batch, -1)
+    np.maximum.at(last, out // seq, out % seq)
+    width = int(last.max()) + 1
+    keep = np.arange(width) <= last[:, None]
+    return _Layout(batch, width, None if keep.all() else np.flatnonzero(keep))
 
 
 def _check_inputs(params: ModelParams, tokens: np.ndarray) -> np.ndarray:
@@ -259,7 +344,14 @@ def _check_inputs(params: ModelParams, tokens: np.ndarray) -> np.ndarray:
 
 
 def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
-                  rng, want_cache: bool, kv: list | None = None):
+                  rng, want_cache: bool, kv: list | None = None, out=None):
+    """The one forward pass: ``(logits, cache)``.
+
+    ``out`` holds the flat indices ``b * S + t`` of the positions projected
+    to logits, returned as (len(out), V); None projects all of them to
+    (B, S, V).  Without a ``kv`` cache only the cells ``out`` reads run;
+    with one, every cell runs, since the cache must hold them all.
+    """
     c = params.config
     t = params.tensors
     dtype = params.dtype
@@ -271,13 +363,16 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
         raise ModelError(
             f"sequence length {start + s} exceeds context {c.context_len}")
     rate = c.dropout_rate if train_mode else 0.0
+    layout = (_Layout(b, s) if out is None or kv is not None
+              else _rows_reaching(b, s, out))
+    w = layout.width
 
-    x = t["tok_emb"][tokens] + t["pos_emb"][start:start + s]
-    emb_drop = _dropout_mask(rng, x.shape, rate, dtype)
+    x = layout.to_rows(t["tok_emb"][tokens[:, :w]] + t["pos_emb"][start:start + w])
+    emb_drop = _dropout_mask(rng, (b, s, c.d_model), rate, dtype, layout.to_rows)
     x = _apply_mask(x, emb_drop)
 
     # query row i sits at position start + i and sees keys 0..start + i
-    causal = np.tril(np.ones((s, start + s), dtype=bool), k=start)
+    causal = np.tril(np.ones((w, start + w), dtype=bool), k=start)
     scale = dtype.type(1.0 / np.sqrt(c.head_dim))
     caches = []
     for i in range(c.n_layers):
@@ -286,7 +381,7 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
         q = h1 @ t[p + "attn.wq"] + t[p + "attn.bq"]
         k = h1 @ t[p + "attn.wk"] + t[p + "attn.bk"]
         v = h1 @ t[p + "attn.wv"] + t[p + "attn.bv"]
-        qh, kh, vh = (_split_heads(z, c.n_heads) for z in (q, k, v))
+        qh, kh, vh = (layout.split_heads(z, c.n_heads) for z in (q, k, v))
         if kv is not None:
             if i < len(kv):
                 kh = np.concatenate((kv[i][0], kh), axis=2)
@@ -299,43 +394,52 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
         att = att - att.max(axis=-1, keepdims=True)
         ea = np.exp(att)
         probs = ea / ea.sum(axis=-1, keepdims=True)
-        att_drop = _dropout_mask(rng, probs.shape, rate, dtype)
+        att_drop = _dropout_mask(rng, (b, c.n_heads, s, start + s), rate, dtype,
+                                 lambda m: m[:, :, :w, :start + w])
         probs_d = _apply_mask(probs, att_drop)
-        ctx = _merge_heads(probs_d @ vh)
+        ctx = layout.merge_heads(probs_d @ vh)
         attn_out = ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]
-        res_drop1 = _dropout_mask(rng, attn_out.shape, rate, dtype)
+        res_drop1 = _dropout_mask(rng, (b, s, c.d_model), rate, dtype,
+                                  layout.to_rows)
         x_attn = x + _apply_mask(attn_out, res_drop1)
 
         h2, ln2_cache = _layer_norm(x_attn, t[p + "ln2.g"], t[p + "ln2.b"])
         u = h2 @ t[p + "ff.w1"] + t[p + "ff.b1"]
         a, gelu_t = _gelu(u)
         ff_out = a @ t[p + "ff.w2"] + t[p + "ff.b2"]
-        res_drop2 = _dropout_mask(rng, ff_out.shape, rate, dtype)
+        res_drop2 = _dropout_mask(rng, (b, s, c.d_model), rate, dtype,
+                                  layout.to_rows)
         x_new = x_attn + _apply_mask(ff_out, res_drop2)
 
         if want_cache:
             caches.append({
-                "x": x, "h1": h1, "ln1": ln1_cache, "qh": qh, "kh": kh, "vh": vh,
+                "h1": h1, "ln1": ln1_cache, "qh": qh, "kh": kh, "vh": vh,
                 "probs": probs, "att_drop": att_drop, "probs_d": probs_d,
-                "ctx": ctx, "res_drop1": res_drop1, "x_attn": x_attn,
-                "h2": h2, "ln2": ln2_cache, "u": u, "a": a,
-                "gelu_t": gelu_t, "res_drop2": res_drop2,
+                "ctx": ctx, "res_drop1": res_drop1, "h2": h2, "ln2": ln2_cache,
+                "u": u, "a": a, "gelu_t": gelu_t, "res_drop2": res_drop2,
             })
         x = x_new
 
+    out_idx = None
+    if out is not None:
+        out_idx = layout.index(out, s)
+        x = x[out_idx]
     hf, lnf_cache = _layer_norm(x, t["ln_f.g"], t["ln_f.b"])
     w_out = t["tok_emb"].T if c.tie_embeddings else t["out_proj"]
     logits = hf @ w_out
+    if out is None:
+        logits = logits.reshape(b, s, -1)
     cache = None
     if want_cache:
-        cache = {"tokens": tokens, "emb_drop": emb_drop, "layers": caches,
-                 "x_final": x, "hf": hf, "lnf": lnf_cache, "scale": scale}
+        cache = {"layout": layout, "tok": layout.to_rows(tokens), "out_idx": out_idx,
+                 "emb_drop": emb_drop, "layers": caches, "hf": hf,
+                 "lnf": lnf_cache, "scale": scale}
     return logits, cache
 
 
 def forward(params: ModelParams, tokens: np.ndarray, train_mode: bool = False,
             rng: np.random.Generator | None = None,
-            kv: list | None = None) -> np.ndarray:
+            kv: list | None = None, rows=None) -> np.ndarray:
     """Causal forward pass; returns logits of shape (batch, seq, vocab).
 
     Position i logits depend only on tokens at positions <= i.  Eval mode
@@ -348,78 +452,108 @@ def forward(params: ModelParams, tokens: np.ndarray, train_mode: bool = False,
     cached length on, attend to every cached position, and their keys and
     values are appended to the cache in place.  Feeding a sequence in any
     split of chunks gives the logits one full call would give.
+
+    ``rows`` = (b_idx, t_idx) returns only the logits at those positions,
+    ``forward(...)[rows]``, of shape (len(b_idx), vocab); without ``kv``,
+    only the positions they depend on are computed.
     """
     tokens = _check_inputs(params, tokens)
+    out = None
+    if rows is not None:
+        try:
+            out = np.ravel_multi_index(rows, tokens.shape)
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"rows do not index the tokens: {exc}") from exc
+        if not np.size(out):
+            raise ModelError("rows select no position")
     logits, _ = _forward_impl(params, tokens, train_mode, rng, want_cache=False,
-                              kv=kv)
+                              kv=kv, out=out)
     return logits
+
+
+def loss_rows(batch: SequenceBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The positions whose logits predict a masked token: (b, t - 1) for
+    every nonzero ``loss_mask[b, t]``, in ``np.nonzero`` order."""
+    b_idx, t_idx = np.nonzero(batch.loss_mask)
+    if not b_idx.size:
+        raise ModelError("loss mask selects no positions")
+    return b_idx, t_idx - 1
 
 
 def _softmax_nll(logits: np.ndarray, batch: SequenceBatch):
     """Masked mean next-token NLL, computed in the logits' dtype.
 
+    ``logits`` are the (n_loss, V) logits at ``loss_rows(batch)``.
     Log-probabilities are ``shifted - log(sum(exp(shifted)))``, so a target
-    far below its row max costs a large finite loss, not ``log(0)``.  Only
-    the predicting positions ``rows`` (b, t-1) are computed.  Returns
-    ``(loss, probs, rows, tgt, w)``: the softmax at those rows, the target
+    far below its row max costs a large finite loss, not ``log(0)``.
+    Returns ``(loss, probs, tgt, w)``: the softmax of each row, the target
     ids, and each target's weight ``mask / n``.
     """
-    mask = batch.loss_mask.astype(logits.dtype)
-    n = mask.sum()
-    if n <= 0:
-        raise ModelError("loss mask selects no positions")
     b_idx, t_idx = np.nonzero(batch.loss_mask)
-    rows = (b_idx, t_idx - 1)
     tgt = batch.tokens[b_idx, t_idx]
-    pred = logits[rows]
-    shifted = pred - pred.max(axis=-1, keepdims=True)
-    el = np.exp(shifted)
-    z = el.sum(axis=-1, keepdims=True)
-    logp = shifted[np.arange(tgt.size), tgt] - np.log(z[:, 0])
-    m = mask[b_idx, t_idx]
-    return float(-(logp * m).sum() / n), el / z, rows, tgt, m / n
+    m = batch.loss_mask[b_idx, t_idx].astype(logits.dtype)
+    n = m.sum()
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    picked = shifted[np.arange(tgt.size), tgt]
+    probs = np.exp(shifted, out=shifted)
+    z = probs.sum(axis=-1, keepdims=True)
+    logp = picked - np.log(z[:, 0])
+    probs /= z
+    return float(-(logp * m).sum() / n), probs, tgt, m / n
 
 
 def nll_loss(logits: np.ndarray, batch: SequenceBatch) -> float:
     """Mean negative log-likelihood over masked next-token positions.
 
-    Computed in float64 regardless of the logits dtype.  Minimizing this
-    maximizes the summed log-probability of each sequence.
+    ``logits`` is the (B, S, V) output of ``forward``, or only its rows at
+    ``loss_rows(batch)``, (n_loss, V).  Computed in float64 regardless of
+    the logits dtype.  Minimizing this maximizes the summed log-probability
+    of each sequence.
     """
-    return _softmax_nll(np.asarray(logits, dtype=np.float64), batch)[0]
+    rows = loss_rows(batch)
+    logits = np.asarray(logits)
+    if logits.ndim == 3:
+        logits = logits[rows]
+    return _softmax_nll(logits.astype(np.float64), batch)[0]
 
 
 def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False,
              rng: np.random.Generator | None = None):
     """Loss plus exact analytic gradients for every parameter tensor.
 
-    Recomputes the forward pass internally (with activation caching) and
-    returns ``(loss, grads)`` where grads mirrors params.tensors.
+    Recomputes the forward pass internally (with activation caching) on
+    the cells that reach the loss, projects only the loss rows to logits,
+    and returns ``(loss, grads)`` where grads mirrors params.tensors.
     """
     c = params.config
     t = params.tensors
     tokens = _check_inputs(params, batch.tokens)
-    logits, cache = _forward_impl(params, tokens, train_mode, rng, want_cache=True)
-    loss, probs, rows, tgt, w = _softmax_nll(logits, batch)
+    out = np.ravel_multi_index(loss_rows(batch), tokens.shape)
+    logits, cache = _forward_impl(params, tokens, train_mode, rng,
+                                  want_cache=True, out=out)
+    loss, dlogits, tgt, w = _softmax_nll(logits, batch)
 
-    # dL/dlogits at position t-1 for each masked target position t; every
-    # (b, t-1) is distinct, so plain assignment needs no accumulation
-    dlogits = np.zeros_like(logits)
-    dlogits[rows] = probs * w[:, None]
-    dlogits[rows + (tgt,)] -= w
+    # dL/dlogits at each loss row: (softmax - one-hot target) * weight
+    dlogits *= w[:, None]
+    dlogits[np.arange(tgt.size), tgt] -= w
 
     grads = {name: np.zeros_like(arr) for name, arr in t.items()}
     hf = cache["hf"]
     if c.tie_embeddings:
-        grads["tok_emb"] += _wgrad(dlogits, hf)
+        grads["tok_emb"] += dlogits.T @ hf
         dhf = dlogits @ t["tok_emb"]
     else:
-        grads["out_proj"] += _wgrad(hf, dlogits)
+        grads["out_proj"] += hf.T @ dlogits
         dhf = dlogits @ t["out_proj"].T
 
-    dx, dg, db = _layer_norm_backward(dhf, cache["lnf"], t["ln_f.g"])
+    dx_out, dg, db = _layer_norm_backward(dhf, cache["lnf"], t["ln_f.g"])
     grads["ln_f.g"] += dg
     grads["ln_f.b"] += db
+    # every loss row is a distinct row, so plain assignment needs no
+    # accumulation
+    layout = cache["layout"]
+    dx = np.zeros((cache["tok"].size, c.d_model), dtype=dx_out.dtype)
+    dx[cache["out_idx"]] = dx_out
 
     for i in reversed(range(c.n_layers)):
         p = f"layer{i}."
@@ -427,12 +561,12 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
 
         # feed-forward branch
         dff_out = _apply_mask(dx, lc["res_drop2"])
-        grads[p + "ff.b2"] += dff_out.sum(axis=(0, 1))
-        grads[p + "ff.w2"] += _wgrad(lc["a"], dff_out)
+        grads[p + "ff.b2"] += dff_out.sum(axis=0)
+        grads[p + "ff.w2"] += lc["a"].T @ dff_out
         da = dff_out @ t[p + "ff.w2"].T
         du = _gelu_backward(da, lc["u"], lc["gelu_t"])
-        grads[p + "ff.b1"] += du.sum(axis=(0, 1))
-        grads[p + "ff.w1"] += _wgrad(lc["h2"], du)
+        grads[p + "ff.b1"] += du.sum(axis=0)
+        grads[p + "ff.w1"] += lc["h2"].T @ du
         dh2 = du @ t[p + "ff.w1"].T
         dx_attn, dg, db = _layer_norm_backward(dh2, lc["ln2"], t[p + "ln2.g"])
         grads[p + "ln2.g"] += dg
@@ -441,10 +575,10 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
 
         # attention branch
         dattn_out = _apply_mask(dx_attn, lc["res_drop1"])
-        grads[p + "attn.bo"] += dattn_out.sum(axis=(0, 1))
-        grads[p + "attn.wo"] += _wgrad(lc["ctx"], dattn_out)
+        grads[p + "attn.bo"] += dattn_out.sum(axis=0)
+        grads[p + "attn.wo"] += lc["ctx"].T @ dattn_out
         dctx = dattn_out @ t[p + "attn.wo"].T
-        dctx_h = _split_heads(dctx, c.n_heads)
+        dctx_h = layout.split_heads(dctx, c.n_heads)
         dprobs_d = dctx_h @ lc["vh"].transpose(0, 1, 3, 2)
         dvh = lc["probs_d"].transpose(0, 1, 3, 2) @ dctx_h
         dprobs = _apply_mask(dprobs_d, lc["att_drop"])
@@ -453,16 +587,14 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
         datt = datt * cache["scale"]
         dqh = datt @ lc["kh"]
         dkh = datt.transpose(0, 1, 3, 2) @ lc["qh"]
-        dq = _merge_heads(dqh)
-        dk = _merge_heads(dkh)
-        dv = _merge_heads(dvh)
+        dq, dk, dv = (layout.merge_heads(z) for z in (dqh, dkh, dvh))
         h1 = lc["h1"]
-        grads[p + "attn.bq"] += dq.sum(axis=(0, 1))
-        grads[p + "attn.bk"] += dk.sum(axis=(0, 1))
-        grads[p + "attn.bv"] += dv.sum(axis=(0, 1))
-        grads[p + "attn.wq"] += _wgrad(h1, dq)
-        grads[p + "attn.wk"] += _wgrad(h1, dk)
-        grads[p + "attn.wv"] += _wgrad(h1, dv)
+        grads[p + "attn.bq"] += dq.sum(axis=0)
+        grads[p + "attn.bk"] += dk.sum(axis=0)
+        grads[p + "attn.bv"] += dv.sum(axis=0)
+        grads[p + "attn.wq"] += h1.T @ dq
+        grads[p + "attn.wk"] += h1.T @ dk
+        grads[p + "attn.wv"] += h1.T @ dv
         dh1 = dq @ t[p + "attn.wq"].T + dk @ t[p + "attn.wk"].T \
             + dv @ t[p + "attn.wv"].T
         dx_res, dg, db = _layer_norm_backward(dh1, lc["ln1"], t[p + "ln1.g"])
@@ -471,9 +603,8 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
         dx = dx_res + dx_attn    # residual
 
     dx = _apply_mask(dx, cache["emb_drop"])
-    s = tokens.shape[1]
-    grads["pos_emb"][:s] += dx.sum(axis=0)
-    np.add.at(grads["tok_emb"], tokens, dx)
+    grads["pos_emb"][:layout.width] += layout.to_grid(dx).sum(axis=0)
+    np.add.at(grads["tok_emb"], cache["tok"], dx)
     return loss, grads
 
 

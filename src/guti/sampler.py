@@ -134,7 +134,8 @@ def generate(params: ModelParams, prompt: list[int], cfg: SampleConfig,
     for _ in range(cfg.max_new_tokens):
         if len(prompt) + len(body) >= context_len:
             break
-        logits = forward(params, np.asarray([step]), kv=kv)[0, -1]
+        logits = forward(params, np.asarray([step]), kv=kv,
+                         rows=([0], [len(step) - 1]))[0]
         nxt = top_k_sample(logits, cfg, rng)
         if t_first is None:
             t_first = time.perf_counter()

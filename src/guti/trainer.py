@@ -13,6 +13,7 @@ import bisect
 import hashlib
 import json
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,11 +23,13 @@ from . import vocab as vocab_mod
 from .corpus import Poem, SerializedSample, parse_body
 from .errors import GutiError, TrainingError
 from .fileio import write_atomic
+from .forms import COMMA, PERIOD
 from .model import (
     ModelParams,
     SequenceBatch,
     backward,
     forward,
+    loss_rows,
     nll_loss,
     save_checkpoint,
 )
@@ -55,6 +58,10 @@ class TrainConfig:
             raise TrainingError("batch_size must be >= 1")
         if not 0.0 <= self.heldout_fraction < 1.0:
             raise TrainingError("heldout_fraction must lie in [0, 1)")
+        for name in ("max_steps", "warmup_steps", "checkpoint_interval",
+                     "novelty_eval_interval"):
+            if getattr(self, name) < 0:
+                raise TrainingError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -153,18 +160,32 @@ class NoveltyIndex:
         self._suffixes = _suffix_array(corpus_text)
 
     @classmethod
-    def from_texts(cls, body_texts: list[str]) -> "NoveltyIndex":
+    def _from_lines(cls, poems: Iterable[list[str]]) -> "NoveltyIndex":
         line_set: set[str] = set()
         chunks: list[str] = []
-        for text in body_texts:
-            lines = [ln.characters for ln in parse_body(text)]
+        for lines in poems:
             line_set.update(lines)
             chunks.append("".join(lines))
         return cls(line_set, "\n".join(chunks))
 
     @classmethod
+    def from_texts(cls, body_texts: list[str]) -> "NoveltyIndex":
+        return cls._from_lines([ln.characters for ln in parse_body(text)]
+                               for text in body_texts)
+
+    @classmethod
     def from_samples(cls, samples: list[SerializedSample]) -> "NoveltyIndex":
-        return cls.from_texts([s.fields()["body"] for s in samples])
+        """Index the bodies of serialized samples without parsing them again.
+
+        A serialized body is canonical: lines of CJK characters, each closed
+        by a comma or a period, the last one possibly by the end of the text.
+        """
+        def lines(sample):
+            start, end = sample.field_spans["body"]
+            parts = sample.text[start:end].replace(PERIOD, COMMA).split(COMMA)
+            return parts[:-1] if not parts[-1] else parts
+
+        return cls._from_lines(lines(s) for s in samples)
 
     def _max_overlap(self, chars: str) -> int:
         """Length of the longest substring of ``chars`` found in the corpus."""
@@ -262,7 +283,8 @@ def _eval_nll(params: ModelParams, sequences: list[list[int]], pad_id: int,
     total, count = 0.0, 0.0
     for start in range(0, len(sequences), batch_size):
         batch = make_batch(sequences[start:start + batch_size], pad_id)
-        loss = nll_loss(forward(params, batch.tokens), batch)
+        logits = forward(params, batch.tokens, rows=loss_rows(batch))
+        loss = nll_loss(logits, batch)
         n = float(batch.loss_mask.sum())
         total += loss * n
         count += n

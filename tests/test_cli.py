@@ -162,6 +162,14 @@ class TestTrain:
                          "-o", str(tmp_path / "run"))
         assert code == 1
 
+    def test_negative_warmup_exits_1(self, capsys, pipeline, tmp_path):
+        code, _, err = run(capsys, "train", str(pipeline / "dataset.jsonl"),
+                           "--vocab", str(pipeline / "vocab.txt"),
+                           "-o", str(tmp_path / "run"), "--warmup", "-1")
+        assert code == 1
+        assert "warmup_steps must be >= 0" in err
+        assert not (tmp_path / "run").exists()
+
     def test_init_from_checkpoint(self, capsys, pipeline, tmp_path):
         code, _, _ = run(capsys, "train", str(pipeline / "dataset.jsonl"),
                          "--vocab", str(pipeline / "vocab.txt"),

@@ -11,6 +11,7 @@ from guti.corpus import (
     couplet_transform,
     deserialize,
     ingest_corpus,
+    is_cjk,
     parse_body,
     sample_from_text,
     serialize,
@@ -223,6 +224,38 @@ class TestInvariants:
     def test_dangling_punctuation(self):
         with pytest.raises(CorpusError):
             parse_body("，床前明月光")
+
+
+class TestIdeographRanges:
+    @pytest.mark.parametrize("cp", [0x4E00, 0x3400, 0xF900, 0x20000, 0x2A6DF,
+                                    0x2A700, 0x2B740, 0x2B820, 0x2CEB0,
+                                    0x2EBF0, 0x2F800, 0x30000, 0x323AF],
+                             ids=lambda cp: f"U+{cp:04X}")
+    def test_ideographs_accepted(self, cp):
+        assert is_cjk(chr(cp))
+        Line(chr(cp) * 2, "，")
+
+    @pytest.mark.parametrize("ch", ["a", "あ", "ア", "\U0002A6E0", "\U0002FA20",
+                                    "\U000323B0"],
+                             ids=["ascii", "hiragana", "katakana", "gap-B-C",
+                                  "past-compat-supplement", "past-H"])
+    def test_other_characters_rejected(self, ch):
+        assert not is_cjk(ch)
+        with pytest.raises(CorpusError, match="non-CJK"):
+            Line("明" + ch + "月")
+
+    def test_extension_b_poem_round_trips(self, catalog, table):
+        from guti.trainer import NoveltyIndex
+        from guti.validator import validate
+        body = "床前明月光，疑是地上霜。举头望明月，低头思故\U00020000。"
+        poem = make_poem("五绝", "静夜思", body, catalog)
+        assert poem.body[-1].characters == "低头思故\U00020000"
+        assert validate(poem, catalog, table).well_formed
+        sample = serialize(poem, catalog)
+        assert deserialize(sample.text, catalog) == poem
+        assert sample_from_text(sample.text, catalog) == sample
+        index = NoveltyIndex.from_texts([body])
+        assert index.score_lines(["低头思故\U00020000"]).verbatim_lines == 1
 
 
 # characters drawn from a small CJK window keep the strategies fast

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from guti.model import (
     ModelConfig,
     ModelParams,
     SequenceBatch,
+    _rows_reaching,
     backward,
     forward,
     init_params,
@@ -415,6 +417,128 @@ class TestBackward:
         want = nll_loss(logits, batch)
         assert np.isfinite(loss) and abs(loss - want) < 1e-5 * want
         assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+
+def padded_wider(batch, extra):
+    """The same batch with ``extra`` more pad columns (id 0, no loss)."""
+    b, s = batch.tokens.shape
+    tokens = np.zeros((b, s + extra), dtype=np.int64)
+    tokens[:, :s] = batch.tokens
+    mask = np.zeros((b, s + extra))
+    mask[:, :s] = batch.loss_mask
+    return SequenceBatch(tokens=tokens, loss_mask=mask)
+
+
+ROWS = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=24, context_len=64,
+                   vocab_size=13)
+
+
+class TestRowSelection:
+    """No position at or after a sequence's last loss target reaches the
+    loss, so batches that differ only there give the same loss and
+    gradients, and backward's loss is the full forward's ``nll_loss``."""
+
+    @staticmethod
+    def assert_same_loss_and_grads(params, a, b):
+        loss_a, grads_a = backward(params, a)
+        loss_b, grads_b = backward(params, b)
+        assert abs(loss_a - loss_b) < 1e-12
+        for name in grads_a:
+            np.testing.assert_allclose(grads_a[name], grads_b[name],
+                                       rtol=0, atol=1e-12, err_msg=name)
+        full = nll_loss(forward(params, a.tokens), a)
+        assert abs(loss_a - full) < 1e-12
+
+    @pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
+    def test_padding_wider_changes_nothing(self, tie):
+        config = replace(ROWS, tie_embeddings=tie)
+        params = init_params(config, seed=3, dtype=np.float64)
+        rng = np.random.default_rng(7)
+        lengths = (9, 17, 5, 12)
+        tokens = np.zeros((4, 17), dtype=np.int64)
+        mask = np.zeros((4, 17))
+        for i, n in enumerate(lengths):
+            tokens[i, :n] = rng.integers(1, 13, size=n)
+            mask[i, 1:n] = 1.0
+        batch = SequenceBatch(tokens=tokens, loss_mask=mask)
+        self.assert_same_loss_and_grads(params, batch, padded_wider(batch, 40))
+
+    def test_mask_with_holes_and_unscored_tail(self):
+        params = init_params(ROWS, seed=4, dtype=np.float64)
+        rng = np.random.default_rng(8)
+        tokens = rng.integers(0, 13, size=(3, 20))
+        mask = np.zeros((3, 20))
+        mask[0, [1, 2, 5, 9]] = 1.0     # holes, then ten unscored tokens
+        mask[1, [3, 4]] = 1.0
+        mask[2, 1:] = 1.0
+        batch = SequenceBatch(tokens=tokens, loss_mask=mask)
+        other = tokens.copy()
+        other[0, 10:] = (other[0, 10:] + 5) % 13
+        other[1, 5:] = rng.integers(0, 13, size=15)
+        self.assert_same_loss_and_grads(
+            params, batch, SequenceBatch(tokens=other, loss_mask=mask))
+        self.assert_same_loss_and_grads(params, batch, padded_wider(batch, 40))
+
+    def test_dropout_consumes_the_full_forward_stream(self):
+        config = replace(ROWS, dropout_rate=0.2)
+        params = init_params(config, seed=5, dtype=np.float64)
+        batch = rand_batch(np.random.default_rng(9), config, b=3, s=11)
+        rng_b, rng_f = np.random.default_rng(1), np.random.default_rng(1)
+        loss, _ = backward(params, batch, train_mode=True, rng=rng_b)
+        logits = forward(params, batch.tokens, train_mode=True, rng=rng_f)
+        assert abs(loss - nll_loss(logits, batch)) < 1e-12
+        assert rng_b.random() == rng_f.random()
+
+
+class TestForwardRows:
+    @pytest.mark.parametrize("rows", [([0, 1, 2], [6, 2, 0]),
+                                      ([1, 1, 0, 1], [4, 1, 4, 4]),
+                                      ([2], [9])],
+                             ids=["one-per-row", "repeated-unsorted", "single"])
+    def test_selected_rows_equal_full_forward(self, rows):
+        params = init_params(ROWS, seed=6, dtype=np.float64)
+        tokens = np.random.default_rng(10).integers(0, 13, size=(3, 10))
+        want = forward(params, tokens)[rows]
+        got = forward(params, tokens, rows=rows)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_rows_with_cache_fill_every_position(self):
+        params = init_params(ROWS, seed=6, dtype=np.float64)
+        tokens = np.random.default_rng(11).integers(0, 13, size=(1, 9))
+        kv = []
+        last = forward(params, tokens[:, :6], kv=kv, rows=([0], [5]))
+        assert kv[0][0].shape[2] == 6
+        step = forward(params, tokens[:, 6:], kv=kv, rows=([0], [2]))
+        full = forward(params, tokens)
+        np.testing.assert_allclose(last[0], full[0, 5], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(step[0], full[0, 8], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [([0], [10]), ([3], [0]), ([0], [-1]),
+                                      ([], [])],
+                             ids=["past-seq", "past-batch", "negative", "empty"])
+    def test_bad_rows_rejected(self, rows):
+        params = init_params(ROWS, seed=0)
+        with pytest.raises(ModelError):
+            forward(params, np.zeros((3, 10), dtype=np.int64), rows=rows)
+
+    def test_cells_run_up_to_each_sequence_last_output(self):
+        # flat indices b * 6 + t; sequence 1 asks for nothing
+        layout = _rows_reaching(3, 6, np.array([2, 4, 13]))
+        assert layout.width == 5
+        assert layout.cells.tolist() == [0, 1, 2, 3, 4, 10, 11]
+        x = np.arange(7)[:, None] * 1.0
+        assert layout.to_rows(layout.to_grid(x)).tolist() == x.tolist()
+        assert layout.index(np.array([13, 2]), 6).tolist() == [6, 2]
+
+    def test_uniform_cut_is_a_reshape(self):
+        grid = np.arange(12).reshape(2, 6)
+        layout = _rows_reaching(2, 6, np.array([3, 9]))
+        assert layout.width == 4 and layout.cells is None
+        assert layout.to_rows(grid).tolist() == grid[:, :4].reshape(-1).tolist()
+        layout = _rows_reaching(2, 6, np.array([5, 11, 0]))
+        assert layout.width == 6 and layout.cells is None
+        assert np.shares_memory(layout.to_rows(grid), grid)
 
 
 class TestCheckpoint:

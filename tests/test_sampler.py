@@ -217,6 +217,26 @@ class TestGenerate:
             out = generate(params, prompt, cfg, toy_vocab)
             assert out.token_ids == tuple(ids[len(prompt):])
 
+    def test_prompt_pass_logits_match_full_forward(self, toy_vocab, catalog,
+                                                   monkeypatch):
+        import guti.sampler as sampler_mod
+        config = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=32,
+                             context_len=40, vocab_size=toy_vocab.size)
+        params = init_params(config, seed=2, dtype=np.float64)
+        prompt = build_prompt("五绝", "静夜思", catalog, toy_vocab)
+        seen = []
+
+        def spy(logits, cfg, rng):
+            seen.append(np.array(logits))
+            return top_k_sample(logits, cfg, rng)
+
+        monkeypatch.setattr(sampler_mod, "top_k_sample", spy)
+        generate(params, prompt, SampleConfig(k=5, max_new_tokens=1, seed=0),
+                 toy_vocab)
+        want = forward(params, np.asarray([prompt]))[0, -1]
+        assert seen[0].shape == want.shape
+        np.testing.assert_allclose(seen[0], want, rtol=0, atol=1e-12)
+
     def test_prompt_longer_than_context_rejected(self, toy_vocab):
         config = ModelConfig(n_layers=1, n_heads=1, d_model=8, d_ff=8,
                              context_len=4, vocab_size=toy_vocab.size)

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guti.corpus import Poem, parse_body
+from guti.corpus import Poem, parse_body, serialize
 from guti.errors import TrainingError
-from guti.model import ModelConfig, init_params
+from guti.model import ModelConfig, forward, init_params, nll_loss
 from guti.trainer import (
     AdamState,
     NoveltyIndex,
     TrainConfig,
+    _eval_nll,
     adam_step,
     fine_tune,
     heldout_split,
@@ -90,6 +91,17 @@ class TestAdam:
                            lr_scale=0.25)
         # bias-corrected first step moves by exactly lr * lr_scale
         assert abs(out["w"][0] + 0.25) < 1e-12
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["max_steps", "warmup_steps",
+                                       "checkpoint_interval",
+                                       "novelty_eval_interval"])
+    def test_negative_step_counts_rejected(self, field):
+        # a negative warmup made lr_scale negative: Adam then climbed the loss
+        with pytest.raises(TrainingError, match=field):
+            TrainConfig(**{field: -1})
+        assert getattr(TrainConfig(**{field: 0}), field) == 0
 
 
 def longest_match(query: str, corpus_text: str) -> int:
@@ -195,6 +207,18 @@ class TestNovelty:
                     == longest_match("".join(spliced), corpus_text))
 
 
+    def test_from_samples_matches_parsed_bodies(self, fixture_poems, toy_samples,
+                                                catalog):
+        poems = list(fixture_poems) + [
+            Poem(form_id="五绝", theme="无尾", body=parse_body("床前明月光，疑是地上霜")),
+            Poem(form_id="五绝", theme="扩展", body=parse_body("低头思故\U00020000。"))]
+        samples = [serialize(p, catalog) for p in poems] + list(toy_samples)
+        got = NoveltyIndex.from_samples(samples)
+        want = NoveltyIndex.from_texts([s.fields()["body"] for s in samples])
+        assert got._lines == want._lines
+        assert got._corpus_text == want._corpus_text
+
+
 class TestBatching:
     def test_make_batch_pads_and_masks(self):
         batch = make_batch([[1, 5, 6, 2], [1, 7, 2]], pad_id=0)
@@ -202,6 +226,22 @@ class TestBatching:
         assert batch.tokens[1].tolist() == [1, 7, 2, 0]
         assert batch.loss_mask[0].tolist() == [0, 1, 1, 1]
         assert batch.loss_mask[1].tolist() == [0, 1, 1, 0]
+
+    def test_eval_nll_matches_per_batch_reference(self):
+        config = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=24,
+                             context_len=40, vocab_size=11)
+        params = init_params(config, seed=6, dtype=np.float64)
+        rng = np.random.default_rng(2)
+        seqs = [rng.integers(1, 11, size=n).tolist()
+                for n in (5, 12, 3, 30, 8, 17, 9)]
+        total = count = 0.0
+        for start in range(0, len(seqs), 3):
+            batch = make_batch(seqs[start:start + 3], pad_id=0)
+            n = batch.loss_mask.sum()
+            total += nll_loss(forward(params, batch.tokens), batch) * n
+            count += n
+        got = _eval_nll(params, seqs, pad_id=0, batch_size=3)
+        assert abs(got - total / count) < 1e-12
 
     def test_heldout_split_deterministic(self, toy_samples):
         a = heldout_split(toy_samples, 0.1)
