@@ -232,7 +232,10 @@ def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, layers,
 @click.option("--seed", default=None, type=int,
               help="Sampling seed (random if omitted).")
 @click.option("--json", "as_json", is_flag=True,
-              help="Emit line-delimited JSON records instead of text.")
+              help="Emit line-delimited JSON records instead of text. The "
+                   "candidates decode as one batch: prompt_ms is the one "
+                   "prompt pass they share, the same in every record, and "
+                   "decode_ms runs from then until that candidate finished.")
 @catalog_option
 @table_option
 @click.option("--strict-phonology", is_flag=True,

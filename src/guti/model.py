@@ -206,12 +206,21 @@ class SequenceBatch:
 
 
 def _layer_norm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
+    """``ndarray.mean`` is a sum and a divide behind a Python-level wrapper
+    whose overhead dominates at decode-step sizes; these are the same sum
+    and divide, so the result is bitwise the same."""
+    d = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= d
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    return xhat * g + b, (xhat, inv)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
+    var /= d
+    var += _LN_EPS
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    xc *= inv
+    y = xc * g
+    y += b
+    return y, (xc, inv)
 
 
 def _layer_norm_backward(dy, cache, g):
@@ -371,8 +380,9 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
     emb_drop = _dropout_mask(rng, (b, s, c.d_model), rate, dtype, layout.to_rows)
     x = _apply_mask(x, emb_drop)
 
-    # query row i sits at position start + i and sees keys 0..start + i
-    causal = np.tril(np.ones((w, start + w), dtype=bool), k=start)
+    # query row i sits at position start + i and sees keys 0..start + i; a
+    # lone query row (w == 1) sees every key, so it needs no mask
+    causal = np.tril(np.ones((w, start + w), dtype=bool), k=start) if w > 1 else None
     scale = dtype.type(1.0 / np.sqrt(c.head_dim))
     caches = []
     for i in range(c.n_layers):
@@ -390,7 +400,8 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
             else:
                 kv.append((kh, vh))
         att = (qh @ kh.transpose(0, 1, 3, 2)) * scale
-        att = np.where(causal, att, -np.inf)
+        if causal is not None:
+            att = np.where(causal, att, -np.inf)
         att = att - att.max(axis=-1, keepdims=True)
         ea = np.exp(att)
         probs = ea / ea.sum(axis=-1, keepdims=True)
@@ -604,7 +615,13 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
 
     dx = _apply_mask(dx, cache["emb_drop"])
     grads["pos_emb"][:layout.width] += layout.to_grid(dx).sum(axis=0)
-    np.add.at(grads["tok_emb"], cache["tok"], dx)
+    # scatter-add by token id; np.add.at loops index by index, so sort the
+    # rows by id and sum each id's run in one reduceat instead
+    tok = cache["tok"]
+    order = np.argsort(tok, kind="stable")
+    ids = tok[order]
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    grads["tok_emb"][ids[starts]] += np.add.reduceat(dx[order], starts, axis=0)
     return loss, grads
 
 

@@ -9,13 +9,16 @@ one of them is sampled from the renormalized distribution.
 Decoding is incremental: one forward pass over the prompt fills a per-layer
 key/value cache, and each later step feeds only the newest token through
 the same forward path, so a step costs O(length) instead of a full
-recompute of the prefix.
+recompute of the prefix.  The candidates of one request decode together:
+they share the prompt pass, and each step feeds the newest token of every
+unfinished candidate as one batch.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +46,11 @@ class SampleConfig:
             raise SamplingError("temperature must be > 0")
         if self.max_new_tokens < 0:
             raise SamplingError("max_new_tokens must be >= 0")
+
+    @cached_property
+    def forbid_ids(self) -> np.ndarray:
+        """``forbid`` as an index array, built once per config."""
+        return np.fromiter(self.forbid or (), dtype=np.intp)
 
 
 def default_forbid(vocab: Vocab) -> frozenset[int]:
@@ -73,10 +81,8 @@ def build_prompt(form_id: str, theme: str, catalog: FormCatalog, vocab: Vocab,
 def top_k_distribution(logits: np.ndarray, cfg: SampleConfig) -> tuple[np.ndarray, np.ndarray]:
     """Candidate ids (k highest logits, ties to the lower id) and their
     renormalized softmax(logits/temperature) probabilities."""
-    logits = np.asarray(logits, dtype=np.float64).reshape(-1)
-    if cfg.forbid:
-        logits = logits.copy()
-        logits[list(cfg.forbid)] = -np.inf
+    logits = np.array(logits, dtype=np.float64).reshape(-1)   # a copy, masked below
+    logits[cfg.forbid_ids] = -np.inf
     hi = logits.max()
     if hi == -np.inf:
         raise SamplingError("every token is masked")
@@ -110,12 +116,27 @@ class GenerationResult:
     truncated: bool                 # ran out of budget/context before EOS
     # wall time, not part of the result's value: equal decodes compare equal
     prompt_ms: float = field(compare=False)   # prompt pass to first sampled token
-    decode_ms: float = field(compare=False)   # every later decode step
+    decode_ms: float = field(compare=False)   # later steps, until this one finished
 
 
 def generate(params: ModelParams, prompt: list[int], cfg: SampleConfig,
              vocab: Vocab) -> GenerationResult:
     """Decode token-by-token until EOS, max_new_tokens, or context is full."""
+    return _decode(params, prompt, cfg, [cfg.seed], vocab)[0]
+
+
+def _decode(params: ModelParams, prompt: list[int], cfg: SampleConfig,
+            seeds: list[int], vocab: Vocab) -> list[GenerationResult]:
+    """Decode one candidate per seed from ``prompt``, all in one batch.
+
+    One prompt pass at batch size 1 fills the K/V cache, which is then
+    repeated to one row per candidate.  Every later step feeds the newest
+    token of each live candidate as one (n_live, 1) batch; a candidate that
+    emits EOS leaves the batch and the cache.  Each candidate samples from
+    its own logits row with its own ``Generator(seed)``, so it decodes the
+    tokens a separate ``generate`` call with that seed would: a batch row's
+    logits differ from a batch of one only in float rounding.
+    """
     context_len = params.config.context_len
     if not prompt:
         raise SamplingError("empty prompt")
@@ -124,33 +145,44 @@ def generate(params: ModelParams, prompt: list[int], cfg: SampleConfig,
                             f"{context_len}")
     if cfg.forbid is None:
         cfg = replace(cfg, forbid=default_forbid(vocab))
-    rng = np.random.default_rng(cfg.seed)
-    kv: list = []
-    step = list(prompt)       # tokens not yet in the cache
-    body: list[int] = []
-    truncated = True
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    bodies: list[list[int]] = [[] for _ in seeds]
+    t_eos: list[float | None] = [None] * len(seeds)   # when each emitted EOS
     t0 = time.perf_counter()
     t_first = None
-    for _ in range(cfg.max_new_tokens):
-        if len(prompt) + len(body) >= context_len:
+    live = list(range(len(seeds)))      # the candidate each next row decodes
+    src = [0] * len(seeds)              # the logits and cache row it reads
+    kv: list = []
+    tokens = np.asarray([prompt])
+    for _ in range(min(cfg.max_new_tokens, context_len - len(prompt))):
+        b, s = tokens.shape
+        logits = forward(params, tokens, kv=kv, rows=(np.arange(b), np.full(b, s - 1)))
+        picks = [top_k_sample(logits[r], cfg, rngs[c]) for r, c in zip(src, live)]
+        now = time.perf_counter()
+        t_first = now if t_first is None else t_first
+        keep = []
+        for j, (c, nxt) in enumerate(zip(live, picks)):
+            if nxt == vocab.eos_id:
+                t_eos[c] = now
+            else:
+                bodies[c].append(nxt)
+                keep.append(j)
+        if not keep:
             break
-        logits = forward(params, np.asarray([step]), kv=kv,
-                         rows=([0], [len(step) - 1]))[0]
-        nxt = top_k_sample(logits, cfg, rng)
-        if t_first is None:
-            t_first = time.perf_counter()
-        if nxt == vocab.eos_id:
-            truncated = False
-            break
-        step = [nxt]
-        body.append(nxt)
-    t_end = time.perf_counter()
-    t_first = t_end if t_first is None else t_first
-    return GenerationResult(token_ids=tuple(body),
-                            text=vocab_mod.decode(body, vocab),
-                            truncated=truncated,
-                            prompt_ms=1e3 * (t_first - t0),
-                            decode_ms=1e3 * (t_end - t_first))
+        rows = [src[j] for j in keep]
+        if rows != list(range(b)):
+            kv[:] = [(k[rows], v[rows]) for k, v in kv]
+        live = [live[j] for j in keep]
+        src = list(range(len(keep)))
+        tokens = np.asarray([[picks[j]] for j in keep])
+    t_last = time.perf_counter()
+    t_first = t_last if t_first is None else t_first
+    return [GenerationResult(token_ids=tuple(body),
+                             text=vocab_mod.decode(body, vocab),
+                             truncated=end is None,
+                             prompt_ms=1e3 * (t_first - t0),
+                             decode_ms=1e3 * ((t_last if end is None else end) - t_first))
+            for body, end in zip(bodies, t_eos)]
 
 
 @dataclass
@@ -190,15 +222,20 @@ def generate_batch(params: ModelParams, form_id: str, theme: str, n: int,
                    strict_phonology: bool = False) -> BatchReport:
     """Generate n candidates with derived seeds and validate each one.
 
+    The n candidates decode as one batch that shares the prompt pass; each
+    decodes the body a separate ``generate`` call with its seed gives.
     Per-candidate failures (unparseable body, validation errors) are
     recorded on the candidate; the batch itself never aborts.
     """
+    if n < 0:
+        raise SamplingError(f"candidate count must be >= 0, got {n}")
     prompt = build_prompt(form_id, theme, catalog, vocab, acrostic=acrostic)
     prompt_text = vocab_mod.decode(prompt, vocab)
+    seeds = [int(np.random.default_rng([cfg.seed, i]).integers(0, 2 ** 31))
+             for i in range(n)]
+    outs = _decode(params, prompt, cfg, seeds, vocab) if seeds else []
     report = BatchReport()
-    for i in range(n):
-        seed = int(np.random.default_rng([cfg.seed, i]).integers(0, 2 ** 31))
-        out = generate(params, prompt, replace(cfg, seed=seed), vocab)
+    for i, (seed, out) in enumerate(zip(seeds, outs)):
         cand = Candidate(index=i, seed=seed, text=prompt_text + out.text,
                          body_text=out.text, truncated=out.truncated,
                          prompt_ms=out.prompt_ms, decode_ms=out.decode_ms,

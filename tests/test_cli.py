@@ -249,6 +249,13 @@ class TestGenerate:
         assert code == 0
         assert out == ""
 
+    def test_negative_candidates_exit_1(self, capsys, pipeline):
+        code, out, err = run(capsys, "generate", str(pipeline / "run" / "last.ckpt"),
+                             "--vocab", str(pipeline / "vocab.txt"),
+                             "--form", "五绝", "--theme", "静", "-n", "-1")
+        assert code == 1
+        assert out == "" and ">= 0" in err
+
     def test_acrostic_flag(self, capsys, pipeline):
         code, out, _ = run(capsys, "generate", str(pipeline / "run" / "last.ckpt"),
                            "--vocab", str(pipeline / "vocab.txt"),

@@ -9,6 +9,8 @@ from guti.model import (
     ModelConfig,
     ModelParams,
     SequenceBatch,
+    _LN_EPS,
+    _layer_norm,
     _rows_reaching,
     backward,
     forward,
@@ -84,6 +86,12 @@ class TestForward:
         both = forward(params, pair)
         assert np.array_equal(single[0], both[0])
 
+    def test_one_query_row_without_cache(self):
+        params = init_params(ROWS, seed=3, dtype=np.float64)
+        tokens = np.random.default_rng(4).integers(0, 13, size=(3, 7))
+        np.testing.assert_allclose(forward(params, tokens[:, :1]),
+                                   forward(params, tokens)[:, :1], rtol=0, atol=1e-12)
+
     def test_sequence_too_long(self):
         params = init_params(TINY, seed=0)
         with pytest.raises(ModelError):
@@ -130,6 +138,22 @@ class TestKVCache:
             forward(params, np.zeros((1, 3), dtype=np.int64), kv=kv)
         forward(params, np.zeros((1, 2), dtype=np.int64), kv=kv)
         assert kv[0][0].shape[2] == TINY.context_len
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [1, 7, 16, 24, 100, 128])
+def test_layer_norm_equals_mean_formula(d, dtype):
+    rng = np.random.default_rng(d)
+    x = (rng.standard_normal((37, d)) * 3 + 1).astype(dtype)
+    g, b = (rng.standard_normal(d).astype(dtype) for _ in range(2))
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) * (x - mu)).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    xhat = (x - mu) * inv
+    y, (got_xhat, got_inv) = _layer_norm(x, g, b)
+    assert y.dtype == dtype
+    assert np.array_equal(y, xhat * g + b)
+    assert np.array_equal(got_xhat, xhat) and np.array_equal(got_inv, inv)
 
 
 def reference_forward(params, tokens):
@@ -342,6 +366,29 @@ class TestBackward:
         for name in ("out_proj", "tok_emb"):
             assert rel_err(grads[name], fd[name]) < 1e-3
 
+    @pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
+    def test_token_embedding_scatter_matches_add_at(self, tie):
+        """With one sequence, the gradient reaching each position's input
+        embedding is that position's pos_emb gradient, so ``np.add.at`` of
+        those rows by token id is a reference for the tok_emb gradient.  An
+        untied copy whose out_proj is tok_emb.T gives the tied model's
+        output-projection share."""
+        config = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=24,
+                             context_len=24, vocab_size=5)
+        tied = init_params(config, seed=8, dtype=np.float64)
+        untied = ModelParams(replace(config, tie_embeddings=False),
+                             {**tied.tensors, "out_proj": tied["tok_emb"].T.copy()})
+        batch = rand_batch(np.random.default_rng(9), config, b=1, s=20, full_mask=True)
+        _, grads = backward(untied, batch)
+        cells = batch.tokens[0, :19]          # position 19 is only a target
+        want = np.zeros_like(tied["tok_emb"])
+        np.add.at(want, cells, grads["pos_emb"][:19])
+        assert len(set(cells.tolist())) < cells.size    # ids repeat
+        if tie:
+            want += grads["out_proj"].T
+            _, grads = backward(tied, batch)
+        np.testing.assert_allclose(grads["tok_emb"], want, rtol=0, atol=1e-12)
+
     def test_dropout_gradients_consistent(self):
         config = ModelConfig(n_layers=1, n_heads=1, d_model=8, d_ff=12,
                              context_len=8, vocab_size=10, dropout_rate=0.3)
@@ -493,8 +540,9 @@ class TestRowSelection:
 class TestForwardRows:
     @pytest.mark.parametrize("rows", [([0, 1, 2], [6, 2, 0]),
                                       ([1, 1, 0, 1], [4, 1, 4, 4]),
-                                      ([2], [9])],
-                             ids=["one-per-row", "repeated-unsorted", "single"])
+                                      ([2], [9]), ([0, 1, 2], [0, 0, 0])],
+                             ids=["one-per-row", "repeated-unsorted", "single",
+                                  "first-column"])
     def test_selected_rows_equal_full_forward(self, rows):
         params = init_params(ROWS, seed=6, dtype=np.float64)
         tokens = np.random.default_rng(10).integers(0, 13, size=(3, 10))

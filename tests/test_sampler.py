@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from guti.sampler import (
     top_k_distribution,
     top_k_sample,
 )
-from guti.vocab import build_vocab, decode
+from guti.vocab import build_vocab, decode, encode
 
 
 @pytest.fixture(scope="module")
@@ -274,3 +276,79 @@ class TestGenerateBatch:
                            toy_vocab, catalog, table)
         assert [c.index for c in a.candidates] == [0, 1, 2]
         assert [c.text for c in a.candidates] == [c.text for c in b.candidates]
+
+    def test_negative_count_rejected(self, random_params, toy_vocab, catalog, table):
+        with pytest.raises(SamplingError, match=">= 0"):
+            generate_batch(random_params, "五绝", "静夜思", -2,
+                           SampleConfig(seed=0), toy_vocab, catalog, table)
+
+
+def eos_heavy_params(vocab):
+    """An untied model whose EOS logit swings by a few units from step to
+    step, so candidates emit EOS at different steps."""
+    config = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=32, context_len=48,
+                         vocab_size=vocab.size, tie_embeddings=False)
+    params = init_params(config, seed=4)
+    params.tensors["out_proj"][:, vocab.eos_id] *= 10.0
+    return params
+
+
+class TestBatchedDecode:
+    """generate_batch decodes its n candidates as one batch; each candidate
+    must be what a separate generate call with its derived seed gives."""
+
+    @staticmethod
+    def logits_by_rng(monkeypatch):
+        """Record every logits row top_k_sample sees, per generator."""
+        import guti.sampler as sampler_mod
+        seen = {}
+
+        def spy(logits, cfg, rng):
+            seen.setdefault(id(rng), []).append(np.array(logits, dtype=np.float64))
+            return top_k_sample(logits, cfg, rng)
+
+        monkeypatch.setattr(sampler_mod, "top_k_sample", spy)
+        return seen
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("k", [1, 20])
+    @pytest.mark.parametrize("model", ["tied", "eos-heavy", "short-context"])
+    def test_batch_equals_serial(self, toy_vocab, catalog, table, monkeypatch,
+                                 model, k, n):
+        if model == "eos-heavy":
+            params = eos_heavy_params(toy_vocab)
+        else:
+            context = 48 if model == "tied" else 18
+            params = init_params(ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=32,
+                                             context_len=context,
+                                             vocab_size=toy_vocab.size), seed=3)
+        prompt = build_prompt("五绝", "静夜思", catalog, toy_vocab)
+        seen = self.logits_by_rng(monkeypatch)
+        lengths, truncated = set(), set()
+        for seed in range(5):
+            cfg = SampleConfig(k=k, max_new_tokens=24, seed=seed)
+            seen.clear()
+            report = generate_batch(params, "五绝", "静夜思", n, cfg, toy_vocab,
+                                    catalog, table)
+            batched = list(seen.values())
+            assert len(report.candidates) == len(batched) == n
+            for cand, batch_logits in zip(report.candidates, batched):
+                seen.clear()
+                out = generate(params, prompt, replace(cfg, seed=cand.seed), toy_vocab)
+                assert encode(cand.body_text, toy_vocab) == list(out.token_ids)
+                assert cand.truncated == out.truncated
+                assert cand.tokens == len(out.token_ids)
+                # float32 logits of a batch row may round differently from
+                # the batch-of-one row
+                serial_logits = next(iter(seen.values()))
+                assert len(batch_logits) == len(serial_logits)
+                np.testing.assert_allclose(batch_logits, serial_logits,
+                                           rtol=0, atol=1e-5)
+                lengths.add(len(out.token_ids))
+                truncated.add(out.truncated)
+        if model == "eos-heavy" and k > 1 and n > 1:
+            # candidates left the batch at different steps, and some ran
+            # to the token budget
+            assert len(lengths) >= 3 and truncated == {True, False}
+        if model == "short-context":
+            assert lengths == {params.config.context_len - len(prompt)}
