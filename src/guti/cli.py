@@ -11,9 +11,11 @@ from __future__ import annotations
 import json
 import secrets
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import corpus as corpus_mod
 from . import trainer as trainer_mod
@@ -132,7 +134,9 @@ def cmd_ingest(corpus_file, out_dir, catalog_path, acrostic, min_count, max_seq_
               help="Output directory for checkpoints and metrics.jsonl.")
 @catalog_option
 @click.option("--init-from", "init_from", default=None, metavar="CKPT",
-              help="Start from an existing checkpoint instead of random init.")
+              help="Start from an existing checkpoint instead of random init. "
+                   "The architecture is the checkpoint's: an architecture flag "
+                   "given with it must agree; --dropout applies.")
 @click.option("--layers", default=4, show_default=True,
               help="Transformer layer count.")
 @click.option("--heads", default=4, show_default=True,
@@ -182,6 +186,20 @@ def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, layers,
             raise click.ClickException(
                 f"checkpoint vocab size {params.config.vocab_size} does not "
                 f"match vocab file size {vocab.size}")
+        given = click.get_current_context().get_parameter_source
+        for flag, field, value in (("layers", "n_layers", layers),
+                                   ("heads", "n_heads", heads),
+                                   ("d_model", "d_model", d_model),
+                                   ("d_ff", "d_ff", d_ff),
+                                   ("context_len", "context_len", context_len)):
+            have = getattr(params.config, field)
+            if given(flag) is not ParameterSource.DEFAULT and value != have:
+                raise click.ClickException(
+                    f"--{flag.replace('_', '-')} {value} disagrees with the "
+                    f"checkpoint's {field} {have}")
+        if given("dropout") is not ParameterSource.DEFAULT:
+            params = replace(params, config=replace(params.config,
+                                                    dropout_rate=dropout))
     else:
         config = ModelConfig(n_layers=layers, n_heads=heads, d_model=d_model,
                              d_ff=d_ff, context_len=context_len,

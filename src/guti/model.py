@@ -15,14 +15,18 @@ positions 0..t of its sequence.  A caller that asks for the logits at
 some positions only (``backward`` and held-out evaluation ask for the
 rows that predict a masked token) therefore runs, in each sequence, just
 the positions up to its last requested one: pads and the EOS column drop
-out, exactly.  Embedding, layer norms, projections, the FFN and GELU run
-on the kept rows; attention scatters them into a (B, S', ·) grid and
-gathers its output back.  Only the requested rows are projected to
-logits.  When every cell runs (public ``forward`` without ``rows``, any
-call with a ``kv`` cache, and so every decoding step) the move between
-rows and grid is a reshape, not a gather.  Dropout masks are drawn at the
-untrimmed (B, S, ·) shape and cut down, so a run draws the same random
-numbers whichever cells it keeps.
+out, exactly.  Every layer runs on the kept rows.  A sequence's rows are
+contiguous, so attention runs once per run of consecutive sequences that
+keep the same length, on a (sequences, heads, L, ·) view of the run's
+rows and the top-left corner of one additive causal mask: the
+block-diagonal attention of packed sequences, without the packing.  Only
+the requested rows are projected to logits.  When every cell runs
+(public ``forward`` without ``rows``, any call with a ``kv`` cache, and
+so every decoding step) the whole batch is one run and the rows are a
+reshape of the (B, S) grid, not a gather.  Dropout masks are drawn at the
+untrimmed (B, S, ·) shape and cut down, so a pass draws the same random
+numbers whichever cells it keeps.  The 1/sqrt(head_dim) score scale is
+applied to the query rows, not to the scores.
 
 Parameters are plain numpy arrays in an ordered name->array mapping.  The
 canonical storage dtype is float32 (matching the checkpoint format); the
@@ -287,15 +291,27 @@ def _apply_mask(x, mask):
 class _Layout:
     """The (batch, position) cells a forward pass runs, as flat rows.
 
-    Each sequence runs a prefix of its positions.  ``width`` is the longest
-    prefix, and ``cells`` holds the flat index ``b * width + t`` of every
-    kept cell of the (B, width) grid, in row-major order.  When every cell
-    is kept, ``cells`` is None and moving between rows and the grid is a
-    reshape, not a gather.
+    Each sequence runs a prefix of its positions, so its rows are
+    contiguous.  ``width`` is the longest prefix, and ``cells`` holds the
+    flat index ``b * width + t`` of every kept cell of the (B, width) grid,
+    in row-major order.  When every cell is kept, ``cells`` is None and
+    moving between rows and the grid is a reshape, not a gather.
+
+    ``runs`` groups consecutive sequences that keep the same length L, as
+    ``(batch slice, row slice, L)``; attention runs once per run, on a
+    (run size, heads, L, ·) view of the run's rows.  Sequences that keep
+    no position form no run.
     """
 
-    def __init__(self, batch: int, width: int, cells: np.ndarray | None = None):
-        self.batch, self.width, self.cells = batch, width, cells
+    def __init__(self, batch: int, width: int, lengths: np.ndarray | None = None):
+        self.batch, self.width, self.cells = batch, width, None
+        self.runs = [(slice(0, batch), slice(0, batch * width), width)]
+        if lengths is not None and not np.all(lengths == width):
+            self.cells = np.flatnonzero(np.arange(width) < lengths[:, None])
+            cut = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), batch]
+            row0 = np.cumsum([0, *lengths]).tolist()
+            self.runs = [(slice(b0, b1), slice(row0[b0], row0[b1]), int(lengths[b0]))
+                         for b0, b1 in zip(cut, cut[1:]) if lengths[b0]]
 
     def to_rows(self, x):
         """(B, >= width, ...) grid -> (N, ...) rows of the kept cells."""
@@ -311,22 +327,16 @@ class _Layout:
         grid[self.cells] = x
         return grid.reshape(shape)
 
-    def split_heads(self, x, n_heads: int):
-        """(N, d) rows -> (B, n_heads, width, d // n_heads) grid."""
-        grid = x if self.cells is None else self.to_grid(x)
-        return grid.reshape(self.batch, self.width, n_heads, -1).transpose(0, 2, 1, 3)
-
-    def merge_heads(self, x):
-        """(B, heads, width, head_dim) grid -> (N, heads * head_dim) rows."""
-        b, h, w, dh = x.shape
-        flat = x.transpose(0, 2, 1, 3).reshape(b * w, h * dh)
-        return flat if self.cells is None else flat[self.cells]
-
     def index(self, out, seq: int):
         """Row numbers of the kept cells at ``out``, flat indices b * seq + t."""
         if seq != self.width:
             out = out // seq * self.width + out % seq
         return out if self.cells is None else np.searchsorted(self.cells, out)
+
+
+def _heads(x, n_heads: int, length: int):
+    """(n * length, d) rows of one run -> (n, n_heads, length, d // n_heads) view."""
+    return x.reshape(-1, length, n_heads, x.shape[-1] // n_heads).transpose(0, 2, 1, 3)
 
 
 def _rows_reaching(batch: int, seq: int, out) -> _Layout:
@@ -337,9 +347,7 @@ def _rows_reaching(batch: int, seq: int, out) -> _Layout:
     """
     last = np.full(batch, -1)
     np.maximum.at(last, out // seq, out % seq)
-    width = int(last.max()) + 1
-    keep = np.arange(width) <= last[:, None]
-    return _Layout(batch, width, None if keep.all() else np.flatnonzero(keep))
+    return _Layout(batch, int(last.max()) + 1, last + 1)
 
 
 def _check_inputs(params: ModelParams, tokens: np.ndarray) -> np.ndarray:
@@ -381,34 +389,43 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
     x = _apply_mask(x, emb_drop)
 
     # query row i sits at position start + i and sees keys 0..start + i; a
-    # lone query row (w == 1) sees every key, so it needs no mask
-    causal = np.tril(np.ones((w, start + w), dtype=bool), k=start) if w > 1 else None
+    # run of width L adds the mask's top-left (L, start + L) corner, and a
+    # lone query row (L == 1) sees every key, so it needs none
+    mask = (np.triu(np.full((w, start + w), -np.inf, dtype=dtype), k=start + 1)
+            if w > 1 else None)
     scale = dtype.type(1.0 / np.sqrt(c.head_dim))
+    h = c.n_heads
     caches = []
     for i in range(c.n_layers):
         p = f"layer{i}."
         h1, ln1_cache = _layer_norm(x, t[p + "ln1.g"], t[p + "ln1.b"])
         q = h1 @ t[p + "attn.wq"] + t[p + "attn.bq"]
+        q *= scale
         k = h1 @ t[p + "attn.wk"] + t[p + "attn.bk"]
         v = h1 @ t[p + "attn.wv"] + t[p + "attn.bv"]
-        qh, kh, vh = (layout.split_heads(z, c.n_heads) for z in (q, k, v))
-        if kv is not None:
-            if i < len(kv):
-                kh = np.concatenate((kv[i][0], kh), axis=2)
-                vh = np.concatenate((kv[i][1], vh), axis=2)
-                kv[i] = (kh, vh)
-            else:
-                kv.append((kh, vh))
-        att = (qh @ kh.transpose(0, 1, 3, 2)) * scale
-        if causal is not None:
-            att = np.where(causal, att, -np.inf)
-        att = att - att.max(axis=-1, keepdims=True)
-        ea = np.exp(att)
-        probs = ea / ea.sum(axis=-1, keepdims=True)
-        att_drop = _dropout_mask(rng, (b, c.n_heads, s, start + s), rate, dtype,
+        att_drop = _dropout_mask(rng, (b, h, s, start + s), rate, dtype,
                                  lambda m: m[:, :, :w, :start + w])
-        probs_d = _apply_mask(probs, att_drop)
-        ctx = layout.merge_heads(probs_d @ vh)
+        ctx = np.empty_like(q)
+        runs = []
+        for bs, rs, n in layout.runs:
+            kh, vh = _heads(k[rs], h, n), _heads(v[rs], h, n)
+            if kv is not None:     # every cell runs, so this is the one run
+                if i < len(kv):
+                    kh = np.concatenate((kv[i][0], kh), axis=2)
+                    vh = np.concatenate((kv[i][1], vh), axis=2)
+                    kv[i] = (kh, vh)
+                else:
+                    kv.append((kh, vh))
+            probs = _heads(q[rs], h, n) @ kh.transpose(0, 1, 3, 2)
+            if n > 1:
+                probs += mask[:n, :start + n]
+            probs -= probs.max(axis=-1, keepdims=True)
+            np.exp(probs, out=probs)
+            probs /= probs.sum(axis=-1, keepdims=True)
+            drop = None if att_drop is None else att_drop[bs, :, :n, :start + n]
+            probs_d = _apply_mask(probs, drop)
+            np.matmul(probs_d, vh, out=_heads(ctx[rs], h, n))
+            runs.append((probs, drop, probs_d))
         attn_out = ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]
         res_drop1 = _dropout_mask(rng, (b, s, c.d_model), rate, dtype,
                                   layout.to_rows)
@@ -424,10 +441,10 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
 
         if want_cache:
             caches.append({
-                "h1": h1, "ln1": ln1_cache, "qh": qh, "kh": kh, "vh": vh,
-                "probs": probs, "att_drop": att_drop, "probs_d": probs_d,
-                "ctx": ctx, "res_drop1": res_drop1, "h2": h2, "ln2": ln2_cache,
-                "u": u, "a": a, "gelu_t": gelu_t, "res_drop2": res_drop2,
+                "h1": h1, "ln1": ln1_cache, "q": q, "k": k, "v": v,
+                "runs": runs, "ctx": ctx, "res_drop1": res_drop1, "h2": h2,
+                "ln2": ln2_cache, "u": u, "a": a, "gelu_t": gelu_t,
+                "res_drop2": res_drop2,
             })
         x = x_new
 
@@ -548,23 +565,24 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
     dlogits *= w[:, None]
     dlogits[np.arange(tgt.size), tgt] -= w
 
-    grads = {name: np.zeros_like(arr) for name, arr in t.items()}
+    grads = {}
     hf = cache["hf"]
     if c.tie_embeddings:
-        grads["tok_emb"] += dlogits.T @ hf
+        grads["tok_emb"] = dlogits.T @ hf
         dhf = dlogits @ t["tok_emb"]
     else:
-        grads["out_proj"] += hf.T @ dlogits
+        grads["out_proj"] = hf.T @ dlogits
+        grads["tok_emb"] = np.zeros_like(t["tok_emb"])
         dhf = dlogits @ t["out_proj"].T
 
-    dx_out, dg, db = _layer_norm_backward(dhf, cache["lnf"], t["ln_f.g"])
-    grads["ln_f.g"] += dg
-    grads["ln_f.b"] += db
+    dx_out, grads["ln_f.g"], grads["ln_f.b"] = _layer_norm_backward(
+        dhf, cache["lnf"], t["ln_f.g"])
     # every loss row is a distinct row, so plain assignment needs no
     # accumulation
     layout = cache["layout"]
     dx = np.zeros((cache["tok"].size, c.d_model), dtype=dx_out.dtype)
     dx[cache["out_idx"]] = dx_out
+    h = c.n_heads
 
     for i in reversed(range(c.n_layers)):
         p = f"layer{i}."
@@ -572,49 +590,53 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
 
         # feed-forward branch
         dff_out = _apply_mask(dx, lc["res_drop2"])
-        grads[p + "ff.b2"] += dff_out.sum(axis=0)
-        grads[p + "ff.w2"] += lc["a"].T @ dff_out
+        grads[p + "ff.b2"] = dff_out.sum(axis=0)
+        grads[p + "ff.w2"] = lc["a"].T @ dff_out
         da = dff_out @ t[p + "ff.w2"].T
         du = _gelu_backward(da, lc["u"], lc["gelu_t"])
-        grads[p + "ff.b1"] += du.sum(axis=0)
-        grads[p + "ff.w1"] += lc["h2"].T @ du
+        grads[p + "ff.b1"] = du.sum(axis=0)
+        grads[p + "ff.w1"] = lc["h2"].T @ du
         dh2 = du @ t[p + "ff.w1"].T
-        dx_attn, dg, db = _layer_norm_backward(dh2, lc["ln2"], t[p + "ln2.g"])
-        grads[p + "ln2.g"] += dg
-        grads[p + "ln2.b"] += db
+        dx_attn, grads[p + "ln2.g"], grads[p + "ln2.b"] = _layer_norm_backward(
+            dh2, lc["ln2"], t[p + "ln2.g"])
         dx_attn = dx_attn + dx   # residual
 
-        # attention branch
+        # attention branch; q holds the scaled queries, so the scores'
+        # gradient times k is the scaled queries' gradient
         dattn_out = _apply_mask(dx_attn, lc["res_drop1"])
-        grads[p + "attn.bo"] += dattn_out.sum(axis=0)
-        grads[p + "attn.wo"] += lc["ctx"].T @ dattn_out
+        grads[p + "attn.bo"] = dattn_out.sum(axis=0)
+        grads[p + "attn.wo"] = lc["ctx"].T @ dattn_out
         dctx = dattn_out @ t[p + "attn.wo"].T
-        dctx_h = layout.split_heads(dctx, c.n_heads)
-        dprobs_d = dctx_h @ lc["vh"].transpose(0, 1, 3, 2)
-        dvh = lc["probs_d"].transpose(0, 1, 3, 2) @ dctx_h
-        dprobs = _apply_mask(dprobs_d, lc["att_drop"])
-        pr = lc["probs"]
-        datt = pr * (dprobs - (dprobs * pr).sum(axis=-1, keepdims=True))
-        datt = datt * cache["scale"]
-        dqh = datt @ lc["kh"]
-        dkh = datt.transpose(0, 1, 3, 2) @ lc["qh"]
-        dq, dk, dv = (layout.merge_heads(z) for z in (dqh, dkh, dvh))
+        q, k, v = lc["q"], lc["k"], lc["v"]
+        dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+        for (_, rs, n), (probs, drop, probs_d) in zip(layout.runs, lc["runs"]):
+            dctx_h = _heads(dctx[rs], h, n)
+            datt = dctx_h @ _heads(v[rs], h, n).transpose(0, 1, 3, 2)
+            np.matmul(probs_d.transpose(0, 1, 3, 2), dctx_h, out=_heads(dv[rs], h, n))
+            if drop is not None:
+                datt *= drop
+            datt -= (datt * probs).sum(axis=-1, keepdims=True)
+            datt *= probs
+            np.matmul(datt, _heads(k[rs], h, n), out=_heads(dq[rs], h, n))
+            np.matmul(datt.transpose(0, 1, 3, 2), _heads(q[rs], h, n),
+                      out=_heads(dk[rs], h, n))
+        dq *= cache["scale"]
         h1 = lc["h1"]
-        grads[p + "attn.bq"] += dq.sum(axis=0)
-        grads[p + "attn.bk"] += dk.sum(axis=0)
-        grads[p + "attn.bv"] += dv.sum(axis=0)
-        grads[p + "attn.wq"] += h1.T @ dq
-        grads[p + "attn.wk"] += h1.T @ dk
-        grads[p + "attn.wv"] += h1.T @ dv
+        grads[p + "attn.bq"] = dq.sum(axis=0)
+        grads[p + "attn.bk"] = dk.sum(axis=0)
+        grads[p + "attn.bv"] = dv.sum(axis=0)
+        grads[p + "attn.wq"] = h1.T @ dq
+        grads[p + "attn.wk"] = h1.T @ dk
+        grads[p + "attn.wv"] = h1.T @ dv
         dh1 = dq @ t[p + "attn.wq"].T + dk @ t[p + "attn.wk"].T \
             + dv @ t[p + "attn.wv"].T
-        dx_res, dg, db = _layer_norm_backward(dh1, lc["ln1"], t[p + "ln1.g"])
-        grads[p + "ln1.g"] += dg
-        grads[p + "ln1.b"] += db
+        dx_res, grads[p + "ln1.g"], grads[p + "ln1.b"] = _layer_norm_backward(
+            dh1, lc["ln1"], t[p + "ln1.g"])
         dx = dx_res + dx_attn    # residual
 
     dx = _apply_mask(dx, cache["emb_drop"])
-    grads["pos_emb"][:layout.width] += layout.to_grid(dx).sum(axis=0)
+    grads["pos_emb"] = np.zeros_like(t["pos_emb"])
+    grads["pos_emb"][:layout.width] = layout.to_grid(dx).sum(axis=0)
     # scatter-add by token id; np.add.at loops index by index, so sort the
     # rows by id and sum each id's run in one reduceat instead
     tok = cache["tok"]
@@ -622,7 +644,7 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
     ids = tok[order]
     starts = np.flatnonzero(np.diff(ids, prepend=-1))
     grads["tok_emb"][ids[starts]] += np.add.reduceat(dx[order], starts, axis=0)
-    return loss, grads
+    return loss, {name: grads[name] for name in t}
 
 
 # ---------------------------------------------------------------------------

@@ -379,9 +379,9 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
             params, state = adam_step(params, grads, state, cfg, lr_scale)
         except TrainingError:
             report.skipped_nonfinite += 1
-            continue
-        window_losses.append(loss)
-        report.step_losses.append(loss)
+        else:
+            window_losses.append(loss)
+            report.step_losses.append(loss)
 
         if cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
             record_interval()

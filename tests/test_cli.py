@@ -1,13 +1,19 @@
 import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guti import fileio
-from guti.cli import main
-from guti.vocab import build_vocab, load_vocab
+from guti.cli import _read_dataset, main
+from guti.corpus import deserialize, normalize_body_text
+from guti.forms import ALL_MARKERS, COMMA, PERIOD, default_catalog
+from guti.model import load_checkpoint
+from guti.vocab import build_vocab, decode, encode, load_vocab
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -179,6 +185,35 @@ class TestTrain:
                          "--seed", "3", "--heldout-fraction", "0")
         assert code == 0
         assert (tmp_path / "resumed" / "last.ckpt").exists()
+
+    def init_from(self, capsys, pipeline, out, *flags):
+        return run(capsys, "train", str(pipeline / "dataset.jsonl"),
+                   "--vocab", str(pipeline / "vocab.txt"), "-o", str(out),
+                   "--init-from", str(pipeline / "run" / "last.ckpt"),
+                   "--max-steps", "2", "--checkpoint-interval", "2",
+                   "--seed", "3", "--heldout-fraction", "0", *flags)
+
+    @pytest.mark.parametrize("flags", [("--dropout", "0.1", "--layers", "8"),
+                                       ("--heads", "4",), ("--d-model", "32"),
+                                       ("--d-ff", "16"), ("--context-len", "64")],
+                             ids=["layers", "heads", "d-model", "d-ff",
+                                  "context-len"])
+    def test_init_from_rejects_other_architecture(self, capsys, pipeline,
+                                                  tmp_path, flags):
+        code, _, err = self.init_from(capsys, pipeline, tmp_path / "run", *flags)
+        assert code == 1
+        assert "disagrees with the checkpoint" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_init_from_applies_dropout(self, capsys, pipeline, tmp_path):
+        code, _, _ = self.init_from(capsys, pipeline, tmp_path / "a",
+                                    "--dropout", "0.1", "--layers", "1",
+                                    "--heads", "2", "--d-model", "16")
+        assert code == 0
+        assert load_checkpoint(tmp_path / "a" / "last.ckpt").config.dropout_rate == 0.1
+        code, _, _ = self.init_from(capsys, pipeline, tmp_path / "b")
+        assert code == 0
+        assert load_checkpoint(tmp_path / "b" / "last.ckpt").config.dropout_rate == 0.0
 
     def test_samples_beyond_context_are_skipped(self, capsys, pipeline, tmp_path):
         code, _, err = run(capsys, "train", str(pipeline / "dataset.jsonl"),
@@ -429,3 +464,42 @@ class TestAtomicWrites:
             fileio.write_atomic(target, b"0123456789")
         assert target.read_bytes() == b"previous"
         assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
+
+
+# one strategy per ideograph block corpus.is_cjk admits
+_cjk_char = st.one_of([st.characters(min_codepoint=lo, max_codepoint=hi)
+                       for lo, hi in ((0x4E00, 0x9FFF), (0x3400, 0x4DBF),
+                                      (0xF900, 0xFAFF), (0x20000, 0x2A6DF),
+                                      (0x2A700, 0x2EE5F), (0x2F800, 0x2FA1F),
+                                      (0x30000, 0x323AF))])
+_theme = st.text(st.characters(blacklist_characters="\n\r"), max_size=12).filter(
+    lambda theme: not any(m in theme for m in ALL_MARKERS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(theme=_theme, form=st.sampled_from(default_catalog().form_ids()),
+       lines=st.lists(st.text(_cjk_char, min_size=1, max_size=7),
+                      min_size=1, max_size=6),
+       data=st.data())
+def test_ingest_files_round_trip(theme, form, lines, data):
+    """ingest -> dataset.jsonl + vocab.txt -> _read_dataset + load_vocab ->
+    encode/decode gives back the serialized text of the ingested poem."""
+    puncts = data.draw(st.lists(st.sampled_from([COMMA, PERIOD]),
+                                min_size=len(lines), max_size=len(lines)))
+    puncts[-1] = data.draw(st.sampled_from([COMMA, PERIOD, ""]))
+    body = "".join(chars + p for chars, p in zip(lines, puncts))
+    catalog = default_catalog()
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, out = Path(tmp) / "corpus.jsonl", Path(tmp) / "data"
+        corpus.write_text(json.dumps({"form": form, "theme": theme, "body": body},
+                                     ensure_ascii=False) + "\n", encoding="utf-8")
+        assert main(["ingest", str(corpus), "-o", str(out)]) == 0
+        (sample,) = _read_dataset(str(out / "dataset.jsonl"), catalog)
+        vocab = load_vocab(out / "vocab.txt")
+    ids = encode(sample.text, vocab)
+    assert vocab.unk_id not in ids
+    assert decode(ids, vocab) == sample.text
+    poem = deserialize(sample.text, catalog)
+    assert poem.form_id == form
+    assert poem.theme == normalize_body_text(theme.strip())
+    assert poem.body_text() == body

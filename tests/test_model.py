@@ -16,6 +16,7 @@ from guti.model import (
     forward,
     init_params,
     load_checkpoint,
+    loss_rows,
     nll_loss,
     param_names,
     save_checkpoint,
@@ -534,6 +535,72 @@ class TestRowSelection:
         loss, _ = backward(params, batch, train_mode=True, rng=rng_b)
         logits = forward(params, batch.tokens, train_mode=True, rng=rng_f)
         assert abs(loss - nll_loss(logits, batch)) < 1e-12
+        assert rng_b.random() == rng_f.random()
+
+
+class TestAttentionRuns:
+    """Attention runs once per run of consecutive sequences that keep the
+    same length.  Each sequence alone at B=1 is one run of its own length,
+    so it is the reference for any mix of runs in a batch."""
+
+    KEPT = (5, 5, 3, 0, 7, 7, 7, 1)     # sequence 3 asks for no row
+
+    def batch(self, config, seed=12):
+        rng = np.random.default_rng(seed)
+        tokens = rng.integers(0, config.vocab_size, size=(len(self.KEPT), 10))
+        mask = np.zeros(tokens.shape)
+        for i, kept in enumerate(self.KEPT):
+            mask[i, 1:kept + 1] = 1.0
+        mask[1, 2] = mask[5, 4] = 0.0   # holes before the last loss row
+        return SequenceBatch(tokens=tokens, loss_mask=mask)
+
+    def test_runs_follow_the_kept_lengths(self):
+        batch = self.batch(ROWS)
+        layout = _rows_reaching(*batch.tokens.shape,
+                                np.ravel_multi_index(loss_rows(batch),
+                                                     batch.tokens.shape))
+        assert [(bs.start, bs.stop, rs.start, rs.stop, n)
+                for bs, rs, n in layout.runs] == [(0, 2, 0, 10, 5),
+                                                  (2, 3, 10, 13, 3),
+                                                  (4, 7, 13, 34, 7),
+                                                  (7, 8, 34, 35, 1)]
+
+    @pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
+    def test_batch_equals_each_sequence_alone(self, tie):
+        params = init_params(replace(ROWS, tie_embeddings=tie), seed=14,
+                             dtype=np.float64)
+        batch = self.batch(params.config)
+        loss, grads = backward(params, batch)
+        rows = forward(params, batch.tokens, rows=loss_rows(batch))
+        n = batch.loss_mask.sum()
+        want_loss, want_grads, want_rows = 0.0, {k: 0.0 for k in grads}, []
+        for i, kept in enumerate(self.KEPT):
+            if not kept:
+                continue
+            alone = SequenceBatch(tokens=batch.tokens[i:i + 1],
+                                  loss_mask=batch.loss_mask[i:i + 1])
+            share = alone.loss_mask.sum() / n
+            loss_i, grads_i = backward(params, alone)
+            want_loss += share * loss_i
+            for name, g in grads_i.items():
+                want_grads[name] = want_grads[name] + share * g
+            want_rows.append(forward(params, alone.tokens, rows=loss_rows(alone)))
+        np.testing.assert_allclose(rows, np.concatenate(want_rows),
+                                   rtol=0, atol=1e-12)
+        assert abs(loss - want_loss) < 1e-12
+        for name in grads:
+            np.testing.assert_allclose(grads[name], want_grads[name],
+                                       rtol=0, atol=1e-12, err_msg=name)
+
+    def test_dropout_matches_train_mode_full_forward(self):
+        params = init_params(replace(ROWS, dropout_rate=0.2), seed=15,
+                             dtype=np.float64)
+        batch = self.batch(params.config, seed=13)
+        rng_b, rng_f = np.random.default_rng(2), np.random.default_rng(2)
+        loss, _ = backward(params, batch, train_mode=True, rng=rng_b)
+        logits = forward(params, batch.tokens, train_mode=True, rng=rng_f)
+        assert abs(loss - nll_loss(logits, batch)) < 1e-12
+        assert abs(loss - nll_loss(forward(params, batch.tokens), batch)) > 1e-6
         assert rng_b.random() == rng_f.random()
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from guti.corpus import Poem, parse_body, serialize
 from guti.errors import TrainingError
 from guti.model import ModelConfig, forward, init_params, nll_loss
+from guti import trainer
 from guti.trainer import (
     AdamState,
     NoveltyIndex,
@@ -336,3 +337,25 @@ class TestFineTune:
         assert report.intervals[0]["heldout_loss"] is not None
         assert report.train_indices and set(report.train_indices).isdisjoint(
             report.heldout_indices)
+
+    def test_skipped_step_keeps_its_cadence_work(self, toy_samples, tmp_path,
+                                                 monkeypatch):
+        samples, vocab, params = self.small_setup(toy_samples)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=6, max_steps=6,
+                          checkpoint_interval=3, novelty_eval_interval=3,
+                          seed=1, heldout_fraction=0.3)
+        real, calls = trainer.adam_step, []
+
+        def adam_step(params, grads, state, cfg, lr_scale=1.0):
+            calls.append(1)
+            if len(calls) == cfg.checkpoint_interval:
+                raise TrainingError("non-finite gradient in 'tok_emb'")
+            return real(params, grads, state, cfg, lr_scale)
+
+        monkeypatch.setattr(trainer, "adam_step", adam_step)
+        _, report = fine_tune(samples, vocab, params, cfg, out_dir=tmp_path)
+        assert report.skipped_nonfinite == 1 and len(report.step_losses) == 5
+        assert (tmp_path / "step-000003.ckpt").exists()
+        assert [r["step"] for r in report.intervals] == [3, 6]
+        assert report.intervals[0]["heldout_loss"] is not None
+        assert [r["step"] for r in report.novelty] == [3, 6]
