@@ -110,7 +110,7 @@ def cmd_ingest(corpus_file, out_dir, catalog_path, acrostic, min_count, max_seq_
     if max_seq_len > 0:
         before = len(samples)
         samples = [s for s in samples
-                   if len(vocab_mod.encode(s.text, vocab)) + 2 <= max_seq_len]
+                   if len(trainer_mod.encode_sample(s, vocab)) <= max_seq_len]
         if before != len(samples):
             _err(f"{before - len(samples)} samples exceed --max-seq-len; skipped")
             vocab = vocab_mod.build_vocab(samples, min_count=min_count)
@@ -208,7 +208,7 @@ def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, layers,
 
     context = params.config.context_len
     usable = [s for s in samples
-              if len(vocab_mod.encode(s.text, vocab)) + 2 <= context]
+              if len(trainer_mod.encode_sample(s, vocab)) <= context]
     if len(usable) < len(samples):
         _err(f"{len(samples) - len(usable)} samples exceed the model context "
              f"({context}); skipped")
@@ -390,9 +390,6 @@ def main(argv: list[str] | None = None) -> int:
     except click.exceptions.NoArgsIsHelpError as exc:
         click.echo(exc.format_message())
         return EXIT_OK
-    except click.UsageError as exc:
-        _err(exc.format_message())
-        return EXIT_USER
     except click.ClickException as exc:
         _err(exc.format_message())
         return EXIT_USER

@@ -16,17 +16,17 @@ from pathlib import Path
 
 from .errors import CorpusError, SerializationError, UnknownFormError
 from .forms import (
-    ALL_MARKERS,
     COMMA,
     ID1_MARKERS,
     ID2_MARKERS,
+    MARKER_RE,
     PERIOD,
     FormCatalog,
 )
 
 # Punctuation normalization applied on ingest; everything else inside a
 # body is expected to be a CJK character.
-_PUNCT_MAP = {"、": COMMA, "？": PERIOD, "！": PERIOD, "，": COMMA, "。": PERIOD}
+_PUNCT_MAP = str.maketrans({"、": COMMA, "？": PERIOD, "！": PERIOD})
 _TERMINALS = (COMMA, PERIOD)
 
 
@@ -78,9 +78,9 @@ class Poem:
     def __post_init__(self):
         if not self.body:
             raise CorpusError("poem body is empty")
-        for marker in ALL_MARKERS:
-            if marker in self.theme:
-                raise CorpusError(f"theme contains identifier marker {marker!r}")
+        marker = MARKER_RE.search(self.theme)
+        if marker:
+            raise CorpusError(f"theme contains identifier marker {marker[0]!r}")
         # vocab.txt holds one token per line, so no token may be "\n" or "\r"
         if "\n" in self.theme or "\r" in self.theme:
             raise CorpusError("theme contains a line break")
@@ -122,7 +122,7 @@ class SerializedSample:
 
 def normalize_body_text(text: str) -> str:
     """Map loose punctuation onto the canonical comma/period pair."""
-    return "".join(_PUNCT_MAP.get(ch, ch) for ch in text)
+    return text.translate(_PUNCT_MAP)
 
 
 def parse_body(text: str) -> tuple[Line, ...]:
@@ -254,15 +254,7 @@ def serialize(poem: Poem, catalog: FormCatalog) -> SerializedSample:
 
 
 def _find_unique_marker(text: str, markers: tuple[str, ...], what: str) -> tuple[int, str]:
-    hits = []
-    for marker in markers:
-        start = 0
-        while True:
-            idx = text.find(marker, start)
-            if idx < 0:
-                break
-            hits.append((idx, marker))
-            start = idx + len(marker)
+    hits = [(m.start(), m[0]) for m in MARKER_RE.finditer(text) if m[0] in markers]
     if not hits:
         raise SerializationError(f"missing {what} marker")
     if len(hits) > 1:

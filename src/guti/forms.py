@@ -8,6 +8,7 @@ needs to emit training text (which identifier tokens wrap the theme).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -28,6 +29,8 @@ MARKER_PAIRS: dict[str, tuple[str, str]] = {
 ID1_MARKERS = tuple(sorted({p[0] for p in MARKER_PAIRS.values()}))
 ID2_MARKERS = tuple(sorted({p[1] for p in MARKER_PAIRS.values()}))
 ALL_MARKERS = tuple(sorted({m for p in MARKER_PAIRS.values() for m in p}))
+# No marker is a prefix of another, so the alternation's order never matters.
+MARKER_RE = re.compile("|".join(map(re.escape, ALL_MARKERS)))
 
 FORM_CLASSES = ("couplet", "gushi", "jintishi", "ci")
 
@@ -180,6 +183,13 @@ def _parse_pairs_value(value: str, where: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _parse_slots(value: str, where: str, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in value.split())
+    except ValueError:
+        raise CatalogError(f"{where}: bad {what} slots {value!r}")
+
+
 def parse_catalog(text: str, source: str = "<catalog>") -> FormCatalog:
     """Parse catalog file text; raises CatalogError with line positions."""
     catalog = FormCatalog()
@@ -245,10 +255,7 @@ def parse_catalog(text: str, source: str = "<catalog>") -> FormCatalog:
         elif key == "lines":
             current["lines"] = _parse_lines_value(value, where)
         elif key == "rhyme":
-            try:
-                current["rhyme"] = tuple(int(v) for v in value.split())
-            except ValueError:
-                raise CatalogError(f"{where}: bad rhyme slots {value!r}")
+            current["rhyme"] = _parse_slots(value, where, "rhyme")
         elif key == "pairs":
             current["pairs"] = _parse_pairs_value(value, where)
         elif key == "tones":
@@ -256,10 +263,7 @@ def parse_catalog(text: str, source: str = "<catalog>") -> FormCatalog:
         elif key == "acrostic-form":
             current["acrostic-form"] = value
         elif key == "acrostic-slots":
-            try:
-                current["acrostic-slots"] = tuple(int(v) for v in value.split())
-            except ValueError:
-                raise CatalogError(f"{where}: bad acrostic slots {value!r}")
+            current["acrostic-slots"] = _parse_slots(value, where, "acrostic")
         else:
             raise CatalogError(f"{where}: unknown key {key!r}")
     if current is not None:

@@ -274,14 +274,14 @@ def _gelu_backward(du_out, u, t):
 def _dropout_mask(rng, shape, rate, dtype, take):
     """Inverted-dropout mask, or None at rate 0.
 
-    The mask is drawn at the untrimmed ``shape`` and then cut down to the
-    cells that run by ``take``: the generator advances alike whichever
-    cells run, and each kept cell gets the same mask value.
+    The uniform draw is made at the untrimmed ``shape`` and cut down to
+    the cells that run by ``take`` before it becomes a mask: the generator
+    advances alike whichever cells run, and each kept cell gets the same
+    mask value.
     """
     if rate <= 0.0:
         return None
-    keep = (rng.random(shape) >= rate).astype(dtype) / dtype.type(1.0 - rate)
-    return take(keep)
+    return (take(rng.random(shape)) >= rate).astype(dtype) / dtype.type(1.0 - rate)
 
 
 def _apply_mask(x, mask):

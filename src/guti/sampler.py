@@ -25,7 +25,7 @@ import numpy as np
 from . import vocab as vocab_mod
 from .corpus import Poem, deserialize
 from .errors import GutiError, SamplingError
-from .forms import ALL_MARKERS, FormCatalog
+from .forms import MARKER_RE, FormCatalog
 from .model import ModelParams, forward
 from .validator import PhonologyTable, ValidationReport, validate
 from .vocab import Vocab
@@ -70,9 +70,9 @@ def build_prompt(form_id: str, theme: str, catalog: FormCatalog, vocab: Vocab,
         if spec.acrostic_id is None:
             raise SamplingError(f"form {form_id!r} has no acrostic variant")
         spec = catalog.resolve(spec.acrostic_id)
-    for marker in ALL_MARKERS:
-        if marker in theme:
-            raise SamplingError(f"theme contains identifier marker {marker!r}")
+    marker = MARKER_RE.search(theme)
+    if marker:
+        raise SamplingError(f"theme contains identifier marker {marker[0]!r}")
     id1, id2 = spec.markers
     text = spec.form_id + id1 + theme + id2
     return [vocab.bos_id] + vocab_mod.encode(text, vocab)

@@ -291,6 +291,9 @@ def _eval_nll(params: ModelParams, sequences: list[list[int]], pad_id: int,
     return total / count if count else float("nan")
 
 
+NOVELTY_PROBES = 5      # novelty probes prompt with this many training samples
+
+
 def _probe_novelty(params, probe_prompts, index, vocab, max_new_tokens):
     from .sampler import SampleConfig, generate  # imported here: avoids a cycle
 
@@ -310,14 +313,13 @@ def _probe_novelty(params, probe_prompts, index, vocab, max_new_tokens):
 
 def fine_tune(samples: list[SerializedSample], vocab: Vocab,
               params: ModelParams, cfg: TrainConfig,
-              out_dir: str | Path | None = None,
-              probe_count: int = 5) -> tuple[ModelParams, TrainReport]:
+              out_dir: str | Path | None = None) -> tuple[ModelParams, TrainReport]:
     """Train the model on serialized samples; returns updated params + report.
 
     Checkpoints are written every ``checkpoint_interval`` steps when
     ``out_dir`` is given, with held-out loss evaluated at the same cadence.
-    Novelty probes run greedy generation from the first few training
-    prompts and score retrieval against the training corpus.
+    Novelty probes run greedy generation from the first ``NOVELTY_PROBES``
+    training prompts and score retrieval against the training corpus.
     """
     if not samples:
         raise TrainingError("empty corpus")
@@ -339,7 +341,7 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
     probe_prompts: list[list[int]] = []
     if cfg.novelty_eval_interval > 0:
         index = NoveltyIndex.from_samples([samples[i] for i in train_idx])
-        for i in train_idx[:probe_count]:
+        for i in train_idx[:NOVELTY_PROBES]:
             sample = samples[i]
             end = sample.field_spans["id2"][1]
             probe_prompts.append(

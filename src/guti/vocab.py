@@ -2,14 +2,16 @@
 
 Id layout is fixed: specials first (PAD, BOS, EOS, UNK), then the five
 identifier markers, then characters ordered by descending corpus frequency
-with codepoint ties.  Identifier markers are matched greedily during
-encoding so they can never be split into their constituent characters.
+with codepoint ties.  Tokenization is one regex alternation: a marker
+where one starts (``forms.MARKER_RE``), else one character, so a marker is
+never split into its constituent characters.
 A Vocab is immutable after build; encode/decode are safe for any number
 of concurrent readers.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .errors import VocabError
 from .fileio import write_atomic
-from .forms import ALL_MARKERS
+from .forms import ALL_MARKERS, MARKER_RE
 
 VOCAB_FORMAT_VERSION = 1
 
@@ -76,13 +78,12 @@ def build_vocab(texts: Iterable, min_count: int = 1) -> Vocab:
     counts: Counter[str] = Counter()
     n_texts = 0
     for item in texts:
-        text = getattr(item, "text", item)
         n_texts += 1
-        for token in _scan(text):
-            if token not in ALL_MARKERS:
-                counts[token] += 1
+        counts.update(_scan(getattr(item, "text", item)))
     if n_texts == 0:
         raise VocabError("cannot build a vocabulary from an empty corpus")
+    for marker in ALL_MARKERS:
+        del counts[marker]
     chars = sorted(
         (tok for tok, c in counts.items() if c >= min_count),
         key=lambda tok: (-counts[tok], tok),
@@ -90,19 +91,8 @@ def build_vocab(texts: Iterable, min_count: int = 1) -> Vocab:
     return _assemble(chars, min_count)
 
 
-def _scan(text: str) -> Iterable[str]:
-    """Greedy tokenization: markers first, then single characters."""
-    i = 0
-    n = len(text)
-    while i < n:
-        for marker in ALL_MARKERS:
-            if text.startswith(marker, i):
-                yield marker
-                i += len(marker)
-                break
-        else:
-            yield text[i]
-            i += 1
+# Greedy tokenization: a marker where one starts, else one character.
+_scan = re.compile(MARKER_RE.pattern + "|.", re.S).findall
 
 
 def encode(text: str, vocab: Vocab) -> list[int]:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from guti.corpus import (
     Line,
     Poem,
+    _find_unique_marker,
     acrostic_transform,
     couplet_transform,
     deserialize,
@@ -17,6 +18,7 @@ from guti.corpus import (
     serialize,
 )
 from guti.errors import CorpusError, SerializationError
+from guti.forms import ALL_MARKERS, ID1_MARKERS, ID2_MARKERS
 
 
 def make_poem(form_id, theme, body, catalog):
@@ -221,6 +223,10 @@ class TestInvariants:
         with pytest.raises(CorpusError):
             Poem(form_id="五绝", theme="秋(标题)思", body=parse_body("床前明月光"))
 
+    def test_theme_error_names_leftmost_marker(self):
+        with pytest.raises(CorpusError, match=r"'\(格式\)'"):
+            Poem(form_id="五绝", theme="秋(格式)思(标题)", body=parse_body("床前明月光"))
+
     def test_dangling_punctuation(self):
         with pytest.raises(CorpusError):
             parse_body("，床前明月光")
@@ -280,3 +286,66 @@ def test_serialize_deserialize_identity(lines, theme, data):
     poem = Poem(form_id="五绝", theme=theme, body=tuple(body))
     sample = serialize(poem, catalog)
     assert deserialize(sample.text, catalog) == poem
+
+
+def _reference_find_unique_marker(text, markers, what):
+    """The per-marker ``str.find`` loop that ``MARKER_RE`` replaced in
+    ``deserialize``, kept as its reference."""
+    hits = []
+    for marker in markers:
+        start = 0
+        while True:
+            idx = text.find(marker, start)
+            if idx < 0:
+                break
+            hits.append((idx, marker))
+            start = idx + len(marker)
+    if not hits:
+        raise SerializationError(f"missing {what} marker")
+    if len(hits) > 1:
+        raise SerializationError(f"duplicated {what} marker")
+    return hits[0]
+
+
+_MARKER_ERRORS = ("missing field-1 marker", "missing field-2 marker",
+                  "duplicated field-1 marker", "duplicated field-2 marker",
+                  "field markers out of order")
+
+
+def _reference_marker_error(text):
+    """deserialize's marker error for ``text`` by the reference loop, or None."""
+    try:
+        i1, m1 = _reference_find_unique_marker(text, ID1_MARKERS, "field-1")
+        i2, _ = _reference_find_unique_marker(text, ID2_MARKERS, "field-2")
+    except SerializationError as exc:
+        return str(exc)
+    return "field markers out of order" if i2 < i1 + len(m1) else None
+
+
+# markers, fragments of them, body characters and punctuation
+_marker_text = st.lists(
+    st.sampled_from(list(ALL_MARKERS) + ["(", ")", "(标题", "格式)", "，", "。"])
+    | st.characters(min_codepoint=0x4E00, max_codepoint=0x4E08),
+    max_size=12).map("".join)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (SerializationError, CorpusError) as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_marker_text)
+def test_marker_errors_match_reference_loop(text):
+    from guti.forms import default_catalog
+    for markers, what in ((ID1_MARKERS, "field-1"), (ID2_MARKERS, "field-2")):
+        assert (_outcome(_find_unique_marker, text, markers, what)
+                == _outcome(_reference_find_unique_marker, text, markers, what))
+    expected = _reference_marker_error(text)
+    got = _outcome(deserialize, text, default_catalog())
+    if expected is not None:
+        assert got == expected
+    else:
+        assert got not in _MARKER_ERRORS

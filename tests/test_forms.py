@@ -59,6 +59,13 @@ class TestCatalogParsing:
         with pytest.raises(CatalogError):
             parse_catalog(text)
 
+    @pytest.mark.parametrize("key, what", [("rhyme", "rhyme"),
+                                           ("acrostic-slots", "acrostic")])
+    def test_bad_slot_list_rejected(self, key, what):
+        text = f"version = 1\n[x]\nclass = jintishi\nlines = 5 5\n{key} = 1 x\n"
+        with pytest.raises(CatalogError, match=f"<catalog>:5: bad {what} slots '1 x'"):
+            parse_catalog(text)
+
     def test_bad_tone_symbols_rejected(self):
         text = "version = 1\n[x]\nclass = jintishi\nlines = 5 5\ntones = 平仄XY平\n"
         with pytest.raises(CatalogError):

@@ -10,6 +10,7 @@ from guti.model import (
     ModelParams,
     SequenceBatch,
     _LN_EPS,
+    _dropout_mask,
     _layer_norm,
     _rows_reaching,
     backward,
@@ -536,6 +537,24 @@ class TestRowSelection:
         logits = forward(params, batch.tokens, train_mode=True, rng=rng_f)
         assert abs(loss - nll_loss(logits, batch)) < 1e-12
         assert rng_b.random() == rng_f.random()
+
+
+@pytest.mark.parametrize("dtype", [np.dtype(np.float32), np.dtype(np.float64)])
+def test_dropout_mask_cut_before_conversion_matches_full_mask(dtype):
+    """Cutting the uniform draw before it becomes a mask gives the mask the
+    whole draw gives, cut alike, and leaves the generator in the same state."""
+    rate, shape = 0.1, (16, 4, 80, 80)
+
+    def take(m):
+        return m[:, :, :60, :60]
+
+    rng_new, rng_old = np.random.default_rng(3), np.random.default_rng(3)
+    got = _dropout_mask(rng_new, shape, rate, dtype, take)
+    # the former formula: the whole draw becomes a mask, then is cut
+    want = take((rng_old.random(shape) >= rate).astype(dtype) / dtype.type(1.0 - rate))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint8), np.ascontiguousarray(want).view(np.uint8))
+    assert rng_new.random() == rng_old.random()
 
 
 class TestAttentionRuns:

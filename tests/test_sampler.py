@@ -58,6 +58,10 @@ class TestBuildPrompt:
         with pytest.raises(SamplingError):
             build_prompt("五绝", "秋(标题)思", catalog, toy_vocab)
 
+    def test_theme_error_names_leftmost_marker(self, catalog, toy_vocab):
+        with pytest.raises(SamplingError, match=r"'\(格式\)'"):
+            build_prompt("五绝", "秋(格式)思(标题)", catalog, toy_vocab)
+
 
 def stable_argsort_top_k(logits, cfg):
     """Reference top-k: a stable sort of the whole vocabulary."""

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from guti.corpus import serialize
 from guti.errors import VocabError
 from guti.forms import ALL_MARKERS
-from guti.vocab import build_vocab, decode, encode, load_vocab, save_vocab
+from guti.vocab import _scan, build_vocab, decode, encode, load_vocab, save_vocab
 
 
 def test_five_character_corpus():
@@ -97,3 +97,39 @@ def test_vocab_file_bad_header(tmp_path):
 def test_round_trip_identity_on_known_characters(text):
     vocab = build_vocab(["".join(chr(c) for c in range(0x4E00, 0x4E60)) + "，。"])
     assert decode(encode(text, vocab), vocab) == text
+
+
+def _reference_scan(text):
+    """The per-character marker scan that ``_scan`` replaced, kept as its
+    reference: at each position try every marker, else take one character."""
+    i = 0
+    while i < len(text):
+        for marker in ALL_MARKERS:
+            if text.startswith(marker, i):
+                yield marker
+                i += len(marker)
+                break
+        else:
+            yield text[i]
+            i += 1
+
+
+# whole markers, fragments of them, CJK in and beyond the BMP, and "\n"
+SCAN_PIECES = st.sampled_from(
+    list(ALL_MARKERS) + ["(", ")", "(标题", "格式)", "\n", "，",
+                         "\U00020000", "\U0002A6DF", "\U00030000"]
+) | st.characters(min_codepoint=0x4E00, max_codepoint=0x4E10)
+
+
+def test_no_marker_is_a_prefix_of_another():
+    # the tokenizer's alternation picks the first marker that matches, so
+    # it is greedy only while no marker starts another
+    for a in ALL_MARKERS:
+        for b in ALL_MARKERS:
+            assert a == b or not b.startswith(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SCAN_PIECES, max_size=25).map("".join))
+def test_scan_matches_reference_loop(text):
+    assert _scan(text) == list(_reference_scan(text))
