@@ -20,7 +20,7 @@ from click.core import ParameterSource
 from . import corpus as corpus_mod
 from . import trainer as trainer_mod
 from . import vocab as vocab_mod
-from .errors import GutiError, UnknownFormError
+from .errors import CorpusError, GutiError, UnknownFormError
 from .fileio import write_atomic
 from .forms import FormCatalog, default_catalog, load_catalog
 from .model import (
@@ -82,6 +82,7 @@ def cli():
 @click.option("--min-count", default=1, show_default=True,
               help="Drop characters rarer than this from the vocabulary.")
 @click.option("--max-seq-len", default=0, show_default=True,
+              type=click.IntRange(min=0),
               help="Skip samples longer than this many tokens (0 = no limit).")
 def cmd_ingest(corpus_file, out_dir, catalog_path, acrostic, min_count, max_seq_len):
     """Serialize a poem corpus and build its vocabulary."""
@@ -375,8 +376,15 @@ def _read_dataset(path: str, catalog: FormCatalog) -> list:
             continue
         try:
             rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise CorpusError("record is not a JSON object")
+            if not isinstance(rec["text"], str):
+                raise CorpusError("record field 'text' is not a string")
+            source_id = rec.get("source_id")
+            if source_id is not None and not isinstance(source_id, str):
+                raise CorpusError("record field 'source_id' is not a string")
             samples.append(corpus_mod.sample_from_text(
-                rec["text"], catalog, source_id=rec.get("source_id")))
+                rec["text"], catalog, source_id=source_id))
         except (json.JSONDecodeError, KeyError, GutiError) as exc:
             raise click.ClickException(f"{p}:{line_no}: bad dataset record: {exc}")
     return samples

@@ -11,6 +11,7 @@ at the form's acrostic variant so serialization picks the acrostic marker.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -26,21 +27,31 @@ from .forms import (
 
 # Punctuation normalization applied on ingest; everything else inside a
 # body is expected to be a CJK character.
-_PUNCT_MAP = str.maketrans({"、": COMMA, "？": PERIOD, "！": PERIOD})
-_TERMINALS = (COMMA, PERIOD)
+_PUNCT_MAP = (("、", COMMA), ("？", PERIOD), ("！", PERIOD))
+
+# Ideograph blocks a line may hold, as inclusive code point ranges.
+_CJK_RANGES = (
+    (0x4E00, 0x9FFF),       # CJK Unified Ideographs
+    (0x3400, 0x4DBF),       # Extension A
+    (0xF900, 0xFAFF),       # Compatibility Ideographs
+    (0x20000, 0x2A6DF),     # Extension B
+    (0x2A700, 0x2EE5F),     # Extensions C, D, E, F, I
+    (0x2F800, 0x2FA1F),     # Compatibility Ideographs Supplement
+    (0x30000, 0x323AF),     # Extensions G, H
+)
+_CJK_LINE = re.compile(
+    "[" + "".join(f"{chr(a)}-{chr(b)}" for a, b in _CJK_RANGES) + "]+")
+
+# One body segment: characters up to an optional terminal, or a terminal
+# with no characters before it.  Whitespace (regex ``\s`` is exactly
+# ``str.isspace``) matches neither, so ``findall`` steps over it.
+_SEGMENT = re.compile(
+    rf"([^{COMMA}{PERIOD}\s]+)([{COMMA}{PERIOD}]?)|([{COMMA}{PERIOD}])")
 
 
 def is_cjk(ch: str) -> bool:
     cp = ord(ch)
-    return (
-        0x4E00 <= cp <= 0x9FFF      # CJK Unified Ideographs
-        or 0x3400 <= cp <= 0x4DBF   # Extension A
-        or 0xF900 <= cp <= 0xFAFF   # Compatibility Ideographs
-        or 0x20000 <= cp <= 0x2A6DF     # Extension B
-        or 0x2A700 <= cp <= 0x2EE5F     # Extensions C, D, E, F, I
-        or 0x2F800 <= cp <= 0x2FA1F     # Compatibility Ideographs Supplement
-        or 0x30000 <= cp <= 0x323AF     # Extensions G, H
-    )
+    return any(a <= cp <= b for a, b in _CJK_RANGES)
 
 
 @dataclass(frozen=True)
@@ -53,9 +64,9 @@ class Line:
     def __post_init__(self):
         if not self.characters:
             raise CorpusError("empty line")
-        for ch in self.characters:
-            if not is_cjk(ch):
-                raise CorpusError(f"non-CJK character {ch!r} inside a line")
+        if not _CJK_LINE.fullmatch(self.characters):
+            ch = next(ch for ch in self.characters if not is_cjk(ch))
+            raise CorpusError(f"non-CJK character {ch!r} inside a line")
         if self.terminal_punct not in (None, COMMA, PERIOD):
             raise CorpusError(f"bad terminal punctuation {self.terminal_punct!r}")
 
@@ -121,34 +132,32 @@ class SerializedSample:
 
 
 def normalize_body_text(text: str) -> str:
-    """Map loose punctuation onto the canonical comma/period pair."""
-    return text.translate(_PUNCT_MAP)
+    """Map loose punctuation onto the canonical comma/period pair.
+
+    ``str.replace`` scans for one character in C; ``str.translate`` would
+    look every character of the text up in its table.
+    """
+    for loose, canonical in _PUNCT_MAP:
+        text = text.replace(loose, canonical)
+    return text
 
 
 def parse_body(text: str) -> tuple[Line, ...]:
-    """Split body text into Lines on terminal punctuation and newlines.
+    """Split body text into Lines on terminal punctuation and whitespace.
 
-    Newlines close a line without terminal punctuation (used by sources
-    that print poem lines without punctuation).  Raises CorpusError on a
-    non-CJK, non-punctuation character.
+    The normalized text is cut into ``_SEGMENT`` matches, left to right:
+    the characters up to an optional terminal make one Line, so whitespace
+    (newlines included) closes a line without terminal punctuation (used
+    by sources that print poem lines without punctuation).  Raises
+    CorpusError on a terminal with no characters before it and, through
+    Line, on a non-CJK character; the first bad segment is reported.
     """
-    text = normalize_body_text(text)
-    lines: list[Line] = []
-    buf: list[str] = []
-    for ch in text:
-        if ch in _TERMINALS:
-            if not buf:
-                raise CorpusError(f"dangling punctuation {ch!r}")
-            lines.append(Line("".join(buf), ch))
-            buf = []
-        elif ch == "\n" or ch.isspace():
-            if buf:
-                lines.append(Line("".join(buf), None))
-                buf = []
-        else:
-            buf.append(ch)   # Line() rejects non-CJK
-    if buf:
-        lines.append(Line("".join(buf), None))
+    lines = []
+    for chars, punct, dangling in _SEGMENT.findall(normalize_body_text(text)):
+        if chars:
+            lines.append(Line(chars, punct or None))
+        elif dangling:
+            raise CorpusError(f"dangling punctuation {dangling!r}")
     if not lines:
         raise CorpusError("empty body")
     return tuple(lines)
@@ -187,15 +196,15 @@ class IngestResult:
 
 
 def _poem_from_record(record: dict, catalog: FormCatalog, source_id: str) -> Poem:
-    if "first" in record or "second" in record:
-        first = record.get("first", "")
-        second = record.get("second", "")
-        return couplet_transform(first, second, source_id=source_id)
-    for key in ("form", "theme", "body"):
-        if key not in record:
+    couplet = "first" in record or "second" in record
+    for key in ("first", "second") if couplet else ("form", "theme", "body"):
+        if key not in record and not couplet:
             raise CorpusError(f"record missing required field {key!r}")
-        if not isinstance(record[key], str):
+        if not isinstance(record.get(key, ""), str):
             raise CorpusError(f"record field {key!r} is not a string")
+    if couplet:
+        return couplet_transform(record.get("first", ""), record.get("second", ""),
+                                 source_id=source_id)
     form_id = record["form"].strip()
     if form_id not in catalog:
         raise UnknownFormError(form_id)
@@ -211,9 +220,10 @@ def ingest_corpus(path: str | Path, catalog: FormCatalog) -> IngestResult:
     """Read a line-delimited JSON corpus file.
 
     One object per line with string fields ``form``, ``theme``, ``body``
-    (couplet records use ``first``/``second`` instead).  Malformed records
-    and unknown forms become diagnostics with their line numbers; a record
-    is never silently dropped.
+    (couplet records use ``first``/``second`` instead) and an optional
+    string ``source_id`` (default: file name and line number).  Malformed
+    records and unknown forms become diagnostics with their line numbers; a
+    record is never silently dropped.
     """
     p = Path(path)
     try:
@@ -221,16 +231,19 @@ def ingest_corpus(path: str | Path, catalog: FormCatalog) -> IngestResult:
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {p}: {exc}") from exc
     result = IngestResult()
+    name = p.name
     for line_no, raw_line in enumerate(raw.split("\n"), start=1):
         if not raw_line.strip():
             continue
-        source_id = f"{p.name}:{line_no}"
         try:
             record = json.loads(raw_line)
             if not isinstance(record, dict):
                 raise CorpusError("record is not a JSON object")
-            record_source = record.get("source_id") or source_id
-            poem = _poem_from_record(record, catalog, record_source)
+            record_source = record.get("source_id")
+            if record_source is not None and not isinstance(record_source, str):
+                raise CorpusError("record field 'source_id' is not a string")
+            poem = _poem_from_record(record, catalog,
+                                     record_source or f"{name}:{line_no}")
         except (json.JSONDecodeError, CorpusError, UnknownFormError) as exc:
             result.diagnostics.append(IngestDiagnostic(line_no, str(exc)))
             continue

@@ -2,9 +2,9 @@
 
 Id layout is fixed: specials first (PAD, BOS, EOS, UNK), then the five
 identifier markers, then characters ordered by descending corpus frequency
-with codepoint ties.  Tokenization is one regex alternation: a marker
-where one starts (``forms.MARKER_RE``), else one character, so a marker is
-never split into its constituent characters.
+with codepoint ties.  Tokenization splits the text on ``forms.MARKER_RE``:
+each marker is one token and every other character is a token of its own,
+so a marker is never split into its constituent characters.
 A Vocab is immutable after build; encode/decode are safe for any number
 of concurrent readers.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -69,9 +70,9 @@ def _assemble(char_tokens: Sequence[str], min_count: int) -> Vocab:
 def build_vocab(texts: Iterable, min_count: int = 1) -> Vocab:
     """Count characters over serialized samples (or plain strings).
 
-    Marker occurrences are consumed atomically, so their parentheses and
-    inner characters only enter the character vocabulary when they also
-    appear outside a marker.
+    Marker occurrences are cut out before counting, so their parentheses
+    and inner characters only enter the character vocabulary when they
+    also appear outside a marker.
     """
     if min_count < 1:
         raise VocabError("min_count must be >= 1")
@@ -79,11 +80,9 @@ def build_vocab(texts: Iterable, min_count: int = 1) -> Vocab:
     n_texts = 0
     for item in texts:
         n_texts += 1
-        counts.update(_scan(getattr(item, "text", item)))
+        counts.update(MARKER_RE.sub("", getattr(item, "text", item)))
     if n_texts == 0:
         raise VocabError("cannot build a vocabulary from an empty corpus")
-    for marker in ALL_MARKERS:
-        del counts[marker]
     chars = sorted(
         (tok for tok, c in counts.items() if c >= min_count),
         key=lambda tok: (-counts[tok], tok),
@@ -91,13 +90,22 @@ def build_vocab(texts: Iterable, min_count: int = 1) -> Vocab:
     return _assemble(chars, min_count)
 
 
-# Greedy tokenization: a marker where one starts, else one character.
-_scan = re.compile(MARKER_RE.pattern + "|.", re.S).findall
+_split_markers = re.compile(f"({MARKER_RE.pattern})").split
+
+
+def _scan(text: str) -> list[str]:
+    """Tokenize: split on the markers, which stay whole (the odd chunks of
+    the split), and take every other chunk one character at a time."""
+    chunks = _split_markers(text)
+    tokens = list(chunks[0])
+    for i in range(1, len(chunks), 2):
+        tokens.append(chunks[i])
+        tokens.extend(chunks[i + 1])
+    return tokens
 
 
 def encode(text: str, vocab: Vocab) -> list[int]:
-    unk = vocab.unk_id
-    return [vocab.token_to_id.get(tok, unk) for tok in _scan(text)]
+    return list(map(vocab.token_to_id.get, _scan(text), repeat(vocab.unk_id)))
 
 
 def decode(ids: Sequence[int], vocab: Vocab) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -123,6 +124,77 @@ class TestIngest:
         built = build_vocab(json.loads(line)["text"] for line in lines)
         assert load_vocab(data / "vocab.txt").tokens == built.tokens
 
+    @pytest.mark.parametrize("record, field", [
+        ({"first": 1, "second": "春风"}, "first"),
+        ({"form": "五绝", "theme": "秋", "body": "床前明月光", "source_id": 5},
+         "source_id"),
+        ({"form": "五绝", "theme": "秋", "body": "床前明月光", "source_id": ["a"]},
+         "source_id"),
+    ], ids=["couplet-first-int", "source_id-int", "source_id-list"])
+    def test_non_string_field_is_skipped(self, capsys, tmp_path, record, field):
+        corpus = _corpus_around(tmp_path, record)
+        code, _, err = run(capsys, "ingest", str(corpus), "-o", str(tmp_path / "o"))
+        assert code == 0, err
+        assert f"{corpus}:2: skipped: record field {field!r} is not a string" in err
+        assert "ingested 2 poems (1 skipped records)" in err
+
+    def test_negative_max_seq_len_exits_1(self, capsys, tmp_path, mini_corpus):
+        code, _, err = run(capsys, "ingest", str(mini_corpus), "-o",
+                           str(tmp_path / "o"), "--max-seq-len", "-5")
+        assert code == 1
+        assert "--max-seq-len" in err
+        assert not (tmp_path / "o").exists()
+
+    # sha256 of dataset.jsonl and vocab.txt per fixture and flag set, as the
+    # per-character parser and tokenizer wrote them; the compiled-regex
+    # passes that replaced those loops must write the same bytes
+    GOLDEN = {
+        ("sample_poems", ()): (
+            "63f2af83b39ecfa4c422ac4655fe3419673fbcd10ea8661e8ff3a94deb4cb5db",
+            "c0a8dcc53724d31df401f01bffa4de5fbb69fbf180534753d02681071fa15052"),
+        ("sample_poems", ("--acrostic",)): (
+            "002b153a72c4e7b407f58257c4ff46c4d71da75cb06c22a0b167a1583774b484",
+            "fe68cbfcc7f36ca3ddee8deef509dc0b8c270fa63b82b8d40bcff2c4015acfbd"),
+        ("sample_poems", ("--acrostic", "--max-seq-len", "40")): (
+            "e013760de3104a213b238b60f0915632c24f604252cefa11099550b369e9cc14",
+            "15dcc696f360e015ed2babe021fcc538212dac9bcee86970bf8ff81c3543e6a2"),
+        ("sample_poems", ("--min-count", "2")): (
+            "63f2af83b39ecfa4c422ac4655fe3419673fbcd10ea8661e8ff3a94deb4cb5db",
+            "9f70551beaf437043131760a86e4f6d1d73875111d9cbc30b120fc30685317ab"),
+        ("toy_corpus", ()): (
+            "425d1f5946abc624accfa768661e67b45a49f47c5377be42ed9ee33024f57bb2",
+            "deb1ecbdb180c23da33b9f3e5c4222770dacb1a4ad0df64b741bdb125b932d3b"),
+        ("toy_corpus", ("--acrostic",)): (
+            "e894b58b77d90b0aecb7bbfd4e6d437f631e43e18a2b0830e2a06fcb1ccd320e",
+            "0bb1eed570ba21189b20290e272ff91adf093f88971985a99ad61928887ca222"),
+        ("toy_corpus", ("--acrostic", "--max-seq-len", "40")): (
+            "94911485a5c53a8b0cf38a6a5530e886dd5a1d27e3ea37c137f0b668603476cf",
+            "a0f00016f50d3bc0fe8aee6a677d088c6cc8e82f0868d849af44b076ca4bdc0b"),
+        ("toy_corpus", ("--min-count", "2")): (
+            "425d1f5946abc624accfa768661e67b45a49f47c5377be42ed9ee33024f57bb2",
+            "b7e9910e3f51b85eff025fe2a9c5243f3de7b1aae4229c3ee8c48fc4ae780051"),
+    }
+
+    @pytest.mark.parametrize("name, flags", list(GOLDEN),
+                             ids=["-".join([n, *(a.lstrip("-") for a in f)])
+                                  for n, f in GOLDEN])
+    def test_fixture_outputs_match_recorded_digests(self, capsys, tmp_path,
+                                                    name, flags):
+        code, _, err = run(capsys, "ingest", str(FIXTURES / f"{name}.jsonl"),
+                           "-o", str(tmp_path), *flags)
+        assert code == 0, err
+        assert tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                     for f in ("dataset.jsonl", "vocab.txt")) == self.GOLDEN[name, flags]
+
+
+def _corpus_around(tmp_path, record):
+    """A three-record corpus file: ``record`` between two good couplets."""
+    good = {"first": "秋月", "second": "春风"}
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(json.dumps(r, ensure_ascii=False)
+                              for r in (good, record, good)), encoding="utf-8")
+    return path
+
 
 class TestTrain:
     def test_max_steps_zero_writes_nothing(self, capsys, tmp_path, pipeline):
@@ -167,6 +239,26 @@ class TestTrain:
                          "--vocab", str(tmp_path / "missing.txt"),
                          "-o", str(tmp_path / "run"))
         assert code == 1
+
+    @pytest.mark.parametrize("change, message", [
+        ({"source_id": 5}, "record field 'source_id' is not a string"),
+        ({"source_id": ["a"]}, "record field 'source_id' is not a string"),
+        ({"text": 5}, "record field 'text' is not a string"),
+        (None, "record is not a JSON object"),
+    ], ids=["source_id-int", "source_id-list", "text-int", "not-an-object"])
+    def test_malformed_dataset_record_exits_1(self, capsys, pipeline, tmp_path,
+                                              change, message):
+        lines = (pipeline / "dataset.jsonl").read_text("utf-8").splitlines()
+        rec = json.loads(lines[1])
+        lines[1] = json.dumps({**rec, **change} if change else list(rec.values()),
+                              ensure_ascii=False)
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "train", str(dataset),
+                           "--vocab", str(pipeline / "vocab.txt"),
+                           "-o", str(tmp_path / "run"), "--max-steps", "1")
+        assert code == 1
+        assert f"{dataset}:2: bad dataset record: {message}" in err
 
     def test_negative_warmup_exits_1(self, capsys, pipeline, tmp_path):
         code, _, err = run(capsys, "train", str(pipeline / "dataset.jsonl"),
@@ -342,6 +434,16 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", str(p))
         assert code == 0
         assert "= 0.000" in out
+
+    def test_non_string_couplet_line_is_skipped(self, capsys, tmp_path):
+        corpus = _corpus_around(tmp_path, {"first": 1, "second": "春风"})
+        code, _, err = run(capsys, "validate", str(corpus))
+        assert code == 1
+        assert f"{corpus}:2: record field 'first' is not a string" in err
+        code, out, err = run(capsys, "validate", str(corpus), "--skip-unknown")
+        assert code == 0, err
+        assert f"{corpus}:2: skipped: record field 'first' is not a string" in err
+        assert "well-formed rate: 2/2" in out
 
     def test_json_reports(self, capsys):
         code, out, _ = run(capsys, "validate",

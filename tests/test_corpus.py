@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guti.corpus import (
+    _CJK_LINE,
+    _CJK_RANGES,
     Line,
     Poem,
     _find_unique_marker,
@@ -88,6 +90,28 @@ class TestIngest:
     def test_unreadable_file(self, catalog, tmp_path):
         with pytest.raises(CorpusError):
             ingest_corpus(tmp_path / "missing.jsonl", catalog)
+
+    @pytest.mark.parametrize("record, field", [
+        ({"first": 1, "second": "春风"}, "first"),
+        ({"first": "秋月", "second": ["春风"]}, "second"),
+        ({"second": None}, "second"),
+        ({"form": "五绝", "theme": 7, "body": "床前明月光"}, "theme"),
+        ({"form": "五绝", "theme": "秋", "body": "床前明月光", "source_id": 5},
+         "source_id"),
+        ({"form": "五绝", "theme": "秋", "body": "床前明月光", "source_id": ["a"]},
+         "source_id"),
+    ], ids=["first-int", "second-list", "second-null", "theme-int",
+            "source_id-int", "source_id-list"])
+    def test_non_string_field_becomes_diagnostic(self, catalog, tmp_path,
+                                                 record, field):
+        good = {"first": "秋月", "second": "春风", "source_id": None}
+        p = tmp_path / "c.jsonl"
+        p.write_text("\n".join(json.dumps(r, ensure_ascii=False)
+                               for r in (good, record, good)), encoding="utf-8")
+        result = ingest_corpus(p, catalog)
+        assert [(d.line_no, d.message) for d in result.diagnostics] == [
+            (2, f"record field {field!r} is not a string")]
+        assert [poem.source_id for poem in result.poems] == ["c.jsonl:1", "c.jsonl:3"]
 
 
 class TestSerialize:
@@ -233,6 +257,16 @@ class TestInvariants:
 
 
 class TestIdeographRanges:
+    def test_is_cjk_and_line_class_agree_at_range_edges(self):
+        ranges = sorted(_CJK_RANGES)
+        # no two ranges touch, so a code point just outside one is outside all
+        assert all(b + 1 < c for (_, b), (c, _) in zip(ranges, ranges[1:]))
+        for first, last in ranges:
+            for cp, inside in ((first - 1, False), (first, True),
+                               (last, True), (last + 1, False)):
+                assert is_cjk(chr(cp)) is inside, f"U+{cp:04X}"
+                assert (_CJK_LINE.fullmatch(chr(cp)) is not None) is inside, f"U+{cp:04X}"
+
     @pytest.mark.parametrize("cp", [0x4E00, 0x3400, 0xF900, 0x20000, 0x2A6DF,
                                     0x2A700, 0x2B740, 0x2B820, 0x2CEB0,
                                     0x2EBF0, 0x2F800, 0x30000, 0x323AF],
@@ -349,3 +383,51 @@ def test_marker_errors_match_reference_loop(text):
         assert got == expected
     else:
         assert got not in _MARKER_ERRORS
+
+
+def _reference_parse_body(text):
+    """The per-character loop that ``parse_body``'s segment pattern replaced,
+    with the per-character check ``Line`` made before its compiled class and
+    the ``str.translate`` normalization, kept as their reference."""
+    def line(chars, punct):
+        for ch in chars:
+            if not is_cjk(ch):
+                raise CorpusError(f"non-CJK character {ch!r} inside a line")
+        return Line(chars, punct)
+
+    text = text.translate(str.maketrans({"、": "，", "？": "。", "！": "。"}))
+    lines = []
+    buf = []
+    for ch in text:
+        if ch in ("，", "。"):
+            if not buf:
+                raise CorpusError(f"dangling punctuation {ch!r}")
+            lines.append(line("".join(buf), ch))
+            buf = []
+        elif ch == "\n" or ch.isspace():
+            if buf:
+                lines.append(line("".join(buf), None))
+                buf = []
+        else:
+            buf.append(ch)
+    if buf:
+        lines.append(line("".join(buf), None))
+    if not lines:
+        raise CorpusError("empty body")
+    return tuple(lines)
+
+
+# ideographs in and beyond the BMP, every punctuation mark ingest knows,
+# the whitespace sources use between lines, and ASCII
+_body_text = st.lists(
+    st.characters(min_codepoint=0x4E00, max_codepoint=0x4E10)
+    | st.characters(min_codepoint=0x20000, max_codepoint=0x20008)
+    | st.sampled_from(list("，。、？！") + [" ", "\u3000", "\t", "\n"])
+    | st.characters(min_codepoint=0x21, max_codepoint=0x7E),
+    max_size=30).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_body_text)
+def test_parse_body_matches_reference_loop(text):
+    assert _outcome(parse_body, text) == _outcome(_reference_parse_body, text)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,3 +135,19 @@ def test_no_marker_is_a_prefix_of_another():
 @given(st.lists(SCAN_PIECES, max_size=25).map("".join))
 def test_scan_matches_reference_loop(text):
     assert _scan(text) == list(_reference_scan(text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(SCAN_PIECES, max_size=25).map("".join), min_size=1,
+                max_size=4),
+       st.integers(min_value=1, max_value=3),
+       st.lists(SCAN_PIECES, max_size=25).map("".join))
+def test_build_and_encode_match_reference_scan(texts, min_count, query):
+    counts = Counter(tok for text in texts for tok in _reference_scan(text)
+                     if tok not in ALL_MARKERS)
+    chars = sorted((t for t, c in counts.items() if c >= min_count),
+                   key=lambda t: (-counts[t], t))
+    vocab = build_vocab(texts, min_count=min_count)
+    assert vocab.tokens[9:] == tuple(chars)
+    assert encode(query, vocab) == [vocab.token_to_id.get(tok, vocab.unk_id)
+                                    for tok in _reference_scan(query)]
