@@ -31,14 +31,17 @@ applied to the query rows, not to the scores.
 Parameters are plain numpy arrays in an ordered name->array mapping.  The
 canonical storage dtype is float32 (matching the checkpoint format); the
 compute dtype follows the parameter dtype, so float64 parameter sets give
-float64 forwards for high-precision checks.
+float64 forwards for high-precision checks.  Each layer's query, key and
+value projections are one (d, 3d) ``attn.wqkv`` (GPT-2's ``c_attn``), which
+checkpoints store as its three (d, d) thirds.
 
 Nothing here mutates ModelParams: any number of concurrent forward calls
 may share one parameter set, and all randomness (dropout) comes from a
 caller-supplied generator, never global state.  The one caller-owned
-object ``forward`` mutates is its optional ``kv`` list, the per-layer
-key/value cache of incremental decoding: each call appends the new
-positions' keys and values, and the next call continues from them.
+object ``forward`` mutates is its optional ``kv``, the ``KVCache`` of
+incremental decoding: per-layer key/value buffers allocated once at the
+full context length, into which each call writes its positions' slots in
+place, so the next call attends over them and continues from them.
 Importing the module sets glibc's malloc, once for the whole process, to
 keep freed memory for reuse (see ``_keep_freed_memory``).
 """
@@ -47,8 +50,10 @@ from __future__ import annotations
 
 import ctypes
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -110,20 +115,32 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
 
-def param_names(config: ModelConfig) -> list[str]:
-    """Tensor declaration order; checkpoints store tensors in this order."""
+# one layer's tensors in declaration order: as ModelParams holds them, and as
+# a checkpoint stores them, with attn.wqkv and attn.bqkv cut into thirds
+_LAYER = ("ln1.g", "ln1.b", "attn.wqkv", "attn.bqkv", "attn.wo", "attn.bo",
+          "ln2.g", "ln2.b", "ff.w1", "ff.b1", "ff.w2", "ff.b2")
+_CHECKPOINT_LAYER = ("ln1.g", "ln1.b", "attn.wq", "attn.bq", "attn.wk", "attn.bk",
+                     "attn.wv", "attn.bv", "attn.wo", "attn.bo",
+                     "ln2.g", "ln2.b", "ff.w1", "ff.b1", "ff.w2", "ff.b2")
+
+
+def param_names(config: ModelConfig, layer: tuple[str, ...] = _LAYER) -> list[str]:
+    """Tensor declaration order: the names of ``ModelParams.tensors``, or
+    with ``_CHECKPOINT_LAYER`` the order a checkpoint stores tensors in."""
     names = ["tok_emb", "pos_emb"]
-    for i in range(config.n_layers):
-        p = f"layer{i}."
-        names += [p + "ln1.g", p + "ln1.b",
-                  p + "attn.wq", p + "attn.bq", p + "attn.wk", p + "attn.bk",
-                  p + "attn.wv", p + "attn.bv", p + "attn.wo", p + "attn.bo",
-                  p + "ln2.g", p + "ln2.b",
-                  p + "ff.w1", p + "ff.b1", p + "ff.w2", p + "ff.b2"]
+    names += [f"layer{i}.{n}" for i in range(config.n_layers) for n in layer]
     names += ["ln_f.g", "ln_f.b"]
     if not config.tie_embeddings:
         names.append("out_proj")
     return names
+
+
+def _fuse(config: ModelConfig, tensors: dict) -> dict:
+    """Checkpoint-named tensors -> ``ModelParams.tensors``: each layer's
+    wq, wk, wv become one (d, 3d) attn.wqkv (GPT-2's ``c_attn``), and its
+    bq, bk, bv one attn.bqkv, columns in q, k, v order."""
+    return {name: np.concatenate([tensors[name[:-3] + x] for x in "qkv"], axis=-1)
+            if name.endswith("qkv") else tensors[name] for name in param_names(config)}
 
 
 def _param_shape(name: str, c: ModelConfig) -> tuple[int, ...]:
@@ -163,8 +180,12 @@ class ModelParams:
     def dtype(self) -> np.dtype:
         return self.tensors["tok_emb"].dtype
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
+    @cached_property
+    def layers(self) -> list[tuple[np.ndarray, ...]]:
+        """Each layer's tensors in ``_LAYER`` order, looked up once, not per
+        decode step; replace tensors by building a new ModelParams."""
+        return [tuple(self.tensors[f"layer{i}.{n}"] for n in _LAYER)
+                for i in range(self.config.n_layers)]
 
     def check_finite(self) -> None:
         for name, t in self.tensors.items():
@@ -176,7 +197,7 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams
     """Deterministic initialization: N(0, 0.02) weights, unit norms, zero biases."""
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
-    for name in param_names(config):
+    for name in param_names(config, _CHECKPOINT_LAYER):
         shape = _param_shape(name, config)
         base = name.split(".")[-1]
         if base == "g":
@@ -186,7 +207,7 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams
         else:
             t = (rng.standard_normal(shape) * 0.02).astype(dtype)
         tensors[name] = t
-    return ModelParams(config=config, tensors=tensors)
+    return ModelParams(config, _fuse(config, tensors))
 
 
 @dataclass
@@ -272,15 +293,13 @@ def _gelu_backward(du_out, u, t):
 
 
 def _dropout_mask(rng, shape, rate, dtype, take):
-    """Inverted-dropout mask, or None at rate 0.
+    """Inverted-dropout mask.
 
     The uniform draw is made at the untrimmed ``shape`` and cut down to
     the cells that run by ``take`` before it becomes a mask: the generator
     advances alike whichever cells run, and each kept cell gets the same
     mask value.
     """
-    if rate <= 0.0:
-        return None
     return (take(rng.random(shape)) >= rate).astype(dtype) / dtype.type(1.0 - rate)
 
 
@@ -295,7 +314,7 @@ class _Layout:
     contiguous.  ``width`` is the longest prefix, and ``cells`` holds the
     flat index ``b * width + t`` of every kept cell of the (B, width) grid,
     in row-major order.  When every cell is kept, ``cells`` is None and
-    moving between rows and the grid is a reshape, not a gather.
+    the rows are a reshape of the grid, not a gather.
 
     ``runs`` groups consecutive sequences that keep the same length L, as
     ``(batch slice, row slice, L)``; attention runs once per run, on a
@@ -318,14 +337,14 @@ class _Layout:
         flat = x[:, :self.width].reshape(self.batch * self.width, *x.shape[2:])
         return flat if self.cells is None else flat[self.cells]
 
-    def to_grid(self, x):
-        """(N, ...) rows -> (B, width, ...) grid, zero at the cells not kept."""
-        shape = (self.batch, self.width) + x.shape[1:]
-        if self.cells is None:
-            return x.reshape(shape)
-        grid = np.zeros((self.batch * self.width,) + x.shape[1:], dtype=x.dtype)
-        grid[self.cells] = x
-        return grid.reshape(shape)
+    def position_sum(self, x):
+        """(N, ...) rows -> (width, ...) sums over the sequences, added in
+        batch order as a batch-axis sum of the zero-padded grid adds them."""
+        total = np.zeros((self.width,) + x.shape[1:], dtype=x.dtype)
+        for _, rs, n in self.runs:
+            for r in range(rs.start, rs.stop, n):
+                total[:n] += x[r:r + n]
+        return total
 
     def index(self, out, seq: int):
         """Row numbers of the kept cells at ``out``, flat indices b * seq + t."""
@@ -350,18 +369,42 @@ def _rows_reaching(batch: int, seq: int, out) -> _Layout:
     return _Layout(batch, int(last.max()) + 1, last + 1)
 
 
+class KVCache:
+    """Per-layer keys and values of the positions decoded so far: ``k[i]``,
+    ``v[i]`` are (batch, heads, context_len, head_dim) buffers allocated
+    once, filled at ``[:length]`` (Pope et al., arXiv:2211.05102).  It
+    serves one model config at one batch size; ``select`` changes the batch.
+    """
+
+    def __init__(self, params: ModelParams, batch: int):
+        c = self.config = params.config
+        self.length = 0
+        shape = (batch, c.n_heads, c.context_len, c.head_dim)
+        self.k = [np.empty(shape, params.dtype) for _ in range(c.n_layers)]
+        self.v = [np.empty(shape, params.dtype) for _ in range(c.n_layers)]
+
+    def select(self, rows: list[int]) -> None:
+        """Keep batch rows ``rows`` in that order, repeats allowed; only the
+        filled prefix is copied."""
+        for buffers in (self.k, self.v):
+            for i, buf in enumerate(buffers):
+                buffers[i] = np.empty((len(rows),) + buf.shape[1:], buf.dtype)
+                buffers[i][:, :, :self.length] = buf[rows, :, :self.length]
+
+
 def _check_inputs(params: ModelParams, tokens: np.ndarray) -> np.ndarray:
-    c = params.config
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2:
         raise ModelError("tokens must be a (batch, seq) array")
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= c.vocab_size):
+    # the ufuncs' own reductions: ndarray.min and .max add a Python wrapper
+    if tokens.size and (np.minimum.reduce(tokens, axis=None) < 0 or
+                        np.maximum.reduce(tokens, axis=None) >= params.config.vocab_size):
         raise ModelError("token id out of vocabulary range")
     return tokens
 
 
 def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
-                  rng, want_cache: bool, kv: list | None = None, out=None):
+                  rng, want_cache: bool, kv: KVCache | None = None, out=None):
     """The one forward pass: ``(logits, cache)``.
 
     ``out`` holds the flat indices ``b * S + t`` of the positions projected
@@ -375,47 +418,53 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
     if train_mode and c.dropout_rate > 0.0 and rng is None:
         raise ModelError("train-mode forward with dropout needs an rng")
     b, s = tokens.shape
-    start = kv[0][0].shape[2] if kv else 0
+    if kv is not None and (kv.config != c or len(kv.k[0]) != b):
+        raise ModelError(f"K/V cache of batch {len(kv.k[0])} does not fit this model "
+                         f"at batch {b}")
+    start = 0 if kv is None else kv.length
     if start + s > c.context_len:
         raise ModelError(
             f"sequence length {start + s} exceeds context {c.context_len}")
     rate = c.dropout_rate if train_mode else 0.0
     layout = (_Layout(b, s) if out is None or kv is not None
               else _rows_reaching(b, s, out))
-    w = layout.width
+    w, d, h = layout.width, c.d_model, c.n_heads
 
-    x = layout.to_rows(t["tok_emb"][tokens[:, :w]] + t["pos_emb"][start:start + w])
-    emb_drop = _dropout_mask(rng, (b, s, c.d_model), rate, dtype, layout.to_rows)
-    x = _apply_mask(x, emb_drop)
+    tok = layout.to_rows(tokens)     # each row's token id and position
+    pos = (np.arange(b * w) if layout.cells is None else layout.cells) % w + start
+    x = t["tok_emb"][tok] + t["pos_emb"][pos]
+    # one mask per dropout site, drawn up front in the order the sites run:
+    # the embedding, then each layer's attention and its two residuals
+    drops = [None] * (1 + 3 * c.n_layers)
+    if rate > 0.0:
+        row_site = ((b, s, d), layout.to_rows)
+        att_site = ((b, h, s, start + s), lambda m: m[:, :, :w, :start + w])
+        drops = [_dropout_mask(rng, shape, rate, dtype, take) for shape, take
+                 in [row_site] + [att_site, row_site, row_site] * c.n_layers]
+    x = _apply_mask(x, drops[0])
 
     # query row i sits at position start + i and sees keys 0..start + i; a
     # run of width L adds the mask's top-left (L, start + L) corner, and a
     # lone query row (L == 1) sees every key, so it needs none
     mask = (np.triu(np.full((w, start + w), -np.inf, dtype=dtype), k=start + 1)
             if w > 1 else None)
-    scale = dtype.type(1.0 / np.sqrt(c.head_dim))
-    h = c.n_heads
+    scale = 1.0 / math.sqrt(c.head_dim)
     caches = []
-    for i in range(c.n_layers):
-        p = f"layer{i}."
-        h1, ln1_cache = _layer_norm(x, t[p + "ln1.g"], t[p + "ln1.b"])
-        q = h1 @ t[p + "attn.wq"] + t[p + "attn.bq"]
+    for i, (ln1_g, ln1_b, w_qkv, b_qkv, w_o, b_o,
+            ln2_g, ln2_b, w_1, b_1, w_2, b_2) in enumerate(params.layers):
+        att_drop, res_drop1, res_drop2 = drops[1 + 3 * i:4 + 3 * i]
+        h1, ln1_cache = _layer_norm(x, ln1_g, ln1_b)
+        qkv = h1 @ w_qkv + b_qkv    # q, k, v: column views of the fused rows
+        q, k, v = qkv[:, :d], qkv[:, d:2 * d], qkv[:, 2 * d:]
         q *= scale
-        k = h1 @ t[p + "attn.wk"] + t[p + "attn.bk"]
-        v = h1 @ t[p + "attn.wv"] + t[p + "attn.bv"]
-        att_drop = _dropout_mask(rng, (b, h, s, start + s), rate, dtype,
-                                 lambda m: m[:, :, :w, :start + w])
-        ctx = np.empty_like(q)
+        ctx = np.empty_like(x)
         runs = []
         for bs, rs, n in layout.runs:
             kh, vh = _heads(k[rs], h, n), _heads(v[rs], h, n)
             if kv is not None:     # every cell runs, so this is the one run
-                if i < len(kv):
-                    kh = np.concatenate((kv[i][0], kh), axis=2)
-                    vh = np.concatenate((kv[i][1], vh), axis=2)
-                    kv[i] = (kh, vh)
-                else:
-                    kv.append((kh, vh))
+                kv.k[i][:, :, start:start + n] = kh
+                kv.v[i][:, :, start:start + n] = vh
+                kh, vh = kv.k[i][:, :, :start + n], kv.v[i][:, :, :start + n]
             probs = _heads(q[rs], h, n) @ kh.transpose(0, 1, 3, 2)
             if n > 1:
                 probs += mask[:n, :start + n]
@@ -426,27 +475,24 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
             probs_d = _apply_mask(probs, drop)
             np.matmul(probs_d, vh, out=_heads(ctx[rs], h, n))
             runs.append((probs, drop, probs_d))
-        attn_out = ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]
-        res_drop1 = _dropout_mask(rng, (b, s, c.d_model), rate, dtype,
-                                  layout.to_rows)
+        attn_out = ctx @ w_o + b_o
         x_attn = x + _apply_mask(attn_out, res_drop1)
 
-        h2, ln2_cache = _layer_norm(x_attn, t[p + "ln2.g"], t[p + "ln2.b"])
-        u = h2 @ t[p + "ff.w1"] + t[p + "ff.b1"]
+        h2, ln2_cache = _layer_norm(x_attn, ln2_g, ln2_b)
+        u = h2 @ w_1 + b_1
         a, gelu_t = _gelu(u)
-        ff_out = a @ t[p + "ff.w2"] + t[p + "ff.b2"]
-        res_drop2 = _dropout_mask(rng, (b, s, c.d_model), rate, dtype,
-                                  layout.to_rows)
+        ff_out = a @ w_2 + b_2
         x_new = x_attn + _apply_mask(ff_out, res_drop2)
 
         if want_cache:
             caches.append({
-                "h1": h1, "ln1": ln1_cache, "q": q, "k": k, "v": v,
-                "runs": runs, "ctx": ctx, "res_drop1": res_drop1, "h2": h2,
-                "ln2": ln2_cache, "u": u, "a": a, "gelu_t": gelu_t,
-                "res_drop2": res_drop2,
+                "h1": h1, "ln1": ln1_cache, "qkv": qkv, "runs": runs, "ctx": ctx,
+                "res_drop1": res_drop1, "h2": h2, "ln2": ln2_cache, "u": u,
+                "a": a, "gelu_t": gelu_t, "res_drop2": res_drop2,
             })
         x = x_new
+    if kv is not None:
+        kv.length = start + s
 
     out_idx = None
     if out is not None:
@@ -459,27 +505,28 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
         logits = logits.reshape(b, s, -1)
     cache = None
     if want_cache:
-        cache = {"layout": layout, "tok": layout.to_rows(tokens), "out_idx": out_idx,
-                 "emb_drop": emb_drop, "layers": caches, "hf": hf,
+        cache = {"layout": layout, "tok": tok, "out_idx": out_idx,
+                 "emb_drop": drops[0], "layers": caches, "hf": hf,
                  "lnf": lnf_cache, "scale": scale}
     return logits, cache
 
 
 def forward(params: ModelParams, tokens: np.ndarray, train_mode: bool = False,
             rng: np.random.Generator | None = None,
-            kv: list | None = None, rows=None) -> np.ndarray:
+            kv: KVCache | None = None, rows=None) -> np.ndarray:
     """Causal forward pass; returns logits of shape (batch, seq, vocab).
 
     Position i logits depend only on tokens at positions <= i.  Eval mode
     (the default) is deterministic; train mode applies dropout driven by
     the caller-supplied generator.
 
-    ``kv`` is an optional key/value cache, one ``(k_heads, v_heads)`` pair
-    per layer; pass an empty list on the first call.  ``tokens`` then
-    continue the sequence the cache holds: they take positions from the
-    cached length on, attend to every cached position, and their keys and
-    values are appended to the cache in place.  Feeding a sequence in any
-    split of chunks gives the logits one full call would give.
+    ``kv`` is an optional ``KVCache(params, batch)``, empty at first.
+    ``tokens`` then continue the sequences the cache holds: they take
+    positions from ``kv.length`` on, attend to every cached position, and
+    their keys and values are written into the cache, whose length grows
+    by seq.  Feeding a sequence in any split of chunks gives the logits one
+    full call would give.  A cache of another model config or batch size
+    raises ModelError.
 
     ``rows`` = (b_idx, t_idx) returns only the logits at those positions,
     ``forward(...)[rows]``, of shape (len(b_idx), vocab); without ``kv``,
@@ -582,23 +629,24 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
     layout = cache["layout"]
     dx = np.zeros((cache["tok"].size, c.d_model), dtype=dx_out.dtype)
     dx[cache["out_idx"]] = dx_out
-    h = c.n_heads
+    h, d = c.n_heads, c.d_model
 
     for i in reversed(range(c.n_layers)):
         p = f"layer{i}."
         lc = cache["layers"][i]
+        ln1_g, _, w_qkv, _, w_o, _, ln2_g, _, w_1, _, w_2, _ = params.layers[i]
 
         # feed-forward branch
         dff_out = _apply_mask(dx, lc["res_drop2"])
         grads[p + "ff.b2"] = dff_out.sum(axis=0)
         grads[p + "ff.w2"] = lc["a"].T @ dff_out
-        da = dff_out @ t[p + "ff.w2"].T
+        da = dff_out @ w_2.T
         du = _gelu_backward(da, lc["u"], lc["gelu_t"])
         grads[p + "ff.b1"] = du.sum(axis=0)
         grads[p + "ff.w1"] = lc["h2"].T @ du
-        dh2 = du @ t[p + "ff.w1"].T
+        dh2 = du @ w_1.T
         dx_attn, grads[p + "ln2.g"], grads[p + "ln2.b"] = _layer_norm_backward(
-            dh2, lc["ln2"], t[p + "ln2.g"])
+            dh2, lc["ln2"], ln2_g)
         dx_attn = dx_attn + dx   # residual
 
         # attention branch; q holds the scaled queries, so the scores'
@@ -606,9 +654,10 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
         dattn_out = _apply_mask(dx_attn, lc["res_drop1"])
         grads[p + "attn.bo"] = dattn_out.sum(axis=0)
         grads[p + "attn.wo"] = lc["ctx"].T @ dattn_out
-        dctx = dattn_out @ t[p + "attn.wo"].T
-        q, k, v = lc["q"], lc["k"], lc["v"]
-        dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+        dctx = dattn_out @ w_o.T
+        qkv, dqkv = lc["qkv"], np.empty_like(lc["qkv"])
+        q, k, v = qkv[:, :d], qkv[:, d:2 * d], qkv[:, 2 * d:]
+        dq, dk, dv = dqkv[:, :d], dqkv[:, d:2 * d], dqkv[:, 2 * d:]
         for (_, rs, n), (probs, drop, probs_d) in zip(layout.runs, lc["runs"]):
             dctx_h = _heads(dctx[rs], h, n)
             datt = dctx_h @ _heads(v[rs], h, n).transpose(0, 1, 3, 2)
@@ -621,22 +670,15 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
             np.matmul(datt.transpose(0, 1, 3, 2), _heads(q[rs], h, n),
                       out=_heads(dk[rs], h, n))
         dq *= cache["scale"]
-        h1 = lc["h1"]
-        grads[p + "attn.bq"] = dq.sum(axis=0)
-        grads[p + "attn.bk"] = dk.sum(axis=0)
-        grads[p + "attn.bv"] = dv.sum(axis=0)
-        grads[p + "attn.wq"] = h1.T @ dq
-        grads[p + "attn.wk"] = h1.T @ dk
-        grads[p + "attn.wv"] = h1.T @ dv
-        dh1 = dq @ t[p + "attn.wq"].T + dk @ t[p + "attn.wk"].T \
-            + dv @ t[p + "attn.wv"].T
+        grads[p + "attn.bqkv"] = dqkv.sum(axis=0)
+        grads[p + "attn.wqkv"] = lc["h1"].T @ dqkv
         dx_res, grads[p + "ln1.g"], grads[p + "ln1.b"] = _layer_norm_backward(
-            dh1, lc["ln1"], t[p + "ln1.g"])
+            dqkv @ w_qkv.T, lc["ln1"], ln1_g)
         dx = dx_res + dx_attn    # residual
 
     dx = _apply_mask(dx, cache["emb_drop"])
     grads["pos_emb"] = np.zeros_like(t["pos_emb"])
-    grads["pos_emb"][:layout.width] = layout.to_grid(dx).sum(axis=0)
+    grads["pos_emb"][:layout.width] = layout.position_sum(dx)
     # scatter-add by token id; np.add.at loops index by index, so sort the
     # rows by id and sum each id's run in one reduceat instead
     tok = cache["tok"]
@@ -653,7 +695,7 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
 #   u32 LE    format version
 #   u32 LE    config JSON byte length, then that many UTF-8 bytes
 #   u32 LE    tensor count
-#   per tensor, in declaration order:
+#   per tensor, in ``param_names(config, _CHECKPOINT_LAYER)`` order:
 #     u16 LE name length + UTF-8 name
 #     u8 ndim, then ndim * u32 LE dims
 #     dims-product * f32 LE values (C order)
@@ -663,13 +705,16 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     """Write the versioned binary checkpoint (tensors as little-endian f32)."""
     cfg_json = json.dumps(asdict(params.config), sort_keys=True).encode("utf-8")
-    names = param_names(params.config)
+    names = param_names(params.config, _CHECKPOINT_LAYER)
     chunks = [CHECKPOINT_MAGIC,
               struct.pack("<I", CHECKPOINT_VERSION),
               struct.pack("<I", len(cfg_json)), cfg_json,
               struct.pack("<I", len(names))]
     for name in names:
-        arr = params.tensors[name]
+        arr = params.tensors.get(name)
+        if arr is None:     # a q, k or v third of a fused tensor
+            thirds = np.split(params.tensors[name[:-1] + "qkv"], 3, axis=-1)
+            arr = thirds["qkv".index(name[-1])]
         name_b = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(name_b)))
         chunks.append(name_b)
@@ -707,7 +752,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     except (ValueError, TypeError, ModelError) as exc:
         raise CheckpointError(f"{p}: bad config block: {exc}") from exc
     (n_tensors,) = struct.unpack("<I", take(4))
-    expected = param_names(config)
+    expected = param_names(config, _CHECKPOINT_LAYER)
     if n_tensors != len(expected):
         raise CheckpointError(f"{p}: expected {len(expected)} tensors, found {n_tensors}")
     tensors: dict[str, np.ndarray] = {}
@@ -729,6 +774,6 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         tensors[name] = np.array(data, dtype=np.float32)
     if pos != len(view):
         raise CheckpointError(f"{p}: trailing bytes after last tensor")
-    params = ModelParams(config=config, tensors=tensors)
+    params = ModelParams(config, _fuse(config, tensors))
     params.check_finite()
     return params

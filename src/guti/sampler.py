@@ -6,12 +6,12 @@ constraint is applied while decoding: the candidate set at each step is
 just the k highest-probability tokens (structural tokens masked out), and
 one of them is sampled from the renormalized distribution.
 
-Decoding is incremental: one forward pass over the prompt fills a per-layer
-key/value cache, and each later step feeds only the newest token through
-the same forward path, so a step costs O(length) instead of a full
-recompute of the prefix.  The candidates of one request decode together:
-they share the prompt pass, and each step feeds the newest token of every
-unfinished candidate as one batch.
+Decoding is incremental: one forward pass over the prompt fills a
+preallocated key/value cache (``model.KVCache``), and each later step feeds
+only the newest token through the same forward path, so a step costs
+O(length) instead of a full recompute of the prefix.  The candidates of
+one request decode together: they share the prompt pass, and each step
+feeds the newest token of every unfinished candidate as one batch.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from . import vocab as vocab_mod
 from .corpus import Poem, deserialize
 from .errors import GutiError, SamplingError
 from .forms import MARKER_RE, FormCatalog
-from .model import ModelParams, forward
+from .model import KVCache, ModelParams, forward
 from .validator import PhonologyTable, ValidationReport, validate
 from .vocab import Vocab
 
@@ -152,11 +152,13 @@ def _decode(params: ModelParams, prompt: list[int], cfg: SampleConfig,
     t_first = None
     live = list(range(len(seeds)))      # the candidate each next row decodes
     src = [0] * len(seeds)              # the logits and cache row it reads
-    kv: list = []
+    kv = KVCache(params, 1)
     tokens = np.asarray([prompt])
     for _ in range(min(cfg.max_new_tokens, context_len - len(prompt))):
         b, s = tokens.shape
-        logits = forward(params, tokens, kv=kv, rows=(np.arange(b), np.full(b, s - 1)))
+        # the prompt pass projects its last position; a step has only one
+        last = ([0], [s - 1]) if s > 1 else None
+        logits = forward(params, tokens, kv=kv, rows=last).reshape(b, -1)
         picks = [top_k_sample(logits[r], cfg, rngs[c]) for r, c in zip(src, live)]
         now = time.perf_counter()
         t_first = now if t_first is None else t_first
@@ -171,7 +173,7 @@ def _decode(params: ModelParams, prompt: list[int], cfg: SampleConfig,
             break
         rows = [src[j] for j in keep]
         if rows != list(range(b)):
-            kv[:] = [(k[rows], v[rows]) for k, v in kv]
+            kv.select(rows)
         live = [live[j] for j in keep]
         src = list(range(len(keep)))
         tokens = np.asarray([[picks[j]] for j in keep])

@@ -169,11 +169,6 @@ class NoveltyIndex:
         return cls(line_set, "\n".join(chunks))
 
     @classmethod
-    def from_texts(cls, body_texts: list[str]) -> "NoveltyIndex":
-        return cls._from_lines([ln.characters for ln in parse_body(text)]
-                               for text in body_texts)
-
-    @classmethod
     def from_samples(cls, samples: list[SerializedSample]) -> "NoveltyIndex":
         """Index the bodies of serialized samples without parsing them again.
 

@@ -294,7 +294,7 @@ class TestIdeographRanges:
         sample = serialize(poem, catalog)
         assert deserialize(sample.text, catalog) == poem
         assert sample_from_text(sample.text, catalog) == sample
-        index = NoveltyIndex.from_texts([body])
+        index = NoveltyIndex._from_lines([[ln.characters for ln in poem.body]])
         assert index.score_lines(["低头思故\U00020000"]).verbatim_lines == 1
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 
 from guti.errors import CheckpointError, ModelError
 from guti.model import (
+    KVCache,
     ModelConfig,
     ModelParams,
     SequenceBatch,
@@ -124,22 +126,54 @@ class TestKVCache:
                              context_len=10, vocab_size=13, tie_embeddings=tie)
         params = init_params(config, seed=3, dtype=np.float64)
         tokens = np.random.default_rng(4).integers(0, 13, size=(2, 10))
-        kv, parts, pos = [], [], 0
+        kv, parts, pos = KVCache(params, 2), [], 0
         for n in chunks:
             parts.append(forward(params, tokens[:, pos:pos + n], kv=kv))
             pos += n
-        assert len(kv) == 2 and kv[0][0].shape[2] == 10
+        assert len(kv.k) == len(kv.v) == 2 and kv.length == 10
         np.testing.assert_allclose(np.concatenate(parts, axis=1),
                                    forward(params, tokens), rtol=0, atol=1e-12)
 
     def test_cache_past_context_rejected(self):
         params = init_params(TINY, seed=0)
-        kv = []
+        kv = KVCache(params, 1)
         forward(params, np.zeros((1, 6), dtype=np.int64), kv=kv)
         with pytest.raises(ModelError):
             forward(params, np.zeros((1, 3), dtype=np.int64), kv=kv)
         forward(params, np.zeros((1, 2), dtype=np.int64), kv=kv)
-        assert kv[0][0].shape[2] == TINY.context_len
+        assert kv.length == TINY.context_len
+
+    def test_batch_mismatch_rejected(self):
+        params = init_params(TINY, seed=0)
+        kv = KVCache(params, 1)
+        forward(params, np.zeros((1, 3), dtype=np.int64), kv=kv)
+        with pytest.raises(ModelError, match="batch 1 does not fit this model at batch 2"):
+            forward(params, np.zeros((2, 1), dtype=np.int64), kv=kv)
+        assert kv.length == 3
+
+    def test_cache_of_another_model_rejected(self):
+        one = init_params(TINY, seed=0)
+        two = init_params(replace(TINY, n_layers=2), seed=0)
+        kv = KVCache(one, 1)
+        forward(one, np.zeros((1, 3), dtype=np.int64), kv=kv)
+        with pytest.raises(ModelError, match="does not fit this model"):
+            forward(two, np.zeros((1, 1), dtype=np.int64), kv=kv)
+
+    def test_select_repeats_and_drops_rows(self):
+        """A cache repeated from one row, then cut to some of its rows in a
+        new order, continues each row as a cache filled at that batch."""
+        params = init_params(ROWS, seed=5, dtype=np.float64)
+        tokens = np.random.default_rng(6).integers(0, 13, size=(3, 7))
+        kv = KVCache(params, 1)
+        forward(params, tokens[:1, :4], kv=kv)
+        kv.select([0, 0, 0])
+        forward(params, tokens[:, 4:5], kv=kv)
+        kv.select([2, 0])
+        step = forward(params, tokens[[2, 0], 5:7], kv=kv)
+        prefix = np.concatenate([np.repeat(tokens[:1, :4], 2, axis=0),
+                                 tokens[[2, 0], 4:7]], axis=1)
+        np.testing.assert_allclose(step, forward(params, prefix)[:, 5:],
+                                   rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -184,9 +218,13 @@ def reference_forward(params, tokens):
           for pos, tok in enumerate(tokens)]
 
     h = [layer_norm(x, t["layer0.ln1.g"], t["layer0.ln1.b"]) for x in xs]
-    qs = [[a + b for a, b in zip(matvec(v, t["layer0.attn.wq"]), t["layer0.attn.bq"])] for v in h]
-    ks = [[a + b for a, b in zip(matvec(v, t["layer0.attn.wk"]), t["layer0.attn.bk"])] for v in h]
-    vs = [[a + b for a, b in zip(matvec(v, t["layer0.attn.wv"]), t["layer0.attn.bv"])] for v in h]
+    # the fused projection's columns are the q, k and v thirds, in order
+    wqkv, bqkv = t["layer0.attn.wqkv"], t["layer0.attn.bqkv"]
+    w_q, w_k, w_v = ([row[i * d:(i + 1) * d] for row in wqkv] for i in range(3))
+    b_q, b_k, b_v = (bqkv[i * d:(i + 1) * d] for i in range(3))
+    qs = [[a + b for a, b in zip(matvec(v, w_q), b_q)] for v in h]
+    ks = [[a + b for a, b in zip(matvec(v, w_k), b_k)] for v in h]
+    vs = [[a + b for a, b in zip(matvec(v, w_v), b_v)] for v in h]
     scale = 1.0 / math.sqrt(d)
     attended = []
     for i in range(s):
@@ -434,17 +472,21 @@ class TestBackward:
         loss32, g32 = backward(p32, batch)
         loss64, g64 = backward(p64, batch)
         assert abs(loss32 - loss64) < 1e-5 * loss64
+        d = config.d_model
         for name in g64:
             assert g32[name].dtype == np.float32
-            if name.endswith("attn.bk"):
+            thirds = {"": (g32[name], g64[name])}
+            if name.endswith("attn.bqkv"):
                 # a key bias shifts every score of a query row alike, which
                 # the softmax ignores: its gradient is zero up to rounding
-                assert np.linalg.norm(g32[name]) < 1e-6
-                continue
-            # float32 epsilon is 1.2e-7; 1e-5 leaves room for the rounding
-            # of sums over every position and both layers
-            err = rel_err(g32[name], g64[name])
-            assert err < 1e-5, f"{name}: rel err {err:.2e}"
+                assert np.linalg.norm(g32[name][d:2 * d]) < 1e-6
+                thirds = {x: (g32[name][i * d:(i + 1) * d], g64[name][i * d:(i + 1) * d])
+                          for i, x in ((0, " q"), (2, " v"))}
+            for third, (got, want) in thirds.items():
+                # float32 epsilon is 1.2e-7; 1e-5 leaves room for the
+                # rounding of sums over every position and both layers
+                err = rel_err(got, want)
+                assert err < 1e-5, f"{name}{third}: rel err {err:.2e}"
 
     def test_loss_finite_when_float32_softmax_underflows(self):
         # a gain of 60 on the final norm spreads the logits so far that the
@@ -611,6 +653,20 @@ class TestAttentionRuns:
             np.testing.assert_allclose(grads[name], want_grads[name],
                                        rtol=0, atol=1e-12, err_msg=name)
 
+    def test_position_sum_equals_padded_batch_sum(self):
+        """pos_emb's gradient sums each position's rows over the sequences:
+        bitwise the batch-axis sum of the rows on a zero-padded grid."""
+        batch = self.batch(ROWS)
+        b, s = batch.tokens.shape
+        layout = _rows_reaching(b, s, np.ravel_multi_index(loss_rows(batch), (b, s)))
+        x = np.random.default_rng(17).standard_normal((layout.cells.size, 16))
+        grid = np.zeros((b * layout.width, 16))
+        grid[layout.cells] = x
+        want = grid.reshape(b, layout.width, 16).sum(axis=0)
+        assert np.array_equal(layout.position_sum(x), want)
+        assert np.array_equal(layout.position_sum(x.astype(np.float32)),
+                              grid.astype(np.float32).reshape(b, layout.width, 16).sum(axis=0))
+
     def test_dropout_matches_train_mode_full_forward(self):
         params = init_params(replace(ROWS, dropout_rate=0.2), seed=15,
                              dtype=np.float64)
@@ -640,9 +696,9 @@ class TestForwardRows:
     def test_rows_with_cache_fill_every_position(self):
         params = init_params(ROWS, seed=6, dtype=np.float64)
         tokens = np.random.default_rng(11).integers(0, 13, size=(1, 9))
-        kv = []
+        kv = KVCache(params, 1)
         last = forward(params, tokens[:, :6], kv=kv, rows=([0], [5]))
-        assert kv[0][0].shape[2] == 6
+        assert kv.length == 6
         step = forward(params, tokens[:, 6:], kv=kv, rows=([0], [2]))
         full = forward(params, tokens)
         np.testing.assert_allclose(last[0], full[0, 5], rtol=0, atol=1e-12)
@@ -661,8 +717,6 @@ class TestForwardRows:
         layout = _rows_reaching(3, 6, np.array([2, 4, 13]))
         assert layout.width == 5
         assert layout.cells.tolist() == [0, 1, 2, 3, 4, 10, 11]
-        x = np.arange(7)[:, None] * 1.0
-        assert layout.to_rows(layout.to_grid(x)).tolist() == x.tolist()
         assert layout.index(np.array([13, 2]), 6).tolist() == [6, 2]
 
     def test_uniform_cut_is_a_reshape(self):
@@ -689,6 +743,15 @@ class TestCheckpoint:
             assert np.array_equal(loaded[name], params[name])
         after = forward(loaded, tokens)
         assert after.tobytes() == before.tobytes()
+
+    def test_format_and_init_draw_pinned(self, tmp_path):
+        """The file an initial TINY model saves to, byte for byte: the v1
+        format stores each fused q/k/v tensor as its thirds under their own
+        names, and init draws wq, wk and wv in that order."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(TINY, seed=0), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "2f22dd894f863fed47410510b5076004ff72891290a416d7e448667358f58fd3")
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.ckpt"

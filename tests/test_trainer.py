@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from guti.corpus import Poem, parse_body, serialize
 from guti.errors import TrainingError
-from guti.model import ModelConfig, forward, init_params, nll_loss
+from guti.model import ModelConfig, ModelParams, forward, init_params, nll_loss
 from guti import trainer
 from guti.trainer import (
     AdamState,
@@ -23,6 +23,12 @@ from guti.trainer import (
     novelty_score,
 )
 from guti.vocab import build_vocab
+
+
+def novelty_index(body_texts: list[str]) -> NoveltyIndex:
+    """A novelty index of poem bodies given as text."""
+    return NoveltyIndex._from_lines([ln.characters for ln in parse_body(text)]
+                                    for text in body_texts)
 
 
 def scalar_params(value: float):
@@ -118,7 +124,7 @@ SMALL_ALPHABET = "春风\n\U00020000\ud800"
 
 class TestNovelty:
     def make_index(self):
-        return NoveltyIndex.from_texts([
+        return novelty_index([
             "床前明月光，疑是地上霜。举头望明月，低头思故乡。",
             "春眠不觉晓，处处闻啼鸟。",
         ])
@@ -172,31 +178,31 @@ class TestNovelty:
                              min_size=1, max_size=4), max_size=5),
            st.lists(st.text("春风花月", max_size=9), min_size=1, max_size=4))
     def test_from_texts_overlap_matches_difflib(self, bodies, lines):
-        index = NoveltyIndex.from_texts(["，".join(body) + "。" for body in bodies])
+        index = novelty_index(["，".join(body) + "。" for body in bodies])
         corpus_text = "\n".join("".join(body) for body in bodies)
         result = index.score_lines(lines)
         assert result.max_overlap == longest_match("".join(lines), corpus_text)
         assert result.shares_ngram == (result.max_overlap >= NoveltyIndex.NGRAM)
 
     def test_empty_corpus(self):
-        result = NoveltyIndex.from_texts([]).score_lines(["床前明月光"])
+        result = novelty_index([]).score_lines(["床前明月光"])
         assert result.max_overlap == 0 and result.score == 1.0
 
     def test_query_longer_than_corpus(self):
-        index = NoveltyIndex.from_texts(["春眠不觉晓。"])
+        index = novelty_index(["春眠不觉晓。"])
         assert index.score_lines(["夜春眠不觉晓处处闻啼鸟"]).max_overlap == 5
         assert index.score_lines(["春眠不觉晓春眠不觉晓"]).max_overlap == 5
 
     def test_one_repeated_character(self):
         # every suffix shares its prefix with the next: the most doubling rounds
-        index = NoveltyIndex.from_texts(["春" * 300 + "。"])
+        index = novelty_index(["春" * 300 + "。"])
         for n in (1, 299, 300, 301, 700):
             assert index.score_lines(["春" * n]).max_overlap == min(n, 300)
         assert index.score_lines(["风" + "春" * 40 + "风"]).max_overlap == 40
 
     def test_fixture_poems(self, fixture_poems):
         bodies = [[ln.characters for ln in p.body] for p in fixture_poems]
-        index = NoveltyIndex.from_texts([p.body_text() for p in fixture_poems])
+        index = novelty_index([p.body_text() for p in fixture_poems])
         corpus_text = "\n".join("".join(lines) for lines in bodies)
         for lines, nxt in zip(bodies, bodies[1:] + bodies[:1]):
             verbatim = index.score_lines(lines)
@@ -215,7 +221,7 @@ class TestNovelty:
             Poem(form_id="五绝", theme="扩展", body=parse_body("低头思故\U00020000。"))]
         samples = [serialize(p, catalog) for p in poems] + list(toy_samples)
         got = NoveltyIndex.from_samples(samples)
-        want = NoveltyIndex.from_texts([s.fields()["body"] for s in samples])
+        want = novelty_index([s.fields()["body"] for s in samples])
         assert got._lines == want._lines
         assert got._corpus_text == want._corpus_text
 
@@ -310,7 +316,8 @@ class TestFineTune:
         blobs = []
         for run in range(2):
             out_dir = tmp_path / f"run{run}"
-            fine_tune(samples, vocab, params.copy(), cfg, out_dir=out_dir)
+            fresh = ModelParams(params.config, {k: v.copy() for k, v in params.tensors.items()})
+            fine_tune(samples, vocab, fresh, cfg, out_dir=out_dir)
             blobs.append((out_dir / "last.ckpt").read_bytes())
         assert blobs[0] == blobs[1]
 
