@@ -39,9 +39,9 @@ Nothing here mutates ModelParams: any number of concurrent forward calls
 may share one parameter set, and all randomness (dropout) comes from a
 caller-supplied generator, never global state.  The one caller-owned
 object ``forward`` mutates is its optional ``kv``, the ``KVCache`` of
-incremental decoding: per-layer key/value buffers allocated once at the
-full context length, into which each call writes its positions' slots in
-place, so the next call attends over them and continues from them.
+incremental decoding: per-layer key/value buffers allocated once, into
+which each call writes its positions' slots in place, so the next call
+attends over them and continues from them.
 Importing the module sets glibc's malloc, once for the whole process, to
 keep freed memory for reuse (see ``_keep_freed_memory``).
 """
@@ -115,57 +115,30 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
 
-# one layer's tensors in declaration order: as ModelParams holds them, and as
-# a checkpoint stores them, with attn.wqkv and attn.bqkv cut into thirds
+# one layer's tensors in declaration order; attn.wqkv is the (d, 3d) query,
+# key and value projection (GPT-2's ``c_attn``), columns in q, k, v order
 _LAYER = ("ln1.g", "ln1.b", "attn.wqkv", "attn.bqkv", "attn.wo", "attn.bo",
           "ln2.g", "ln2.b", "ff.w1", "ff.b1", "ff.w2", "ff.b2")
-_CHECKPOINT_LAYER = ("ln1.g", "ln1.b", "attn.wq", "attn.bq", "attn.wk", "attn.bk",
-                     "attn.wv", "attn.bv", "attn.wo", "attn.bo",
-                     "ln2.g", "ln2.b", "ff.w1", "ff.b1", "ff.w2", "ff.b2")
 
 
-def param_names(config: ModelConfig, layer: tuple[str, ...] = _LAYER) -> list[str]:
-    """Tensor declaration order: the names of ``ModelParams.tensors``, or
-    with ``_CHECKPOINT_LAYER`` the order a checkpoint stores tensors in."""
+def param_names(config: ModelConfig) -> list[str]:
+    """Tensor declaration order; checkpoints store tensors in this order,
+    with each layer's attn.wqkv and attn.bqkv cut into thirds (``_split_qkv``)."""
     names = ["tok_emb", "pos_emb"]
-    names += [f"layer{i}.{n}" for i in range(config.n_layers) for n in layer]
+    names += [f"layer{i}.{n}" for i in range(config.n_layers) for n in _LAYER]
     names += ["ln_f.g", "ln_f.b"]
     if not config.tie_embeddings:
         names.append("out_proj")
     return names
 
 
-def _fuse(config: ModelConfig, tensors: dict) -> dict:
-    """Checkpoint-named tensors -> ``ModelParams.tensors``: each layer's
-    wq, wk, wv become one (d, 3d) attn.wqkv (GPT-2's ``c_attn``), and its
-    bq, bk, bv one attn.bqkv, columns in q, k, v order."""
-    return {name: np.concatenate([tensors[name[:-3] + x] for x in "qkv"], axis=-1)
-            if name.endswith("qkv") else tensors[name] for name in param_names(config)}
-
-
 def _param_shape(name: str, c: ModelConfig) -> tuple[int, ...]:
-    base = name.split(".", 1)[-1]
-    if name == "tok_emb":
-        return (c.vocab_size, c.d_model)
-    if name == "pos_emb":
-        return (c.context_len, c.d_model)
-    if name == "out_proj":
-        return (c.d_model, c.vocab_size)
-    if base in ("ln1.g", "ln1.b", "ln2.g", "ln2.b") or name in ("ln_f.g", "ln_f.b"):
-        return (c.d_model,)
-    if base in ("attn.wq", "attn.wk", "attn.wv", "attn.wo"):
-        return (c.d_model, c.d_model)
-    if base in ("attn.bq", "attn.bk", "attn.bv", "attn.bo"):
-        return (c.d_model,)
-    if base == "ff.w1":
-        return (c.d_model, c.d_ff)
-    if base == "ff.b1":
-        return (c.d_ff,)
-    if base == "ff.w2":
-        return (c.d_ff, c.d_model)
-    if base == "ff.b2":
-        return (c.d_model,)
-    raise ModelError(f"unknown parameter {name!r}")
+    d, f = c.d_model, c.d_ff
+    shapes = {"tok_emb": (c.vocab_size, d), "pos_emb": (c.context_len, d),
+              "out_proj": (d, c.vocab_size), "attn.wqkv": (d, 3 * d),
+              "attn.bqkv": (3 * d,), "attn.wo": (d, d),
+              "ff.w1": (d, f), "ff.b1": (f,), "ff.w2": (f, d)}
+    return shapes.get(name.split(".", 1)[-1], (d,))     # norms, attn.bo, ff.b2
 
 
 @dataclass
@@ -197,17 +170,21 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams
     """Deterministic initialization: N(0, 0.02) weights, unit norms, zero biases."""
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
-    for name in param_names(config, _CHECKPOINT_LAYER):
+    d = config.d_model
+    for name in param_names(config):
         shape = _param_shape(name, config)
         base = name.split(".")[-1]
         if base == "g":
             t = np.ones(shape, dtype=dtype)
-        elif base in ("b", "bq", "bk", "bv", "bo", "b1", "b2"):
+        elif base[0] == "b":
             t = np.zeros(shape, dtype=dtype)
+        elif base == "wqkv":    # wq, wk, wv drawn in turn, laid side by side
+            draw = rng.standard_normal((3, d, d)).transpose(1, 0, 2).reshape(shape)
+            t = (draw * 0.02).astype(dtype)
         else:
             t = (rng.standard_normal(shape) * 0.02).astype(dtype)
         tensors[name] = t
-    return ModelParams(config, _fuse(config, tensors))
+    return ModelParams(config, tensors)
 
 
 @dataclass
@@ -371,15 +348,16 @@ def _rows_reaching(batch: int, seq: int, out) -> _Layout:
 
 class KVCache:
     """Per-layer keys and values of the positions decoded so far: ``k[i]``,
-    ``v[i]`` are (batch, heads, context_len, head_dim) buffers allocated
-    once, filled at ``[:length]`` (Pope et al., arXiv:2211.05102).  It
-    serves one model config at one batch size; ``select`` changes the batch.
+    ``v[i]`` are (batch, heads, size, head_dim) buffers allocated once,
+    filled at ``[:length]`` (Pope et al., arXiv:2211.05102); ``size`` is the
+    most positions it holds.  It serves one model config at one batch
+    size; ``select`` changes the batch.
     """
 
-    def __init__(self, params: ModelParams, batch: int):
+    def __init__(self, params: ModelParams, batch: int, size: int):
         c = self.config = params.config
         self.length = 0
-        shape = (batch, c.n_heads, c.context_len, c.head_dim)
+        shape = (batch, c.n_heads, size, c.head_dim)
         self.k = [np.empty(shape, params.dtype) for _ in range(c.n_layers)]
         self.v = [np.empty(shape, params.dtype) for _ in range(c.n_layers)]
 
@@ -418,13 +396,18 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
     if train_mode and c.dropout_rate > 0.0 and rng is None:
         raise ModelError("train-mode forward with dropout needs an rng")
     b, s = tokens.shape
-    if kv is not None and (kv.config != c or len(kv.k[0]) != b):
-        raise ModelError(f"K/V cache of batch {len(kv.k[0])} does not fit this model "
-                         f"at batch {b}")
+    if kv is not None:
+        if kv.config != c:
+            raise ModelError("K/V cache was built for another model config")
+        if len(kv.k[0]) != b:
+            raise ModelError(f"K/V cache of batch {len(kv.k[0])} fed a batch of {b}")
     start = 0 if kv is None else kv.length
     if start + s > c.context_len:
         raise ModelError(
             f"sequence length {start + s} exceeds context {c.context_len}")
+    if kv is not None and start + s > kv.k[0].shape[2]:
+        raise ModelError(f"sequence length {start + s} exceeds the K/V cache's "
+                         f"{kv.k[0].shape[2]} positions")
     rate = c.dropout_rate if train_mode else 0.0
     layout = (_Layout(b, s) if out is None or kv is not None
               else _rows_reaching(b, s, out))
@@ -520,13 +503,13 @@ def forward(params: ModelParams, tokens: np.ndarray, train_mode: bool = False,
     (the default) is deterministic; train mode applies dropout driven by
     the caller-supplied generator.
 
-    ``kv`` is an optional ``KVCache(params, batch)``, empty at first.
+    ``kv`` is an optional ``KVCache(params, batch, size)``, empty at first.
     ``tokens`` then continue the sequences the cache holds: they take
     positions from ``kv.length`` on, attend to every cached position, and
     their keys and values are written into the cache, whose length grows
     by seq.  Feeding a sequence in any split of chunks gives the logits one
-    full call would give.  A cache of another model config or batch size
-    raises ModelError.
+    full call would give.  A cache of another model config or batch size,
+    or one too short to hold the positions, raises ModelError.
 
     ``rows`` = (b_idx, t_idx) returns only the logits at those positions,
     ``forward(...)[rows]``, of shape (len(b_idx), vocab); without ``kv``,
@@ -695,26 +678,44 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
 #   u32 LE    format version
 #   u32 LE    config JSON byte length, then that many UTF-8 bytes
 #   u32 LE    tensor count
-#   per tensor, in ``param_names(config, _CHECKPOINT_LAYER)`` order:
+#   per tensor, in ``_split_qkv`` order:
 #     u16 LE name length + UTF-8 name
 #     u8 ndim, then ndim * u32 LE dims
 #     dims-product * f32 LE values (C order)
 # ---------------------------------------------------------------------------
 
 
+def _split_qkv(config: ModelConfig, tensors: dict) -> dict:
+    """``ModelParams.tensors`` -> the tensors a checkpoint stores, in its
+    order: each layer's attn.wqkv, attn.bqkv pair becomes the column
+    thirds attn.wq, attn.bq, attn.wk, attn.bk, attn.wv, attn.bv."""
+    out = {}
+    for name in param_names(config):
+        if name.endswith("attn.wqkv"):
+            p = name[:-4]
+            thirds = (np.split(tensors[p + y + "qkv"], 3, axis=-1) for y in "wb")
+            for x, w, b in zip("qkv", *thirds):
+                out[p + "w" + x], out[p + "b" + x] = w, b
+        elif not name.endswith("attn.bqkv"):
+            out[name] = tensors[name]
+    return out
+
+
+def _fuse_qkv(config: ModelConfig, tensors: dict) -> dict:
+    """The inverse of ``_split_qkv``."""
+    return {name: np.concatenate([tensors[name[:-3] + x] for x in "qkv"], axis=-1)
+            if name.endswith("qkv") else tensors[name] for name in param_names(config)}
+
+
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     """Write the versioned binary checkpoint (tensors as little-endian f32)."""
     cfg_json = json.dumps(asdict(params.config), sort_keys=True).encode("utf-8")
-    names = param_names(params.config, _CHECKPOINT_LAYER)
+    tensors = _split_qkv(params.config, params.tensors)
     chunks = [CHECKPOINT_MAGIC,
               struct.pack("<I", CHECKPOINT_VERSION),
               struct.pack("<I", len(cfg_json)), cfg_json,
-              struct.pack("<I", len(names))]
-    for name in names:
-        arr = params.tensors.get(name)
-        if arr is None:     # a q, k or v third of a fused tensor
-            thirds = np.split(params.tensors[name[:-1] + "qkv"], 3, axis=-1)
-            arr = thirds["qkv".index(name[-1])]
+              struct.pack("<I", len(tensors))]
+    for name, arr in tensors.items():
         name_b = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(name_b)))
         chunks.append(name_b)
@@ -752,7 +753,10 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     except (ValueError, TypeError, ModelError) as exc:
         raise CheckpointError(f"{p}: bad config block: {exc}") from exc
     (n_tensors,) = struct.unpack("<I", take(4))
-    expected = param_names(config, _CHECKPOINT_LAYER)
+    # the stored names and shapes: a parameter set of zero-byte stand-ins, split
+    expected = {name: t.shape for name, t in _split_qkv(config, {
+        n: np.broadcast_to(np.float32(0), _param_shape(n, config))
+        for n in param_names(config)}).items()}
     if n_tensors != len(expected):
         raise CheckpointError(f"{p}: expected {len(expected)} tensors, found {n_tensors}")
     tensors: dict[str, np.ndarray] = {}
@@ -763,9 +767,9 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             raise CheckpointError(f"{p}: tensor {name!r} out of order (wanted {want!r})")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        if shape != _param_shape(name, config):
+        if shape != expected[name]:
             raise CheckpointError(f"{p}: tensor {name!r} has shape {shape}, "
-                                  f"expected {_param_shape(name, config)}")
+                                  f"expected {expected[name]}")
         count = int(np.prod(shape)) if shape else 1
         data = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape)
         # np.array forces an aligned, writable, native-endian copy; a view
@@ -774,6 +778,6 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         tensors[name] = np.array(data, dtype=np.float32)
     if pos != len(view):
         raise CheckpointError(f"{p}: trailing bytes after last tensor")
-    params = ModelParams(config, _fuse(config, tensors))
+    params = ModelParams(config, _fuse_qkv(config, tensors))
     params.check_finite()
     return params

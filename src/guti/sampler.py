@@ -152,9 +152,10 @@ def _decode(params: ModelParams, prompt: list[int], cfg: SampleConfig,
     t_first = None
     live = list(range(len(seeds)))      # the candidate each next row decodes
     src = [0] * len(seeds)              # the logits and cache row it reads
-    kv = KVCache(params, 1)
+    steps = min(cfg.max_new_tokens, context_len - len(prompt))
+    kv = KVCache(params, 1, len(prompt) + steps)
     tokens = np.asarray([prompt])
-    for _ in range(min(cfg.max_new_tokens, context_len - len(prompt))):
+    for _ in range(steps):
         b, s = tokens.shape
         # the prompt pass projects its last position; a step has only one
         last = ([0], [s - 1]) if s > 1 else None

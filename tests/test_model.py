@@ -126,7 +126,7 @@ class TestKVCache:
                              context_len=10, vocab_size=13, tie_embeddings=tie)
         params = init_params(config, seed=3, dtype=np.float64)
         tokens = np.random.default_rng(4).integers(0, 13, size=(2, 10))
-        kv, parts, pos = KVCache(params, 2), [], 0
+        kv, parts, pos = KVCache(params, 2, 10), [], 0
         for n in chunks:
             parts.append(forward(params, tokens[:, pos:pos + n], kv=kv))
             pos += n
@@ -136,7 +136,7 @@ class TestKVCache:
 
     def test_cache_past_context_rejected(self):
         params = init_params(TINY, seed=0)
-        kv = KVCache(params, 1)
+        kv = KVCache(params, 1, TINY.context_len)
         forward(params, np.zeros((1, 6), dtype=np.int64), kv=kv)
         with pytest.raises(ModelError):
             forward(params, np.zeros((1, 3), dtype=np.int64), kv=kv)
@@ -145,26 +145,41 @@ class TestKVCache:
 
     def test_batch_mismatch_rejected(self):
         params = init_params(TINY, seed=0)
-        kv = KVCache(params, 1)
+        kv = KVCache(params, 1, TINY.context_len)
         forward(params, np.zeros((1, 3), dtype=np.int64), kv=kv)
-        with pytest.raises(ModelError, match="batch 1 does not fit this model at batch 2"):
+        with pytest.raises(ModelError, match="^K/V cache of batch 1 fed a batch of 2$"):
             forward(params, np.zeros((2, 1), dtype=np.int64), kv=kv)
         assert kv.length == 3
 
     def test_cache_of_another_model_rejected(self):
         one = init_params(TINY, seed=0)
         two = init_params(replace(TINY, n_layers=2), seed=0)
-        kv = KVCache(one, 1)
+        kv = KVCache(one, 1, TINY.context_len)
         forward(one, np.zeros((1, 3), dtype=np.int64), kv=kv)
-        with pytest.raises(ModelError, match="does not fit this model"):
+        with pytest.raises(ModelError,
+                           match="^K/V cache was built for another model config$"):
             forward(two, np.zeros((1, 1), dtype=np.int64), kv=kv)
+
+    def test_cache_sized_for_the_request(self):
+        """A cache of fewer positions than the context holds exactly those:
+        its steps give the full-size cache's logits, and one more raises."""
+        params = init_params(TINY, seed=0, dtype=np.float64)
+        tokens = np.random.default_rng(1).integers(0, TINY.vocab_size, size=(1, 5))
+        short, full = KVCache(params, 1, 5), KVCache(params, 1, TINY.context_len)
+        assert short.k[0].shape[2] == 5 and full.k[0].shape[2] == TINY.context_len
+        for a, b in ((0, 3), (3, 4), (4, 5)):
+            np.testing.assert_array_equal(forward(params, tokens[:, a:b], kv=short),
+                                          forward(params, tokens[:, a:b], kv=full))
+        with pytest.raises(ModelError, match="exceeds the K/V cache's 5 positions"):
+            forward(params, tokens[:, :1], kv=short)
+        assert short.length == 5
 
     def test_select_repeats_and_drops_rows(self):
         """A cache repeated from one row, then cut to some of its rows in a
         new order, continues each row as a cache filled at that batch."""
         params = init_params(ROWS, seed=5, dtype=np.float64)
         tokens = np.random.default_rng(6).integers(0, 13, size=(3, 7))
-        kv = KVCache(params, 1)
+        kv = KVCache(params, 1, ROWS.context_len)
         forward(params, tokens[:1, :4], kv=kv)
         kv.select([0, 0, 0])
         forward(params, tokens[:, 4:5], kv=kv)
@@ -373,6 +388,19 @@ def rel_err(got, want):
     return num / max(np.linalg.norm(got), np.linalg.norm(want), 1e-12)
 
 
+def compared(got, want, d):
+    """``(label, got, want)`` for each tensor of two gradient dicts, with
+    every attn.wqkv and attn.bqkv cut into its q, k and v column thirds, so
+    each projection's gradient is held to the bound on its own."""
+    for name in want:
+        if name.endswith("qkv"):
+            for i, x in enumerate("qkv"):
+                cols = slice(i * d, (i + 1) * d)
+                yield f"{name} {x}", got[name][..., cols], want[name][..., cols]
+        else:
+            yield name, got[name], want[name]
+
+
 class TestBackward:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(21)
@@ -381,9 +409,9 @@ class TestBackward:
         loss, grads = backward(params, batch)
         assert abs(loss - nll_loss(forward(params, batch.tokens), batch)) < 1e-12
         fd = finite_difference_grads(params, batch, h=1e-4)
-        for name in grads:
-            err = rel_err(grads[name], fd[name])
-            assert err < 1e-3, f"{name}: rel err {err:.2e}"
+        for label, got, want in compared(grads, fd, TINY.d_model):
+            err = rel_err(got, want)
+            assert err < 1e-3, f"{label}: rel err {err:.2e}"
 
     def test_unused_positional_rows_get_zero_grad(self):
         rng = np.random.default_rng(5)
@@ -451,9 +479,9 @@ class TestBackward:
         # the masks are live: the train-mode loss is not the eval loss
         assert abs(loss - nll_loss(forward(params, batch.tokens), batch)) > 1e-6
         fd = finite_difference_grads(params, batch, h=1e-4, dropout_seed=42)
-        for name in grads:
-            err = rel_err(grads[name], fd[name])
-            assert err < 1e-3, f"{name}: rel err {err:.2e}"
+        for label, got, want in compared(grads, fd, config.d_model):
+            err = rel_err(got, want)
+            assert err < 1e-3, f"{label}: rel err {err:.2e}"
 
     @pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
     def test_float32_gradients_match_float64(self, tie):
@@ -472,21 +500,17 @@ class TestBackward:
         loss32, g32 = backward(p32, batch)
         loss64, g64 = backward(p64, batch)
         assert abs(loss32 - loss64) < 1e-5 * loss64
-        d = config.d_model
-        for name in g64:
-            assert g32[name].dtype == np.float32
-            thirds = {"": (g32[name], g64[name])}
-            if name.endswith("attn.bqkv"):
+        for label, got, want in compared(g32, g64, config.d_model):
+            assert got.dtype == np.float32
+            if label.endswith("attn.bqkv k"):
                 # a key bias shifts every score of a query row alike, which
                 # the softmax ignores: its gradient is zero up to rounding
-                assert np.linalg.norm(g32[name][d:2 * d]) < 1e-6
-                thirds = {x: (g32[name][i * d:(i + 1) * d], g64[name][i * d:(i + 1) * d])
-                          for i, x in ((0, " q"), (2, " v"))}
-            for third, (got, want) in thirds.items():
-                # float32 epsilon is 1.2e-7; 1e-5 leaves room for the
-                # rounding of sums over every position and both layers
-                err = rel_err(got, want)
-                assert err < 1e-5, f"{name}{third}: rel err {err:.2e}"
+                assert np.linalg.norm(got) < 1e-6
+                continue
+            # float32 epsilon is 1.2e-7; 1e-5 leaves room for the rounding
+            # of sums over every position and both layers
+            err = rel_err(got, want)
+            assert err < 1e-5, f"{label}: rel err {err:.2e}"
 
     def test_loss_finite_when_float32_softmax_underflows(self):
         # a gain of 60 on the final norm spreads the logits so far that the
@@ -696,7 +720,7 @@ class TestForwardRows:
     def test_rows_with_cache_fill_every_position(self):
         params = init_params(ROWS, seed=6, dtype=np.float64)
         tokens = np.random.default_rng(11).integers(0, 13, size=(1, 9))
-        kv = KVCache(params, 1)
+        kv = KVCache(params, 1, ROWS.context_len)
         last = forward(params, tokens[:, :6], kv=kv, rows=([0], [5]))
         assert kv.length == 6
         step = forward(params, tokens[:, 6:], kv=kv, rows=([0], [2]))
