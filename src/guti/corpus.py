@@ -1,11 +1,11 @@
 """Poem ingestion and the field-marker text serialization.
 
 Training samples are flat character strings in the field order
-``form + id1 + theme + id2 + body``; the identifier tokens come from the
-form catalog and depend on the form's marker class.  Couplets store the
-first line as the theme and the second as the body; the acrostic transform
-replaces the theme with the line-initial characters and re-points the poem
-at the form's acrostic variant so serialization picks the acrostic marker.
+``form + id1 + theme + id2 + body``; the identifier tokens are the marker
+pair the form's catalog entry declares.  Couplets store the first line as
+the theme and the second as the body; the acrostic transform replaces the
+theme with the line-initial characters and re-points the poem at the form's
+acrostic variant so serialization picks the acrostic marker.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 from .errors import CorpusError, SerializationError, UnknownFormError
@@ -48,6 +49,10 @@ _CJK_LINE = re.compile(
 _SEGMENT = re.compile(
     rf"([^{COMMA}{PERIOD}\s]+)([{COMMA}{PERIOD}]?)|([{COMMA}{PERIOD}])")
 
+# A lone surrogate (a JSON "\ud800" escape decodes to one) has no UTF-8
+# encoding, so no file guti writes could hold it.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
 
 def is_cjk(ch: str) -> bool:
     cp = ord(ch)
@@ -73,9 +78,6 @@ class Line:
     def __len__(self) -> int:
         return len(self.characters)
 
-    def text(self) -> str:
-        return self.characters + (self.terminal_punct or "")
-
 
 @dataclass(frozen=True)
 class Poem:
@@ -95,9 +97,13 @@ class Poem:
         # vocab.txt holds one token per line, so no token may be "\n" or "\r"
         if "\n" in self.theme or "\r" in self.theme:
             raise CorpusError("theme contains a line break")
+        for name in ("theme", "source_id"):
+            if _SURROGATE.search(getattr(self, name) or ""):
+                raise CorpusError(f"{name} contains a lone surrogate")
 
     def body_text(self) -> str:
-        return "".join(line.text() for line in self.body)
+        return "".join(line.characters + (line.terminal_punct or "")
+                       for line in self.body)
 
     def line_initials(self, slots: tuple[int, ...] = ()) -> str:
         """First characters of the given 1-indexed lines (all lines if empty)."""
@@ -111,24 +117,39 @@ class Poem:
 
 @dataclass(frozen=True)
 class SerializedSample:
-    """Flat training text plus the offsets of its five fields."""
+    """Flat training text held as its five fields, in text order.
 
-    text: str
-    field_spans: dict[str, tuple[int, int]]
+    The fields partition ``text`` by construction; ``fields()`` and
+    ``field_spans`` are derived from them.
+    """
+
+    form: str
+    id1: str
+    theme: str
+    id2: str
+    body: str
     source_id: str | None = None
 
-    def __post_init__(self):
-        spans = [self.field_spans[k] for k in ("form", "id1", "theme", "id2", "body")]
-        pos = 0
-        for start, end in spans:
-            if start != pos or end < start:
-                raise SerializationError("field spans do not partition the text")
-            pos = end
-        if pos != len(self.text):
-            raise SerializationError("field spans do not cover the text")
+    @property
+    def prompt(self) -> str:
+        """The four fields before the body: the text generation starts from."""
+        return self.form + self.id1 + self.theme + self.id2
+
+    @cached_property
+    def text(self) -> str:
+        return self.prompt + self.body
 
     def fields(self) -> dict[str, str]:
-        return {k: self.text[a:b] for k, (a, b) in self.field_spans.items()}
+        return {"form": self.form, "id1": self.id1, "theme": self.theme,
+                "id2": self.id2, "body": self.body}
+
+    @property
+    def field_spans(self) -> dict[str, tuple[int, int]]:
+        spans, pos = {}, 0
+        for name, part in self.fields().items():
+            spans[name] = (pos, pos + len(part))
+            pos += len(part)
+        return spans
 
 
 def normalize_body_text(text: str) -> str:
@@ -253,16 +274,8 @@ def ingest_corpus(path: str | Path, catalog: FormCatalog) -> IngestResult:
 
 def serialize(poem: Poem, catalog: FormCatalog) -> SerializedSample:
     """Flatten a poem into the field-marker training text."""
-    spec = catalog.resolve(poem.form_id)
-    id1, id2 = spec.markers
-    body = poem.body_text()
-    parts = [poem.form_id, id1, poem.theme, id2, body]
-    spans = {}
-    pos = 0
-    for name, part in zip(("form", "id1", "theme", "id2", "body"), parts):
-        spans[name] = (pos, pos + len(part))
-        pos += len(part)
-    return SerializedSample(text="".join(parts), field_spans=spans,
+    id1, id2 = catalog.resolve(poem.form_id).markers
+    return SerializedSample(poem.form_id, id1, poem.theme, id2, poem.body_text(),
                             source_id=poem.source_id)
 
 
@@ -294,7 +307,7 @@ def deserialize(text: str, catalog: FormCatalog, source_id: str | None = None) -
 
 def sample_from_text(text: str, catalog: FormCatalog,
                      source_id: str | None = None) -> SerializedSample:
-    """Rebuild a SerializedSample (with field spans) from serialized text."""
+    """Rebuild a SerializedSample from serialized text, which must be canonical."""
     poem = deserialize(text, catalog, source_id=source_id)
     sample = serialize(poem, catalog)
     if sample.text != text:

@@ -32,7 +32,8 @@ ALL_MARKERS = tuple(sorted({m for p in MARKER_PAIRS.values() for m in p}))
 # No marker is a prefix of another, so the alternation's order never matters.
 MARKER_RE = re.compile("|".join(map(re.escape, ALL_MARKERS)))
 
-FORM_CLASSES = ("couplet", "gushi", "jintishi", "ci")
+# Form class -> the marker class an entry without a ``markers`` key uses.
+FORM_CLASSES = {"couplet": "couplet", "gushi": "shi", "jintishi": "shi", "ci": "ci"}
 
 COMMA = "，"
 PERIOD = "。"
@@ -67,27 +68,18 @@ class FormSpec:
     form_id: str
     form_class: str                      # couplet | gushi | jintishi | ci
     line_template: LineTemplate
+    markers: tuple[str, str]             # (id1, id2) around the theme
     rhyme_slots: tuple[int, ...] = ()    # 1-indexed lines sharing a rhyme group
     pairing_slots: tuple[tuple[int, int], ...] = ()  # 1-indexed line pairs
     tone_patterns: tuple[tuple[str, ...], ...] = ()  # variants of per-line 平/仄/中
-    acrostic: bool = False               # serialized with the acrostic id2 marker
     acrostic_id: str | None = None       # form id of the acrostic variant
     acrostic_slots: tuple[int, ...] = () # 1-indexed lines carrying the acrostic
                                          # characters; () = every line
 
     @property
-    def marker_class(self) -> str:
-        if self.acrostic:
-            return "acrostic"
-        if self.form_class == "couplet":
-            return "couplet"
-        if self.form_class == "ci":
-            return "ci"
-        return "shi"
-
-    @property
-    def markers(self) -> tuple[str, str]:
-        return MARKER_PAIRS[self.marker_class]
+    def acrostic(self) -> bool:
+        """Serialized with the acrostic marker pair; the theme is the acrostic."""
+        return self.markers == MARKER_PAIRS["acrostic"]
 
 
 @dataclass
@@ -123,7 +115,8 @@ class FormCatalog:
 #   rhyme   = 2 4 6 8                            (optional)
 #   pairs   = 3-4 5-6                            (optional)
 #   tones   = 中仄平平仄 平平中仄平 ... | <variant 2> ...   (optional)
-#   acrostic-form = form id                      (optional)
+#   acrostic-form = form id                      (optional; that entry must
+#                                                 declare markers = acrostic)
 # ---------------------------------------------------------------------------
 
 
@@ -204,9 +197,9 @@ def parse_catalog(text: str, source: str = "<catalog>") -> FormCatalog:
             raise CatalogError(f"{where}: unknown class {entry['class']!r}")
         if "lines" not in entry:
             raise CatalogError(f"{where}: missing 'lines'")
-        marker_class = entry.get("markers")
-        if marker_class is not None and marker_class not in MARKER_PAIRS:
-            raise CatalogError(f"{where}: unknown marker class {marker_class!r}")
+        markers = entry.get("markers", FORM_CLASSES[entry["class"]])
+        if markers not in MARKER_PAIRS:
+            raise CatalogError(f"{where}: unknown marker class {markers!r}")
         spec = FormSpec(
             form_id=entry["id"],
             form_class=entry["class"],
@@ -214,7 +207,7 @@ def parse_catalog(text: str, source: str = "<catalog>") -> FormCatalog:
             rhyme_slots=entry.get("rhyme", ()),
             pairing_slots=entry.get("pairs", ()),
             tone_patterns=entry.get("tones", ()),
-            acrostic=(marker_class == "acrostic"),
+            markers=MARKER_PAIRS[markers],
             acrostic_id=entry.get("acrostic-form"),
             acrostic_slots=entry.get("acrostic-slots", ()),
         )
@@ -276,10 +269,17 @@ def parse_catalog(text: str, source: str = "<catalog>") -> FormCatalog:
 
 def _check_references(catalog: FormCatalog, source: str) -> None:
     for spec in catalog.entries.values():
-        if spec.acrostic_id is not None and spec.acrostic_id not in catalog.entries:
+        if spec.acrostic_id is None:
+            continue
+        if spec.acrostic_id not in catalog.entries:
             raise CatalogError(
                 f"{source}: {spec.form_id!r} points at missing acrostic form "
                 f"{spec.acrostic_id!r}"
+            )
+        if not catalog.entries[spec.acrostic_id].acrostic:
+            raise CatalogError(
+                f"{source}: {spec.form_id!r} points at acrostic form "
+                f"{spec.acrostic_id!r}, which lacks 'markers = acrostic'"
             )
 
 

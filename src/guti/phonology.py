@@ -33,15 +33,6 @@ class PhonologyTable:
     rhyme_group: dict[str, str] = field(default_factory=dict)
     tone_class: dict[str, str] = field(default_factory=dict)
 
-    def group_of(self, ch: str) -> str | None:
-        return self.rhyme_group.get(ch)
-
-    def tone_of(self, ch: str) -> str | None:
-        return self.tone_class.get(ch)
-
-    def __len__(self) -> int:
-        return len(self.rhyme_group)
-
 
 def parse_table(text: str, source: str = "<table>") -> PhonologyTable:
     """One record per line: ``character<TAB>rhyme-group<TAB>tone-class``."""

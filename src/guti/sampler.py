@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import vocab as vocab_mod
-from .corpus import Poem, deserialize
+from .corpus import Poem, SerializedSample, deserialize
 from .errors import GutiError, SamplingError
 from .forms import MARKER_RE, FormCatalog
 from .model import KVCache, ModelParams, forward
@@ -74,8 +74,8 @@ def build_prompt(form_id: str, theme: str, catalog: FormCatalog, vocab: Vocab,
     if marker:
         raise SamplingError(f"theme contains identifier marker {marker[0]!r}")
     id1, id2 = spec.markers
-    text = spec.form_id + id1 + theme + id2
-    return [vocab.bos_id] + vocab_mod.encode(text, vocab)
+    prompt = SerializedSample(spec.form_id, id1, theme, id2, body="").prompt
+    return [vocab.bos_id] + vocab_mod.encode(prompt, vocab)
 
 
 def top_k_distribution(logits: np.ndarray, cfg: SampleConfig) -> tuple[np.ndarray, np.ndarray]:

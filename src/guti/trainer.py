@@ -13,7 +13,6 @@ import bisect
 import hashlib
 import json
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from .model import (
     nll_loss,
     save_checkpoint,
 )
+from .sampler import SampleConfig, generate
 from .vocab import Vocab
 
 
@@ -62,6 +62,8 @@ class TrainConfig:
                      "novelty_eval_interval"):
             if getattr(self, name) < 0:
                 raise TrainingError(f"{name} must be >= 0")
+        if self.early_stop_novelty is not None and not self.novelty_eval_interval:
+            raise TrainingError("early_stop_novelty needs novelty_eval_interval > 0")
 
 
 @dataclass
@@ -111,7 +113,6 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
 class NoveltyResult:
     score: float                 # 1 - fraction of lines found verbatim
     verbatim_lines: int
-    total_lines: int
     max_overlap: int             # longest common substring with the corpus
     shares_ngram: bool
 
@@ -160,27 +161,21 @@ class NoveltyIndex:
         self._suffixes = _suffix_array(corpus_text)
 
     @classmethod
-    def _from_lines(cls, poems: Iterable[list[str]]) -> "NoveltyIndex":
-        line_set: set[str] = set()
-        chunks: list[str] = []
-        for lines in poems:
-            line_set.update(lines)
-            chunks.append("".join(lines))
-        return cls(line_set, "\n".join(chunks))
-
-    @classmethod
     def from_samples(cls, samples: list[SerializedSample]) -> "NoveltyIndex":
         """Index the bodies of serialized samples without parsing them again.
 
         A serialized body is canonical: lines of CJK characters, each closed
         by a comma or a period, the last one possibly by the end of the text.
         """
-        def lines(sample):
-            start, end = sample.field_spans["body"]
-            parts = sample.text[start:end].replace(PERIOD, COMMA).split(COMMA)
-            return parts[:-1] if not parts[-1] else parts
-
-        return cls._from_lines(lines(s) for s in samples)
+        line_set: set[str] = set()
+        chunks: list[str] = []
+        for sample in samples:
+            lines = sample.body.replace(PERIOD, COMMA).split(COMMA)
+            if not lines[-1]:
+                lines.pop()
+            line_set.update(lines)
+            chunks.append("".join(lines))
+        return cls(line_set, "\n".join(chunks))
 
     def _max_overlap(self, chars: str) -> int:
         """Length of the longest substring of ``chars`` found in the corpus."""
@@ -201,8 +196,7 @@ class NoveltyIndex:
         hits = sum(1 for ln in lines if ln in self._lines)
         overlap = self._max_overlap("".join(lines))
         return NoveltyResult(score=1.0 - hits / len(lines),
-                             verbatim_lines=hits, total_lines=len(lines),
-                             max_overlap=overlap,
+                             verbatim_lines=hits, max_overlap=overlap,
                              shares_ngram=overlap >= self.NGRAM)
 
 
@@ -244,17 +238,14 @@ class TrainReport:
         return out
 
 
-def _split_key(sample: SerializedSample) -> str:
-    return sample.source_id if sample.source_id is not None else sample.text
-
-
 def heldout_split(samples: list[SerializedSample],
                   fraction: float) -> tuple[list[int], list[int]]:
     """Deterministic split by hash of each sample's source id (or text)."""
     train, held = [], []
     cut = int(round(fraction * 10000))
     for i, sample in enumerate(samples):
-        digest = hashlib.sha1(_split_key(sample).encode("utf-8")).hexdigest()
+        key = sample.source_id if sample.source_id is not None else sample.text
+        digest = hashlib.sha1(key.encode("utf-8")).hexdigest()
         (held if int(digest[:8], 16) % 10000 < cut else train).append(i)
     return train, held
 
@@ -290,8 +281,6 @@ NOVELTY_PROBES = 5      # novelty probes prompt with this many training samples
 
 
 def _probe_novelty(params, probe_prompts, index, vocab, max_new_tokens):
-    from .sampler import SampleConfig, generate  # imported here: avoids a cycle
-
     scores = []
     cfg = SampleConfig(k=1, max_new_tokens=max_new_tokens, seed=0)
     for prompt_ids in probe_prompts:
@@ -336,11 +325,8 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
     probe_prompts: list[list[int]] = []
     if cfg.novelty_eval_interval > 0:
         index = NoveltyIndex.from_samples([samples[i] for i in train_idx])
-        for i in train_idx[:NOVELTY_PROBES]:
-            sample = samples[i]
-            end = sample.field_spans["id2"][1]
-            probe_prompts.append(
-                [vocab.bos_id] + vocab_mod.encode(sample.text[:end], vocab))
+        probe_prompts = [[vocab.bos_id] + vocab_mod.encode(samples[i].prompt, vocab)
+                         for i in train_idx[:NOVELTY_PROBES]]
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:

@@ -238,7 +238,7 @@ def check_rhyme(poem: Poem, spec: FormSpec, table: PhonologyTable | None,
     if table is None:
         return [RuleResult("rhyme.group", level, None,
                            message="no phonology table loaded")]
-    known = [(s, ch, table.group_of(ch)) for s, ch in finals]
+    known = [(s, ch, table.rhyme_group.get(ch)) for s, ch in finals]
     unknown = [(s, ch) for s, ch, g in known if g is None]
     groups = {g for _, _, g in known if g is not None}
     if len([g for _, _, g in known if g is not None]) < 2:
@@ -282,7 +282,7 @@ def check_tone(poem: Poem, spec: FormSpec, table: PhonologyTable | None,
             for ci, (want, ch) in enumerate(zip(pattern, line.characters), start=1):
                 if want == TONE_ANY:
                     continue
-                tone = table.tone_of(ch)
+                tone = table.tone_class.get(ch)
                 if tone is None:
                     continue
                 compared += 1
@@ -304,16 +304,13 @@ def check_tone(poem: Poem, spec: FormSpec, table: PhonologyTable | None,
         message=f"{n_bad} tone slots deviate from the closest template variant")]
 
 
-def check_acrostic(poem: Poem | Sequence[str], target: str,
+def check_acrostic(poem: Poem, target: str,
                    slots: tuple[int, ...] = ()) -> RuleResult:
     """Initial characters of the slot lines must spell the target.
 
     Empty ``slots`` means every line carries one target character.
     """
-    if isinstance(poem, Poem):
-        lines = [line.characters for line in poem.body]
-    else:
-        lines = [s for s in poem]
+    lines = [line.characters for line in poem.body]
     if not slots:
         slots = tuple(range(1, len(lines) + 1))
     if any(not 1 <= s <= len(lines) for s in slots):

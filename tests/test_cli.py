@@ -69,6 +69,20 @@ class TestIngest:
         lines = (tmp_path / "dataset.jsonl").read_text("utf-8").strip().splitlines()
         assert len(lines) == 24
 
+    def test_escaped_lone_surrogate_is_skipped(self, capsys, tmp_path):
+        good = {"form": "五绝", "theme": "静夜思",
+                "body": "床前明月光，疑是地上霜。举头望明月，低头思故乡。"}
+        corpus = tmp_path / "c.jsonl"
+        # json.dumps escapes the surrogates, so the file itself is valid UTF-8
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in (
+            good, {**good, "theme": "静\ud800"}, {**good, "source_id": "\udcff"})),
+            encoding="utf-8")
+        code, _, err = run(capsys, "ingest", str(corpus), "-o", str(tmp_path / "o"))
+        assert code == 0
+        assert f"{corpus}:2: skipped: theme contains a lone surrogate" in err
+        assert f"{corpus}:3: skipped: source_id contains a lone surrogate" in err
+        assert len((tmp_path / "o" / "dataset.jsonl").read_text("utf-8").splitlines()) == 1
+
     def test_empty_input_exits_1(self, capsys, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
@@ -259,6 +273,15 @@ class TestTrain:
                            "-o", str(tmp_path / "run"), "--max-steps", "1")
         assert code == 1
         assert f"{dataset}:2: bad dataset record: {message}" in err
+
+    def test_early_stop_without_novelty_interval_exits_1(self, capsys, pipeline,
+                                                         tmp_path):
+        code, _, err = run(capsys, "train", str(pipeline / "dataset.jsonl"),
+                           "--vocab", str(pipeline / "vocab.txt"),
+                           "-o", str(tmp_path / "run"), "--early-stop-novelty", "0.5")
+        assert code == 1
+        assert "early_stop_novelty needs novelty_eval_interval > 0" in err
+        assert not (tmp_path / "run").exists()
 
     def test_negative_warmup_exits_1(self, capsys, pipeline, tmp_path):
         code, _, err = run(capsys, "train", str(pipeline / "dataset.jsonl"),
@@ -574,7 +597,10 @@ _cjk_char = st.one_of([st.characters(min_codepoint=lo, max_codepoint=hi)
                                       (0xF900, 0xFAFF), (0x20000, 0x2A6DF),
                                       (0x2A700, 0x2EE5F), (0x2F800, 0x2FA1F),
                                       (0x30000, 0x323AF))])
-_theme = st.text(st.characters(blacklist_characters="\n\r"), max_size=12).filter(
+# a UTF-8 corpus file cannot hold a lone surrogate (category Cs); an escaped
+# one is rejected on ingest (test_escaped_lone_surrogate_is_skipped)
+_theme = st.text(st.characters(blacklist_characters="\n\r",
+                               blacklist_categories=("Cs",)), max_size=12).filter(
     lambda theme: not any(m in theme for m in ALL_MARKERS))
 
 

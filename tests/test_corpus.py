@@ -138,6 +138,7 @@ class TestSerialize:
             fields = sample.fields()
             assert fields["form"] == poem.form_id
             assert fields["theme"] == poem.theme
+            assert sample.prompt + sample.body == sample.text
 
     def test_unknown_form(self, catalog):
         poem = Poem(form_id="不存在", theme="x", body=parse_body("床前明月光"))
@@ -294,7 +295,7 @@ class TestIdeographRanges:
         sample = serialize(poem, catalog)
         assert deserialize(sample.text, catalog) == poem
         assert sample_from_text(sample.text, catalog) == sample
-        index = NoveltyIndex._from_lines([[ln.characters for ln in poem.body]])
+        index = NoveltyIndex.from_samples([sample])
         assert index.score_lines(["低头思故\U00020000"]).verbatim_lines == 1
 
 

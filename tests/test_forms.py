@@ -1,5 +1,6 @@
 import pytest
 
+from guti.corpus import Poem, parse_body, serialize
 from guti.errors import CatalogError, UnknownFormError
 from guti.forms import MARKER_PAIRS, parse_catalog
 from guti.phonology import PhonologyError, parse_table
@@ -66,6 +67,23 @@ class TestCatalogParsing:
         with pytest.raises(CatalogError, match=f"<catalog>:5: bad {what} slots '1 x'"):
             parse_catalog(text)
 
+    def test_markers_key_overrides_class_default(self):
+        text = "version = 1\n[x]\nclass = jintishi\nmarkers = ci\nlines = 5 5\n"
+        catalog = parse_catalog(text)
+        assert catalog.resolve("x").markers == MARKER_PAIRS["ci"]
+        poem = Poem(form_id="x", theme="游园", body=parse_body("床前明月光，疑是地上霜。"))
+        assert serialize(poem, catalog).text.startswith("x(词牌名)游园(标题)")
+        with pytest.raises(CatalogError, match="unknown marker class 'sonnet'"):
+            parse_catalog(text.replace("markers = ci", "markers = sonnet"))
+
+    def test_acrostic_form_must_be_acrostic(self):
+        text = ("version = 1\n[a]\nclass = jintishi\nlines = 5 5\nacrostic-form = b\n"
+                "[b]\nclass = jintishi\nlines = 5 5\n")
+        with pytest.raises(CatalogError, match="'b', which lacks 'markers = acrostic'"):
+            parse_catalog(text)
+        spec = parse_catalog(text + "markers = acrostic\n").resolve("b")
+        assert spec.acrostic
+
     def test_bad_tone_symbols_rejected(self):
         text = "version = 1\n[x]\nclass = jintishi\nlines = 5 5\ntones = 平仄XY平\n"
         with pytest.raises(CatalogError):
@@ -105,9 +123,9 @@ class TestBuiltinCatalog:
 class TestPhonologyTable:
     def test_parse_and_lookup(self):
         table = parse_table("guti-phonology v1\n人\t文\tping\n月\t皆\tze\n")
-        assert table.group_of("人") == "文"
-        assert table.tone_of("月") == "ze"
-        assert table.group_of("星") is None
+        assert table.rhyme_group["人"] == "文"
+        assert table.tone_class["月"] == "ze"
+        assert "星" not in table.rhyme_group
 
     def test_bad_header(self):
         with pytest.raises(PhonologyError):
@@ -118,6 +136,6 @@ class TestPhonologyTable:
             parse_table("guti-phonology v1\n人\t文\tflat\n")
 
     def test_builtin_table_loads(self, table):
-        assert len(table) > 400
-        assert table.tone_of("平") == "ping"
-        assert table.tone_of("仄") == "ze"
+        assert len(table.rhyme_group) > 400
+        assert table.tone_class["平"] == "ping"
+        assert table.tone_class["仄"] == "ze"

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from guti.corpus import acrostic_transform, serialize
 from guti.errors import SamplingError, UnknownFormError
 from guti.model import ModelConfig, forward, init_params
 from guti.sampler import (
@@ -14,6 +15,7 @@ from guti.sampler import (
     top_k_distribution,
     top_k_sample,
 )
+from guti.trainer import encode_sample
 from guti.vocab import build_vocab, decode, encode
 
 
@@ -45,6 +47,20 @@ class TestBuildPrompt:
     def test_acrostic_mode_switches_markers(self, catalog, wide_vocab):
         ids = build_prompt("七律", "一路平安", catalog, wide_vocab, acrostic=True)
         assert decode(ids, wide_vocab) == "七言律诗(格式)一路平安(藏头诗)"
+
+    def test_prompt_is_the_training_prefix(self, catalog, fixture_poems):
+        twins = [acrostic_transform(p, catalog) for p in fixture_poems
+                 if catalog.resolve(p.form_id).acrostic_id is not None]
+        samples = [serialize(p, catalog) for p in list(fixture_poems) + twins]
+        vocab = build_vocab(samples)
+        for poem, sample in zip(list(fixture_poems) + twins, samples):
+            ids = build_prompt(poem.form_id, poem.theme, catalog, vocab)
+            assert encode_sample(sample, vocab)[:len(ids)] == ids
+        assert twins
+        for twin in twins:
+            plain = next(p for p in fixture_poems if p.source_id == twin.source_id)
+            assert (build_prompt(plain.form_id, twin.theme, catalog, vocab, acrostic=True)
+                    == build_prompt(twin.form_id, twin.theme, catalog, vocab))
 
     def test_empty_theme_accepted(self, catalog, wide_vocab):
         ids = build_prompt("五绝", "", catalog, wide_vocab)

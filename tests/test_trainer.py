@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from guti.corpus import Poem, parse_body, serialize
 from guti.errors import TrainingError
+from guti.forms import default_catalog
 from guti.model import ModelConfig, ModelParams, forward, init_params, nll_loss
 from guti import trainer
 from guti.trainer import (
@@ -27,8 +28,9 @@ from guti.vocab import build_vocab
 
 def novelty_index(body_texts: list[str]) -> NoveltyIndex:
     """A novelty index of poem bodies given as text."""
-    return NoveltyIndex._from_lines([ln.characters for ln in parse_body(text)]
-                                    for text in body_texts)
+    return NoveltyIndex.from_samples(
+        [serialize(Poem("五绝", "", parse_body(text)), default_catalog())
+         for text in body_texts])
 
 
 def scalar_params(value: float):
@@ -109,6 +111,13 @@ class TestTrainConfig:
         with pytest.raises(TrainingError, match=field):
             TrainConfig(**{field: -1})
         assert getattr(TrainConfig(**{field: 0}), field) == 0
+
+    def test_early_stop_without_novelty_probes_rejected(self):
+        # fine_tune reads early_stop_novelty only when novelty probes run
+        with pytest.raises(TrainingError, match="novelty_eval_interval > 0"):
+            TrainConfig(early_stop_novelty=0.5)
+        assert TrainConfig(early_stop_novelty=0.5,
+                           novelty_eval_interval=10).early_stop_novelty == 0.5
 
 
 def longest_match(query: str, corpus_text: str) -> int:
@@ -221,9 +230,9 @@ class TestNovelty:
             Poem(form_id="五绝", theme="扩展", body=parse_body("低头思故\U00020000。"))]
         samples = [serialize(p, catalog) for p in poems] + list(toy_samples)
         got = NoveltyIndex.from_samples(samples)
-        want = novelty_index([s.fields()["body"] for s in samples])
-        assert got._lines == want._lines
-        assert got._corpus_text == want._corpus_text
+        bodies = [[ln.characters for ln in parse_body(s.body)] for s in samples]
+        assert got._lines == {ln for body in bodies for ln in body}
+        assert got._corpus_text == "\n".join("".join(body) for body in bodies)
 
 
 class TestBatching:
