@@ -244,11 +244,11 @@ def ingest_corpus(path: str | Path, catalog: FormCatalog) -> IngestResult:
     (couplet records use ``first``/``second`` instead) and an optional
     string ``source_id`` (default: file name and line number).  Malformed
     records and unknown forms become diagnostics with their line numbers; a
-    record is never silently dropped.
+    record is never silently dropped.  A leading UTF-8 BOM is skipped.
     """
     p = Path(path)
     try:
-        raw = p.read_text(encoding="utf-8")
+        raw = p.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {p}: {exc}") from exc
     result = IngestResult()

@@ -286,7 +286,7 @@ def _check_references(catalog: FormCatalog, source: str) -> None:
 def load_catalog(path: str | Path) -> FormCatalog:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise CatalogError(f"cannot read catalog {p}: {exc}") from exc
     return parse_catalog(text, source=str(p))

@@ -66,7 +66,7 @@ def parse_table(text: str, source: str = "<table>") -> PhonologyTable:
 def load_table(path: str | Path) -> PhonologyTable:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise PhonologyError(f"cannot read phonology table {p}: {exc}") from exc
     return parse_table(text, source=str(p))

@@ -104,9 +104,12 @@ def top_k_distribution(logits: np.ndarray, cfg: SampleConfig) -> tuple[np.ndarra
 
 def top_k_sample(logits: np.ndarray, cfg: SampleConfig,
                  rng: np.random.Generator) -> int:
-    """Sample one token id from the truncated distribution."""
+    """Sample one token id from the truncated distribution: the inverse-CDF
+    draw ``rng.choice(candidates, p=p)`` makes, without its argument checks."""
     candidates, p = top_k_distribution(logits, cfg)
-    return int(rng.choice(candidates, p=p))
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(candidates[cdf.searchsorted(rng.random(), side="right")])
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import guti
 from guti import fileio
 from guti.cli import _read_dataset, main
-from guti.corpus import deserialize, normalize_body_text
-from guti.forms import ALL_MARKERS, COMMA, PERIOD, default_catalog
+from guti.corpus import deserialize, ingest_corpus, normalize_body_text
+from guti.forms import ALL_MARKERS, COMMA, PERIOD, default_catalog, load_catalog
 from guti.model import load_checkpoint
+from guti.phonology import load_table
 from guti.vocab import build_vocab, decode, encode, load_vocab
 
 FIXTURES = Path(__file__).parent / "fixtures"
+DATA = Path(guti.__file__).parent / "data"    # the shipped catalog and table
 
 
 def run(capsys, *argv):
@@ -474,6 +477,76 @@ class TestValidate:
         assert code == 0
         records = [json.loads(line) for line in out.strip().splitlines()[:-1]]
         assert all(r["well_formed"] for r in records)
+
+    # sha256 of `guti validate --json` stdout, as the validator that derived
+    # each form's templates and tone slots on every call printed it;
+    # faulted_poems.jsonl holds one poem per fault kind
+    GOLDEN = {
+        ("sample_poems", ()):
+            "e52eb14152bebc906cc6ebf3a508bec051ab45526158bb63f1bdbbd304400ea1",
+        ("toy_corpus", ()):
+            "30988e49bb280ac8d9d77ac33b1e2fbceb7915ed703e65ecd7c2322b4183dad5",
+        ("faulted_poems", ()):
+            "82341c821cc86fe7fd72e79ed608b874f6856eca863735c3bd0a4b5960a48121",
+        ("faulted_poems", ("--strict-phonology",)):
+            "e4c7130ea1327fd8aa4179f9d74d5b3242e43347584ce438fb4b36abbf83e1da",
+    }
+
+    @pytest.mark.parametrize("name, flags", list(GOLDEN),
+                             ids=["-".join([n, *(a.lstrip("-") for a in f)])
+                                  for n, f in GOLDEN])
+    def test_json_reports_match_recorded_digests(self, capsys, name, flags):
+        code, out, err = run(capsys, "validate", str(FIXTURES / f"{name}.jsonl"),
+                             "--json", *flags)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.GOLDEN[name, flags]
+
+
+BOM = "\ufeff"
+
+
+class TestByteOrderMark:
+    """User-written input files may start with a UTF-8 BOM (Windows editors
+    write one); it must not change what they load to."""
+
+    def bom_copy(self, src: Path, dst: Path) -> Path:
+        dst.write_text(BOM + src.read_text("utf-8"), encoding="utf-8")
+        return dst
+
+    def test_corpus_loads_equal(self, tmp_path, catalog):
+        plain = FIXTURES / "sample_poems.jsonl"
+        bom = self.bom_copy(plain, tmp_path / plain.name)
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert ingest_corpus(bom, catalog) == ingest_corpus(plain, catalog)
+
+    def test_catalog_loads_equal(self, tmp_path):
+        plain = DATA / "forms.catalog"
+        bom = self.bom_copy(plain, tmp_path / "forms.catalog")
+        assert load_catalog(bom).entries == load_catalog(plain).entries
+
+    def test_table_loads_equal(self, tmp_path):
+        plain = DATA / "phonology.tsv"
+        bom = self.bom_copy(plain, tmp_path / "phonology.tsv")
+        assert load_table(bom) == load_table(plain)
+
+    def test_ingest_writes_the_plain_corpus_bytes(self, capsys, tmp_path):
+        plain = FIXTURES / "toy_corpus.jsonl"
+        bom = self.bom_copy(plain, tmp_path / plain.name)
+        for src, out in ((plain, "plain"), (bom, "bom")):
+            code, _, err = run(capsys, "ingest", str(src), "-o", str(tmp_path / out))
+            assert code == 0, err
+        for f in ("dataset.jsonl", "vocab.txt"):
+            assert ((tmp_path / "bom" / f).read_bytes()
+                    == (tmp_path / "plain" / f).read_bytes())
+
+    def test_validate_accepts_bom_inputs(self, capsys, tmp_path):
+        corpus = self.bom_copy(FIXTURES / "sample_poems.jsonl", tmp_path / "c.jsonl")
+        cat = self.bom_copy(DATA / "forms.catalog", tmp_path / "forms.catalog")
+        table = self.bom_copy(DATA / "phonology.tsv", tmp_path / "phonology.tsv")
+        code, out, err = run(capsys, "validate", str(corpus), "--catalog", str(cat),
+                             "--table", str(table))
+        assert code == 0, err
+        assert "well-formed rate: 57/57 = 1.000" in out
 
 
 class TestCatalogEnvVar:

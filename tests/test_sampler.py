@@ -145,6 +145,21 @@ class TestTopK:
         chi2 = float((((counts - n * probs) ** 2) / (n * probs)).sum())
         assert chi2 < 15.086   # alpha = 0.01, 5 degrees of freedom
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_draw_equals_generator_choice(self, seed):
+        # the inverse-CDF draw must pick what Generator.choice picks and leave
+        # the generator where choice leaves it
+        logits = np.random.default_rng(100 + seed).normal(size=40) * 3
+        for k in (1, 2, 20, logits.size):
+            for temperature in (1.0, 0.7):
+                cfg = SampleConfig(k=k, temperature=temperature)
+                ours, theirs = (np.random.default_rng(seed) for _ in range(2))
+                candidates, p = top_k_distribution(logits, cfg)
+                for _ in range(300):
+                    assert top_k_sample(logits, cfg, ours) == int(
+                        theirs.choice(candidates, p=p))
+                assert ours.bit_generator.state == theirs.bit_generator.state
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_stable_argsort_reference(self, seed):
         rng = np.random.default_rng(seed)

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from guti.corpus import Line, Poem, parse_body
 from guti.errors import UnknownFormError
+from guti.forms import parse_catalog
 from guti.phonology import parse_table
 from guti.validator import (
-    _expand_templates,
+    _plan,
     check_acrostic,
     check_pairing,
     check_rhyme,
@@ -84,9 +85,9 @@ class TestStructure:
                 fresh.append(tuple(
                     (seg_len, "。" if j == len(alt) - 1 else "，")
                     for alt in picks for j, seg_len in enumerate(alt)))
-            cached = _expand_templates(spec.line_template)
+            cached = _plan(spec).templates
             assert cached == tuple(fresh)
-            assert _expand_templates(spec.line_template) is cached
+            assert _plan(spec).templates is cached
 
 
 class TestPairing:
@@ -216,6 +217,89 @@ class TestTone:
         p = poem("五绝", "x", "叠叠叠叠叠，叠叠叠叠叠。叠叠叠叠叠，叠叠叠叠叠。")
         (result,) = check_tone(p, spec, TEST_TABLE)
         assert result.passed is None
+
+
+TIE_CATALOG = parse_catalog(
+    "version = 1\n"
+    # two variants with no mismatch: the second compares more slots
+    "[多比]\nclass = jintishi\nlines = 5 5\n"
+    "tones = 中中中中平 中中中中中 | 平平中中平 中中中中平\n"
+    # one mismatch each: the first at an earlier slot, the second comparing more
+    "[先比]\nclass = jintishi\nlines = 5 5\n"
+    "tones = 仄中中中中 中中中中中 | 中仄中中中 平中中中中\n"
+    # one mismatch each over one compared slot: the smaller position wins
+    "[位比]\nclass = jintishi\nlines = 5 5\n"
+    "tones = 中中中中中 仄中中中中 | 中中仄中中 中中中中中\n"
+    # a seven-slot pattern over a five-character line, a three-slot one over
+    # another; a 4-line variant the 2-line poem never meets
+    "[长短]\nclass = jintishi\nlines = 5 5\n"
+    "tones = 平平平平平仄仄 平平平 | 仄仄仄仄 仄仄仄仄 仄仄仄仄 仄仄仄仄\n",
+    source="tie-test")
+# 光 明 平 are level, 月 仄 oblique; 叠 is missing from the table
+TWO_LEVEL_LINES = "光明平光明，平光明光明。"
+
+
+class TestToneTieBreaks:
+    """The closest variant is the least (mismatches, -compared, positions)."""
+
+    def check(self, form, body=TWO_LEVEL_LINES):
+        (result,) = check_tone(poem(form, "x", body), TIE_CATALOG.resolve(form),
+                               TEST_TABLE)
+        return result
+
+    def test_more_compared_slots_win_a_mismatch_tie(self):
+        result = self.check("多比")
+        assert (result.passed, result.message) == (True, "4 fixed slots agree")
+        result = self.check("先比")
+        assert result.positions == ((1, 2),)
+
+    def test_smaller_positions_win_a_full_tie(self):
+        result = self.check("位比")
+        assert result.positions == ((1, 3),)
+        assert result.message == "1 tone slots deviate from the closest template variant"
+
+    def test_only_the_overlap_of_pattern_and_line_is_compared(self):
+        result = self.check("长短")
+        assert (result.passed, result.message) == (True, "8 fixed slots agree")
+        result = self.check("长短", "光明平光叠，叠光明光明。")
+        assert (result.passed, result.message) == (True, "6 fixed slots agree")
+        result = self.check("长短", "光明平光月，平月明光明。")
+        assert result.positions == ((1, 5), (2, 2))
+
+    def test_characters_missing_from_the_table_are_not_compared(self):
+        result = self.check("位比", "叠叠叠叠叠，叠叠叠叠叠。")
+        assert result.passed is None
+        assert result.message == "no template character found in the table"
+
+
+class TestTemplateTieBreaks:
+    """A poem that matches no template is reported against the first of
+    the best-scoring templates, in the catalog's group order."""
+
+    def test_shuidiaogetou_reports_the_first_of_four_tied_templates(
+            self, catalog, fixture_poems):
+        lines = list(by_source(fixture_poems, "t5-shuidiaogetou").body)
+        # lines 3-4 and 13-14 take (6,5) or (4,7); (5,6) ties all four templates
+        for i in (2, 12):
+            lines[i] = Line("云" * 5, lines[i].terminal_punct)
+            lines[i + 1] = Line("云" * 6, lines[i + 1].terminal_punct)
+        results = {r.rule: r for r in check_structure(
+            Poem("水调歌头", "x", tuple(lines)), catalog.resolve("水调歌头"))}
+        assert results["structure.line_lengths"].message == (
+            "line lengths: line 3: 5 chars (expected 6), line 4: 6 chars "
+            "(expected 5), line 13: 5 chars (expected 6), line 14: 6 chars "
+            "(expected 5)")
+        assert results["structure.punctuation"].passed is True
+
+    def test_wulingchun_reports_the_first_of_two_tied_templates(self, catalog):
+        # an unpunctuated 3-character eighth line scores the 8-line and the
+        # (penalized) 9-line template alike
+        p = poem("武陵春", "x", "长忆西湖湖上宴，一笑倒琼彝。红翠照人如有思，相见又相疑。"
+                 "别岸潮生苹末涨，催发浪花飞。照酒红妆间舞衣，天远水")
+        results = {r.rule: r for r in check_structure(p, catalog.resolve("武陵春"))}
+        assert results["structure.line_lengths"].message == (
+            "line lengths: line 8: 3 chars (expected 5)")
+        assert results["structure.punctuation"].positions == ((8, None),)
 
 
 class TestAcrostic:
