@@ -6,8 +6,8 @@ default.  Both the forward pass and the analytic backward pass are written
 out explicitly; gradients are exact up to floating point, which the test
 suite pins against central finite differences.  The forward pass caches
 each GELU's tanh for the backward pass, every weight gradient is one
-matmul over the flat rows, and one softmax/cross-entropy serves both the
-loss and its gradient.
+matmul over the flat rows, and ``_softmax_nll`` alone turns logits into
+the loss and dL/dlogits (the head's gradient, formed in place).
 
 Rows: activations are flat (N, d) rows, one per (batch, position) cell
 that runs.  Attention is causal, so an output at position t reads only
@@ -226,24 +226,25 @@ def _layer_norm(x, g, b):
 
 
 def _layer_norm_backward(dy, cache, g):
+    """inv (dxhat - mean(dxhat) - xhat mean(dxhat xhat)), in place on dxhat."""
     xhat, inv = cache
-    dg = np.sum(dy * xhat, axis=0)
-    db = np.sum(dy, axis=0)
+    d, t = dy.shape[-1], dy * xhat
+    dg, db = np.add.reduce(t, axis=0), np.add.reduce(dy, axis=0)
     dxhat = dy * g
-    dx = inv * (dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True))
-    return dx, dg, db
+    proj = np.add.reduce(np.multiply(dxhat, xhat, out=t), axis=-1, keepdims=True) / d
+    dxhat -= np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+    dxhat -= np.multiply(xhat, proj, out=t)
+    dxhat *= inv
+    return dxhat, dg, db
 
 
 def _gelu(u):
-    """tanh-form GELU; returns the activation and the tanh, which the
-    backward pass reuses.  Those two are the only arrays it allocates."""
+    """tanh-form GELU, 0.5 u (1 + tanh(u (C + CA u*u))); returns the activation
+    and the tanh, which backward reuses, the only two arrays it allocates."""
     t = u * u
+    t *= _GELU_C * _GELU_A
+    t += _GELU_C
     t *= u
-    t *= _GELU_A
-    t += u
-    t *= _GELU_C
     np.tanh(t, out=t)
     a = t + 1.0
     a *= u
@@ -252,12 +253,11 @@ def _gelu(u):
 
 
 def _gelu_backward(du_out, u, t):
-    """``du_out`` times 0.5 (1 + t + u (1 - t*t) C (1 + 3A u*u)), the
+    """``du_out`` times 0.5 (1 + t + u (1 - t*t) (C + 3AC u*u)), the
     derivative of ``_gelu``, in two temporaries."""
     g = u * u
-    g *= 3.0 * _GELU_A
-    g += 1.0
-    g *= _GELU_C
+    g *= 3.0 * _GELU_A * _GELU_C
+    g += _GELU_C
     g *= u
     sech2 = t * t
     np.subtract(1.0, sech2, out=sech2)
@@ -437,7 +437,8 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
             ln2_g, ln2_b, w_1, b_1, w_2, b_2) in enumerate(params.layers):
         att_drop, res_drop1, res_drop2 = drops[1 + 3 * i:4 + 3 * i]
         h1, ln1_cache = _layer_norm(x, ln1_g, ln1_b)
-        qkv = h1 @ w_qkv + b_qkv    # q, k, v: column views of the fused rows
+        qkv = h1 @ w_qkv    # q, k, v: column views of the fused rows
+        qkv += b_qkv
         q, k, v = qkv[:, :d], qkv[:, d:2 * d], qkv[:, 2 * d:]
         q *= scale
         ctx = np.empty_like(x)
@@ -458,14 +459,17 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
             probs_d = _apply_mask(probs, drop)
             np.matmul(probs_d, vh, out=_heads(ctx[rs], h, n))
             runs.append((probs, drop, probs_d))
-        attn_out = ctx @ w_o + b_o
-        x_attn = x + _apply_mask(attn_out, res_drop1)
+        attn_out = ctx @ w_o
+        attn_out += b_o
+        x_attn = np.add(_apply_mask(attn_out, res_drop1), x, out=attn_out)
 
         h2, ln2_cache = _layer_norm(x_attn, ln2_g, ln2_b)
-        u = h2 @ w_1 + b_1
+        u = h2 @ w_1
+        u += b_1
         a, gelu_t = _gelu(u)
-        ff_out = a @ w_2 + b_2
-        x_new = x_attn + _apply_mask(ff_out, res_drop2)
+        ff_out = a @ w_2
+        ff_out += b_2
+        x_new = np.add(_apply_mask(ff_out, res_drop2), x_attn, out=ff_out)
 
         if want_cache:
             caches.append({
@@ -539,25 +543,27 @@ def loss_rows(batch: SequenceBatch) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _softmax_nll(logits: np.ndarray, batch: SequenceBatch):
-    """Masked mean next-token NLL, computed in the logits' dtype.
+    """Masked mean next-token NLL and dL/dlogits, in the logits' dtype.
 
-    ``logits`` are the (n_loss, V) logits at ``loss_rows(batch)``.
-    Log-probabilities are ``shifted - log(sum(exp(shifted)))``, so a target
-    far below its row max costs a large finite loss, not ``log(0)``.
-    Returns ``(loss, probs, tgt, w)``: the softmax of each row, the target
-    ids, and each target's weight ``mask / n``.
+    ``logits`` are the (n_loss, V) logits at ``loss_rows(batch)``, which
+    it overwrites with dL/dlogits = (softmax - one-hot target) * w, each
+    target's weight w = mask / n, scaling exp(shifted) by w / z in one pass.
+    Log-probabilities are ``shifted - log(z)``, z = sum(exp(shifted)), so a
+    target far below its row max costs a large finite loss, not ``log(0)``.
     """
     b_idx, t_idx = np.nonzero(batch.loss_mask)
     tgt = batch.tokens[b_idx, t_idx]
     m = batch.loss_mask[b_idx, t_idx].astype(logits.dtype)
     n = m.sum()
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    picked = shifted[np.arange(tgt.size), tgt]
-    probs = np.exp(shifted, out=shifted)
-    z = probs.sum(axis=-1, keepdims=True)
-    logp = picked - np.log(z[:, 0])
-    probs /= z
-    return float(-(logp * m).sum() / n), probs, tgt, m / n
+    rows = np.arange(tgt.size)
+    logits -= logits.max(axis=-1, keepdims=True)
+    picked = logits[rows, tgt]
+    dlogits = np.exp(logits, out=logits)
+    z = np.add.reduce(dlogits, axis=-1)
+    w = m / n
+    dlogits *= (w / z)[:, None]
+    dlogits[rows, tgt] -= w
+    return float(-((picked - np.log(z)) * m).sum() / n), dlogits
 
 
 def nll_loss(logits: np.ndarray, batch: SequenceBatch) -> float:
@@ -589,11 +595,7 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
     out = np.ravel_multi_index(loss_rows(batch), tokens.shape)
     logits, cache = _forward_impl(params, tokens, train_mode, rng,
                                   want_cache=True, out=out)
-    loss, dlogits, tgt, w = _softmax_nll(logits, batch)
-
-    # dL/dlogits at each loss row: (softmax - one-hot target) * weight
-    dlogits *= w[:, None]
-    dlogits[np.arange(tgt.size), tgt] -= w
+    loss, dlogits = _softmax_nll(logits, batch)
 
     grads = {}
     hf = cache["hf"]
@@ -630,7 +632,7 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
         dh2 = du @ w_1.T
         dx_attn, grads[p + "ln2.g"], grads[p + "ln2.b"] = _layer_norm_backward(
             dh2, lc["ln2"], ln2_g)
-        dx_attn = dx_attn + dx   # residual
+        dx_attn += dx   # residual
 
         # attention branch; q holds the scaled queries, so the scores'
         # gradient times k is the scaled queries' gradient
@@ -655,9 +657,9 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
         dq *= cache["scale"]
         grads[p + "attn.bqkv"] = dqkv.sum(axis=0)
         grads[p + "attn.wqkv"] = lc["h1"].T @ dqkv
-        dx_res, grads[p + "ln1.g"], grads[p + "ln1.b"] = _layer_norm_backward(
+        dx, grads[p + "ln1.g"], grads[p + "ln1.b"] = _layer_norm_backward(
             dqkv @ w_qkv.T, lc["ln1"], ln1_g)
-        dx = dx_res + dx_attn    # residual
+        dx += dx_attn    # residual
 
     dx = _apply_mask(dx, cache["emb_drop"])
     grads["pos_emb"] = np.zeros_like(t["pos_emb"])
@@ -707,8 +709,8 @@ def _fuse_qkv(config: ModelConfig, tensors: dict) -> dict:
             if name.endswith("qkv") else tensors[name] for name in param_names(config)}
 
 
-def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Write the versioned binary checkpoint (tensors as little-endian f32)."""
+def save_checkpoint(params: ModelParams, path: str | Path, *copies: str | Path) -> None:
+    """Write the versioned checkpoint (f32 LE tensors) to ``path`` and ``copies``."""
     cfg_json = json.dumps(asdict(params.config), sort_keys=True).encode("utf-8")
     tensors = _split_qkv(params.config, params.tensors)
     chunks = [CHECKPOINT_MAGIC,
@@ -722,7 +724,9 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
         chunks.append(struct.pack("<B", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    write_atomic(path, b"".join(chunks))
+    data = b"".join(chunks)
+    for p in (path, *copies):
+        write_atomic(p, data)
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:

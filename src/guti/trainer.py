@@ -95,11 +95,17 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
     new_tensors, new_m, new_v = {}, {}, {}
     for name, p in params.tensors.items():
         g = grads[name]
-        m = b1 * state.m[name] + (1.0 - b1) * g
-        v = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        new_tensors[name] = (p - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)).astype(p.dtype)
+        m = b1 * state.m[name]
+        m += (1.0 - b1) * g
+        v = b2 * state.v[name]
+        v += (1.0 - b2) * (g * g)
+        den = v / (1.0 - b2 ** t)       # in place: p - lr * m_hat / (sqrt(v_hat) + eps)
+        np.sqrt(den, out=den)
+        den += cfg.eps
+        step = m / (1.0 - b1 ** t)
+        step *= lr
+        step /= den
+        new_tensors[name] = np.subtract(p, step, out=step).astype(p.dtype, copy=False)
         new_m[name], new_v[name] = m, v
     return (ModelParams(params.config, new_tensors), AdamState(new_m, new_v, t))
 
@@ -353,7 +359,8 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
         if len(order) < cfg.batch_size:
             perm = rng.permutation(len(train_seqs)).tolist()
             order.extend(perm)
-        picks = [order.pop(0) for _ in range(min(cfg.batch_size, len(order)))]
+        picks = order[:cfg.batch_size]
+        del order[:cfg.batch_size]
         batch = make_batch([train_seqs[i] for i in picks], vocab.pad_id)
         loss, grads = backward(params, batch, train_mode=True, rng=rng)
         step += 1
@@ -370,8 +377,9 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
             record_interval()
             if out_path is not None:
                 ckpt = out_path / f"step-{step:06d}.ckpt"
-                save_checkpoint(params, ckpt)
-                report.checkpoint_paths.append(str(ckpt))
+                last = [out_path / "last.ckpt"] * (step == cfg.max_steps)   # same bytes
+                save_checkpoint(params, ckpt, *last)
+                report.checkpoint_paths += map(str, [ckpt, *last])
         if index is not None and step % cfg.novelty_eval_interval == 0:
             score = _probe_novelty(params, probe_prompts, index, vocab,
                                    max_new_tokens=context)
@@ -385,8 +393,9 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
         record_interval()
     if out_path is not None and step > 0:
         ckpt = out_path / "last.ckpt"
-        save_checkpoint(params, ckpt)
-        report.checkpoint_paths.append(str(ckpt))
+        if str(ckpt) not in report.checkpoint_paths:
+            save_checkpoint(params, ckpt)
+            report.checkpoint_paths.append(str(ckpt))
         write_atomic(out_path / "metrics.jsonl",
                      ("\n".join(report.metric_lines()) + "\n").encode("utf-8"))
     report.steps_run = step

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from guti import model
 from guti.errors import CheckpointError, ModelError
 from guti.model import (
     KVCache,
@@ -13,6 +14,8 @@ from guti.model import (
     SequenceBatch,
     _LN_EPS,
     _dropout_mask,
+    _gelu,
+    _gelu_backward,
     _layer_norm,
     _rows_reaching,
     backward,
@@ -795,3 +798,145 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "none.ckpt")
+
+
+def reference_softmax_nll(logits, batch):
+    """The textbook loss and dL/dlogits = (softmax - one-hot) * mask / n, in
+    float64, returned in the logits' dtype."""
+    b_idx, t_idx = np.nonzero(batch.loss_mask)
+    tgt, m = batch.tokens[b_idx, t_idx], batch.loss_mask[b_idx, t_idx]
+    z = logits.astype(np.float64)
+    probs = np.exp(z - z.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    one_hot = np.eye(z.shape[-1])[tgt]
+    loss = -(np.log(probs[np.arange(tgt.size), tgt]) * m).sum() / m.sum()
+    return loss, ((probs - one_hot) * (m / m.sum())[:, None]).astype(logits.dtype)
+
+
+def weighted_batch(rng, config):
+    batch = rand_batch(rng, config, b=3, s=8, full_mask=True)
+    batch.loss_mask[1, 2:5] = 2.0      # weights other than 1 reach w = mask / n
+    batch.loss_mask[2, 6:] = 0.0
+    return batch
+
+
+class TestKernelNumerics:
+    def test_fused_head_gradient_matches_float64_reference(self, monkeypatch):
+        # the gradients that leave the head first, tok_emb (tied) and ln_f,
+        # with the fused softmax and with the textbook (softmax - one-hot)
+        # * mask / n swapped in; the rest of backward is the same code
+        config = ModelConfig(n_layers=1, n_heads=2, d_model=16, d_ff=32,
+                             context_len=8, vocab_size=40)
+        rng = np.random.default_rng(21)
+        p32 = init_params(config, seed=5)
+        for arr in p32.tensors.values():
+            arr += rng.normal(0.0, 0.3, arr.shape).astype(np.float32)
+        p64 = ModelParams(config, {n: a.astype(np.float64) for n, a in p32.tensors.items()})
+        batch = weighted_batch(rng, config)
+        loss32, g32 = backward(p32, batch)
+        loss64, g64 = backward(p64, batch)
+        monkeypatch.setattr(model, "_softmax_nll", reference_softmax_nll)
+        loss_ref, g_ref = backward(p64, batch)
+        assert abs(loss64 - loss_ref) < 1e-12 and abs(loss32 - loss_ref) < 1e-5 * loss_ref
+        for name in ("tok_emb", "ln_f.g", "ln_f.b"):
+            assert rel_err(g64[name], g_ref[name]) < 1e-12, name
+            assert rel_err(g32[name], g_ref[name]) < 1e-5, name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_nll_gradient_matches_reference(self, dtype):
+        rng = np.random.default_rng(4)
+        batch = weighted_batch(rng, TINY)
+        logits = (rng.standard_normal((int(np.count_nonzero(batch.loss_mask)), 10))
+                  * 4).astype(dtype)
+        want_loss, want = reference_softmax_nll(logits, batch)
+        loss, got = model._softmax_nll(logits.copy(), batch)
+        assert got.dtype == dtype and abs(loss - want_loss) < 1e-6 * want_loss
+        w = batch.loss_mask[batch.loss_mask != 0] / batch.loss_mask.sum()
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(dtype).eps * w[:, None])
+
+    def test_gelu_and_its_derivative_match_the_textbook_formula(self):
+        # within 4 float32 ulps of max(|u|, |value|): where u is large and
+        # negative, 1 + tanh cancels in float32 and the absolute error is
+        # that of u, not of the tiny value
+        rng = np.random.default_rng(0)
+        u = np.concatenate([np.linspace(-8, 8, 40001),
+                            rng.standard_normal(20000) * 3]).astype(np.float32)
+        x = u.astype(np.float64)
+        c = math.sqrt(2.0 / math.pi)
+        th = np.tanh(c * (x + 0.044715 * x ** 3))
+        want = 0.5 * x * (1.0 + th)
+        want_d = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * c * (1.0 + 3 * 0.044715 * x * x)
+        a, t = _gelu(u)
+        d = _gelu_backward(np.ones_like(u), u, t)
+        assert a.dtype == d.dtype == np.float32
+        for got, ref in ((a, want), (d, want_d)):
+            ulp = np.spacing(np.maximum(np.abs(ref), np.abs(x)).astype(np.float32))
+            assert np.all(np.abs(got - ref) <= 4 * ulp.astype(np.float64))
+
+
+def noisy_params(config, seed):
+    """Initial params plus noise, so no tensor is all zeros or all ones."""
+    params = init_params(config, seed=seed)
+    rng = np.random.default_rng(seed)
+    for arr in params.tensors.values():
+        arr += rng.normal(0.0, 0.1, arr.shape).astype(np.float32)
+    return params
+
+
+def tensors_copy(params):
+    return {name: arr.copy() for name, arr in params.tensors.items()}
+
+
+def assert_tensors_unchanged(params, before):
+    assert params.tensors.keys() == before.keys()
+    for name, arr in before.items():
+        assert params.tensors[name].tobytes() == arr.tobytes(), name
+
+
+class TestInputsUnchanged:
+    """forward, backward and nll_loss work in place only on arrays they
+    allocate: parameters, tokens, masks and logits handed in stay as they were."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    @pytest.mark.parametrize("cached", [False, True], ids=["full", "kv"])
+    def test_forward(self, rate, cached):
+        config = replace(TINY, n_layers=2, n_heads=2, dropout_rate=rate)
+        params = noisy_params(config, seed=3)
+        tokens = np.random.default_rng(0).integers(0, 10, size=(2, 6))
+        before, tokens_before = tensors_copy(params), tokens.copy()
+        rng = np.random.default_rng(1)
+        if cached:
+            kv = KVCache(params, 2, 8)
+            forward(params, tokens, train_mode=True, rng=rng, kv=kv)
+            forward(params, tokens[:, :1], train_mode=True, rng=rng, kv=kv)
+        else:
+            forward(params, tokens, train_mode=True, rng=rng)
+            forward(params, tokens, train_mode=True, rng=rng, rows=([0, 1], [5, 2]))
+        assert_tensors_unchanged(params, before)
+        assert np.array_equal(tokens, tokens_before)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    @pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
+    def test_backward(self, rate, tie):
+        config = replace(TINY, n_layers=2, n_heads=2, dropout_rate=rate,
+                         tie_embeddings=tie)
+        params = noisy_params(config, seed=3)
+        batch = weighted_batch(np.random.default_rng(2), config)
+        tokens, mask = batch.tokens.copy(), batch.loss_mask.copy()
+        before = tensors_copy(params)
+        _, grads = backward(params, batch, train_mode=True, rng=np.random.default_rng(1))
+        assert_tensors_unchanged(params, before)
+        assert np.array_equal(batch.tokens, tokens)
+        assert batch.loss_mask.tobytes() == mask.tobytes()
+        assert not any(np.shares_memory(grads[n], params[n]) for n in grads)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nll_loss(self, dtype):
+        rng = np.random.default_rng(5)
+        batch = weighted_batch(rng, TINY)
+        grid = rng.standard_normal((3, 8, 10)).astype(dtype)
+        rows = grid[loss_rows(batch)]
+        for logits in (grid, rows):
+            kept = logits.copy()
+            nll_loss(logits, batch)
+            assert logits.tobytes() == kept.tobytes()

@@ -1,6 +1,7 @@
 import difflib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ from hypothesis import strategies as st
 from guti.corpus import Poem, parse_body, serialize
 from guti.errors import TrainingError
 from guti.forms import default_catalog
-from guti.model import ModelConfig, ModelParams, forward, init_params, nll_loss
+from guti.model import (
+    ModelConfig,
+    ModelParams,
+    forward,
+    init_params,
+    load_checkpoint,
+    nll_loss,
+)
 from guti import trainer
 from guti.trainer import (
     AdamState,
@@ -18,6 +26,7 @@ from guti.trainer import (
     TrainConfig,
     _eval_nll,
     adam_step,
+    encode_sample,
     fine_tune,
     heldout_split,
     make_batch,
@@ -100,6 +109,63 @@ class TestAdam:
                            lr_scale=0.25)
         # bias-corrected first step moves by exactly lr * lr_scale
         assert abs(out["w"][0] + 0.25) < 1e-12
+
+    @staticmethod
+    def former_adam_step(params, grads, state, cfg, lr_scale):
+        """adam_step as one expression per array, before it worked in place."""
+        t = state.t + 1
+        b1, b2 = cfg.beta1, cfg.beta2
+        lr = cfg.learning_rate * lr_scale
+        new_tensors, new_m, new_v = {}, {}, {}
+        for name, p in params.tensors.items():
+            g = grads[name]
+            m = b1 * state.m[name] + (1.0 - b1) * g
+            v = b2 * state.v[name] + (1.0 - b2) * (g * g)
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            new_tensors[name] = (p - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)).astype(p.dtype)
+            new_m[name], new_v[name] = m, v
+        return ModelParams(params.config, new_tensors), AdamState(new_m, new_v, t)
+
+    def test_bitwise_equal_to_the_former_expression(self):
+        config = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16,
+                             context_len=8, vocab_size=12)
+        cfg = TrainConfig(learning_rate=3e-3, warmup_steps=10)
+        rng = np.random.default_rng(7)
+        got = want = init_params(config, seed=1)
+        got_state = want_state = AdamState.zeros_like(got)
+        for step in range(1, 6):
+            grads = {n: (rng.standard_normal(a.shape) * 10.0 ** rng.integers(-6, 2))
+                     .astype(np.float32) for n, a in got.tensors.items()}
+            got, got_state = adam_step(got, grads, got_state, cfg, step / 10)
+            want, want_state = self.former_adam_step(want, grads, want_state, cfg, step / 10)
+            assert got_state.t == want_state.t == step
+            for name, arr in want.tensors.items():
+                for a, b in ((got[name], arr), (got_state.m[name], want_state.m[name]),
+                             (got_state.v[name], want_state.v[name])):
+                    assert a.dtype == b.dtype == np.float32
+                    assert a.tobytes() == b.tobytes(), name
+
+    def test_inputs_unchanged(self):
+        config = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16,
+                             context_len=8, vocab_size=12)
+        rng = np.random.default_rng(3)
+        params = init_params(config, seed=2)
+        grads = {n: rng.standard_normal(a.shape).astype(np.float32)
+                 for n, a in params.tensors.items()}
+        state = AdamState({n: rng.standard_normal(a.shape).astype(np.float32)
+                           for n, a in params.tensors.items()},
+                          {n: rng.random(a.shape).astype(np.float32)
+                           for n, a in params.tensors.items()}, t=4)
+        kept = [{n: a.copy() for n, a in d.items()}
+                for d in (params.tensors, grads, state.m, state.v)]
+        out, out_state = adam_step(params, grads, state, TrainConfig(), 0.5)
+        assert state.t == 4 and out_state.t == 5
+        for d, before in zip((params.tensors, grads, state.m, state.v), kept):
+            assert all(d[n].tobytes() == a.tobytes() for n, a in before.items())
+        for new in (out.tensors, out_state.m, out_state.v):
+            assert not any(np.shares_memory(new[n], d[n]) for n in new
+                           for d in (params.tensors, grads, state.m, state.v))
 
 
 class TestTrainConfig:
@@ -317,6 +383,63 @@ class TestFineTune:
         metrics = (tmp_path / "metrics.jsonl").read_text(encoding="utf-8")
         for line in metrics.strip().splitlines():
             json.loads(line)
+
+    def test_final_checkpoint_step_serialized_once(self, toy_samples, tmp_path,
+                                                   monkeypatch):
+        samples, vocab, params = self.small_setup(toy_samples)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=6, max_steps=4,
+                          checkpoint_interval=2, seed=4, heldout_fraction=0.0)
+        real, calls = trainer.save_checkpoint, []
+
+        def save_checkpoint(params, *paths):
+            calls.append([p.name for p in paths])
+            real(params, *paths)
+
+        monkeypatch.setattr(trainer, "save_checkpoint", save_checkpoint)
+        out, report = fine_tune(samples, vocab, params, cfg, out_dir=tmp_path)
+        assert calls == [["step-000002.ckpt"], ["step-000004.ckpt", "last.ckpt"]]
+        assert report.checkpoint_paths == [str(tmp_path / n) for n in
+                                           ("step-000002.ckpt", "step-000004.ckpt",
+                                            "last.ckpt")]
+        last = (tmp_path / "last.ckpt").read_bytes()
+        assert last == (tmp_path / "step-000004.ckpt").read_bytes()
+        loaded = load_checkpoint(tmp_path / "last.ckpt")
+        assert all(loaded[n].tobytes() == a.tobytes() for n, a in out.tensors.items())
+
+    def test_last_checkpoint_off_the_cadence(self, toy_samples, tmp_path):
+        samples, vocab, params = self.small_setup(toy_samples)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=6, max_steps=5,
+                          checkpoint_interval=2, seed=4, heldout_fraction=0.0)
+        out, report = fine_tune(samples, vocab, params, cfg, out_dir=tmp_path)
+        assert [Path(p).name for p in report.checkpoint_paths] == [
+            "step-000002.ckpt", "step-000004.ckpt", "last.ckpt"]
+        loaded = load_checkpoint(tmp_path / "last.ckpt")
+        assert loaded.config == out.config
+        assert all(loaded[n].tobytes() == a.tobytes() for n, a in out.tensors.items())
+        assert ((tmp_path / "last.ckpt").read_bytes()
+                != (tmp_path / "step-000004.ckpt").read_bytes())
+
+    def test_batches_follow_the_shuffled_order(self, toy_samples, monkeypatch):
+        # 12 samples in batches of 5: batches draw from the rest of one
+        # permutation and the start of the next
+        samples, vocab, params = self.small_setup(toy_samples)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=5, max_steps=7,
+                          checkpoint_interval=0, seed=9, heldout_fraction=0.0)
+        real, fed = trainer.make_batch, []
+
+        def make_batch(sequences, pad_id):
+            fed.append(sequences)
+            return real(sequences, pad_id)
+
+        monkeypatch.setattr(trainer, "make_batch", make_batch)
+        fine_tune(samples, vocab, params, cfg)
+        seqs = [encode_sample(s, vocab) for s in samples]
+        rng, order, want = np.random.default_rng(cfg.seed), [], []
+        for _ in range(cfg.max_steps):
+            if len(order) < cfg.batch_size:
+                order.extend(rng.permutation(len(seqs)).tolist())
+            want.append([seqs[order.pop(0)] for _ in range(cfg.batch_size)])
+        assert fed == want
 
     def test_reproducible_checkpoints(self, toy_samples, tmp_path):
         samples, vocab, params = self.small_setup(toy_samples)
