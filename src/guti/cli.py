@@ -107,20 +107,22 @@ def cmd_ingest(corpus_file, out_dir, catalog_path, acrostic, min_count, max_seq_
     if unexpandable:
         _err(f"{unexpandable} poems have no acrostic variant; kept as-is")
 
-    vocab = vocab_mod.build_vocab(samples, min_count=min_count)
     if max_seq_len > 0:
         before = len(samples)
         samples = [s for s in samples
-                   if len(trainer_mod.encode_sample(s, vocab)) <= max_seq_len]
+                   if trainer_mod.sample_token_count(s) <= max_seq_len]
         if before != len(samples):
             _err(f"{before - len(samples)} samples exceed --max-seq-len; skipped")
-            vocab = vocab_mod.build_vocab(samples, min_count=min_count)
+        if not samples:
+            raise click.ClickException(f"no sample fits --max-seq-len {max_seq_len}")
+    vocab = vocab_mod.build_vocab(samples, min_count=min_count)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    encode_json = json.JSONEncoder(ensure_ascii=False).encode
     write_atomic(out / "dataset.jsonl", "".join(
-        json.dumps({"text": s.text, "source_id": s.source_id},
-                   ensure_ascii=False) + "\n" for s in samples).encode("utf-8"))
+        encode_json({"text": s.text, "source_id": s.source_id}) + "\n"
+        for s in samples).encode("utf-8"))
     vocab_mod.save_vocab(vocab, out / "vocab.txt")
     _err(f"ingested {len(result.poems)} poems "
          f"({len(result.diagnostics)} skipped records), "
@@ -208,8 +210,7 @@ def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, layers,
         params = init_params(config, seed=model_seed)
 
     context = params.config.context_len
-    usable = [s for s in samples
-              if len(trainer_mod.encode_sample(s, vocab)) <= context]
+    usable = [s for s in samples if trainer_mod.sample_token_count(s) <= context]
     if len(usable) < len(samples):
         _err(f"{len(samples) - len(usable)} samples exceed the model context "
              f"({context}); skipped")

@@ -6,8 +6,8 @@ default.  Both the forward pass and the analytic backward pass are written
 out explicitly; gradients are exact up to floating point, which the test
 suite pins against central finite differences.  The forward pass caches
 each GELU's tanh for the backward pass, every weight gradient is one
-matmul over the flat rows, and ``_softmax_nll`` alone turns logits into
-the loss and dL/dlogits (the head's gradient, formed in place).
+matmul over the flat rows, ``_nll`` alone turns logits into the loss,
+and ``_softmax_nll`` turns what it leaves into dL/dlogits in place.
 
 Rows: activations are flat (N, d) rows, one per (batch, position) cell
 that runs.  Attention is causal, so an output at position t reads only
@@ -542,28 +542,32 @@ def loss_rows(batch: SequenceBatch) -> tuple[np.ndarray, np.ndarray]:
     return b_idx, t_idx - 1
 
 
-def _softmax_nll(logits: np.ndarray, batch: SequenceBatch):
-    """Masked mean next-token NLL and dL/dlogits, in the logits' dtype.
+def _nll(logits: np.ndarray, batch: SequenceBatch):
+    """Masked mean next-token NLL, in the logits' dtype: the one loss formula.
 
-    ``logits`` are the (n_loss, V) logits at ``loss_rows(batch)``, which
-    it overwrites with dL/dlogits = (softmax - one-hot target) * w, each
-    target's weight w = mask / n, scaling exp(shifted) by w / z in one pass.
-    Log-probabilities are ``shifted - log(z)``, z = sum(exp(shifted)), so a
-    target far below its row max costs a large finite loss, not ``log(0)``.
+    Overwrites ``logits``, the (n_loss, V) rows at ``loss_rows(batch)``, with
+    exp(shifted), z = its row sums.  Log-probabilities are ``shifted - log(z)``,
+    so a target far below its row max costs a large finite loss, not
+    ``log(0)``.  Returns (loss, w = mask / n, z, the targets' index).
     """
     b_idx, t_idx = np.nonzero(batch.loss_mask)
     tgt = batch.tokens[b_idx, t_idx]
     m = batch.loss_mask[b_idx, t_idx].astype(logits.dtype)
     n = m.sum()
-    rows = np.arange(tgt.size)
+    targets = (np.arange(tgt.size), tgt)
     logits -= logits.max(axis=-1, keepdims=True)
-    picked = logits[rows, tgt]
-    dlogits = np.exp(logits, out=logits)
-    z = np.add.reduce(dlogits, axis=-1)
-    w = m / n
-    dlogits *= (w / z)[:, None]
-    dlogits[rows, tgt] -= w
-    return float(-((picked - np.log(z)) * m).sum() / n), dlogits
+    picked = logits[targets]
+    z = np.add.reduce(np.exp(logits, out=logits), axis=-1)
+    return float(-((picked - np.log(z)) * m).sum() / n), m / n, z, targets
+
+
+def _softmax_nll(logits: np.ndarray, batch: SequenceBatch):
+    """``_nll``'s loss and dL/dlogits = (softmax - one-hot target) * w, which
+    overwrites ``logits``: exp(shifted) is scaled by w / z in one pass."""
+    loss, w, z, targets = _nll(logits, batch)
+    logits *= (w / z)[:, None]
+    logits[targets] -= w
+    return loss, logits
 
 
 def nll_loss(logits: np.ndarray, batch: SequenceBatch) -> float:
@@ -578,7 +582,7 @@ def nll_loss(logits: np.ndarray, batch: SequenceBatch) -> float:
     logits = np.asarray(logits)
     if logits.ndim == 3:
         logits = logits[rows]
-    return _softmax_nll(logits.astype(np.float64), batch)[0]
+    return _nll(logits.astype(np.float64), batch)[0]
 
 
 def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False,

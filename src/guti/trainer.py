@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +23,7 @@ from . import vocab as vocab_mod
 from .corpus import Poem, SerializedSample, parse_body
 from .errors import GutiError, TrainingError
 from .fileio import write_atomic
-from .forms import COMMA, PERIOD
+from .forms import COMMA, MARKER_RE, PERIOD
 from .model import (
     ModelParams,
     SequenceBatch,
@@ -86,8 +87,8 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
     Raises TrainingError on any non-finite gradient so the caller can
     abort the step and report it.
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+    for name, g in grads.items():     # NaN and +-inf show in the min or the max
+        if not (math.isfinite(g.min()) and math.isfinite(g.max())):
             raise TrainingError(f"non-finite gradient in {name!r}")
     t = state.t + 1
     b1, b2 = cfg.beta1, cfg.beta2
@@ -258,6 +259,11 @@ def heldout_split(samples: list[SerializedSample],
 
 def encode_sample(sample: SerializedSample, vocab: Vocab) -> list[int]:
     return [vocab.bos_id] + vocab_mod.encode(sample.text, vocab) + [vocab.eos_id]
+
+
+def sample_token_count(sample: SerializedSample) -> int:
+    """``len(encode_sample(sample, v))`` for every vocabulary ``v``."""
+    return len(MARKER_RE.sub(" ", sample.text)) + 2
 
 
 def make_batch(sequences: list[list[int]], pad_id: int) -> SequenceBatch:

@@ -12,11 +12,12 @@ of concurrent readers.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import VocabError
 from .fileio import write_atomic
@@ -70,24 +71,21 @@ def _assemble(char_tokens: Sequence[str], min_count: int) -> Vocab:
 def build_vocab(texts: Iterable, min_count: int = 1) -> Vocab:
     """Count characters over serialized samples (or plain strings).
 
-    Marker occurrences are cut out before counting, so their parentheses
-    and inner characters only enter the character vocabulary when they
-    also appear outside a marker.
+    Marker occurrences are cut out of each text, then the code points of
+    all texts are counted at once, so a marker's parentheses and inner
+    characters only enter the vocabulary when they also appear outside one.
     """
     if min_count < 1:
         raise VocabError("min_count must be >= 1")
-    counts: Counter[str] = Counter()
-    n_texts = 0
-    for item in texts:
-        n_texts += 1
-        counts.update(MARKER_RE.sub("", getattr(item, "text", item)))
-    if n_texts == 0:
+    stripped = [MARKER_RE.sub("", getattr(item, "text", item)) for item in texts]
+    if not stripped:
         raise VocabError("cannot build a vocabulary from an empty corpus")
-    chars = sorted(
-        (tok for tok, c in counts.items() if c >= min_count),
-        key=lambda tok: (-counts[tok], tok),
-    )
-    return _assemble(chars, min_count)
+    codes, counts = np.unique(np.frombuffer(
+        "".join(stripped).encode("utf-32-le", "surrogatepass"), dtype="<u4"),
+        return_counts=True)
+    keep = counts >= min_count
+    order = np.argsort(-counts[keep], kind="stable")    # codes ascend: ties by code point
+    return _assemble(list(map(chr, codes[keep][order].tolist())), min_count)
 
 
 _split_markers = re.compile(f"({MARKER_RE.pattern})").split

@@ -162,9 +162,19 @@ class TestIngest:
         assert "--max-seq-len" in err
         assert not (tmp_path / "o").exists()
 
+    def test_no_sample_within_max_seq_len_exits_1(self, capsys, tmp_path):
+        code, _, err = run(capsys, "ingest", str(FIXTURES / "sample_poems.jsonl"),
+                           "-o", str(tmp_path / "o"), "--max-seq-len", "3")
+        assert code == 1
+        assert "no sample fits --max-seq-len 3" in err
+        assert "vocabulary" not in err
+        assert not (tmp_path / "o").exists()
+
     # sha256 of dataset.jsonl and vocab.txt per fixture and flag set, as the
     # per-character parser and tokenizer wrote them; the compiled-regex
-    # passes that replaced those loops must write the same bytes
+    # passes that replaced those loops must write the same bytes.  The
+    # "--max-seq-len 40 --min-count 2" rows are as the ingest that built the
+    # vocabulary, dropped long samples and built it again wrote them.
     GOLDEN = {
         ("sample_poems", ()): (
             "63f2af83b39ecfa4c422ac4655fe3419673fbcd10ea8661e8ff3a94deb4cb5db",
@@ -175,6 +185,9 @@ class TestIngest:
         ("sample_poems", ("--acrostic", "--max-seq-len", "40")): (
             "e013760de3104a213b238b60f0915632c24f604252cefa11099550b369e9cc14",
             "15dcc696f360e015ed2babe021fcc538212dac9bcee86970bf8ff81c3543e6a2"),
+        ("sample_poems", ("--acrostic", "--max-seq-len", "40", "--min-count", "2")): (
+            "e013760de3104a213b238b60f0915632c24f604252cefa11099550b369e9cc14",
+            "d9b5e3f22b6ed9fdfed125091ccc6da7b727b69f9fea7d95fcc4c31cb584a6a5"),
         ("sample_poems", ("--min-count", "2")): (
             "63f2af83b39ecfa4c422ac4655fe3419673fbcd10ea8661e8ff3a94deb4cb5db",
             "9f70551beaf437043131760a86e4f6d1d73875111d9cbc30b120fc30685317ab"),
@@ -187,6 +200,9 @@ class TestIngest:
         ("toy_corpus", ("--acrostic", "--max-seq-len", "40")): (
             "94911485a5c53a8b0cf38a6a5530e886dd5a1d27e3ea37c137f0b668603476cf",
             "a0f00016f50d3bc0fe8aee6a677d088c6cc8e82f0868d849af44b076ca4bdc0b"),
+        ("toy_corpus", ("--acrostic", "--max-seq-len", "40", "--min-count", "2")): (
+            "94911485a5c53a8b0cf38a6a5530e886dd5a1d27e3ea37c137f0b668603476cf",
+            "40554a29126f07cf15efe6d426e5b9615afa54a86c52c05a01ba9de5184e9f53"),
         ("toy_corpus", ("--min-count", "2")): (
             "425d1f5946abc624accfa768661e67b45a49f47c5377be42ed9ee33024f57bb2",
             "b7e9910e3f51b85eff025fe2a9c5243f3de7b1aae4229c3ee8c48fc4ae780051"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from guti import model
+from guti.corpus import serialize
 from guti.errors import CheckpointError, ModelError
 from guti.model import (
     KVCache,
@@ -27,6 +28,8 @@ from guti.model import (
     param_names,
     save_checkpoint,
 )
+from guti.trainer import encode_sample, make_batch
+from guti.vocab import build_vocab
 
 TINY = ModelConfig(n_layers=1, n_heads=1, d_model=8, d_ff=12, context_len=8,
                    vocab_size=10, dropout_rate=0.0)
@@ -872,6 +875,59 @@ class TestKernelNumerics:
         for got, ref in ((a, want), (d, want_d)):
             ulp = np.spacing(np.maximum(np.abs(ref), np.abs(x)).astype(np.float32))
             assert np.all(np.abs(got - ref) <= 4 * ulp.astype(np.float64))
+
+
+def former_softmax_nll(logits, batch):
+    """The one-function loss and dL/dlogits that ``_nll`` and
+    ``_softmax_nll`` were split from, kept as their bitwise reference."""
+    b_idx, t_idx = np.nonzero(batch.loss_mask)
+    tgt = batch.tokens[b_idx, t_idx]
+    m = batch.loss_mask[b_idx, t_idx].astype(logits.dtype)
+    n = m.sum()
+    rows = np.arange(tgt.size)
+    logits -= logits.max(axis=-1, keepdims=True)
+    picked = logits[rows, tgt]
+    dlogits = np.exp(logits, out=logits)
+    z = np.add.reduce(dlogits, axis=-1)
+    w = m / n
+    dlogits *= (w / z)[:, None]
+    dlogits[rows, tgt] -= w
+    return float(-((picked - np.log(z)) * m).sum() / n), dlogits
+
+
+class TestLossSplit:
+    """Held-out loss forms no gradient; it and backward stay bitwise equal
+    to the former single loss-and-gradient function on fixture batches."""
+
+    @pytest.fixture(scope="class")
+    def fixture_batches(self, toy_samples, fixture_poems, catalog):
+        samples = toy_samples + [serialize(p, catalog) for p in fixture_poems]
+        vocab = build_vocab(samples)
+        seqs = [encode_sample(s, vocab) for s in samples]
+        batches = [make_batch(seqs[i:i + 8], vocab.pad_id) for i in (0, 40, 80)]
+        config = ModelConfig(n_layers=1, n_heads=2, d_model=16, d_ff=32,
+                             context_len=max(len(s) for s in seqs),
+                             vocab_size=vocab.size)
+        return batches, config
+
+    @pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
+    def test_nll_loss_and_backward_match_the_former_function(
+            self, fixture_batches, monkeypatch, tie):
+        batches, config = fixture_batches
+        params = noisy_params(replace(config, tie_embeddings=tie), seed=3)
+        for batch in batches:
+            got = [backward(params, batch)]
+            logits = forward(params, batch.tokens, rows=loss_rows(batch))
+            assert nll_loss(logits, batch) == former_softmax_nll(
+                logits.astype(np.float64), batch)[0]
+            monkeypatch.setattr(model, "_softmax_nll", former_softmax_nll)
+            got.append(backward(params, batch))
+            monkeypatch.undo()
+            (loss, grads), (want_loss, want) = got
+            assert loss == want_loss
+            assert grads.keys() == want.keys()
+            for name, arr in want.items():
+                assert grads[name].tobytes() == arr.tobytes(), name
 
 
 def noisy_params(config, seed):

@@ -1,6 +1,7 @@
 import difflib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,19 @@ class TestAdam:
         with pytest.raises(TrainingError):
             adam_step(params, {"w": np.array([np.nan])}, state,
                       TrainConfig(learning_rate=0.1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_each_non_finite_value_in_any_tensor_aborts_step(self, bad):
+        config = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16,
+                             context_len=8, vocab_size=12)
+        params = init_params(config, seed=1)
+        state = AdamState.zeros_like(params)
+        for name, arr in params.tensors.items():
+            for at in (0, arr.size // 2, arr.size - 1):
+                grads = {n: np.ones_like(a) for n, a in params.tensors.items()}
+                grads[name].flat[at] = bad
+                with pytest.raises(TrainingError, match=re.escape(repr(name))):
+                    adam_step(params, grads, state, TrainConfig())
 
     def test_lr_scale_applies_warmup(self):
         cfg = TrainConfig(learning_rate=1.0, eps=0.0)
@@ -476,6 +490,26 @@ class TestFineTune:
         assert report.intervals[0]["heldout_loss"] is not None
         assert report.train_indices and set(report.train_indices).isdisjoint(
             report.heldout_indices)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_gradient_in_any_tensor_skips_the_step(self, toy_samples,
+                                                             monkeypatch, bad):
+        # step k poisons the k-th tensor's gradient; one clean step follows
+        samples, vocab, params = self.small_setup(toy_samples)
+        names, real, calls = list(params.tensors), trainer.backward, []
+
+        def backward(*args, **kwargs):
+            loss, grads = real(*args, **kwargs)
+            calls.append(1)
+            if len(calls) <= len(names):
+                grads[names[len(calls) - 1]].flat[-1] = bad
+            return loss, grads
+
+        monkeypatch.setattr(trainer, "backward", backward)
+        cfg = TrainConfig(batch_size=6, max_steps=len(names) + 1, seed=1)
+        _, report = fine_tune(samples, vocab, params, cfg)
+        assert report.skipped_nonfinite == len(names)
+        assert len(report.step_losses) == 1
 
     def test_skipped_step_keeps_its_cadence_work(self, toy_samples, tmp_path,
                                                  monkeypatch):

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guti.corpus import serialize
+from guti.corpus import SerializedSample, serialize
 from guti.errors import VocabError
 from guti.forms import ALL_MARKERS
+from guti.trainer import encode_sample, sample_token_count
 from guti.vocab import _scan, build_vocab, decode, encode, load_vocab, save_vocab
 
 
@@ -116,9 +117,10 @@ def _reference_scan(text):
             i += 1
 
 
-# whole markers, fragments of them, CJK in and beyond the BMP, and "\n"
+# whole markers, fragments of them, CJK in and beyond the BMP, "\n", NUL
+# and a lone surrogate
 SCAN_PIECES = st.sampled_from(
-    list(ALL_MARKERS) + ["(", ")", "(标题", "格式)", "\n", "，",
+    list(ALL_MARKERS) + ["(", ")", "(标题", "格式)", "\n", "，", "\x00", "\ud800",
                          "\U00020000", "\U0002A6DF", "\U00030000"]
 ) | st.characters(min_codepoint=0x4E00, max_codepoint=0x4E10)
 
@@ -151,3 +153,17 @@ def test_build_and_encode_match_reference_scan(texts, min_count, query):
     assert vocab.tokens[9:] == tuple(chars)
     assert encode(query, vocab) == [vocab.token_to_id.get(tok, vocab.unk_id)
                                     for tok in _reference_scan(query)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(SCAN_PIECES, max_size=25).map("".join), min_size=1,
+                max_size=3),
+       st.integers(min_value=1, max_value=3),
+       st.lists(st.lists(SCAN_PIECES, max_size=12).map("".join), min_size=3,
+                max_size=3))
+def test_sample_token_count_needs_no_vocabulary(texts, min_count, parts):
+    # the sample's characters need not be in the vocabulary: they encode as UNK
+    vocab = build_vocab(texts, min_count=min_count)
+    sample = SerializedSample(parts[0], ALL_MARKERS[0], parts[1], ALL_MARKERS[1],
+                              parts[2])
+    assert sample_token_count(sample) == len(encode_sample(sample, vocab))
