@@ -17,17 +17,13 @@ from pathlib import Path
 import click
 from click.core import ParameterSource
 
+from . import __version__
 from . import corpus as corpus_mod
 from . import trainer as trainer_mod
 from . import vocab as vocab_mod
-from .errors import CorpusError, GutiError, UnknownFormError
-from .fileio import write_atomic
+from .errors import GutiError, UnknownFormError
 from .forms import FormCatalog, default_catalog, load_catalog
-from .model import (
-    ModelConfig,
-    init_params,
-    load_checkpoint,
-)
+from .model import ModelConfig, ModelParams, init_params, load_checkpoint
 from .phonology import PhonologyTable, default_table, load_table
 from .sampler import SampleConfig, generate_batch
 from .validator import validate
@@ -49,6 +45,12 @@ def _load_table_opt(path: str | None) -> PhonologyTable:
     return load_table(path) if path else default_table()
 
 
+def _check_vocab_size(params: ModelParams, vocab: vocab_mod.Vocab) -> None:
+    if params.config.vocab_size != vocab.size:
+        raise click.ClickException(f"checkpoint vocab size {params.config.vocab_size} "
+                                   f"does not match vocab file size {vocab.size}")
+
+
 def _resolve_seed(seed: int | None) -> int:
     if seed is None:
         seed = secrets.randbelow(2 ** 31)
@@ -66,7 +68,7 @@ table_option = click.option(
 
 
 @click.group()
-@click.version_option(package_name="guti", prog_name="guti")
+@click.version_option(version=__version__, prog_name="guti")
 def cli():
     """Classical Chinese poetry lab: corpus prep, training, generation,
     and form validation."""
@@ -119,10 +121,7 @@ def cmd_ingest(corpus_file, out_dir, catalog_path, acrostic, min_count, max_seq_
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    encode_json = json.JSONEncoder(ensure_ascii=False).encode
-    write_atomic(out / "dataset.jsonl", "".join(
-        encode_json({"text": s.text, "source_id": s.source_id}) + "\n"
-        for s in samples).encode("utf-8"))
+    corpus_mod.write_dataset(samples, out / "dataset.jsonl")
     vocab_mod.save_vocab(vocab, out / "vocab.txt")
     _err(f"ingested {len(result.poems)} poems "
          f"({len(result.diagnostics)} skipped records), "
@@ -179,16 +178,13 @@ def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, layers,
     """Fine-tune the language model on a serialized dataset."""
     catalog = _load_catalog_opt(catalog_path)
     vocab = vocab_mod.load_vocab(vocab_path)
-    samples = _read_dataset(dataset, catalog)
+    samples = corpus_mod.read_dataset(dataset, catalog)
     if not samples:
         raise click.ClickException(f"{dataset}: no samples")
 
     if init_from:
         params = load_checkpoint(init_from)
-        if params.config.vocab_size != vocab.size:
-            raise click.ClickException(
-                f"checkpoint vocab size {params.config.vocab_size} does not "
-                f"match vocab file size {vocab.size}")
+        _check_vocab_size(params, vocab)
         given = click.get_current_context().get_parameter_source
         for flag, field, value in (("layers", "n_layers", layers),
                                    ("heads", "n_heads", heads),
@@ -268,10 +264,7 @@ def cmd_generate(checkpoint, vocab_path, form, theme, acrostic_target, count,
     table = _load_table_opt(table_path)
     vocab = vocab_mod.load_vocab(vocab_path)
     params = load_checkpoint(checkpoint)
-    if params.config.vocab_size != vocab.size:
-        raise click.ClickException(
-            f"checkpoint vocab size {params.config.vocab_size} does not match "
-            f"vocab file size {vocab.size}")
+    _check_vocab_size(params, vocab)
     if (theme is None) == (acrostic_target is None):
         raise click.UsageError("give exactly one of --theme or --acrostic")
     try:
@@ -363,32 +356,6 @@ def cmd_validate(poems, catalog_path, table_path, as_json, skip_unknown,
                            + (f" - {r.message}" if r.message else ""))
     rate = ok / len(result.poems)
     click.echo(f"well-formed rate: {ok}/{len(result.poems)} = {rate:.3f}")
-
-
-def _read_dataset(path: str, catalog: FormCatalog) -> list:
-    p = Path(path)
-    try:
-        raw = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise click.ClickException(f"cannot read dataset {p}: {exc}")
-    samples = []
-    for line_no, line in enumerate(raw.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            if not isinstance(rec, dict):
-                raise CorpusError("record is not a JSON object")
-            if not isinstance(rec["text"], str):
-                raise CorpusError("record field 'text' is not a string")
-            source_id = rec.get("source_id")
-            if source_id is not None and not isinstance(source_id, str):
-                raise CorpusError("record field 'source_id' is not a string")
-            samples.append(corpus_mod.sample_from_text(
-                rec["text"], catalog, source_id=source_id))
-        except (json.JSONDecodeError, KeyError, GutiError) as exc:
-            raise click.ClickException(f"{p}:{line_no}: bad dataset record: {exc}")
-    return samples
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
-from .errors import CorpusError, SerializationError, UnknownFormError
+from .errors import CorpusError, GutiError, SerializationError, UnknownFormError
+from .fileio import read_text, write_atomic
 from .forms import (
     COMMA,
     ID1_MARKERS,
@@ -237,6 +238,23 @@ def _poem_from_record(record: dict, catalog: FormCatalog, source_id: str) -> Poe
     return Poem(form_id=form_id, theme=theme, body=lines, source_id=source_id)
 
 
+def _records(path: str | Path, what: str) -> list[tuple[int, str]]:
+    """The non-blank lines of a JSON-lines input file, numbered from 1."""
+    lines = read_text(path, CorpusError, what).split("\n")
+    return [(n, line) for n, line in enumerate(lines, start=1) if line.strip()]
+
+
+def _record(line: str) -> tuple[dict, str | None]:
+    """One JSON-lines record and its optional string ``source_id``."""
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise CorpusError("record is not a JSON object")
+    source_id = record.get("source_id")
+    if source_id is not None and not isinstance(source_id, str):
+        raise CorpusError("record field 'source_id' is not a string")
+    return record, source_id
+
+
 def ingest_corpus(path: str | Path, catalog: FormCatalog) -> IngestResult:
     """Read a line-delimited JSON corpus file.
 
@@ -244,32 +262,42 @@ def ingest_corpus(path: str | Path, catalog: FormCatalog) -> IngestResult:
     (couplet records use ``first``/``second`` instead) and an optional
     string ``source_id`` (default: file name and line number).  Malformed
     records and unknown forms become diagnostics with their line numbers; a
-    record is never silently dropped.  A leading UTF-8 BOM is skipped.
+    record is never silently dropped.
     """
-    p = Path(path)
-    try:
-        raw = p.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise CorpusError(f"cannot read corpus {p}: {exc}") from exc
+    name = Path(path).name
     result = IngestResult()
-    name = p.name
-    for line_no, raw_line in enumerate(raw.split("\n"), start=1):
-        if not raw_line.strip():
-            continue
+    for line_no, line in _records(path, "corpus"):
         try:
-            record = json.loads(raw_line)
-            if not isinstance(record, dict):
-                raise CorpusError("record is not a JSON object")
-            record_source = record.get("source_id")
-            if record_source is not None and not isinstance(record_source, str):
-                raise CorpusError("record field 'source_id' is not a string")
-            poem = _poem_from_record(record, catalog,
-                                     record_source or f"{name}:{line_no}")
+            record, source_id = _record(line)
+            poem = _poem_from_record(record, catalog, source_id or f"{name}:{line_no}")
         except (json.JSONDecodeError, CorpusError, UnknownFormError) as exc:
             result.diagnostics.append(IngestDiagnostic(line_no, str(exc)))
             continue
         result.poems.append(poem)
     return result
+
+
+def write_dataset(samples: list[SerializedSample], path: str | Path) -> None:
+    """Write ``dataset.jsonl``: one ``{"text", "source_id"}`` object per sample."""
+    encode_json = json.JSONEncoder(ensure_ascii=False).encode
+    write_atomic(path, "".join(
+        encode_json({"text": s.text, "source_id": s.source_id}) + "\n"
+        for s in samples).encode("utf-8"))
+
+
+def read_dataset(path: str | Path, catalog: FormCatalog) -> list[SerializedSample]:
+    """Load a ``dataset.jsonl``; the first bad record raises CorpusError."""
+    p = Path(path)
+    samples = []
+    for line_no, line in _records(p, "dataset"):
+        try:
+            record, source_id = _record(line)
+            if not isinstance(record["text"], str):
+                raise CorpusError("record field 'text' is not a string")
+            samples.append(sample_from_text(record["text"], catalog, source_id=source_id))
+        except (json.JSONDecodeError, KeyError, GutiError) as exc:
+            raise CorpusError(f"{p}:{line_no}: bad dataset record: {exc}") from exc
+    return samples
 
 
 def serialize(poem: Poem, catalog: FormCatalog) -> SerializedSample:

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
 from .errors import CatalogError, UnknownFormError
+from .fileio import read_text
 
 CATALOG_FORMAT_VERSION = 1
 
@@ -284,21 +286,11 @@ def _check_references(catalog: FormCatalog, source: str) -> None:
 
 
 def load_catalog(path: str | Path) -> FormCatalog:
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise CatalogError(f"cannot read catalog {p}: {exc}") from exc
-    return parse_catalog(text, source=str(p))
+    return parse_catalog(read_text(path, CatalogError, "catalog"), source=str(Path(path)))
 
 
-_default_catalog: FormCatalog | None = None
-
-
+@cache
 def default_catalog() -> FormCatalog:
     """The built-in catalog shipped as package data (parsed once)."""
-    global _default_catalog
-    if _default_catalog is None:
-        text = resources.files("guti.data").joinpath("forms.catalog").read_text("utf-8")
-        _default_catalog = parse_catalog(text, source="builtin")
-    return _default_catalog
+    text = resources.files("guti.data").joinpath("forms.catalog").read_text("utf-8")
+    return parse_catalog(text, source="builtin")

@@ -770,7 +770,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     tensors: dict[str, np.ndarray] = {}
     for want in expected:
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8")
+        # bytes that are not UTF-8 become U+FFFD, which no tensor name holds
+        name = bytes(take(name_len)).decode("utf-8", "replace")
         if name != want:
             raise CheckpointError(f"{p}: tensor {name!r} out of order (wanted {want!r})")
         (ndim,) = struct.unpack("<B", take(1))

@@ -11,10 +11,12 @@ as failures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
 from .errors import GutiError
+from .fileio import read_text
 
 PING = "ping"
 ZE = "ze"
@@ -64,21 +66,12 @@ def parse_table(text: str, source: str = "<table>") -> PhonologyTable:
 
 
 def load_table(path: str | Path) -> PhonologyTable:
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise PhonologyError(f"cannot read phonology table {p}: {exc}") from exc
-    return parse_table(text, source=str(p))
+    return parse_table(read_text(path, PhonologyError, "phonology table"),
+                       source=str(Path(path)))
 
 
-_default_table: PhonologyTable | None = None
-
-
+@cache
 def default_table() -> PhonologyTable:
     """The approximate modern-reading table shipped as package data."""
-    global _default_table
-    if _default_table is None:
-        text = resources.files("guti.data").joinpath("phonology.tsv").read_text("utf-8")
-        _default_table = parse_table(text, source="builtin-modern-approx")
-    return _default_table
+    text = resources.files("guti.data").joinpath("phonology.tsv").read_text("utf-8")
+    return parse_table(text, source="builtin-modern-approx")

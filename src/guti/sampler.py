@@ -42,7 +42,7 @@ class SampleConfig:
     def __post_init__(self):
         if self.k < 1:
             raise SamplingError("k must be >= 1")
-        if self.temperature <= 0:
+        if not self.temperature > 0:       # NaN fails this too
             raise SamplingError("temperature must be > 0")
         if self.max_new_tokens < 0:
             raise SamplingError("max_new_tokens must be >= 0")
@@ -58,13 +58,8 @@ def default_forbid(vocab: Vocab) -> frozenset[int]:
     return frozenset((vocab.unk_id, vocab.pad_id, vocab.bos_id) + vocab.marker_ids)
 
 
-def build_prompt(form_id: str, theme: str, catalog: FormCatalog, vocab: Vocab,
-                 acrostic: bool = False) -> list[int]:
-    """Token ids of ``form + id1 + theme + id2`` (markers atomic, BOS first).
-
-    With ``acrostic=True`` the form is re-pointed at its acrostic variant
-    so the prompt carries the acrostic identifier token.
-    """
+def _prompt_text(form_id: str, theme: str, catalog: FormCatalog, acrostic: bool) -> str:
+    """``form + id1 + theme + id2``, re-pointed at the acrostic variant on request."""
     spec = catalog.resolve(form_id)
     if acrostic and not spec.acrostic:
         if spec.acrostic_id is None:
@@ -74,8 +69,18 @@ def build_prompt(form_id: str, theme: str, catalog: FormCatalog, vocab: Vocab,
     if marker:
         raise SamplingError(f"theme contains identifier marker {marker[0]!r}")
     id1, id2 = spec.markers
-    prompt = SerializedSample(spec.form_id, id1, theme, id2, body="").prompt
-    return [vocab.bos_id] + vocab_mod.encode(prompt, vocab)
+    return SerializedSample(spec.form_id, id1, theme, id2, body="").prompt
+
+
+def build_prompt(form_id: str, theme: str, catalog: FormCatalog, vocab: Vocab,
+                 acrostic: bool = False) -> list[int]:
+    """Token ids of ``form + id1 + theme + id2`` (markers atomic, BOS first).
+
+    With ``acrostic=True`` the form is re-pointed at its acrostic variant
+    so the prompt carries the acrostic identifier token.
+    """
+    text = _prompt_text(form_id, theme, catalog, acrostic)
+    return [vocab.bos_id] + vocab_mod.encode(text, vocab)
 
 
 def top_k_distribution(logits: np.ndarray, cfg: SampleConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -235,8 +240,9 @@ def generate_batch(params: ModelParams, form_id: str, theme: str, n: int,
     """
     if n < 0:
         raise SamplingError(f"candidate count must be >= 0, got {n}")
-    prompt = build_prompt(form_id, theme, catalog, vocab, acrostic=acrostic)
-    prompt_text = vocab_mod.decode(prompt, vocab)
+    # the text asked for: decoding the prompt ids would drop UNK characters
+    prompt_text = _prompt_text(form_id, theme, catalog, acrostic)
+    prompt = [vocab.bos_id] + vocab_mod.encode(prompt_text, vocab)
     seeds = [int(np.random.default_rng([cfg.seed, i]).integers(0, 2 ** 31))
              for i in range(n)]
     outs = _decode(params, prompt, cfg, seeds, vocab) if seeds else []

@@ -53,7 +53,7 @@ class TrainConfig:
     early_stop_novelty: float | None = None   # stop when probe novelty drops below
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not 0 < self.learning_rate < math.inf:      # NaN fails this too
             raise TrainingError("learning_rate must be > 0")
         if self.batch_size < 1:
             raise TrainingError("batch_size must be >= 1")

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import VocabError
-from .fileio import write_atomic
+from .fileio import read_text, write_atomic
 from .forms import ALL_MARKERS, MARKER_RE
 
 VOCAB_FORMAT_VERSION = 1
@@ -127,11 +127,7 @@ def save_vocab(vocab: Vocab, path: str | Path) -> None:
 
 def load_vocab(path: str | Path) -> Vocab:
     p = Path(path)
-    try:
-        raw = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise VocabError(f"cannot read vocab {p}: {exc}") from exc
-    lines = raw.removesuffix("\n").split("\n")
+    lines = read_text(p, VocabError, "vocab").removesuffix("\n").split("\n")
     if not lines or not lines[0].startswith(f"guti-vocab v{VOCAB_FORMAT_VERSION}"):
         raise VocabError(f"{p}: missing or unsupported vocab header")
     try:

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 
 import guti
 from guti import fileio
-from guti.cli import _read_dataset, main
-from guti.corpus import deserialize, ingest_corpus, normalize_body_text
+from guti.cli import main
+from guti.corpus import deserialize, ingest_corpus, normalize_body_text, read_dataset
+from guti.errors import CatalogError, CorpusError, VocabError
 from guti.forms import ALL_MARKERS, COMMA, PERIOD, default_catalog, load_catalog
 from guti.model import load_checkpoint
-from guti.phonology import load_table
+from guti.phonology import PhonologyError, load_table
 from guti.vocab import build_vocab, decode, encode, load_vocab
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -302,6 +304,17 @@ class TestTrain:
         assert "early_stop_novelty needs novelty_eval_interval > 0" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0"])
+    def test_unusable_learning_rate_exits_1(self, capsys, pipeline, tmp_path, lr):
+        code, _, err = run(capsys, "train", str(pipeline / "dataset.jsonl"),
+                           "--vocab", str(pipeline / "vocab.txt"),
+                           "-o", str(tmp_path / "run"), "--lr", lr, "--max-steps", "1",
+                           "--layers", "1", "--heads", "2", "--d-model", "16",
+                           "--d-ff", "32")
+        assert code == 1, err
+        assert "learning_rate must be > 0" in err
+        assert not (tmp_path / "run").exists()
+
     def test_negative_warmup_exits_1(self, capsys, pipeline, tmp_path):
         code, _, err = run(capsys, "train", str(pipeline / "dataset.jsonl"),
                            "--vocab", str(pipeline / "vocab.txt"),
@@ -434,6 +447,24 @@ class TestGenerate:
         assert code == 0
         assert "(藏头诗)" in out
 
+    def test_nan_temperature_exits_1(self, capsys, pipeline):
+        code, out, err = run(capsys, "generate", str(pipeline / "run" / "last.ckpt"),
+                             "--vocab", str(pipeline / "vocab.txt"),
+                             "--form", "五绝", "--theme", "静", "--temperature", "nan")
+        assert code == 1
+        assert out == "" and "temperature must be > 0" in err
+
+    def test_corrupt_checkpoint_exits_1(self, capsys, pipeline, tmp_path):
+        data = bytearray((pipeline / "run" / "last.ckpt").read_bytes())
+        data[data.index(b"tok_emb")] = 0xFF
+        ckpt = tmp_path / "corrupt.ckpt"
+        ckpt.write_bytes(bytes(data))
+        code, _, err = run(capsys, "generate", str(ckpt),
+                           "--vocab", str(pipeline / "vocab.txt"),
+                           "--form", "五绝", "--theme", "静")
+        assert code == 1
+        assert "out of order (wanted 'tok_emb')" in err
+
     def test_theme_and_acrostic_together_rejected(self, capsys, pipeline):
         code, _, _ = run(capsys, "generate", str(pipeline / "run" / "last.ckpt"),
                          "--vocab", str(pipeline / "vocab.txt"),
@@ -521,6 +552,27 @@ class TestValidate:
 BOM = "\ufeff"
 
 
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory, mini_corpus):
+    """Input kind -> (a file of that kind, its loader, the loader's error)."""
+    data = tmp_path_factory.mktemp("ingested")
+    assert main(["ingest", str(mini_corpus), "-o", str(data)]) == 0
+    catalog = default_catalog()
+    return {
+        "corpus": (FIXTURES / "sample_poems.jsonl",
+                   lambda p: ingest_corpus(p, catalog), CorpusError),
+        "catalog": (DATA / "forms.catalog", lambda p: load_catalog(p).entries,
+                    CatalogError),
+        "phonology table": (DATA / "phonology.tsv", load_table, PhonologyError),
+        "dataset": (data / "dataset.jsonl", lambda p: read_dataset(p, catalog),
+                    CorpusError),
+        "vocab": (data / "vocab.txt", load_vocab, VocabError),
+    }
+
+
+INPUT_KINDS = ["corpus", "catalog", "phonology table", "dataset", "vocab"]
+
+
 class TestByteOrderMark:
     """User-written input files may start with a UTF-8 BOM (Windows editors
     write one); it must not change what they load to."""
@@ -529,21 +581,13 @@ class TestByteOrderMark:
         dst.write_text(BOM + src.read_text("utf-8"), encoding="utf-8")
         return dst
 
-    def test_corpus_loads_equal(self, tmp_path, catalog):
-        plain = FIXTURES / "sample_poems.jsonl"
+    @pytest.mark.parametrize("kind", INPUT_KINDS,
+                             ids=["corpus", "catalog", "table", "dataset", "vocab"])
+    def test_loads_equal(self, tmp_path, input_files, kind):
+        plain, load, _ = input_files[kind]
         bom = self.bom_copy(plain, tmp_path / plain.name)
         assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
-        assert ingest_corpus(bom, catalog) == ingest_corpus(plain, catalog)
-
-    def test_catalog_loads_equal(self, tmp_path):
-        plain = DATA / "forms.catalog"
-        bom = self.bom_copy(plain, tmp_path / "forms.catalog")
-        assert load_catalog(bom).entries == load_catalog(plain).entries
-
-    def test_table_loads_equal(self, tmp_path):
-        plain = DATA / "phonology.tsv"
-        bom = self.bom_copy(plain, tmp_path / "phonology.tsv")
-        assert load_table(bom) == load_table(plain)
+        assert load(bom) == load(plain)
 
     def test_ingest_writes_the_plain_corpus_bytes(self, capsys, tmp_path):
         plain = FIXTURES / "toy_corpus.jsonl"
@@ -563,6 +607,44 @@ class TestByteOrderMark:
                              "--table", str(table))
         assert code == 0, err
         assert "well-formed rate: 57/57 = 1.000" in out
+
+
+class TestUnreadableInput:
+    """An input file that is missing or not UTF-8 is the loader's own error,
+    so the CLI exits 1 and names the file."""
+
+    @pytest.fixture(params=["missing", "not-utf-8"])
+    def bad_file(self, request, tmp_path):
+        path = tmp_path / "input"
+        if request.param == "not-utf-8":
+            path.write_bytes("静夜思".encode("gbk") + b"\n")
+        return path
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_loader_raises_its_error(self, input_files, bad_file, kind):
+        _, load, error = input_files[kind]
+        with pytest.raises(error, match=f"^cannot read {kind} {re.escape(str(bad_file))}: "):
+            load(bad_file)
+
+    @pytest.mark.parametrize("what, argv", [
+        ("corpus", lambda bad, out, data: ["ingest", bad, "-o", out]),
+        ("corpus", lambda bad, out, data: ["validate", bad]),
+        ("catalog", lambda bad, out, data: [
+            "validate", str(FIXTURES / "sample_poems.jsonl"), "--catalog", bad]),
+        ("phonology table", lambda bad, out, data: [
+            "validate", str(FIXTURES / "sample_poems.jsonl"), "--table", bad]),
+        ("dataset", lambda bad, out, data: [
+            "train", bad, "--vocab", str(data / "vocab.txt"), "-o", out]),
+        ("vocab", lambda bad, out, data: [
+            "generate", str(data / "run" / "last.ckpt"), "--vocab", bad,
+            "--form", "五绝", "--theme", "静"]),
+    ], ids=["ingest", "validate", "catalog", "table", "train-dataset", "vocab"])
+    def test_cli_exits_1(self, capsys, tmp_path, pipeline, bad_file, what, argv):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *argv(str(bad_file), str(out), pipeline))
+        assert code == 1, err
+        assert f"guti: cannot read {what} {bad_file}: " in err
+        assert not out.exists()
 
 
 class TestCatalogEnvVar:
@@ -607,6 +689,11 @@ class TestExitCodes:
     def test_bad_flag(self, capsys):
         code, _, _ = run(capsys, "validate", "--no-such-flag")
         assert code == 1
+
+    def test_version_from_the_source_tree(self, capsys):
+        code, out, err = run(capsys, "--version")
+        assert code == 0, err
+        assert out == f"guti, version {guti.__version__}\n"
 
     def test_io_failure_exits_2(self, capsys, tmp_path, mini_corpus):
         not_a_dir = tmp_path / "file"
@@ -699,7 +786,7 @@ _theme = st.text(st.characters(blacklist_characters="\n\r",
                       min_size=1, max_size=6),
        data=st.data())
 def test_ingest_files_round_trip(theme, form, lines, data):
-    """ingest -> dataset.jsonl + vocab.txt -> _read_dataset + load_vocab ->
+    """ingest -> dataset.jsonl + vocab.txt -> read_dataset + load_vocab ->
     encode/decode gives back the serialized text of the ingested poem."""
     puncts = data.draw(st.lists(st.sampled_from([COMMA, PERIOD]),
                                 min_size=len(lines), max_size=len(lines)))
@@ -711,7 +798,7 @@ def test_ingest_files_round_trip(theme, form, lines, data):
         corpus.write_text(json.dumps({"form": form, "theme": theme, "body": body},
                                      ensure_ascii=False) + "\n", encoding="utf-8")
         assert main(["ingest", str(corpus), "-o", str(out)]) == 0
-        (sample,) = _read_dataset(str(out / "dataset.jsonl"), catalog)
+        (sample,) = read_dataset(str(out / "dataset.jsonl"), catalog)
         vocab = load_vocab(out / "vocab.txt")
     ids = encode(sample.text, vocab)
     assert vocab.unk_id not in ids

@@ -802,6 +802,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "none.ckpt")
 
+    def test_name_that_is_not_utf8_rejected(self, tmp_path):
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(TINY, seed=8), p)
+        data = bytearray(p.read_bytes())
+        data[data.index(b"tok_emb")] = 0xFF
+        p.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError,
+                           match=r"tensor '\ufffdok_emb' out of order \(wanted 'tok_emb'\)"):
+            load_checkpoint(p)
+
 
 def reference_softmax_nll(logits, batch):
     """The textbook loss and dL/dlogits = (softmax - one-hot) * mask / n, in

@@ -193,8 +193,9 @@ class TestTopK:
     def test_invalid_config(self):
         with pytest.raises(SamplingError):
             SampleConfig(k=0)
-        with pytest.raises(SamplingError):
-            SampleConfig(temperature=0.0)
+        for temperature in (0.0, float("nan")):    # NaN sampled greedily
+            with pytest.raises(SamplingError, match="temperature must be > 0"):
+                SampleConfig(temperature=temperature)
 
 
 class TestGenerate:
@@ -311,6 +312,25 @@ class TestGenerateBatch:
                            toy_vocab, catalog, table)
         assert [c.index for c in a.candidates] == [0, 1, 2]
         assert [c.text for c in a.candidates] == [c.text for c in b.candidates]
+
+    @pytest.mark.parametrize("theme, acrostic, prompt", [
+        ("龘月", False, "五绝(格式)龘月(标题)"),
+        ("春夏秋冬", True, "五言绝句(格式)春夏秋冬(藏头诗)"),
+    ], ids=["theme", "acrostic"])
+    def test_candidate_text_starts_with_the_prompt_asked_for(
+            self, random_params, toy_vocab, catalog, table, theme, acrostic, prompt):
+        # the prompt holds characters the vocabulary lacks: they encode as UNK
+        assert toy_vocab.unk_id in build_prompt("五绝", theme, catalog, toy_vocab,
+                                                acrostic=acrostic)
+        report = generate_batch(random_params, "五绝", theme, 4,
+                                SampleConfig(k=5, max_new_tokens=20, seed=3),
+                                toy_vocab, catalog, table, acrostic=acrostic)
+        for cand in report.candidates:
+            assert cand.text == prompt + cand.body_text
+            if cand.poem is not None:
+                assert cand.poem.theme == theme
+            else:
+                assert "unknown form" not in cand.error
 
     def test_negative_count_rejected(self, random_params, toy_vocab, catalog, table):
         with pytest.raises(SamplingError, match=">= 0"):

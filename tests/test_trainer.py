@@ -192,6 +192,12 @@ class TestTrainConfig:
             TrainConfig(**{field: -1})
         assert getattr(TrainConfig(**{field: 0}), field) == 0
 
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan, math.inf])
+    def test_unusable_learning_rate_rejected(self, lr):
+        # a NaN or infinite rate made the first step write non-finite weights
+        with pytest.raises(TrainingError, match="learning_rate must be > 0"):
+            TrainConfig(learning_rate=lr)
+
     def test_early_stop_without_novelty_probes_rejected(self):
         # fine_tune reads early_stop_novelty only when novelty probes run
         with pytest.raises(TrainingError, match="novelty_eval_interval > 0"):
