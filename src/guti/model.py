@@ -5,9 +5,12 @@ multi-head causal self-attention, and a weight-tied output projection by
 default.  Both the forward pass and the analytic backward pass are written
 out explicitly; gradients are exact up to floating point, which the test
 suite pins against central finite differences.  The forward pass caches
-each GELU's tanh for the backward pass, every weight gradient is one
-matmul over the flat rows, ``_nll`` alone turns logits into the loss,
-and ``_softmax_nll`` turns what it leaves into dL/dlogits in place.
+for ``backward``, its only reader, just what the gradients read: per row
+and layer, both norms' x-hat, q/k/v, the attention context, and the
+GELU's activation and derivative (14 d-wide values at d_ff = 4d).  Every
+weight gradient is one matmul over the flat rows, ``_nll`` alone turns
+logits into the loss, and ``_softmax_nll`` turns what it leaves into
+dL/dlogits in place.
 
 Rows: activations are flat (N, d) rows, one per (batch, position) cell
 that runs.  Attention is causal, so an output at position t reads only
@@ -238,9 +241,10 @@ def _layer_norm_backward(dy, cache, g):
     return dxhat, dg, db
 
 
-def _gelu(u):
-    """tanh-form GELU, 0.5 u (1 + tanh(u (C + CA u*u))); returns the activation
-    and the tanh, which backward reuses, the only two arrays it allocates."""
+def _gelu(u, derivative=False):
+    """tanh-form GELU, 0.5 u (1 + t) with t = tanh(u (C + CA u*u)), and with
+    ``derivative`` its derivative 0.5 (1 + t + u (1 - t*t) (C + 3AC u*u)),
+    else None; ``u`` is not written."""
     t = u * u
     t *= _GELU_C * _GELU_A
     t += _GELU_C
@@ -249,12 +253,8 @@ def _gelu(u):
     a = t + 1.0
     a *= u
     a *= 0.5
-    return a, t
-
-
-def _gelu_backward(du_out, u, t):
-    """``du_out`` times 0.5 (1 + t + u (1 - t*t) (C + 3AC u*u)), the
-    derivative of ``_gelu``, in two temporaries."""
+    if not derivative:
+        return a, None
     g = u * u
     g *= 3.0 * _GELU_A * _GELU_C
     g += _GELU_C
@@ -265,8 +265,7 @@ def _gelu_backward(du_out, u, t):
     g += t
     g += 1.0
     g *= 0.5
-    g *= du_out
-    return g
+    return a, g
 
 
 def _dropout_mask(rng, shape, rate, dtype, take):
@@ -466,18 +465,17 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
         h2, ln2_cache = _layer_norm(x_attn, ln2_g, ln2_b)
         u = h2 @ w_1
         u += b_1
-        a, gelu_t = _gelu(u)
+        a, gelu_d = _gelu(u, derivative=want_cache)
         ff_out = a @ w_2
         ff_out += b_2
-        x_new = np.add(_apply_mask(ff_out, res_drop2), x_attn, out=ff_out)
+        x = np.add(_apply_mask(ff_out, res_drop2), x_attn, out=ff_out)
 
         if want_cache:
             caches.append({
-                "h1": h1, "ln1": ln1_cache, "qkv": qkv, "runs": runs, "ctx": ctx,
-                "res_drop1": res_drop1, "h2": h2, "ln2": ln2_cache, "u": u,
-                "a": a, "gelu_t": gelu_t, "res_drop2": res_drop2,
+                "ln1": ln1_cache, "qkv": qkv, "runs": runs, "ctx": ctx,
+                "res_drop1": res_drop1, "ln2": ln2_cache, "a": a,
+                "gelu_d": gelu_d, "res_drop2": res_drop2,
             })
-        x = x_new
     if kv is not None:
         kv.length = start + s
 
@@ -591,7 +589,9 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
 
     Recomputes the forward pass internally (with activation caching) on
     the cells that reach the loss, projects only the loss rows to logits,
-    and returns ``(loss, grads)`` where grads mirrors params.tensors.
+    and returns ``(loss, grads)`` where grads mirrors params.tensors.  It
+    rebuilds the norms' outputs from x-hat, and drops the logits once the
+    head's gradients exist and each layer's cache once that layer is done.
     """
     c = params.config
     t = params.tensors
@@ -602,7 +602,7 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
     loss, dlogits = _softmax_nll(logits, batch)
 
     grads = {}
-    hf = cache["hf"]
+    hf = cache.pop("hf")
     if c.tie_embeddings:
         grads["tok_emb"] = dlogits.T @ hf
         dhf = dlogits @ t["tok_emb"]
@@ -610,9 +610,10 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
         grads["out_proj"] = hf.T @ dlogits
         grads["tok_emb"] = np.zeros_like(t["tok_emb"])
         dhf = dlogits @ t["out_proj"].T
+    del logits, dlogits, hf     # dlogits is logits, overwritten
 
     dx_out, grads["ln_f.g"], grads["ln_f.b"] = _layer_norm_backward(
-        dhf, cache["lnf"], t["ln_f.g"])
+        dhf, cache.pop("lnf"), t["ln_f.g"])
     # every loss row is a distinct row, so plain assignment needs no
     # accumulation
     layout = cache["layout"]
@@ -622,17 +623,17 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
 
     for i in reversed(range(c.n_layers)):
         p = f"layer{i}."
-        lc = cache["layers"][i]
-        ln1_g, _, w_qkv, _, w_o, _, ln2_g, _, w_1, _, w_2, _ = params.layers[i]
+        lc = cache["layers"].pop()
+        ln1_g, ln1_b, w_qkv, _, w_o, _, ln2_g, ln2_b, w_1, _, w_2, _ = params.layers[i]
 
         # feed-forward branch
         dff_out = _apply_mask(dx, lc["res_drop2"])
         grads[p + "ff.b2"] = dff_out.sum(axis=0)
         grads[p + "ff.w2"] = lc["a"].T @ dff_out
         da = dff_out @ w_2.T
-        du = _gelu_backward(da, lc["u"], lc["gelu_t"])
+        du = np.multiply(lc["gelu_d"], da, out=da)
         grads[p + "ff.b1"] = du.sum(axis=0)
-        grads[p + "ff.w1"] = lc["h2"].T @ du
+        grads[p + "ff.w1"] = (lc["ln2"][0] * ln2_g + ln2_b).T @ du
         dh2 = du @ w_1.T
         dx_attn, grads[p + "ln2.g"], grads[p + "ln2.b"] = _layer_norm_backward(
             dh2, lc["ln2"], ln2_g)
@@ -660,7 +661,7 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
                       out=_heads(dk[rs], h, n))
         dq *= cache["scale"]
         grads[p + "attn.bqkv"] = dqkv.sum(axis=0)
-        grads[p + "attn.wqkv"] = lc["h1"].T @ dqkv
+        grads[p + "attn.wqkv"] = (lc["ln1"][0] * ln1_g + ln1_b).T @ dqkv
         dx, grads[p + "ln1.g"], grads[p + "ln1.b"] = _layer_norm_backward(
             dqkv @ w_qkv.T, lc["ln1"], ln1_g)
         dx += dx_attn    # residual

@@ -53,18 +53,22 @@ class TrainConfig:
     early_stop_novelty: float | None = None   # stop when probe novelty drops below
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < math.inf:      # NaN fails this too
-            raise TrainingError("learning_rate must be > 0")
+        for name in ("learning_rate", "eps"):
+            if not 0 < getattr(self, name) < math.inf:     # NaN fails this too
+                raise TrainingError(f"{name} must be > 0")
         if self.batch_size < 1:
             raise TrainingError("batch_size must be >= 1")
-        if not 0.0 <= self.heldout_fraction < 1.0:
-            raise TrainingError("heldout_fraction must lie in [0, 1)")
+        for name in ("heldout_fraction", "beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise TrainingError(f"{name} must lie in [0, 1)")
         for name in ("max_steps", "warmup_steps", "checkpoint_interval",
                      "novelty_eval_interval"):
             if getattr(self, name) < 0:
                 raise TrainingError(f"{name} must be >= 0")
         if self.early_stop_novelty is not None and not self.novelty_eval_interval:
             raise TrainingError("early_stop_novelty needs novelty_eval_interval > 0")
+        if self.early_stop_novelty is not None and math.isnan(self.early_stop_novelty):
+            raise TrainingError("early_stop_novelty must not be NaN")   # score < NaN never holds
 
 
 @dataclass

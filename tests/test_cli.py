@@ -304,6 +304,16 @@ class TestTrain:
         assert "early_stop_novelty needs novelty_eval_interval > 0" in err
         assert not (tmp_path / "run").exists()
 
+    def test_nan_early_stop_novelty_exits_1(self, capsys, pipeline, tmp_path):
+        # a NaN threshold ran every step with early stopping silently off
+        code, _, err = run(capsys, "train", str(pipeline / "dataset.jsonl"),
+                           "--vocab", str(pipeline / "vocab.txt"),
+                           "-o", str(tmp_path / "run"), "--novelty-interval", "2",
+                           "--early-stop-novelty", "nan", "--max-steps", "6")
+        assert code == 1, err
+        assert "early_stop_novelty must not be NaN" in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("lr", ["nan", "inf", "0"])
     def test_unusable_learning_rate_exits_1(self, capsys, pipeline, tmp_path, lr):
         code, _, err = run(capsys, "train", str(pipeline / "dataset.jsonl"),

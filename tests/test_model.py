@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,6 @@ from guti.model import (
     _LN_EPS,
     _dropout_mask,
     _gelu,
-    _gelu_backward,
     _layer_norm,
     _rows_reaching,
     backward,
@@ -550,6 +550,38 @@ def padded_wider(batch, extra):
     return SequenceBatch(tokens=tokens, loss_mask=mask)
 
 
+def test_backward_memory_stays_within_its_cache_layout():
+    """numpy reports its buffers to tracemalloc, so the traced peak of one
+    CLI-default backward is the activation memory of a training step.  The
+    bound is the cache layout: 14 d-wide values per row and layer (both
+    norms' x-hat, q/k/v, the attention context, the GELU's activation and
+    derivative at d_ff = 4d), each layer's attention probabilities, the
+    (loss rows, V) logits, and one layer's temporaries: the GELU's input,
+    tanh and 1 - tanh^2 (3 d_ff wide) and the block's four (rows, d) arrays."""
+    c = ModelConfig(vocab_size=876)
+    assert c.d_ff == 4 * c.d_model
+    params = init_params(c, seed=0)
+    rng = np.random.default_rng(17)
+    b, s = 16, 80
+    lengths = rng.integers(24, s + 1, size=b)
+    tokens = rng.integers(0, c.vocab_size, size=(b, s))
+    mask = (np.arange(s) < lengths[:, None]).astype(np.float64)
+    mask[:, 0] = 0.0
+    batch = SequenceBatch(tokens=tokens, loss_mask=mask)
+    rows = int((lengths - 1).sum())      # each sequence runs up to its last loss row
+    probs = c.n_layers * c.n_heads * int(((lengths - 1) ** 2).sum())
+    temporaries = rows * (3 * c.d_ff + 4 * c.d_model)
+    bound = 4 * (rows * 14 * c.d_model * c.n_layers + probs
+                 + int(mask.sum()) * c.vocab_size + temporaries)   # float32 values
+    tracemalloc.start()
+    try:
+        backward(params, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"traced peak {peak / 2**20:.1f} MB, bound {bound / 2**20:.1f} MB"
+
+
 ROWS = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=24, context_len=64,
                    vocab_size=13)
 
@@ -879,12 +911,71 @@ class TestKernelNumerics:
         th = np.tanh(c * (x + 0.044715 * x ** 3))
         want = 0.5 * x * (1.0 + th)
         want_d = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * c * (1.0 + 3 * 0.044715 * x * x)
-        a, t = _gelu(u)
-        d = _gelu_backward(np.ones_like(u), u, t)
+        a, d = _gelu(u, derivative=True)
         assert a.dtype == d.dtype == np.float32
         for got, ref in ((a, want), (d, want_d)):
             ulp = np.spacing(np.maximum(np.abs(ref), np.abs(x)).astype(np.float32))
             assert np.all(np.abs(got - ref) <= 4 * ulp.astype(np.float64))
+
+
+def former_gelu(u):
+    """``_gelu`` as it was when it returned the tanh for the backward pass."""
+    t = u * u
+    t *= model._GELU_C * model._GELU_A
+    t += model._GELU_C
+    t *= u
+    np.tanh(t, out=t)
+    a = t + 1.0
+    a *= u
+    a *= 0.5
+    return a, t
+
+
+def former_gelu_backward(du_out, u, t):
+    """The former backward GELU, kept as the bitwise reference for the
+    derivative ``_gelu`` now forms in the forward pass."""
+    g = u * u
+    g *= 3.0 * model._GELU_A * model._GELU_C
+    g += model._GELU_C
+    g *= u
+    sech2 = t * t
+    np.subtract(1.0, sech2, out=sech2)
+    g *= sech2
+    g += t
+    g += 1.0
+    g *= 0.5
+    g *= du_out
+    return g
+
+
+class TestGeluDerivative:
+    """The derivative formed in the forward pass gives the former backward
+    GELU's bits, and asking for it changes nothing else."""
+
+    @staticmethod
+    def inputs(dtype):
+        rng = np.random.default_rng(11)
+        u = np.concatenate([np.linspace(-9, 9, 4001), rng.standard_normal(5000) * 3,
+                            [0.0, -0.0, 1e-30, -1e-30, 40.0, -40.0]]).astype(dtype)
+        return u, (rng.standard_normal(u.size) * 2).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_derivative_times_upstream_equals_former_backward(self, dtype):
+        u, dout = self.inputs(dtype)
+        _, d = _gelu(u, derivative=True)
+        want = former_gelu_backward(dout, u, former_gelu(u)[1])
+        got = np.multiply(d, dout, out=dout.copy())      # the backward's one multiply
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_activation_bits_and_input_unchanged(self, dtype):
+        u, _ = self.inputs(dtype)
+        before = u.tobytes()
+        plain, none = _gelu(u)
+        assert none is None and u.tobytes() == before
+        with_d, d = _gelu(u, derivative=True)
+        assert u.tobytes() == before and d.dtype == dtype
+        assert plain.tobytes() == with_d.tobytes() == former_gelu(u)[0].tobytes()
 
 
 def former_softmax_nll(logits, batch):

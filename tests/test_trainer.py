@@ -116,7 +116,7 @@ class TestAdam:
                     adam_step(params, grads, state, TrainConfig())
 
     def test_lr_scale_applies_warmup(self):
-        cfg = TrainConfig(learning_rate=1.0, eps=0.0)
+        cfg = TrainConfig(learning_rate=1.0, eps=1e-300)    # 1 + eps rounds to 1
         params = scalar_params(0.0)
         state = AdamState.zeros_like(params)
         out, _ = adam_step(params, {"w": np.array([1.0])}, state, cfg,
@@ -197,6 +197,28 @@ class TestTrainConfig:
         # a NaN or infinite rate made the first step write non-finite weights
         with pytest.raises(TrainingError, match="learning_rate must be > 0"):
             TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-8, math.nan, math.inf])
+    def test_unusable_eps_rejected(self, eps):
+        # eps = 0 makes a never-seen token's update 0 / 0; NaN and inf
+        # made the first step write non-finite weights
+        with pytest.raises(TrainingError, match="eps must be > 0"):
+            TrainConfig(eps=eps)
+
+    @pytest.mark.parametrize("field", ["beta1", "beta2"])
+    @pytest.mark.parametrize("beta", [1.0, -0.1, 1.5, math.nan, math.inf])
+    def test_beta_outside_unit_interval_rejected(self, field, beta):
+        # beta = 1 makes the bias correction 1 - beta ** t zero: 0 / 0
+        with pytest.raises(TrainingError, match=rf"{field} must lie in \[0, 1\)"):
+            TrainConfig(**{field: beta})
+        assert getattr(TrainConfig(**{field: 0.0}), field) == 0.0
+
+    def test_nan_early_stop_threshold_rejected(self):
+        # score < NaN never holds, so a NaN threshold turned early stopping off
+        with pytest.raises(TrainingError, match="early_stop_novelty must not be NaN"):
+            TrainConfig(early_stop_novelty=math.nan, novelty_eval_interval=2)
+        assert TrainConfig(early_stop_novelty=math.inf,
+                           novelty_eval_interval=2).early_stop_novelty == math.inf
 
     def test_early_stop_without_novelty_probes_rejected(self):
         # fine_tune reads early_stop_novelty only when novelty probes run
