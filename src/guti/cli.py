@@ -21,11 +21,12 @@ from . import __version__
 from . import corpus as corpus_mod
 from . import trainer as trainer_mod
 from . import vocab as vocab_mod
-from .errors import GutiError, UnknownFormError
+from .errors import CorpusError, GutiError, UnknownFormError
 from .forms import FormCatalog, default_catalog, load_catalog
 from .model import ModelConfig, ModelParams, init_params, load_checkpoint
 from .phonology import PhonologyTable, default_table, load_table
 from .sampler import SampleConfig, generate_batch
+from .trainer import TrainConfig
 from .validator import validate
 
 EXIT_OK = 0
@@ -100,14 +101,17 @@ def cmd_ingest(corpus_file, out_dir, catalog_path, acrostic, min_count, max_seq_
     for poem in result.poems:
         samples.append(corpus_mod.serialize(poem, catalog))
         if acrostic:
-            spec = catalog.resolve(poem.form_id)
-            if spec.acrostic_id is None:
+            if catalog.resolve(poem.form_id).acrostic_id is None:
+                unexpandable += 1
+                continue
+            try:
+                twin = corpus_mod.acrostic_transform(poem, catalog)
+            except CorpusError:     # too few lines for the variant's slots
                 unexpandable += 1
             else:
-                twin = corpus_mod.acrostic_transform(poem, catalog)
                 samples.append(corpus_mod.serialize(twin, catalog))
     if unexpandable:
-        _err(f"{unexpandable} poems have no acrostic variant; kept as-is")
+        _err(f"{unexpandable} poems have no acrostic twin; kept as-is")
 
     if max_seq_len > 0:
         before = len(samples)
@@ -139,43 +143,45 @@ def cmd_ingest(corpus_file, out_dir, catalog_path, acrostic, min_count, max_seq_
               help="Start from an existing checkpoint instead of random init. "
                    "The architecture is the checkpoint's: an architecture flag "
                    "given with it must agree; --dropout applies.")
-@click.option("--layers", default=4, show_default=True,
+@click.option("--layers", "n_layers", default=ModelConfig.n_layers, show_default=True,
               help="Transformer layer count.")
-@click.option("--heads", default=4, show_default=True,
+@click.option("--heads", "n_heads", default=ModelConfig.n_heads, show_default=True,
               help="Attention heads per layer.")
-@click.option("--d-model", default=128, show_default=True,
+@click.option("--d-model", default=ModelConfig.d_model, show_default=True,
               help="Model width.")
-@click.option("--d-ff", default=512, show_default=True,
+@click.option("--d-ff", default=ModelConfig.d_ff, show_default=True,
               help="Feed-forward width.")
-@click.option("--context-len", default=256, show_default=True,
+@click.option("--context-len", default=ModelConfig.context_len, show_default=True,
               help="Maximum sequence length.")
-@click.option("--dropout", default=0.0, show_default=True,
+@click.option("--dropout", default=ModelConfig.dropout_rate, show_default=True,
               help="Dropout rate during training.")
-@click.option("--lr", default=3e-4, show_default=True,
+@click.option("--lr", default=TrainConfig.learning_rate, show_default=True,
               help="Adam learning rate.")
-@click.option("--batch-size", default=16, show_default=True,
+@click.option("--batch-size", default=TrainConfig.batch_size, show_default=True,
               help="Sequences per optimizer step.")
-@click.option("--max-steps", default=2000, show_default=True,
+@click.option("--max-steps", default=TrainConfig.max_steps, show_default=True,
               help="Optimizer steps to run.")
-@click.option("--warmup", default=100, show_default=True,
+@click.option("--warmup", default=TrainConfig.warmup_steps, show_default=True,
               help="Linear learning-rate warmup steps.")
-@click.option("--checkpoint-interval", default=500, show_default=True,
+@click.option("--checkpoint-interval", default=TrainConfig.checkpoint_interval,
+              show_default=True,
               help="Write a checkpoint and metrics record every N steps.")
-@click.option("--novelty-interval", default=0, show_default=True,
-              help="Probe retrieval novelty every N steps (0 = off).")
-@click.option("--early-stop-novelty", default=None, type=float,
+@click.option("--novelty-interval", default=TrainConfig.novelty_eval_interval,
+              show_default=True, help="Probe retrieval novelty every N steps (0 = off).")
+@click.option("--early-stop-novelty", default=TrainConfig.early_stop_novelty, type=float,
               help="Stop when probe novelty drops below this value.")
-@click.option("--heldout-fraction", default=0.05, show_default=True,
-              help="Deterministic held-out share for evaluation.")
+@click.option("--heldout-fraction", default=TrainConfig.heldout_fraction,
+              show_default=True, help="Deterministic held-out share for evaluation.")
 @click.option("--seed", default=None, type=int,
               help="Training shuffle/dropout seed (random if omitted).")
 @click.option("--model-seed", default=0, show_default=True,
               help="Seed for parameter initialization.")
-def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, layers,
-              heads, d_model, d_ff, context_len, dropout, lr, batch_size,
-              max_steps, warmup, checkpoint_interval, novelty_interval,
-              early_stop_novelty, heldout_fraction, seed, model_seed):
+def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, dropout,
+              lr, batch_size, max_steps, warmup, checkpoint_interval,
+              novelty_interval, early_stop_novelty, heldout_fraction, seed,
+              model_seed, **arch):
     """Fine-tune the language model on a serialized dataset."""
+    # ``arch``: the architecture options, each named as its ModelConfig field
     catalog = _load_catalog_opt(catalog_path)
     vocab = vocab_mod.load_vocab(vocab_path)
     samples = corpus_mod.read_dataset(dataset, catalog)
@@ -185,24 +191,21 @@ def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, layers,
     if init_from:
         params = load_checkpoint(init_from)
         _check_vocab_size(params, vocab)
-        given = click.get_current_context().get_parameter_source
-        for flag, field, value in (("layers", "n_layers", layers),
-                                   ("heads", "n_heads", heads),
-                                   ("d_model", "d_model", d_model),
-                                   ("d_ff", "d_ff", d_ff),
-                                   ("context_len", "context_len", context_len)):
-            have = getattr(params.config, field)
-            if given(flag) is not ParameterSource.DEFAULT and value != have:
-                raise click.ClickException(
-                    f"--{flag.replace('_', '-')} {value} disagrees with the "
-                    f"checkpoint's {field} {have}")
-        if given("dropout") is not ParameterSource.DEFAULT:
+        ctx = click.get_current_context()
+        given = {name for name in ctx.params
+                 if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT}
+        for opt in ctx.command.params:      # in declaration order
+            if opt.name in given & arch.keys():
+                have = getattr(params.config, opt.name)
+                if arch[opt.name] != have:
+                    raise click.ClickException(
+                        f"{opt.opts[0]} {arch[opt.name]} disagrees with the "
+                        f"checkpoint's {opt.name} {have}")
+        if "dropout" in given:
             params = replace(params, config=replace(params.config,
                                                     dropout_rate=dropout))
     else:
-        config = ModelConfig(n_layers=layers, n_heads=heads, d_model=d_model,
-                             d_ff=d_ff, context_len=context_len,
-                             vocab_size=vocab.size, dropout_rate=dropout)
+        config = ModelConfig(**arch, vocab_size=vocab.size, dropout_rate=dropout)
         params = init_params(config, seed=model_seed)
 
     context = params.config.context_len
@@ -213,7 +216,7 @@ def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, layers,
     if not usable:
         raise click.ClickException("every sample exceeds the model context")
 
-    cfg = trainer_mod.TrainConfig(
+    cfg = TrainConfig(
         learning_rate=lr, batch_size=batch_size, max_steps=max_steps,
         warmup_steps=warmup, checkpoint_interval=checkpoint_interval,
         novelty_eval_interval=novelty_interval, seed=_resolve_seed(seed),
@@ -239,11 +242,11 @@ def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, layers,
               help="Generate an acrostic on these line-initial characters.")
 @click.option("-n", "count", default=1, show_default=True,
               help="Number of candidates.")
-@click.option("-k", "top_k", default=20, show_default=True,
+@click.option("-k", "top_k", default=SampleConfig.k, show_default=True,
               help="Top-k truncation width.")
-@click.option("--temperature", default=1.0, show_default=True,
+@click.option("--temperature", default=SampleConfig.temperature, show_default=True,
               help="Softmax temperature over the candidate set.")
-@click.option("--max-new-tokens", default=256, show_default=True,
+@click.option("--max-new-tokens", default=SampleConfig.max_new_tokens, show_default=True,
               help="Decoding budget per candidate.")
 @click.option("--seed", default=None, type=int,
               help="Sampling seed (random if omitted).")

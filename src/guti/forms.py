@@ -119,18 +119,22 @@ class FormCatalog:
 #   tones   = 中仄平平仄 平平中仄平 ... | <variant 2> ...   (optional)
 #   acrostic-form = form id                      (optional; that entry must
 #                                                 declare markers = acrostic)
+#   acrostic-slots = 1 3 5 7                     (optional; default every line)
 # ---------------------------------------------------------------------------
 
 
+def _ints(texts: list[str], message: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(int, texts))
+    except ValueError:
+        raise CatalogError(message) from None
+
+
 def _parse_lines_value(value: str, where: str) -> LineTemplate:
-    value = value.strip()
     if value == "mirror":
         return LineTemplate(kind="mirror")
     if value.endswith("*"):
-        try:
-            n = int(value[:-1])
-        except ValueError:
-            raise CatalogError(f"{where}: bad uniform line template {value!r}")
+        n = _ints([value[:-1]], f"{where}: bad uniform line template {value!r}")[0]
         if n < 1:
             raise CatalogError(f"{where}: uniform line length must be >= 1")
         return LineTemplate(kind="uniform", uniform_len=n)
@@ -141,13 +145,8 @@ def _parse_lines_value(value: str, where: str) -> LineTemplate:
             fields = alt_text.split()
             if not fields:
                 raise CatalogError(f"{where}: empty segment group in {value!r}")
-            try:
-                alts.append(tuple(int(f) for f in fields))
-            except ValueError:
-                raise CatalogError(f"{where}: bad segment count in {value!r}")
+            alts.append(_ints(fields, f"{where}: bad segment count in {value!r}"))
         groups.append(tuple(alts))
-    if not groups:
-        raise CatalogError(f"{where}: empty line template")
     return LineTemplate(kind="groups", groups=tuple(groups))
 
 
@@ -171,18 +170,40 @@ def _parse_pairs_value(value: str, where: str) -> tuple[tuple[int, int], ...]:
         a, sep, b = token.partition("-")
         if not sep:
             raise CatalogError(f"{where}: pair slots look like '3-4', got {token!r}")
-        try:
-            pairs.append((int(a), int(b)))
-        except ValueError:
-            raise CatalogError(f"{where}: bad pair slot {token!r}")
+        pairs.append(_ints([a, b], f"{where}: bad pair slot {token!r}"))
     return tuple(pairs)
 
 
-def _parse_slots(value: str, where: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in value.split())
-    except ValueError:
-        raise CatalogError(f"{where}: bad {what} slots {value!r}")
+# catalog key -> (the FormSpec field it sets, its value parser)
+_KEYS = {
+    "class": ("form_class", lambda value, where: value),
+    "markers": ("markers", lambda value, where: value),
+    "lines": ("line_template", _parse_lines_value),
+    "rhyme": ("rhyme_slots", lambda value, where: _ints(
+        value.split(), f"{where}: bad rhyme slots {value!r}")),
+    "pairs": ("pairing_slots", _parse_pairs_value),
+    "tones": ("tone_patterns", _parse_tones_value),
+    "acrostic-form": ("acrostic_id", lambda value, where: value),
+    "acrostic-slots": ("acrostic_slots", lambda value, where: _ints(
+        value.split(), f"{where}: bad acrostic slots {value!r}")),
+}
+
+
+def _finish(entry: dict, where: str, catalog: FormCatalog) -> None:
+    """Check one section's fields and add its FormSpec to ``catalog``."""
+    if "form_class" not in entry:
+        raise CatalogError(f"{where}: missing 'class'")
+    if entry["form_class"] not in FORM_CLASSES:
+        raise CatalogError(f"{where}: unknown class {entry['form_class']!r}")
+    if "line_template" not in entry:
+        raise CatalogError(f"{where}: missing 'lines'")
+    markers = entry.get("markers", FORM_CLASSES[entry["form_class"]])
+    if markers not in MARKER_PAIRS:
+        raise CatalogError(f"{where}: unknown marker class {markers!r}")
+    spec = FormSpec(**{**entry, "markers": MARKER_PAIRS[markers]})
+    if spec.form_id in catalog.entries:
+        raise CatalogError(f"{where}: duplicate form {spec.form_id!r}")
+    catalog.entries[spec.form_id] = spec
 
 
 def parse_catalog(text: str, source: str = "<catalog>") -> FormCatalog:
@@ -191,32 +212,6 @@ def parse_catalog(text: str, source: str = "<catalog>") -> FormCatalog:
     current: dict | None = None
     current_where = ""
     seen_version = False
-
-    def finish(entry: dict, where: str) -> None:
-        if "class" not in entry:
-            raise CatalogError(f"{where}: missing 'class'")
-        if entry["class"] not in FORM_CLASSES:
-            raise CatalogError(f"{where}: unknown class {entry['class']!r}")
-        if "lines" not in entry:
-            raise CatalogError(f"{where}: missing 'lines'")
-        markers = entry.get("markers", FORM_CLASSES[entry["class"]])
-        if markers not in MARKER_PAIRS:
-            raise CatalogError(f"{where}: unknown marker class {markers!r}")
-        spec = FormSpec(
-            form_id=entry["id"],
-            form_class=entry["class"],
-            line_template=entry["lines"],
-            rhyme_slots=entry.get("rhyme", ()),
-            pairing_slots=entry.get("pairs", ()),
-            tone_patterns=entry.get("tones", ()),
-            markers=MARKER_PAIRS[markers],
-            acrostic_id=entry.get("acrostic-form"),
-            acrostic_slots=entry.get("acrostic-slots", ()),
-        )
-        if spec.form_id in catalog.entries:
-            raise CatalogError(f"{where}: duplicate form {spec.form_id!r}")
-        catalog.entries[spec.form_id] = spec
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -224,45 +219,29 @@ def parse_catalog(text: str, source: str = "<catalog>") -> FormCatalog:
         where = f"{source}:{lineno}"
         if line.startswith("[") and line.endswith("]"):
             if current is not None:
-                finish(current, current_where)
-            form_id = line[1:-1].strip()
-            if not form_id:
+                _finish(current, current_where, catalog)
+            current, current_where = {"form_id": line[1:-1].strip()}, where
+            if not current["form_id"]:
                 raise CatalogError(f"{where}: empty form id")
-            current = {"id": form_id}
-            current_where = where
             continue
         key, sep, value = line.partition("=")
         if not sep:
             raise CatalogError(f"{where}: expected 'key = value', got {line!r}")
         key = key.strip()
         value = value.strip()
-        if current is None:
-            if key == "version":
-                if value != str(CATALOG_FORMAT_VERSION):
-                    raise CatalogError(f"{where}: unsupported catalog version {value!r}")
-                seen_version = True
-                continue
+        if current is not None:
+            if key not in _KEYS:
+                raise CatalogError(f"{where}: unknown key {key!r}")
+            field_name, parse = _KEYS[key]
+            current[field_name] = parse(value, where)
+        elif key != "version":
             raise CatalogError(f"{where}: {key!r} outside a [form] section")
-        if key == "class":
-            current["class"] = value
-        elif key == "markers":
-            current["markers"] = value
-        elif key == "lines":
-            current["lines"] = _parse_lines_value(value, where)
-        elif key == "rhyme":
-            current["rhyme"] = _parse_slots(value, where, "rhyme")
-        elif key == "pairs":
-            current["pairs"] = _parse_pairs_value(value, where)
-        elif key == "tones":
-            current["tones"] = _parse_tones_value(value, where)
-        elif key == "acrostic-form":
-            current["acrostic-form"] = value
-        elif key == "acrostic-slots":
-            current["acrostic-slots"] = _parse_slots(value, where, "acrostic")
+        elif value != str(CATALOG_FORMAT_VERSION):
+            raise CatalogError(f"{where}: unsupported catalog version {value!r}")
         else:
-            raise CatalogError(f"{where}: unknown key {key!r}")
+            seen_version = True
     if current is not None:
-        finish(current, current_where)
+        _finish(current, current_where, catalog)
     if not seen_version:
         raise CatalogError(f"{source}: missing 'version = {CATALOG_FORMAT_VERSION}' header")
     _check_references(catalog, source)

@@ -268,6 +268,14 @@ def _gelu(u, derivative=False):
     return a, g
 
 
+def softmax_inplace(x):
+    """Softmax over the last axis, written over ``x``; returns ``x``."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
+
+
 def _dropout_mask(rng, shape, rate, dtype, take):
     """Inverted-dropout mask.
 
@@ -451,9 +459,7 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
             probs = _heads(q[rs], h, n) @ kh.transpose(0, 1, 3, 2)
             if n > 1:
                 probs += mask[:n, :start + n]
-            probs -= probs.max(axis=-1, keepdims=True)
-            np.exp(probs, out=probs)
-            probs /= probs.sum(axis=-1, keepdims=True)
+            softmax_inplace(probs)
             drop = None if att_drop is None else att_drop[bs, :, :n, :start + n]
             probs_d = _apply_mask(probs, drop)
             np.matmul(probs_d, vh, out=_heads(ctx[rs], h, n))

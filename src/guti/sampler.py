@@ -26,7 +26,7 @@ from . import vocab as vocab_mod
 from .corpus import Poem, SerializedSample, deserialize
 from .errors import GutiError, SamplingError
 from .forms import MARKER_RE, FormCatalog
-from .model import KVCache, ModelParams, forward
+from .model import KVCache, ModelParams, forward, softmax_inplace
 from .validator import PhonologyTable, ValidationReport, validate
 from .vocab import Vocab
 
@@ -100,11 +100,7 @@ def top_k_distribution(logits: np.ndarray, cfg: SampleConfig) -> tuple[np.ndarra
     top = np.flatnonzero(logits >= kth)
     top = top[np.argsort(-logits[top], kind="stable")[:k]]
     candidates = top[logits[top] > -np.inf]
-    z = logits[candidates] / cfg.temperature
-    z = z - z.max()
-    p = np.exp(z)
-    p /= p.sum()
-    return candidates, p
+    return candidates, softmax_inplace(logits[candidates] / cfg.temperature)
 
 
 def top_k_sample(logits: np.ndarray, cfg: SampleConfig,

@@ -88,8 +88,9 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
               lr_scale: float = 1.0) -> tuple[ModelParams, AdamState]:
     """One bias-corrected Adam update; pure (returns new params and state).
 
-    Raises TrainingError on any non-finite gradient so the caller can
-    abort the step and report it.
+    Raises TrainingError on any non-finite gradient or updated tensor (a
+    learning rate past float32's range) so the caller can abort the step
+    and report it.
     """
     for name, g in grads.items():     # NaN and +-inf show in the min or the max
         if not (math.isfinite(g.min()) and math.isfinite(g.max())):
@@ -110,8 +111,10 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
         step = m / (1.0 - b1 ** t)
         step *= lr
         step /= den
-        new_tensors[name] = np.subtract(p, step, out=step).astype(p.dtype, copy=False)
-        new_m[name], new_v[name] = m, v
+        new = np.subtract(p, step, out=step).astype(p.dtype, copy=False)
+        if not (math.isfinite(new.min()) and math.isfinite(new.max())):
+            raise TrainingError(f"non-finite update of {name!r}")
+        new_tensors[name], new_m[name], new_v[name] = new, m, v
     return (ModelParams(params.config, new_tensors), AdamState(new_m, new_v, t))
 
 

@@ -74,6 +74,24 @@ class TestIngest:
         lines = (tmp_path / "dataset.jsonl").read_text("utf-8").strip().splitlines()
         assert len(lines) == 24
 
+    def test_acrostic_keeps_a_poem_too_short_for_its_variant(self, capsys, tmp_path):
+        # a 4-line 七律 cannot fill 七言律诗's slots 1 3 5 7: the poem stays,
+        # only its twin is dropped, and the records around it are kept
+        quatrain = "床前明月光，疑是地上霜。举头望明月，低头思故乡。"
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in (
+            {"form": "五绝", "theme": "静夜思", "body": quatrain},
+            {"form": "七律", "theme": "短", "body": quatrain},
+            {"first": "秋月", "second": "春风"})), encoding="utf-8")
+        code, _, err = run(capsys, "ingest", str(corpus), "-o", str(tmp_path / "o"),
+                           "--acrostic")
+        assert code == 0, err
+        assert "2 poems have no acrostic twin; kept as-is" in err
+        assert "skipped:" not in err
+        lines = (tmp_path / "o" / "dataset.jsonl").read_text("utf-8").splitlines()
+        assert [json.loads(line)["text"].partition("(")[0] for line in lines] == [
+            "五绝", "五言绝句", "七律", "对联"]
+
     def test_escaped_lone_surrogate_is_skipped(self, capsys, tmp_path):
         good = {"form": "五绝", "theme": "静夜思",
                 "body": "床前明月光，疑是地上霜。举头望明月，低头思故乡。"}
@@ -361,6 +379,14 @@ class TestTrain:
         assert code == 1
         assert "disagrees with the checkpoint" in err
         assert not (tmp_path / "run").exists()
+
+    def test_init_from_reports_the_first_disagreeing_flag(self, capsys, pipeline,
+                                                          tmp_path):
+        # the architecture flags are checked in --help order, not argv order
+        code, _, err = self.init_from(capsys, pipeline, tmp_path / "run",
+                                      "--d-ff", "16", "--layers", "8")
+        assert code == 1
+        assert err == "guti: --layers 8 disagrees with the checkpoint's n_layers 1\n"
 
     def test_init_from_applies_dropout(self, capsys, pipeline, tmp_path):
         code, _, _ = self.init_from(capsys, pipeline, tmp_path / "a",

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from guti.corpus import Poem, parse_body, serialize
@@ -12,6 +14,46 @@ class = jintishi
 lines = 5 5 / 5 5
 rhyme = 2 4
 """
+
+# (catalog text, the CatalogError text parse_catalog raises for it); line
+# numbers count comments and blank lines, and a section's own faults are
+# found when the next header or the end of the file closes the section
+ENTRY = "version = 1\n[x]\nclass = jintishi\nlines = 5 5\n"
+CATALOG_ERRORS = [
+    (ENTRY.replace("5 5", "x*"), "<catalog>:4: bad uniform line template 'x*'"),
+    (ENTRY.replace("5 5", "0*"), "<catalog>:4: uniform line length must be >= 1"),
+    (ENTRY.replace("5 5", "5 x"), "<catalog>:4: bad segment count in '5 x'"),
+    (ENTRY.replace("5 5", "5 5 /"), "<catalog>:4: empty segment group in '5 5 /'"),
+    (ENTRY.replace("5 5", "5 | | 7"), "<catalog>:4: empty segment group in '5 | | 7'"),
+    (ENTRY.replace(" 5 5", ""), "<catalog>:4: empty segment group in ''"),
+    (ENTRY + "pairs = 1-2 34", "<catalog>:5: pair slots look like '3-4', got '34'"),
+    (ENTRY + "pairs = 3-x", "<catalog>:5: bad pair slot '3-x'"),
+    (ENTRY + "rhyme = 1 x", "<catalog>:5: bad rhyme slots '1 x'"),
+    (ENTRY + "acrostic-slots = 1 x", "<catalog>:5: bad acrostic slots '1 x'"),
+    (ENTRY + "tones = 平平 |", "<catalog>:5: empty tone variant"),
+    (ENTRY + "tones = 平仄X", "<catalog>:5: bad tone symbols {'X'}"),
+    (ENTRY + "colour = red", "<catalog>:5: unknown key 'colour'"),
+    (ENTRY + "version = 1", "<catalog>:5: unknown key 'version'"),
+    ("version = 1\nclass = ci\n", "<catalog>:2: 'class' outside a [form] section"),
+    ("# v2\n\nversion = 2\n", "<catalog>:3: unsupported catalog version '2'"),
+    ("version = 1\n[x]\nclass ci\n", "<catalog>:3: expected 'key = value', got 'class ci'"),
+    ("version = 1\n[ ]\n", "<catalog>:2: empty form id"),
+    ("version = 1\n[x]\nlines = 5 5\n", "<catalog>:2: missing 'class'"),
+    ("version = 1\n[x]\nclass = ci\n", "<catalog>:2: missing 'lines'"),
+    ("version = 1\n[x]\nclass = sonnet\n", "<catalog>:2: unknown class 'sonnet'"),
+    (ENTRY + "markers = sonnet", "<catalog>:2: unknown marker class 'sonnet'"),
+    (ENTRY + ENTRY[12:], "<catalog>:5: duplicate form 'x'"),
+    ("[x]\nclass = ci\nlines = 5\n", "<catalog>: missing 'version = 1' header"),
+    (ENTRY + "acrostic-form = y",
+     "<catalog>: 'x' points at missing acrostic form 'y'"),
+    (ENTRY + "acrostic-form = y\n[y]\nclass = ci\nlines = 5",
+     "<catalog>: 'x' points at acrostic form 'y', which lacks 'markers = acrostic'"),
+    # two faults: the first section's missing class is reported at its
+    # header, when the second header closes it, before the bad line after
+    ("version = 1\n[a]\nlines = 5\n[b]\nclass ci\n", "<catalog>:2: missing 'class'"),
+    ("version = 1\n[a]\nlines = 5\n[ ]\n", "<catalog>:2: missing 'class'"),
+    ("[a]\nclass = sonnet\n", "<catalog>:1: unknown class 'sonnet'"),
+]
 
 
 class TestCatalogParsing:
@@ -60,6 +102,17 @@ class TestCatalogParsing:
         with pytest.raises(CatalogError):
             parse_catalog(text)
 
+    @pytest.mark.parametrize("text, message", CATALOG_ERRORS,
+                             ids=[m.partition(": ")[2] for _, m in CATALOG_ERRORS])
+    def test_every_error_names_its_position(self, text, message):
+        with pytest.raises(CatalogError) as exc:
+            parse_catalog(text)
+        assert str(exc.value) == message
+
+    def test_error_position_names_the_source(self):
+        with pytest.raises(CatalogError, match=r"^my\.catalog:3: unknown key 'colour'$"):
+            parse_catalog("version = 1\n[x]\ncolour = red\n", source="my.catalog")
+
     @pytest.mark.parametrize("key, what", [("rhyme", "rhyme"),
                                            ("acrostic-slots", "acrostic")])
     def test_bad_slot_list_rejected(self, key, what):
@@ -91,6 +144,13 @@ class TestCatalogParsing:
 
 
 class TestBuiltinCatalog:
+    def test_parsed_entries_digest(self, catalog):
+        # sha256 of every parsed entry, in file order, as recorded before
+        # the per-key parsers moved into one table
+        text = repr(list(catalog.entries.items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f0828212273dbda07cafce409f2645dd9d768e983700479c367d4ab3343104f7")
+
     def test_core_forms_present(self, catalog):
         for form_id in ("五绝", "七绝", "五律", "七律", "对联",
                         "水调歌头", "满江红", "武陵春"):

@@ -115,6 +115,17 @@ class TestAdam:
                 with pytest.raises(TrainingError, match=re.escape(repr(name))):
                     adam_step(params, grads, state, TrainConfig())
 
+    def test_update_past_float32_range_aborts_step(self):
+        # lr 1e39 overflows float32: every updated tensor would be infinite
+        config = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16,
+                             context_len=8, vocab_size=12)
+        params = init_params(config, seed=1)
+        grads = {n: np.ones_like(a) for n, a in params.tensors.items()}
+        with pytest.raises(TrainingError, match="non-finite update of 'tok_emb'"), \
+                np.errstate(over="ignore"):
+            adam_step(params, grads, AdamState.zeros_like(params),
+                      TrainConfig(learning_rate=1e39))
+
     def test_lr_scale_applies_warmup(self):
         cfg = TrainConfig(learning_rate=1.0, eps=1e-300)    # 1 + eps rounds to 1
         params = scalar_params(0.0)
@@ -538,6 +549,16 @@ class TestFineTune:
         _, report = fine_tune(samples, vocab, params, cfg)
         assert report.skipped_nonfinite == len(names)
         assert len(report.step_losses) == 1
+
+    def test_non_finite_update_skips_the_step(self, toy_samples):
+        samples, vocab, params = self.small_setup(toy_samples)
+        cfg = TrainConfig(learning_rate=1e39, batch_size=6, max_steps=3,
+                          warmup_steps=0, seed=1)
+        with np.errstate(over="ignore"):
+            out, report = fine_tune(samples, vocab, params, cfg)
+        assert report.skipped_nonfinite == 3 and report.step_losses == []
+        for name in params.tensors:
+            assert np.array_equal(out[name], params[name])
 
     def test_skipped_step_keeps_its_cadence_work(self, toy_samples, tmp_path,
                                                  monkeypatch):
