@@ -60,7 +60,7 @@ def is_cjk(ch: str) -> bool:
     return any(a <= cp <= b for a, b in _CJK_RANGES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Line:
     """One punctuation-delimited segment of a poem body."""
 
@@ -80,7 +80,7 @@ class Line:
         return len(self.characters)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Poem:
     """A structured poem record."""
 

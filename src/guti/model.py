@@ -7,10 +7,13 @@ out explicitly; gradients are exact up to floating point, which the test
 suite pins against central finite differences.  The forward pass caches
 for ``backward``, its only reader, just what the gradients read: per row
 and layer, both norms' x-hat, q/k/v, the attention context, and the
-GELU's activation and derivative (14 d-wide values at d_ff = 4d).  Every
-weight gradient is one matmul over the flat rows, ``_nll`` alone turns
-logits into the loss, and ``_softmax_nll`` turns what it leaves into
-dL/dlogits in place.
+GELU's activation and derivative (14 d-wide values at d_ff = 4d).  Each
+activation is freed at its last reader, with no recomputation: the
+forward pass drops each norm's output and the GELU's input once read,
+and ``backward`` pops each cache entry at its last read and deletes each
+gradient before its next large allocation.  Every weight gradient is one
+matmul over the flat rows, ``_nll`` alone turns logits into the loss, and
+``_softmax_nll`` turns what it leaves into dL/dlogits in place.
 
 Rows: activations are flat (N, d) rows, one per (batch, position) cell
 that runs.  Attention is causal, so an output at position t reads only
@@ -244,28 +247,30 @@ def _layer_norm_backward(dy, cache, g):
 def _gelu(u, derivative=False):
     """tanh-form GELU, 0.5 u (1 + t) with t = tanh(u (C + CA u*u)), and with
     ``derivative`` its derivative 0.5 (1 + t + u (1 - t*t) (C + 3AC u*u)),
-    else None; ``u`` is not written."""
+    else None; ``u`` is not written.  The derivative is formed first and
+    the activation last, in the tanh's buffer, so at most three new arrays
+    of ``u``'s size are alive at once."""
     t = u * u
     t *= _GELU_C * _GELU_A
     t += _GELU_C
     t *= u
     np.tanh(t, out=t)
-    a = t + 1.0
-    a *= u
-    a *= 0.5
-    if not derivative:
-        return a, None
-    g = u * u
-    g *= 3.0 * _GELU_A * _GELU_C
-    g += _GELU_C
-    g *= u
-    sech2 = t * t
-    np.subtract(1.0, sech2, out=sech2)
-    g *= sech2
-    g += t
-    g += 1.0
-    g *= 0.5
-    return a, g
+    g = None
+    if derivative:
+        g = u * u
+        g *= 3.0 * _GELU_A * _GELU_C
+        g += _GELU_C
+        g *= u
+        sech2 = t * t
+        np.subtract(1.0, sech2, out=sech2)
+        g *= sech2
+        g += t
+        g += 1.0
+        g *= 0.5
+    t += 1.0
+    t *= u
+    t *= 0.5
+    return t, g
 
 
 def softmax_inplace(x):
@@ -289,6 +294,13 @@ def _dropout_mask(rng, shape, rate, dtype, take):
 
 def _apply_mask(x, mask):
     return x if mask is None else x * mask
+
+
+def _residual(y, b, mask, x):
+    """x + dropout(y + b), written over ``y``; the caller's rebinding of x
+    to the result frees the block's input."""
+    y += b
+    return np.add(_apply_mask(y, mask), x, out=y)
 
 
 class _Layout:
@@ -445,6 +457,7 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
         att_drop, res_drop1, res_drop2 = drops[1 + 3 * i:4 + 3 * i]
         h1, ln1_cache = _layer_norm(x, ln1_g, ln1_b)
         qkv = h1 @ w_qkv    # q, k, v: column views of the fused rows
+        del h1
         qkv += b_qkv
         q, k, v = qkv[:, :d], qkv[:, d:2 * d], qkv[:, 2 * d:]
         q *= scale
@@ -464,17 +477,15 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
             probs_d = _apply_mask(probs, drop)
             np.matmul(probs_d, vh, out=_heads(ctx[rs], h, n))
             runs.append((probs, drop, probs_d))
-        attn_out = ctx @ w_o
-        attn_out += b_o
-        x_attn = np.add(_apply_mask(attn_out, res_drop1), x, out=attn_out)
+        x = _residual(ctx @ w_o, b_o, res_drop1, x)
 
-        h2, ln2_cache = _layer_norm(x_attn, ln2_g, ln2_b)
+        h2, ln2_cache = _layer_norm(x, ln2_g, ln2_b)
         u = h2 @ w_1
+        del h2
         u += b_1
         a, gelu_d = _gelu(u, derivative=want_cache)
-        ff_out = a @ w_2
-        ff_out += b_2
-        x = np.add(_apply_mask(ff_out, res_drop2), x_attn, out=ff_out)
+        del u
+        x = _residual(a @ w_2, b_2, res_drop2, x)
 
         if want_cache:
             caches.append({
@@ -596,8 +607,8 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
     Recomputes the forward pass internally (with activation caching) on
     the cells that reach the loss, projects only the loss rows to logits,
     and returns ``(loss, grads)`` where grads mirrors params.tensors.  It
-    rebuilds the norms' outputs from x-hat, and drops the logits once the
-    head's gradients exist and each layer's cache once that layer is done.
+    rebuilds the norms' outputs from x-hat, drops the logits once the
+    head's gradients exist, and pops each cache entry at its last read.
     """
     c = params.config
     t = params.tensors
@@ -625,36 +636,44 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
     layout = cache["layout"]
     dx = np.zeros((cache["tok"].size, c.d_model), dtype=dx_out.dtype)
     dx[cache["out_idx"]] = dx_out
+    del dhf, dx_out
     h, d = c.n_heads, c.d_model
 
+    # each cache entry is popped at its last read, and each gradient is
+    # deleted before the next large allocation
     for i in reversed(range(c.n_layers)):
         p = f"layer{i}."
         lc = cache["layers"].pop()
         ln1_g, ln1_b, w_qkv, _, w_o, _, ln2_g, ln2_b, w_1, _, w_2, _ = params.layers[i]
 
         # feed-forward branch
-        dff_out = _apply_mask(dx, lc["res_drop2"])
+        dff_out = _apply_mask(dx, lc.pop("res_drop2"))
         grads[p + "ff.b2"] = dff_out.sum(axis=0)
-        grads[p + "ff.w2"] = lc["a"].T @ dff_out
+        grads[p + "ff.w2"] = lc.pop("a").T @ dff_out
         da = dff_out @ w_2.T
-        du = np.multiply(lc["gelu_d"], da, out=da)
+        del dff_out
+        du = np.multiply(lc.pop("gelu_d"), da, out=da)
         grads[p + "ff.b1"] = du.sum(axis=0)
         grads[p + "ff.w1"] = (lc["ln2"][0] * ln2_g + ln2_b).T @ du
         dh2 = du @ w_1.T
+        del da, du
         dx_attn, grads[p + "ln2.g"], grads[p + "ln2.b"] = _layer_norm_backward(
-            dh2, lc["ln2"], ln2_g)
+            dh2, lc.pop("ln2"), ln2_g)
         dx_attn += dx   # residual
+        del dh2, dx
 
         # attention branch; q holds the scaled queries, so the scores'
         # gradient times k is the scaled queries' gradient
-        dattn_out = _apply_mask(dx_attn, lc["res_drop1"])
+        dattn_out = _apply_mask(dx_attn, lc.pop("res_drop1"))
         grads[p + "attn.bo"] = dattn_out.sum(axis=0)
-        grads[p + "attn.wo"] = lc["ctx"].T @ dattn_out
+        grads[p + "attn.wo"] = lc.pop("ctx").T @ dattn_out
         dctx = dattn_out @ w_o.T
-        qkv, dqkv = lc["qkv"], np.empty_like(lc["qkv"])
+        del dattn_out
+        qkv = lc.pop("qkv")
+        dqkv = np.empty_like(qkv)
         q, k, v = qkv[:, :d], qkv[:, d:2 * d], qkv[:, 2 * d:]
         dq, dk, dv = dqkv[:, :d], dqkv[:, d:2 * d], dqkv[:, 2 * d:]
-        for (_, rs, n), (probs, drop, probs_d) in zip(layout.runs, lc["runs"]):
+        for (_, rs, n), (probs, drop, probs_d) in zip(layout.runs, lc.pop("runs")):
             dctx_h = _heads(dctx[rs], h, n)
             datt = dctx_h @ _heads(v[rs], h, n).transpose(0, 1, 3, 2)
             np.matmul(probs_d.transpose(0, 1, 3, 2), dctx_h, out=_heads(dv[rs], h, n))
@@ -665,12 +684,18 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
             np.matmul(datt, _heads(k[rs], h, n), out=_heads(dq[rs], h, n))
             np.matmul(datt.transpose(0, 1, 3, 2), _heads(q[rs], h, n),
                       out=_heads(dk[rs], h, n))
+            del datt
         dq *= cache["scale"]
+        # views pin their base: q/k/v hold qkv, dctx_h holds dctx
+        del qkv, q, k, v, dctx, dctx_h, probs, drop, probs_d
         grads[p + "attn.bqkv"] = dqkv.sum(axis=0)
         grads[p + "attn.wqkv"] = (lc["ln1"][0] * ln1_g + ln1_b).T @ dqkv
+        dh1 = dqkv @ w_qkv.T
+        del dqkv
         dx, grads[p + "ln1.g"], grads[p + "ln1.b"] = _layer_norm_backward(
-            dqkv @ w_qkv.T, lc["ln1"], ln1_g)
+            dh1, lc.pop("ln1"), ln1_g)
         dx += dx_attn    # residual
+        del dh1, dx_attn
 
     dx = _apply_mask(dx, cache["emb_drop"])
     grads["pos_emb"] = np.zeros_like(t["pos_emb"])

@@ -105,13 +105,15 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
         m += (1.0 - b1) * g
         v = b2 * state.v[name]
         v += (1.0 - b2) * (g * g)
-        den = v / (1.0 - b2 ** t)       # in place: p - lr * m_hat / (sqrt(v_hat) + eps)
-        np.sqrt(den, out=den)
-        den += cfg.eps
-        step = m / (1.0 - b1 ** t)
-        step *= lr
-        step /= den
-        new = np.subtract(p, step, out=step).astype(p.dtype, copy=False)
+        # an update past float32's range is caught below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            den = v / (1.0 - b2 ** t)       # in place: p - lr * m_hat / (sqrt(v_hat) + eps)
+            np.sqrt(den, out=den)
+            den += cfg.eps
+            step = m / (1.0 - b1 ** t)
+            step *= lr
+            step /= den
+            new = np.subtract(p, step, out=step).astype(p.dtype, copy=False)
         if not (math.isfinite(new.min()) and math.isfinite(new.max())):
             raise TrainingError(f"non-finite update of {name!r}")
         new_tensors[name], new_m[name], new_v[name] = new, m, v

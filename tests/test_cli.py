@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -331,6 +332,23 @@ class TestTrain:
         assert code == 1, err
         assert "early_stop_novelty must not be NaN" in err
         assert not (tmp_path / "run").exists()
+
+    def test_every_step_skipped_exits_1_and_says_so(self, capsys, pipeline, tmp_path):
+        # lr 1e39 overflows every float32 update, so each step is skipped;
+        # this once exited 0 with "ran 3 steps" and a numpy overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "train", str(pipeline / "dataset.jsonl"),
+                                 "--vocab", str(pipeline / "vocab.txt"),
+                                 "-o", str(tmp_path / "run"), "--layers", "1",
+                                 "--heads", "1", "--d-model", "16", "--d-ff", "32",
+                                 "--max-steps", "3", "--warmup", "0", "--lr", "1e39",
+                                 "--seed", "1")
+        assert code == 1, err
+        assert "ran 3 steps in" in err
+        assert "(3 skipped for a non-finite gradient or update)" in err
+        assert "no step was applied" in err
+        assert out == "" and (tmp_path / "run" / "metrics.jsonl").read_bytes() == b"\n"
 
     @pytest.mark.parametrize("lr", ["nan", "inf", "0"])
     def test_unusable_learning_rate_exits_1(self, capsys, pipeline, tmp_path, lr):

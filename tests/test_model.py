@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -582,6 +583,65 @@ def test_backward_memory_stays_within_its_cache_layout():
     assert peak < bound, f"traced peak {peak / 2**20:.1f} MB, bound {bound / 2**20:.1f} MB"
 
 
+@pytest.mark.parametrize("rate", [0.0, 0.1])
+def test_backward_frees_each_layer_cache_by_its_first_norm(monkeypatch, rate):
+    """A layer's GELU activation and derivative, attention context, q/k/v
+    and attention probabilities are dead by the time its LN1 backward runs:
+    backward pops each cache entry at its last read."""
+    config = replace(ROWS, d_ff=64, dropout_rate=rate)
+    params = noisy_params(config, seed=5)
+    batch = weighted_batch(np.random.default_rng(6), config)
+    refs, dead = {}, {}
+    real_forward, real_norm_backward = model._forward_impl, model._layer_norm_backward
+
+    def forward_spy(*args, **kwargs):
+        logits, cache = real_forward(*args, **kwargs)
+        for i, lc in enumerate(cache["layers"]):
+            refs[i] = {key: weakref.ref(lc[key]) for key in ("a", "gelu_d", "ctx", "qkv")}
+            refs[i]["probs"] = weakref.ref(lc["runs"][0][0])
+        return logits, cache
+
+    def norm_backward_spy(dy, cache, g):
+        for i, layer in enumerate(params.layers):
+            if g is layer[0]:       # ln1.g
+                dead[i] = sorted(key for key, ref in refs[i].items() if ref() is None)
+        return real_norm_backward(dy, cache, g)
+
+    monkeypatch.setattr(model, "_forward_impl", forward_spy)
+    monkeypatch.setattr(model, "_layer_norm_backward", norm_backward_spy)
+    backward(params, batch, train_mode=True, rng=np.random.default_rng(7))
+    everything = sorted(["a", "gelu_d", "ctx", "qkv", "probs"])
+    assert dead == {i: everything for i in range(config.n_layers)}
+
+
+# sha256 of the loss and every gradient of one fixed CLI-default backward,
+# recorded before backward freed its cache entries at their last read; the
+# arithmetic is the same, so the bits are too (at one BLAS thread)
+BACKWARD_GOLDEN = {
+    0.0: "57d621170c805e2ade6afa50da49873c80095d8ecc79a92a69788daa3538839e",
+    0.1: "e504a288f40229296740341b1565b9b5772d19131d1fa9515a426ae97ab659ec",
+}
+
+
+@pytest.mark.parametrize("rate", sorted(BACKWARD_GOLDEN))
+def test_backward_bits_pinned(rate):
+    config = ModelConfig(vocab_size=300, dropout_rate=rate)
+    params = noisy_params(config, seed=4)
+    rng = np.random.default_rng(19)
+    b, s = 6, 40
+    lengths = np.array([40, 23, 23, 9, 31, 40])     # ragged, with a run of two
+    tokens = rng.integers(0, config.vocab_size, size=(b, s))
+    mask = (np.arange(s) < lengths[:, None]).astype(np.float64)
+    mask[:, 0] = 0.0
+    loss, grads = backward(params, SequenceBatch(tokens, mask), train_mode=True,
+                           rng=np.random.default_rng(23))
+    digest = hashlib.sha256(np.float64(loss).tobytes())
+    for name, g in grads.items():
+        digest.update(name.encode())
+        digest.update(g.tobytes())
+    assert digest.hexdigest() == BACKWARD_GOLDEN[rate]
+
+
 ROWS = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=24, context_len=64,
                    vocab_size=13)
 
@@ -966,6 +1026,18 @@ class TestGeluDerivative:
         want = former_gelu_backward(dout, u, former_gelu(u)[1])
         got = np.multiply(d, dout, out=dout.copy())      # the backward's one multiply
         assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    def test_derivative_holds_three_temporaries(self):
+        """The tanh, the derivative and 1 - tanh^2 are the only arrays of
+        u's size alive at once; the activation reuses the tanh's buffer."""
+        u = np.random.default_rng(12).standard_normal((1000, 512)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            _gelu(u, derivative=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * u.nbytes + 2**20, f"peak {peak / u.nbytes:.2f} x u.nbytes"
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_activation_bits_and_input_unchanged(self, dtype):
