@@ -90,7 +90,7 @@ def cli():
 def cmd_ingest(corpus_file, out_dir, catalog_path, acrostic, min_count, max_seq_len):
     """Serialize a poem corpus and build its vocabulary."""
     catalog = _load_catalog_opt(catalog_path)
-    result = corpus_mod.ingest_corpus(corpus_file, catalog)
+    result = corpus_mod.ingest_corpus(corpus_file, catalog, serializable=True)
     for diag in result.diagnostics:
         _err(f"{corpus_file}:{diag.line_no}: skipped: {diag.message}")
     if not result.poems:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _json_string
 from pathlib import Path
 
 from .errors import CorpusError, GutiError, SerializationError, UnknownFormError
@@ -41,14 +41,14 @@ _CJK_RANGES = (
     (0x2F800, 0x2FA1F),     # Compatibility Ideographs Supplement
     (0x30000, 0x323AF),     # Extensions G, H
 )
-_CJK_LINE = re.compile(
-    "[" + "".join(f"{chr(a)}-{chr(b)}" for a, b in _CJK_RANGES) + "]+")
+_CJK_CLASS = "".join(f"{chr(a)}-{chr(b)}" for a, b in _CJK_RANGES)
+_CJK_LINE = re.compile(f"[{_CJK_CLASS}]+")
 
-# One body segment: characters up to an optional terminal, or a terminal
-# with no characters before it.  Whitespace (regex ``\s`` is exactly
-# ``str.isspace``) matches neither, so ``findall`` steps over it.
-_SEGMENT = re.compile(
-    rf"([^{COMMA}{PERIOD}\s]+)([{COMMA}{PERIOD}]?)|([{COMMA}{PERIOD}])")
+# One token of a normalized body: a line (an ideograph run and its optional
+# terminal), or the first character that no line can start with.  Whitespace
+# (regex ``\s`` is exactly ``str.isspace``) matches neither, so ``findall``
+# steps over it.
+_BODY_TOKEN = re.compile(rf"([{_CJK_CLASS}]+)([{COMMA}{PERIOD}]?)|(\S)")
 
 # A lone surrogate (a JSON "\ud800" escape decodes to one) has no UTF-8
 # encoding, so no file guti writes could hold it.
@@ -103,8 +103,8 @@ class Poem:
                 raise CorpusError(f"{name} contains a lone surrogate")
 
     def body_text(self) -> str:
-        return "".join(line.characters + (line.terminal_punct or "")
-                       for line in self.body)
+        return "".join([line.characters + (line.terminal_punct or "")
+                        for line in self.body])
 
     def line_initials(self, slots: tuple[int, ...] = ()) -> str:
         """First characters of the given 1-indexed lines (all lines if empty)."""
@@ -116,12 +116,13 @@ class Poem:
         return "".join(self.body[s - 1].characters[0] for s in slots)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SerializedSample:
     """Flat training text held as its five fields, in text order.
 
-    The fields partition ``text`` by construction; ``fields()`` and
-    ``field_spans`` are derived from them.
+    The fields partition ``text`` by construction: it is joined from them
+    once, when the sample is made.  ``fields()`` and ``field_spans`` are
+    derived from them too.
     """
 
     form: str
@@ -130,15 +131,16 @@ class SerializedSample:
     id2: str
     body: str
     source_id: str | None = None
+    text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "text",
+                           self.form + self.id1 + self.theme + self.id2 + self.body)
 
     @property
     def prompt(self) -> str:
         """The four fields before the body: the text generation starts from."""
         return self.form + self.id1 + self.theme + self.id2
-
-    @cached_property
-    def text(self) -> str:
-        return self.prompt + self.body
 
     def fields(self) -> dict[str, str]:
         return {"form": self.form, "id1": self.id1, "theme": self.theme,
@@ -151,6 +153,32 @@ class SerializedSample:
             spans[name] = (pos, pos + len(part))
             pos += len(part)
         return spans
+
+
+# Unchecked constructors: they set a frozen dataclass's slots directly, with
+# no ``__init__`` and none of its checks, for values that are already
+# proven (a body match proves every line it yields; a poem's line initials
+# are checked ideographs).
+_new = object.__new__
+_set_characters, _set_terminal = Line.characters.__set__, Line.terminal_punct.__set__
+_set_form, _set_theme, _set_body, _set_source = (
+    getattr(Poem, name).__set__ for name in ("form_id", "theme", "body", "source_id"))
+
+
+def _line(characters: str, terminal_punct: str | None) -> Line:
+    line = _new(Line)
+    _set_characters(line, characters)
+    _set_terminal(line, terminal_punct)
+    return line
+
+
+def _poem(form_id: str, theme: str, body: tuple[Line, ...], source_id: str | None) -> Poem:
+    poem = _new(Poem)
+    _set_form(poem, form_id)
+    _set_theme(poem, theme)
+    _set_body(poem, body)
+    _set_source(poem, source_id)
+    return poem
 
 
 def normalize_body_text(text: str) -> str:
@@ -167,19 +195,29 @@ def normalize_body_text(text: str) -> str:
 def parse_body(text: str) -> tuple[Line, ...]:
     """Split body text into Lines on terminal punctuation and whitespace.
 
-    The normalized text is cut into ``_SEGMENT`` matches, left to right:
-    the characters up to an optional terminal make one Line, so whitespace
-    (newlines included) closes a line without terminal punctuation (used
-    by sources that print poem lines without punctuation).  Raises
-    CorpusError on a terminal with no characters before it and, through
-    Line, on a non-CJK character; the first bad segment is reported.
+    After normalization a body must match this grammar, where ``ideograph``
+    is any character of ``_CJK_RANGES`` and ``space`` any ``str.isspace``
+    character::
+
+        body     = space* line (space* line)* space*
+        line     = ideograph+ terminal?
+        terminal = "，" | "。"
+
+    So whitespace (newlines included) closes a line without terminal
+    punctuation (used by sources that print poem lines without
+    punctuation).  One ``_BODY_TOKEN`` pass checks that and yields the
+    lines, left to right; its Lines need no check of their own.  The first
+    character that breaks the grammar is reported: CorpusError on a
+    terminal with no ideograph before it, on a non-CJK character, or on a
+    body with no line.
     """
     lines = []
-    for chars, punct, dangling in _SEGMENT.findall(normalize_body_text(text)):
-        if chars:
-            lines.append(Line(chars, punct or None))
-        elif dangling:
-            raise CorpusError(f"dangling punctuation {dangling!r}")
+    for chars, punct, fault in _BODY_TOKEN.findall(normalize_body_text(text)):
+        if fault:
+            if fault in (COMMA, PERIOD):
+                raise CorpusError(f"dangling punctuation {fault!r}")
+            raise CorpusError(f"non-CJK character {fault!r} inside a line")
+        lines.append(_line(chars, punct or None))
     if not lines:
         raise CorpusError("empty body")
     return tuple(lines)
@@ -194,11 +232,8 @@ def restore_punctuation(lines: tuple[Line, ...]) -> tuple[Line, ...]:
     """
     if len(lines) < 2 or any(line.terminal_punct is not None for line in lines):
         return lines
-    restored = []
-    for i, line in enumerate(lines):
-        punct = COMMA if i % 2 == 0 else PERIOD
-        restored.append(Line(line.characters, punct))
-    return tuple(restored)
+    return tuple([_line(line.characters, PERIOD if i % 2 else COMMA)
+                  for i, line in enumerate(lines)])
 
 
 @dataclass(frozen=True)
@@ -238,6 +273,19 @@ def _poem_from_record(record: dict, catalog: FormCatalog, source_id: str) -> Poe
     return Poem(form_id=form_id, theme=theme, body=lines, source_id=source_id)
 
 
+def _check_line_breaks(poem: Poem) -> None:
+    """Raise CorpusError if a line other than the last has no terminal.
+
+    The serialized body marks line ends only by their terminals, so such a
+    line would run into the next one in the sample text.
+    """
+    terminals = [line.terminal_punct for line in poem.body]
+    if None in terminals[:-1]:
+        n = terminals.index(None) + 1
+        raise CorpusError(f"body line {n} has no terminal punctuation; "
+                          f"serialized, it would merge with line {n + 1}")
+
+
 def _records(path: str | Path, what: str) -> list[tuple[int, str]]:
     """The non-blank lines of a JSON-lines input file, numbered from 1."""
     lines = read_text(path, CorpusError, what).split("\n")
@@ -255,14 +303,17 @@ def _record(line: str) -> tuple[dict, str | None]:
     return record, source_id
 
 
-def ingest_corpus(path: str | Path, catalog: FormCatalog) -> IngestResult:
+def ingest_corpus(path: str | Path, catalog: FormCatalog, *,
+                  serializable: bool = False) -> IngestResult:
     """Read a line-delimited JSON corpus file.
 
     One object per line with string fields ``form``, ``theme``, ``body``
     (couplet records use ``first``/``second`` instead) and an optional
     string ``source_id`` (default: file name and line number).  Malformed
     records and unknown forms become diagnostics with their line numbers; a
-    record is never silently dropped.
+    record is never silently dropped.  With ``serializable``, so does a
+    poem whose serialized text would merge two of its lines: a line other
+    than the last with no terminal punctuation once restoration has run.
     """
     name = Path(path).name
     result = IngestResult()
@@ -270,6 +321,8 @@ def ingest_corpus(path: str | Path, catalog: FormCatalog) -> IngestResult:
         try:
             record, source_id = _record(line)
             poem = _poem_from_record(record, catalog, source_id or f"{name}:{line_no}")
+            if serializable:
+                _check_line_breaks(poem)
         except (json.JSONDecodeError, CorpusError, UnknownFormError) as exc:
             result.diagnostics.append(IngestDiagnostic(line_no, str(exc)))
             continue
@@ -278,11 +331,16 @@ def ingest_corpus(path: str | Path, catalog: FormCatalog) -> IngestResult:
 
 
 def write_dataset(samples: list[SerializedSample], path: str | Path) -> None:
-    """Write ``dataset.jsonl``: one ``{"text", "source_id"}`` object per sample."""
-    encode_json = json.JSONEncoder(ensure_ascii=False).encode
-    write_atomic(path, "".join(
-        encode_json({"text": s.text, "source_id": s.source_id}) + "\n"
-        for s in samples).encode("utf-8"))
+    """Write ``dataset.jsonl``: one ``{"text", "source_id"}`` object per sample.
+
+    Each line is what ``json.dumps(..., ensure_ascii=False)`` writes for the
+    object; its two strings go through the encoder's own string writer,
+    with none of its per-object set-up.
+    """
+    write_atomic(path, "".join([
+        f'{{"text": {_json_string(s.text)}, "source_id": '
+        f'{"null" if s.source_id is None else _json_string(s.source_id)}}}\n'
+        for s in samples]).encode("utf-8"))
 
 
 def read_dataset(path: str | Path, catalog: FormCatalog) -> list[SerializedSample]:
@@ -369,5 +427,5 @@ def acrostic_transform(poem: Poem, catalog: FormCatalog) -> Poem:
     if spec.acrostic_id is None:
         raise CorpusError(f"form {poem.form_id!r} has no acrostic variant")
     variant = catalog.resolve(spec.acrostic_id)
-    return replace(poem, form_id=variant.form_id,
-                   theme=poem.line_initials(variant.acrostic_slots))
+    return _poem(variant.form_id, poem.line_initials(variant.acrostic_slots),
+                 poem.body, poem.source_id)

@@ -176,6 +176,80 @@ class TestIngest:
         assert f"{corpus}:2: skipped: record field {field!r} is not a string" in err
         assert "ingested 2 poems (1 skipped records)" in err
 
+    # the body lines are 床前明月光， / 疑是地上霜 / 举头望明月， / 低头思故乡。 and
+    # line 2, with no terminal, would run into line 3 in the sample text
+    MERGED = {"form": "五言绝句", "theme": "静夜思",
+              "body": "床前明月光，疑是地上霜\n举头望明月，低头思故乡。"}
+
+    @pytest.mark.parametrize("record, line", [
+        (MERGED, 2),
+        ({"form": "武陵春", "theme": "游园", "body": "长忆西湖湖上宴\n一笑倒琼彝"}, 1),
+        ({"first": "秋月", "second": "春风 夏雨"}, 1),
+    ], ids=["jintishi-partly-punctuated", "ci-unpunctuated", "couplet-two-segments"])
+    def test_poem_whose_lines_would_merge_is_skipped(self, capsys, tmp_path,
+                                                     record, line):
+        corpus = _corpus_around(tmp_path, record)
+        out = tmp_path / "o"
+        code, _, err = run(capsys, "ingest", str(corpus), "-o", str(out), "--acrostic")
+        assert code == 0, err
+        assert (f"{corpus}:2: skipped: body line {line} has no terminal punctuation; "
+                f"serialized, it would merge with line {line + 1}") in err
+        assert "ingested 2 poems (1 skipped records)" in err
+        catalog = default_catalog()
+        assert [s.source_id for s in read_dataset(out / "dataset.jsonl", catalog)] == [
+            "c.jsonl:1", "c.jsonl:3"]
+
+    def test_validate_still_reads_the_merged_lines(self, capsys, tmp_path):
+        corpus = _corpus_around(tmp_path, self.MERGED)
+        code, out, err = run(capsys, "validate", str(corpus), "--json")
+        assert code == 0, err
+        assert "skipped" not in err
+        *reports, rate = out.splitlines()
+        assert [json.loads(r)["source_id"] for r in reports] == [
+            "c.jsonl:1", "c.jsonl:2", "c.jsonl:3"]
+        assert rate.startswith("well-formed rate: ") and "/3 = " in rate
+
+    # one record of every kind ingest rejects, between two good ones; the
+    # lines up to line 12 are as ingest printed them before merged lines
+    # were rejected
+    def test_diagnostics_are_pinned(self, capsys, tmp_path):
+        good = "床前明月光，疑是地上霜。举头望明月，低头思故乡。"
+        lines = [json.dumps(r, ensure_ascii=False) for r in (
+            {"form": "五言绝句", "theme": "静夜思", "body": good},
+        )] + ["not json", "[1, 2]"] + [json.dumps(r, ensure_ascii=False) for r in (
+            {"form": "五言绝句", "theme": "秋"},
+            {"form": "五言绝句", "theme": 7, "body": good},
+            {"form": "七言排律", "theme": "秋", "body": good},
+            {"form": "五言绝句", "theme": "秋", "body": " \n "},
+            {"form": "五言绝句", "theme": "秋", "body": "，" + good},
+            {"form": "五言绝句", "theme": "秋", "body": good[:-1] + "a。"},
+            {"form": "五言绝句", "theme": "秋(标题)", "body": good},
+            {"form": "五言绝句", "theme": "秋\n思", "body": good},
+        )] + [json.dumps({"form": "五言绝句", "theme": "秋\ud800", "body": good})] + [
+            json.dumps(r, ensure_ascii=False) for r in (
+                self.MERGED, {"first": "春风", "second": "秋月"})]
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "ingest", str(corpus), "-o", str(tmp_path / "o"),
+                             "--acrostic")
+        assert code == 0 and out == ""
+        assert err.splitlines() == [f"guti: {corpus}:{n}: skipped: {message}" for n, message in (
+            (2, "Expecting value: line 1 column 1 (char 0)"),
+            (3, "record is not a JSON object"),
+            (4, "record missing required field 'body'"),
+            (5, "record field 'theme' is not a string"),
+            (6, "unknown form: '七言排律'"),
+            (7, "empty body"),
+            (8, "dangling punctuation '，'"),
+            (9, "non-CJK character 'a' inside a line"),
+            (10, "theme contains identifier marker '(标题)'"),
+            (11, "theme contains a line break"),
+            (12, "theme contains a lone surrogate"),
+            (13, "body line 2 has no terminal punctuation; "
+                 "serialized, it would merge with line 3"),
+        )] + ["guti: 1 poems have no acrostic twin; kept as-is",
+              "guti: ingested 2 poems (12 skipped records), wrote 3 samples, vocab size 39"]
+
     def test_negative_max_seq_len_exits_1(self, capsys, tmp_path, mini_corpus):
         code, _, err = run(capsys, "ingest", str(mini_corpus), "-o",
                            str(tmp_path / "o"), "--max-seq-len", "-5")

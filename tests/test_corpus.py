@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from guti.corpus import (
     _CJK_RANGES,
     Line,
     Poem,
+    SerializedSample,
     _find_unique_marker,
     acrostic_transform,
     couplet_transform,
@@ -16,8 +19,10 @@ from guti.corpus import (
     ingest_corpus,
     is_cjk,
     parse_body,
+    restore_punctuation,
     sample_from_text,
     serialize,
+    write_dataset,
 )
 from guti.errors import CorpusError, SerializationError
 from guti.forms import ALL_MARKERS, ID1_MARKERS, ID2_MARKERS
@@ -86,6 +91,39 @@ class TestIngest:
         p.write_text(json.dumps(rec, ensure_ascii=False), encoding="utf-8")
         (poem,) = ingest_corpus(p, catalog).poems
         assert [ln.terminal_punct for ln in poem.body] == ["，", "。", "，", "。"]
+
+    # a line other than the last without a terminal: its serialized text
+    # would run into the next line's
+    @pytest.mark.parametrize("record, line", [
+        ({"form": "五言绝句", "theme": "静夜思",
+          "body": "床前明月光，疑是地上霜\n举头望明月，低头思故乡。"}, 2),
+        ({"form": "武陵春", "theme": "游园", "body": "长忆西湖湖上宴\n一笑倒琼彝"}, 1),
+        ({"first": "秋月", "second": "春风 夏雨"}, 1),
+    ], ids=["jintishi-partly-punctuated", "ci-unpunctuated", "couplet-two-segments"])
+    def test_merged_line_is_a_diagnostic_when_serializable(self, catalog, tmp_path,
+                                                            record, line):
+        p = tmp_path / "c.jsonl"
+        p.write_text(json.dumps(record, ensure_ascii=False), encoding="utf-8")
+        result = ingest_corpus(p, catalog, serializable=True)
+        assert result.poems == []
+        assert [(d.line_no, d.message) for d in result.diagnostics] == [
+            (1, f"body line {line} has no terminal punctuation; "
+                f"serialized, it would merge with line {line + 1}")]
+        # without the flag the poem keeps its lines, as guti validate reads them
+        (poem,) = ingest_corpus(p, catalog).poems
+        assert poem.body[line - 1].terminal_punct is None
+        assert len(deserialize(serialize(poem, catalog).text, catalog).body) < len(poem.body)
+
+    def test_unpunctuated_regular_form_is_restored_when_serializable(self, catalog,
+                                                                     tmp_path):
+        rec = {"form": "五言绝句", "theme": "静夜思",
+               "body": "床前明月光\n疑是地上霜\n举头望明月\n低头思故乡"}
+        p = tmp_path / "c.jsonl"
+        p.write_text(json.dumps(rec, ensure_ascii=False), encoding="utf-8")
+        result = ingest_corpus(p, catalog, serializable=True)
+        assert not result.diagnostics
+        (poem,) = result.poems
+        assert deserialize(serialize(poem, catalog).text, catalog).body == poem.body
 
     def test_unreadable_file(self, catalog, tmp_path):
         with pytest.raises(CorpusError):
@@ -232,6 +270,20 @@ class TestAcrosticTransform:
             twice = acrostic_transform(once, catalog)
             assert twice.theme == once.theme
             assert twice.form_id == once.form_id
+
+    def test_twin_equals_the_checked_poem(self, catalog, fixture_poems, toy_poems):
+        for poem in fixture_poems + toy_poems:
+            acrostic_id = catalog.resolve(poem.form_id).acrostic_id
+            if acrostic_id is None:
+                continue
+            variant = catalog.resolve(acrostic_id)
+            twin = acrostic_transform(poem, catalog)
+            checked = dataclasses.replace(poem, form_id=variant.form_id,
+                                          theme=poem.line_initials(variant.acrostic_slots))
+            assert type(twin) is Poem
+            assert twin == checked and hash(twin) == hash(checked)
+            assert repr(twin) == repr(checked)
+            assert pickle.loads(pickle.dumps(twin)) == checked
 
     def test_form_without_variant(self, catalog):
         poem = make_poem("武陵春", "游园", "长忆西湖湖上宴，一笑倒琼彝。", catalog)
@@ -432,3 +484,58 @@ _body_text = st.lists(
 @given(_body_text)
 def test_parse_body_matches_reference_loop(text):
     assert _outcome(parse_body, text) == _outcome(_reference_parse_body, text)
+
+
+def _assert_checked_line(line):
+    """``line`` is in every way the Line the checked constructor builds."""
+    checked = Line(line.characters, line.terminal_punct)
+    assert type(line) is Line
+    assert (line.characters, line.terminal_punct) == (checked.characters,
+                                                      checked.terminal_punct)
+    assert line == checked and hash(line) == hash(checked)
+    assert repr(line) == repr(checked)
+    assert pickle.loads(pickle.dumps(line)) == checked
+
+
+def _unpunctuated(lines):
+    return tuple(Line(line.characters) for line in lines)
+
+
+def test_unchecked_lines_equal_checked_lines_on_fixtures(fixture_poems, toy_poems):
+    for poem in fixture_poems + toy_poems:
+        for line in parse_body(poem.body_text()) + restore_punctuation(
+                _unpunctuated(poem.body)):
+            _assert_checked_line(line)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_body_text)
+def test_unchecked_lines_equal_checked_lines(text):
+    try:
+        lines = parse_body(text)
+    except CorpusError:
+        return
+    for line in lines + restore_punctuation(_unpunctuated(lines)):
+        _assert_checked_line(line)
+
+
+def test_replaced_sample_rebuilds_its_text(catalog, fixture_poems):
+    sample = serialize(fixture_poems[0], catalog)
+    other = dataclasses.replace(sample, theme="秋")
+    assert other.text == sample.form + sample.id1 + "秋" + sample.id2 + sample.body
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(st.text(st.characters(blacklist_categories=("Cs",))),
+                      min_size=1, max_size=4),
+       source_ids=st.lists(st.none() | st.text(st.characters(
+           blacklist_categories=("Cs",))), min_size=4, max_size=4))
+def test_write_dataset_writes_what_json_dumps_writes(tmp_path_factory, texts,
+                                                     source_ids):
+    samples = [SerializedSample("", "", "", "", text, source_id=source_id)
+               for text, source_id in zip(texts, source_ids)]
+    path = tmp_path_factory.mktemp("dataset") / "dataset.jsonl"
+    write_dataset(samples, path)
+    assert path.read_bytes() == "".join(
+        json.dumps({"text": s.text, "source_id": s.source_id}, ensure_ascii=False) + "\n"
+        for s in samples).encode("utf-8")
