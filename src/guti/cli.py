@@ -256,9 +256,9 @@ def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, dropout,
               help="Sampling seed (random if omitted).")
 @click.option("--json", "as_json", is_flag=True,
               help="Emit line-delimited JSON records instead of text. The "
-                   "candidates decode as one batch: prompt_ms is the one "
-                   "prompt pass they share, the same in every record, and "
-                   "decode_ms runs from then until that candidate finished.")
+                   "candidates decode as one batch: prompt_ms is the prompt "
+                   "pass they share up to each one's first token, the same in "
+                   "every record; decode_ms runs on until it hit EOS or budget.")
 @catalog_option
 @table_option
 @click.option("--strict-phonology", is_flag=True,

@@ -16,23 +16,25 @@ matmul over the flat rows, ``_nll`` alone turns logits into the loss, and
 ``_softmax_nll`` turns what it leaves into dL/dlogits in place.
 
 Rows: activations are flat (N, d) rows, one per (batch, position) cell
-that runs.  Attention is causal, so an output at position t reads only
-positions 0..t of its sequence.  A caller that asks for the logits at
-some positions only (``backward`` and held-out evaluation ask for the
-rows that predict a masked token) therefore runs, in each sequence, just
-the positions up to its last requested one: pads and the EOS column drop
-out, exactly.  Every layer runs on the kept rows.  A sequence's rows are
-contiguous, so attention runs once per run of consecutive sequences that
-keep the same length, on a (sequences, heads, L, ·) view of the run's
-rows and the top-left corner of one additive causal mask: the
-block-diagonal attention of packed sequences, without the packing.  Only
-the requested rows are projected to logits.  When every cell runs
-(public ``forward`` without ``rows``, any call with a ``kv`` cache, and
-so every decoding step) the whole batch is one run and the rows are a
-reshape of the (B, S) grid, not a gather.  Dropout masks are drawn at the
-untrimmed (B, S, ·) shape and cut down, so a pass draws the same random
-numbers whichever cells it keeps.  The 1/sqrt(head_dim) score scale is
-applied to the query rows, not to the scores.
+that runs, as one ``_Layout`` of a cached start and a run length per
+sequence lays them out.  Attention is causal, so an output at position t
+reads only positions 0..t of its sequence.  A caller that asks for the
+logits at some positions only (``backward`` and held-out evaluation ask
+for the rows that predict a masked token, a prompt pass for each prompt's
+last) therefore runs, in each sequence, just the positions up to its last
+requested one: pads and the EOS column drop out, exactly.  Every layer
+runs on the kept rows.  A sequence's rows are contiguous, so attention
+runs once per run of consecutive sequences of the same length, on a
+(sequences, heads, L, ·) view of the run's rows and the top-left corner
+of one additive causal mask: the block-diagonal attention of packed
+sequences, without the packing.  Only the requested rows are projected
+to logits.  When every sequence runs all S positions (public ``forward``
+without ``rows``, and so every decoding step) the whole batch is one run
+and the rows are a reshape of the (B, S) grid, not a gather.  Dropout
+masks are drawn at the untrimmed (B, S, ·) shape and cut down, so a pass
+draws the same random numbers whichever cells it keeps.  The
+1/sqrt(head_dim) score scale is applied to the query rows, not to the
+scores.
 
 Parameters are plain numpy arrays in an ordered name->array mapping.  The
 canonical storage dtype is float32 (matching the checkpoint format); the
@@ -46,8 +48,8 @@ may share one parameter set, and all randomness (dropout) comes from a
 caller-supplied generator, never global state.  The one caller-owned
 object ``forward`` mutates is its optional ``kv``, the ``KVCache`` of
 incremental decoding: per-layer key/value buffers allocated once, into
-which each call writes its positions' slots in place, so the next call
-attends over them and continues from them.
+which each call writes the slots of the positions it runs, after each
+row's own, so the next call attends over them and continues from them.
 Importing the module sets glibc's malloc, once for the whole process, to
 keep freed memory for reuse (see ``_keep_freed_memory``).
 """
@@ -207,8 +209,9 @@ class SequenceBatch:
     def __post_init__(self):
         self.tokens = np.asarray(self.tokens, dtype=np.int64)
         self.loss_mask = np.asarray(self.loss_mask)
-        if self.tokens.shape != self.loss_mask.shape or self.tokens.ndim != 2:
-            raise ModelError("tokens and loss_mask must share a (B, S) shape")
+        if (self.tokens.shape != self.loss_mask.shape or self.tokens.ndim != 2
+                or not self.tokens.size):
+            raise ModelError("tokens and loss_mask must share a nonempty (B, S) shape")
         if np.any(self.loss_mask[:, 0] != 0):
             raise ModelError("position 0 cannot carry next-token loss")
 
@@ -306,31 +309,58 @@ def _residual(y, b, mask, x):
 class _Layout:
     """The (batch, position) cells a forward pass runs, as flat rows.
 
-    Each sequence runs a prefix of its positions, so its rows are
-    contiguous.  ``width`` is the longest prefix, and ``cells`` holds the
-    flat index ``b * width + t`` of every kept cell of the (B, width) grid,
-    in row-major order.  When every cell is kept, ``cells`` is None and
-    the rows are a reshape of the grid, not a gather.
+    Sequence b has ``start[b]`` positions cached and runs the next
+    ``length[b]``: from 0 up to the last loss row in training and held-out
+    evaluation, a whole prompt in a prompt pass, one in a decode step.  Its
+    rows are contiguous.  ``width`` is the longest length, ``cells`` holds
+    the flat index ``b * width + t`` of every kept cell of the (B, width)
+    grid, in row-major order, and ``pos`` each row's position.  When every
+    length is ``width``, ``cells`` is None and the rows are a reshape of
+    the grid, not a gather.
 
-    ``runs`` groups consecutive sequences that keep the same length L, as
+    ``runs`` groups consecutive sequences of the same length L, as
     ``(batch slice, row slice, L)``; attention runs once per run, on a
-    (run size, heads, L, ·) view of the run's rows.  Sequences that keep
-    no position form no run.
+    (run size, heads, L, ·) view of the run's rows.  Sequences of length
+    0 form no run.
     """
 
-    def __init__(self, batch: int, width: int, lengths: np.ndarray | None = None):
-        self.batch, self.width, self.cells = batch, width, None
+    def __init__(self, start: np.ndarray, length: np.ndarray):
+        batch, lengths = len(length), length.tolist()
+        self.start, self.starts = start, start.tolist()
+        self.hi = max(self.starts)
+        self.width = width = max(lengths)
+        self.cells = None
         self.runs = [(slice(0, batch), slice(0, batch * width), width)]
-        if lengths is not None and not np.all(lengths == width):
-            self.cells = np.flatnonzero(np.arange(width) < lengths[:, None])
-            cut = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), batch]
+        if min(lengths) != width:
+            self.cells = np.flatnonzero(np.arange(width) < length[:, None])
+            cut = [0, *(np.flatnonzero(np.diff(length)) + 1).tolist(), batch]
             row0 = np.cumsum([0, *lengths]).tolist()
-            self.runs = [(slice(b0, b1), slice(row0[b0], row0[b1]), int(lengths[b0]))
+            self.runs = [(slice(b0, b1), slice(row0[b0], row0[b1]), lengths[b0])
                          for b0, b1 in zip(cut, cut[1:]) if lengths[b0]]
+        self.pos = self.to_rows(np.add.outer(start, np.arange(width)))
+
+    def attention(self, dtype, heads: int):
+        """Per run of L: the keys it reads, [:hi + L] for the largest start
+        hi, its cells' (batch, heads, position) index in a K/V cache, and its
+        additive causal mask: the query at position p sees keys 0..p.  With
+        one start, that is the corner of one mask, and a lone query row needs
+        none; with several (a decode step on a ragged cache) each row masks
+        the keys past its own positions: a masked key adds exp(-inf) = 0."""
+        w, hi = self.width, self.hi
+        if min(self.starts) == hi:
+            causal = (np.triu(np.full((w, hi + w), -np.inf, dtype=dtype), k=hi + 1)
+                      if w > 1 else None)
+            return [(hi + n, (bs, slice(None), slice(hi, hi + n)),
+                     causal[:n, :hi + n] if n > 1 else None) for bs, _, n in self.runs]
+        pos = self.start[:, None, None] + np.arange(w)      # (B, 1, w)
+        mask = np.where(np.arange(hi + w) > pos[..., None], -np.inf, 0.0).astype(dtype)
+        at = (np.arange(len(pos))[:, None, None], np.arange(heads)[:, None], pos)
+        return [(hi + n, (at[0][bs], at[1], at[2][bs, :, :n]), mask[bs, :, :n, :hi + n])
+                for bs, _, n in self.runs]
 
     def to_rows(self, x):
         """(B, >= width, ...) grid -> (N, ...) rows of the kept cells."""
-        flat = x[:, :self.width].reshape(self.batch * self.width, *x.shape[2:])
+        flat = x[:, :self.width].reshape(-1, *x.shape[2:])
         return flat if self.cells is None else flat[self.cells]
 
     def position_sum(self, x):
@@ -354,48 +384,41 @@ def _heads(x, n_heads: int, length: int):
     return x.reshape(-1, length, n_heads, x.shape[-1] // n_heads).transpose(0, 2, 1, 3)
 
 
-def _rows_reaching(batch: int, seq: int, out) -> _Layout:
-    """The cells that the outputs at ``out``, flat indices b * seq + t, read.
-
-    Attention is causal, so the output at (b, t) depends on positions
-    0..t of sequence b only; every later position is left out.
-    """
-    last = np.full(batch, -1)
-    np.maximum.at(last, out // seq, out % seq)
-    return _Layout(batch, int(last.max()) + 1, last + 1)
-
-
 class KVCache:
     """Per-layer keys and values of the positions decoded so far: ``k[i]``,
-    ``v[i]`` are (batch, heads, size, head_dim) buffers allocated once,
-    filled at ``[:length]`` (Pope et al., arXiv:2211.05102); ``size`` is the
-    most positions it holds.  It serves one model config at one batch
-    size; ``select`` changes the batch.
+    ``v[i]`` are (batch, heads, size, head_dim) buffers allocated once
+    (Pope et al., arXiv:2211.05102), row b filled at ``[:length[b]]`` (the
+    per-sequence lengths of vLLM, arXiv:2309.06180, without paging); a
+    row's later slots hold zeros or stale keys, which attention masks.  It
+    serves one model config at one batch size; ``select`` changes the batch.
     """
 
     def __init__(self, params: ModelParams, batch: int, size: int):
         c = self.config = params.config
-        self.length = 0
+        self.length = np.zeros(batch, dtype=np.int64)
         shape = (batch, c.n_heads, size, c.head_dim)
-        self.k = [np.empty(shape, params.dtype) for _ in range(c.n_layers)]
-        self.v = [np.empty(shape, params.dtype) for _ in range(c.n_layers)]
+        self.k = [np.zeros(shape, params.dtype) for _ in range(c.n_layers)]
+        self.v = [np.zeros(shape, params.dtype) for _ in range(c.n_layers)]
 
     def select(self, rows: list[int]) -> None:
-        """Keep batch rows ``rows`` in that order, repeats allowed; only the
-        filled prefix is copied."""
-        for buffers in (self.k, self.v):
-            for i, buf in enumerate(buffers):
-                buffers[i] = np.empty((len(rows),) + buf.shape[1:], buf.dtype)
-                buffers[i][:, :, :self.length] = buf[rows, :, :self.length]
+        """Keep batch rows ``rows`` in that order, repeats allowed."""
+        self.length = self.length[rows]
+        self.k, self.v = [buf[rows] for buf in self.k], [buf[rows] for buf in self.v]
+
+    def extend(self, i: int, bs: slice, at, keys: int, kh, vh):
+        """Write a run's (sequences, heads, L, head_dim) keys and values at
+        ``at`` in layer i; return its rows' first ``keys`` positions."""
+        self.k[i][at], self.v[i][at] = kh, vh
+        return self.k[i][bs, :, :keys], self.v[i][bs, :, :keys]
 
 
 def _check_inputs(params: ModelParams, tokens: np.ndarray) -> np.ndarray:
     tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 2:
-        raise ModelError("tokens must be a (batch, seq) array")
+    if tokens.ndim != 2 or not tokens.size:
+        raise ModelError(f"tokens must be a nonempty (batch, seq) array, not {tokens.shape}")
     # the ufuncs' own reductions: ndarray.min and .max add a Python wrapper
-    if tokens.size and (np.minimum.reduce(tokens, axis=None) < 0 or
-                        np.maximum.reduce(tokens, axis=None) >= params.config.vocab_size):
+    if (np.minimum.reduce(tokens, axis=None) < 0
+            or np.maximum.reduce(tokens, axis=None) >= params.config.vocab_size):
         raise ModelError("token id out of vocabulary range")
     return tokens
 
@@ -406,8 +429,8 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
 
     ``out`` holds the flat indices ``b * S + t`` of the positions projected
     to logits, returned as (len(out), V); None projects all of them to
-    (B, S, V).  Without a ``kv`` cache only the cells ``out`` reads run;
-    with one, every cell runs, since the cache must hold them all.
+    (B, S, V).  Each sequence runs up to its last position in ``out``, or
+    all S without it, after its ``kv`` cache row, which stores them.
     """
     c = params.config
     t = params.tensors
@@ -420,36 +443,34 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
             raise ModelError("K/V cache was built for another model config")
         if len(kv.k[0]) != b:
             raise ModelError(f"K/V cache of batch {len(kv.k[0])} fed a batch of {b}")
-    start = 0 if kv is None else kv.length
-    if start + s > c.context_len:
-        raise ModelError(
-            f"sequence length {start + s} exceeds context {c.context_len}")
-    if kv is not None and start + s > kv.k[0].shape[2]:
-        raise ModelError(f"sequence length {start + s} exceeds the K/V cache's "
+    length = np.full(b, s if out is None else 0)
+    if out is not None:     # each sequence runs up to its last output
+        np.maximum.at(length, out // s, out % s + 1)
+    layout = _Layout(np.zeros(b, np.int64) if kv is None else kv.length, length)
+    end = layout.hi + s
+    if end > c.context_len:
+        raise ModelError(f"sequence length {end} exceeds context {c.context_len}")
+    if kv is not None and end > kv.k[0].shape[2]:
+        raise ModelError(f"sequence length {end} exceeds the K/V cache's "
                          f"{kv.k[0].shape[2]} positions")
     rate = c.dropout_rate if train_mode else 0.0
-    layout = (_Layout(b, s) if out is None or kv is not None
-              else _rows_reaching(b, s, out))
-    w, d, h = layout.width, c.d_model, c.n_heads
+    w, d, h, hi = layout.width, c.d_model, c.n_heads, layout.hi
 
-    tok = layout.to_rows(tokens)     # each row's token id and position
-    pos = (np.arange(b * w) if layout.cells is None else layout.cells) % w + start
-    x = t["tok_emb"][tok] + t["pos_emb"][pos]
+    tok = layout.to_rows(tokens)     # each row's token id
+    x = t["tok_emb"][tok] + t["pos_emb"][layout.pos]
     # one mask per dropout site, drawn up front in the order the sites run:
     # the embedding, then each layer's attention and its two residuals
     drops = [None] * (1 + 3 * c.n_layers)
     if rate > 0.0:
         row_site = ((b, s, d), layout.to_rows)
-        att_site = ((b, h, s, start + s), lambda m: m[:, :, :w, :start + w])
+        att_site = ((b, h, s, hi + s), lambda m: m[:, :, :w, :hi + w])
         drops = [_dropout_mask(rng, shape, rate, dtype, take) for shape, take
                  in [row_site] + [att_site, row_site, row_site] * c.n_layers]
     x = _apply_mask(x, drops[0])
 
-    # query row i sits at position start + i and sees keys 0..start + i; a
-    # run of width L adds the mask's top-left (L, start + L) corner, and a
-    # lone query row (L == 1) sees every key, so it needs none
-    mask = (np.triu(np.full((w, start + w), -np.inf, dtype=dtype), k=start + 1)
-            if w > 1 else None)
+    attention = layout.attention(dtype, h)
+    # a run attends over its own keys and values, or a cache's, which it joins
+    extend = kv.extend if kv is not None else lambda i, bs, at, keys, kh, vh: (kh, vh)
     scale = 1.0 / math.sqrt(c.head_dim)
     caches = []
     for i, (ln1_g, ln1_b, w_qkv, b_qkv, w_o, b_o,
@@ -463,17 +484,13 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
         q *= scale
         ctx = np.empty_like(x)
         runs = []
-        for bs, rs, n in layout.runs:
-            kh, vh = _heads(k[rs], h, n), _heads(v[rs], h, n)
-            if kv is not None:     # every cell runs, so this is the one run
-                kv.k[i][:, :, start:start + n] = kh
-                kv.v[i][:, :, start:start + n] = vh
-                kh, vh = kv.k[i][:, :, :start + n], kv.v[i][:, :, :start + n]
+        for (bs, rs, n), (keys, at, mask) in zip(layout.runs, attention):
+            kh, vh = extend(i, bs, at, keys, _heads(k[rs], h, n), _heads(v[rs], h, n))
             probs = _heads(q[rs], h, n) @ kh.transpose(0, 1, 3, 2)
-            if n > 1:
-                probs += mask[:n, :start + n]
+            if mask is not None:
+                probs += mask
             softmax_inplace(probs)
-            drop = None if att_drop is None else att_drop[bs, :, :n, :start + n]
+            drop = None if att_drop is None else att_drop[bs, :, :n, :keys]
             probs_d = _apply_mask(probs, drop)
             np.matmul(probs_d, vh, out=_heads(ctx[rs], h, n))
             runs.append((probs, drop, probs_d))
@@ -494,7 +511,7 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
                 "gelu_d": gelu_d, "res_drop2": res_drop2,
             })
     if kv is not None:
-        kv.length = start + s
+        kv.length = layout.start + length
 
     out_idx = None
     if out is not None:
@@ -522,17 +539,19 @@ def forward(params: ModelParams, tokens: np.ndarray, train_mode: bool = False,
     (the default) is deterministic; train mode applies dropout driven by
     the caller-supplied generator.
 
-    ``kv`` is an optional ``KVCache(params, batch, size)``, empty at first.
-    ``tokens`` then continue the sequences the cache holds: they take
-    positions from ``kv.length`` on, attend to every cached position, and
-    their keys and values are written into the cache, whose length grows
-    by seq.  Feeding a sequence in any split of chunks gives the logits one
-    full call would give.  A cache of another model config or batch size,
-    or one too short to hold the positions, raises ModelError.
-
     ``rows`` = (b_idx, t_idx) returns only the logits at those positions,
-    ``forward(...)[rows]``, of shape (len(b_idx), vocab); without ``kv``,
-    only the positions they depend on are computed.
+    ``forward(...)[rows]``, of shape (len(b_idx), vocab); each sequence
+    runs only up to its last requested position.
+
+    ``kv`` is an optional ``KVCache(params, batch, size)``, empty at first.
+    ``tokens`` then continue the sequences the cache holds: row b takes
+    positions from ``kv.length[b]`` on, attends to its cached positions,
+    and writes the keys and values of the positions it runs into the
+    cache, whose ``length[b]`` grows by as many, so prompts of different
+    lengths fill one cache in one padded call with ``rows`` at their ends.
+    Feeding a sequence in any split of chunks gives the logits one full
+    call would give.  A cache of another model config or batch size, or
+    one too short to hold the positions, raises ModelError.
     """
     tokens = _check_inputs(params, tokens)
     out = None

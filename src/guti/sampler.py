@@ -9,9 +9,11 @@ one of them is sampled from the renormalized distribution.
 Decoding is incremental: one forward pass over the prompt fills a
 preallocated key/value cache (``model.KVCache``), and each later step feeds
 only the newest token through the same forward path, so a step costs
-O(length) instead of a full recompute of the prefix.  The candidates of
-one request decode together: they share the prompt pass, and each step
-feeds the newest token of every unfinished candidate as one batch.
+O(length) instead of a full recompute of the prefix.  One loop decodes
+the candidates of one or more prompts together, for ``generate``,
+``generate_batch`` and the trainer's novelty probes: prompts of different
+lengths share one prompt pass, and each step feeds the newest token of
+every unfinished candidate as one batch.
 """
 
 from __future__ import annotations
@@ -126,70 +128,67 @@ class GenerationResult:
 def generate(params: ModelParams, prompt: list[int], cfg: SampleConfig,
              vocab: Vocab) -> GenerationResult:
     """Decode token-by-token until EOS, max_new_tokens, or context is full."""
-    return _decode(params, prompt, cfg, [cfg.seed], vocab)[0]
+    return _decode(params, [prompt], [[cfg.seed]], cfg, vocab)[0]
 
 
-def _decode(params: ModelParams, prompt: list[int], cfg: SampleConfig,
-            seeds: list[int], vocab: Vocab) -> list[GenerationResult]:
-    """Decode one candidate per seed from ``prompt``, all in one batch.
+def _decode(params: ModelParams, prompts: list[list[int]], seeds: list[list[int]],
+            cfg: SampleConfig, vocab: Vocab) -> list[GenerationResult]:
+    """Decode one candidate per seed in ``seeds[p]`` from ``prompts[p]``,
+    all in one batch; returns them prompt by prompt, in seed order.
 
-    One prompt pass at batch size 1 fills the K/V cache, which is then
-    repeated to one row per candidate.  Every later step feeds the newest
-    token of each live candidate as one (n_live, 1) batch; a candidate that
-    emits EOS leaves the batch and the cache.  Each candidate samples from
-    its own logits row with its own ``Generator(seed)``, so it decodes the
-    tokens a separate ``generate`` call with that seed would: a batch row's
-    logits differ from a batch of one only in float rounding.
+    One ragged prompt pass, a row per prompt, fills the K/V cache, which
+    is then repeated to one row per candidate.  Every later step feeds the
+    newest token of each live candidate as one (n_live, 1) batch; a
+    candidate leaves at EOS or at its prompt's budget, min(max_new_tokens,
+    context_len - len(prompt)).  Each samples from its own logits row with
+    its own ``Generator(seed)``, so it decodes the tokens a ``generate``
+    call with its prompt and seed would: a batch row's logits differ from
+    a batch of one only in float rounding.  ``prompt_ms`` is the shared
+    prompt pass, to each candidate's first token; ``decode_ms`` the rest.
     """
     context_len = params.config.context_len
-    if not prompt:
+    width = max(map(len, prompts))
+    if not all(prompts):
         raise SamplingError("empty prompt")
-    if len(prompt) > context_len:
-        raise SamplingError(f"prompt length {len(prompt)} exceeds context "
-                            f"{context_len}")
+    if width > context_len:
+        raise SamplingError(f"prompt length {width} exceeds context {context_len}")
     if cfg.forbid is None:
         cfg = replace(cfg, forbid=default_forbid(vocab))
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    bodies: list[list[int]] = [[] for _ in seeds]
-    t_eos: list[float | None] = [None] * len(seeds)   # when each emitted EOS
+    budget = [min(cfg.max_new_tokens, context_len - len(prompt)) for prompt in prompts]
+    prompt_of = [p for p, row in enumerate(seeds) for _ in row]
+    rngs = [np.random.default_rng(seed) for row in seeds for seed in row]
+    bodies: list[list[int]] = [[] for _ in prompt_of]
+    decode_ms = [0.0] * len(prompt_of)
     t0 = time.perf_counter()
     t_first = None
-    live = list(range(len(seeds)))      # the candidate each next row decodes
-    src = [0] * len(seeds)              # the logits and cache row it reads
-    steps = min(cfg.max_new_tokens, context_len - len(prompt))
-    kv = KVCache(params, 1, len(prompt) + steps)
-    tokens = np.asarray([prompt])
-    for _ in range(steps):
-        b, s = tokens.shape
-        # the prompt pass projects its last position; a step has only one
-        last = ([0], [s - 1]) if s > 1 else None
-        logits = forward(params, tokens, kv=kv, rows=last).reshape(b, -1)
+    live = [c for c, p in enumerate(prompt_of) if budget[p]]   # each row's candidate
+    src = [prompt_of[c] for c in live]                  # and the row it reads
+    kv = KVCache(params, len(prompts), max(len(p) + n for p, n in zip(prompts, budget)))
+    tokens = np.array([prompt + [vocab.pad_id] * (width - len(prompt)) for prompt in prompts])
+    # the prompt pass projects each prompt's last position; a step has only one
+    rows = (np.arange(len(prompts)), [len(prompt) - 1 for prompt in prompts])
+    while live:
+        logits = forward(params, tokens, kv=kv, rows=rows).reshape(len(tokens), -1)
         picks = [top_k_sample(logits[r], cfg, rngs[c]) for r, c in zip(src, live)]
         now = time.perf_counter()
         t_first = now if t_first is None else t_first
         keep = []
         for j, (c, nxt) in enumerate(zip(live, picks)):
-            if nxt == vocab.eos_id:
-                t_eos[c] = now
-            else:
+            decode_ms[c] = 1e3 * (now - t_first)     # up to its last step
+            if nxt != vocab.eos_id:
                 bodies[c].append(nxt)
-                keep.append(j)
-        if not keep:
-            break
-        rows = [src[j] for j in keep]
-        if rows != list(range(b)):
-            kv.select(rows)
-        live = [live[j] for j in keep]
-        src = list(range(len(keep)))
-        tokens = np.asarray([[picks[j]] for j in keep])
-    t_last = time.perf_counter()
-    t_first = t_last if t_first is None else t_first
-    return [GenerationResult(token_ids=tuple(body),
-                             text=vocab_mod.decode(body, vocab),
-                             truncated=end is None,
-                             prompt_ms=1e3 * (t_first - t0),
-                             decode_ms=1e3 * ((t_last if end is None else end) - t_first))
-            for body, end in zip(bodies, t_eos)]
+                if len(bodies[c]) < budget[prompt_of[c]]:
+                    keep.append(j)
+        if keep and [src[j] for j in keep] != list(range(len(tokens))):
+            kv.select([src[j] for j in keep])
+        live, src = [live[j] for j in keep], list(range(len(keep)))
+        tokens, rows = np.asarray([[picks[j]] for j in keep]), None
+    prompt_ms = 0.0 if t_first is None else 1e3 * (t_first - t0)
+    # a candidate that stopped short of its budget emitted EOS
+    return [GenerationResult(token_ids=tuple(body), text=vocab_mod.decode(body, vocab),
+                             truncated=len(body) == budget[p], prompt_ms=prompt_ms,
+                             decode_ms=ms)
+            for body, p, ms in zip(bodies, prompt_of, decode_ms)]
 
 
 @dataclass
@@ -241,7 +240,7 @@ def generate_batch(params: ModelParams, form_id: str, theme: str, n: int,
     prompt = [vocab.bos_id] + vocab_mod.encode(prompt_text, vocab)
     seeds = [int(np.random.default_rng([cfg.seed, i]).integers(0, 2 ** 31))
              for i in range(n)]
-    outs = _decode(params, prompt, cfg, seeds, vocab) if seeds else []
+    outs = _decode(params, [prompt], [seeds], cfg, vocab) if seeds else []
     report = BatchReport()
     for i, (seed, out) in enumerate(zip(seeds, outs)):
         cand = Candidate(index=i, seed=seed, text=prompt_text + out.text,

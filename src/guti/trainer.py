@@ -33,7 +33,7 @@ from .model import (
     nll_loss,
     save_checkpoint,
 )
-from .sampler import SampleConfig, generate
+from .sampler import SampleConfig, _decode
 from .vocab import Vocab
 
 
@@ -304,14 +304,11 @@ NOVELTY_PROBES = 5      # novelty probes prompt with this many training samples
 def _probe_novelty(params, probe_prompts, index, vocab, max_new_tokens):
     scores = []
     cfg = SampleConfig(k=1, max_new_tokens=max_new_tokens, seed=0)
-    for prompt_ids in probe_prompts:
-        out = generate(params, prompt_ids, cfg, vocab)
-        if not out.token_ids:
-            continue
+    for out in _decode(params, probe_prompts, [[cfg.seed]] * len(probe_prompts), cfg, vocab):
         try:
             lines = [ln.characters for ln in parse_body(out.text)]
         except GutiError:
-            continue   # not yet parseable as a poem body; skip the probe
+            continue   # empty, or not yet parseable as a poem body; skip the probe
         scores.append(index.score_lines(lines).score)
     return float(np.mean(scores)) if scores else None
 

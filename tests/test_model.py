@@ -19,7 +19,7 @@ from guti.model import (
     _dropout_mask,
     _gelu,
     _layer_norm,
-    _rows_reaching,
+    _Layout,
     backward,
     forward,
     init_params,
@@ -108,6 +108,20 @@ class TestForward:
         with pytest.raises(ModelError):
             forward(params, np.zeros((1, 9), dtype=np.int64))
 
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 3)])
+    def test_empty_tokens_rejected(self, shape):
+        params = init_params(TINY, seed=0)
+        with pytest.raises(ModelError, match="nonempty"):
+            forward(params, np.zeros(shape, dtype=np.int64))
+        with pytest.raises(ModelError, match="nonempty"):
+            forward(params, np.zeros(shape, dtype=np.int64), kv=KVCache(params, shape[0], 8))
+        with pytest.raises(ModelError, match="nonempty"):
+            backward(params, SequenceBatch(np.zeros(shape), np.zeros(shape)))
+        batch = rand_batch(np.random.default_rng(0), TINY)
+        batch.tokens = np.zeros(shape, dtype=np.int64)
+        with pytest.raises(ModelError, match="nonempty"):
+            backward(params, batch)
+
     def test_id_out_of_range(self):
         params = init_params(TINY, seed=0)
         with pytest.raises(ModelError):
@@ -137,7 +151,7 @@ class TestKVCache:
         for n in chunks:
             parts.append(forward(params, tokens[:, pos:pos + n], kv=kv))
             pos += n
-        assert len(kv.k) == len(kv.v) == 2 and kv.length == 10
+        assert len(kv.k) == len(kv.v) == 2 and kv.length.tolist() == [10, 10]
         np.testing.assert_allclose(np.concatenate(parts, axis=1),
                                    forward(params, tokens), rtol=0, atol=1e-12)
 
@@ -148,7 +162,7 @@ class TestKVCache:
         with pytest.raises(ModelError):
             forward(params, np.zeros((1, 3), dtype=np.int64), kv=kv)
         forward(params, np.zeros((1, 2), dtype=np.int64), kv=kv)
-        assert kv.length == TINY.context_len
+        assert kv.length.tolist() == [TINY.context_len]
 
     def test_batch_mismatch_rejected(self):
         params = init_params(TINY, seed=0)
@@ -156,7 +170,7 @@ class TestKVCache:
         forward(params, np.zeros((1, 3), dtype=np.int64), kv=kv)
         with pytest.raises(ModelError, match="^K/V cache of batch 1 fed a batch of 2$"):
             forward(params, np.zeros((2, 1), dtype=np.int64), kv=kv)
-        assert kv.length == 3
+        assert kv.length.tolist() == [3]
 
     def test_cache_of_another_model_rejected(self):
         one = init_params(TINY, seed=0)
@@ -179,7 +193,7 @@ class TestKVCache:
                                           forward(params, tokens[:, a:b], kv=full))
         with pytest.raises(ModelError, match="exceeds the K/V cache's 5 positions"):
             forward(params, tokens[:, :1], kv=short)
-        assert short.length == 5
+        assert short.length.tolist() == [5]
 
     def test_select_repeats_and_drops_rows(self):
         """A cache repeated from one row, then cut to some of its rows in a
@@ -196,6 +210,38 @@ class TestKVCache:
                                  tokens[[2, 0], 4:7]], axis=1)
         np.testing.assert_allclose(step, forward(params, prefix)[:, 5:],
                                    rtol=0, atol=1e-12)
+
+    def test_ragged_rows_match_each_row_alone(self):
+        """Rows of different lengths share one cache: a ragged prompt pass,
+        one token per row, a select that repeats and drops rows, then two
+        tokens per row; each row's logits are its own sequence's full
+        forward pass."""
+        params = init_params(ROWS, seed=7, dtype=np.float64)
+        tokens = np.random.default_rng(8).integers(0, 13, size=(3, 12))
+        lengths = np.array([5, 2, 7])
+        kv = KVCache(params, 3, ROWS.context_len)
+
+        def alone(b, n):
+            return forward(params, tokens[b:b + 1, :n])[0, -1]
+
+        padded = np.where(np.arange(12) < lengths[:, None], tokens, 0)
+        got = forward(params, padded[:, :7], kv=kv, rows=(np.arange(3), lengths - 1))
+        want = [alone(b, n) for b, n in enumerate(lengths)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        step = forward(params, tokens[np.arange(3), lengths][:, None], kv=kv)
+        assert kv.length.tolist() == (lengths + 1).tolist()
+        np.testing.assert_allclose(step[:, 0], [alone(b, n + 1) for b, n in enumerate(lengths)],
+                                   rtol=0, atol=1e-12)
+        kv.select([2, 1, 2])
+        rows, at = np.array([2, 1, 2]), lengths[[2, 1, 2]] + 1
+        step = forward(params, tokens[rows, at][:, None], kv=kv)
+        assert kv.length.tolist() == (at + 1).tolist()
+        np.testing.assert_allclose(step[:, 0], [alone(b, n + 1) for b, n in zip(rows, at)],
+                                   rtol=0, atol=1e-12)
+        step = forward(params, tokens[rows[:, None], at[:, None] + [1, 2]], kv=kv)
+        for j in range(2):
+            np.testing.assert_allclose(step[:, j], [alone(b, n + 2 + j) for b, n in zip(rows, at)],
+                                       rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -721,6 +767,15 @@ def test_dropout_mask_cut_before_conversion_matches_full_mask(dtype):
     assert rng_new.random() == rng_old.random()
 
 
+def reaching_loss_rows(batch):
+    """The layout of ``backward``: each sequence from position 0 up to its
+    last loss row."""
+    b_idx, t_idx = loss_rows(batch)
+    length = np.zeros(len(batch.tokens), np.int64)
+    np.maximum.at(length, b_idx, t_idx + 1)
+    return _Layout(np.zeros_like(length), length)
+
+
 class TestAttentionRuns:
     """Attention runs once per run of consecutive sequences that keep the
     same length.  Each sequence alone at B=1 is one run of its own length,
@@ -739,9 +794,7 @@ class TestAttentionRuns:
 
     def test_runs_follow_the_kept_lengths(self):
         batch = self.batch(ROWS)
-        layout = _rows_reaching(*batch.tokens.shape,
-                                np.ravel_multi_index(loss_rows(batch),
-                                                     batch.tokens.shape))
+        layout = reaching_loss_rows(batch)
         assert [(bs.start, bs.stop, rs.start, rs.stop, n)
                 for bs, rs, n in layout.runs] == [(0, 2, 0, 10, 5),
                                                   (2, 3, 10, 13, 3),
@@ -779,8 +832,8 @@ class TestAttentionRuns:
         """pos_emb's gradient sums each position's rows over the sequences:
         bitwise the batch-axis sum of the rows on a zero-padded grid."""
         batch = self.batch(ROWS)
-        b, s = batch.tokens.shape
-        layout = _rows_reaching(b, s, np.ravel_multi_index(loss_rows(batch), (b, s)))
+        b = len(batch.tokens)
+        layout = reaching_loss_rows(batch)
         x = np.random.default_rng(17).standard_normal((layout.cells.size, 16))
         grid = np.zeros((b * layout.width, 16))
         grid[layout.cells] = x
@@ -820,7 +873,7 @@ class TestForwardRows:
         tokens = np.random.default_rng(11).integers(0, 13, size=(1, 9))
         kv = KVCache(params, 1, ROWS.context_len)
         last = forward(params, tokens[:, :6], kv=kv, rows=([0], [5]))
-        assert kv.length == 6
+        assert kv.length.tolist() == [6]
         step = forward(params, tokens[:, 6:], kv=kv, rows=([0], [2]))
         full = forward(params, tokens)
         np.testing.assert_allclose(last[0], full[0, 5], rtol=0, atol=1e-12)
@@ -835,18 +888,19 @@ class TestForwardRows:
             forward(params, np.zeros((3, 10), dtype=np.int64), rows=rows)
 
     def test_cells_run_up_to_each_sequence_last_output(self):
-        # flat indices b * 6 + t; sequence 1 asks for nothing
-        layout = _rows_reaching(3, 6, np.array([2, 4, 13]))
+        # outputs at (0, 2), (0, 4) and (2, 1), flat indices b * 6 + t;
+        # sequence 1 asks for nothing
+        layout = _Layout(np.zeros(3, np.int64), np.array([5, 0, 2]))
         assert layout.width == 5
         assert layout.cells.tolist() == [0, 1, 2, 3, 4, 10, 11]
         assert layout.index(np.array([13, 2]), 6).tolist() == [6, 2]
 
     def test_uniform_cut_is_a_reshape(self):
         grid = np.arange(12).reshape(2, 6)
-        layout = _rows_reaching(2, 6, np.array([3, 9]))
+        layout = _Layout(np.zeros(2, np.int64), np.array([4, 4]))    # outputs 3, 9
         assert layout.width == 4 and layout.cells is None
         assert layout.to_rows(grid).tolist() == grid[:, :4].reshape(-1).tolist()
-        layout = _rows_reaching(2, 6, np.array([5, 11, 0]))
+        layout = _Layout(np.zeros(2, np.int64), np.array([6, 6]))    # outputs 5, 11, 0
         assert layout.width == 6 and layout.cells is None
         assert np.shares_memory(layout.to_rows(grid), grid)
 

@@ -8,6 +8,7 @@ from guti.errors import SamplingError, UnknownFormError
 from guti.model import ModelConfig, forward, init_params
 from guti.sampler import (
     SampleConfig,
+    _decode,
     build_prompt,
     default_forbid,
     generate,
@@ -407,3 +408,49 @@ class TestBatchedDecode:
             assert len(lengths) >= 3 and truncated == {True, False}
         if model == "short-context":
             assert lengths == {params.config.context_len - len(prompt)}
+
+    @pytest.mark.parametrize("k", [1, 20])
+    @pytest.mark.parametrize("model", ["eos-heavy", "short-context"])
+    def test_ragged_prompts_equal_each_prompt_alone(self, toy_vocab, catalog,
+                                                    monkeypatch, model, k):
+        """Prompts of different lengths share the prompt pass and every
+        step; each candidate decodes what its prompt alone decodes."""
+        cfg = SampleConfig(k=k, max_new_tokens=24, seed=0)
+        if model == "eos-heavy":
+            params = eos_heavy_params(toy_vocab)
+        else:       # no EOS: every candidate runs to its prompt's budget
+            params = init_params(ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=32,
+                                             context_len=18,
+                                             vocab_size=toy_vocab.size), seed=3)
+            cfg = replace(cfg, forbid=default_forbid(toy_vocab) | {toy_vocab.eos_id})
+        prompts = [build_prompt("五绝", "静夜思", catalog, toy_vocab),
+                   build_prompt("七律", "春", catalog, toy_vocab),
+                   build_prompt("五绝", "春夏秋冬", catalog, toy_vocab, acrostic=True)]
+        assert len({len(p) for p in prompts}) == 3
+        seeds = [[11, 12], [13], [14, 15, 16]]
+        seen = self.logits_by_rng(monkeypatch)
+        lengths, truncated = set(), set()
+        for base in range(3):
+            seen.clear()
+            outs = _decode(params, prompts, [[base + s for s in row] for row in seeds],
+                           cfg, toy_vocab)
+            batched = iter(list(seen.values()))
+            assert len(outs) == 6
+            outs = iter(outs)
+            for prompt, row in zip(prompts, seeds):
+                for seed, got in zip(row, outs):
+                    batch_logits = next(batched)
+                    seen.clear()
+                    out = generate(params, prompt, replace(cfg, seed=base + seed), toy_vocab)
+                    assert got == out
+                    serial_logits = next(iter(seen.values()))
+                    assert len(batch_logits) == len(serial_logits)
+                    np.testing.assert_allclose(batch_logits, serial_logits,
+                                               rtol=0, atol=1e-5)
+                    lengths.add(len(out.token_ids))
+                    truncated.add(out.truncated)
+        if model == "eos-heavy" and k > 1:
+            assert len(lengths) >= 3 and truncated == {True, False}
+        if model == "short-context":
+            # each prompt stops at its own budget, the context it leaves
+            assert lengths == {params.config.context_len - len(p) for p in prompts}

@@ -33,7 +33,8 @@ from guti.trainer import (
     make_batch,
     novelty_score,
 )
-from guti.vocab import build_vocab
+from guti.sampler import SampleConfig, generate
+from guti.vocab import build_vocab, encode
 
 
 def novelty_index(body_texts: list[str]) -> NoveltyIndex:
@@ -352,6 +353,29 @@ class TestNovelty:
         bodies = [[ln.characters for ln in parse_body(s.body)] for s in samples]
         assert got._lines == {ln for body in bodies for ln in body}
         assert got._corpus_text == "\n".join("".join(body) for body in bodies)
+
+    def test_batched_probes_score_as_each_probe_alone(self, toy_samples):
+        """The probes decode as one ragged batch; their mean novelty is the
+        mean over each probe's own ``generate`` call."""
+        vocab = build_vocab(toy_samples)
+        config = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=32,
+                             context_len=48, vocab_size=vocab.size)
+        # weights 8x the init scale, so that attention, not the newest
+        # token alone, picks each greedy token
+        params = init_params(config, seed=2)
+        params = ModelParams(config, {name: t * 8 if t.ndim == 2 else t
+                                      for name, t in params.tensors.items()})
+        prompts = [[vocab.bos_id] + encode(s.prompt, vocab) for s in toy_samples[:5]]
+        assert len({len(p) for p in prompts}) > 1
+        cfg = SampleConfig(k=1, max_new_tokens=config.context_len, seed=0)
+        texts = [generate(params, p, cfg, vocab).text for p in prompts]
+        # probes 0 and 2 retrieve their own bodies, the others score near 1
+        index = novelty_index([texts[0], texts[2]])
+        scores = [index.score_lines([ln.characters for ln in parse_body(text)]).score
+                  for text in texts]
+        assert len(set(scores)) > 1
+        got = trainer._probe_novelty(params, prompts, index, vocab, config.context_len)
+        assert got == float(np.mean(scores))
 
 
 class TestBatching:
