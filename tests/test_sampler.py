@@ -454,3 +454,49 @@ class TestBatchedDecode:
         if model == "short-context":
             # each prompt stops at its own budget, the context it leaves
             assert lengths == {params.config.context_len - len(p) for p in prompts}
+
+
+def pinned_digest(decode, monkeypatch):
+    """sha256 of every logits row top_k_sample sees, as it sees it (float32
+    here), and the id it draws from that row, in call order."""
+    import hashlib
+
+    import guti.sampler as sampler_mod
+    digest = hashlib.sha256()
+
+    def spy(logits, cfg, rng):
+        nxt = top_k_sample(logits, cfg, rng)
+        assert logits.dtype == np.float32
+        digest.update(np.ascontiguousarray(logits).tobytes())
+        digest.update(np.int64(nxt).tobytes())
+        return nxt
+
+    monkeypatch.setattr(sampler_mod, "top_k_sample", spy)
+    decode()
+    return digest.hexdigest()
+
+
+# recorded before the decode step and the top-k draw were rewritten with
+# fewer numpy calls: the arithmetic is the same, so the bits are too
+DECODE_GOLDEN = {
+    "generate": "69fabc690e993fe6a2a38759ae32b134b641071e18f86d771283b80c8d036a51",
+    "generate_batch": "e0a89ba63f72b3e30ec3c93026b154b554554426d64cf70179f9277233cb547c",
+    "ragged": "6344e124d766527d897177b1fb7ee10126a4d976200f9b478e82aefc7922fbf6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECODE_GOLDEN))
+def test_decode_bits_pinned(toy_vocab, catalog, table, monkeypatch, case):
+    params = init_params(ModelConfig(vocab_size=toy_vocab.size), seed=0)
+    cfg = SampleConfig(k=20, max_new_tokens=40, seed=3)
+    prompts = [build_prompt("五绝", "静夜思", catalog, toy_vocab),
+               build_prompt("七律", "春", catalog, toy_vocab),
+               build_prompt("五绝", "春夏秋冬", catalog, toy_vocab, acrostic=True)]
+    decode = {
+        "generate": lambda: generate(params, prompts[0], cfg, toy_vocab),
+        "generate_batch": lambda: generate_batch(params, "五绝", "静夜思", 4, cfg,
+                                                 toy_vocab, catalog, table),
+        "ragged": lambda: _decode(params, prompts, [[11, 12], [13], [14, 15, 16]],
+                                  cfg, toy_vocab),
+    }[case]
+    assert pinned_digest(decode, monkeypatch) == DECODE_GOLDEN[case]
