@@ -5,36 +5,32 @@ multi-head causal self-attention, and a weight-tied output projection by
 default.  Both the forward pass and the analytic backward pass are written
 out explicitly; gradients are exact up to floating point, which the test
 suite pins against central finite differences.  The forward pass caches
-for ``backward``, its only reader, just what the gradients read: per row
-and layer, both norms' x-hat, q/k/v, the attention context, and the
-GELU's activation and derivative (14 d-wide values at d_ff = 4d).  Each
-activation is freed at its last reader, with no recomputation: the
-forward pass drops each norm's output and the GELU's input once read,
-and ``backward`` pops each cache entry at its last read and deletes each
-gradient before its next large allocation.  Every weight gradient is one
+for ``backward``, its only reader, just what the gradients read (14 d-wide
+values per row and layer at d_ff = 4d), and each activation is freed at
+its last reader, with no recomputation.  Every weight gradient is one
 matmul over the flat rows, ``_nll`` alone turns logits into the loss, and
 ``_softmax_nll`` turns what it leaves into dL/dlogits in place.
 
 Rows: activations are flat (N, d) rows, one per (batch, position) cell
 that runs, as one ``_Layout`` of a cached start and a run length per
-sequence lays them out.  Attention is causal, so an output at position t
-reads only positions 0..t of its sequence.  A caller that asks for the
-logits at some positions only (``backward`` and held-out evaluation ask
-for the rows that predict a masked token, a prompt pass for each prompt's
-last) therefore runs, in each sequence, just the positions up to its last
-requested one: pads and the EOS column drop out, exactly.  Every layer
-runs on the kept rows.  A sequence's rows are contiguous, so attention
-runs once per run of consecutive sequences of the same length, on a
-(sequences, heads, L, ·) view of the run's rows and the top-left corner
-of one additive causal mask: the block-diagonal attention of packed
-sequences, without the packing.  Only the requested rows are projected
-to logits.  When every sequence runs all S positions (public ``forward``
-without ``rows``, and so every decoding step) the whole batch is one run
-and the rows are a reshape of the (B, S) grid, not a gather.  Dropout
-masks are drawn at the untrimmed (B, S, ·) shape and cut down, so a pass
-draws the same random numbers whichever cells it keeps.  The
-1/sqrt(head_dim) score scale is applied to the query rows, not to the
-scores.
+sequence lays them out.  Attention is causal, so a caller that asks for
+the logits at some positions only (``backward`` and held-out evaluation
+ask for the rows that predict a masked token, a prompt pass for each
+prompt's last) runs, in each sequence, just the positions up to its last
+requested one: pads and the EOS column drop out, exactly.  A sequence's
+rows are contiguous, so attention runs once per run of consecutive
+sequences of the same length, on a (sequences, heads, L, ·) view of the
+run's rows and the corner of one additive causal mask: the block-diagonal
+attention of packed sequences, without the packing.  Only the requested
+rows are projected to logits.  When every sequence runs all S positions
+from one start (``forward`` without ``rows``, and each decode step of one
+prompt's candidates) the layout is Python ints and slices, the rows are a
+reshape of the (B, S) grid, and a step's numpy calls are its arithmetic,
+on 0-d constants and (1, n) parameter rows, which a one-row ufunc takes
+without a conversion or a broadcast.  Dropout masks are drawn at the
+untrimmed (B, S, ·) shape and cut down, so a pass draws the same random
+numbers whichever cells it keeps.  The 1/sqrt(head_dim) score scale is
+applied to the query rows, not to the scores.
 
 Parameters are plain numpy arrays in an ordered name->array mapping.  The
 canonical storage dtype is float32 (matching the checkpoint format); the
@@ -47,16 +43,14 @@ Nothing here mutates ModelParams: any number of concurrent forward calls
 may share one parameter set, and all randomness (dropout) comes from a
 caller-supplied generator, never global state.  The one caller-owned
 object ``forward`` mutates is its optional ``kv``, the ``KVCache`` of
-incremental decoding: per-layer key/value buffers allocated once, into
-which each call writes the slots of the positions it runs, after each
-row's own, so the next call attends over them and continues from them.
-Importing the module sets glibc's malloc, once for the whole process, to
-keep freed memory for reuse (see ``_keep_freed_memory``).
+incremental decoding.  Importing the module sets glibc's malloc, once for
+the whole process, to keep freed memory for reuse (``_keep_freed_memory``).
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
 import math
 import struct
@@ -164,8 +158,11 @@ class ModelParams:
     @cached_property
     def layers(self) -> list[tuple[np.ndarray, ...]]:
         """Each layer's tensors in ``_LAYER`` order, looked up once, not per
-        decode step; replace tensors by building a new ModelParams."""
-        return [tuple(self.tensors[f"layer{i}.{n}"] for n in _LAYER)
+        decode step, with vectors as (1, n) rows, which a one-row step adds
+        at half the cost of a broadcast; replace tensors by building a new
+        ModelParams."""
+        return [tuple(t.reshape(1, -1) if t.ndim == 1 else t
+                      for t in (self.tensors[f"layer{i}.{n}"] for n in _LAYER))
                 for i in range(self.config.n_layers)]
 
     def check_finite(self) -> None:
@@ -216,18 +213,19 @@ class SequenceBatch:
             raise ModelError("position 0 cannot carry next-token loss")
 
 
+@functools.cache
+def _as_dtype(dtype: np.dtype, *values) -> tuple[np.ndarray, ...]:
+    """``values`` as read-only 0-d arrays of ``dtype``: a ufunc converts a number anew."""
+    return tuple(np.broadcast_to(np.array(v, dtype), ()) for v in values)
+
+
 def _layer_norm(x, g, b):
-    """``ndarray.mean`` is a sum and a divide behind a Python-level wrapper
-    whose overhead dominates at decode-step sizes; these are the same sum
-    and divide, so the result is bitwise the same."""
-    d = x.shape[-1]
-    mu = np.add.reduce(x, axis=-1, keepdims=True)
-    mu /= d
-    xc = x - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
-    var /= d
-    var += _LN_EPS
-    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    """``ndarray.mean``'s sum and divide without its Python-level wrapper, so
+    bitwise the same; the (rows, 1) statistics are not written in place, which
+    at one row costs a ufunc about twice what a new array costs."""
+    d, eps, one = _as_dtype(x.dtype, x.shape[-1], _LN_EPS, 1.0)
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    inv = one / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + eps)
     xc *= inv
     y = xc * g
     y += b
@@ -253,34 +251,36 @@ def _gelu(u, derivative=False):
     else None; ``u`` is not written.  The derivative is formed first and
     the activation last, in the tanh's buffer, so at most three new arrays
     of ``u``'s size are alive at once."""
+    ca, ca3, c, one, half = _as_dtype(u.dtype, _GELU_C * _GELU_A, 3.0 * _GELU_A * _GELU_C,
+                                      _GELU_C, 1.0, 0.5)
     t = u * u
-    t *= _GELU_C * _GELU_A
-    t += _GELU_C
+    t *= ca
+    t += c
     t *= u
     np.tanh(t, out=t)
     g = None
     if derivative:
         g = u * u
-        g *= 3.0 * _GELU_A * _GELU_C
-        g += _GELU_C
+        g *= ca3
+        g += c
         g *= u
         sech2 = t * t
-        np.subtract(1.0, sech2, out=sech2)
+        np.subtract(one, sech2, out=sech2)
         g *= sech2
         g += t
-        g += 1.0
-        g *= 0.5
-    t += 1.0
+        g += one
+        g *= half
+    t += one
     t *= u
-    t *= 0.5
+    t *= half
     return t, g
 
 
 def softmax_inplace(x):
     """Softmax over the last axis, written over ``x``; returns ``x``."""
-    x -= x.max(axis=-1, keepdims=True)
+    x -= np.maximum.reduce(x, axis=-1, keepdims=True)
     np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
+    x /= np.add.reduce(x, axis=-1, keepdims=True)
     return x
 
 
@@ -299,24 +299,17 @@ def _apply_mask(x, mask):
     return x if mask is None else x * mask
 
 
-def _residual(y, b, mask, x):
-    """x + dropout(y + b), written over ``y``; the caller's rebinding of x
-    to the result frees the block's input."""
-    y += b
-    return np.add(_apply_mask(y, mask), x, out=y)
-
-
 class _Layout:
     """The (batch, position) cells a forward pass runs, as flat rows.
 
-    Sequence b has ``start[b]`` positions cached and runs the next
-    ``length[b]``: from 0 up to the last loss row in training and held-out
+    Sequence b has ``starts[b]`` positions cached and runs the next
+    ``lengths[b]``: from 0 up to the last loss row in training and held-out
     evaluation, a whole prompt in a prompt pass, one in a decode step.  Its
     rows are contiguous.  ``width`` is the longest length, ``cells`` holds
     the flat index ``b * width + t`` of every kept cell of the (B, width)
-    grid, in row-major order, and ``pos`` each row's position.  When every
-    length is ``width``, ``cells`` is None and the rows are a reshape of
-    the grid, not a gather.
+    grid, in row-major order, or None when every length is ``width`` and
+    the rows are a reshape of the grid; ``pos`` indexes the grid's
+    positions, as the slice ``hi:hi + width`` when every start is ``hi``.
 
     ``runs`` groups consecutive sequences of the same length L, as
     ``(batch slice, row slice, L)``; attention runs once per run, on a
@@ -324,39 +317,39 @@ class _Layout:
     0 form no run.
     """
 
-    def __init__(self, start: np.ndarray, length: np.ndarray):
-        batch, lengths = len(length), length.tolist()
-        self.start, self.starts = start, start.tolist()
-        self.hi = max(self.starts)
+    def __init__(self, starts: list[int], lengths: list[int]):
+        batch = len(lengths)
+        self.hi = hi = max(starts)
         self.width = width = max(lengths)
         self.cells = None
         self.runs = [(slice(0, batch), slice(0, batch * width), width)]
         if min(lengths) != width:
-            self.cells = np.flatnonzero(np.arange(width) < length[:, None])
-            cut = [0, *(np.flatnonzero(np.diff(length)) + 1).tolist(), batch]
+            self.cells = np.flatnonzero(np.arange(width) < np.array(lengths)[:, None])
+            cut = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), batch]
             row0 = np.cumsum([0, *lengths]).tolist()
             self.runs = [(slice(b0, b1), slice(row0[b0], row0[b1]), lengths[b0])
                          for b0, b1 in zip(cut, cut[1:]) if lengths[b0]]
-        self.pos = self.to_rows(np.add.outer(start, np.arange(width)))
+        self.pos = (slice(hi, hi + width) if min(starts) == hi
+                    else np.add.outer(starts, np.arange(width)))
 
     def attention(self, dtype, heads: int):
         """Per run of L: the keys it reads, [:hi + L] for the largest start
-        hi, its cells' (batch, heads, position) index in a K/V cache, and its
-        additive causal mask: the query at position p sees keys 0..p.  With
-        one start, that is the corner of one mask, and a lone query row needs
-        none; with several (a decode step on a ragged cache) each row masks
-        the keys past its own positions: a masked key adds exp(-inf) = 0."""
+        hi, its cells' index in a layer's K/V buffer, and its additive causal
+        mask: the query at position p sees keys 0..p.  With one start, the
+        index is slices and the mask the corner of one mask, and a lone query
+        row needs none; with several (a decode step on a ragged cache) each
+        row masks the keys past its own positions: a masked key adds 0."""
         w, hi = self.width, self.hi
-        if min(self.starts) == hi:
+        if isinstance(self.pos, slice):     # one start
             causal = (np.triu(np.full((w, hi + w), -np.inf, dtype=dtype), k=hi + 1)
                       if w > 1 else None)
-            return [(hi + n, (bs, slice(None), slice(hi, hi + n)),
+            return [(hi + n, (slice(None), bs, slice(None), slice(hi, hi + n)),
                      causal[:n, :hi + n] if n > 1 else None) for bs, _, n in self.runs]
-        pos = self.start[:, None, None] + np.arange(w)      # (B, 1, w)
+        pos = self.pos[:, None]                              # (B, 1, w)
         mask = np.where(np.arange(hi + w) > pos[..., None], -np.inf, 0.0).astype(dtype)
         at = (np.arange(len(pos))[:, None, None], np.arange(heads)[:, None], pos)
-        return [(hi + n, (at[0][bs], at[1], at[2][bs, :, :n]), mask[bs, :, :n, :hi + n])
-                for bs, _, n in self.runs]
+        return [(hi + n, (slice(None), at[0][bs], at[1], at[2][bs, :, :n]),
+                 mask[bs, :, :n, :hi + n]) for bs, _, n in self.runs]
 
     def to_rows(self, x):
         """(B, >= width, ...) grid -> (N, ...) rows of the kept cells."""
@@ -379,37 +372,35 @@ class _Layout:
         return out if self.cells is None else np.searchsorted(self.cells, out)
 
 
-def _heads(x, n_heads: int, length: int):
-    """(n * length, d) rows of one run -> (n, n_heads, length, d // n_heads) view."""
-    return x.reshape(-1, length, n_heads, x.shape[-1] // n_heads).transpose(0, 2, 1, 3)
+def _heads(x, n_heads: int, length: int, head_dim: int):
+    """(n * length, parts * d) rows of one run -> (parts, n, n_heads, length,
+    head_dim) views: q, k, v of the fused rows, or one part."""
+    return x.reshape(-1, length, x.shape[-1] // (n_heads * head_dim),
+                     n_heads, head_dim).transpose(2, 0, 3, 1, 4)
 
 
 class KVCache:
-    """Per-layer keys and values of the positions decoded so far: ``k[i]``,
-    ``v[i]`` are (batch, heads, size, head_dim) buffers allocated once
-    (Pope et al., arXiv:2211.05102), row b filled at ``[:length[b]]`` (the
-    per-sequence lengths of vLLM, arXiv:2309.06180, without paging); a
-    row's later slots hold zeros or stale keys, which attention masks.  It
-    serves one model config at one batch size; ``select`` changes the batch.
-    """
+    """Keys and values of the positions decoded so far: ``buffers[i]`` stacks
+    layer i's (batch, heads, size, head_dim) keys and values, allocated once
+    (Pope et al., arXiv:2211.05102), so one index writes or reads both; row
+    b is filled at ``[:lengths[b]]`` (the per-sequence lengths of vLLM,
+    arXiv:2309.06180, without paging), and its later slots hold zeros or
+    stale keys, which attention masks.  It serves one model config at one
+    batch size; ``select`` changes the batch."""
 
     def __init__(self, params: ModelParams, batch: int, size: int):
         c = self.config = params.config
-        self.length = np.zeros(batch, dtype=np.int64)
-        shape = (batch, c.n_heads, size, c.head_dim)
-        self.k = [np.zeros(shape, params.dtype) for _ in range(c.n_layers)]
-        self.v = [np.zeros(shape, params.dtype) for _ in range(c.n_layers)]
+        self.size = size
+        self.lengths = [0] * batch
+        shape = (2, batch, c.n_heads, size, c.head_dim)
+        self.buffers = [np.zeros(shape, params.dtype) for _ in range(c.n_layers)]
+
+    length = property(lambda self: np.array(self.lengths, dtype=np.int64))
 
     def select(self, rows: list[int]) -> None:
         """Keep batch rows ``rows`` in that order, repeats allowed."""
-        self.length = self.length[rows]
-        self.k, self.v = [buf[rows] for buf in self.k], [buf[rows] for buf in self.v]
-
-    def extend(self, i: int, bs: slice, at, keys: int, kh, vh):
-        """Write a run's (sequences, heads, L, head_dim) keys and values at
-        ``at`` in layer i; return its rows' first ``keys`` positions."""
-        self.k[i][at], self.v[i][at] = kh, vh
-        return self.k[i][bs, :, :keys], self.v[i][bs, :, :keys]
+        self.lengths = [self.lengths[r] for r in rows]
+        self.buffers = [buf[:, rows] for buf in self.buffers]
 
 
 def _check_inputs(params: ModelParams, tokens: np.ndarray) -> np.ndarray:
@@ -425,39 +416,36 @@ def _check_inputs(params: ModelParams, tokens: np.ndarray) -> np.ndarray:
 
 def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
                   rng, want_cache: bool, kv: KVCache | None = None, out=None):
-    """The one forward pass: ``(logits, cache)``.
+    """The one forward pass, on ids ``_check_inputs`` passes: ``(logits, cache)``.
 
     ``out`` holds the flat indices ``b * S + t`` of the positions projected
     to logits, returned as (len(out), V); None projects all of them to
     (B, S, V).  Each sequence runs up to its last position in ``out``, or
     all S without it, after its ``kv`` cache row, which stores them.
     """
-    c = params.config
-    t = params.tensors
-    dtype = params.dtype
+    c, t, dtype = params.config, params.tensors, params.dtype
     if train_mode and c.dropout_rate > 0.0 and rng is None:
         raise ModelError("train-mode forward with dropout needs an rng")
     b, s = tokens.shape
-    if kv is not None:
-        if kv.config != c:
-            raise ModelError("K/V cache was built for another model config")
-        if len(kv.k[0]) != b:
-            raise ModelError(f"K/V cache of batch {len(kv.k[0])} fed a batch of {b}")
-    length = np.full(b, s if out is None else 0)
+    if kv is not None and kv.config is not c and kv.config != c:
+        raise ModelError("K/V cache was built for another model config")
+    if kv is not None and len(kv.lengths) != b:
+        raise ModelError(f"K/V cache of batch {len(kv.lengths)} fed a batch of {b}")
+    length = [s] * b
     if out is not None:     # each sequence runs up to its last output
-        np.maximum.at(length, out // s, out % s + 1)
-    layout = _Layout(np.zeros(b, np.int64) if kv is None else kv.length, length)
+        reach = np.zeros(b, np.int64)
+        np.maximum.at(reach, out // s, out % s + 1)
+        length = reach.tolist()
+    layout = _Layout([0] * b if kv is None else kv.lengths, length)
     end = layout.hi + s
     if end > c.context_len:
         raise ModelError(f"sequence length {end} exceeds context {c.context_len}")
-    if kv is not None and end > kv.k[0].shape[2]:
-        raise ModelError(f"sequence length {end} exceeds the K/V cache's "
-                         f"{kv.k[0].shape[2]} positions")
+    if kv is not None and end > kv.size:
+        raise ModelError(f"sequence length {end} exceeds the K/V cache's {kv.size} positions")
     rate = c.dropout_rate if train_mode else 0.0
-    w, d, h, hi = layout.width, c.d_model, c.n_heads, layout.hi
+    w, d, h, hd, hi = layout.width, c.d_model, c.n_heads, c.head_dim, layout.hi
 
-    tok = layout.to_rows(tokens)     # each row's token id
-    x = t["tok_emb"][tok] + t["pos_emb"][layout.pos]
+    x = layout.to_rows(t["tok_emb"][tokens[:, :w]] + t["pos_emb"][layout.pos])
     # one mask per dropout site, drawn up front in the order the sites run:
     # the embedding, then each layer's attention and its two residuals
     drops = [None] * (1 + 3 * c.n_layers)
@@ -466,35 +454,40 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
         att_site = ((b, h, s, hi + s), lambda m: m[:, :, :w, :hi + w])
         drops = [_dropout_mask(rng, shape, rate, dtype, take) for shape, take
                  in [row_site] + [att_site, row_site, row_site] * c.n_layers]
-    x = _apply_mask(x, drops[0])
+        x *= drops[0]
 
     attention = layout.attention(dtype, h)
-    # a run attends over its own keys and values, or a cache's, which it joins
-    extend = kv.extend if kv is not None else lambda i, bs, at, keys, kh, vh: (kh, vh)
-    scale = 1.0 / math.sqrt(c.head_dim)
+    (scale,) = _as_dtype(dtype, 1.0 / math.sqrt(hd))
     caches = []
     for i, (ln1_g, ln1_b, w_qkv, b_qkv, w_o, b_o,
             ln2_g, ln2_b, w_1, b_1, w_2, b_2) in enumerate(params.layers):
         att_drop, res_drop1, res_drop2 = drops[1 + 3 * i:4 + 3 * i]
         h1, ln1_cache = _layer_norm(x, ln1_g, ln1_b)
-        qkv = h1 @ w_qkv    # q, k, v: column views of the fused rows
+        qkv = h1 @ w_qkv    # q, k, v: column thirds of the fused rows
         del h1
         qkv += b_qkv
-        q, k, v = qkv[:, :d], qkv[:, d:2 * d], qkv[:, 2 * d:]
-        q *= scale
         ctx = np.empty_like(x)
         runs = []
         for (bs, rs, n), (keys, at, mask) in zip(layout.runs, attention):
-            kh, vh = extend(i, bs, at, keys, _heads(k[rs], h, n), _heads(v[rs], h, n))
-            probs = _heads(q[rs], h, n) @ kh.transpose(0, 1, 3, 2)
+            qkv_h = _heads(qkv[rs], h, n, hd)
+            q_h, k_h, v_h = qkv_h
+            q_h *= scale
+            if kv is not None:  # join the cache: write the run's keys and values, read all
+                buf = kv.buffers[i]
+                buf[at] = qkv_h[1:]
+                k_h, v_h = buf[:, bs, :, :keys]
+            probs = q_h @ k_h.transpose(0, 1, 3, 2)
             if mask is not None:
                 probs += mask
             softmax_inplace(probs)
             drop = None if att_drop is None else att_drop[bs, :, :n, :keys]
             probs_d = _apply_mask(probs, drop)
-            np.matmul(probs_d, vh, out=_heads(ctx[rs], h, n))
+            np.matmul(probs_d, v_h, out=_heads(ctx[rs], h, n, hd)[0])
             runs.append((probs, drop, probs_d))
-        x = _residual(ctx @ w_o, b_o, res_drop1, x)
+        # x + dropout(y + b), written over y: rebinding x frees the block's input
+        y = ctx @ w_o
+        y += b_o
+        x = np.add(_apply_mask(y, res_drop1), x, out=y)
 
         h2, ln2_cache = _layer_norm(x, ln2_g, ln2_b)
         u = h2 @ w_1
@@ -502,31 +495,28 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
         u += b_1
         a, gelu_d = _gelu(u, derivative=want_cache)
         del u
-        x = _residual(a @ w_2, b_2, res_drop2, x)
+        y = a @ w_2
+        y += b_2
+        x = np.add(_apply_mask(y, res_drop2), x, out=y)
 
         if want_cache:
-            caches.append({
-                "ln1": ln1_cache, "qkv": qkv, "runs": runs, "ctx": ctx,
-                "res_drop1": res_drop1, "ln2": ln2_cache, "a": a,
-                "gelu_d": gelu_d, "res_drop2": res_drop2,
-            })
+            caches.append({"ln1": ln1_cache, "qkv": qkv, "runs": runs, "ctx": ctx,
+                           "res_drop1": res_drop1, "ln2": ln2_cache, "a": a,
+                           "gelu_d": gelu_d, "res_drop2": res_drop2})
     if kv is not None:
-        kv.length = layout.start + length
+        kv.lengths = [a + n for a, n in zip(kv.lengths, length)]
 
     out_idx = None
     if out is not None:
         out_idx = layout.index(out, s)
         x = x[out_idx]
     hf, lnf_cache = _layer_norm(x, t["ln_f.g"], t["ln_f.b"])
-    w_out = t["tok_emb"].T if c.tie_embeddings else t["out_proj"]
-    logits = hf @ w_out
+    logits = hf @ (t["tok_emb"].T if c.tie_embeddings else t["out_proj"])
     if out is None:
         logits = logits.reshape(b, s, -1)
-    cache = None
-    if want_cache:
-        cache = {"layout": layout, "tok": tok, "out_idx": out_idx,
-                 "emb_drop": drops[0], "layers": caches, "hf": hf,
-                 "lnf": lnf_cache, "scale": scale}
+    cache = {"layout": layout, "tok": layout.to_rows(tokens), "out_idx": out_idx,
+             "emb_drop": drops[0], "layers": caches, "hf": hf, "lnf": lnf_cache,
+             "scale": scale} if want_cache else None
     return logits, cache
 
 
@@ -545,13 +535,15 @@ def forward(params: ModelParams, tokens: np.ndarray, train_mode: bool = False,
 
     ``kv`` is an optional ``KVCache(params, batch, size)``, empty at first.
     ``tokens`` then continue the sequences the cache holds: row b takes
-    positions from ``kv.length[b]`` on, attends to its cached positions,
-    and writes the keys and values of the positions it runs into the
-    cache, whose ``length[b]`` grows by as many, so prompts of different
-    lengths fill one cache in one padded call with ``rows`` at their ends.
-    Feeding a sequence in any split of chunks gives the logits one full
-    call would give.  A cache of another model config or batch size, or
-    one too short to hold the positions, raises ModelError.
+    positions from ``kv.lengths[b]`` on, writes the keys and values of the
+    positions it runs into the cache, one index per layer, attends to all
+    its cached positions, and its length grows by as many, so prompts of
+    different lengths fill one cache in one padded call with ``rows`` at
+    their ends.  Feeding a sequence in any split of chunks gives the logits
+    one full call would give.  A cache of another model config or batch
+    size, or one too short to hold the positions, raises ModelError.
+    Token ids are checked here; a decode loop that feeds back ids it drew
+    may call ``_forward_impl`` directly for its steps.
     """
     tokens = _check_inputs(params, tokens)
     out = None
@@ -629,8 +621,7 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
     rebuilds the norms' outputs from x-hat, drops the logits once the
     head's gradients exist, and pops each cache entry at its last read.
     """
-    c = params.config
-    t = params.tensors
+    c, t = params.config, params.tensors
     tokens = _check_inputs(params, batch.tokens)
     out = np.ravel_multi_index(loss_rows(batch), tokens.shape)
     logits, cache = _forward_impl(params, tokens, train_mode, rng,
@@ -656,7 +647,7 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
     dx = np.zeros((cache["tok"].size, c.d_model), dtype=dx_out.dtype)
     dx[cache["out_idx"]] = dx_out
     del dhf, dx_out
-    h, d = c.n_heads, c.d_model
+    h, hd = c.n_heads, c.head_dim
 
     # each cache entry is popped at its last read, and each gradient is
     # deleted before the next large allocation
@@ -690,23 +681,22 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
         del dattn_out
         qkv = lc.pop("qkv")
         dqkv = np.empty_like(qkv)
-        q, k, v = qkv[:, :d], qkv[:, d:2 * d], qkv[:, 2 * d:]
-        dq, dk, dv = dqkv[:, :d], dqkv[:, d:2 * d], dqkv[:, 2 * d:]
         for (_, rs, n), (probs, drop, probs_d) in zip(layout.runs, lc.pop("runs")):
-            dctx_h = _heads(dctx[rs], h, n)
-            datt = dctx_h @ _heads(v[rs], h, n).transpose(0, 1, 3, 2)
-            np.matmul(probs_d.transpose(0, 1, 3, 2), dctx_h, out=_heads(dv[rs], h, n))
+            (dctx_h,) = _heads(dctx[rs], h, n, hd)
+            q_h, k_h, v_h = _heads(qkv[rs], h, n, hd)
+            dq_h, dk_h, dv_h = _heads(dqkv[rs], h, n, hd)
+            datt = dctx_h @ v_h.transpose(0, 1, 3, 2)
+            np.matmul(probs_d.transpose(0, 1, 3, 2), dctx_h, out=dv_h)
             if drop is not None:
                 datt *= drop
             datt -= (datt * probs).sum(axis=-1, keepdims=True)
             datt *= probs
-            np.matmul(datt, _heads(k[rs], h, n), out=_heads(dq[rs], h, n))
-            np.matmul(datt.transpose(0, 1, 3, 2), _heads(q[rs], h, n),
-                      out=_heads(dk[rs], h, n))
+            np.matmul(datt, k_h, out=dq_h)
+            dq_h *= cache["scale"]
+            np.matmul(datt.transpose(0, 1, 3, 2), q_h, out=dk_h)
             del datt
-        dq *= cache["scale"]
-        # views pin their base: q/k/v hold qkv, dctx_h holds dctx
-        del qkv, q, k, v, dctx, dctx_h, probs, drop, probs_d
+        # views pin their base: q_h/k_h/v_h hold qkv, dctx_h holds dctx
+        del qkv, q_h, k_h, v_h, dq_h, dk_h, dv_h, dctx, dctx_h, probs, drop, probs_d
         grads[p + "attn.bqkv"] = dqkv.sum(axis=0)
         grads[p + "attn.wqkv"] = (lc["ln1"][0] * ln1_g + ln1_b).T @ dqkv
         dh1 = dqkv @ w_qkv.T

@@ -6,14 +6,17 @@ constraint is applied while decoding: the candidate set at each step is
 just the k highest-probability tokens (structural tokens masked out), and
 one of them is sampled from the renormalized distribution.
 
-Decoding is incremental: one forward pass over the prompt fills a
-preallocated key/value cache (``model.KVCache``), and each later step feeds
-only the newest token through the same forward path, so a step costs
+Decoding is incremental: one checked ``forward`` over the prompt fills a
+preallocated key/value cache (``model.KVCache``), and each later step
+feeds only the newest token through the same forward pass, called without
+``forward``'s id check since the loop drew the ids itself, so a step costs
 O(length) instead of a full recompute of the prefix.  One loop decodes
 the candidates of one or more prompts together, for ``generate``,
 ``generate_batch`` and the trainer's novelty probes: prompts of different
 lengths share one prompt pass, and each step feeds the newest token of
-every unfinished candidate as one batch.
+every unfinished candidate as one batch.  A top-k draw is one partition
+of the logits row, one stable sort of the ids at or above the k-th logit,
+a softmax over them and ``Generator.choice``'s inverse-CDF draw.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from . import vocab as vocab_mod
 from .corpus import Poem, SerializedSample, deserialize
 from .errors import GutiError, SamplingError
 from .forms import MARKER_RE, FormCatalog
-from .model import KVCache, ModelParams, forward, softmax_inplace
+from .model import KVCache, ModelParams, _forward_impl, forward, softmax_inplace
 from .validator import PhonologyTable, ValidationReport, validate
 from .vocab import Vocab
 
@@ -87,22 +90,29 @@ def build_prompt(form_id: str, theme: str, catalog: FormCatalog, vocab: Vocab,
 
 def top_k_distribution(logits: np.ndarray, cfg: SampleConfig) -> tuple[np.ndarray, np.ndarray]:
     """Candidate ids (k highest logits, ties to the lower id) and their
-    renormalized softmax(logits/temperature) probabilities."""
+    renormalized softmax(logits/temperature) probabilities, or its limit
+    where logits/temperature overflows: the ids tied at the top share the mass."""
     logits = np.array(logits, dtype=np.float64).reshape(-1)   # a copy, masked below
     logits[cfg.forbid_ids] = -np.inf
-    hi = logits.max()
+    size, k = logits.size, min(cfg.k, logits.size)
+    # one O(V) partition places the k-th highest logit and the highest
+    part = np.partition(logits, (size - k, size - 1))
+    kth, hi = part[size - k], part[-1]
     if hi == -np.inf:
         raise SamplingError("every token is masked")
     if not hi < np.inf:       # NaN or +inf
         raise SamplingError("non-finite logits")
-    k = min(cfg.k, logits.size)
-    # the k-th highest logit in O(V); the ids at or above it come in id
-    # order, so a stable sort on the logit keeps equal logits lowest id first
-    kth = np.partition(logits, logits.size - k)[logits.size - k]
-    top = np.flatnonzero(logits >= kth)
-    top = top[np.argsort(-logits[top], kind="stable")[:k]]
-    candidates = top[logits[top] > -np.inf]
-    return candidates, softmax_inplace(logits[candidates] / cfg.temperature)
+    # the ids at or above it come in id order, so a stable sort on the
+    # negated logit keeps equal logits lowest id first
+    (top,) = (logits >= kth).nonzero()
+    top = top[(-logits[top]).argsort(kind="stable")[:k]]
+    z, t = logits[top], cfg.temperature
+    if kth == -np.inf:        # fewer than k ids unmasked
+        top, z = top[z > -np.inf], z[z > -np.inf]
+    if max(float(z[0]), -float(z[-1])) / t == np.inf:
+        tied = z == z[0]
+        return top, tied / np.add.reduce(tied)
+    return top, softmax_inplace(z / t if t != 1.0 else z)    # x / 1 is x
 
 
 def top_k_sample(logits: np.ndarray, cfg: SampleConfig,
@@ -110,7 +120,7 @@ def top_k_sample(logits: np.ndarray, cfg: SampleConfig,
     """Sample one token id from the truncated distribution: the inverse-CDF
     draw ``rng.choice(candidates, p=p)`` makes, without its argument checks."""
     candidates, p = top_k_distribution(logits, cfg)
-    cdf = np.cumsum(p)
+    cdf = p.cumsum()
     cdf /= cdf[-1]
     return int(candidates[cdf.searchsorted(rng.random(), side="right")])
 
@@ -159,16 +169,16 @@ def _decode(params: ModelParams, prompts: list[list[int]], seeds: list[list[int]
     rngs = [np.random.default_rng(seed) for row in seeds for seed in row]
     bodies: list[list[int]] = [[] for _ in prompt_of]
     decode_ms = [0.0] * len(prompt_of)
-    t0 = time.perf_counter()
-    t_first = None
+    t0, t_first = time.perf_counter(), None
     live = [c for c, p in enumerate(prompt_of) if budget[p]]   # each row's candidate
     src = [prompt_of[c] for c in live]                  # and the row it reads
     kv = KVCache(params, len(prompts), max(len(p) + n for p, n in zip(prompts, budget)))
     tokens = np.array([prompt + [vocab.pad_id] * (width - len(prompt)) for prompt in prompts])
     # the prompt pass projects each prompt's last position; a step has only one
     rows = (np.arange(len(prompts)), [len(prompt) - 1 for prompt in prompts])
-    while live:
-        logits = forward(params, tokens, kv=kv, rows=rows).reshape(len(tokens), -1)
+    while live:     # only the prompt pass checks ids: a step's are the loop's own draws
+        logits = (_forward_impl(params, tokens, False, None, False, kv)[0] if rows is None
+                  else forward(params, tokens, kv=kv, rows=rows)).reshape(len(tokens), -1)
         picks = [top_k_sample(logits[r], cfg, rngs[c]) for r, c in zip(src, live)]
         now = time.perf_counter()
         t_first = now if t_first is None else t_first

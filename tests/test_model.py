@@ -151,7 +151,7 @@ class TestKVCache:
         for n in chunks:
             parts.append(forward(params, tokens[:, pos:pos + n], kv=kv))
             pos += n
-        assert len(kv.k) == len(kv.v) == 2 and kv.length.tolist() == [10, 10]
+        assert len(kv.buffers) == 2 and kv.length.tolist() == [10, 10]
         np.testing.assert_allclose(np.concatenate(parts, axis=1),
                                    forward(params, tokens), rtol=0, atol=1e-12)
 
@@ -187,7 +187,7 @@ class TestKVCache:
         params = init_params(TINY, seed=0, dtype=np.float64)
         tokens = np.random.default_rng(1).integers(0, TINY.vocab_size, size=(1, 5))
         short, full = KVCache(params, 1, 5), KVCache(params, 1, TINY.context_len)
-        assert short.k[0].shape[2] == 5 and full.k[0].shape[2] == TINY.context_len
+        assert short.buffers[0].shape[3] == 5 and full.buffers[0].shape[3] == TINY.context_len
         for a, b in ((0, 3), (3, 4), (4, 5)):
             np.testing.assert_array_equal(forward(params, tokens[:, a:b], kv=short),
                                           forward(params, tokens[:, a:b], kv=full))

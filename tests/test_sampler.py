@@ -5,7 +5,7 @@ import pytest
 
 from guti.corpus import acrostic_transform, serialize
 from guti.errors import SamplingError, UnknownFormError
-from guti.model import ModelConfig, forward, init_params
+from guti.model import ModelConfig, ModelParams, forward, init_params
 from guti.sampler import (
     SampleConfig,
     _decode,
@@ -181,6 +181,46 @@ class TestTopK:
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 
+    @pytest.mark.parametrize("k", [1, 20, 876])
+    def test_matches_stable_argsort_reference_at_decode_shape(self, k):
+        """Float32 rows of a decode step's size, with ties across the k-th
+        place, -inf entries and forbid sets, some leaving fewer than k ids."""
+        rng = np.random.default_rng(k)
+        v, straddled = 876, 0
+        for trial in range(60):
+            logits = (rng.normal(size=v) * 3).astype(np.float32)
+            if trial % 2:       # coarse values: runs of ties
+                logits = np.round(logits)
+            logits[rng.choice(v, size=int(rng.integers(0, 40)), replace=False)] = -np.inf
+            size = int(rng.choice([0, 8, 200, v - 10]))
+            cfg = SampleConfig(k=k, forbid=frozenset(rng.choice(v, size=size, replace=False).tolist()),
+                               temperature=float(rng.choice([0.5, 1.0, 2.0])))
+            got = top_k_distribution(logits, cfg)
+            want = stable_argsort_top_k(logits, cfg)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            masked = np.array(logits, dtype=np.float64)
+            masked[list(cfg.forbid)] = -np.inf
+            ranked = np.sort(masked)[::-1]
+            straddled += k < v and ranked[k - 1] == ranked[k] > -np.inf
+        assert straddled or k == v
+
+    def test_tiny_temperature_gives_the_greedy_limit(self):
+        """logits / temperature overflows: the ids tied at the top share the
+        mass, with no NaN and no warning."""
+        cfg = SampleConfig(k=3, temperature=1e-320)
+        candidates, p = top_k_distribution([0.5, 2, 1, -1], cfg)
+        assert candidates.tolist() == [1, 2, 0] and p.tolist() == [1.0, 0.0, 0.0]
+        logits = np.array([2.0, 0.5, 2.0, -1.0])
+        candidates, p = top_k_distribution(logits, cfg)
+        assert candidates.tolist() == [0, 2, 1] and p.tolist() == [0.5, 0.5, 0.0]
+        rng = np.random.default_rng(0)
+        assert {top_k_sample(logits, cfg, rng) for _ in range(200)} == {0, 2}
+        # a temperature whose scaled logits stay finite keeps the plain formula
+        cfg = SampleConfig(k=3, temperature=1e-300, forbid=frozenset())
+        assert np.array_equal(top_k_distribution(logits, cfg)[1],
+                              stable_argsort_top_k(logits, cfg)[1])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_logits_rejected(self, bad):
         with pytest.raises(SamplingError):
@@ -241,7 +281,11 @@ class TestGenerate:
     def test_cached_decode_matches_full_recompute(self, toy_vocab, catalog, k):
         config = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=32,
                              context_len=40, vocab_size=toy_vocab.size)
+        # weights 8x the init scale, so that attention over the cached
+        # positions, not the newest token alone, picks each greedy token
         params = init_params(config, seed=1, dtype=np.float64)
+        params = ModelParams(config, {name: t * 8 if t.ndim == 2 else t
+                                      for name, t in params.tensors.items()})
         prompt = build_prompt("五绝", "静夜思", catalog, toy_vocab)
         for seed in range(5):
             cfg = SampleConfig(k=k, max_new_tokens=40, seed=seed,
