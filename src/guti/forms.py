@@ -223,6 +223,10 @@ def parse_catalog(text: str, source: str = "<catalog>") -> FormCatalog:
             current, current_where = {"form_id": line[1:-1].strip()}, where
             if not current["form_id"]:
                 raise CatalogError(f"{where}: empty form id")
+            # serialized text holds no marker but its two field separators
+            marker = MARKER_RE.search(current["form_id"])
+            if marker:
+                raise CatalogError(f"{where}: form id holds marker {marker[0]!r}")
             continue
         key, sep, value = line.partition("=")
         if not sep:

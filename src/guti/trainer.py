@@ -133,16 +133,15 @@ class NoveltyResult:
     shares_ngram: bool
 
 
-def _suffix_array(text: str) -> np.ndarray:
-    """Start offsets of ``text``'s suffixes in code-point order (prefix doubling).
+def _suffix_array(codes: np.ndarray) -> np.ndarray:
+    """Start offsets of the suffixes of a code-point array, sorted (prefix doubling).
 
     Each round sorts on one int64 key, the rank of a suffix's first k code
     points times (n + 1) plus one more than the rank of the next k (0 past
     the end, so a shorter suffix sorts first), then re-ranks; it stops once
     every rank is distinct, after at most log2(n) rounds.
     """
-    n = len(text)
-    codes = np.fromiter(map(ord, text), dtype=np.int64, count=n)
+    n = len(codes)
     rank = np.unique(codes, return_inverse=True)[1].astype(np.int64)
     sa = np.argsort(rank)
     k = 1
@@ -164,9 +163,15 @@ class NoveltyIndex:
     never spans two poems and ``shares_ngram`` is ``max_overlap >= NGRAM``.
 
     The suffix array is sorted once, in O(n log n) numpy work over the n
-    corpus characters. ``max_overlap``, the longest substring a query shares
-    with the corpus text, then costs O(m) binary searches for an m-character
-    query, each O(log n) string comparisons.
+    corpus characters, and cut into one range per first character.
+    ``max_overlap``, the longest substring a query shares with the corpus
+    text, then tests each start i of an m-character query once, where it
+    cannot beat the best length so far, and O(log g) times where it beats
+    it by g. A test bisects only the suffixes that start with the query's
+    character i, so a character absent from the corpus costs none. Growing
+    a match by doubling, then bisecting, is exact because every prefix of
+    an occurring string occurs: whether ``chars[i:i + k]`` occurs is
+    monotone in k. The scan stops once no later start can beat the best.
     """
 
     NGRAM = 5
@@ -174,7 +179,13 @@ class NoveltyIndex:
     def __init__(self, line_set: set[str], corpus_text: str):
         self._lines = line_set
         self._corpus_text = corpus_text
-        self._suffixes = _suffix_array(corpus_text)
+        codes = np.frombuffer(corpus_text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        sa = _suffix_array(codes)
+        # bisect reads a memoryview's items as Python ints, with no copy made
+        self._suffixes = memoryview(sa)
+        first = codes[sa]
+        cuts = [0, *(np.flatnonzero(first[1:] != first[:-1]) + 1).tolist(), len(first)]
+        self._ranges = {chr(first[lo]): (lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi}
 
     @classmethod
     def from_samples(cls, samples: list[SerializedSample]) -> "NoveltyIndex":
@@ -195,15 +206,25 @@ class NoveltyIndex:
 
     def _max_overlap(self, chars: str) -> int:
         """Length of the longest substring of ``chars`` found in the corpus."""
-        text, sa, best = self._corpus_text, self._suffixes, 0
-        for i in range(len(chars)):
-            # grow the best length while chars[i:i + best + 1] occurs
-            while i + best < len(chars):
-                q = chars[i:i + best + 1]
-                j = bisect.bisect_left(sa, q, key=lambda p: text[p:p + len(q)])
-                if j == len(sa) or text[sa[j]:sa[j] + len(q)] != q:
-                    break
-                best += 1
+        text, sa, m, best = self._corpus_text, self._suffixes, len(chars), 0
+        for i, ch in enumerate(chars):
+            if i + best >= m:
+                break
+            if ch not in self._ranges:
+                continue
+            lo, hi = self._ranges[ch]
+            # chars[i:i + ok] occurs (or ok is the best so far) and chars[i:i + bad]
+            # does not (or runs past the query): double the length, then bisect
+            ok, bad, step = best or 1, m - i + 1, 1
+            while ok + 1 < bad:
+                k = min(ok + step, bad - 1) if step else (ok + bad) // 2
+                q = chars[i:i + k]
+                j = bisect.bisect_left(sa, q, lo, hi, key=lambda p: text[p:p + k])
+                if j < hi and text.startswith(q, sa[j]):
+                    ok, lo, step = k, j, step * 2
+                else:
+                    bad, step = k, 0
+            best = ok
         return best
 
     def score_lines(self, lines: list[str]) -> NoveltyResult:

@@ -71,17 +71,18 @@ def _assemble(char_tokens: Sequence[str], min_count: int) -> Vocab:
 def build_vocab(texts: Iterable, min_count: int = 1) -> Vocab:
     """Count characters over serialized samples (or plain strings).
 
-    Marker occurrences are cut out of each text, then the code points of
-    all texts are counted at once, so a marker's parentheses and inner
-    characters only enter the vocabulary when they also appear outside one.
+    One pass cuts the markers out of all texts joined by a marker, which no
+    match can cross: "(" opens every marker and occurs in none elsewhere.
+    The code points are counted at once, so a marker's parentheses and
+    inner characters only enter the vocabulary when they appear outside one.
     """
     if min_count < 1:
         raise VocabError("min_count must be >= 1")
-    stripped = [MARKER_RE.sub("", getattr(item, "text", item)) for item in texts]
-    if not stripped:
+    texts = [getattr(item, "text", item) for item in texts]
+    if not texts:
         raise VocabError("cannot build a vocabulary from an empty corpus")
-    codes, counts = np.unique(np.frombuffer(
-        "".join(stripped).encode("utf-32-le", "surrogatepass"), dtype="<u4"),
+    codes, counts = np.unique(np.frombuffer(MARKER_RE.sub(
+        "", ALL_MARKERS[0].join(texts)).encode("utf-32-le", "surrogatepass"), dtype="<u4"),
         return_counts=True)
     keep = counts >= min_count
     order = np.argsort(-counts[keep], kind="stable")    # codes ascend: ties by code point

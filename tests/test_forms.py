@@ -38,6 +38,7 @@ CATALOG_ERRORS = [
     ("# v2\n\nversion = 2\n", "<catalog>:3: unsupported catalog version '2'"),
     ("version = 1\n[x]\nclass ci\n", "<catalog>:3: expected 'key = value', got 'class ci'"),
     ("version = 1\n[ ]\n", "<catalog>:2: empty form id"),
+    ("version = 1\n[五(标题)绝]\n", "<catalog>:2: form id holds marker '(标题)'"),
     ("version = 1\n[x]\nlines = 5 5\n", "<catalog>:2: missing 'class'"),
     ("version = 1\n[x]\nclass = ci\n", "<catalog>:2: missing 'lines'"),
     ("version = 1\n[x]\nclass = sonnet\n", "<catalog>:2: unknown class 'sonnet'"),

@@ -313,6 +313,40 @@ class TestNovelty:
         assert result.max_overlap == longest_match("".join(lines), corpus_text)
         assert result.shares_ngram == (result.max_overlap >= NoveltyIndex.NGRAM)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(SMALL_ALPHABET, max_size=40), min_size=1, max_size=5),
+           st.data())
+    def test_padded_corpus_cut_overlap_matches_difflib(self, texts, data):
+        # a long cut makes the match length double past the longest match,
+        # then bisect back to it
+        corpus_text = "\n".join(texts)
+        start = data.draw(st.integers(0, len(corpus_text)))
+        end = data.draw(st.integers(start, len(corpus_text)))
+        pad = st.text(SMALL_ALPHABET, max_size=6)
+        query = data.draw(pad) + corpus_text[start:end] + data.draw(pad)
+        index = NoveltyIndex(set(), corpus_text)
+        assert index.score_lines([query]).max_overlap == longest_match(query, corpus_text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(SMALL_ALPHABET, max_size=60))
+    def test_first_character_ranges_tile_the_suffix_array(self, text):
+        index = NoveltyIndex(set(), text)
+        spans = sorted(index._ranges.values())
+        edges = [0] + [hi for _, hi in spans]
+        assert [lo for lo, _ in spans] == edges[:-1] and edges[-1] == len(text)
+        assert set(index._ranges) == set(text)
+        for ch, (lo, hi) in index._ranges.items():
+            assert lo < hi and all(text[p] == ch for p in index._suffixes[lo:hi])
+
+    # code-point order puts the lone surrogates after the BMP ideographs and
+    # before U+E000 and the astral planes, unlike UTF-16 code-unit order
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(SMALL_ALPHABET + "\udfff\ue000\U0010ffff", max_size=80))
+    def test_suffix_array_sorts_the_suffixes(self, text):
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        assert (trainer._suffix_array(codes).tolist()
+                == sorted(range(len(text)), key=lambda i: text[i:]))
+
     def test_empty_corpus(self):
         result = novelty_index([]).score_lines(["床前明月光"])
         assert result.max_overlap == 0 and result.score == 1.0

@@ -133,6 +133,14 @@ def test_no_marker_is_a_prefix_of_another():
             assert a == b or not b.startswith(a)
 
 
+def test_parenthesis_opens_every_marker_and_nothing_else_in_one():
+    # build_vocab cuts markers out of texts joined by a marker, and ingest
+    # counts a sample's tokens from its fields: both hold only while no
+    # marker match can start inside another string and end past it
+    for marker in ALL_MARKERS:
+        assert marker.find("(") == 0 and marker.count("(") == 1
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(SCAN_PIECES, max_size=25).map("".join))
 def test_scan_matches_reference_loop(text):
