@@ -300,16 +300,16 @@ def _apply_mask(x, mask):
 
 
 class _Layout:
-    """The (batch, position) cells a forward pass runs, as flat rows.
+    """The (batch, position) cells a forward pass runs, as rows.
 
     Sequence b has ``starts[b]`` positions cached and runs the next
     ``lengths[b]``: from 0 up to the last loss row in training and held-out
     evaluation, a whole prompt in a prompt pass, one in a decode step.  Its
-    rows are contiguous.  ``width`` is the longest length, ``cells`` holds
-    the flat index ``b * width + t`` of every kept cell of the (B, width)
-    grid, in row-major order, or None when every length is ``width`` and
-    the rows are a reshape of the grid; ``pos`` indexes the grid's
-    positions, as the slice ``hi:hi + width`` when every start is ``hi``.
+    rows are contiguous.  ``width`` is the longest length; ``cells`` lists
+    the kept cells (b, t) of the (B, width) grid as ascending b * width + t,
+    a cell's row being its place there, or is None when every length is
+    ``width`` and the rows are a reshape of the grid; ``pos`` indexes the
+    grid's positions, as the slice ``hi:hi + width`` when all starts are hi.
 
     ``runs`` groups consecutive sequences of the same length L, as
     ``(batch slice, row slice, L)``; attention runs once per run, on a
@@ -356,21 +356,6 @@ class _Layout:
         flat = x[:, :self.width].reshape(-1, *x.shape[2:])
         return flat if self.cells is None else flat[self.cells]
 
-    def position_sum(self, x):
-        """(N, ...) rows -> (width, ...) sums over the sequences, added in
-        batch order as a batch-axis sum of the zero-padded grid adds them."""
-        total = np.zeros((self.width,) + x.shape[1:], dtype=x.dtype)
-        for _, rs, n in self.runs:
-            for r in range(rs.start, rs.stop, n):
-                total[:n] += x[r:r + n]
-        return total
-
-    def index(self, out, seq: int):
-        """Row numbers of the kept cells at ``out``, flat indices b * seq + t."""
-        if seq != self.width:
-            out = out // seq * self.width + out % seq
-        return out if self.cells is None else np.searchsorted(self.cells, out)
-
 
 def _heads(x, n_heads: int, length: int, head_dim: int):
     """(n * length, parts * d) rows of one run -> (parts, n, n_heads, length,
@@ -395,8 +380,6 @@ class KVCache:
         shape = (2, batch, c.n_heads, size, c.head_dim)
         self.buffers = [np.zeros(shape, params.dtype) for _ in range(c.n_layers)]
 
-    length = property(lambda self: np.array(self.lengths, dtype=np.int64))
-
     def select(self, rows: list[int]) -> None:
         """Keep batch rows ``rows`` in that order, repeats allowed."""
         self.lengths = [self.lengths[r] for r in rows]
@@ -415,12 +398,12 @@ def _check_inputs(params: ModelParams, tokens: np.ndarray) -> np.ndarray:
 
 
 def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
-                  rng, want_cache: bool, kv: KVCache | None = None, out=None):
+                  rng, want_cache: bool, kv: KVCache | None = None, rows=None):
     """The one forward pass, on ids ``_check_inputs`` passes: ``(logits, cache)``.
 
-    ``out`` holds the flat indices ``b * S + t`` of the positions projected
-    to logits, returned as (len(out), V); None projects all of them to
-    (B, S, V).  Each sequence runs up to its last position in ``out``, or
+    ``rows``, a (b_idx, t_idx) pair of equal-shape integer arrays, names the
+    positions projected to logits, (*b_idx.shape, V); None projects all to
+    (B, S, V).  Each sequence runs up to its last position in ``rows``, or
     all S without it, after its ``kv`` cache row, which stores them.
     """
     c, t, dtype = params.config, params.tensors, params.dtype
@@ -432,9 +415,10 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
     if kv is not None and len(kv.lengths) != b:
         raise ModelError(f"K/V cache of batch {len(kv.lengths)} fed a batch of {b}")
     length = [s] * b
-    if out is not None:     # each sequence runs up to its last output
+    if rows is not None:    # each sequence runs up to its last requested position
+        b_idx, t_idx = rows
         reach = np.zeros(b, np.int64)
-        np.maximum.at(reach, out // s, out % s + 1)
+        np.maximum.at(reach, b_idx, t_idx + 1)
         length = reach.tolist()
     layout = _Layout([0] * b if kv is None else kv.lengths, length)
     end = layout.hi + s
@@ -507,12 +491,14 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
         kv.lengths = [a + n for a, n in zip(kv.lengths, length)]
 
     out_idx = None
-    if out is not None:
-        out_idx = layout.index(out, s)
+    if rows is not None:
+        out_idx = b_idx * w + t_idx
+        if layout.cells is not None:
+            out_idx = np.searchsorted(layout.cells, out_idx)
         x = x[out_idx]
     hf, lnf_cache = _layer_norm(x, t["ln_f.g"], t["ln_f.b"])
     logits = hf @ (t["tok_emb"].T if c.tie_embeddings else t["out_proj"])
-    if out is None:
+    if rows is None:
         logits = logits.reshape(b, s, -1)
     cache = {"layout": layout, "tok": layout.to_rows(tokens), "out_idx": out_idx,
              "emb_drop": drops[0], "layers": caches, "hf": hf, "lnf": lnf_cache,
@@ -529,9 +515,9 @@ def forward(params: ModelParams, tokens: np.ndarray, train_mode: bool = False,
     (the default) is deterministic; train mode applies dropout driven by
     the caller-supplied generator.
 
-    ``rows`` = (b_idx, t_idx) returns only the logits at those positions,
-    ``forward(...)[rows]``, of shape (len(b_idx), vocab); each sequence
-    runs only up to its last requested position.
+    ``rows`` = (b_idx, t_idx), integer indices that broadcast together,
+    returns only ``forward(...)[rows]``, the logits at those positions;
+    each sequence runs only up to its last requested position.
 
     ``kv`` is an optional ``KVCache(params, batch, size)``, empty at first.
     ``tokens`` then continue the sequences the cache holds: row b takes
@@ -546,16 +532,15 @@ def forward(params: ModelParams, tokens: np.ndarray, train_mode: bool = False,
     may call ``_forward_impl`` directly for its steps.
     """
     tokens = _check_inputs(params, tokens)
-    out = None
     if rows is not None:
         try:
-            out = np.ravel_multi_index(rows, tokens.shape)
+            if not np.size(np.ravel_multi_index(rows, tokens.shape)):
+                raise ModelError("rows select no position")
         except (TypeError, ValueError) as exc:
             raise ModelError(f"rows do not index the tokens: {exc}") from exc
-        if not np.size(out):
-            raise ModelError("rows select no position")
+        rows = np.broadcast_arrays(*rows)
     logits, _ = _forward_impl(params, tokens, train_mode, rng, want_cache=False,
-                              kv=kv, out=out)
+                              kv=kv, rows=rows)
     return logits
 
 
@@ -623,9 +608,8 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
     """
     c, t = params.config, params.tensors
     tokens = _check_inputs(params, batch.tokens)
-    out = np.ravel_multi_index(loss_rows(batch), tokens.shape)
     logits, cache = _forward_impl(params, tokens, train_mode, rng,
-                                  want_cache=True, out=out)
+                                  want_cache=True, rows=loss_rows(batch))
     loss, dlogits = _softmax_nll(logits, batch)
 
     grads = {}
@@ -707,8 +691,12 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
         del dh1, dx_attn
 
     dx = _apply_mask(dx, cache["emb_drop"])
+    grid = dx   # the zero-padded (B, width) grid, whose batch-axis sum adds from +0.0
+    if layout.cells is not None:
+        grid = np.zeros((len(tokens) * layout.width, c.d_model), dx.dtype)
+        grid[layout.cells] = dx
     grads["pos_emb"] = np.zeros_like(t["pos_emb"])
-    grads["pos_emb"][:layout.width] = layout.position_sum(dx)
+    grads["pos_emb"][:layout.width] = grid.reshape(-1, layout.width, c.d_model).sum(axis=0)
     # scatter-add by token id; np.add.at loops index by index, so sort the
     # rows by id and sum each id's run in one reduceat instead
     tok = cache["tok"]

@@ -164,6 +164,10 @@ def _decode(params: ModelParams, prompts: list[list[int]], seeds: list[list[int]
         raise SamplingError(f"prompt length {width} exceeds context {context_len}")
     if cfg.forbid is None:
         cfg = replace(cfg, forbid=default_forbid(vocab))
+    size = params.config.vocab_size
+    outside = sorted(i for i in cfg.forbid if not 0 <= i < size)
+    if outside:
+        raise SamplingError(f"forbid ids outside the vocabulary [0, {size}): {outside}")
     budget = [min(cfg.max_new_tokens, context_len - len(prompt)) for prompt in prompts]
     prompt_of = [p for p, row in enumerate(seeds) for _ in row]
     rngs = [np.random.default_rng(seed) for row in seeds for seed in row]

@@ -342,14 +342,13 @@ def check_acrostic(poem: Poem, target: str,
 
     Empty ``slots`` means every line carries one target character.
     """
-    lines = [line.characters for line in poem.body]
-    if not slots:
-        slots = tuple(range(1, len(lines) + 1))
-    if any(not 1 <= s <= len(lines) for s in slots):
+    slots = slots or tuple(range(1, len(poem.body) + 1))
+    try:
+        initials = poem.line_initials(slots)
+    except CorpusError:
         return RuleResult(
             "acrostic.initials", HARD, False,
-            message=f"acrostic slots {slots} do not fit a {len(lines)}-line poem")
-    initials = [lines[s - 1][0] for s in slots]
+            message=f"acrostic slots {slots} do not fit a {len(poem.body)}-line poem")
     if len(initials) != len(target):
         return RuleResult(
             "acrostic.initials", HARD, False,
@@ -360,7 +359,7 @@ def check_acrostic(poem: Poem, target: str,
     return RuleResult(
         "acrostic.initials", HARD, not bad, bad,
         message="" if not bad else "line-initial characters deviate: "
-        + ", ".join(f"line {ln}: {lines[ln - 1][0]!r} != {target[slots.index(ln)]!r}"
+        + ", ".join(f"line {ln}: {initials[slots.index(ln)]!r} != {target[slots.index(ln)]!r}"
                     for ln, _ in bad))
 
 

@@ -151,7 +151,7 @@ class TestKVCache:
         for n in chunks:
             parts.append(forward(params, tokens[:, pos:pos + n], kv=kv))
             pos += n
-        assert len(kv.buffers) == 2 and kv.length.tolist() == [10, 10]
+        assert len(kv.buffers) == 2 and kv.lengths == [10, 10]
         np.testing.assert_allclose(np.concatenate(parts, axis=1),
                                    forward(params, tokens), rtol=0, atol=1e-12)
 
@@ -162,7 +162,7 @@ class TestKVCache:
         with pytest.raises(ModelError):
             forward(params, np.zeros((1, 3), dtype=np.int64), kv=kv)
         forward(params, np.zeros((1, 2), dtype=np.int64), kv=kv)
-        assert kv.length.tolist() == [TINY.context_len]
+        assert kv.lengths == [TINY.context_len]
 
     def test_batch_mismatch_rejected(self):
         params = init_params(TINY, seed=0)
@@ -170,7 +170,7 @@ class TestKVCache:
         forward(params, np.zeros((1, 3), dtype=np.int64), kv=kv)
         with pytest.raises(ModelError, match="^K/V cache of batch 1 fed a batch of 2$"):
             forward(params, np.zeros((2, 1), dtype=np.int64), kv=kv)
-        assert kv.length.tolist() == [3]
+        assert kv.lengths == [3]
 
     def test_cache_of_another_model_rejected(self):
         one = init_params(TINY, seed=0)
@@ -193,7 +193,7 @@ class TestKVCache:
                                           forward(params, tokens[:, a:b], kv=full))
         with pytest.raises(ModelError, match="exceeds the K/V cache's 5 positions"):
             forward(params, tokens[:, :1], kv=short)
-        assert short.length.tolist() == [5]
+        assert short.lengths == [5]
 
     def test_select_repeats_and_drops_rows(self):
         """A cache repeated from one row, then cut to some of its rows in a
@@ -229,13 +229,13 @@ class TestKVCache:
         want = [alone(b, n) for b, n in enumerate(lengths)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         step = forward(params, tokens[np.arange(3), lengths][:, None], kv=kv)
-        assert kv.length.tolist() == (lengths + 1).tolist()
+        assert kv.lengths == (lengths + 1).tolist()
         np.testing.assert_allclose(step[:, 0], [alone(b, n + 1) for b, n in enumerate(lengths)],
                                    rtol=0, atol=1e-12)
         kv.select([2, 1, 2])
         rows, at = np.array([2, 1, 2]), lengths[[2, 1, 2]] + 1
         step = forward(params, tokens[rows, at][:, None], kv=kv)
-        assert kv.length.tolist() == (at + 1).tolist()
+        assert kv.lengths == (at + 1).tolist()
         np.testing.assert_allclose(step[:, 0], [alone(b, n + 1) for b, n in zip(rows, at)],
                                    rtol=0, atol=1e-12)
         step = forward(params, tokens[rows[:, None], at[:, None] + [1, 2]], kv=kv)
@@ -829,18 +829,26 @@ class TestAttentionRuns:
                                        rtol=0, atol=1e-12, err_msg=name)
 
     def test_position_sum_equals_padded_batch_sum(self):
-        """pos_emb's gradient sums each position's rows over the sequences:
-        bitwise the batch-axis sum of the rows on a zero-padded grid."""
-        batch = self.batch(ROWS)
-        b = len(batch.tokens)
-        layout = reaching_loss_rows(batch)
-        x = np.random.default_rng(17).standard_normal((layout.cells.size, 16))
-        grid = np.zeros((b * layout.width, 16))
-        grid[layout.cells] = x
-        want = grid.reshape(b, layout.width, 16).sum(axis=0)
-        assert np.array_equal(layout.position_sum(x), want)
-        assert np.array_equal(layout.position_sum(x.astype(np.float32)),
-                              grid.astype(np.float32).reshape(b, layout.width, 16).sum(axis=0))
+        """backward's pos_emb gradient sums each position's embedding-input
+        gradient over the sequences, added in batch order from zero: bitwise
+        the batch-axis sum of a zero-padded grid.  Every cell holds its own
+        token id and the embeddings are untied, so tok_emb's gradient at a
+        cell's id is that cell's embedding-input gradient, and zero at the
+        ids of the cells past a sequence's last loss row."""
+        ragged = self.batch(ROWS)
+        tokens = np.arange(ragged.tokens.size).reshape(ragged.tokens.shape)
+        batch = SequenceBatch(tokens=tokens, loss_mask=ragged.loss_mask)
+        config = replace(ROWS, vocab_size=tokens.size, tie_embeddings=False)
+        width = max(self.KEPT)
+        for dtype in (np.float32, np.float64):
+            _, grads = backward(init_params(config, seed=17, dtype=dtype), batch)
+            grid = grads["tok_emb"][tokens[:, :width]]        # (B, width, d)
+            want = np.zeros((width, config.d_model), dtype)
+            for row in grid:
+                want += row
+            assert grads["pos_emb"].dtype == dtype
+            assert np.array_equal(grads["pos_emb"][:width], want)
+            assert not grads["pos_emb"][width:].any()
 
     def test_dropout_matches_train_mode_full_forward(self):
         params = init_params(replace(ROWS, dropout_rate=0.2), seed=15,
@@ -857,9 +865,11 @@ class TestAttentionRuns:
 class TestForwardRows:
     @pytest.mark.parametrize("rows", [([0, 1, 2], [6, 2, 0]),
                                       ([1, 1, 0, 1], [4, 1, 4, 4]),
-                                      ([2], [9]), ([0, 1, 2], [0, 0, 0])],
+                                      ([2], [9]), ([0, 1, 2], [0, 0, 0]),
+                                      (np.array([2, 0], np.int32), np.array([9, 3], np.int32)),
+                                      (0, [1, 3])],
                              ids=["one-per-row", "repeated-unsorted", "single",
-                                  "first-column"])
+                                  "first-column", "int32", "scalar-batch"])
     def test_selected_rows_equal_full_forward(self, rows):
         params = init_params(ROWS, seed=6, dtype=np.float64)
         tokens = np.random.default_rng(10).integers(0, 13, size=(3, 10))
@@ -873,7 +883,7 @@ class TestForwardRows:
         tokens = np.random.default_rng(11).integers(0, 13, size=(1, 9))
         kv = KVCache(params, 1, ROWS.context_len)
         last = forward(params, tokens[:, :6], kv=kv, rows=([0], [5]))
-        assert kv.length.tolist() == [6]
+        assert kv.lengths == [6]
         step = forward(params, tokens[:, 6:], kv=kv, rows=([0], [2]))
         full = forward(params, tokens)
         np.testing.assert_allclose(last[0], full[0, 5], rtol=0, atol=1e-12)
@@ -888,12 +898,16 @@ class TestForwardRows:
             forward(params, np.zeros((3, 10), dtype=np.int64), rows=rows)
 
     def test_cells_run_up_to_each_sequence_last_output(self):
-        # outputs at (0, 2), (0, 4) and (2, 1), flat indices b * 6 + t;
-        # sequence 1 asks for nothing
+        # outputs at (0, 2), (0, 4) and (2, 1) of a (3, 6) batch, cells
+        # b * 5 + t of the (3, 5) grid; sequence 1 asks for nothing
         layout = _Layout(np.zeros(3, np.int64), np.array([5, 0, 2]))
         assert layout.width == 5
         assert layout.cells.tolist() == [0, 1, 2, 3, 4, 10, 11]
-        assert layout.index(np.array([13, 2]), 6).tolist() == [6, 2]
+        params = init_params(ROWS, seed=6, dtype=np.float64)
+        tokens = np.random.default_rng(9).integers(0, 13, size=(3, 6))
+        rows = ([2, 0, 0], [1, 2, 4])
+        np.testing.assert_allclose(forward(params, tokens, rows=rows),
+                                   forward(params, tokens)[rows], rtol=0, atol=1e-12)
 
     def test_uniform_cut_is_a_reshape(self):
         grid = np.arange(12).reshape(2, 6)

@@ -320,6 +320,20 @@ class TestGenerate:
         assert seen[0].shape == want.shape
         np.testing.assert_allclose(seen[0], want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("extra", [-1, 3], ids=["negative", "past-vocab"])
+    def test_forbid_outside_vocab_rejected(self, random_params, toy_vocab, monkeypatch,
+                                           extra):
+        """An out-of-range forbid id is named before the prompt pass runs:
+        -1 would mask the last id, and an id past V would fail to index."""
+        import guti.sampler as sampler_mod
+        size = random_params.config.vocab_size
+        bad = extra if extra < 0 else size + extra
+        monkeypatch.setattr(sampler_mod, "forward", None)    # no prompt pass
+        cfg = SampleConfig(seed=0, forbid=default_forbid(toy_vocab) | {bad})
+        with pytest.raises(SamplingError, match=rf"^forbid ids outside the vocabulary "
+                                                rf"\[0, {size}\): \[{bad}\]$"):
+            generate(random_params, [toy_vocab.bos_id], cfg, toy_vocab)
+
     def test_prompt_longer_than_context_rejected(self, toy_vocab):
         config = ModelConfig(n_layers=1, n_heads=1, d_model=8, d_ff=8,
                              context_len=4, vocab_size=toy_vocab.size)
