@@ -21,7 +21,7 @@ from . import __version__
 from . import corpus as corpus_mod
 from . import trainer as trainer_mod
 from . import vocab as vocab_mod
-from .errors import CorpusError, GutiError, UnknownFormError
+from .errors import CorpusError, GutiError
 from .forms import FormCatalog, default_catalog, load_catalog
 from .model import ModelConfig, ModelParams, init_params, load_checkpoint
 from .phonology import PhonologyTable, default_table, load_table
@@ -275,19 +275,11 @@ def cmd_generate(checkpoint, vocab_path, form, theme, acrostic_target, count,
     _check_vocab_size(params, vocab)
     if (theme is None) == (acrostic_target is None):
         raise click.UsageError("give exactly one of --theme or --acrostic")
-    try:
-        catalog.resolve(form)
-    except UnknownFormError:
-        raise click.ClickException(
-            f"unknown form {form!r}; catalog forms: "
-            + ", ".join(catalog.form_ids()))
-
     cfg = SampleConfig(k=top_k, temperature=temperature,
                        max_new_tokens=max_new_tokens, seed=_resolve_seed(seed))
     report = generate_batch(
-        params, form, acrostic_target if acrostic_target else theme,
-        count, cfg, vocab, catalog, table,
-        acrostic=acrostic_target is not None,
+        params, form, theme if acrostic_target is None else acrostic_target,
+        count, cfg, vocab, catalog, table, acrostic=acrostic_target is not None,
         strict_phonology=strict_phonology)
     for cand in report.candidates:
         if as_json:

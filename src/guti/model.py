@@ -40,11 +40,12 @@ value projections are one (d, 3d) ``attn.wqkv`` (GPT-2's ``c_attn``), which
 checkpoints store as its three (d, d) thirds.
 
 Nothing here mutates ModelParams: any number of concurrent forward calls
-may share one parameter set, and all randomness (dropout) comes from a
-caller-supplied generator, never global state.  The one caller-owned
-object ``forward`` mutates is its optional ``kv``, the ``KVCache`` of
-incremental decoding.  Importing the module sets glibc's malloc, once for
-the whole process, to keep freed memory for reuse (``_keep_freed_memory``).
+may share one parameter set.  A pass given a generator applies dropout
+with masks drawn from it, never from global state; a pass without one is
+deterministic.  The one caller-owned object ``forward`` mutates is its
+optional ``kv``, the ``KVCache`` of incremental decoding.  Importing the
+module sets glibc's malloc, once for the whole process, to keep freed
+memory for reuse (``_keep_freed_memory``).
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ import ctypes
 import functools
 import json
 import math
+import numbers
 import struct
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -104,9 +106,14 @@ class ModelConfig:
     tie_embeddings: bool = True
 
     def __post_init__(self):
-        if min(self.n_layers, self.n_heads, self.d_model, self.d_ff,
-               self.context_len, self.vocab_size) < 1:
+        dims = (self.n_layers, self.n_heads, self.d_model, self.d_ff,
+                self.context_len, self.vocab_size)
+        if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in dims):
+            raise ModelError(f"model dimensions must be integers, not {dims}")
+        if min(dims) < 1:
             raise ModelError("all model dimensions must be >= 1")
+        if not isinstance(self.tie_embeddings, bool):
+            raise ModelError(f"tie_embeddings must be a bool, not {self.tie_embeddings!r}")
         if self.d_model % self.n_heads != 0:
             raise ModelError("d_model must be divisible by n_heads")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -397,18 +404,17 @@ def _check_inputs(params: ModelParams, tokens: np.ndarray) -> np.ndarray:
     return tokens
 
 
-def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
-                  rng, want_cache: bool, kv: KVCache | None = None, rows=None):
+def _forward_impl(params: ModelParams, tokens: np.ndarray, rng, want_cache: bool,
+                  kv: KVCache | None = None, rows=None):
     """The one forward pass, on ids ``_check_inputs`` passes: ``(logits, cache)``.
 
     ``rows``, a (b_idx, t_idx) pair of equal-shape integer arrays, names the
     positions projected to logits, (*b_idx.shape, V); None projects all to
     (B, S, V).  Each sequence runs up to its last position in ``rows``, or
     all S without it, after its ``kv`` cache row, which stores them.
+    Dropout runs exactly when ``rng`` is a generator.
     """
     c, t, dtype = params.config, params.tensors, params.dtype
-    if train_mode and c.dropout_rate > 0.0 and rng is None:
-        raise ModelError("train-mode forward with dropout needs an rng")
     b, s = tokens.shape
     if kv is not None and kv.config is not c and kv.config != c:
         raise ModelError("K/V cache was built for another model config")
@@ -426,7 +432,7 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
         raise ModelError(f"sequence length {end} exceeds context {c.context_len}")
     if kv is not None and end > kv.size:
         raise ModelError(f"sequence length {end} exceeds the K/V cache's {kv.size} positions")
-    rate = c.dropout_rate if train_mode else 0.0
+    rate = c.dropout_rate if rng is not None else 0.0
     w, d, h, hd, hi = layout.width, c.d_model, c.n_heads, c.head_dim, layout.hi
 
     x = layout.to_rows(t["tok_emb"][tokens[:, :w]] + t["pos_emb"][layout.pos])
@@ -506,14 +512,14 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, train_mode: bool,
     return logits, cache
 
 
-def forward(params: ModelParams, tokens: np.ndarray, train_mode: bool = False,
+def forward(params: ModelParams, tokens: np.ndarray,
             rng: np.random.Generator | None = None,
             kv: KVCache | None = None, rows=None) -> np.ndarray:
     """Causal forward pass; returns logits of shape (batch, seq, vocab).
 
-    Position i logits depend only on tokens at positions <= i.  Eval mode
-    (the default) is deterministic; train mode applies dropout driven by
-    the caller-supplied generator.
+    Position i logits depend only on tokens at positions <= i.  Without
+    ``rng`` the pass is deterministic; with a generator it applies dropout
+    at the config's rate, with masks drawn from that generator.
 
     ``rows`` = (b_idx, t_idx), integer indices that broadcast together,
     returns only ``forward(...)[rows]``, the logits at those positions;
@@ -539,8 +545,7 @@ def forward(params: ModelParams, tokens: np.ndarray, train_mode: bool = False,
         except (TypeError, ValueError) as exc:
             raise ModelError(f"rows do not index the tokens: {exc}") from exc
         rows = np.broadcast_arrays(*rows)
-    logits, _ = _forward_impl(params, tokens, train_mode, rng, want_cache=False,
-                              kv=kv, rows=rows)
+    logits, _ = _forward_impl(params, tokens, rng, want_cache=False, kv=kv, rows=rows)
     return logits
 
 
@@ -596,7 +601,7 @@ def nll_loss(logits: np.ndarray, batch: SequenceBatch) -> float:
     return _nll(logits.astype(np.float64), batch)[0]
 
 
-def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False,
+def backward(params: ModelParams, batch: SequenceBatch,
              rng: np.random.Generator | None = None):
     """Loss plus exact analytic gradients for every parameter tensor.
 
@@ -605,11 +610,12 @@ def backward(params: ModelParams, batch: SequenceBatch, train_mode: bool = False
     and returns ``(loss, grads)`` where grads mirrors params.tensors.  It
     rebuilds the norms' outputs from x-hat, drops the logits once the
     head's gradients exist, and pops each cache entry at its last read.
+    As in ``forward``, dropout runs only when ``rng`` is given.
     """
     c, t = params.config, params.tensors
     tokens = _check_inputs(params, batch.tokens)
-    logits, cache = _forward_impl(params, tokens, train_mode, rng,
-                                  want_cache=True, rows=loss_rows(batch))
+    logits, cache = _forward_impl(params, tokens, rng, want_cache=True,
+                                  rows=loss_rows(batch))
     loss, dlogits = _softmax_nll(logits, batch)
 
     grads = {}

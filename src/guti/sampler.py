@@ -181,7 +181,7 @@ def _decode(params: ModelParams, prompts: list[list[int]], seeds: list[list[int]
     # the prompt pass projects each prompt's last position; a step has only one
     rows = (np.arange(len(prompts)), [len(prompt) - 1 for prompt in prompts])
     while live:     # only the prompt pass checks ids: a step's are the loop's own draws
-        logits = (_forward_impl(params, tokens, False, None, False, kv)[0] if rows is None
+        logits = (_forward_impl(params, tokens, None, False, kv)[0] if rows is None
                   else forward(params, tokens, kv=kv, rows=rows)).reshape(len(tokens), -1)
         picks = [top_k_sample(logits[r], cfg, rngs[c]) for r, c in zip(src, live)]
         now = time.perf_counter()

@@ -322,9 +322,9 @@ def _eval_nll(params: ModelParams, sequences: list[list[int]], pad_id: int,
 NOVELTY_PROBES = 5      # novelty probes prompt with this many training samples
 
 
-def _probe_novelty(params, probe_prompts, index, vocab, max_new_tokens):
+def _probe_novelty(params, probe_prompts, index, vocab):
     scores = []
-    cfg = SampleConfig(k=1, max_new_tokens=max_new_tokens, seed=0)
+    cfg = SampleConfig(k=1, max_new_tokens=params.config.context_len, seed=0)
     for out in _decode(params, probe_prompts, [[cfg.seed]] * len(probe_prompts), cfg, vocab):
         try:
             lines = [ln.characters for ln in parse_body(out.text)]
@@ -395,7 +395,7 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
         picks = order[:cfg.batch_size]
         del order[:cfg.batch_size]
         batch = make_batch([train_seqs[i] for i in picks], vocab.pad_id)
-        loss, grads = backward(params, batch, train_mode=True, rng=rng)
+        loss, grads = backward(params, batch, rng=rng)
         step += 1
         lr_scale = min(1.0, step / cfg.warmup_steps) if cfg.warmup_steps else 1.0
         try:
@@ -414,8 +414,7 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
                 save_checkpoint(params, ckpt, *last)
                 report.checkpoint_paths += map(str, [ckpt, *last])
         if index is not None and step % cfg.novelty_eval_interval == 0:
-            score = _probe_novelty(params, probe_prompts, index, vocab,
-                                   max_new_tokens=context)
+            score = _probe_novelty(params, probe_prompts, index, vocab)
             report.novelty.append({"step": step, "novelty": score})
             if (score is not None and cfg.early_stop_novelty is not None
                     and score < cfg.early_stop_novelty):

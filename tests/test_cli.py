@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -551,6 +552,8 @@ class TestGenerate:
                            "--form", "不存在", "--theme", "x")
         assert code == 1
         assert "五绝" in err and "水调歌头" in err
+        known = ", ".join(default_catalog().form_ids())
+        assert err.endswith(f"guti: unknown form: '不存在' (known forms: {known})\n")
 
     def test_zero_candidates(self, capsys, pipeline):
         code, out, _ = run(capsys, "generate", str(pipeline / "run" / "last.ckpt"),
@@ -575,6 +578,15 @@ class TestGenerate:
         assert code == 0
         assert "(藏头诗)" in out
 
+    def test_empty_acrostic_target(self, capsys, pipeline):
+        code, out, _ = run(capsys, "generate", str(pipeline / "run" / "last.ckpt"),
+                           "--vocab", str(pipeline / "vocab.txt"),
+                           "--form", "五绝", "--acrostic", "",
+                           "-n", "2", "-k", "5", "--seed", "3",
+                           "--max-new-tokens", "40")
+        assert code == 0
+        assert out.count("(藏头诗)") == 2
+
     def test_nan_temperature_exits_1(self, capsys, pipeline):
         code, out, err = run(capsys, "generate", str(pipeline / "run" / "last.ckpt"),
                              "--vocab", str(pipeline / "vocab.txt"),
@@ -592,6 +604,18 @@ class TestGenerate:
                            "--form", "五绝", "--theme", "静")
         assert code == 1
         assert "out of order (wanted 'tok_emb')" in err
+
+    def test_config_block_of_wrong_type_exits_1(self, capsys, pipeline, tmp_path):
+        data = (pipeline / "run" / "last.ckpt").read_bytes()
+        (n,) = struct.unpack("<I", data[12:16])     # after the magic and the version
+        block = data[16:16 + n].replace(b'"d_model": 16', b'"d_model": 16.0')
+        ckpt = tmp_path / "float.ckpt"
+        ckpt.write_bytes(data[:12] + struct.pack("<I", len(block)) + block + data[16 + n:])
+        code, _, err = run(capsys, "generate", str(ckpt),
+                           "--vocab", str(pipeline / "vocab.txt"),
+                           "--form", "五绝", "--theme", "静")
+        assert code == 1
+        assert "bad config block" in err
 
     def test_theme_and_acrostic_together_rejected(self, capsys, pipeline):
         code, _, _ = run(capsys, "generate", str(pipeline / "run" / "last.ckpt"),

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+import struct
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -76,6 +78,12 @@ class TestInit:
         with pytest.raises(ModelError):
             ModelConfig(vocab_size=4, dropout_rate=1.0)
 
+    def test_numpy_integer_dimensions_accepted(self):
+        config = ModelConfig(n_layers=np.int64(1), n_heads=np.int32(1), d_model=np.int64(8),
+                             d_ff=np.uint16(12), context_len=np.int64(8),
+                             vocab_size=np.int64(10))
+        assert config == TINY
+
 
 class TestForward:
     def test_causality_perturbation(self):
@@ -131,11 +139,12 @@ class TestForward:
         config = ModelConfig(n_layers=1, n_heads=1, d_model=8, d_ff=12,
                              context_len=8, vocab_size=10, dropout_rate=0.5)
         params = init_params(config, seed=0)
-        with pytest.raises(ModelError):
-            forward(params, np.zeros((1, 3), dtype=np.int64), train_mode=True)
-        out = forward(params, np.zeros((1, 3), dtype=np.int64), train_mode=True,
-                      rng=np.random.default_rng(0))
-        assert np.all(np.isfinite(out))
+        twin = ModelParams(replace(config, dropout_rate=0.0), params.tensors)
+        tokens = np.array([[0, 3, 7, 2]])
+        plain = forward(twin, tokens)
+        assert forward(params, tokens).tobytes() == plain.tobytes()
+        out = forward(params, tokens, rng=np.random.default_rng(0))
+        assert np.all(np.isfinite(out)) and not np.array_equal(out, plain)
 
 
 class TestKVCache:
@@ -413,11 +422,11 @@ class TestLoss:
 
 def finite_difference_grads(params, batch, h=1e-5, dropout_seed=None):
     """Central differences of nll_loss; with ``dropout_seed`` every
-    evaluation runs in train mode on a fresh generator from that seed, so
+    evaluation runs with dropout on a fresh generator from that seed, so
     each one draws the dropout masks ``backward`` draws from it."""
     def loss():
         rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
-        logits = forward(params, batch.tokens, train_mode=rng is not None, rng=rng)
+        logits = forward(params, batch.tokens, rng=rng)
         return nll_loss(logits, batch)
 
     grads = {}
@@ -516,8 +525,8 @@ class TestBackward:
         params = init_params(config, seed=1, dtype=np.float64)
         batch = SequenceBatch(tokens=np.array([[1, 2, 3, 4]]),
                               loss_mask=np.array([[0, 1, 1, 1]]))
-        a = backward(params, batch, train_mode=True, rng=np.random.default_rng(42))
-        b = backward(params, batch, train_mode=True, rng=np.random.default_rng(42))
+        a = backward(params, batch, rng=np.random.default_rng(42))
+        b = backward(params, batch, rng=np.random.default_rng(42))
         assert a[0] == b[0]
         for name in a[1]:
             assert np.array_equal(a[1][name], b[1][name])
@@ -527,8 +536,7 @@ class TestBackward:
                              context_len=8, vocab_size=10, dropout_rate=0.3)
         params = init_params(config, seed=2, dtype=np.float64)
         batch = rand_batch(np.random.default_rng(3), config, b=2, s=5)
-        loss, grads = backward(params, batch, train_mode=True,
-                               rng=np.random.default_rng(42))
+        loss, grads = backward(params, batch, rng=np.random.default_rng(42))
         # the masks are live: the train-mode loss is not the eval loss
         assert abs(loss - nll_loss(forward(params, batch.tokens), batch)) > 1e-6
         fd = finite_difference_grads(params, batch, h=1e-4, dropout_seed=42)
@@ -655,7 +663,7 @@ def test_backward_frees_each_layer_cache_by_its_first_norm(monkeypatch, rate):
 
     monkeypatch.setattr(model, "_forward_impl", forward_spy)
     monkeypatch.setattr(model, "_layer_norm_backward", norm_backward_spy)
-    backward(params, batch, train_mode=True, rng=np.random.default_rng(7))
+    backward(params, batch, rng=np.random.default_rng(7))
     everything = sorted(["a", "gelu_d", "ctx", "qkv", "probs"])
     assert dead == {i: everything for i in range(config.n_layers)}
 
@@ -679,7 +687,7 @@ def test_backward_bits_pinned(rate):
     tokens = rng.integers(0, config.vocab_size, size=(b, s))
     mask = (np.arange(s) < lengths[:, None]).astype(np.float64)
     mask[:, 0] = 0.0
-    loss, grads = backward(params, SequenceBatch(tokens, mask), train_mode=True,
+    loss, grads = backward(params, SequenceBatch(tokens, mask),
                            rng=np.random.default_rng(23))
     digest = hashlib.sha256(np.float64(loss).tobytes())
     for name, g in grads.items():
@@ -743,8 +751,8 @@ class TestRowSelection:
         params = init_params(config, seed=5, dtype=np.float64)
         batch = rand_batch(np.random.default_rng(9), config, b=3, s=11)
         rng_b, rng_f = np.random.default_rng(1), np.random.default_rng(1)
-        loss, _ = backward(params, batch, train_mode=True, rng=rng_b)
-        logits = forward(params, batch.tokens, train_mode=True, rng=rng_f)
+        loss, _ = backward(params, batch, rng=rng_b)
+        logits = forward(params, batch.tokens, rng=rng_f)
         assert abs(loss - nll_loss(logits, batch)) < 1e-12
         assert rng_b.random() == rng_f.random()
 
@@ -850,13 +858,13 @@ class TestAttentionRuns:
             assert np.array_equal(grads["pos_emb"][:width], want)
             assert not grads["pos_emb"][width:].any()
 
-    def test_dropout_matches_train_mode_full_forward(self):
+    def test_dropout_matches_full_forward_with_rng(self):
         params = init_params(replace(ROWS, dropout_rate=0.2), seed=15,
                              dtype=np.float64)
         batch = self.batch(params.config, seed=13)
         rng_b, rng_f = np.random.default_rng(2), np.random.default_rng(2)
-        loss, _ = backward(params, batch, train_mode=True, rng=rng_b)
-        logits = forward(params, batch.tokens, train_mode=True, rng=rng_f)
+        loss, _ = backward(params, batch, rng=rng_b)
+        logits = forward(params, batch.tokens, rng=rng_f)
         assert abs(loss - nll_loss(logits, batch)) < 1e-12
         assert abs(loss - nll_loss(forward(params, batch.tokens), batch)) > 1e-6
         assert rng_b.random() == rng_f.random()
@@ -962,6 +970,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "none.ckpt")
 
+    @pytest.mark.parametrize("field, value", [
+        ("d_model", 8.0), ("context_len", 8.5), ("tie_embeddings", "no"),
+        ("n_layers", True)])
+    def test_config_block_of_wrong_type_rejected(self, tmp_path, field, value):
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(TINY, seed=8), p)
+        edit_config_block(p, **{field: value})
+        with pytest.raises(CheckpointError, match="bad config block"):
+            load_checkpoint(p)
+
     def test_name_that_is_not_utf8_rejected(self, tmp_path):
         p = tmp_path / "model.ckpt"
         save_checkpoint(init_params(TINY, seed=8), p)
@@ -971,6 +989,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError,
                            match=r"tensor '\ufffdok_emb' out of order \(wanted 'tok_emb'\)"):
             load_checkpoint(p)
+
+
+def edit_config_block(path, **fields):
+    """Rewrite the JSON config block of the checkpoint at ``path`` with
+    ``fields`` set, keeping every other byte."""
+    data = path.read_bytes()
+    head = len(model.CHECKPOINT_MAGIC) + 4
+    (n,) = struct.unpack("<I", data[head:head + 4])
+    cfg = {**json.loads(data[head + 4:head + 4 + n]), **fields}
+    block = json.dumps(cfg, sort_keys=True).encode("utf-8")
+    path.write_bytes(data[:head] + struct.pack("<I", len(block)) + block
+                     + data[head + 4 + n:])
 
 
 def reference_softmax_nll(logits, batch):
@@ -1204,11 +1234,11 @@ class TestInputsUnchanged:
         rng = np.random.default_rng(1)
         if cached:
             kv = KVCache(params, 2, 8)
-            forward(params, tokens, train_mode=True, rng=rng, kv=kv)
-            forward(params, tokens[:, :1], train_mode=True, rng=rng, kv=kv)
+            forward(params, tokens, rng=rng, kv=kv)
+            forward(params, tokens[:, :1], rng=rng, kv=kv)
         else:
-            forward(params, tokens, train_mode=True, rng=rng)
-            forward(params, tokens, train_mode=True, rng=rng, rows=([0, 1], [5, 2]))
+            forward(params, tokens, rng=rng)
+            forward(params, tokens, rng=rng, rows=([0, 1], [5, 2]))
         assert_tensors_unchanged(params, before)
         assert np.array_equal(tokens, tokens_before)
 
@@ -1221,7 +1251,7 @@ class TestInputsUnchanged:
         batch = weighted_batch(np.random.default_rng(2), config)
         tokens, mask = batch.tokens.copy(), batch.loss_mask.copy()
         before = tensors_copy(params)
-        _, grads = backward(params, batch, train_mode=True, rng=np.random.default_rng(1))
+        _, grads = backward(params, batch, rng=np.random.default_rng(1))
         assert_tensors_unchanged(params, before)
         assert np.array_equal(batch.tokens, tokens)
         assert batch.loss_mask.tobytes() == mask.tobytes()

@@ -408,7 +408,7 @@ class TestNovelty:
         scores = [index.score_lines([ln.characters for ln in parse_body(text)]).score
                   for text in texts]
         assert len(set(scores)) > 1
-        got = trainer._probe_novelty(params, prompts, index, vocab, config.context_len)
+        got = trainer._probe_novelty(params, prompts, index, vocab)
         assert got == float(np.mean(scores))
 
 
