@@ -173,9 +173,9 @@ def cmd_ingest(corpus_file, out_dir, catalog_path, acrostic, min_count, max_seq_
               help="Stop when probe novelty drops below this value.")
 @click.option("--heldout-fraction", default=TrainConfig.heldout_fraction,
               show_default=True, help="Deterministic held-out share for evaluation.")
-@click.option("--seed", default=None, type=int,
+@click.option("--seed", default=None, type=click.IntRange(min=0),
               help="Training shuffle/dropout seed (random if omitted).")
-@click.option("--model-seed", default=0, show_default=True,
+@click.option("--model-seed", default=0, show_default=True, type=click.IntRange(min=0),
               help="Seed for parameter initialization.")
 def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, dropout,
               lr, batch_size, max_steps, warmup, checkpoint_interval,
@@ -253,7 +253,7 @@ def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, dropout,
               help="Softmax temperature over the candidate set.")
 @click.option("--max-new-tokens", default=SampleConfig.max_new_tokens, show_default=True,
               help="Decoding budget per candidate.")
-@click.option("--seed", default=None, type=int,
+@click.option("--seed", default=None, type=click.IntRange(min=0),
               help="Sampling seed (random if omitted).")
 @click.option("--json", "as_json", is_flag=True,
               help="Emit line-delimited JSON records instead of text. The "

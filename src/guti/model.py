@@ -1,15 +1,16 @@
 """Decoder-only transformer language model in plain numpy.
 
 Pre-norm residual blocks, learned positional embeddings, tanh-form GELU,
-multi-head causal self-attention, and a weight-tied output projection by
-default.  Both the forward pass and the analytic backward pass are written
-out explicitly; gradients are exact up to floating point, which the test
-suite pins against central finite differences.  The forward pass caches
-for ``backward``, its only reader, just what the gradients read (14 d-wide
-values per row and layer at d_ff = 4d), and each activation is freed at
-its last reader, with no recomputation.  Every weight gradient is one
-matmul over the flat rows, ``_nll`` alone turns logits into the loss, and
-``_softmax_nll`` turns what it leaves into dL/dlogits in place.
+multi-head causal self-attention, and an output projection that is always
+the token embedding, transposed (Press & Wolf, arXiv:1608.05859).  Both the
+forward pass and the analytic backward pass are written out explicitly;
+gradients are exact up to floating point, which the test suite pins against
+central finite differences.  The forward pass caches for ``backward``, its
+only reader, just what the gradients read (14 d-wide values per row and
+layer at d_ff = 4d), and each activation is freed at its last reader, with
+no recomputation.  Every weight gradient is one matmul over the flat rows,
+``_nll`` alone turns logits into the loss, and ``_softmax_nll`` turns what
+it leaves into dL/dlogits in place.
 
 Rows: activations are flat (N, d) rows, one per (batch, position) cell
 that runs, as one ``_Layout`` of a cached start and a run length per
@@ -103,7 +104,6 @@ class ModelConfig:
     context_len: int = 256
     vocab_size: int = 0
     dropout_rate: float = 0.0
-    tie_embeddings: bool = True
 
     def __post_init__(self):
         dims = (self.n_layers, self.n_heads, self.d_model, self.d_ff,
@@ -112,8 +112,6 @@ class ModelConfig:
             raise ModelError(f"model dimensions must be integers, not {dims}")
         if min(dims) < 1:
             raise ModelError("all model dimensions must be >= 1")
-        if not isinstance(self.tie_embeddings, bool):
-            raise ModelError(f"tie_embeddings must be a bool, not {self.tie_embeddings!r}")
         if self.d_model % self.n_heads != 0:
             raise ModelError("d_model must be divisible by n_heads")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -136,16 +134,13 @@ def param_names(config: ModelConfig) -> list[str]:
     names = ["tok_emb", "pos_emb"]
     names += [f"layer{i}.{n}" for i in range(config.n_layers) for n in _LAYER]
     names += ["ln_f.g", "ln_f.b"]
-    if not config.tie_embeddings:
-        names.append("out_proj")
     return names
 
 
 def _param_shape(name: str, c: ModelConfig) -> tuple[int, ...]:
     d, f = c.d_model, c.d_ff
     shapes = {"tok_emb": (c.vocab_size, d), "pos_emb": (c.context_len, d),
-              "out_proj": (d, c.vocab_size), "attn.wqkv": (d, 3 * d),
-              "attn.bqkv": (3 * d,), "attn.wo": (d, d),
+              "attn.wqkv": (d, 3 * d), "attn.bqkv": (3 * d,), "attn.wo": (d, d),
               "ff.w1": (d, f), "ff.b1": (f,), "ff.w2": (f, d)}
     return shapes.get(name.split(".", 1)[-1], (d,))     # norms, attn.bo, ff.b2
 
@@ -503,7 +498,7 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, rng, want_cache: bool
             out_idx = np.searchsorted(layout.cells, out_idx)
         x = x[out_idx]
     hf, lnf_cache = _layer_norm(x, t["ln_f.g"], t["ln_f.b"])
-    logits = hf @ (t["tok_emb"].T if c.tie_embeddings else t["out_proj"])
+    logits = hf @ t["tok_emb"].T
     if rows is None:
         logits = logits.reshape(b, s, -1)
     cache = {"layout": layout, "tok": layout.to_rows(tokens), "out_idx": out_idx,
@@ -620,13 +615,8 @@ def backward(params: ModelParams, batch: SequenceBatch,
 
     grads = {}
     hf = cache.pop("hf")
-    if c.tie_embeddings:
-        grads["tok_emb"] = dlogits.T @ hf
-        dhf = dlogits @ t["tok_emb"]
-    else:
-        grads["out_proj"] = hf.T @ dlogits
-        grads["tok_emb"] = np.zeros_like(t["tok_emb"])
-        dhf = dlogits @ t["out_proj"].T
+    grads["tok_emb"] = dlogits.T @ hf
+    dhf = dlogits @ t["tok_emb"]
     del logits, dlogits, hf     # dlogits is logits, overwritten
 
     dx_out, grads["ln_f.g"], grads["ln_f.b"] = _layer_norm_backward(
@@ -717,7 +707,8 @@ def backward(params: ModelParams, batch: SequenceBatch,
 # Checkpoint format (version 1):
 #   8 bytes   magic "GUTICKPT"
 #   u32 LE    format version
-#   u32 LE    config JSON byte length, then that many UTF-8 bytes
+#   u32 LE    config JSON byte length, then that many UTF-8 bytes: the
+#             ModelConfig fields and "tie_embeddings": true (always tied)
 #   u32 LE    tensor count
 #   per tensor, in ``_split_qkv`` order:
 #     u16 LE name length + UTF-8 name
@@ -750,7 +741,8 @@ def _fuse_qkv(config: ModelConfig, tensors: dict) -> dict:
 
 def save_checkpoint(params: ModelParams, path: str | Path, *copies: str | Path) -> None:
     """Write the versioned checkpoint (f32 LE tensors) to ``path`` and ``copies``."""
-    cfg_json = json.dumps(asdict(params.config), sort_keys=True).encode("utf-8")
+    cfg = {**asdict(params.config), "tie_embeddings": True}
+    cfg_json = json.dumps(cfg, sort_keys=True).encode("utf-8")
     tensors = _split_qkv(params.config, params.tensors)
     chunks = [CHECKPOINT_MAGIC,
               struct.pack("<I", CHECKPOINT_VERSION),
@@ -792,7 +784,10 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise CheckpointError(f"{p}: unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<I", take(4))
     try:
-        config = ModelConfig(**json.loads(bytes(take(cfg_len)).decode("utf-8")))
+        cfg = json.loads(bytes(take(cfg_len)).decode("utf-8"))
+        if not isinstance(cfg, dict) or cfg.pop("tie_embeddings", None) is not True:
+            raise ValueError('not a JSON object with "tie_embeddings": true')
+        config = ModelConfig(**cfg)
     except (ValueError, TypeError, ModelError) as exc:
         raise CheckpointError(f"{p}: bad config block: {exc}") from exc
     (n_tensors,) = struct.unpack("<I", take(4))

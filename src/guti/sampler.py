@@ -49,8 +49,9 @@ class SampleConfig:
             raise SamplingError("k must be >= 1")
         if not self.temperature > 0:       # NaN fails this too
             raise SamplingError("temperature must be > 0")
-        if self.max_new_tokens < 0:
-            raise SamplingError("max_new_tokens must be >= 0")
+        for name in ("max_new_tokens", "seed"):     # numpy takes no negative seed
+            if getattr(self, name) < 0:
+                raise SamplingError(f"{name} must be >= 0")
 
     @cached_property
     def forbid_ids(self) -> np.ndarray:

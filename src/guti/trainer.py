@@ -62,7 +62,7 @@ class TrainConfig:
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise TrainingError(f"{name} must lie in [0, 1)")
         for name in ("max_steps", "warmup_steps", "checkpoint_interval",
-                     "novelty_eval_interval"):
+                     "novelty_eval_interval", "seed"):
             if getattr(self, name) < 0:
                 raise TrainingError(f"{name} must be >= 0")
         if self.early_stop_novelty is not None and not self.novelty_eval_interval:

@@ -84,7 +84,7 @@ GRAD_CONFIGS = [
     (1, ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=16, context_len=8,
                     vocab_size=12, dropout_rate=0.0)),
     (2, ModelConfig(n_layers=1, n_heads=1, d_model=12, d_ff=20, context_len=8,
-                    vocab_size=9, dropout_rate=0.0, tie_embeddings=False)),
+                    vocab_size=9, dropout_rate=0.0)),
 ]
 
 

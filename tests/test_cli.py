@@ -617,6 +617,19 @@ class TestGenerate:
         assert code == 1
         assert "bad config block" in err
 
+    def test_untied_config_block_exits_1(self, capsys, pipeline, tmp_path):
+        data = (pipeline / "run" / "last.ckpt").read_bytes()
+        (n,) = struct.unpack("<I", data[12:16])     # after the magic and the version
+        block = data[16:16 + n].replace(b'"tie_embeddings": true',
+                                        b'"tie_embeddings": false')
+        ckpt = tmp_path / "untied.ckpt"
+        ckpt.write_bytes(data[:12] + struct.pack("<I", len(block)) + block + data[16 + n:])
+        code, _, err = run(capsys, "generate", str(ckpt),
+                           "--vocab", str(pipeline / "vocab.txt"),
+                           "--form", "五绝", "--theme", "静")
+        assert code == 1
+        assert "bad config block" in err
+
     def test_theme_and_acrostic_together_rejected(self, capsys, pipeline):
         code, _, _ = run(capsys, "generate", str(pipeline / "run" / "last.ckpt"),
                          "--vocab", str(pipeline / "vocab.txt"),
@@ -846,6 +859,23 @@ class TestExitCodes:
         code, out, err = run(capsys, "--version")
         assert code == 0, err
         assert out == f"guti, version {guti.__version__}\n"
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("train", "--seed", "-1"), ("train", "--model-seed", "-3"),
+        ("generate", "--seed", "-5")], ids=["train-seed", "train-model-seed", "generate-seed"])
+    def test_negative_seed_exits_1(self, capsys, tmp_path, pipeline, command,
+                                   option, value):
+        # numpy's default_rng takes no negative seed: it raised ValueError
+        # inside the command, which exited 2 as an internal error
+        out_dir = tmp_path / "out"
+        args = {"train": (str(pipeline / "dataset.jsonl"), "-o", str(out_dir)),
+                "generate": (str(pipeline / "run" / "last.ckpt"),
+                             "--form", "五绝", "--theme", "静")}[command]
+        code, out, err = run(capsys, command, *args, "--vocab",
+                             str(pipeline / "vocab.txt"), option, value)
+        assert code == 1
+        assert f"Invalid value for '{option}'" in err
+        assert out == "" and not out_dir.exists()
 
     def test_io_failure_exits_2(self, capsys, tmp_path, mini_corpus):
         not_a_dir = tmp_path / "file"

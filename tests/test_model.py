@@ -150,10 +150,9 @@ class TestForward:
 class TestKVCache:
     @pytest.mark.parametrize("chunks", [(4, 1, 1, 1, 1, 1, 1), (3, 5, 1, 1)],
                              ids=["prompt+steps", "uneven"])
-    @pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
-    def test_cached_logits_match_full_forward(self, tie, chunks):
+    def test_cached_logits_match_full_forward(self, chunks):
         config = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=24,
-                             context_len=10, vocab_size=13, tie_embeddings=tie)
+                             context_len=10, vocab_size=13)
         params = init_params(config, seed=3, dtype=np.float64)
         tokens = np.random.default_rng(4).integers(0, 13, size=(2, 10))
         kv, parts, pos = KVCache(params, 2, 10), [], 0
@@ -483,40 +482,22 @@ class TestBackward:
         assert np.all(grads["pos_emb"][4:] == 0.0)
         assert np.any(grads["pos_emb"][:4] != 0.0)
 
-    def test_untied_output_projection(self):
-        config = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=12,
-                             context_len=8, vocab_size=9, dropout_rate=0.0,
-                             tie_embeddings=False)
-        rng = np.random.default_rng(6)
-        params = init_params(config, seed=7, dtype=np.float64)
-        assert "out_proj" in params.tensors
-        batch = rand_batch(rng, config, b=1, s=5)
-        _, grads = backward(params, batch)
-        fd = finite_difference_grads(params, batch, h=1e-4)
-        for name in ("out_proj", "tok_emb"):
-            assert rel_err(grads[name], fd[name]) < 1e-3
-
-    @pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
-    def test_token_embedding_scatter_matches_add_at(self, tie):
+    def test_token_embedding_scatter_matches_add_at(self):
         """With one sequence, the gradient reaching each position's input
-        embedding is that position's pos_emb gradient, so ``np.add.at`` of
-        those rows by token id is a reference for the tok_emb gradient.  An
-        untied copy whose out_proj is tok_emb.T gives the tied model's
-        output-projection share."""
+        embedding is that position's pos_emb gradient, so the output
+        projection's share plus ``np.add.at`` of those rows by token id is a
+        reference for the tok_emb gradient."""
         config = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=24,
                              context_len=24, vocab_size=5)
-        tied = init_params(config, seed=8, dtype=np.float64)
-        untied = ModelParams(replace(config, tie_embeddings=False),
-                             {**tied.tensors, "out_proj": tied["tok_emb"].T.copy()})
+        params = init_params(config, seed=8, dtype=np.float64)
         batch = rand_batch(np.random.default_rng(9), config, b=1, s=20, full_mask=True)
-        _, grads = backward(untied, batch)
+        _, grads = backward(params, batch)
+        logits, cache = model._forward_impl(params, batch.tokens, None, True,
+                                            rows=loss_rows(batch))
+        want = model._softmax_nll(logits, batch)[1].T @ cache["hf"]
         cells = batch.tokens[0, :19]          # position 19 is only a target
-        want = np.zeros_like(tied["tok_emb"])
         np.add.at(want, cells, grads["pos_emb"][:19])
         assert len(set(cells.tolist())) < cells.size    # ids repeat
-        if tie:
-            want += grads["out_proj"].T
-            _, grads = backward(tied, batch)
         np.testing.assert_allclose(grads["tok_emb"], want, rtol=0, atol=1e-12)
 
     def test_dropout_gradients_consistent(self):
@@ -544,13 +525,12 @@ class TestBackward:
             err = rel_err(got, want)
             assert err < 1e-3, f"{label}: rel err {err:.2e}"
 
-    @pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
-    def test_float32_gradients_match_float64(self, tie):
+    def test_float32_gradients_match_float64(self):
         # training runs in float32; the same weights in float64 give the
         # reference gradients.  Weights of scale 0.3 put the GELU inputs
         # around +-1, where its tanh is far from linear.
         config = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=32,
-                             context_len=12, vocab_size=20, tie_embeddings=tie)
+                             context_len=12, vocab_size=20)
         rng = np.random.default_rng(8)
         p32 = init_params(config, seed=2)
         for arr in p32.tensors.values():
@@ -578,10 +558,10 @@ class TestBackward:
         # float32 softmax of some targets underflows to 0; the loss is still
         # the finite log-sum-exp value nll_loss gives
         config = ModelConfig(n_layers=1, n_heads=1, d_model=8, d_ff=12,
-                             context_len=8, vocab_size=4, tie_embeddings=False)
+                             context_len=8, vocab_size=4)
         params = init_params(config, seed=0)
         params.tensors["ln_f.g"][:] = 60.0
-        params.tensors["out_proj"][:] = np.random.default_rng(0).standard_normal((8, 4))
+        params.tensors["tok_emb"][:] = np.random.default_rng(0).standard_normal((4, 8))
         batch = SequenceBatch(tokens=np.array([[0, 1, 2, 3, 0, 1, 2, 3]]),
                               loss_mask=np.array([[0, 1, 1, 1, 1, 1, 1, 1]]))
         logits = forward(params, batch.tokens)
@@ -716,10 +696,8 @@ class TestRowSelection:
         full = nll_loss(forward(params, a.tokens), a)
         assert abs(loss_a - full) < 1e-12
 
-    @pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
-    def test_padding_wider_changes_nothing(self, tie):
-        config = replace(ROWS, tie_embeddings=tie)
-        params = init_params(config, seed=3, dtype=np.float64)
+    def test_padding_wider_changes_nothing(self):
+        params = init_params(ROWS, seed=3, dtype=np.float64)
         rng = np.random.default_rng(7)
         lengths = (9, 17, 5, 12)
         tokens = np.zeros((4, 17), dtype=np.int64)
@@ -809,10 +787,8 @@ class TestAttentionRuns:
                                                   (4, 7, 13, 34, 7),
                                                   (7, 8, 34, 35, 1)]
 
-    @pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
-    def test_batch_equals_each_sequence_alone(self, tie):
-        params = init_params(replace(ROWS, tie_embeddings=tie), seed=14,
-                             dtype=np.float64)
+    def test_batch_equals_each_sequence_alone(self):
+        params = init_params(ROWS, seed=14, dtype=np.float64)
         batch = self.batch(params.config)
         loss, grads = backward(params, batch)
         rows = forward(params, batch.tokens, rows=loss_rows(batch))
@@ -836,22 +812,27 @@ class TestAttentionRuns:
             np.testing.assert_allclose(grads[name], want_grads[name],
                                        rtol=0, atol=1e-12, err_msg=name)
 
-    def test_position_sum_equals_padded_batch_sum(self):
+    def test_position_sum_equals_padded_batch_sum(self, monkeypatch):
         """backward's pos_emb gradient sums each position's embedding-input
         gradient over the sequences, added in batch order from zero: bitwise
-        the batch-axis sum of a zero-padded grid.  Every cell holds its own
-        token id and the embeddings are untied, so tok_emb's gradient at a
-        cell's id is that cell's embedding-input gradient, and zero at the
-        ids of the cells past a sequence's last loss row."""
-        ragged = self.batch(ROWS)
-        tokens = np.arange(ragged.tokens.size).reshape(ragged.tokens.shape)
-        batch = SequenceBatch(tokens=tokens, loss_mask=ragged.loss_mask)
-        config = replace(ROWS, vocab_size=tokens.size, tie_embeddings=False)
+        the batch-axis sum of a zero-padded grid.  That gradient is what
+        backward's last ``_apply_mask`` call returns: one row per kept cell,
+        in row-major cell order."""
+        batch = self.batch(ROWS)
         width = max(self.KEPT)
+        kept = np.arange(width) < np.array(self.KEPT)[:, None]   # (B, width)
+        returned, apply_mask = [], model._apply_mask
+
+        def spy(x, mask):
+            returned.append(apply_mask(x, mask))
+            return returned[-1]
+
+        monkeypatch.setattr(model, "_apply_mask", spy)
         for dtype in (np.float32, np.float64):
-            _, grads = backward(init_params(config, seed=17, dtype=dtype), batch)
-            grid = grads["tok_emb"][tokens[:, :width]]        # (B, width, d)
-            want = np.zeros((width, config.d_model), dtype)
+            _, grads = backward(init_params(ROWS, seed=17, dtype=dtype), batch)
+            grid = np.zeros((*kept.shape, ROWS.d_model), dtype)
+            grid[kept] = returned[-1]
+            want = np.zeros((width, ROWS.d_model), dtype)
             for row in grid:
                 want += row
             assert grads["pos_emb"].dtype == dtype
@@ -980,6 +961,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="bad config block"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("change", [
+        lambda cfg: {**cfg, "tie_embeddings": False},
+        lambda cfg: {k: v for k, v in cfg.items() if k != "tie_embeddings"},
+        lambda cfg: sorted(cfg.items())], ids=["untied", "key-missing", "json-array"])
+    def test_config_block_without_a_tied_head_rejected(self, tmp_path, change):
+        """Every v1 file carries ``"tie_embeddings": true``: a block that asks
+        for an untied head, names no head, or is no JSON object is refused."""
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(TINY, seed=8), p)
+        edit_config_block(p, change)
+        with pytest.raises(CheckpointError, match="bad config block"):
+            load_checkpoint(p)
+
     def test_name_that_is_not_utf8_rejected(self, tmp_path):
         p = tmp_path / "model.ckpt"
         save_checkpoint(init_params(TINY, seed=8), p)
@@ -991,14 +985,15 @@ class TestCheckpoint:
             load_checkpoint(p)
 
 
-def edit_config_block(path, **fields):
+def edit_config_block(path, change=None, **fields):
     """Rewrite the JSON config block of the checkpoint at ``path`` with
-    ``fields`` set, keeping every other byte."""
+    ``fields`` set, or as ``change`` maps the parsed block, keeping every
+    other byte."""
     data = path.read_bytes()
     head = len(model.CHECKPOINT_MAGIC) + 4
     (n,) = struct.unpack("<I", data[head:head + 4])
     cfg = {**json.loads(data[head + 4:head + 4 + n]), **fields}
-    block = json.dumps(cfg, sort_keys=True).encode("utf-8")
+    block = json.dumps(change(cfg) if change else cfg, sort_keys=True).encode("utf-8")
     path.write_bytes(data[:head] + struct.pack("<I", len(block)) + block
                      + data[head + 4 + n:])
 
@@ -1181,11 +1176,10 @@ class TestLossSplit:
                              vocab_size=vocab.size)
         return batches, config
 
-    @pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
     def test_nll_loss_and_backward_match_the_former_function(
-            self, fixture_batches, monkeypatch, tie):
+            self, fixture_batches, monkeypatch):
         batches, config = fixture_batches
-        params = noisy_params(replace(config, tie_embeddings=tie), seed=3)
+        params = noisy_params(config, seed=3)
         for batch in batches:
             got = [backward(params, batch)]
             logits = forward(params, batch.tokens, rows=loss_rows(batch))
@@ -1243,10 +1237,8 @@ class TestInputsUnchanged:
         assert np.array_equal(tokens, tokens_before)
 
     @pytest.mark.parametrize("rate", [0.0, 0.1])
-    @pytest.mark.parametrize("tie", [True, False], ids=["tied", "untied"])
-    def test_backward(self, rate, tie):
-        config = replace(TINY, n_layers=2, n_heads=2, dropout_rate=rate,
-                         tie_embeddings=tie)
+    def test_backward(self, rate):
+        config = replace(TINY, n_layers=2, n_heads=2, dropout_rate=rate)
         params = noisy_params(config, seed=3)
         batch = weighted_batch(np.random.default_rng(2), config)
         tokens, mask = batch.tokens.copy(), batch.loss_mask.copy()

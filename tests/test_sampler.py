@@ -238,6 +238,12 @@ class TestTopK:
             with pytest.raises(SamplingError, match="temperature must be > 0"):
                 SampleConfig(temperature=temperature)
 
+    def test_negative_seed_rejected(self):
+        # numpy's default_rng takes no negative seed
+        with pytest.raises(SamplingError, match="seed must be >= 0"):
+            SampleConfig(seed=-1)
+        assert SampleConfig(seed=0).seed == 0
+
 
 class TestGenerate:
     def test_zero_budget_returns_truncated_empty(self, random_params, toy_vocab):
@@ -398,12 +404,13 @@ class TestGenerateBatch:
 
 
 def eos_heavy_params(vocab):
-    """An untied model whose EOS logit swings by a few units from step to
-    step, so candidates emit EOS at different steps."""
+    """A model whose EOS logit swings by a few units from step to step, so
+    candidates emit EOS at different steps.  No prompt feeds EOS as input,
+    so the scaled row reaches the output head only."""
     config = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=32, context_len=48,
-                         vocab_size=vocab.size, tie_embeddings=False)
+                         vocab_size=vocab.size)
     params = init_params(config, seed=4)
-    params.tensors["out_proj"][:, vocab.eos_id] *= 10.0
+    params.tensors["tok_emb"][vocab.eos_id] *= 10.0
     return params
 
 

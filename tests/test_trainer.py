@@ -204,6 +204,12 @@ class TestTrainConfig:
             TrainConfig(**{field: -1})
         assert getattr(TrainConfig(**{field: 0}), field) == 0
 
+    def test_negative_seed_rejected(self):
+        # numpy's default_rng takes no negative seed
+        with pytest.raises(TrainingError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
+        assert TrainConfig(seed=0).seed == 0
+
     @pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan, math.inf])
     def test_unusable_learning_rate_rejected(self, lr):
         # a NaN or infinite rate made the first step write non-finite weights
