@@ -301,6 +301,16 @@ def _apply_mask(x, mask):
     return x if mask is None else x * mask
 
 
+@functools.cache
+def _causal(dtype: np.dtype, size: int) -> np.ndarray:
+    """Read-only (size, size) additive causal mask of ``dtype``: row p adds
+    -inf to the keys past p.  Its rows are windows of one (2 size - 1)
+    array, so it costs O(size) memory."""
+    ramp = np.full(2 * size - 1, -np.inf, dtype)
+    ramp[:size] = 0
+    return np.lib.stride_tricks.sliding_window_view(ramp, size)[::-1]
+
+
 class _Layout:
     """The (batch, position) cells a forward pass runs, as rows.
 
@@ -334,21 +344,22 @@ class _Layout:
         self.pos = (slice(hi, hi + width) if min(starts) == hi
                     else np.add.outer(starts, np.arange(width)))
 
-    def attention(self, dtype, heads: int):
+    def attention(self, dtype, heads: int, size: int):
         """Per run of L: the keys it reads, [:hi + L] for the largest start
         hi, its cells' index in a layer's K/V buffer, and its additive causal
-        mask: the query at position p sees keys 0..p.  With one start, the
-        index is slices and the mask the corner of one mask, and a lone query
-        row needs none; with several (a decode step on a ragged cache) each
-        row masks the keys past its own positions: a masked key adds 0."""
+        mask: the query at position p sees keys 0..p, rows of ``_causal``
+        for positions below ``size``.  With one start, the index is slices
+        and the mask the corner of one copy, and a lone query row needs none;
+        with several (a decode step on a ragged cache) each row gathers its
+        positions' rows."""
         w, hi = self.width, self.hi
         if isinstance(self.pos, slice):     # one start
-            causal = (np.triu(np.full((w, hi + w), -np.inf, dtype=dtype), k=hi + 1)
-                      if w > 1 else None)
+            # a copy: adding a view whose rows overlap takes twice as long
+            causal = _causal(dtype, size)[hi:hi + w, :hi + w].copy() if w > 1 else None
             return [(hi + n, (slice(None), bs, slice(None), slice(hi, hi + n)),
                      causal[:n, :hi + n] if n > 1 else None) for bs, _, n in self.runs]
         pos = self.pos[:, None]                              # (B, 1, w)
-        mask = np.where(np.arange(hi + w) > pos[..., None], -np.inf, 0.0).astype(dtype)
+        mask = _causal(dtype, size)[pos]
         at = (np.arange(len(pos))[:, None, None], np.arange(heads)[:, None], pos)
         return [(hi + n, (slice(None), at[0][bs], at[1], at[2][bs, :, :n]),
                  mask[bs, :, :n, :hi + n]) for bs, _, n in self.runs]
@@ -441,7 +452,7 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, rng, want_cache: bool
                  in [row_site] + [att_site, row_site, row_site] * c.n_layers]
         x *= drops[0]
 
-    attention = layout.attention(dtype, h)
+    attention = layout.attention(dtype, h, c.context_len)
     (scale,) = _as_dtype(dtype, 1.0 / math.sqrt(hd))
     caches = []
     for i, (ln1_g, ln1_b, w_qkv, b_qkv, w_o, b_o,

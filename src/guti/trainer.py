@@ -156,6 +156,17 @@ def _suffix_array(codes: np.ndarray) -> np.ndarray:
     return sa
 
 
+# a packed key holds three code points plus one, 21 bits each: U+10FFFF + 1
+# fits, and so does _NO_CODE, which matches no code point
+_NO_CODE = (1 << 21) - 1
+
+
+def _pack(c0, c1, c2):
+    """The key of a trigram's code points plus one, as Python ints or numpy
+    arrays."""
+    return c0 << 42 | c1 << 21 | c2
+
+
 class NoveltyIndex:
     """Line-level exact-match set plus a suffix array of the corpus text.
 
@@ -163,15 +174,23 @@ class NoveltyIndex:
     never spans two poems and ``shares_ngram`` is ``max_overlap >= NGRAM``.
 
     The suffix array is sorted once, in O(n log n) numpy work over the n
-    corpus characters, and cut into one range per first character.
-    ``max_overlap``, the longest substring a query shares with the corpus
-    text, then tests each start i of an m-character query once, where it
-    cannot beat the best length so far, and O(log g) times where it beats
-    it by g. A test bisects only the suffixes that start with the query's
-    character i, so a character absent from the corpus costs none. Growing
-    a match by doubling, then bisecting, is exact because every prefix of
-    an occurring string occurs: whether ``chars[i:i + k]`` occurs is
-    monotone in k. The scan stops once no later start can beat the best.
+    corpus characters, and each suffix's first three characters are packed
+    into one int64 key, so the keys are non-decreasing in suffix-array
+    order and the suffixes that begin with any string of up to three
+    characters hold one range of them: the q-gram filter of Ukkonen (1992)
+    over the suffix array of Manber & Myers (1993).  ``max_overlap``, the
+    longest substring a query shares with the corpus text, first grows a
+    match at start 0, which settles a verbatim query.  Otherwise one numpy
+    search places every start's key among the corpus keys, and the keys
+    beside that place share the most leading characters with it.  If no
+    trigram occurs, that count, 2, 1 or 0, is the answer.  If one does,
+    every longer common substring begins with an occurring trigram, so
+    only those starts are searched, inside their trigram's range: each once
+    where it cannot beat the best length so far, and O(log g) times where
+    it beats it by g.  Growing a match by doubling, then bisecting, is
+    exact because every prefix of an occurring string occurs: whether
+    ``chars[i:i + k]`` occurs is monotone in k.  The scan stops once no
+    later start can beat the best.
     """
 
     NGRAM = 5
@@ -183,9 +202,11 @@ class NoveltyIndex:
         sa = _suffix_array(codes)
         # bisect reads a memoryview's items as Python ints, with no copy made
         self._suffixes = memoryview(sa)
-        first = codes[sa]
-        cuts = [0, *(np.flatnonzero(first[1:] != first[:-1]) + 1).tolist(), len(first)]
-        self._ranges = {chr(first[lo]): (lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi}
+        # 0 past the end: keys compare as the suffixes do, a shorter one first
+        c = np.zeros(len(codes) + 2, np.int64)
+        np.add(codes, 1, out=c[:len(codes)])
+        self._keys = _pack(c[:-2], c[1:-1], c[2:])[sa]
+        self._keyview = memoryview(self._keys)
 
     @classmethod
     def from_samples(cls, samples: list[SerializedSample]) -> "NoveltyIndex":
@@ -204,27 +225,56 @@ class NoveltyIndex:
             chunks.append("".join(lines))
         return cls(line_set, "\n".join(chunks))
 
+    def _grow(self, chars: str, i: int, key: int, best: int) -> int:
+        """The longest match at start i if it beats ``best``, else ``best``,
+        searched among the suffixes that begin with chars[i:i + 3], packed
+        as ``key``."""
+        text, sa, kv = self._corpus_text, self._suffixes, self._keyview
+        lo = bisect.bisect_left(kv, key)
+        hi = bisect.bisect_right(kv, key, lo)
+        if lo == hi:
+            return best
+        # chars[i:i + ok] occurs (or ok is the best so far) and chars[i:i + bad]
+        # does not (or runs past the query): double the length, then bisect
+        ok, bad, step = max(best, 3), len(chars) - i + 1, 1
+        while ok + 1 < bad:
+            k = min(ok + step, bad - 1) if step else (ok + bad) // 2
+            q = chars[i:i + k]
+            j = bisect.bisect_left(sa, q, lo, hi, key=lambda p: text[p:p + k])
+            if j < hi and text.startswith(q, sa[j]):
+                ok, lo, step = k, j, step * 2
+            else:
+                bad, step = k, 0
+        return ok
+
     def _max_overlap(self, chars: str) -> int:
         """Length of the longest substring of ``chars`` found in the corpus."""
-        text, sa, m, best = self._corpus_text, self._suffixes, len(chars), 0
-        for i, ch in enumerate(chars):
+        m, kv = len(chars), self._keyview
+        if not (m and len(kv)):
+            return 0
+        best = 0
+        if m > 2:   # a verbatim query is one match from start 0: grow it first
+            best = self._grow(chars, 0, _pack(*(ord(ch) + 1 for ch in chars[:3])), 0)
+            if best + 1 >= m:
+                return best
+        c = [ord(ch) + 1 for ch in chars] + [_NO_CODE, _NO_CODE]
+        q = list(map(_pack, c, c[1:], c[2:]))
+        # the corpus keys that share a start's first w characters are one range,
+        # and the start's key sorts inside it: if the range holds a key, one of
+        # the two beside that place does, and XOR leaves its first w fields 0.
+        # Index lo - n is lo, or 0 past the end, and lo - 1 the last key before
+        # the first: a key from elsewhere shares no more than those beside.
+        n, places = len(kv), self._keys.searchsorted(q).tolist()
+        after = [kv[lo - n] ^ key for key, lo in zip(q, places)]
+        gap = min(after + [kv[lo - 1] ^ key for key, lo in zip(q, places)])
+        if gap:     # no trigram occurs: the answer is 2, 1 or 0
+            return (gap < 1 << 21) + (gap < 1 << 42)
+        # a common substring longer than 2 begins with an occurring trigram
+        for i in range(1, m):
             if i + best >= m:
                 break
-            if ch not in self._ranges:
-                continue
-            lo, hi = self._ranges[ch]
-            # chars[i:i + ok] occurs (or ok is the best so far) and chars[i:i + bad]
-            # does not (or runs past the query): double the length, then bisect
-            ok, bad, step = best or 1, m - i + 1, 1
-            while ok + 1 < bad:
-                k = min(ok + step, bad - 1) if step else (ok + bad) // 2
-                q = chars[i:i + k]
-                j = bisect.bisect_left(sa, q, lo, hi, key=lambda p: text[p:p + k])
-                if j < hi and text.startswith(q, sa[j]):
-                    ok, lo, step = k, j, step * 2
-                else:
-                    bad, step = k, 0
-            best = ok
+            if not after[i]:
+                best = self._grow(chars, i, q[i], best)
         return best
 
     def score_lines(self, lines: list[str]) -> NoveltyResult:

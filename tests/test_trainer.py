@@ -255,6 +255,7 @@ def longest_match(query: str, corpus_text: str) -> int:
 # a small alphabet forces long repeats; "\n" separates poems, U+20000 is
 # outside the BMP and U+D800 is a lone surrogate
 SMALL_ALPHABET = "春风\n\U00020000\ud800"
+CJK_ALPHABET = "床前明月光疑是地上霜举头望低思故乡春眠不觉晓处闻啼鸟夜来风雨声"
 
 
 class TestNovelty:
@@ -334,15 +335,47 @@ class TestNovelty:
         assert index.score_lines([query]).max_overlap == longest_match(query, corpus_text)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.text(SMALL_ALPHABET, max_size=60))
-    def test_first_character_ranges_tile_the_suffix_array(self, text):
+    @given(st.text(SMALL_ALPHABET + "\udfff\U0010ffff", max_size=60))
+    def test_keys_pack_each_suffixes_first_three_code_points(self, text):
         index = NoveltyIndex(set(), text)
-        spans = sorted(index._ranges.values())
-        edges = [0] + [hi for _, hi in spans]
-        assert [lo for lo, _ in spans] == edges[:-1] and edges[-1] == len(text)
-        assert set(index._ranges) == set(text)
-        for ch, (lo, hi) in index._ranges.items():
-            assert lo < hi and all(text[p] == ch for p in index._suffixes[lo:hi])
+        keys = index._keys.tolist()
+        assert keys == sorted(keys)
+        assert keys == [sum((ord(ch) + 1) << 21 * (2 - j) for j, ch in enumerate(text[p:p + 3]))
+                        for p in index._suffixes]
+
+    @pytest.mark.parametrize("corpus_text, query", [
+        ("春风花月", ""),                          # an empty line
+        ("春风花月", "风"), ("春风花月", "风花"), ("春风花月", "风花月"),
+        ("春风花月", "雪"), ("春风花月", "雪山"), ("春风花月", "雪山云水"),
+        ("春风花月\n花月春", "雪春风雪花月雪"),    # bigrams occur, no trigram does
+        ("春风花月\n花月春", "风雪春雪月"),        # single characters only
+        ("春风花月", "雪山云风花月"),              # the one trigram at the last start
+        ("春风花月", "春风花月"), ("春风花月", "春风花雪风花月"),
+        ("春风花\n风花月雪", "春风花月雪"),         # start 1 beats start 0 by one
+        ("雪春风", "花春风"), ("春风雪", "雪春风"),  # a suffix or a query that ends in 2
+        ("\U0010ffff" * 3, "\U0010ffff" * 2), ("\U0010ffff", "\U0010ffff" * 4),
+        ("春\U0010ffff\ud800\udfff", "\U0010ffff\ud800\udfff"),
+        ("\ud800\n\udfff", "\ud800\udfff"), ("\ud800\n\udfff", "\udfff\ud800\udfff"),
+        ("春\n风", "春\n风"), ("\n\n", "\n"),
+        ("春风", "春风"), ("春风", "风春风"), ("春", "春春"), ("春", "风"),
+        ("", "春风花"), ("", ""),
+    ])
+    def test_edges_match_difflib(self, corpus_text, query):
+        index = NoveltyIndex(set(), corpus_text)
+        assert index.score_lines([query]).max_overlap == longest_match(query, corpus_text)
+
+    # with 31 characters most trigrams never occur, so most queries are
+    # settled by their bigrams or single characters
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(CJK_ALPHABET, max_size=60), max_size=5), st.data())
+    def test_wide_alphabet_overlap_matches_difflib(self, texts, data):
+        corpus_text = "\n".join(texts)
+        start = data.draw(st.integers(0, len(corpus_text)))
+        cut = corpus_text[start:start + data.draw(st.integers(0, 4))]
+        pad = st.text(CJK_ALPHABET, max_size=12)
+        query = data.draw(pad) + cut + data.draw(pad)
+        index = NoveltyIndex(set(), corpus_text)
+        assert index.score_lines([query]).max_overlap == longest_match(query, corpus_text)
 
     # code-point order puts the lone surrogates after the BMP ideographs and
     # before U+E000 and the astral planes, unlike UTF-16 code-unit order
