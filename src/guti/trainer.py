@@ -37,12 +37,13 @@ from .sampler import SampleConfig, _decode
 from .vocab import Vocab
 
 
+# Adam's recommended defaults (Kingma & Ba, arXiv:1412.6980)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 16
     max_steps: int = 2000
     warmup_steps: int = 100
@@ -53,14 +54,12 @@ class TrainConfig:
     early_stop_novelty: float | None = None   # stop when probe novelty drops below
 
     def __post_init__(self):
-        for name in ("learning_rate", "eps"):
-            if not 0 < getattr(self, name) < math.inf:     # NaN fails this too
-                raise TrainingError(f"{name} must be > 0")
+        if not 0 < self.learning_rate < math.inf:     # NaN fails this too
+            raise TrainingError("learning_rate must be > 0")
         if self.batch_size < 1:
             raise TrainingError("batch_size must be >= 1")
-        for name in ("heldout_fraction", "beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise TrainingError(f"{name} must lie in [0, 1)")
+        if not 0.0 <= self.heldout_fraction < 1.0:
+            raise TrainingError("heldout_fraction must lie in [0, 1)")
         for name in ("max_steps", "warmup_steps", "checkpoint_interval",
                      "novelty_eval_interval", "seed"):
             if getattr(self, name) < 0:
@@ -88,32 +87,31 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
               lr_scale: float = 1.0) -> tuple[ModelParams, AdamState]:
     """One bias-corrected Adam update; pure (returns new params and state).
 
-    Raises TrainingError on any non-finite gradient or updated tensor (a
-    learning rate past float32's range) so the caller can abort the step
-    and report it.
+    Raises TrainingError, naming the tensor, when its new second moment is
+    not finite (a NaN or infinite gradient, or a finite one whose square
+    overflows) or its update is not (a learning rate past float32's range),
+    so the caller can abort the step and report it.
     """
-    for name, g in grads.items():     # NaN and +-inf show in the min or the max
-        if not (math.isfinite(g.min()) and math.isfinite(g.max())):
-            raise TrainingError(f"non-finite gradient in {name!r}")
     t = state.t + 1
-    b1, b2 = cfg.beta1, cfg.beta2
     lr = cfg.learning_rate * lr_scale
     new_tensors, new_m, new_v = {}, {}, {}
     for name, p in params.tensors.items():
         g = grads[name]
-        m = b1 * state.m[name]
-        m += (1.0 - b1) * g
-        v = b2 * state.v[name]
-        v += (1.0 - b2) * (g * g)
-        # an update past float32's range is caught below, not warned about
+        # a non-finite moment or update is caught below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            den = v / (1.0 - b2 ** t)       # in place: p - lr * m_hat / (sqrt(v_hat) + eps)
+            m = BETA1 * state.m[name]
+            m += (1.0 - BETA1) * g
+            v = BETA2 * state.v[name]
+            v += (1.0 - BETA2) * (g * g)
+            den = v / (1.0 - BETA2 ** t)    # in place: p - lr * m_hat / (sqrt(v_hat) + eps)
             np.sqrt(den, out=den)
-            den += cfg.eps
-            step = m / (1.0 - b1 ** t)
+            den += EPS
+            step = m / (1.0 - BETA1 ** t)
             step *= lr
             step /= den
             new = np.subtract(p, step, out=step).astype(p.dtype, copy=False)
+        if not math.isfinite(v.max()):      # v >= 0: NaN and inf show in the max
+            raise TrainingError(f"non-finite second moment in {name!r}")
         if not (math.isfinite(new.min()) and math.isfinite(new.max())):
             raise TrainingError(f"non-finite update of {name!r}")
         new_tensors[name], new_m[name], new_v[name] = new, m, v
@@ -425,7 +423,7 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
     state = AdamState.zeros_like(params)
     order: list[int] = []
     window_losses: list[float] = []
-    started = time.time()
+    started = time.perf_counter()
     step = 0
 
     def record_interval():
@@ -481,5 +479,5 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
         write_atomic(out_path / "metrics.jsonl",
                      ("\n".join(report.metric_lines()) + "\n").encode("utf-8"))
     report.steps_run = step
-    report.wall_clock_sec = time.time() - started
+    report.wall_clock_sec = time.perf_counter() - started
     return params, report

@@ -64,7 +64,8 @@ class TestAdam:
     def test_matches_hand_computed_recurrence(self):
         # closed-form Adam iterates for a scalar with a known grad sequence
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        cfg = TrainConfig(learning_rate=lr, beta1=b1, beta2=b2, eps=eps)
+        assert (trainer.BETA1, trainer.BETA2, trainer.EPS) == (b1, b2, eps)
+        cfg = TrainConfig(learning_rate=lr)
         grads = [0.3, -1.2, 0.7, 0.05, 2.0]
         w = 0.4
         m = v = 0.0
@@ -103,7 +104,8 @@ class TestAdam:
             adam_step(params, {"w": np.array([np.nan])}, state,
                       TrainConfig(learning_rate=0.1))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e20],
+                             ids=["nan", "inf", "-inf", "square-overflows"])
     def test_each_non_finite_value_in_any_tensor_aborts_step(self, bad):
         config = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16,
                              context_len=8, vocab_size=12)
@@ -128,10 +130,11 @@ class TestAdam:
                       TrainConfig(learning_rate=1e39))
 
     def test_lr_scale_applies_warmup(self):
-        cfg = TrainConfig(learning_rate=1.0, eps=1e-300)    # 1 + eps rounds to 1
+        cfg = TrainConfig(learning_rate=1.0)
         params = scalar_params(0.0)
         state = AdamState.zeros_like(params)
-        out, _ = adam_step(params, {"w": np.array([1.0])}, state, cfg,
+        # sqrt(v_hat) is 1e8, and 1e8 + eps rounds to 1e8
+        out, _ = adam_step(params, {"w": np.array([1e8])}, state, cfg,
                            lr_scale=0.25)
         # bias-corrected first step moves by exactly lr * lr_scale
         assert abs(out["w"][0] + 0.25) < 1e-12
@@ -140,7 +143,7 @@ class TestAdam:
     def former_adam_step(params, grads, state, cfg, lr_scale):
         """adam_step as one expression per array, before it worked in place."""
         t = state.t + 1
-        b1, b2 = cfg.beta1, cfg.beta2
+        b1, b2 = trainer.BETA1, trainer.BETA2
         lr = cfg.learning_rate * lr_scale
         new_tensors, new_m, new_v = {}, {}, {}
         for name, p in params.tensors.items():
@@ -149,7 +152,7 @@ class TestAdam:
             v = b2 * state.v[name] + (1.0 - b2) * (g * g)
             m_hat = m / (1.0 - b1 ** t)
             v_hat = v / (1.0 - b2 ** t)
-            new_tensors[name] = (p - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)).astype(p.dtype)
+            new_tensors[name] = (p - lr * m_hat / (np.sqrt(v_hat) + trainer.EPS)).astype(p.dtype)
             new_m[name], new_v[name] = m, v
         return ModelParams(params.config, new_tensors), AdamState(new_m, new_v, t)
 
@@ -215,21 +218,6 @@ class TestTrainConfig:
         # a NaN or infinite rate made the first step write non-finite weights
         with pytest.raises(TrainingError, match="learning_rate must be > 0"):
             TrainConfig(learning_rate=lr)
-
-    @pytest.mark.parametrize("eps", [0.0, -1e-8, math.nan, math.inf])
-    def test_unusable_eps_rejected(self, eps):
-        # eps = 0 makes a never-seen token's update 0 / 0; NaN and inf
-        # made the first step write non-finite weights
-        with pytest.raises(TrainingError, match="eps must be > 0"):
-            TrainConfig(eps=eps)
-
-    @pytest.mark.parametrize("field", ["beta1", "beta2"])
-    @pytest.mark.parametrize("beta", [1.0, -0.1, 1.5, math.nan, math.inf])
-    def test_beta_outside_unit_interval_rejected(self, field, beta):
-        # beta = 1 makes the bias correction 1 - beta ** t zero: 0 / 0
-        with pytest.raises(TrainingError, match=rf"{field} must lie in \[0, 1\)"):
-            TrainConfig(**{field: beta})
-        assert getattr(TrainConfig(**{field: 0.0}), field) == 0.0
 
     def test_nan_early_stop_threshold_rejected(self):
         # score < NaN never holds, so a NaN threshold turned early stopping off
@@ -627,7 +615,8 @@ class TestFineTune:
         assert report.train_indices and set(report.train_indices).isdisjoint(
             report.heldout_indices)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e20],
+                             ids=["nan", "inf", "-inf", "square-overflows"])
     def test_non_finite_gradient_in_any_tensor_skips_the_step(self, toy_samples,
                                                              monkeypatch, bad):
         # step k poisons the k-th tensor's gradient; one clean step follows
@@ -656,6 +645,15 @@ class TestFineTune:
         assert report.skipped_nonfinite == 3 and report.step_losses == []
         for name in params.tensors:
             assert np.array_equal(out[name], params[name])
+
+    def test_wall_clock_ignores_a_system_clock_step(self, toy_samples, monkeypatch):
+        # the system clock can be stepped back mid-run; a measured duration cannot
+        samples, vocab, params = self.small_setup(toy_samples)
+        readings = iter(range(10**6, 0, -1000))
+        monkeypatch.setattr(trainer.time, "time", lambda: float(next(readings)))
+        cfg = TrainConfig(batch_size=6, max_steps=2, seed=1)
+        _, report = fine_tune(samples, vocab, params, cfg)
+        assert report.wall_clock_sec >= 0
 
     def test_skipped_step_keeps_its_cadence_work(self, toy_samples, tmp_path,
                                                  monkeypatch):
