@@ -228,13 +228,13 @@ def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, dropout,
     for line in report.metric_lines():
         click.echo(line)
     _err(f"ran {report.steps_run} steps in {report.wall_clock_sec:.1f}s "
-         f"({report.skipped_nonfinite} skipped for a non-finite gradient or update); "
+         f"({report.skipped_nonfinite} skipped for a non-finite second moment or update); "
          f"train shard {len(report.train_indices)}, "
          f"held out {len(report.heldout_indices)}; "
          f"checkpoints: {', '.join(report.checkpoint_paths) or 'none'}")
     if report.steps_run and report.skipped_nonfinite == report.steps_run:
-        raise click.ClickException("no step was applied: every gradient or "
-                                   "update was non-finite")
+        raise click.ClickException("no step was applied: every one had a non-finite "
+                                   "second moment or update")
 
 
 @cli.command("generate")

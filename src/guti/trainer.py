@@ -9,7 +9,6 @@ signal.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import math
@@ -125,86 +124,18 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
 
 @dataclass(frozen=True)
 class NoveltyResult:
+    """How much of a poem is retrieved: the lines found verbatim in the corpus."""
+
     score: float                 # 1 - fraction of lines found verbatim
     verbatim_lines: int
-    max_overlap: int             # longest common substring with the corpus
-    shares_ngram: bool
-
-
-def _suffix_array(codes: np.ndarray) -> np.ndarray:
-    """Start offsets of the suffixes of a code-point array, sorted (prefix doubling).
-
-    Each round sorts on one int64 key, the rank of a suffix's first k code
-    points times (n + 1) plus one more than the rank of the next k (0 past
-    the end, so a shorter suffix sorts first), then re-ranks; it stops once
-    every rank is distinct, after at most log2(n) rounds.
-    """
-    n = len(codes)
-    rank = np.unique(codes, return_inverse=True)[1].astype(np.int64)
-    sa = np.argsort(rank)
-    k = 1
-    while n and rank[sa[-1]] < n - 1:
-        nxt = np.zeros(n, dtype=np.int64)
-        nxt[:n - k] = rank[k:] + 1
-        key = rank * (n + 1) + nxt
-        sa = np.argsort(key)
-        ordered = key[sa]
-        rank[sa] = np.concatenate(([0], np.cumsum(ordered[1:] != ordered[:-1])))
-        k *= 2
-    return sa
-
-
-# a packed key holds three code points plus one, 21 bits each: U+10FFFF + 1
-# fits, and so does _NO_CODE, which matches no code point
-_NO_CODE = (1 << 21) - 1
-
-
-def _pack(c0, c1, c2):
-    """The key of a trigram's code points plus one, as Python ints or numpy
-    arrays."""
-    return c0 << 42 | c1 << 21 | c2
 
 
 class NoveltyIndex:
-    """Line-level exact-match set plus a suffix array of the corpus text.
+    """The set of the corpus's lines: a query line counts as retrieved when
+    it is one of them, verbatim, so a query costs one set lookup per line."""
 
-    Poems are joined with "\n", which no query holds, so a common substring
-    never spans two poems and ``shares_ngram`` is ``max_overlap >= NGRAM``.
-
-    The suffix array is sorted once, in O(n log n) numpy work over the n
-    corpus characters, and each suffix's first three characters are packed
-    into one int64 key, so the keys are non-decreasing in suffix-array
-    order and the suffixes that begin with any string of up to three
-    characters hold one range of them: the q-gram filter of Ukkonen (1992)
-    over the suffix array of Manber & Myers (1993).  ``max_overlap``, the
-    longest substring a query shares with the corpus text, first grows a
-    match at start 0, which settles a verbatim query.  Otherwise one numpy
-    search places every start's key among the corpus keys, and the keys
-    beside that place share the most leading characters with it.  If no
-    trigram occurs, that count, 2, 1 or 0, is the answer.  If one does,
-    every longer common substring begins with an occurring trigram, so
-    only those starts are searched, inside their trigram's range: each once
-    where it cannot beat the best length so far, and O(log g) times where
-    it beats it by g.  Growing a match by doubling, then bisecting, is
-    exact because every prefix of an occurring string occurs: whether
-    ``chars[i:i + k]`` occurs is monotone in k.  The scan stops once no
-    later start can beat the best.
-    """
-
-    NGRAM = 5
-
-    def __init__(self, line_set: set[str], corpus_text: str):
+    def __init__(self, line_set: set[str]):
         self._lines = line_set
-        self._corpus_text = corpus_text
-        codes = np.frombuffer(corpus_text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        sa = _suffix_array(codes)
-        # bisect reads a memoryview's items as Python ints, with no copy made
-        self._suffixes = memoryview(sa)
-        # 0 past the end: keys compare as the suffixes do, a shorter one first
-        c = np.zeros(len(codes) + 2, np.int64)
-        np.add(codes, 1, out=c[:len(codes)])
-        self._keys = _pack(c[:-2], c[1:-1], c[2:])[sa]
-        self._keyview = memoryview(self._keys)
 
     @classmethod
     def from_samples(cls, samples: list[SerializedSample]) -> "NoveltyIndex":
@@ -214,75 +145,18 @@ class NoveltyIndex:
         by a comma or a period, the last one possibly by the end of the text.
         """
         line_set: set[str] = set()
-        chunks: list[str] = []
         for sample in samples:
             lines = sample.body.replace(PERIOD, COMMA).split(COMMA)
             if not lines[-1]:
                 lines.pop()
             line_set.update(lines)
-            chunks.append("".join(lines))
-        return cls(line_set, "\n".join(chunks))
-
-    def _grow(self, chars: str, i: int, key: int, best: int) -> int:
-        """The longest match at start i if it beats ``best``, else ``best``,
-        searched among the suffixes that begin with chars[i:i + 3], packed
-        as ``key``."""
-        text, sa, kv = self._corpus_text, self._suffixes, self._keyview
-        lo = bisect.bisect_left(kv, key)
-        hi = bisect.bisect_right(kv, key, lo)
-        if lo == hi:
-            return best
-        # chars[i:i + ok] occurs (or ok is the best so far) and chars[i:i + bad]
-        # does not (or runs past the query): double the length, then bisect
-        ok, bad, step = max(best, 3), len(chars) - i + 1, 1
-        while ok + 1 < bad:
-            k = min(ok + step, bad - 1) if step else (ok + bad) // 2
-            q = chars[i:i + k]
-            j = bisect.bisect_left(sa, q, lo, hi, key=lambda p: text[p:p + k])
-            if j < hi and text.startswith(q, sa[j]):
-                ok, lo, step = k, j, step * 2
-            else:
-                bad, step = k, 0
-        return ok
-
-    def _max_overlap(self, chars: str) -> int:
-        """Length of the longest substring of ``chars`` found in the corpus."""
-        m, kv = len(chars), self._keyview
-        if not (m and len(kv)):
-            return 0
-        best = 0
-        if m > 2:   # a verbatim query is one match from start 0: grow it first
-            best = self._grow(chars, 0, _pack(*(ord(ch) + 1 for ch in chars[:3])), 0)
-            if best + 1 >= m:
-                return best
-        c = [ord(ch) + 1 for ch in chars] + [_NO_CODE, _NO_CODE]
-        q = list(map(_pack, c, c[1:], c[2:]))
-        # the corpus keys that share a start's first w characters are one range,
-        # and the start's key sorts inside it: if the range holds a key, one of
-        # the two beside that place does, and XOR leaves its first w fields 0.
-        # Index lo - n is lo, or 0 past the end, and lo - 1 the last key before
-        # the first: a key from elsewhere shares no more than those beside.
-        n, places = len(kv), self._keys.searchsorted(q).tolist()
-        after = [kv[lo - n] ^ key for key, lo in zip(q, places)]
-        gap = min(after + [kv[lo - 1] ^ key for key, lo in zip(q, places)])
-        if gap:     # no trigram occurs: the answer is 2, 1 or 0
-            return (gap < 1 << 21) + (gap < 1 << 42)
-        # a common substring longer than 2 begins with an occurring trigram
-        for i in range(1, m):
-            if i + best >= m:
-                break
-            if not after[i]:
-                best = self._grow(chars, i, q[i], best)
-        return best
+        return cls(line_set)
 
     def score_lines(self, lines: list[str]) -> NoveltyResult:
         if not lines:
             raise TrainingError("cannot score an empty poem")
         hits = sum(1 for ln in lines if ln in self._lines)
-        overlap = self._max_overlap("".join(lines))
-        return NoveltyResult(score=1.0 - hits / len(lines),
-                             verbatim_lines=hits, max_overlap=overlap,
-                             shares_ngram=overlap >= self.NGRAM)
+        return NoveltyResult(score=1.0 - hits / len(lines), verbatim_lines=hits)
 
 
 def novelty_score(poem: Poem, index: NoveltyIndex) -> NoveltyResult:

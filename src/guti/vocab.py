@@ -129,11 +129,14 @@ def save_vocab(vocab: Vocab, path: str | Path) -> None:
 def load_vocab(path: str | Path) -> Vocab:
     p = Path(path)
     lines = read_text(p, VocabError, "vocab").removesuffix("\n").split("\n")
-    if not lines or not lines[0].startswith(f"guti-vocab v{VOCAB_FORMAT_VERSION}"):
+    version, _, count = lines[0].partition(" min_count=")
+    if version != f"guti-vocab v{VOCAB_FORMAT_VERSION}":
         raise VocabError(f"{p}: missing or unsupported vocab header")
     try:
-        min_count = int(lines[0].rsplit("min_count=", 1)[1])
-    except (IndexError, ValueError):
+        min_count = int(count)
+    except ValueError:
+        min_count = None
+    if count != str(min_count):     # only the header line save_vocab writes
         raise VocabError(f"{p}: bad vocab header {lines[0]!r}")
     tokens = lines[1:]
     expected = list(_SPECIALS) + list(ALL_MARKERS)

@@ -421,7 +421,7 @@ class TestTrain:
                                  "--seed", "1")
         assert code == 1, err
         assert "ran 3 steps in" in err
-        assert "(3 skipped for a non-finite gradient or update)" in err
+        assert "(3 skipped for a non-finite second moment or update)" in err
         assert "no step was applied" in err
         assert out == "" and (tmp_path / "run" / "metrics.jsonl").read_bytes() == b"\n"
 

@@ -97,13 +97,13 @@ class TestForward:
             out = forward(params, perturbed)
             assert np.array_equal(base[0, :j], out[0, :j])
 
-    def test_batch_row_independence(self):
+    def test_batch_row_independence(self, golden_build):
         rng = np.random.default_rng(1)
         params = init_params(TINY, seed=2, dtype=np.float64)
         pair = rng.integers(0, 10, size=(2, 5))
         single = forward(params, pair[:1])
         both = forward(params, pair)
-        assert np.array_equal(single[0], both[0])
+        assert np.array_equal(single[0], both[0]), golden_build
 
     def test_one_query_row_without_cache(self):
         params = init_params(ROWS, seed=3, dtype=np.float64)
@@ -658,7 +658,7 @@ BACKWARD_GOLDEN = {
 
 
 @pytest.mark.parametrize("rate", sorted(BACKWARD_GOLDEN))
-def test_backward_bits_pinned(rate):
+def test_backward_bits_pinned(rate, golden_build):
     config = ModelConfig(vocab_size=300, dropout_rate=rate)
     params = noisy_params(config, seed=4)
     rng = np.random.default_rng(19)
@@ -673,7 +673,7 @@ def test_backward_bits_pinned(rate):
     for name, g in grads.items():
         digest.update(name.encode())
         digest.update(g.tobytes())
-    assert digest.hexdigest() == BACKWARD_GOLDEN[rate]
+    assert digest.hexdigest() == BACKWARD_GOLDEN[rate], golden_build
 
 
 ROWS = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=24, context_len=64,

@@ -551,7 +551,7 @@ DECODE_GOLDEN = {
 
 
 @pytest.mark.parametrize("case", sorted(DECODE_GOLDEN))
-def test_decode_bits_pinned(toy_vocab, catalog, table, monkeypatch, case):
+def test_decode_bits_pinned(toy_vocab, catalog, table, monkeypatch, case, golden_build):
     params = init_params(ModelConfig(vocab_size=toy_vocab.size), seed=0)
     cfg = SampleConfig(k=20, max_new_tokens=40, seed=3)
     prompts = [build_prompt("五绝", "静夜思", catalog, toy_vocab),
@@ -564,4 +564,4 @@ def test_decode_bits_pinned(toy_vocab, catalog, table, monkeypatch, case):
         "ragged": lambda: _decode(params, prompts, [[11, 12], [13], [14, 15, 16]],
                                   cfg, toy_vocab),
     }[case]
-    assert pinned_digest(decode, monkeypatch) == DECODE_GOLDEN[case]
+    assert pinned_digest(decode, monkeypatch) == DECODE_GOLDEN[case], golden_build

@@ -89,9 +89,22 @@ def test_vocab_file_round_trip(tmp_path, toy_samples):
 
 def test_vocab_file_bad_header(tmp_path):
     p = tmp_path / "vocab.txt"
-    p.write_text("something else\n<pad>\n", encoding="utf-8")
-    with pytest.raises(VocabError):
-        load_vocab(p)
+    save_vocab(build_vocab(["床前明月光"]), p)
+    good = p.read_text(encoding="utf-8")
+    assert good.startswith("guti-vocab v1 min_count=1\n")
+    for header, message in [
+        ("something else", "missing or unsupported vocab header"),
+        # versions v12 and v1x, not v1
+        ("guti-vocab v12 min_count=1", "missing or unsupported vocab header"),
+        ("guti-vocab v1x min_count=3", "missing or unsupported vocab header"),
+        ("guti-vocab v1", "bad vocab header"),
+        ("guti-vocab v1 min_count=x", "bad vocab header"),
+        ("guti-vocab v1 min_count=01", "bad vocab header"),
+        ("guti-vocab v1 min_count=1 ", "bad vocab header"),
+    ]:
+        p.write_text(header + good[good.index("\n"):], encoding="utf-8")
+        with pytest.raises(VocabError, match=message):
+            load_vocab(p)
 
 
 @settings(max_examples=80, deadline=None)
