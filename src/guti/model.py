@@ -28,10 +28,12 @@ from one start (``forward`` without ``rows``, and each decode step of one
 prompt's candidates) the layout is Python ints and slices, the rows are a
 reshape of the (B, S) grid, and a step's numpy calls are its arithmetic,
 on 0-d constants and (1, n) parameter rows, which a one-row ufunc takes
-without a conversion or a broadcast.  Dropout masks are drawn at the
-untrimmed (B, S, ·) shape and cut down, so a pass draws the same random
-numbers whichever cells it keeps.  The 1/sqrt(head_dim) score scale is
-applied to the query rows, not to the scores.
+without a conversion or a broadcast.  Each dropout mask is drawn where it
+is applied, shaped like the array it masks, so a pass draws one uniform per
+cell it runs, site by site: the embedding, then per layer each attention
+run's probabilities and the two residual branches.  The 1/sqrt(head_dim)
+score scale is applied to the query rows, once per layer, not to the
+scores.
 
 Parameters are plain numpy arrays in an ordered name->array mapping.  The
 canonical storage dtype is float32 (matching the checkpoint format); the
@@ -286,15 +288,12 @@ def softmax_inplace(x):
     return x
 
 
-def _dropout_mask(rng, shape, rate, dtype, take):
-    """Inverted-dropout mask.
-
-    The uniform draw is made at the untrimmed ``shape`` and cut down to
-    the cells that run by ``take`` before it becomes a mask: the generator
-    advances alike whichever cells run, and each kept cell gets the same
-    mask value.
-    """
-    return (take(rng.random(shape)) >= rate).astype(dtype) / dtype.type(1.0 - rate)
+def _dropout_mask(rng, rate, like):
+    """Inverted-dropout mask of ``like``'s shape and dtype, one uniform drawn
+    per cell; None at rate 0, which draws nothing."""
+    if not rate:
+        return None
+    return (rng.random(like.shape) >= rate).astype(like.dtype) / like.dtype.type(1.0 - rate)
 
 
 def _apply_mask(x, mask):
@@ -439,35 +438,27 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, rng, want_cache: bool
     if kv is not None and end > kv.size:
         raise ModelError(f"sequence length {end} exceeds the K/V cache's {kv.size} positions")
     rate = c.dropout_rate if rng is not None else 0.0
-    w, d, h, hd, hi = layout.width, c.d_model, c.n_heads, c.head_dim, layout.hi
+    w, d, h, hd = layout.width, c.d_model, c.n_heads, c.head_dim
 
     x = layout.to_rows(t["tok_emb"][tokens[:, :w]] + t["pos_emb"][layout.pos])
-    # one mask per dropout site, drawn up front in the order the sites run:
-    # the embedding, then each layer's attention and its two residuals
-    drops = [None] * (1 + 3 * c.n_layers)
-    if rate > 0.0:
-        row_site = ((b, s, d), layout.to_rows)
-        att_site = ((b, h, s, hi + s), lambda m: m[:, :, :w, :hi + w])
-        drops = [_dropout_mask(rng, shape, rate, dtype, take) for shape, take
-                 in [row_site] + [att_site, row_site, row_site] * c.n_layers]
-        x *= drops[0]
+    emb_drop = _dropout_mask(rng, rate, x)
+    x = _apply_mask(x, emb_drop)
 
     attention = layout.attention(dtype, h, c.context_len)
     (scale,) = _as_dtype(dtype, 1.0 / math.sqrt(hd))
     caches = []
     for i, (ln1_g, ln1_b, w_qkv, b_qkv, w_o, b_o,
             ln2_g, ln2_b, w_1, b_1, w_2, b_2) in enumerate(params.layers):
-        att_drop, res_drop1, res_drop2 = drops[1 + 3 * i:4 + 3 * i]
         h1, ln1_cache = _layer_norm(x, ln1_g, ln1_b)
         qkv = h1 @ w_qkv    # q, k, v: column thirds of the fused rows
         del h1
         qkv += b_qkv
+        qkv[:, :d] *= scale
         ctx = np.empty_like(x)
         runs = []
         for (bs, rs, n), (keys, at, mask) in zip(layout.runs, attention):
             qkv_h = _heads(qkv[rs], h, n, hd)
             q_h, k_h, v_h = qkv_h
-            q_h *= scale
             if kv is not None:  # join the cache: write the run's keys and values, read all
                 buf = kv.buffers[i]
                 buf[at] = qkv_h[1:]
@@ -476,13 +467,14 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, rng, want_cache: bool
             if mask is not None:
                 probs += mask
             softmax_inplace(probs)
-            drop = None if att_drop is None else att_drop[bs, :, :n, :keys]
+            drop = _dropout_mask(rng, rate, probs)
             probs_d = _apply_mask(probs, drop)
             np.matmul(probs_d, v_h, out=_heads(ctx[rs], h, n, hd)[0])
             runs.append((probs, drop, probs_d))
         # x + dropout(y + b), written over y: rebinding x frees the block's input
         y = ctx @ w_o
         y += b_o
+        res_drop1 = _dropout_mask(rng, rate, y)
         x = np.add(_apply_mask(y, res_drop1), x, out=y)
 
         h2, ln2_cache = _layer_norm(x, ln2_g, ln2_b)
@@ -493,6 +485,7 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, rng, want_cache: bool
         del u
         y = a @ w_2
         y += b_2
+        res_drop2 = _dropout_mask(rng, rate, y)
         x = np.add(_apply_mask(y, res_drop2), x, out=y)
 
         if want_cache:
@@ -513,7 +506,7 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, rng, want_cache: bool
     if rows is None:
         logits = logits.reshape(b, s, -1)
     cache = {"layout": layout, "tok": layout.to_rows(tokens), "out_idx": out_idx,
-             "emb_drop": drops[0], "layers": caches, "hf": hf, "lnf": lnf_cache,
+             "emb_drop": emb_drop, "layers": caches, "hf": hf, "lnf": lnf_cache,
              "scale": scale} if want_cache else None
     return logits, cache
 
@@ -525,7 +518,8 @@ def forward(params: ModelParams, tokens: np.ndarray,
 
     Position i logits depend only on tokens at positions <= i.  Without
     ``rng`` the pass is deterministic; with a generator it applies dropout
-    at the config's rate, with masks drawn from that generator.
+    at the config's rate, with masks drawn from that generator, one
+    uniform per cell the pass runs.
 
     ``rows`` = (b_idx, t_idx), integer indices that broadcast together,
     returns only ``forward(...)[rows]``, the logits at those positions;
@@ -683,9 +677,9 @@ def backward(params: ModelParams, batch: SequenceBatch,
             datt -= (datt * probs).sum(axis=-1, keepdims=True)
             datt *= probs
             np.matmul(datt, k_h, out=dq_h)
-            dq_h *= cache["scale"]
             np.matmul(datt.transpose(0, 1, 3, 2), q_h, out=dk_h)
             del datt
+        dqkv[:, :c.d_model] *= cache["scale"]
         # views pin their base: q_h/k_h/v_h hold qkv, dctx_h holds dctx
         del qkv, q_h, k_h, v_h, dq_h, dk_h, dv_h, dctx, dctx_h, probs, drop, probs_d
         grads[p + "attn.bqkv"] = dqkv.sum(axis=0)

@@ -135,8 +135,9 @@ def load_vocab(path: str | Path) -> Vocab:
     try:
         min_count = int(count)
     except ValueError:
-        min_count = None
-    if count != str(min_count):     # only the header line save_vocab writes
+        min_count = 0
+    # only the header line save_vocab writes, with a count build_vocab takes
+    if count != str(min_count) or min_count < 1:
         raise VocabError(f"{p}: bad vocab header {lines[0]!r}")
     tokens = lines[1:]
     expected = list(_SPECIALS) + list(ALL_MARKERS)

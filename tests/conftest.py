@@ -9,29 +9,38 @@ from guti.phonology import default_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-# the build every float golden passes on: its bits depend on numpy's build
-# and on the core kernel OpenBLAS picks for the CPU at load time
-GOLDEN_BUILD = "numpy 2.4.6, OpenBLAS core SkylakeX"
+# the build every float golden passes on: its bits depend on numpy's build,
+# on the core kernel OpenBLAS picks for the CPU at load time and on the
+# BLAS thread count
+GOLDEN_BUILD = "numpy 2.4.6, OpenBLAS core SkylakeX, threads 1"
 
 
 def float_build() -> str:
-    """numpy's version and the OpenBLAS core name, read through ctypes from
-    the library numpy bundles ("unknown" where none exports the call)."""
+    """numpy's version, the OpenBLAS core name and the BLAS thread count,
+    read through ctypes from the library numpy bundles ("unknown" where none
+    exports the call)."""
     import numpy as np      # after guti, which sets BLAS to one thread first
 
-    build = f"numpy {np.__version__}, OpenBLAS core "
+    libs = []
     for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
         try:
-            lib = ctypes.CDLL(str(path))
+            libs.append(ctypes.CDLL(str(path)))
         except OSError:
             continue
-        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                     "openblas_get_corename64_", "openblas_get_corename"):
-            fn = getattr(lib, name, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_char_p
-                return build + (fn() or b"unknown").decode()
-    return build + "unknown"
+
+    def blas(what, restype):
+        for lib in libs:
+            for prefix in ("scipy_openblas_", "openblas_"):
+                for suffix in ("64_", ""):
+                    fn = getattr(lib, f"{prefix}get_{what}{suffix}", None)
+                    if fn is not None:
+                        fn.argtypes, fn.restype = [], restype
+                        return fn()
+        return None
+
+    core, threads = blas("corename", ctypes.c_char_p), blas("num_threads", ctypes.c_int)
+    return (f"numpy {np.__version__}, OpenBLAS core {(core or b'unknown').decode()}, "
+            f"threads {'unknown' if threads is None else threads}")
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,6 @@ from guti.model import (
     ModelParams,
     SequenceBatch,
     _LN_EPS,
-    _dropout_mask,
     _gelu,
     _layer_norm,
     _Layout,
@@ -420,13 +419,15 @@ class TestLoss:
 
 
 def finite_difference_grads(params, batch, h=1e-5, dropout_seed=None):
-    """Central differences of nll_loss; with ``dropout_seed`` every
-    evaluation runs with dropout on a fresh generator from that seed, so
-    each one draws the dropout masks ``backward`` draws from it."""
+    """Central differences of nll_loss on the loss rows' forward, which runs
+    the cells ``backward`` runs; with ``dropout_seed`` every evaluation runs
+    with dropout on a fresh generator from that seed, so each one draws the
+    dropout masks ``backward`` draws from it."""
+    rows = loss_rows(batch)
+
     def loss():
         rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
-        logits = forward(params, batch.tokens, rng=rng)
-        return nll_loss(logits, batch)
+        return nll_loss(forward(params, batch.tokens, rng=rng, rows=rows), batch)
 
     grads = {}
     for name, arr in params.tensors.items():
@@ -650,10 +651,13 @@ def test_backward_frees_each_layer_cache_by_its_first_norm(monkeypatch, rate):
 
 # sha256 of the loss and every gradient of one fixed CLI-default backward,
 # recorded before backward freed its cache entries at their last read; the
-# arithmetic is the same, so the bits are too (at one BLAS thread)
+# arithmetic is the same, so the bits are too (at one BLAS thread).  The 0.1
+# digest was recorded again when each dropout mask came to be drawn at the
+# cells the pass runs: backward runs no sequence to its last position, so
+# it now draws fewer uniforms than the untrimmed grid held
 BACKWARD_GOLDEN = {
     0.0: "57d621170c805e2ade6afa50da49873c80095d8ecc79a92a69788daa3538839e",
-    0.1: "e504a288f40229296740341b1565b9b5772d19131d1fa9515a426ae97ab659ec",
+    0.1: "03dccf2f7b54867ba9c973c8ea3c59f744672f577d098a6d405b443a813d6a30",
 }
 
 
@@ -674,6 +678,22 @@ def test_backward_bits_pinned(rate, golden_build):
         digest.update(name.encode())
         digest.update(g.tobytes())
     assert digest.hexdigest() == BACKWARD_GOLDEN[rate], golden_build
+
+
+# sha256 of the logits of one full-width CLI-default forward with dropout
+# 0.1, recorded when every mask was drawn at the (B, S, ·) grid and cut down
+# to the cells that run: a pass that runs every cell draws the same uniforms
+# in the same order either way
+FORWARD_DROPOUT_GOLDEN = "0161eaac8cd1505e50990f545306a8e1fc0cf58a6426939a7e0e7dd740af4028"
+
+
+def test_full_forward_dropout_bits_pinned(golden_build):
+    config = ModelConfig(vocab_size=300, dropout_rate=0.1)
+    params = noisy_params(config, seed=4)
+    tokens = np.random.default_rng(19).integers(0, config.vocab_size, size=(6, 40))
+    logits = forward(params, tokens, rng=np.random.default_rng(23))
+    digest = hashlib.sha256(logits.tobytes()).hexdigest()
+    assert digest == FORWARD_DROPOUT_GOLDEN, golden_build
 
 
 ROWS = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=24, context_len=64,
@@ -724,33 +744,15 @@ class TestRowSelection:
             params, batch, SequenceBatch(tokens=other, loss_mask=mask))
         self.assert_same_loss_and_grads(params, batch, padded_wider(batch, 40))
 
-    def test_dropout_consumes_the_full_forward_stream(self):
+    def test_dropout_draws_what_the_loss_rows_forward_draws(self):
         config = replace(ROWS, dropout_rate=0.2)
         params = init_params(config, seed=5, dtype=np.float64)
         batch = rand_batch(np.random.default_rng(9), config, b=3, s=11)
         rng_b, rng_f = np.random.default_rng(1), np.random.default_rng(1)
         loss, _ = backward(params, batch, rng=rng_b)
-        logits = forward(params, batch.tokens, rng=rng_f)
+        logits = forward(params, batch.tokens, rng=rng_f, rows=loss_rows(batch))
         assert abs(loss - nll_loss(logits, batch)) < 1e-12
-        assert rng_b.random() == rng_f.random()
-
-
-@pytest.mark.parametrize("dtype", [np.dtype(np.float32), np.dtype(np.float64)])
-def test_dropout_mask_cut_before_conversion_matches_full_mask(dtype):
-    """Cutting the uniform draw before it becomes a mask gives the mask the
-    whole draw gives, cut alike, and leaves the generator in the same state."""
-    rate, shape = 0.1, (16, 4, 80, 80)
-
-    def take(m):
-        return m[:, :, :60, :60]
-
-    rng_new, rng_old = np.random.default_rng(3), np.random.default_rng(3)
-    got = _dropout_mask(rng_new, shape, rate, dtype, take)
-    # the former formula: the whole draw becomes a mask, then is cut
-    want = take((rng_old.random(shape) >= rate).astype(dtype) / dtype.type(1.0 - rate))
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got.view(np.uint8), np.ascontiguousarray(want).view(np.uint8))
-    assert rng_new.random() == rng_old.random()
+        assert rng_b.bit_generator.state == rng_f.bit_generator.state
 
 
 def reaching_loss_rows(batch):
@@ -839,16 +841,51 @@ class TestAttentionRuns:
             assert np.array_equal(grads["pos_emb"][:width], want)
             assert not grads["pos_emb"][width:].any()
 
-    def test_dropout_matches_full_forward_with_rng(self):
+    def test_dropout_matches_loss_rows_forward_with_rng(self):
         params = init_params(replace(ROWS, dropout_rate=0.2), seed=15,
                              dtype=np.float64)
         batch = self.batch(params.config, seed=13)
         rng_b, rng_f = np.random.default_rng(2), np.random.default_rng(2)
         loss, _ = backward(params, batch, rng=rng_b)
-        logits = forward(params, batch.tokens, rng=rng_f)
+        logits = forward(params, batch.tokens, rng=rng_f, rows=loss_rows(batch))
         assert abs(loss - nll_loss(logits, batch)) < 1e-12
         assert abs(loss - nll_loss(forward(params, batch.tokens), batch)) > 1e-6
-        assert rng_b.random() == rng_f.random()
+        assert rng_b.bit_generator.state == rng_f.bit_generator.state
+
+    @pytest.mark.parametrize("pass_", ["backward", "forward"])
+    def test_dropout_draws_one_uniform_per_cell_it_runs(self, monkeypatch, pass_):
+        """Each mask is drawn at the site that applies it, shaped like the
+        array it masks, in site order: the embedding and both residuals at
+        (kept cells, d), each attention run at (n, heads, L, L).  A twin
+        generator that draws as many uniforms per site ends in the state
+        the pass's generator is in after that site."""
+        config = replace(ROWS, dropout_rate=0.1)
+        params = init_params(config, seed=15)
+        batch = self.batch(config)
+        row_site = (sum(self.KEPT), config.d_model)     # sequence 3 runs no cell
+        att_sites = [(n, config.n_heads, length, length)
+                     for n, length in [(2, 5), (1, 3), (3, 7), (1, 1)]]
+        want = [row_site] + (att_sites + [row_site, row_site]) * config.n_layers
+        shapes, states, real = [], [], model._dropout_mask
+
+        def spy(rng, rate, like):
+            mask = real(rng, rate, like)
+            assert mask.shape == like.shape and mask.dtype == like.dtype
+            shapes.append(like.shape)
+            states.append(rng.bit_generator.state)
+            return mask
+
+        monkeypatch.setattr(model, "_dropout_mask", spy)
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+        if pass_ == "backward":
+            backward(params, batch, rng=rng)
+        else:
+            forward(params, batch.tokens, rng=rng, rows=loss_rows(batch))
+        assert shapes == want
+        for shape, state in zip(shapes, states):
+            twin.random(shape)
+            assert twin.bit_generator.state == state
+        assert rng.bit_generator.state == states[-1]
 
 
 class TestForwardRows:

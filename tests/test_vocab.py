@@ -101,6 +101,10 @@ def test_vocab_file_bad_header(tmp_path):
         ("guti-vocab v1 min_count=x", "bad vocab header"),
         ("guti-vocab v1 min_count=01", "bad vocab header"),
         ("guti-vocab v1 min_count=1 ", "bad vocab header"),
+        # counts build_vocab refuses
+        ("guti-vocab v1 min_count=0", "bad vocab header"),
+        ("guti-vocab v1 min_count=-4", "bad vocab header"),
+        ("guti-vocab v1 min_count=None", "bad vocab header"),
     ]:
         p.write_text(header + good[good.index("\n"):], encoding="utf-8")
         with pytest.raises(VocabError, match=message):
