@@ -10,7 +10,9 @@ only reader, just what the gradients read (14 d-wide values per row and
 layer at d_ff = 4d), and each activation is freed at its last reader, with
 no recomputation.  Every weight gradient is one matmul over the flat rows,
 ``_nll`` alone turns logits into the loss, and ``_softmax_nll`` turns what
-it leaves into dL/dlogits in place.
+it leaves into dL/dlogits in place.  The feed-forward bias, GELU and its
+derivative run as one sequence of passes per block of rows sized to stay
+in L2 (``_gelu``), with the bits of whole-array passes.
 
 Rows: activations are flat (N, d) rows, one per (batch, position) cell
 that runs, as one ``_Layout`` of a cached start and a run length per
@@ -40,7 +42,9 @@ canonical storage dtype is float32 (matching the checkpoint format); the
 compute dtype follows the parameter dtype, so float64 parameter sets give
 float64 forwards for high-precision checks.  Each layer's query, key and
 value projections are one (d, 3d) ``attn.wqkv`` (GPT-2's ``c_attn``), which
-checkpoints store as its three (d, d) thirds.
+checkpoints store as its three (d, d) thirds.  ``save_checkpoint`` writes
+a file's bytes once, tensor by tensor, and each further path it is given
+becomes a hard link of that file where the filesystem allows.
 
 Nothing here mutates ModelParams: any number of concurrent forward calls
 may share one parameter set.  A pass given a generator applies dropout
@@ -74,6 +78,7 @@ CHECKPOINT_VERSION = 1
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 _LN_EPS = 1e-5
+_GELU_BLOCK = 256 << 10     # bytes of rows ``_gelu`` takes through all its passes at once
 
 
 def _keep_freed_memory() -> None:
@@ -249,22 +254,46 @@ def _layer_norm_backward(dy, cache, g):
     return dxhat, dg, db
 
 
-def _gelu(u, derivative=False):
-    """tanh-form GELU, 0.5 u (1 + t) with t = tanh(u (C + CA u*u)), and with
-    ``derivative`` its derivative 0.5 (1 + t + u (1 - t*t) (C + 3AC u*u)),
-    else None; ``u`` is not written.  The derivative is formed first and
-    the activation last, in the tanh's buffer, so at most three new arrays
-    of ``u``'s size are alive at once."""
+def _gelu(u, b=None, derivative=False):
+    """tanh-form GELU of ``u + b``, 0.5 u (1 + t) with t = tanh(u (C + CA u*u)),
+    and with ``derivative`` its derivative 0.5 (1 + t + u (1 - t*t) (C + 3AC
+    u*u)), else None.  Without ``b``, ``u`` is not written; with it, ``u``
+    is used up: ``u + b`` and then the activation are written over it, so
+    the activation's writes land on rows the block has just read.
+
+    An input past ``_GELU_BLOCK`` bytes runs in blocks of that many bytes
+    of rows, each block taking every pass before the next starts, so its
+    arrays stay in a 2 MB L2 cache where whole (N, d_ff) arrays would
+    stream through it 18 times.  Each element meets the same ufuncs in the
+    same order, so the bits do not depend on the blocking, and a decode
+    step's one row makes the calls an unblocked GELU makes.  The derivative
+    is formed first and the activation last, so a block's tanh and
+    1 - t*t are the only arrays alive besides ``u`` and the results."""
+    if u.nbytes <= _GELU_BLOCK:
+        return _gelu_block(u, b, derivative, None if b is None else u, None)
+    a = np.empty_like(u) if b is None else u
+    g = np.empty_like(u) if derivative else None
+    step = max(1, _GELU_BLOCK * len(u) // u.nbytes)
+    for lo in range(0, len(u), step):
+        rows = slice(lo, lo + step)
+        _gelu_block(u[rows], b, derivative, a[rows], None if g is None else g[rows])
+    return a, g
+
+
+def _gelu_block(u, b, derivative, a, g):
+    """``_gelu`` of one block, written into ``a`` and ``g`` or, where they
+    are None, into new arrays."""
     ca, ca3, c, one, half = _as_dtype(u.dtype, _GELU_C * _GELU_A, 3.0 * _GELU_A * _GELU_C,
                                       _GELU_C, 1.0, 0.5)
+    if b is not None:
+        u += b
     t = u * u
     t *= ca
     t += c
     t *= u
     np.tanh(t, out=t)
-    g = None
     if derivative:
-        g = u * u
+        g = np.multiply(u, u, out=g)
         g *= ca3
         g += c
         g *= u
@@ -276,8 +305,7 @@ def _gelu(u, derivative=False):
         g *= half
     t += one
     t *= u
-    t *= half
-    return t, g
+    return np.multiply(t, half, out=a), g
 
 
 def softmax_inplace(x):
@@ -480,8 +508,7 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, rng, want_cache: bool
         h2, ln2_cache = _layer_norm(x, ln2_g, ln2_b)
         u = h2 @ w_1
         del h2
-        u += b_1
-        a, gelu_d = _gelu(u, derivative=want_cache)
+        a, gelu_d = _gelu(u, b_1, derivative=want_cache)
         del u
         y = a @ w_2
         y += b_2
@@ -745,7 +772,9 @@ def _fuse_qkv(config: ModelConfig, tensors: dict) -> dict:
 
 
 def save_checkpoint(params: ModelParams, path: str | Path, *copies: str | Path) -> None:
-    """Write the versioned checkpoint (f32 LE tensors) to ``path`` and ``copies``."""
+    """Write the versioned checkpoint (f32 LE tensors) to ``path`` tensor by
+    tensor, never joined into one buffer; each of ``copies`` becomes a hard
+    link of it where the filesystem allows, else a second write."""
     cfg = {**asdict(params.config), "tie_embeddings": True}
     cfg_json = json.dumps(cfg, sort_keys=True).encode("utf-8")
     tensors = _split_qkv(params.config, params.tensors)
@@ -755,14 +784,10 @@ def save_checkpoint(params: ModelParams, path: str | Path, *copies: str | Path) 
               struct.pack("<I", len(tensors))]
     for name, arr in tensors.items():
         name_b = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(name_b)))
-        chunks.append(name_b)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    data = b"".join(chunks)
-    for p in (path, *copies):
-        write_atomic(p, data)
+        chunks.append(struct.pack(f"<H{len(name_b)}sB{arr.ndim}I", len(name_b), name_b,
+                                  arr.ndim, *arr.shape))
+        chunks.append(np.ascontiguousarray(arr, dtype="<f4"))
+    write_atomic(path, *chunks, copies=copies)
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:

@@ -1,8 +1,8 @@
-import ctypes
 from pathlib import Path
 
 import pytest
 
+from guti import float_build
 from guti.corpus import ingest_corpus, serialize
 from guti.forms import default_catalog
 from guti.phonology import default_table
@@ -13,34 +13,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # on the core kernel OpenBLAS picks for the CPU at load time and on the
 # BLAS thread count
 GOLDEN_BUILD = "numpy 2.4.6, OpenBLAS core SkylakeX, threads 1"
-
-
-def float_build() -> str:
-    """numpy's version, the OpenBLAS core name and the BLAS thread count,
-    read through ctypes from the library numpy bundles ("unknown" where none
-    exports the call)."""
-    import numpy as np      # after guti, which sets BLAS to one thread first
-
-    libs = []
-    for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
-        try:
-            libs.append(ctypes.CDLL(str(path)))
-        except OSError:
-            continue
-
-    def blas(what, restype):
-        for lib in libs:
-            for prefix in ("scipy_openblas_", "openblas_"):
-                for suffix in ("64_", ""):
-                    fn = getattr(lib, f"{prefix}get_{what}{suffix}", None)
-                    if fn is not None:
-                        fn.argtypes, fn.restype = [], restype
-                        return fn()
-        return None
-
-    core, threads = blas("corename", ctypes.c_char_p), blas("num_threads", ctypes.c_int)
-    return (f"numpy {np.__version__}, OpenBLAS core {(core or b'unknown').decode()}, "
-            f"threads {'unknown' if threads is None else threads}")
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import math
+import os
 import struct
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -969,6 +971,64 @@ class TestCheckpoint:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "2f22dd894f863fed47410510b5076004ff72891290a416d7e448667358f58fd3")
 
+    def test_copies_are_the_same_bytes(self, tmp_path):
+        params = init_params(TINY, seed=8)
+        a, b = tmp_path / "step.ckpt", tmp_path / "last.ckpt"
+        save_checkpoint(params, a, b)
+        assert a.read_bytes() == b.read_bytes()
+        probe = tmp_path / "probe"
+        probe.touch()
+        try:
+            os.link(probe, tmp_path / "probe-link")
+        except OSError:     # no hard links on this filesystem: b is a second write
+            pass
+        else:
+            assert os.path.samefile(a, b)
+        for path in (a, b):
+            loaded = load_checkpoint(path)
+            assert all(loaded[n].tobytes() == t.tobytes() for n, t in params.tensors.items())
+        save_checkpoint(init_params(TINY, seed=9), b)
+        assert a.read_bytes() != b.read_bytes()
+        assert load_checkpoint(a)["tok_emb"].tobytes() == params["tok_emb"].tobytes()
+
+    def test_copy_written_where_links_fail(self, tmp_path, monkeypatch):
+        def link(src, dst):
+            raise OSError("no hard links here")
+        monkeypatch.setattr(os, "link", link)
+        a, b = tmp_path / "step.ckpt", tmp_path / "last.ckpt"
+        save_checkpoint(init_params(TINY, seed=8), a, b)
+        assert a.read_bytes() == b.read_bytes() and os.stat(b).st_nlink == 1
+
+    @pytest.mark.parametrize("fail, new", [
+        ("link", 0), ("replace-step.ckpt", 0), ("replace-last.ckpt", 1)])
+    def test_failure_leaves_whole_files_and_no_temporary(self, tmp_path, monkeypatch,
+                                                         fail, new):
+        """Every temporary file exists before the first rename, so a failed
+        link keeps both old files; a failed rename keeps the old file there
+        and at every later copy."""
+        paths = [tmp_path / "step.ckpt", tmp_path / "last.ckpt"]
+        save_checkpoint(init_params(TINY, seed=8), *paths)
+        old = paths[0].read_bytes()
+        real = {"link": os.link, "replace": os.replace}
+
+        def failing(name):
+            def call(src, dst):
+                if fail == name or fail == f"{name}-{Path(dst).name}":
+                    raise RuntimeError(f"injected failure at {name}")
+                return real[name](src, dst)
+            return call
+        for name in real:
+            monkeypatch.setattr(os, name, failing(name))
+        params = init_params(TINY, seed=9)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            save_checkpoint(params, *paths)
+        monkeypatch.undo()
+        save_checkpoint(params, tmp_path / "want.ckpt")
+        want = (tmp_path / "want.ckpt").read_bytes()
+        assert [p.read_bytes() for p in paths] == [want] * new + [old] * (2 - new)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "last.ckpt", "step.ckpt", "want.ckpt"]
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.ckpt"
         p.write_bytes(b"NOTACKPT" + b"\x00" * 32)
@@ -1178,6 +1238,46 @@ class TestGeluDerivative:
         with_d, d = _gelu(u, derivative=True)
         assert u.tobytes() == before and d.dtype == dtype
         assert plain.tobytes() == with_d.tobytes() == former_gelu(u)[0].tobytes()
+
+
+class TestGeluBlocks:
+    """``_gelu`` runs its passes over blocks of ``_GELU_BLOCK`` bytes of
+    rows: at every row count, on either side of a block edge, it gives the
+    unblocked formulas' bits, and a folded-in bias gives those of u + b."""
+
+    @staticmethod
+    def check(u, b=None):
+        want = u if b is None else u + b
+        a0, t = former_gelu(want)
+        d0 = former_gelu_backward(np.ones_like(want), want, t)
+        for derivative in (False, True):
+            x = u.copy()
+            a, d = _gelu(x, b, derivative=derivative)
+            assert a.dtype == u.dtype and a.tobytes() == a0.tobytes()
+            # with a bias, the activation is written over the input
+            assert a is x if b is not None else x.tobytes() == u.tobytes()
+            assert (d is None) if not derivative else d.tobytes() == d0.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+                             ids=["1", "block-1", "block", "block+1", "2block+3"])
+    def test_rows_around_block_edges(self, dtype, blocks, extra):
+        width = 512
+        rows = blocks * (model._GELU_BLOCK // (width * np.dtype(dtype).itemsize)) + extra
+        u = np.random.default_rng(rows).standard_normal((rows, width)) * 3
+        self.check(u.astype(dtype))
+
+    def test_one_dimensional_input_blocks_its_elements(self):
+        size = 2 * model._GELU_BLOCK // 4 + 3
+        u = np.random.default_rng(13).standard_normal(size) * 3
+        self.check(u.astype(np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bias_folded_in_equals_gelu_of_the_sum(self, dtype):
+        rng = np.random.default_rng(14)
+        rows = 2 * model._GELU_BLOCK // (128 * np.dtype(dtype).itemsize) + 3
+        u = (rng.standard_normal((rows, 128)) * 3).astype(dtype)
+        self.check(u, rng.standard_normal((1, 128)).astype(dtype))
 
 
 def former_softmax_nll(logits, batch):
