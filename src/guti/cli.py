@@ -115,9 +115,7 @@ def cmd_ingest(corpus_file, out_dir, catalog_path, acrostic, min_count, max_seq_
 
     if max_seq_len > 0:
         before = len(samples)
-        # the catalog and Poem keep markers out of the fields: add id1, id2, BOS, EOS
-        samples = [s for s in samples
-                   if len(s.form) + len(s.theme) + len(s.body) + 4 <= max_seq_len]
+        samples = [s for s in samples if trainer_mod.sample_token_count(s) <= max_seq_len]
         if before != len(samples):
             _err(f"{before - len(samples)} samples exceed --max-seq-len; skipped")
         if not samples:

@@ -15,27 +15,30 @@ derivative run as one sequence of passes per block of rows sized to stay
 in L2 (``_gelu``), with the bits of whole-array passes.
 
 Rows: activations are flat (N, d) rows, one per (batch, position) cell
-that runs, as one ``_Layout`` of a cached start and a run length per
-sequence lays them out.  Attention is causal, so a caller that asks for
-the logits at some positions only (``backward`` and held-out evaluation
-ask for the rows that predict a masked token, a prompt pass for each
-prompt's last) runs, in each sequence, just the positions up to its last
-requested one: pads and the EOS column drop out, exactly.  A sequence's
-rows are contiguous, so attention runs once per run of consecutive
-sequences of the same length, on a (sequences, heads, L, ·) view of the
-run's rows and the corner of one additive causal mask: the block-diagonal
-attention of packed sequences, without the packing.  Only the requested
-rows are projected to logits.  When every sequence runs all S positions
-from one start (``forward`` without ``rows``, and each decode step of one
-prompt's candidates) the layout is Python ints and slices, the rows are a
-reshape of the (B, S) grid, and a step's numpy calls are its arithmetic,
-on 0-d constants and (1, n) parameter rows, which a one-row ufunc takes
-without a conversion or a broadcast.  Each dropout mask is drawn where it
-is applied, shaped like the array it masks, so a pass draws one uniform per
-cell it runs, site by site: the embedding, then per layer each attention
-run's probabilities and the two residual branches.  The 1/sqrt(head_dim)
-score scale is applied to the query rows, once per layer, not to the
-scores.
+that runs, as ``_layout`` of a cached start and a run length per sequence
+lays them out.  Attention is causal, so a caller that asks for the logits
+at some positions only (``backward`` and held-out evaluation ask for the
+rows that predict a masked token, a prompt pass for each prompt's last)
+runs, in each sequence, just the positions up to its last requested one:
+pads and the EOS column drop out, exactly.  A sequence's rows are
+contiguous, so attention runs once per run of consecutive sequences of the
+same length, on a (sequences, heads, L, ·) view of the run's rows and the
+corner of one additive causal mask: the block-diagonal attention of packed
+sequences, without the packing.  Only the requested rows are projected to
+logits.  When every sequence runs all S positions from one start
+(``forward`` without ``rows``, and each decode step of one prompt's
+candidates) the layout is Python ints and slices and the rows are a
+reshape of the (B, S) grid.  A decode step pays for little but its
+arithmetic: ``forward`` checks ids, cache and lengths, so a step the decode
+loop sizes itself skips them; a layer writes its new keys and values with
+one index and reads them through views the ``KVCache`` keeps, the keys
+already transposed; and the step's numpy calls run on 0-d constants and
+(1, n) parameter rows, which a one-row ufunc takes without a conversion
+or a broadcast.  Each dropout mask is drawn where it is applied, shaped
+like the array it masks, so a pass draws one uniform per cell it runs, site
+by site: the embedding, then per layer each attention run's probabilities
+and the two residual branches.  The 1/sqrt(head_dim) score scale is applied
+to the query rows, once per layer, not to the scores.
 
 Parameters are plain numpy arrays in an ordered name->array mapping.  The
 canonical storage dtype is float32 (matching the checkpoint format); the
@@ -316,12 +319,14 @@ def softmax_inplace(x):
     return x
 
 
-def _dropout_mask(rng, rate, like):
-    """Inverted-dropout mask of ``like``'s shape and dtype, one uniform drawn
-    per cell; None at rate 0, which draws nothing."""
+def _dropout(rng, rate, x):
+    """Inverted dropout of ``x``: ``(x * mask, mask)`` for a mask of its shape
+    and dtype with one uniform drawn per cell, or ``(x, None)`` at rate 0,
+    which draws nothing."""
     if not rate:
-        return None
-    return (rng.random(like.shape) >= rate).astype(like.dtype) / like.dtype.type(1.0 - rate)
+        return x, None
+    mask = (rng.random(x.shape) >= rate).astype(x.dtype) / x.dtype.type(1.0 - rate)
+    return x * mask, mask
 
 
 def _apply_mask(x, mask):
@@ -338,8 +343,9 @@ def _causal(dtype: np.dtype, size: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(ramp, size)[::-1]
 
 
-class _Layout:
-    """The (batch, position) cells a forward pass runs, as rows.
+def _layout(starts: list[int], lengths: list[int], dtype, heads: int, size: int):
+    """The (batch, position) cells a forward pass runs, as rows, and the
+    attention runs over them: ``(width, pos, cells, runs)``.
 
     Sequence b has ``starts[b]`` positions cached and runs the next
     ``lengths[b]``: from 0 up to the last loss row in training and held-out
@@ -350,80 +356,70 @@ class _Layout:
     ``width`` and the rows are a reshape of the grid; ``pos`` indexes the
     grid's positions, as the slice ``hi:hi + width`` when all starts are hi.
 
-    ``runs`` groups consecutive sequences of the same length L, as
-    ``(batch slice, row slice, L)``; attention runs once per run, on a
-    (run size, heads, L, ·) view of the run's rows.  Sequences of length
-    0 form no run.
+    ``runs`` groups consecutive sequences of the same length L as ``(batch
+    slice, row slice, L, write, keys, values, mask)``; attention runs once
+    per run, on a (run size, heads, L, ·) view of its rows.  ``write``
+    indexes the run's cells in a layer's stacked K/V buffer, ``keys`` and
+    ``values`` the positions they attend to in ``KVCache.keys`` and
+    ``.values``, [:hi + L] for the largest start hi, and ``mask`` is the
+    run's additive causal mask, in which the query at position p sees keys
+    0..p: rows of ``_causal`` for positions below ``size``.  With one start
+    the indexes are slices and the mask the corner of one copy, and a lone
+    query row needs none; with several (a decode step on a ragged cache)
+    each row gathers its positions' rows.  Sequences of length 0 form no run.
     """
-
-    def __init__(self, starts: list[int], lengths: list[int]):
-        batch = len(lengths)
-        self.hi = hi = max(starts)
-        self.width = width = max(lengths)
-        self.cells = None
-        self.runs = [(slice(0, batch), slice(0, batch * width), width)]
-        if min(lengths) != width:
-            self.cells = np.flatnonzero(np.arange(width) < np.array(lengths)[:, None])
-            cut = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), batch]
-            row0 = np.cumsum([0, *lengths]).tolist()
-            self.runs = [(slice(b0, b1), slice(row0[b0], row0[b1]), lengths[b0])
-                         for b0, b1 in zip(cut, cut[1:]) if lengths[b0]]
-        self.pos = (slice(hi, hi + width) if min(starts) == hi
-                    else np.add.outer(starts, np.arange(width)))
-
-    def attention(self, dtype, heads: int, size: int):
-        """Per run of L: the keys it reads, [:hi + L] for the largest start
-        hi, its cells' index in a layer's K/V buffer, and its additive causal
-        mask: the query at position p sees keys 0..p, rows of ``_causal``
-        for positions below ``size``.  With one start, the index is slices
-        and the mask the corner of one copy, and a lone query row needs none;
-        with several (a decode step on a ragged cache) each row gathers its
-        positions' rows."""
-        w, hi = self.width, self.hi
-        if isinstance(self.pos, slice):     # one start
-            # a copy: adding a view whose rows overlap takes twice as long
-            causal = _causal(dtype, size)[hi:hi + w, :hi + w].copy() if w > 1 else None
-            return [(hi + n, (slice(None), bs, slice(None), slice(hi, hi + n)),
-                     causal[:n, :hi + n] if n > 1 else None) for bs, _, n in self.runs]
-        pos = self.pos[:, None]                              # (B, 1, w)
-        mask = _causal(dtype, size)[pos]
-        at = (np.arange(len(pos))[:, None, None], np.arange(heads)[:, None], pos)
-        return [(hi + n, (slice(None), at[0][bs], at[1], at[2][bs, :, :n]),
-                 mask[bs, :, :n, :hi + n]) for bs, _, n in self.runs]
-
-    def to_rows(self, x):
-        """(B, >= width, ...) grid -> (N, ...) rows of the kept cells."""
-        flat = x[:, :self.width].reshape(-1, *x.shape[2:])
-        return flat if self.cells is None else flat[self.cells]
-
-
-def _heads(x, n_heads: int, length: int, head_dim: int):
-    """(n * length, parts * d) rows of one run -> (parts, n, n_heads, length,
-    head_dim) views: q, k, v of the fused rows, or one part."""
-    return x.reshape(-1, length, x.shape[-1] // (n_heads * head_dim),
-                     n_heads, head_dim).transpose(2, 0, 3, 1, 4)
+    batch, hi, width = len(lengths), max(starts), max(lengths)
+    cells, runs = None, [(slice(0, batch), slice(0, batch * width), width)]
+    if min(lengths) != width:
+        cells = np.flatnonzero(np.arange(width) < np.array(lengths)[:, None])
+        cut = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), batch]
+        row0 = np.cumsum([0, *lengths]).tolist()
+        runs = [(slice(b0, b1), slice(row0[b0], row0[b1]), lengths[b0])
+                for b0, b1 in zip(cut, cut[1:]) if lengths[b0]]
+    if min(starts) == hi:
+        pos = slice(hi, hi + width)
+        # a copy: adding a view whose rows overlap takes twice as long
+        causal = _causal(dtype, size)[pos, :hi + width].copy() if width > 1 else None
+        return width, pos, cells, [
+            (bs, rs, n, (slice(None), bs, slice(None), slice(hi, hi + n)),
+             (bs, Ellipsis, slice(hi + n)), (bs, slice(None), slice(hi + n)),
+             causal[:n, :hi + n] if n > 1 else None) for bs, rs, n in runs]
+    pos = np.add.outer(starts, np.arange(width))
+    mask = _causal(dtype, size)[pos[:, None]]                   # (B, 1, width, size)
+    at = (np.arange(batch)[:, None, None], np.arange(heads)[:, None], pos[:, None])
+    return width, pos, cells, [
+        (bs, rs, n, (slice(None), at[0][bs], at[1], at[2][bs, :, :n]),
+         (bs, Ellipsis, slice(hi + n)), (bs, slice(None), slice(hi + n)),
+         mask[bs, :, :n, :hi + n]) for bs, rs, n in runs]
 
 
 class KVCache:
     """Keys and values of the positions decoded so far: ``buffers[i]`` stacks
     layer i's (batch, heads, size, head_dim) keys and values, allocated once
-    (Pope et al., arXiv:2211.05102), so one index writes or reads both; row
-    b is filled at ``[:lengths[b]]`` (the per-sequence lengths of vLLM,
-    arXiv:2309.06180, without paging), and its later slots hold zeros or
-    stale keys, which attention masks.  It serves one model config at one
-    batch size; ``select`` changes the batch."""
+    (Pope et al., arXiv:2211.05102), so one index writes both; ``keys[i]``
+    views its keys transposed, (batch, heads, head_dim, size), as the score
+    product reads them, and ``values[i]`` its values.  Row b is filled at
+    ``[:lengths[b]]`` (the per-sequence lengths of vLLM, arXiv:2309.06180,
+    without paging), and its later slots hold zeros or stale keys, which
+    attention masks.  It serves one model config at one batch size;
+    ``select`` changes the batch."""
 
     def __init__(self, params: ModelParams, batch: int, size: int):
         c = self.config = params.config
         self.size = size
         self.lengths = [0] * batch
         shape = (2, batch, c.n_heads, size, c.head_dim)
-        self.buffers = [np.zeros(shape, params.dtype) for _ in range(c.n_layers)]
+        self._view([np.zeros(shape, params.dtype) for _ in range(c.n_layers)])
+
+    def _view(self, buffers: list[np.ndarray]) -> None:
+        self.buffers = buffers
+        self.keys = [buf[0].transpose(0, 1, 3, 2) for buf in buffers]
+        self.values = [buf[1] for buf in buffers]
 
     def select(self, rows: list[int]) -> None:
         """Keep batch rows ``rows`` in that order, repeats allowed."""
         self.lengths = [self.lengths[r] for r in rows]
-        self.buffers = [buf[:, rows] for buf in self.buffers]
+        self._view([buf[:, rows] for buf in self.buffers])
 
 
 def _check_inputs(params: ModelParams, tokens: np.ndarray) -> np.ndarray:
@@ -434,12 +430,15 @@ def _check_inputs(params: ModelParams, tokens: np.ndarray) -> np.ndarray:
     if (np.minimum.reduce(tokens, axis=None) < 0
             or np.maximum.reduce(tokens, axis=None) >= params.config.vocab_size):
         raise ModelError("token id out of vocabulary range")
+    if tokens.shape[1] > params.config.context_len:
+        raise ModelError(f"sequence length {tokens.shape[1]} exceeds context "
+                         f"{params.config.context_len}")
     return tokens
 
 
 def _forward_impl(params: ModelParams, tokens: np.ndarray, rng, want_cache: bool,
                   kv: KVCache | None = None, rows=None):
-    """The one forward pass, on ids ``_check_inputs`` passes: ``(logits, cache)``.
+    """The one forward pass, on inputs ``forward`` checks: ``(logits, cache)``.
 
     ``rows``, a (b_idx, t_idx) pair of equal-shape integer arrays, names the
     positions projected to logits, (*b_idx.shape, V); None projects all to
@@ -447,33 +446,26 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, rng, want_cache: bool
     all S without it, after its ``kv`` cache row, which stores them.
     Dropout runs exactly when ``rng`` is a generator.
     """
-    c, t, dtype = params.config, params.tensors, params.dtype
+    c, t = params.config, params.tensors
     b, s = tokens.shape
-    if kv is not None and kv.config is not c and kv.config != c:
-        raise ModelError("K/V cache was built for another model config")
-    if kv is not None and len(kv.lengths) != b:
-        raise ModelError(f"K/V cache of batch {len(kv.lengths)} fed a batch of {b}")
     length = [s] * b
     if rows is not None:    # each sequence runs up to its last requested position
         b_idx, t_idx = rows
         reach = np.zeros(b, np.int64)
         np.maximum.at(reach, b_idx, t_idx + 1)
         length = reach.tolist()
-    layout = _Layout([0] * b if kv is None else kv.lengths, length)
-    end = layout.hi + s
-    if end > c.context_len:
-        raise ModelError(f"sequence length {end} exceeds context {c.context_len}")
-    if kv is not None and end > kv.size:
-        raise ModelError(f"sequence length {end} exceeds the K/V cache's {kv.size} positions")
+    d, h, hd = c.d_model, c.n_heads, c.head_dim
+    w, pos, cells, runs = _layout([0] * b if kv is None else kv.lengths, length,
+                                  params.dtype, h, c.context_len)
     rate = c.dropout_rate if rng is not None else 0.0
-    w, d, h, hd = layout.width, c.d_model, c.n_heads, c.head_dim
+    tokens = tokens[:, :w] if w < s else tokens
 
-    x = layout.to_rows(t["tok_emb"][tokens[:, :w]] + t["pos_emb"][layout.pos])
-    emb_drop = _dropout_mask(rng, rate, x)
-    x = _apply_mask(x, emb_drop)
+    x = (t["tok_emb"][tokens] + t["pos_emb"][pos]).reshape(-1, d)
+    if cells is not None:
+        x = x[cells]
+    x, emb_drop = _dropout(rng, rate, x)
 
-    attention = layout.attention(dtype, h, c.context_len)
-    (scale,) = _as_dtype(dtype, 1.0 / math.sqrt(hd))
+    (scale,) = _as_dtype(x.dtype, 1.0 / math.sqrt(hd))
     caches = []
     for i, (ln1_g, ln1_b, w_qkv, b_qkv, w_o, b_o,
             ln2_g, ln2_b, w_1, b_1, w_2, b_2) in enumerate(params.layers):
@@ -482,28 +474,27 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, rng, want_cache: bool
         del h1
         qkv += b_qkv
         qkv[:, :d] *= scale
-        ctx = np.empty_like(x)
-        runs = []
-        for (bs, rs, n), (keys, at, mask) in zip(layout.runs, attention):
-            qkv_h = _heads(qkv[rs], h, n, hd)
-            q_h, k_h, v_h = qkv_h
-            if kv is not None:  # join the cache: write the run's keys and values, read all
-                buf = kv.buffers[i]
-                buf[at] = qkv_h[1:]
-                k_h, v_h = buf[:, bs, :, :keys]
-            probs = q_h @ k_h.transpose(0, 1, 3, 2)
+        ctx, att = np.empty_like(x), []
+        for _, rs, n, write, keys, values, mask in runs:
+            # (3, sequences, heads, n, head_dim) views of the run's q, k, v
+            qkv_h = qkv[rs].reshape(-1, n, 3, h, hd).transpose(2, 0, 3, 1, 4)
+            if kv is None:
+                k_t, v_h = qkv_h[1].transpose(0, 1, 3, 2), qkv_h[2]
+            else:   # join the cache: write the run's keys and values, read all
+                kv.buffers[i][write] = qkv_h[1:]
+                k_t, v_h = kv.keys[i][keys], kv.values[i][values]
+            probs = qkv_h[0] @ k_t
             if mask is not None:
                 probs += mask
             softmax_inplace(probs)
-            drop = _dropout_mask(rng, rate, probs)
-            probs_d = _apply_mask(probs, drop)
-            np.matmul(probs_d, v_h, out=_heads(ctx[rs], h, n, hd)[0])
-            runs.append((probs, drop, probs_d))
+            probs_d, drop = _dropout(rng, rate, probs)
+            np.matmul(probs_d, v_h, out=ctx[rs].reshape(-1, n, h, hd).transpose(0, 2, 1, 3))
+            att.append((probs, drop, probs_d))
         # x + dropout(y + b), written over y: rebinding x frees the block's input
         y = ctx @ w_o
         y += b_o
-        res_drop1 = _dropout_mask(rng, rate, y)
-        x = np.add(_apply_mask(y, res_drop1), x, out=y)
+        y, res_drop1 = _dropout(rng, rate, y)
+        x = np.add(y, x, out=y)
 
         h2, ln2_cache = _layer_norm(x, ln2_g, ln2_b)
         u = h2 @ w_1
@@ -512,11 +503,11 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, rng, want_cache: bool
         del u
         y = a @ w_2
         y += b_2
-        res_drop2 = _dropout_mask(rng, rate, y)
-        x = np.add(_apply_mask(y, res_drop2), x, out=y)
+        y, res_drop2 = _dropout(rng, rate, y)
+        x = np.add(y, x, out=y)
 
         if want_cache:
-            caches.append({"ln1": ln1_cache, "qkv": qkv, "runs": runs, "ctx": ctx,
+            caches.append({"ln1": ln1_cache, "qkv": qkv, "runs": att, "ctx": ctx,
                            "res_drop1": res_drop1, "ln2": ln2_cache, "a": a,
                            "gelu_d": gelu_d, "res_drop2": res_drop2})
     if kv is not None:
@@ -525,17 +516,20 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, rng, want_cache: bool
     out_idx = None
     if rows is not None:
         out_idx = b_idx * w + t_idx
-        if layout.cells is not None:
-            out_idx = np.searchsorted(layout.cells, out_idx)
+        if cells is not None:
+            out_idx = np.searchsorted(cells, out_idx)
         x = x[out_idx]
     hf, lnf_cache = _layer_norm(x, t["ln_f.g"], t["ln_f.b"])
     logits = hf @ t["tok_emb"].T
     if rows is None:
         logits = logits.reshape(b, s, -1)
-    cache = {"layout": layout, "tok": layout.to_rows(tokens), "out_idx": out_idx,
-             "emb_drop": emb_drop, "layers": caches, "hf": hf, "lnf": lnf_cache,
-             "scale": scale} if want_cache else None
-    return logits, cache
+    if not want_cache:
+        return logits, None
+    tok = tokens.reshape(-1)
+    return logits, {"width": w, "cells": cells, "runs": runs,
+                    "tok": tok if cells is None else tok[cells], "out_idx": out_idx,
+                    "emb_drop": emb_drop, "layers": caches, "hf": hf, "lnf": lnf_cache,
+                    "scale": scale}
 
 
 def forward(params: ModelParams, tokens: np.ndarray,
@@ -561,10 +555,22 @@ def forward(params: ModelParams, tokens: np.ndarray,
     their ends.  Feeding a sequence in any split of chunks gives the logits
     one full call would give.  A cache of another model config or batch
     size, or one too short to hold the positions, raises ModelError.
-    Token ids are checked here; a decode loop that feeds back ids it drew
-    may call ``_forward_impl`` directly for its steps.
+    Token ids, rows and the cache are checked here; a decode loop that
+    feeds back ids it drew, one position per step within the cache it
+    sized, may call ``_forward_impl`` directly for its steps.
     """
     tokens = _check_inputs(params, tokens)
+    c, (b, s) = params.config, tokens.shape
+    if kv is not None:
+        if kv.config is not c and kv.config != c:
+            raise ModelError("K/V cache was built for another model config")
+        if len(kv.lengths) != b:
+            raise ModelError(f"K/V cache of batch {len(kv.lengths)} fed a batch of {b}")
+        end = max(kv.lengths) + s
+        if end > c.context_len:
+            raise ModelError(f"sequence length {end} exceeds context {c.context_len}")
+        if end > kv.size:
+            raise ModelError(f"sequence length {end} exceeds the K/V cache's {kv.size} positions")
     if rows is not None:
         try:
             if not np.size(np.ravel_multi_index(rows, tokens.shape)):
@@ -655,7 +661,6 @@ def backward(params: ModelParams, batch: SequenceBatch,
         dhf, cache.pop("lnf"), t["ln_f.g"])
     # every loss row is a distinct row, so plain assignment needs no
     # accumulation
-    layout = cache["layout"]
     dx = np.zeros((cache["tok"].size, c.d_model), dtype=dx_out.dtype)
     dx[cache["out_idx"]] = dx_out
     del dhf, dx_out
@@ -693,10 +698,10 @@ def backward(params: ModelParams, batch: SequenceBatch,
         del dattn_out
         qkv = lc.pop("qkv")
         dqkv = np.empty_like(qkv)
-        for (_, rs, n), (probs, drop, probs_d) in zip(layout.runs, lc.pop("runs")):
-            (dctx_h,) = _heads(dctx[rs], h, n, hd)
-            q_h, k_h, v_h = _heads(qkv[rs], h, n, hd)
-            dq_h, dk_h, dv_h = _heads(dqkv[rs], h, n, hd)
+        for (_, rs, n, *_), (probs, drop, probs_d) in zip(cache["runs"], lc.pop("runs")):
+            dctx_h = dctx[rs].reshape(-1, n, h, hd).transpose(0, 2, 1, 3)
+            q_h, k_h, v_h = qkv[rs].reshape(-1, n, 3, h, hd).transpose(2, 0, 3, 1, 4)
+            dq_h, dk_h, dv_h = dqkv[rs].reshape(-1, n, 3, h, hd).transpose(2, 0, 3, 1, 4)
             datt = dctx_h @ v_h.transpose(0, 1, 3, 2)
             np.matmul(probs_d.transpose(0, 1, 3, 2), dctx_h, out=dv_h)
             if drop is not None:
@@ -719,12 +724,13 @@ def backward(params: ModelParams, batch: SequenceBatch,
         del dh1, dx_attn
 
     dx = _apply_mask(dx, cache["emb_drop"])
+    width, cells = cache["width"], cache["cells"]
     grid = dx   # the zero-padded (B, width) grid, whose batch-axis sum adds from +0.0
-    if layout.cells is not None:
-        grid = np.zeros((len(tokens) * layout.width, c.d_model), dx.dtype)
-        grid[layout.cells] = dx
+    if cells is not None:
+        grid = np.zeros((len(tokens) * width, c.d_model), dx.dtype)
+        grid[cells] = dx
     grads["pos_emb"] = np.zeros_like(t["pos_emb"])
-    grads["pos_emb"][:layout.width] = grid.reshape(-1, layout.width, c.d_model).sum(axis=0)
+    grads["pos_emb"][:width] = grid.reshape(-1, width, c.d_model).sum(axis=0)
     # scatter-add by token id; np.add.at loops index by index, so sort the
     # rows by id and sum each id's run in one reduceat instead
     tok = cache["tok"]

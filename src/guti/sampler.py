@@ -9,18 +9,21 @@ one of them is sampled from the renormalized distribution.
 Decoding is incremental: one checked ``forward`` over the prompt fills a
 preallocated key/value cache (``model.KVCache``), and each later step
 feeds only the newest token through the same forward pass, called without
-``forward``'s id check since the loop drew the ids itself, so a step costs
-O(length) instead of a full recompute of the prefix.  One loop decodes
-the candidates of one or more prompts together, for ``generate``,
-``generate_batch`` and the trainer's novelty probes: prompts of different
-lengths share one prompt pass, and each step feeds the newest token of
-every unfinished candidate as one batch.  A top-k draw is one partition
-of the logits row, one stable sort of the ids at or above the k-th logit,
-a softmax over them and ``Generator.choice``'s inverse-CDF draw.
+``forward``'s checks since the loop drew the ids itself and sized the
+cache, so a step costs O(length) instead of a full recompute of the
+prefix.  One loop decodes the candidates of one or more prompts together,
+for ``generate``, ``generate_batch`` and the trainer's novelty probes:
+prompts of different lengths share one prompt pass, and each step feeds
+the newest token of every unfinished candidate as one batch.  A top-k
+draw masks a float64 copy of the logits row, takes one partition of it,
+one stable sort of the ids at or above the k-th logit, a softmax over
+them and ``Generator.choice``'s inverse-CDF draw; a greedy draw (k=1) is
+the masked row's argmax, with the one uniform ``choice`` would draw.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -45,6 +48,10 @@ class SampleConfig:
     forbid: frozenset[int] | None = None   # None = mask structural tokens
 
     def __post_init__(self):
+        for name in ("k", "max_new_tokens", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise SamplingError(f"{name} must be an integer, not {value!r}")
         if self.k < 1:
             raise SamplingError("k must be >= 1")
         if not self.temperature > 0:       # NaN fails this too
@@ -89,20 +96,31 @@ def build_prompt(form_id: str, theme: str, catalog: FormCatalog, vocab: Vocab,
     return [vocab.bos_id] + vocab_mod.encode(text, vocab)
 
 
+def _masked(logits: np.ndarray, cfg: SampleConfig) -> np.ndarray:
+    """A float64 copy of the logits row with the forbidden ids at -inf."""
+    logits = np.array(logits, dtype=np.float64).reshape(-1)
+    logits[cfg.forbid_ids] = -np.inf
+    return logits
+
+
+def _check_top(top) -> None:
+    """SamplingError unless the highest masked logit is a number below +inf."""
+    if top == -np.inf:
+        raise SamplingError("every token is masked")
+    if not top < np.inf:       # NaN or +inf
+        raise SamplingError("non-finite logits")
+
+
 def top_k_distribution(logits: np.ndarray, cfg: SampleConfig) -> tuple[np.ndarray, np.ndarray]:
     """Candidate ids (k highest logits, ties to the lower id) and their
     renormalized softmax(logits/temperature) probabilities, or its limit
     where logits/temperature overflows: the ids tied at the top share the mass."""
-    logits = np.array(logits, dtype=np.float64).reshape(-1)   # a copy, masked below
-    logits[cfg.forbid_ids] = -np.inf
+    logits = _masked(logits, cfg)
     size, k = logits.size, min(cfg.k, logits.size)
     # one O(V) partition places the k-th highest logit and the highest
     part = np.partition(logits, (size - k, size - 1))
-    kth, hi = part[size - k], part[-1]
-    if hi == -np.inf:
-        raise SamplingError("every token is masked")
-    if not hi < np.inf:       # NaN or +inf
-        raise SamplingError("non-finite logits")
+    kth = part[size - k]
+    _check_top(part[-1])
     # the ids at or above it come in id order, so a stable sort on the
     # negated logit keeps equal logits lowest id first
     (top,) = (logits >= kth).nonzero()
@@ -110,16 +128,27 @@ def top_k_distribution(logits: np.ndarray, cfg: SampleConfig) -> tuple[np.ndarra
     z, t = logits[top], cfg.temperature
     if kth == -np.inf:        # fewer than k ids unmasked
         top, z = top[z > -np.inf], z[z > -np.inf]
-    if max(float(z[0]), -float(z[-1])) / t == np.inf:
-        tied = z == z[0]
-        return top, tied / np.add.reduce(tied)
-    return top, softmax_inplace(z / t if t != 1.0 else z)    # x / 1 is x
+    if t != 1.0:              # x / 1 is x, which no finite x overflows
+        if max(float(z[0]), -float(z[-1])) / t == np.inf:
+            tied = z == z[0]
+            return top, tied / np.add.reduce(tied)
+        z = z / t
+    return top, softmax_inplace(z)
 
 
 def top_k_sample(logits: np.ndarray, cfg: SampleConfig,
                  rng: np.random.Generator) -> int:
     """Sample one token id from the truncated distribution: the inverse-CDF
-    draw ``rng.choice(candidates, p=p)`` makes, without its argument checks."""
+    draw ``rng.choice(candidates, p=p)`` makes, without its argument checks.
+    At k=1 the one candidate is the masked row's first highest id, found
+    by one argmax; the uniform ``choice`` would draw for it is drawn and
+    dropped, so the generator ends where ``choice`` leaves it."""
+    if cfg.k == 1:
+        logits = _masked(logits, cfg)
+        best = int(logits.argmax())     # NaN ranks above every number
+        _check_top(logits[best])
+        rng.random()
+        return best
     candidates, p = top_k_distribution(logits, cfg)
     cdf = p.cumsum()
     cdf /= cdf[-1]
@@ -156,6 +185,12 @@ def _decode(params: ModelParams, prompts: list[list[int]], seeds: list[list[int]
     call with its prompt and seed would: a batch row's logits differ from
     a batch of one only in float rounding.  ``prompt_ms`` is the shared
     prompt pass, to each candidate's first token; ``decode_ms`` the rest.
+
+    Only the prompt pass goes through ``forward`` and its checks.  The
+    steps call ``_forward_impl`` directly: their ids are the loop's own
+    draws, their batch is the cache's, and the cache holds every budget.
+    Each row is drawn by a ``top_k_sample`` call of its own, looked up on
+    this module, so a wrapper of it sees every draw.
     """
     context_len = params.config.context_len
     width = max(map(len, prompts))
@@ -171,6 +206,7 @@ def _decode(params: ModelParams, prompts: list[list[int]], seeds: list[list[int]
         raise SamplingError(f"forbid ids outside the vocabulary [0, {size}): {outside}")
     budget = [min(cfg.max_new_tokens, context_len - len(prompt)) for prompt in prompts]
     prompt_of = [p for p, row in enumerate(seeds) for _ in row]
+    limit, eos = [budget[p] for p in prompt_of], vocab.eos_id     # per candidate
     rngs = [np.random.default_rng(seed) for row in seeds for seed in row]
     bodies: list[list[int]] = [[] for _ in prompt_of]
     decode_ms = [0.0] * len(prompt_of)
@@ -190,20 +226,20 @@ def _decode(params: ModelParams, prompts: list[list[int]], seeds: list[list[int]
         keep = []
         for j, (c, nxt) in enumerate(zip(live, picks)):
             decode_ms[c] = 1e3 * (now - t_first)     # up to its last step
-            if nxt != vocab.eos_id:
+            if nxt != eos:
                 bodies[c].append(nxt)
-                if len(bodies[c]) < budget[prompt_of[c]]:
+                if len(bodies[c]) < limit[c]:
                     keep.append(j)
-        if keep and [src[j] for j in keep] != list(range(len(tokens))):
-            kv.select([src[j] for j in keep])
+        kept = [src[j] for j in keep]
+        if keep and kept != list(range(len(tokens))):
+            kv.select(kept)
         live, src = [live[j] for j in keep], list(range(len(keep)))
         tokens, rows = np.asarray([[picks[j]] for j in keep]), None
     prompt_ms = 0.0 if t_first is None else 1e3 * (t_first - t0)
     # a candidate that stopped short of its budget emitted EOS
     return [GenerationResult(token_ids=tuple(body), text=vocab_mod.decode(body, vocab),
-                             truncated=len(body) == budget[p], prompt_ms=prompt_ms,
-                             decode_ms=ms)
-            for body, p, ms in zip(bodies, prompt_of, decode_ms)]
+                             truncated=len(body) == n, prompt_ms=prompt_ms, decode_ms=ms)
+            for body, n, ms in zip(bodies, limit, decode_ms)]
 
 
 @dataclass

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +23,7 @@ from . import vocab as vocab_mod
 from .corpus import Poem, SerializedSample, parse_body
 from .errors import GutiError, TrainingError
 from .fileio import write_atomic
-from .forms import COMMA, MARKER_RE, PERIOD
+from .forms import COMMA, PERIOD
 from .model import (
     ModelParams,
     SequenceBatch,
@@ -53,14 +54,19 @@ class TrainConfig:
     early_stop_novelty: float | None = None   # stop when probe novelty drops below
 
     def __post_init__(self):
+        counts = ("batch_size", "max_steps", "warmup_steps", "checkpoint_interval",
+                  "novelty_eval_interval", "seed")
+        for name in counts:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TrainingError(f"{name} must be an integer, not {value!r}")
         if not 0 < self.learning_rate < math.inf:     # NaN fails this too
             raise TrainingError("learning_rate must be > 0")
         if self.batch_size < 1:
             raise TrainingError("batch_size must be >= 1")
         if not 0.0 <= self.heldout_fraction < 1.0:
             raise TrainingError("heldout_fraction must lie in [0, 1)")
-        for name in ("max_steps", "warmup_steps", "checkpoint_interval",
-                     "novelty_eval_interval", "seed"):
+        for name in counts[1:]:     # batch_size has its own bound above
             if getattr(self, name) < 0:
                 raise TrainingError(f"{name} must be >= 0")
         if self.early_stop_novelty is not None and not self.novelty_eval_interval:
@@ -214,8 +220,13 @@ def encode_sample(sample: SerializedSample, vocab: Vocab) -> list[int]:
 
 
 def sample_token_count(sample: SerializedSample) -> int:
-    """``len(encode_sample(sample, v))`` for every vocabulary ``v``."""
-    return len(MARKER_RE.sub(" ", sample.text)) + 2
+    """``len(encode_sample(sample, v))`` for every vocabulary ``v``, from the
+    fields' lengths: BOS, the two markers and EOS are a token each, and every
+    other character one more.  That holds for a sample whose form, theme and
+    body hold no marker, as ``serialize`` makes them: the catalog keeps
+    markers out of form ids, ``Poem`` out of themes, and ``parse_body`` out
+    of bodies, and ``read_dataset`` rebuilds each sample with ``serialize``."""
+    return len(sample.form) + len(sample.theme) + len(sample.body) + 4
 
 
 def make_batch(sequences: list[list[int]], pad_id: int) -> SequenceBatch:

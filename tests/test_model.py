@@ -22,7 +22,7 @@ from guti.model import (
     _LN_EPS,
     _gelu,
     _layer_norm,
-    _Layout,
+    _layout,
     backward,
     forward,
     init_params,
@@ -763,7 +763,7 @@ def reaching_loss_rows(batch):
     b_idx, t_idx = loss_rows(batch)
     length = np.zeros(len(batch.tokens), np.int64)
     np.maximum.at(length, b_idx, t_idx + 1)
-    return _Layout(np.zeros_like(length), length)
+    return _layout(np.zeros_like(length), length, np.float64, ROWS.n_heads, ROWS.context_len)
 
 
 class TestAttentionRuns:
@@ -784,12 +784,12 @@ class TestAttentionRuns:
 
     def test_runs_follow_the_kept_lengths(self):
         batch = self.batch(ROWS)
-        layout = reaching_loss_rows(batch)
+        runs = reaching_loss_rows(batch)[3]
         assert [(bs.start, bs.stop, rs.start, rs.stop, n)
-                for bs, rs, n in layout.runs] == [(0, 2, 0, 10, 5),
-                                                  (2, 3, 10, 13, 3),
-                                                  (4, 7, 13, 34, 7),
-                                                  (7, 8, 34, 35, 1)]
+                for bs, rs, n, *_ in runs] == [(0, 2, 0, 10, 5),
+                                               (2, 3, 10, 13, 3),
+                                               (4, 7, 13, 34, 7),
+                                               (7, 8, 34, 35, 1)]
 
     def test_batch_equals_each_sequence_alone(self):
         params = init_params(ROWS, seed=14, dtype=np.float64)
@@ -868,16 +868,17 @@ class TestAttentionRuns:
         att_sites = [(n, config.n_heads, length, length)
                      for n, length in [(2, 5), (1, 3), (3, 7), (1, 1)]]
         want = [row_site] + (att_sites + [row_site, row_site]) * config.n_layers
-        shapes, states, real = [], [], model._dropout_mask
+        shapes, states, real = [], [], model._dropout
 
         def spy(rng, rate, like):
-            mask = real(rng, rate, like)
+            out, mask = real(rng, rate, like)
             assert mask.shape == like.shape and mask.dtype == like.dtype
+            assert np.array_equal(out, like * mask)
             shapes.append(like.shape)
             states.append(rng.bit_generator.state)
-            return mask
+            return out, mask
 
-        monkeypatch.setattr(model, "_dropout_mask", spy)
+        monkeypatch.setattr(model, "_dropout", spy)
         rng, twin = np.random.default_rng(4), np.random.default_rng(4)
         if pass_ == "backward":
             backward(params, batch, rng=rng)
@@ -928,9 +929,10 @@ class TestForwardRows:
     def test_cells_run_up_to_each_sequence_last_output(self):
         # outputs at (0, 2), (0, 4) and (2, 1) of a (3, 6) batch, cells
         # b * 5 + t of the (3, 5) grid; sequence 1 asks for nothing
-        layout = _Layout(np.zeros(3, np.int64), np.array([5, 0, 2]))
-        assert layout.width == 5
-        assert layout.cells.tolist() == [0, 1, 2, 3, 4, 10, 11]
+        width, _, cells, _ = _layout(np.zeros(3, np.int64), np.array([5, 0, 2]),
+                                     np.float64, ROWS.n_heads, ROWS.context_len)
+        assert width == 5
+        assert cells.tolist() == [0, 1, 2, 3, 4, 10, 11]
         params = init_params(ROWS, seed=6, dtype=np.float64)
         tokens = np.random.default_rng(9).integers(0, 13, size=(3, 6))
         rows = ([2, 0, 0], [1, 2, 4])
@@ -939,12 +941,15 @@ class TestForwardRows:
 
     def test_uniform_cut_is_a_reshape(self):
         grid = np.arange(12).reshape(2, 6)
-        layout = _Layout(np.zeros(2, np.int64), np.array([4, 4]))    # outputs 3, 9
-        assert layout.width == 4 and layout.cells is None
-        assert layout.to_rows(grid).tolist() == grid[:, :4].reshape(-1).tolist()
-        layout = _Layout(np.zeros(2, np.int64), np.array([6, 6]))    # outputs 5, 11, 0
-        assert layout.width == 6 and layout.cells is None
-        assert np.shares_memory(layout.to_rows(grid), grid)
+        params = init_params(ROWS, seed=6, dtype=np.float64)
+        for rows, width in ((([0, 1], [3, 3]), 4), (([0, 1, 0], [5, 5, 0]), 6)):
+            got = _layout(np.zeros(2, np.int64), np.full(2, width), np.float64,
+                          ROWS.n_heads, ROWS.context_len)
+            assert got[0] == width and got[2] is None
+            _, cache = model._forward_impl(params, grid, None, True,
+                                           rows=tuple(map(np.array, rows)))
+            assert cache["tok"].tolist() == grid[:, :width].reshape(-1).tolist()
+        assert np.shares_memory(cache["tok"], grid)     # the full width
 
 
 class TestCheckpoint:

@@ -223,13 +223,50 @@ class TestTopK:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_logits_rejected(self, bad):
-        with pytest.raises(SamplingError):
-            top_k_distribution(np.array([0.0, bad, 1.0]), SampleConfig(k=1))
+        for k in (1, 2):        # the greedy draw and the sampled one
+            cfg = SampleConfig(k=k, forbid=frozenset())
+            for row in (np.array([0.0, bad, 1.0]), np.array([bad, 0.0, 1.0], np.float32)):
+                with pytest.raises(SamplingError, match="^non-finite logits$"):
+                    top_k_distribution(row, cfg)
+                with pytest.raises(SamplingError, match="^non-finite logits$"):
+                    top_k_sample(row, cfg, np.random.default_rng(0))
+            # a forbidden id is masked before the check
+            assert top_k_sample(np.array([0.0, bad, 1.0]), replace(cfg, forbid=frozenset({1})),
+                                np.random.default_rng(0)) in {0, 2}
 
     def test_all_masked_rejected(self):
-        cfg = SampleConfig(k=2, forbid=frozenset({0, 1, 2}))
-        with pytest.raises(SamplingError):
-            top_k_sample(np.zeros(3), cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        for k in (1, 2):
+            for forbid, row in (({0, 1, 2}, np.zeros(3)),
+                                ({0}, np.array([5.0, -np.inf, -np.inf]))):
+                with pytest.raises(SamplingError, match="^every token is masked$"):
+                    top_k_sample(row, SampleConfig(k=k, forbid=frozenset(forbid)), rng)
+
+    def test_greedy_draw_at_decode_shape(self):
+        """At k=1 the draw is the masked row's first highest id, the first
+        candidate of the stable-sort reference, and it leaves the generator
+        where ``Generator.choice`` over that one candidate leaves it: float32
+        rows of a decode step's size, with runs of ties at the top, -inf
+        entries and forbid sets."""
+        rng = np.random.default_rng(1)
+        v, tied = 876, 0
+        for trial in range(200):
+            logits = (rng.normal(size=v) * 3).astype(np.float32)
+            if trial % 2:       # coarse values: the top is often a tie
+                logits = np.round(logits)
+            logits[rng.choice(v, size=int(rng.integers(0, 40)), replace=False)] = -np.inf
+            forbid = rng.choice(v, size=int(rng.choice([0, 8, 200, v - 10])), replace=False)
+            cfg = SampleConfig(k=1, forbid=frozenset(forbid.tolist()),
+                               temperature=float(rng.choice([0.5, 1.0, 2.0])))
+            candidates, p = stable_argsort_top_k(logits, cfg)
+            ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
+            drawn = top_k_sample(logits, cfg, ours)
+            assert drawn == candidates[0] == theirs.choice(candidates, p=p)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            masked = np.array(logits, np.float64)
+            masked[list(cfg.forbid)] = -np.inf
+            tied += int(np.sum(masked == masked.max())) > 1
+        assert tied
 
     def test_invalid_config(self):
         with pytest.raises(SamplingError):
@@ -237,6 +274,14 @@ class TestTopK:
         for temperature in (0.0, float("nan")):    # NaN sampled greedily
             with pytest.raises(SamplingError, match="temperature must be > 0"):
                 SampleConfig(temperature=temperature)
+        # a float or bool count used to pass here and fail later as a raw
+        # TypeError in the partition, the decode budget or default_rng
+        for name, bad in [("k", 2.5), ("max_new_tokens", 3.5), ("seed", 1.5),
+                          ("k", True), ("max_new_tokens", False), ("seed", "3")]:
+            with pytest.raises(SamplingError, match=f"^{name} must be an integer, not"):
+                SampleConfig(**{name: bad})
+        cfg = SampleConfig(k=np.int64(3), max_new_tokens=np.int32(4), seed=np.uint8(5))
+        assert (cfg.k, cfg.max_new_tokens, cfg.seed) == (3, 4, 5)
 
     def test_negative_seed_rejected(self):
         # numpy's default_rng takes no negative seed
@@ -541,27 +586,118 @@ def pinned_digest(decode, monkeypatch):
     return digest.hexdigest()
 
 
-# recorded before the decode step and the top-k draw were rewritten with
-# fewer numpy calls: the arithmetic is the same, so the bits are too
-DECODE_GOLDEN = {
-    "generate": "69fabc690e993fe6a2a38759ae32b134b641071e18f86d771283b80c8d036a51",
-    "generate_batch": "e0a89ba63f72b3e30ec3c93026b154b554554426d64cf70179f9277233cb547c",
-    "ragged": "6344e124d766527d897177b1fb7ee10126a4d976200f9b478e82aefc7922fbf6",
-}
-
-
-@pytest.mark.parametrize("case", sorted(DECODE_GOLDEN))
-def test_decode_bits_pinned(toy_vocab, catalog, table, monkeypatch, case, golden_build):
+def pinned_decodes(toy_vocab, catalog, table):
+    """The decodes the goldens pin: one prompt, one prompt's four candidates,
+    and three prompts of different lengths, sampled at k=20 and greedily."""
     params = init_params(ModelConfig(vocab_size=toy_vocab.size), seed=0)
     cfg = SampleConfig(k=20, max_new_tokens=40, seed=3)
     prompts = [build_prompt("五绝", "静夜思", catalog, toy_vocab),
                build_prompt("七律", "春", catalog, toy_vocab),
                build_prompt("五绝", "春夏秋冬", catalog, toy_vocab, acrostic=True)]
-    decode = {
+    seeds = [[11, 12], [13], [14, 15, 16]]
+    return {
         "generate": lambda: generate(params, prompts[0], cfg, toy_vocab),
         "generate_batch": lambda: generate_batch(params, "五绝", "静夜思", 4, cfg,
                                                  toy_vocab, catalog, table),
-        "ragged": lambda: _decode(params, prompts, [[11, 12], [13], [14, 15, 16]],
-                                  cfg, toy_vocab),
-    }[case]
+        "ragged": lambda: _decode(params, prompts, seeds, cfg, toy_vocab),
+        "greedy": lambda: _decode(params, prompts, seeds, replace(cfg, k=1), toy_vocab),
+    }
+
+
+# recorded before the decode step and the top-k draw were rewritten with
+# fewer numpy calls: the arithmetic is the same, so the bits are too.  The
+# greedy digest was recorded before a k=1 draw became one masked argmax
+DECODE_GOLDEN = {
+    "generate": "69fabc690e993fe6a2a38759ae32b134b641071e18f86d771283b80c8d036a51",
+    "generate_batch": "e0a89ba63f72b3e30ec3c93026b154b554554426d64cf70179f9277233cb547c",
+    "ragged": "6344e124d766527d897177b1fb7ee10126a4d976200f9b478e82aefc7922fbf6",
+    "greedy": "836a3b7279002b9ff2224ed4dd67b268099228ebc54c7781360b767bfa7d0420",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECODE_GOLDEN))
+def test_decode_bits_pinned(toy_vocab, catalog, table, monkeypatch, case, golden_build):
+    decode = pinned_decodes(toy_vocab, catalog, table)[case]
     assert pinned_digest(decode, monkeypatch) == DECODE_GOLDEN[case], golden_build
+
+
+# The ids each candidate of a pinned decode draws, EOS included, candidate
+# by candidate.  Unlike the digests they hold on any BLAS kernel whose
+# logits round close enough to these: they were the same under OpenBLAS's
+# SkylakeX, Haswell and Sandybridge kernels.  The closest calls: the k-th
+# and (k+1)-th highest logits 5.4e-6 apart (generate_batch), a gap the three
+# kernels move by 2e-7 at most; a uniform draw 8.6e-5 from an edge of its
+# cumulative distribution (ragged); the greedy top two logits 8.6e-3 apart.
+DECODE_IDS = {
+    "generate": [
+        [26, 229, 95, 117, 239, 163, 238, 186, 105, 159, 48, 117, 225, 121, 237, 72, 72, 139,
+         225, 24, 24, 66, 165, 24, 125, 178, 176, 50, 178, 180, 100, 30, 174, 66, 190, 206,
+         193, 117, 106, 156],
+    ],
+    "generate_batch": [
+        [19, 47, 170, 48, 238, 176, 165, 114, 65, 229, 209, 19, 120, 65, 72, 165, 170, 134, 48,
+         238, 18, 116, 177, 177, 160, 139, 107, 125, 219, 37, 165, 206, 24, 165, 109, 140, 145,
+         26, 239, 98],
+        [210, 176, 19, 75, 165, 24, 64, 238, 224, 81, 190, 37, 176, 165, 135, 165, 165, 109,
+         37, 202, 165, 165, 159, 138, 26, 178, 148, 102, 58, 166, 162, 24, 178, 148, 116, 116,
+         109, 206, 86, 106],
+        [210, 171, 159, 225, 238, 18, 159, 176, 190, 128, 238, 26, 178, 157, 159, 75, 36, 30,
+         66, 105, 159, 165, 30, 200, 219, 156, 56, 138, 56, 165, 148, 84, 24, 176, 52, 30, 69,
+         187, 117, 110],
+        [229, 159, 19, 2],
+    ],
+    "ragged": [
+        [204, 73, 239, 239, 40, 64, 81, 36, 64, 200, 196, 42, 42, 55, 72, 163, 91, 34, 191,
+         219, 190, 200, 36, 20, 160, 206, 20, 69, 192, 227, 194, 125, 52, 239, 215, 215, 58,
+         58, 105, 182],
+        [159, 67, 20, 161, 176, 26, 81, 75, 65, 24, 30, 31, 229, 95, 178, 52, 105, 190, 48, 36,
+         225, 239, 34, 171, 159, 75, 111, 52, 165, 26, 178, 135, 206, 219, 159, 52, 156, 135,
+         106, 190],
+        [85, 173, 83, 173, 159, 40, 66, 165, 133, 75, 75, 205, 165, 37, 134, 135, 187, 187,
+         156, 239, 219, 156, 52, 165, 73, 212, 226, 133, 219, 159, 165, 30, 107, 140, 167, 165,
+         109, 85, 85, 120],
+        [72, 159, 239, 139, 157, 178, 200, 116, 178, 20, 231, 231, 219, 36, 127, 24, 92, 157,
+         119, 178, 37, 107, 178, 171, 157, 30, 123, 75, 207, 207, 202, 2],
+        [159, 114, 40, 225, 190, 148, 219, 123, 171, 53, 84, 219, 105, 182, 30, 67, 225, 24,
+         90, 46, 150, 216, 200, 120, 216, 52, 200, 54, 116, 209, 165, 218, 218, 10, 190, 200,
+         159, 200, 200, 159],
+        [49, 134, 134, 159, 19, 165, 72, 135, 135, 44, 44, 42, 159, 200, 162, 91, 218, 165,
+         135, 44, 172, 162, 219, 148, 148, 222, 207, 200, 116, 135, 218, 165, 187, 206, 148,
+         106, 171, 2],
+    ],
+    "greedy": [
+        [178, 178, 178, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 225,
+         225, 225, 225, 225, 225, 225, 225, 225, 225, 225, 225, 225, 225, 225, 225, 225, 193,
+         193, 106, 106],
+        [178, 178, 178, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 225,
+         225, 225, 225, 225, 225, 225, 225, 225, 225, 225, 225, 225, 225, 225, 225, 225, 193,
+         193, 106, 106],
+        [127, 127, 178, 178, 178, 48, 204, 204, 204, 19, 165, 165, 165, 165, 165, 165, 165,
+         165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165,
+         165, 165, 165, 165, 165, 165],
+        [206, 159, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165,
+         165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165,
+         165, 165, 165, 165, 165, 165],
+        [206, 159, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165,
+         165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165,
+         165, 165, 165, 165, 165, 165],
+        [206, 159, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165,
+         165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165,
+         165, 165, 165, 165, 165, 165],
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECODE_IDS))
+def test_decode_ids_pinned(toy_vocab, catalog, table, monkeypatch, case):
+    import guti.sampler as sampler_mod
+    drawn = {}
+
+    def spy(logits, cfg, rng):
+        nxt = top_k_sample(logits, cfg, rng)
+        drawn.setdefault(id(rng), []).append(nxt)
+        return nxt
+
+    monkeypatch.setattr(sampler_mod, "top_k_sample", spy)
+    pinned_decodes(toy_vocab, catalog, table)[case]()
+    assert list(drawn.values()) == DECODE_IDS[case]

@@ -204,6 +204,17 @@ class TestTrainConfig:
             TrainConfig(**{field: -1})
         assert getattr(TrainConfig(**{field: 0}), field) == 0
 
+    @pytest.mark.parametrize("field", ["batch_size", "max_steps", "warmup_steps",
+                                       "checkpoint_interval", "novelty_eval_interval",
+                                       "seed"])
+    @pytest.mark.parametrize("bad", [2.5, 1.0, True, "3"])
+    def test_non_integral_counts_rejected(self, field, bad):
+        # batch_size=2.5, max_steps=1.5, seed=0.5 and checkpoint_interval=True
+        # used to pass here and fail, or run, later
+        with pytest.raises(TrainingError, match=f"^{field} must be an integer, not"):
+            TrainConfig(**{field: bad})
+        assert getattr(TrainConfig(**{field: np.int64(3)}), field) == 3
+
     def test_negative_seed_rejected(self):
         # numpy's default_rng takes no negative seed
         with pytest.raises(TrainingError, match="seed must be >= 0"):

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guti.corpus import SerializedSample, serialize
+from guti.corpus import SerializedSample, acrostic_transform, serialize
 from guti.errors import VocabError
-from guti.forms import ALL_MARKERS
+from guti.forms import ALL_MARKERS, MARKER_RE
 from guti.trainer import encode_sample, sample_token_count
 from guti.vocab import _scan, build_vocab, decode, encode, load_vocab, save_vocab
 
@@ -184,11 +184,26 @@ def test_build_and_encode_match_reference_scan(texts, min_count, query):
 @given(st.lists(st.lists(SCAN_PIECES, max_size=25).map("".join), min_size=1,
                 max_size=3),
        st.integers(min_value=1, max_value=3),
-       st.lists(st.lists(SCAN_PIECES, max_size=12).map("".join), min_size=3,
+       st.lists(st.lists(SCAN_PIECES, max_size=12).map("".join)
+                .filter(lambda field: not MARKER_RE.search(field)), min_size=3,
                 max_size=3))
 def test_sample_token_count_needs_no_vocabulary(texts, min_count, parts):
-    # the sample's characters need not be in the vocabulary: they encode as UNK
+    # the sample's characters need not be in the vocabulary: they encode as
+    # UNK.  Its fields hold no marker, as every sample serialize makes, but
+    # may hold a marker's pieces, which the fields' own markers do not join
     vocab = build_vocab(texts, min_count=min_count)
     sample = SerializedSample(parts[0], ALL_MARKERS[0], parts[1], ALL_MARKERS[1],
                               parts[2])
     assert sample_token_count(sample) == len(encode_sample(sample, vocab))
+
+
+def test_sample_token_count_of_every_fixture_sample(fixture_poems, toy_samples, catalog):
+    """The count ``guti ingest --max-seq-len`` and ``guti train`` filter on,
+    for every sample ``serialize`` makes of the fixtures, acrostic twins
+    included."""
+    twins = [acrostic_transform(p, catalog) for p in fixture_poems
+             if catalog.resolve(p.form_id).acrostic_id is not None]
+    samples = [serialize(p, catalog) for p in [*fixture_poems, *twins]] + list(toy_samples)
+    vocab = build_vocab(samples)
+    assert twins and all(sample_token_count(s) == len(encode_sample(s, vocab))
+                         for s in samples)
