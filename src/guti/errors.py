@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its one count check."""
+
+import numbers
 
 
 class GutiError(Exception):
@@ -47,3 +49,13 @@ class TrainingError(GutiError):
 
 class SamplingError(GutiError):
     """Invalid sampling configuration or fully-masked distribution."""
+
+
+def check_counts(error: type[GutiError], minimum: int | None = None, **counts) -> None:
+    """Raise ``error`` unless each count is an integer (a numpy one passes,
+    a bool does not) and, when ``minimum`` is given, at least ``minimum``."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise error(f"{name} must be an integer, not {value!r}")
+        if minimum is not None and value < minimum:
+            raise error(f"{name} must be >= {minimum}")

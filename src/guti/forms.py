@@ -212,7 +212,7 @@ def parse_catalog(text: str, source: str = "<catalog>") -> FormCatalog:
     current: dict | None = None
     current_where = ""
     seen_version = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

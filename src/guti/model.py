@@ -7,12 +7,14 @@ forward pass and the analytic backward pass are written out explicitly;
 gradients are exact up to floating point, which the test suite pins against
 central finite differences.  The forward pass caches for ``backward``, its
 only reader, just what the gradients read (14 d-wide values per row and
-layer at d_ff = 4d), and each activation is freed at its last reader, with
-no recomputation.  Every weight gradient is one matmul over the flat rows,
-``_nll`` alone turns logits into the loss, and ``_softmax_nll`` turns what
-it leaves into dL/dlogits in place.  The feed-forward bias, GELU and its
-derivative run as one sequence of passes per block of rows sized to stay
-in L2 (``_gelu``), with the bits of whole-array passes.
+layer at d_ff = 4d), and each activation is freed at its last reader.
+Only a layer's two norm outputs are recomputed: ``backward`` rebuilds each
+from its cached x-hat (``x_hat * g + b``) for the ``attn.wqkv`` and
+``ff.w1`` gradients.  Every weight gradient is one matmul over the flat
+rows, ``_nll`` alone turns logits into the loss, and ``_softmax_nll``
+turns what it leaves into dL/dlogits in place.  The feed-forward bias,
+GELU and its derivative run as one sequence of passes per block of rows
+sized to stay in L2 (``_gelu``), with the bits of whole-array passes.
 
 Rows: activations are flat (N, d) rows, one per (batch, position) cell
 that runs, as ``_layout`` of a cached start and a run length per sequence
@@ -64,7 +66,6 @@ import ctypes
 import functools
 import json
 import math
-import numbers
 import struct
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -72,7 +73,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ModelError
+from .errors import CheckpointError, ModelError, check_counts
 from .fileio import write_atomic
 
 CHECKPOINT_MAGIC = b"GUTICKPT"
@@ -116,12 +117,9 @@ class ModelConfig:
     dropout_rate: float = 0.0
 
     def __post_init__(self):
-        dims = (self.n_layers, self.n_heads, self.d_model, self.d_ff,
-                self.context_len, self.vocab_size)
-        if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in dims):
-            raise ModelError(f"model dimensions must be integers, not {dims}")
-        if min(dims) < 1:
-            raise ModelError("all model dimensions must be >= 1")
+        check_counts(ModelError, 1, n_layers=self.n_layers, n_heads=self.n_heads,
+                     d_model=self.d_model, d_ff=self.d_ff, context_len=self.context_len,
+                     vocab_size=self.vocab_size)
         if self.d_model % self.n_heads != 0:
             raise ModelError("d_model must be divisible by n_heads")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -185,6 +183,7 @@ class ModelParams:
 
 def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
     """Deterministic initialization: N(0, 0.02) weights, unit norms, zero biases."""
+    check_counts(ModelError, 0, seed=seed)     # numpy takes no negative seed
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
     d = config.d_model

@@ -40,7 +40,7 @@ def parse_table(text: str, source: str = "<table>") -> PhonologyTable:
     """One record per line: ``character<TAB>rhyme-group<TAB>tone-class``."""
     table = PhonologyTable()
     seen_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

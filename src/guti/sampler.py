@@ -23,7 +23,6 @@ the masked row's argmax, with the one uniform ``choice`` would draw.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import vocab as vocab_mod
 from .corpus import Poem, SerializedSample, deserialize
-from .errors import GutiError, SamplingError
+from .errors import GutiError, SamplingError, check_counts
 from .forms import MARKER_RE, FormCatalog
 from .model import KVCache, ModelParams, _forward_impl, forward, softmax_inplace
 from .validator import PhonologyTable, ValidationReport, validate
@@ -48,17 +47,13 @@ class SampleConfig:
     forbid: frozenset[int] | None = None   # None = mask structural tokens
 
     def __post_init__(self):
-        for name in ("k", "max_new_tokens", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise SamplingError(f"{name} must be an integer, not {value!r}")
-        if self.k < 1:
-            raise SamplingError("k must be >= 1")
+        check_counts(SamplingError, 1, k=self.k)
+        # numpy takes no negative seed
+        check_counts(SamplingError, 0, max_new_tokens=self.max_new_tokens, seed=self.seed)
+        for i in self.forbid or ():     # the range needs V: ``_decode`` checks it
+            check_counts(SamplingError, forbid_id=i)
         if not self.temperature > 0:       # NaN fails this too
             raise SamplingError("temperature must be > 0")
-        for name in ("max_new_tokens", "seed"):     # numpy takes no negative seed
-            if getattr(self, name) < 0:
-                raise SamplingError(f"{name} must be >= 0")
 
     @cached_property
     def forbid_ids(self) -> np.ndarray:
@@ -284,8 +279,7 @@ def generate_batch(params: ModelParams, form_id: str, theme: str, n: int,
     Per-candidate failures (unparseable body, validation errors) are
     recorded on the candidate; the batch itself never aborts.
     """
-    if n < 0:
-        raise SamplingError(f"candidate count must be >= 0, got {n}")
+    check_counts(SamplingError, 0, n=n)
     # the text asked for: decoding the prompt ids would drop UNK characters
     prompt_text = _prompt_text(form_id, theme, catalog, acrostic)
     prompt = [vocab.bos_id] + vocab_mod.encode(prompt_text, vocab)

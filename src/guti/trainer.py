@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import vocab as vocab_mod
 from .corpus import Poem, SerializedSample, parse_body
-from .errors import GutiError, TrainingError
+from .errors import GutiError, TrainingError, check_counts
 from .fileio import write_atomic
 from .forms import COMMA, PERIOD
 from .model import (
@@ -54,21 +53,15 @@ class TrainConfig:
     early_stop_novelty: float | None = None   # stop when probe novelty drops below
 
     def __post_init__(self):
-        counts = ("batch_size", "max_steps", "warmup_steps", "checkpoint_interval",
-                  "novelty_eval_interval", "seed")
-        for name in counts:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TrainingError(f"{name} must be an integer, not {value!r}")
+        check_counts(TrainingError, 1, batch_size=self.batch_size)
+        check_counts(TrainingError, 0, max_steps=self.max_steps,
+                     warmup_steps=self.warmup_steps,
+                     checkpoint_interval=self.checkpoint_interval,
+                     novelty_eval_interval=self.novelty_eval_interval, seed=self.seed)
         if not 0 < self.learning_rate < math.inf:     # NaN fails this too
             raise TrainingError("learning_rate must be > 0")
-        if self.batch_size < 1:
-            raise TrainingError("batch_size must be >= 1")
         if not 0.0 <= self.heldout_fraction < 1.0:
             raise TrainingError("heldout_fraction must lie in [0, 1)")
-        for name in counts[1:]:     # batch_size has its own bound above
-            if getattr(self, name) < 0:
-                raise TrainingError(f"{name} must be >= 0")
         if self.early_stop_novelty is not None and not self.novelty_eval_interval:
             raise TrainingError("early_stop_novelty needs novelty_eval_interval > 0")
         if self.early_stop_novelty is not None and math.isnan(self.early_stop_novelty):

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import VocabError
+from .errors import VocabError, check_counts
 from .fileio import read_text, write_atomic
 from .forms import ALL_MARKERS, MARKER_RE
 
@@ -76,8 +76,7 @@ def build_vocab(texts: Iterable, min_count: int = 1) -> Vocab:
     The code points are counted at once, so a marker's parentheses and
     inner characters only enter the vocabulary when they appear outside one.
     """
-    if min_count < 1:
-        raise VocabError("min_count must be >= 1")
+    check_counts(VocabError, 1, min_count=min_count)
     texts = [getattr(item, "text", item) for item in texts]
     if not texts:
         raise VocabError("cannot build a vocabulary from an empty corpus")

@@ -57,6 +57,11 @@ CATALOG_ERRORS = [
 ]
 
 
+# what str.splitlines() breaks a line at besides "\n" and "\r": the readers
+# break at "\n" only, as the corpus and vocab readers do
+LINE_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c"]
+
+
 class TestCatalogParsing:
     def test_minimal_entry(self):
         catalog = parse_catalog(MINIMAL)
@@ -138,6 +143,17 @@ class TestCatalogParsing:
         spec = parse_catalog(text + "markers = acrostic\n").resolve("b")
         assert spec.acrostic
 
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
+    def test_line_break_inside_a_comment(self, brk):
+        head = f"version = 1\n# note{brk}more\n[x]\n"
+        assert parse_catalog(head + "class = ci\nlines = 5*\n").resolve("x").form_class == "ci"
+        with pytest.raises(CatalogError,
+                           match="^<catalog>:4: expected 'key = value', got 'class ci'$"):
+            parse_catalog(head + "class ci\n")
+
+    def test_crlf_line_ends(self):
+        assert parse_catalog(MINIMAL.replace("\n", "\r\n")) == parse_catalog(MINIMAL)
+
     def test_bad_tone_symbols_rejected(self):
         text = "version = 1\n[x]\nclass = jintishi\nlines = 5 5\ntones = 平仄XY平\n"
         with pytest.raises(CatalogError):
@@ -195,6 +211,13 @@ class TestPhonologyTable:
     def test_bad_tone_class(self):
         with pytest.raises(PhonologyError):
             parse_table("guti-phonology v1\n人\t文\tflat\n")
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
+    def test_line_break_inside_a_comment(self, brk):
+        head = f"guti-phonology v1\n# note{brk}more\n"
+        assert parse_table(head + "人\t文\tping\n").tone_class["人"] == "ping"
+        with pytest.raises(PhonologyError, match="^<table>:3: tone must be ping or ze$"):
+            parse_table(head + "人\t文\tflat\n")
 
     def test_builtin_table_loads(self, table):
         assert len(table.rhyme_group) > 400

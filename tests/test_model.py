@@ -5,7 +5,7 @@ import os
 import struct
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 
 from guti import model
 from guti.corpus import serialize
-from guti.errors import CheckpointError, ModelError
+from guti.errors import CheckpointError, ModelError, SamplingError, TrainingError
 from guti.model import (
     KVCache,
     ModelConfig,
@@ -32,7 +32,8 @@ from guti.model import (
     param_names,
     save_checkpoint,
 )
-from guti.trainer import encode_sample, make_batch
+from guti.sampler import SampleConfig
+from guti.trainer import TrainConfig, encode_sample, make_batch
 from guti.vocab import build_vocab
 
 TINY = ModelConfig(n_layers=1, n_heads=1, d_model=8, d_ff=12, context_len=8,
@@ -84,6 +85,32 @@ class TestInit:
                              d_ff=np.uint16(12), context_len=np.int64(8),
                              vocab_size=np.int64(10))
         assert config == TINY
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_unusable_seed_rejected(self, seed):
+        # numpy raised its own ValueError or TypeError here, or took True as 1
+        with pytest.raises(ModelError, match="^seed must be"):
+            init_params(TINY, seed=seed)
+
+
+# every count field of every config, each with a base config valid at 3
+COUNT_FIELDS = [(cls, error, base, f.name)
+                for cls, error, base in [
+                    (ModelConfig, ModelError, dict.fromkeys(
+                        ("n_layers", "n_heads", "d_model", "d_ff", "context_len",
+                         "vocab_size"), 3)),
+                    (TrainConfig, TrainingError, {}),
+                    (SampleConfig, SamplingError, {})]
+                for f in fields(cls) if f.type in (int, "int")]
+
+
+@pytest.mark.parametrize("cls, error, base, name", COUNT_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, _, _, n in COUNT_FIELDS])
+def test_every_count_field_takes_the_count_rule(cls, error, base, name):
+    for bad in (2.5, True):
+        with pytest.raises(error, match=f"^{name} must be an integer, not"):
+            cls(**{**base, name: bad})
+    assert getattr(cls(**{**base, name: np.int64(3)}), name) == 3
 
 
 class TestForward:

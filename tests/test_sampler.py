@@ -289,6 +289,13 @@ class TestTopK:
             SampleConfig(seed=-1)
         assert SampleConfig(seed=0).seed == 0
 
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_non_integral_forbid_id_rejected(self, bad):
+        # {1.5, True} used to become the index array [1 1]: id 1 masked
+        with pytest.raises(SamplingError, match=f"^forbid_id must be an integer, not {bad}$"):
+            SampleConfig(forbid=frozenset({bad}))
+        assert SampleConfig(forbid=frozenset({np.int64(3)})).forbid_ids.tolist() == [3]
+
 
 class TestGenerate:
     def test_zero_budget_returns_truncated_empty(self, random_params, toy_vocab):
@@ -445,6 +452,14 @@ class TestGenerateBatch:
     def test_negative_count_rejected(self, random_params, toy_vocab, catalog, table):
         with pytest.raises(SamplingError, match=">= 0"):
             generate_batch(random_params, "五绝", "静夜思", -2,
+                           SampleConfig(seed=0), toy_vocab, catalog, table)
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_non_integral_count_rejected(self, random_params, toy_vocab, catalog, table,
+                                         n):
+        # 2.5 failed in range() as a raw TypeError, and True decoded one candidate
+        with pytest.raises(SamplingError, match=f"^n must be an integer, not {n}$"):
+            generate_batch(random_params, "五绝", "静夜思", n,
                            SampleConfig(seed=0), toy_vocab, catalog, table)
 
 

@@ -27,6 +27,13 @@ def test_min_count_threshold_excludes_hapax():
     assert encode("前", vocab) == [vocab.unk_id]
 
 
+@pytest.mark.parametrize("min_count", [1.5, True])
+def test_non_integral_min_count_rejected(min_count):
+    # either one built a vocabulary whose saved header load_vocab refused
+    with pytest.raises(VocabError, match=f"^min_count must be an integer, not {min_count}$"):
+        build_vocab(["床床前"], min_count=min_count)
+
+
 def test_build_is_deterministic(toy_samples):
     a = build_vocab(toy_samples)
     b = build_vocab(toy_samples)
