@@ -120,23 +120,38 @@ class FormCatalog:
 #   acrostic-form = form id                      (optional; that entry must
 #                                                 declare markers = acrostic)
 #   acrostic-slots = 1 3 5 7                     (optional; default every line)
+#
+# Counts and 1-indexed line slots are integers >= 1, a ``rhyme`` or
+# ``acrostic-slots`` list repeats no slot, and a pair joins two different lines.
 # ---------------------------------------------------------------------------
 
 
-def _ints(texts: list[str], message: str) -> tuple[int, ...]:
+def _counts(texts: list[str], bad: str, low: str) -> tuple[int, ...]:
+    """Integers >= 1: raises ``bad`` for a non-integer, ``low`` for one below 1."""
     try:
-        return tuple(map(int, texts))
+        counts = tuple(map(int, texts))
     except ValueError:
-        raise CatalogError(message) from None
+        raise CatalogError(bad) from None
+    if any(n < 1 for n in counts):
+        raise CatalogError(low)
+    return counts
+
+
+def _slots(texts: list[str], where: str, what: str, shown: str) -> tuple[int, ...]:
+    """Distinct 1-indexed line slots, parsed from ``shown``."""
+    slots = _counts(texts, f"{where}: bad {what} {shown!r}",
+                    f"{where}: {what} must be >= 1, got {shown!r}")
+    if len(set(slots)) < len(slots):
+        raise CatalogError(f"{where}: repeated {what} in {shown!r}")
+    return slots
 
 
 def _parse_lines_value(value: str, where: str) -> LineTemplate:
     if value == "mirror":
         return LineTemplate(kind="mirror")
     if value.endswith("*"):
-        n = _ints([value[:-1]], f"{where}: bad uniform line template {value!r}")[0]
-        if n < 1:
-            raise CatalogError(f"{where}: uniform line length must be >= 1")
+        (n,) = _counts([value[:-1]], f"{where}: bad uniform line template {value!r}",
+                       f"{where}: uniform line length must be >= 1")
         return LineTemplate(kind="uniform", uniform_len=n)
     groups = []
     for group_text in value.split("/"):
@@ -145,7 +160,8 @@ def _parse_lines_value(value: str, where: str) -> LineTemplate:
             fields = alt_text.split()
             if not fields:
                 raise CatalogError(f"{where}: empty segment group in {value!r}")
-            alts.append(_ints(fields, f"{where}: bad segment count in {value!r}"))
+            alts.append(_counts(fields, f"{where}: bad segment count in {value!r}",
+                                f"{where}: segment counts must be >= 1 in {value!r}"))
         groups.append(tuple(alts))
     return LineTemplate(kind="groups", groups=tuple(groups))
 
@@ -170,7 +186,7 @@ def _parse_pairs_value(value: str, where: str) -> tuple[tuple[int, int], ...]:
         a, sep, b = token.partition("-")
         if not sep:
             raise CatalogError(f"{where}: pair slots look like '3-4', got {token!r}")
-        pairs.append(_ints([a, b], f"{where}: bad pair slot {token!r}"))
+        pairs.append(_slots([a, b], where, "pair slot", token))
     return tuple(pairs)
 
 
@@ -179,13 +195,13 @@ _KEYS = {
     "class": ("form_class", lambda value, where: value),
     "markers": ("markers", lambda value, where: value),
     "lines": ("line_template", _parse_lines_value),
-    "rhyme": ("rhyme_slots", lambda value, where: _ints(
-        value.split(), f"{where}: bad rhyme slots {value!r}")),
+    "rhyme": ("rhyme_slots", lambda value, where: _slots(
+        value.split(), where, "rhyme slots", value)),
     "pairs": ("pairing_slots", _parse_pairs_value),
     "tones": ("tone_patterns", _parse_tones_value),
     "acrostic-form": ("acrostic_id", lambda value, where: value),
-    "acrostic-slots": ("acrostic_slots", lambda value, where: _ints(
-        value.split(), f"{where}: bad acrostic slots {value!r}")),
+    "acrostic-slots": ("acrostic_slots", lambda value, where: _slots(
+        value.split(), where, "acrostic slots", value)),
 }
 
 

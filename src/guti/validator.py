@@ -106,119 +106,95 @@ def _best_template(templates, lines: Sequence[Line]):
 _theme_lines = functools.lru_cache(maxsize=1)(lambda theme: parse_body(theme))
 _STRUCTURE_PASSED = tuple(RuleResult(rule, HARD, True) for rule in (
     "structure.line_count", "structure.line_lengths", "structure.punctuation"))
+_NOT_EVALUATED = tuple(RuleResult(rule, HARD, None, message="not evaluated: line count differs")
+                       for rule in ("structure.line_lengths", "structure.punctuation"))
+_UNREGULATED = RuleResult("structure.punctuation", ADVISORY, None,
+                          message="punctuation is not regulated for old-style poetry")
 
 
 def check_structure(poem: Poem, spec: FormSpec) -> list[RuleResult]:
-    """Line counts, per-line character counts, punctuation slots."""
+    """Line counts, per-line character counts, punctuation slots.
+
+    Each template kind gives its line-count verdict, the (length, terminal)
+    it expects of each line, how many leading terminals count, and its
+    fault messages; one comparison judges the poem's lines against them.
+    """
     lines = poem.body
     kind = spec.line_template.kind
-    results: list[RuleResult] = []
-
     if kind == "uniform":
-        n = spec.line_template.uniform_len
         ok_count = len(lines) >= 2 and len(lines) % 2 == 0
-        results.append(RuleResult(
-            "structure.line_count", HARD, ok_count,
-            message=(f"{len(lines)} lines" if ok_count else
-                     f"old-style poems need an even line count >= 2, got {len(lines)}")))
-        bad = tuple((i + 1, None) for i, ln in enumerate(lines) if len(ln) != n)
-        results.append(RuleResult(
-            "structure.line_lengths", HARD, not bad, bad,
-            message="" if not bad else f"every line must have {n} characters"))
-        results.append(RuleResult(
-            "structure.punctuation", ADVISORY, None,
-            message="punctuation is not regulated for old-style poetry"))
-        return results
-
-    if kind == "mirror":
+        count_message = (f"{len(lines)} lines" if ok_count else
+                         f"old-style poems need an even line count >= 2, got {len(lines)}")
+        # punctuation is not regulated, so no terminal is compared
+        expected, checked = [(spec.line_template.uniform_len, None)] * len(lines), None
+        faults = "every line must have {width} characters", None
+    elif kind == "mirror":
         try:
             theme_lines = _theme_lines(poem.theme)
         except CorpusError as exc:
             return [RuleResult("structure.theme", HARD, False,
                                message=f"couplet first line unusable: {exc}")]
-        tpl = tuple((len(ln), ln.terminal_punct or "") for ln in theme_lines)
-        got = tuple((len(ln), ln.terminal_punct or "") for ln in lines)
-        ok_count = len(tpl) == len(got)
-        results.append(RuleResult(
-            "structure.line_count", HARD, ok_count,
-            message="" if ok_count else
-            f"second line has {len(got)} segments, first line has {len(tpl)}"))
-        bad_len, bad_punct = [], []
-        for i, ((wl, wp), (gl, gp)) in enumerate(zip(tpl, got)):
-            if wl != gl:
-                bad_len.append((i + 1, None))
-            final = i == min(len(tpl), len(got)) - 1
-            if not final and wp != gp:
-                bad_punct.append((i + 1, None))
-        results.append(RuleResult(
-            "structure.line_lengths", HARD, not bad_len, tuple(bad_len),
-            message="" if not bad_len else "segment lengths must mirror the first line"))
-        results.append(RuleResult(
-            "structure.punctuation", HARD, not bad_punct, tuple(bad_punct),
-            message="" if not bad_punct else
-            "internal punctuation must mirror the first line"))
-        return results
+        ok_count = len(theme_lines) == len(lines)
+        count_message = "" if ok_count else (
+            f"second line has {len(lines)} segments, first line has {len(theme_lines)}")
+        expected = [(len(ln), ln.terminal_punct) for ln in theme_lines]
+        # the last segment both lines have may end either way
+        checked = min(len(theme_lines), len(lines)) - 1
+        faults = ("segment lengths must mirror the first line",
+                  "internal punctuation must mirror the first line")
+    else:
+        plan = _plan(spec)
+        shape = tuple([(len(ln.characters), ln.terminal_punct) for ln in lines])
+        if shape in plan.templates:
+            return list(_STRUCTURE_PASSED)
+        ok_count = len(lines) in plan.line_counts
+        if not ok_count:
+            # this hard failure already decides the verdict; per-line
+            # comparisons against a template of another size would mislead
+            return [RuleResult("structure.line_count", HARD, False, message=(
+                f"expected {' or '.join(map(str, plan.line_counts))} lines, got {len(lines)}")),
+                *_NOT_EVALUATED]
+        count_message = ""
+        expected = (plan.templates[0] if len(plan.templates) == 1
+                    else _best_template(plan.templates, lines))
+        checked = len(lines)
+        faults = "line lengths: {detail}", "terminal punctuation deviates from the form template"
 
-    plan = _plan(spec)
-    shape = tuple([(len(ln.characters), ln.terminal_punct) for ln in lines])
-    if shape in plan.templates:
-        return list(_STRUCTURE_PASSED)
-    ok_count = len(lines) in plan.line_counts
-    results.append(RuleResult(
-        "structure.line_count", HARD, ok_count,
-        message="" if ok_count else
-        f"expected {' or '.join(map(str, plan.line_counts))} lines, got {len(lines)}"))
-    if not ok_count:
-        # the hard failure above already decides the verdict; per-line
-        # comparisons against a template of another size would mislead
-        results.append(RuleResult("structure.line_lengths", HARD, None,
-                                  message="not evaluated: line count differs"))
-        results.append(RuleResult("structure.punctuation", HARD, None,
-                                  message="not evaluated: line count differs"))
+    bad_len = tuple([(i, None) for i, (ln, (n, _)) in enumerate(zip(lines, expected), 1)
+                     if len(ln) != n])
+    length_message = "" if not bad_len else faults[0].format(
+        width=expected[0][0], detail=", ".join(
+            f"line {i}: {len(lines[i - 1])} chars (expected {expected[i - 1][0]})"
+            for i, _ in bad_len))
+    results = [RuleResult("structure.line_count", HARD, ok_count, message=count_message),
+               RuleResult("structure.line_lengths", HARD, not bad_len, bad_len,
+                          message=length_message)]
+    if checked is None:
+        results.append(_UNREGULATED)
         return results
-    tpl = (plan.templates[0] if len(plan.templates) == 1
-           else _best_template(plan.templates, lines))
-    bad_len = tuple((i + 1, None) for i, (ln, (want, _)) in
-                    enumerate(zip(lines, tpl)) if len(ln) != want)
-    results.append(RuleResult(
-        "structure.line_lengths", HARD, not bad_len, bad_len,
-        message="" if not bad_len else "line lengths: " + ", ".join(
-            f"line {i}: {len(lines[i - 1])} chars (expected {tpl[i - 1][0]})"
-            for i, _ in bad_len)))
-    bad_punct = tuple((i + 1, None) for i, (ln, (_, want)) in
-                      enumerate(zip(lines, tpl)) if ln.terminal_punct != want)
-    results.append(RuleResult(
-        "structure.punctuation", HARD, not bad_punct, bad_punct,
-        message="" if not bad_punct else
-        "terminal punctuation deviates from the form template"))
+    bad_punct = tuple([(i, None) for i, (ln, (_, p))
+                       in enumerate(zip(lines[:checked], expected), 1) if ln.terminal_punct != p])
+    results.append(RuleResult("structure.punctuation", HARD, not bad_punct, bad_punct,
+                              message="" if not bad_punct else faults[1]))
     return results
 
 
 def _pair_lines(first: str, second: str, first_punct: str | None,
                 second_punct: str | None, line_a: int, line_b: int) -> list[RuleResult]:
-    results = []
+    both = ((line_a, None), (line_b, None))
     ok_len = len(first) == len(second)
-    results.append(RuleResult(
-        "pairing.length", HARD, ok_len,
-        ((line_a, None), (line_b, None)) if not ok_len else (),
-        message="" if ok_len else
-        f"paired lines differ in length: {len(first)} vs {len(second)}"))
     repeats = tuple((line_b, i + 1) for i, (a, b) in enumerate(zip(first, second))
                     if a == b and a not in PAIR_REPEAT_EXEMPT)
-    results.append(RuleResult(
-        "pairing.position_repeat", HARD, not repeats, repeats,
-        message="" if not repeats else "character repeated at the same position: "
-        + ", ".join(f"{second[p - 1]!r}@{p}" for _, p in repeats)))
-    if first_punct and second_punct:
-        ok_punct = (first_punct, second_punct) == (COMMA, PERIOD)
-    else:
-        ok_punct = first_punct is None and second_punct is None
-    results.append(RuleResult(
-        "pairing.punctuation", HARD, ok_punct,
-        () if ok_punct else ((line_a, None), (line_b, None)),
-        message="" if ok_punct else
-        "paired lines should end with complementary punctuation (，/。)"))
-    return results
+    ok_punct = (first_punct, second_punct) in ((COMMA, PERIOD), (None, None))
+    return [RuleResult("pairing.length", HARD, ok_len, () if ok_len else both,
+                       message="" if ok_len else
+                       f"paired lines differ in length: {len(first)} vs {len(second)}"),
+            RuleResult("pairing.position_repeat", HARD, not repeats, repeats,
+                       message="" if not repeats else "character repeated at the same "
+                       "position: " + ", ".join(f"{second[p - 1]!r}@{p}" for _, p in repeats)),
+            RuleResult("pairing.punctuation", HARD, ok_punct, () if ok_punct else both,
+                       message="" if ok_punct else
+                       "paired lines should end with complementary punctuation (，/。)")]
 
 
 def check_pairing(poem: Poem, spec: FormSpec) -> list[RuleResult]:
@@ -262,26 +238,26 @@ def check_rhyme(poem: Poem, spec: FormSpec, table: PhonologyTable | None,
     if table is None:
         return [RuleResult("rhyme.group", level, None,
                            message="no phonology table loaded")]
-    known = [(s, ch, table.rhyme_group.get(ch)) for s, ch in finals]
-    unknown = [(s, ch) for s, ch, g in known if g is None]
-    groups = {g for _, _, g in known if g is not None}
-    if len([g for _, _, g in known if g is not None]) < 2:
+    known, unknown = [], []
+    for s, ch in finals:
+        group = table.rhyme_group.get(ch)
+        (unknown if group is None else known).append((s, ch, group))
+    if len(known) < 2:
         return [RuleResult(
             "rhyme.group", level, None,
-            tuple((s, None) for s, _ in unknown),
+            tuple((s, None) for s, _, _ in unknown),
             message="rhyme characters missing from the table: "
-            + " ".join(ch for _, ch in unknown))]
+            + " ".join(ch for _, ch, _ in unknown))]
+    groups = {g for _, _, g in known}
     if len(groups) == 1:
         msg = f"shared rhyme group {groups.pop()!r}"
         if unknown:
-            msg += "; unknown: " + " ".join(ch for _, ch in unknown)
+            msg += "; unknown: " + " ".join(ch for _, ch, _ in unknown)
         return [RuleResult("rhyme.group", level, True, message=msg)]
-    detail = ", ".join(f"line {s}: {ch!r} -> {g}" for s, ch, g in known
-                       if g is not None)
+    detail = ", ".join(f"line {s}: {ch!r} -> {g}" for s, ch, g in known)
     return [RuleResult(
         "rhyme.group", level, False,
-        tuple((s, len(poem.body[s - 1].characters)) for s, _, g in known
-              if g is not None),
+        tuple((s, len(poem.body[s - 1].characters)) for s, _, _ in known),
         message=f"final characters fall in different rhyme groups: {detail}")]
 
 
@@ -354,13 +330,11 @@ def check_acrostic(poem: Poem, target: str,
             "acrostic.initials", HARD, False,
             message=f"target has {len(target)} characters but the poem offers "
                     f"{len(initials)} acrostic lines")
-    bad = tuple((slots[i], 1) for i, (got, want) in enumerate(zip(initials, target))
-                if got != want)
+    bad = [i for i, (got, want) in enumerate(zip(initials, target)) if got != want]
     return RuleResult(
-        "acrostic.initials", HARD, not bad, bad,
+        "acrostic.initials", HARD, not bad, tuple((slots[i], 1) for i in bad),
         message="" if not bad else "line-initial characters deviate: "
-        + ", ".join(f"line {ln}: {initials[slots.index(ln)]!r} != {target[slots.index(ln)]!r}"
-                    for ln, _ in bad))
+        + ", ".join(f"line {slots[i]}: {initials[i]!r} != {target[i]!r}" for i in bad))
 
 
 def validate(poem: Poem, catalog: FormCatalog,

@@ -30,6 +30,16 @@ CATALOG_ERRORS = [
     (ENTRY + "pairs = 3-x", "<catalog>:5: bad pair slot '3-x'"),
     (ENTRY + "rhyme = 1 x", "<catalog>:5: bad rhyme slots '1 x'"),
     (ENTRY + "acrostic-slots = 1 x", "<catalog>:5: bad acrostic slots '1 x'"),
+    # counts and slots below 1, repeated slots and a line paired with itself
+    (ENTRY.replace("5 5", "5 0 / 5 5"), "<catalog>:4: segment counts must be >= 1 in '5 0 / 5 5'"),
+    (ENTRY.replace("5 5", "5 -3 / 5 5"),
+     "<catalog>:4: segment counts must be >= 1 in '5 -3 / 5 5'"),
+    (ENTRY + "rhyme = 0 -2 2 2", "<catalog>:5: rhyme slots must be >= 1, got '0 -2 2 2'"),
+    (ENTRY + "rhyme = 2 4 2", "<catalog>:5: repeated rhyme slots in '2 4 2'"),
+    (ENTRY + "pairs = 0-9 2-2", "<catalog>:5: pair slot must be >= 1, got '0-9'"),
+    (ENTRY + "pairs = 1-2 3-3", "<catalog>:5: repeated pair slot in '3-3'"),
+    (ENTRY + "acrostic-slots = 1 1 0", "<catalog>:5: acrostic slots must be >= 1, got '1 1 0'"),
+    (ENTRY + "acrostic-slots = 1 3 1", "<catalog>:5: repeated acrostic slots in '1 3 1'"),
     (ENTRY + "tones = 平平 |", "<catalog>:5: empty tone variant"),
     (ENTRY + "tones = 平仄X", "<catalog>:5: bad tone symbols {'X'}"),
     (ENTRY + "colour = red", "<catalog>:5: unknown key 'colour'"),

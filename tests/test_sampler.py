@@ -16,7 +16,7 @@ from guti.sampler import (
     top_k_distribution,
     top_k_sample,
 )
-from guti.trainer import encode_sample
+from guti.trainer import TrainConfig, encode_sample, fine_tune
 from guti.vocab import build_vocab, decode, encode
 
 
@@ -601,9 +601,21 @@ def pinned_digest(decode, monkeypatch):
     return digest.hexdigest()
 
 
-def pinned_decodes(toy_vocab, catalog, table):
+@pytest.fixture(scope="module")
+def trained_run(toy_samples, toy_vocab):
+    """(params, TrainReport) of 60 steps on the toy corpus: 1 layer, d=64,
+    lr 3e-3, seed 2."""
+    config = ModelConfig(n_layers=1, n_heads=2, d_model=64, d_ff=128, context_len=96,
+                         vocab_size=toy_vocab.size)
+    cfg = TrainConfig(learning_rate=3e-3, max_steps=60, warmup_steps=10,
+                      checkpoint_interval=0, heldout_fraction=0.0, seed=2)
+    return fine_tune(list(toy_samples), toy_vocab, init_params(config, seed=2), cfg)
+
+
+def pinned_decodes(toy_vocab, catalog, table, trained):
     """The decodes the goldens pin: one prompt, one prompt's four candidates,
-    and three prompts of different lengths, sampled at k=20 and greedily."""
+    and three prompts of different lengths, sampled at k=20 and greedily,
+    from a random model and from the ``trained_run`` params ``trained``."""
     params = init_params(ModelConfig(vocab_size=toy_vocab.size), seed=0)
     cfg = SampleConfig(k=20, max_new_tokens=40, seed=3)
     prompts = [build_prompt("五绝", "静夜思", catalog, toy_vocab),
@@ -616,6 +628,9 @@ def pinned_decodes(toy_vocab, catalog, table):
                                                  toy_vocab, catalog, table),
         "ragged": lambda: _decode(params, prompts, seeds, cfg, toy_vocab),
         "greedy": lambda: _decode(params, prompts, seeds, replace(cfg, k=1), toy_vocab),
+        "trained": lambda: _decode(trained, prompts, seeds, cfg, toy_vocab),
+        "trained_greedy": lambda: _decode(trained, prompts, seeds, replace(cfg, k=1),
+                                          toy_vocab),
     }
 
 
@@ -631,8 +646,9 @@ DECODE_GOLDEN = {
 
 
 @pytest.mark.parametrize("case", sorted(DECODE_GOLDEN))
-def test_decode_bits_pinned(toy_vocab, catalog, table, monkeypatch, case, golden_build):
-    decode = pinned_decodes(toy_vocab, catalog, table)[case]
+def test_decode_bits_pinned(toy_vocab, catalog, table, trained_run, monkeypatch, case,
+                            golden_build):
+    decode = pinned_decodes(toy_vocab, catalog, table, trained_run[0])[case]
     assert pinned_digest(decode, monkeypatch) == DECODE_GOLDEN[case], golden_build
 
 
@@ -643,6 +659,9 @@ def test_decode_bits_pinned(toy_vocab, catalog, table, monkeypatch, case, golden
 # and (k+1)-th highest logits 5.4e-6 apart (generate_batch), a gap the three
 # kernels move by 2e-7 at most; a uniform draw 8.6e-5 from an edge of its
 # cumulative distribution (ragged); the greedy top two logits 8.6e-3 apart.
+# From the trained model: the 20th and 21st logits 3.4e-4 apart, a gap the
+# kernels move by 5e-7 at most, a draw 2.7e-4 from a CDF edge (trained); the
+# greedy top two 3.1e-2 apart (trained_greedy).
 DECODE_IDS = {
     "generate": [
         [26, 229, 95, 117, 239, 163, 238, 186, 105, 159, 48, 117, 225, 121, 237, 72, 72, 139,
@@ -700,11 +719,31 @@ DECODE_IDS = {
          165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165, 165,
          165, 165, 165, 165, 165, 165],
     ],
+    "trained": [
+        [45, 40, 27, 27, 131, 93, 10, 51, 97, 10, 45, 48, 117, 123, 9, 189, 21, 216, 19, 15, 165,
+         17, 10, 28, 43, 43, 69, 151, 123, 9, 9, 92, 17, 65, 65, 131, 48, 44, 10, 64],
+        [25, 149, 50, 13, 19, 38, 90, 90, 128, 17, 14, 157, 9, 2],
+        [62, 83, 170, 60, 60, 157, 96, 115, 10, 18, 56, 28, 14, 125, 94, 109, 9, 2],
+        [74, 10, 49, 46, 17, 25, 77, 100, 30, 71, 44, 9, 189, 37, 37, 62, 124, 87, 51, 10, 28, 110,
+         206, 110, 78, 20, 174, 9, 138, 21, 75, 82, 57, 24, 39, 10, 74, 43, 152, 141],
+        [36, 44, 46, 10, 97, 97, 69, 9, 40, 119, 21, 111, 42, 22, 22, 70, 70, 188, 115, 15, 141,
+         12, 9, 24, 52, 146, 13, 9, 38, 188, 14, 17, 17, 45, 180, 10, 106, 106, 47, 40],
+        [10, 62, 10, 10, 47, 47, 79, 116, 60, 42, 42, 9, 24, 26, 162, 159, 14, 14, 99, 10, 41, 89,
+         55, 181, 49, 49, 95, 9, 111, 56, 56, 22, 136, 30, 124, 19, 196, 52, 71, 27],
+    ],
+    "trained_greedy": [
+        [44, 44, 163, 163, 163, 163, 10, 113, 31, 31, 31, 31, 31, 31, 9, 2],
+        [44, 44, 163, 163, 163, 163, 10, 113, 31, 31, 31, 31, 31, 31, 9, 2],
+        [23, 16, 16, 141, 141, 15, 209, 29, 10, 138, 21, 21, 21, 142, 69, 69, 9, 2],
+        [130, 23, 49, 10, 10, 28, 28, 43, 43, 43, 43, 9, 2],
+        [130, 23, 49, 10, 10, 28, 28, 43, 43, 43, 43, 9, 2],
+        [130, 23, 49, 10, 10, 28, 28, 43, 43, 43, 43, 9, 2],
+    ],
 }
 
 
 @pytest.mark.parametrize("case", sorted(DECODE_IDS))
-def test_decode_ids_pinned(toy_vocab, catalog, table, monkeypatch, case):
+def test_decode_ids_pinned(toy_vocab, catalog, table, trained_run, monkeypatch, case):
     import guti.sampler as sampler_mod
     drawn = {}
 
@@ -714,5 +753,24 @@ def test_decode_ids_pinned(toy_vocab, catalog, table, monkeypatch, case):
         return nxt
 
     monkeypatch.setattr(sampler_mod, "top_k_sample", spy)
-    pinned_decodes(toy_vocab, catalog, table)[case]()
+    pinned_decodes(toy_vocab, catalog, table, trained_run[0])[case]()
     assert list(drawn.values()) == DECODE_IDS[case]
+
+
+# trained_run's loss at each step, to 7 significant digits.  The SkylakeX,
+# Haswell and Sandybridge kernels put them at most 1.2e-7 apart, relative;
+# the tolerance is 1e-5.
+TRAINED_STEP_LOSSES = [
+    5.487264, 5.48519, 5.462428, 5.380774, 5.347211, 5.299284, 5.241933, 5.215425, 5.153982,
+    5.113405, 5.04799, 4.986569, 4.941895, 4.865308, 4.841753, 4.78083, 4.704336, 4.678042,
+    4.614233, 4.53352, 4.501053, 4.464186, 4.387752, 4.349328, 4.303012, 4.216836, 4.186102,
+    4.181358, 4.113555, 4.068302, 4.014044, 3.948714, 3.938212, 3.927166, 3.838704, 3.833453,
+    3.799169, 3.758558, 3.714142, 3.704485, 3.661622, 3.618089, 3.581869, 3.573761, 3.52291,
+    3.493386, 3.487067, 3.40857, 3.379716, 3.387518, 3.306532, 3.282324, 3.295026, 3.252858,
+    3.202634, 3.15656, 3.126236, 3.0345, 3.103408, 3.047669,
+]
+
+
+def test_trained_step_losses_pinned(trained_run):
+    np.testing.assert_allclose(trained_run[1].step_losses, TRAINED_STEP_LOSSES,
+                               rtol=1e-5, atol=0)

@@ -317,6 +317,12 @@ class TestAcrostic:
         assert result.passed is False
         assert (3, 1) in result.positions
 
+    def test_mismatch_on_a_repeated_slot_names_its_characters(self):
+        # slot 1 is read twice; the second reading is the one that differs
+        result = check_acrostic(poem("五绝", "x", WUJUE_QIUSI), "暮X飞", (1, 1, 2))
+        assert result.positions == ((1, 1),)
+        assert result.message == "line-initial characters deviate: line 1: '暮' != 'X'"
+
 
 class TestValidate:
     def test_shuidiaogetou_fixture(self, catalog, table, fixture_poems):
