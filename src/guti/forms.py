@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -61,6 +61,15 @@ class LineTemplate:
     kind: str
     groups: tuple[tuple[tuple[int, ...], ...], ...] = ()
     uniform_len: int = 0
+
+    @cached_property
+    def line_counts(self) -> tuple[int, ...]:
+        """Every line count the groups allow, ascending; () for the other
+        kinds, which fix no count."""
+        counts = {0}
+        for group in self.groups:
+            counts = {n + len(alt) for n in counts for alt in group}
+        return tuple(sorted(counts)) if self.groups else ()
 
 
 @dataclass(frozen=True)
@@ -123,6 +132,7 @@ class FormCatalog:
 #
 # Counts and 1-indexed line slots are integers >= 1, a ``rhyme`` or
 # ``acrostic-slots`` list repeats no slot, and a pair joins two different lines.
+# Under a groups template, no slot lies past the longest poem the groups allow.
 # ---------------------------------------------------------------------------
 
 
@@ -205,8 +215,29 @@ _KEYS = {
 }
 
 
-def _finish(entry: dict, where: str, catalog: FormCatalog) -> None:
-    """Check one section's fields and add its FormSpec to ``catalog``."""
+def _check_slots(spec: FormSpec, wheres: dict[str, str]) -> None:
+    """Raise for a line slot past the longest poem a groups template allows."""
+    counts = spec.line_template.line_counts
+    if not counts:
+        return      # mirror and uniform templates fix no line count
+    for field_name, what, slots in (
+            ("rhyme_slots", "rhyme slot", spec.rhyme_slots),
+            ("pairing_slots", "pair slot", [s for pair in spec.pairing_slots for s in pair]),
+            ("acrostic_slots", "acrostic slot", spec.acrostic_slots)):
+        past = [s for s in slots if s > counts[-1]]
+        if past:
+            raise CatalogError(
+                f"{wheres[field_name]}: {what} {past[0]} lies past the last line of "
+                f"a form of {' or '.join(map(str, counts))} lines")
+
+
+def _finish(entry: dict, wheres: dict[str, str], catalog: FormCatalog) -> None:
+    """Check one section's fields and add its FormSpec to ``catalog``.
+
+    ``wheres`` holds the position of the section's header (under
+    ``form_id``) and of the line that set each of its other fields.
+    """
+    where = wheres["form_id"]
     if "form_class" not in entry:
         raise CatalogError(f"{where}: missing 'class'")
     if entry["form_class"] not in FORM_CLASSES:
@@ -217,6 +248,7 @@ def _finish(entry: dict, where: str, catalog: FormCatalog) -> None:
     if markers not in MARKER_PAIRS:
         raise CatalogError(f"{where}: unknown marker class {markers!r}")
     spec = FormSpec(**{**entry, "markers": MARKER_PAIRS[markers]})
+    _check_slots(spec, wheres)
     if spec.form_id in catalog.entries:
         raise CatalogError(f"{where}: duplicate form {spec.form_id!r}")
     catalog.entries[spec.form_id] = spec
@@ -226,7 +258,7 @@ def parse_catalog(text: str, source: str = "<catalog>") -> FormCatalog:
     """Parse catalog file text; raises CatalogError with line positions."""
     catalog = FormCatalog()
     current: dict | None = None
-    current_where = ""
+    wheres: dict[str, str] = {}
     seen_version = False
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -235,8 +267,8 @@ def parse_catalog(text: str, source: str = "<catalog>") -> FormCatalog:
         where = f"{source}:{lineno}"
         if line.startswith("[") and line.endswith("]"):
             if current is not None:
-                _finish(current, current_where, catalog)
-            current, current_where = {"form_id": line[1:-1].strip()}, where
+                _finish(current, wheres, catalog)
+            current, wheres = {"form_id": line[1:-1].strip()}, {"form_id": where}
             if not current["form_id"]:
                 raise CatalogError(f"{where}: empty form id")
             # serialized text holds no marker but its two field separators
@@ -254,6 +286,7 @@ def parse_catalog(text: str, source: str = "<catalog>") -> FormCatalog:
                 raise CatalogError(f"{where}: unknown key {key!r}")
             field_name, parse = _KEYS[key]
             current[field_name] = parse(value, where)
+            wheres[field_name] = where
         elif key != "version":
             raise CatalogError(f"{where}: {key!r} outside a [form] section")
         elif value != str(CATALOG_FORMAT_VERSION):
@@ -261,7 +294,7 @@ def parse_catalog(text: str, source: str = "<catalog>") -> FormCatalog:
         else:
             seen_version = True
     if current is not None:
-        _finish(current, current_where, catalog)
+        _finish(current, wheres, catalog)
     if not seen_version:
         raise CatalogError(f"{source}: missing 'version = {CATALOG_FORMAT_VERSION}' header")
     _check_references(catalog, source)

@@ -6,6 +6,12 @@ character counts, punctuation slots, and pairing (couplets always; the
 checks run against a pluggable phonology table and are advisory by
 default, because tone-table choice is contested; a flag promotes them to
 hard rules.  Every check is a pure function of its inputs.
+
+Results are immutable records, and those that hold nothing of the poem are
+built once and shared between reports: the three structure results of a
+poem that fits a template, the three pairing results of a pair that passes
+them all, the passing acrostic result, and each fixed-message rhyme or tone
+result at each level.  Every check still returns a list of its own.
 """
 
 from __future__ import annotations
@@ -31,8 +37,7 @@ PAIR_REPEAT_EXEMPT = frozenset("之乎者也而何其且若所以于与兮焉哉
 Position = tuple[int, int | None]   # (1-indexed line, 1-indexed char or None)
 
 
-@dataclass(frozen=True, slots=True)
-class RuleResult:
+class RuleResult(NamedTuple):
     rule: str
     level: str                      # hard | advisory
     passed: bool | None             # None = unknown / not applicable
@@ -66,7 +71,6 @@ class _Plan(NamedTuple):
     """What checking one form needs, derived from its spec once."""
 
     templates: tuple[tuple[tuple[int, str], ...], ...]  # (length, punct) per line
-    line_counts: tuple[int, ...]                        # of the templates, sorted
     tone_width: int     # bit l * tone_width + c is line l's character c
     tones: dict[int, list[tuple[int, int]]]  # lines -> (平, 仄) slots per variant
 
@@ -89,7 +93,7 @@ def _plan(spec: FormSpec) -> _Plan:
         tones.setdefault(len(variant), []).append(
             (sum(b for s, b in slots if s == TONE_PING),
              sum(b for s, b in slots if s == TONE_ZE)))
-    return _Plan(templates, tuple(sorted({len(t) for t in templates})), width, tones)
+    return _Plan(templates, width, tones)
 
 
 def _best_template(templates, lines: Sequence[Line]):
@@ -110,6 +114,16 @@ _NOT_EVALUATED = tuple(RuleResult(rule, HARD, None, message="not evaluated: line
                        for rule in ("structure.line_lengths", "structure.punctuation"))
 _UNREGULATED = RuleResult("structure.punctuation", ADVISORY, None,
                           message="punctuation is not regulated for old-style poetry")
+_PAIR_PASSED = tuple(RuleResult(rule, HARD, True) for rule in (
+    "pairing.length", "pairing.position_repeat", "pairing.punctuation"))
+_ACROSTIC_PASSED = RuleResult("acrostic.initials", HARD, True)
+
+
+@functools.cache
+def _unknown(rule: str, level: str, message: str) -> RuleResult:
+    """A verdict-less result whose message names no part of the poem,
+    built once for each rule, level and message."""
+    return RuleResult(rule, level, None, message=message)
 
 
 def check_structure(poem: Poem, spec: FormSpec) -> list[RuleResult]:
@@ -147,12 +161,13 @@ def check_structure(poem: Poem, spec: FormSpec) -> list[RuleResult]:
         shape = tuple([(len(ln.characters), ln.terminal_punct) for ln in lines])
         if shape in plan.templates:
             return list(_STRUCTURE_PASSED)
-        ok_count = len(lines) in plan.line_counts
+        counts = spec.line_template.line_counts
+        ok_count = len(lines) in counts
         if not ok_count:
             # this hard failure already decides the verdict; per-line
             # comparisons against a template of another size would mislead
             return [RuleResult("structure.line_count", HARD, False, message=(
-                f"expected {' or '.join(map(str, plan.line_counts))} lines, got {len(lines)}")),
+                f"expected {' or '.join(map(str, counts))} lines, got {len(lines)}")),
                 *_NOT_EVALUATED]
         count_message = ""
         expected = (plan.templates[0] if len(plan.templates) == 1
@@ -180,12 +195,14 @@ def check_structure(poem: Poem, spec: FormSpec) -> list[RuleResult]:
 
 
 def _pair_lines(first: str, second: str, first_punct: str | None,
-                second_punct: str | None, line_a: int, line_b: int) -> list[RuleResult]:
-    both = ((line_a, None), (line_b, None))
+                second_punct: str | None, line_a: int, line_b: int) -> Sequence[RuleResult]:
     ok_len = len(first) == len(second)
     repeats = tuple((line_b, i + 1) for i, (a, b) in enumerate(zip(first, second))
                     if a == b and a not in PAIR_REPEAT_EXEMPT)
     ok_punct = (first_punct, second_punct) in ((COMMA, PERIOD), (None, None))
+    if ok_len and ok_punct and not repeats:
+        return _PAIR_PASSED
+    both = ((line_a, None), (line_b, None))
     return [RuleResult("pairing.length", HARD, ok_len, () if ok_len else both,
                        message="" if ok_len else
                        f"paired lines differ in length: {len(first)} vs {len(second)}"),
@@ -209,9 +226,9 @@ def check_pairing(poem: Poem, spec: FormSpec) -> list[RuleResult]:
                                message=f"couplet first line unusable: {exc}")]
         first = "".join(ln.characters for ln in theme_lines)
         second = "".join(ln.characters for ln in poem.body)
-        return _pair_lines(first, second,
-                           theme_lines[-1].terminal_punct,
-                           poem.body[-1].terminal_punct, 0, 1)
+        return list(_pair_lines(first, second,
+                                theme_lines[-1].terminal_punct,
+                                poem.body[-1].terminal_punct, 0, 1))
     for a, b in spec.pairing_slots:
         if a < 1 or b < 1 or a > len(poem.body) or b > len(poem.body):
             results.append(RuleResult(
@@ -229,15 +246,13 @@ def check_rhyme(poem: Poem, spec: FormSpec, table: PhonologyTable | None,
     """Final characters of the rhyme-slot lines must share a rhyme group."""
     slots = [s for s in spec.rhyme_slots if 1 <= s <= len(poem.body)]
     if len(slots) < 2:
-        return [RuleResult("rhyme.group", level, None,
-                           message="fewer than two rhyme slots available")]
+        return [_unknown("rhyme.group", level, "fewer than two rhyme slots available")]
     finals = [(s, poem.body[s - 1].characters[-1]) for s in slots]
     if len({ch for _, ch in finals}) == 1:
         return [RuleResult("rhyme.group", level, True,
                            message=f"identical final character {finals[0][1]!r}")]
     if table is None:
-        return [RuleResult("rhyme.group", level, None,
-                           message="no phonology table loaded")]
+        return [_unknown("rhyme.group", level, "no phonology table loaded")]
     known, unknown = [], []
     for s, ch in finals:
         group = table.rhyme_group.get(ch)
@@ -265,16 +280,13 @@ def check_tone(poem: Poem, spec: FormSpec, table: PhonologyTable | None,
                level: str = ADVISORY) -> list[RuleResult]:
     """Per-position level/oblique comparison against the tone template."""
     if not spec.tone_patterns:
-        return [RuleResult("tone.pattern", level, None,
-                           message="form carries no tone template")]
+        return [_unknown("tone.pattern", level, "form carries no tone template")]
     if table is None:
-        return [RuleResult("tone.pattern", level, None,
-                           message="no phonology table loaded")]
+        return [_unknown("tone.pattern", level, "no phonology table loaded")]
     plan = _plan(spec)
     variants = plan.tones.get(len(poem.body))
     if not variants:
-        return [RuleResult("tone.pattern", level, None,
-                           message="line count does not fit any tone template")]
+        return [_unknown("tone.pattern", level, "line count does not fit any tone template")]
     # one lookup per character, into the plan's layout (characters missing
     # from the table, or past the longest pattern line, are never compared)
     width = plan.tone_width
@@ -290,23 +302,25 @@ def check_tone(poem: Poem, spec: FormSpec, table: PhonologyTable | None,
                 oblique_bits |= bit
             bit <<= 1
     # the closest variant: fewest mismatches, then most compared slots,
-    # then the smallest mismatch positions
+    # then the smallest mismatch positions; of two mismatch sets of one
+    # size, the smaller positions hold the lowest bit where the sets differ
+    known = level_bits | oblique_bits
     best = None
     for want_level, want_oblique in variants:
         bad = (level_bits & want_oblique) | (oblique_bits & want_level)
-        compared = ((level_bits | oblique_bits) & (want_level | want_oblique)).bit_count()
-        if best is None or (bad.bit_count(), -compared) <= best[:2]:
-            positions = tuple((b // width + 1, b % width + 1)
-                              for b in range(bad.bit_length()) if bad >> b & 1)
-            cand = (bad.bit_count(), -compared, positions, compared)
-            best = cand if best is None else min(best, cand)
-    n_bad, _, positions, compared = best
+        key = (bad.bit_count(), -(known & (want_level | want_oblique)).bit_count())
+        diff = bad ^ best[1] if best and key == best[0] else 0
+        if best is None or key < best[0] or bad & diff & -diff:
+            best = key, bad
+    (n_bad, compared), bad = best
+    compared = -compared
     if compared == 0:
-        return [RuleResult("tone.pattern", level, None,
-                           message="no template character found in the table")]
+        return [_unknown("tone.pattern", level, "no template character found in the table")]
     if n_bad == 0:
         return [RuleResult("tone.pattern", level, True,
                            message=f"{compared} fixed slots agree")]
+    positions = tuple((b // width + 1, b % width + 1)
+                      for b in range(bad.bit_length()) if bad >> b & 1)
     return [RuleResult(
         "tone.pattern", level, False, positions,
         message=f"{n_bad} tone slots deviate from the closest template variant")]
@@ -331,10 +345,12 @@ def check_acrostic(poem: Poem, target: str,
             message=f"target has {len(target)} characters but the poem offers "
                     f"{len(initials)} acrostic lines")
     bad = [i for i, (got, want) in enumerate(zip(initials, target)) if got != want]
+    if not bad:
+        return _ACROSTIC_PASSED
     return RuleResult(
-        "acrostic.initials", HARD, not bad, tuple((slots[i], 1) for i in bad),
-        message="" if not bad else "line-initial characters deviate: "
-        + ", ".join(f"line {slots[i]}: {initials[i]!r} != {target[i]!r}" for i in bad))
+        "acrostic.initials", HARD, False, tuple((slots[i], 1) for i in bad),
+        message="line-initial characters deviate: " + ", ".join(
+            f"line {slots[i]}: {initials[i]!r} != {target[i]!r}" for i in bad))
 
 
 def validate(poem: Poem, catalog: FormCatalog,

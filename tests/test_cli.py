@@ -713,6 +713,25 @@ class TestValidate:
         assert code == 0, err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.GOLDEN[name, flags]
 
+    # sha256 of `guti validate` text stdout for one poem per fault kind, as
+    # the validator built on frozen-dataclass results printed it: pins how
+    # each failure renders its level, rule, positions and message
+    TEXT_GOLDEN = {
+        ():
+            "418fdb541e3026f3dba7ff5738c259643a4d2ea1c9bad41383d08969195e7309",
+        ("--strict-phonology",):
+            "f55c98b5e0a83ea4d9045cad1101233fd54db37c79c0adc6527ba5d210f1ef56",
+    }
+
+    @pytest.mark.parametrize("flags", list(TEXT_GOLDEN),
+                             ids=["-".join(["faulted_poems", *(a.lstrip("-") for a in f)])
+                                  for f in TEXT_GOLDEN])
+    def test_text_reports_match_recorded_digests(self, capsys, flags):
+        code, out, err = run(capsys, "validate", str(FIXTURES / "faulted_poems.jsonl"),
+                             *flags)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.TEXT_GOLDEN[flags]
+
 
 BOM = "\ufeff"
 

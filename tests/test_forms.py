@@ -64,6 +64,14 @@ CATALOG_ERRORS = [
     ("version = 1\n[a]\nlines = 5\n[b]\nclass ci\n", "<catalog>:2: missing 'class'"),
     ("version = 1\n[a]\nlines = 5\n[ ]\n", "<catalog>:2: missing 'class'"),
     ("[a]\nclass = sonnet\n", "<catalog>:1: unknown class 'sonnet'"),
+    # a slot past the last line of the longest poem the groups allow; the
+    # position is the line of the key, the fault is found at the section's end
+    (ENTRY.replace("5 5", "5 5 / 5 5") + "pairs = 1-2 5-6",
+     "<catalog>:5: pair slot 5 lies past the last line of a form of 4 lines"),
+    (ENTRY.replace("5 5", "5 5 / 5 5") + "rhyme = 2 4 9",
+     "<catalog>:5: rhyme slot 9 lies past the last line of a form of 4 lines"),
+    (ENTRY.replace("5 5", "5 5 / 5 | 5 5") + "acrostic-slots = 1 7\nrhyme = 2",
+     "<catalog>:5: acrostic slot 7 lies past the last line of a form of 3 or 4 lines"),
 ]
 
 
@@ -160,6 +168,13 @@ class TestCatalogParsing:
         with pytest.raises(CatalogError,
                            match="^<catalog>:4: expected 'key = value', got 'class ci'$"):
             parse_catalog(head + "class ci\n")
+
+    def test_slots_may_need_the_longest_alternative(self):
+        text = ENTRY.replace("5 5", "5 5 / 5 | 5 5 / 7 | 4 4") + "pairs = 5-6\nrhyme = 2 6"
+        template = parse_catalog(text).resolve("x").line_template
+        assert template.line_counts == (4, 5, 6)
+        assert parse_catalog(ENTRY.replace("5 5", "mirror")).resolve("x").line_template \
+            .line_counts == ()
 
     def test_crlf_line_ends(self):
         assert parse_catalog(MINIMAL.replace("\n", "\r\n")) == parse_catalog(MINIMAL)

@@ -9,6 +9,7 @@ from guti.errors import UnknownFormError
 from guti.forms import parse_catalog
 from guti.phonology import parse_table
 from guti.validator import (
+    RuleResult,
     _plan,
     check_acrostic,
     check_pairing,
@@ -363,6 +364,24 @@ class TestValidate:
     def test_pure_function_same_report(self, catalog, table, fixture_poems):
         p = by_source(fixture_poems, "t4-七律")
         assert validate(p, catalog, table) == validate(p, catalog, table)
+
+    def test_each_report_owns_its_results(self, catalog, table, fixture_poems):
+        # passing results are shared records; the lists that hold them are not
+        p = by_source(fixture_poems, "t4-五律")
+        first, second = validate(p, catalog, table), validate(p, catalog, table)
+        assert first.well_formed
+        first.results.append(RuleResult("extra", "hard", False))
+        assert second == validate(p, catalog, table)
+        first.results.clear()
+        assert second == validate(p, catalog, table)
+        spec = catalog.resolve("五律")
+        for check in (check_structure, check_pairing,
+                      lambda p, spec: check_rhyme(p, spec, table),
+                      lambda p, spec: check_tone(p, spec, table)):
+            check(p, spec).clear()
+            assert check(p, spec), check
+        with pytest.raises(AttributeError):
+            second.results[0].passed = False
 
     def test_every_fixture_poem_well_formed(self, catalog, table, fixture_poems):
         for p in fixture_poems:
