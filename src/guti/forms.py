@@ -4,10 +4,13 @@ A form entry fixes everything the validator needs to judge a poem body
 mechanically (line counts, per-line character counts, punctuation slots,
 rhyme slots, tone templates, pairing slots) and everything the serializer
 needs to emit training text (which identifier tokens wrap the theme).
+What the validator derives from an entry (the line counts and line sequences
+it allows, its tone masks) is computed on first use and kept outside its fields.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -71,6 +74,14 @@ class LineTemplate:
             counts = {n + len(alt) for n in counts for alt in group}
         return tuple(sorted(counts)) if self.groups else ()
 
+    @cached_property
+    def templates(self) -> tuple[tuple[tuple[int, str], ...], ...]:
+        """Every (length, punct) line sequence the groups allow, in group
+        order; () for the other kinds."""
+        return tuple(tuple((n, PERIOD if j == len(alt) - 1 else COMMA)
+                           for alt in picks for j, n in enumerate(alt))
+                     for picks in itertools.product(*self.groups)) if self.groups else ()
+
 
 @dataclass(frozen=True)
 class FormSpec:
@@ -91,6 +102,20 @@ class FormSpec:
     def acrostic(self) -> bool:
         """Serialized with the acrostic marker pair; the theme is the acrostic."""
         return self.markers == MARKER_PAIRS["acrostic"]
+
+    @cached_property
+    def tone_masks(self) -> tuple[int, dict[int, list[tuple[int, int]]]]:
+        """``(w, masks)``: ``w`` is the length of the longest pattern line, and
+        ``masks`` maps a line count to the (平 bits, 仄 bits) of each variant
+        of that many lines, line l's character c (0-indexed) at bit l * w + c."""
+        width = max((len(p) for v in self.tone_patterns for p in v), default=0)
+        masks: dict = {}
+        for variant in self.tone_patterns:
+            bits = [(s, 1 << (li * width + ci)) for li, pattern in enumerate(variant)
+                    for ci, s in enumerate(pattern)]
+            masks.setdefault(len(variant), []).append(
+                tuple(sum(b for s, b in bits if s == tone) for tone in (TONE_PING, TONE_ZE)))
+        return width, masks
 
 
 @dataclass
@@ -132,7 +157,7 @@ class FormCatalog:
 #
 # Counts and 1-indexed line slots are integers >= 1, a ``rhyme`` or
 # ``acrostic-slots`` list repeats no slot, and a pair joins two different lines.
-# Under a groups template, no slot lies past the longest poem the groups allow.
+# Under a groups template, each slot and tone variant fits a poem the groups allow.
 # ---------------------------------------------------------------------------
 
 
@@ -216,10 +241,12 @@ _KEYS = {
 
 
 def _check_slots(spec: FormSpec, wheres: dict[str, str]) -> None:
-    """Raise for a line slot past the longest poem a groups template allows."""
+    """Raise for a line slot past the longest poem a groups template allows,
+    or for a tone variant of a line count the template does not allow."""
     counts = spec.line_template.line_counts
     if not counts:
         return      # mirror and uniform templates fix no line count
+    shown = " or ".join(map(str, counts))
     for field_name, what, slots in (
             ("rhyme_slots", "rhyme slot", spec.rhyme_slots),
             ("pairing_slots", "pair slot", [s for pair in spec.pairing_slots for s in pair]),
@@ -228,7 +255,11 @@ def _check_slots(spec: FormSpec, wheres: dict[str, str]) -> None:
         if past:
             raise CatalogError(
                 f"{wheres[field_name]}: {what} {past[0]} lies past the last line of "
-                f"a form of {' or '.join(map(str, counts))} lines")
+                f"a form of {shown} lines")
+    unmet = [len(v) for v in spec.tone_patterns if len(v) not in counts]
+    if unmet:
+        raise CatalogError(f"{wheres['tone_patterns']}: a tone variant of {unmet[0]} "
+                           f"lines fits no poem of a form of {shown} lines")
 
 
 def _finish(entry: dict, wheres: dict[str, str], catalog: FormCatalog) -> None:

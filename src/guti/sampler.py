@@ -66,8 +66,9 @@ def default_forbid(vocab: Vocab) -> frozenset[int]:
     return frozenset((vocab.unk_id, vocab.pad_id, vocab.bos_id) + vocab.marker_ids)
 
 
-def _prompt_text(form_id: str, theme: str, catalog: FormCatalog, acrostic: bool) -> str:
-    """``form + id1 + theme + id2``, re-pointed at the acrostic variant on request."""
+def _prompt(form_id: str, theme: str, catalog: FormCatalog, vocab: Vocab,
+            acrostic: bool) -> tuple[str, list[int]]:
+    """(text, ids) of ``form + id1 + theme + id2``, re-pointed at the acrostic variant on request."""
     spec = catalog.resolve(form_id)
     if acrostic and not spec.acrostic:
         if spec.acrostic_id is None:
@@ -77,7 +78,8 @@ def _prompt_text(form_id: str, theme: str, catalog: FormCatalog, acrostic: bool)
     if marker:
         raise SamplingError(f"theme contains identifier marker {marker[0]!r}")
     id1, id2 = spec.markers
-    return SerializedSample(spec.form_id, id1, theme, id2, body="").prompt
+    text = SerializedSample(spec.form_id, id1, theme, id2, body="").prompt
+    return text, [vocab.bos_id] + vocab_mod.encode(text, vocab)
 
 
 def build_prompt(form_id: str, theme: str, catalog: FormCatalog, vocab: Vocab,
@@ -87,8 +89,7 @@ def build_prompt(form_id: str, theme: str, catalog: FormCatalog, vocab: Vocab,
     With ``acrostic=True`` the form is re-pointed at its acrostic variant
     so the prompt carries the acrostic identifier token.
     """
-    text = _prompt_text(form_id, theme, catalog, acrostic)
-    return [vocab.bos_id] + vocab_mod.encode(text, vocab)
+    return _prompt(form_id, theme, catalog, vocab, acrostic)[1]
 
 
 def _masked(logits: np.ndarray, cfg: SampleConfig) -> np.ndarray:
@@ -281,8 +282,7 @@ def generate_batch(params: ModelParams, form_id: str, theme: str, n: int,
     """
     check_counts(SamplingError, 0, n=n)
     # the text asked for: decoding the prompt ids would drop UNK characters
-    prompt_text = _prompt_text(form_id, theme, catalog, acrostic)
-    prompt = [vocab.bos_id] + vocab_mod.encode(prompt_text, vocab)
+    prompt_text, prompt = _prompt(form_id, theme, catalog, vocab, acrostic)
     seeds = [int(np.random.default_rng([cfg.seed, i]).integers(0, 2 ** 31))
              for i in range(n)]
     outs = _decode(params, [prompt], [seeds], cfg, vocab) if seeds else []

@@ -5,7 +5,8 @@ character counts, punctuation slots, and pairing (couplets always; the
 3rd/4th and 5th/6th lines of eight-line regulated poems).  Rhyme and tone
 checks run against a pluggable phonology table and are advisory by
 default, because tone-table choice is contested; a flag promotes them to
-hard rules.  Every check is a pure function of its inputs.
+hard rules.  Every check is a pure function of its inputs, and reads what
+it derives from a form (line templates, tone masks) off the form's spec.
 
 Results are immutable records, and those that hold nothing of the poem are
 built once and shared between reports: the three structure results of a
@@ -17,13 +18,12 @@ result at each level.  Every check still returns a list of its own.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .corpus import Line, Poem, parse_body
 from .errors import CorpusError
-from .forms import COMMA, PERIOD, TONE_PING, TONE_ZE, FormCatalog, FormSpec
+from .forms import COMMA, PERIOD, FormCatalog, FormSpec
 from .phonology import PING, PhonologyTable
 
 HARD = "hard"
@@ -65,35 +65,6 @@ class ValidationReport:
     def to_dict(self) -> dict:
         return {"form": self.form_id, "well_formed": self.well_formed,
                 "rules": [r.to_dict() for r in self.results]}
-
-
-class _Plan(NamedTuple):
-    """What checking one form needs, derived from its spec once."""
-
-    templates: tuple[tuple[tuple[int, str], ...], ...]  # (length, punct) per line
-    tone_width: int     # bit l * tone_width + c is line l's character c
-    tones: dict[int, list[tuple[int, int]]]  # lines -> (平, 仄) slots per variant
-
-
-@functools.cache
-def _plan(spec: FormSpec) -> _Plan:
-    """The expanded line templates and the tone slot masks of a form."""
-    templates = ()
-    if spec.line_template.kind == "groups":
-        # every (length, punct) line sequence the groups allow, in group order
-        templates = tuple(
-            tuple((n, PERIOD if j == len(alt) - 1 else COMMA)
-                  for alt in picks for j, n in enumerate(alt))
-            for picks in itertools.product(*spec.line_template.groups))
-    width = max((len(p) for v in spec.tone_patterns for p in v), default=0)
-    tones: dict = {}
-    for variant in spec.tone_patterns:
-        slots = [(s, 1 << (li * width + ci)) for li, pattern in enumerate(variant)
-                 for ci, s in enumerate(pattern)]
-        tones.setdefault(len(variant), []).append(
-            (sum(b for s, b in slots if s == TONE_PING),
-             sum(b for s, b in slots if s == TONE_ZE)))
-    return _Plan(templates, width, tones)
 
 
 def _best_template(templates, lines: Sequence[Line]):
@@ -157,9 +128,9 @@ def check_structure(poem: Poem, spec: FormSpec) -> list[RuleResult]:
         faults = ("segment lengths must mirror the first line",
                   "internal punctuation must mirror the first line")
     else:
-        plan = _plan(spec)
+        templates = spec.line_template.templates
         shape = tuple([(len(ln.characters), ln.terminal_punct) for ln in lines])
-        if shape in plan.templates:
+        if shape in templates:
             return list(_STRUCTURE_PASSED)
         counts = spec.line_template.line_counts
         ok_count = len(lines) in counts
@@ -170,8 +141,7 @@ def check_structure(poem: Poem, spec: FormSpec) -> list[RuleResult]:
                 f"expected {' or '.join(map(str, counts))} lines, got {len(lines)}")),
                 *_NOT_EVALUATED]
         count_message = ""
-        expected = (plan.templates[0] if len(plan.templates) == 1
-                    else _best_template(plan.templates, lines))
+        expected = templates[0] if len(templates) == 1 else _best_template(templates, lines)
         checked = len(lines)
         faults = "line lengths: {detail}", "terminal punctuation deviates from the form template"
 
@@ -283,13 +253,12 @@ def check_tone(poem: Poem, spec: FormSpec, table: PhonologyTable | None,
         return [_unknown("tone.pattern", level, "form carries no tone template")]
     if table is None:
         return [_unknown("tone.pattern", level, "no phonology table loaded")]
-    plan = _plan(spec)
-    variants = plan.tones.get(len(poem.body))
+    width, masks = spec.tone_masks
+    variants = masks.get(len(poem.body))
     if not variants:
         return [_unknown("tone.pattern", level, "line count does not fit any tone template")]
-    # one lookup per character, into the plan's layout (characters missing
-    # from the table, or past the longest pattern line, are never compared)
-    width = plan.tone_width
+    # one lookup per character, into the ``tone_masks`` layout (characters
+    # missing from the table, or past the longest pattern line, are never compared)
     tone_of = table.tone_class.get
     level_bits = oblique_bits = 0
     for li, line in enumerate(poem.body):

@@ -4,6 +4,8 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -362,6 +364,28 @@ class TestTrain:
         assert outs[0] == outs[1]
         assert ((tmp_path / "a" / "last.ckpt").read_bytes()
                 == (tmp_path / "b" / "last.ckpt").read_bytes())
+
+    def test_reproducible_across_processes(self, pipeline, tmp_path):
+        # two fresh interpreters, one seed, dropout, a held-out shard and
+        # novelty probes: every file written is the same bytes; both inherit
+        # this process's BLAS thread count
+        src = str(Path(guti.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for name in ("a", "b"):
+            subprocess.run([sys.executable, "-m", "guti", "train",
+                            str(pipeline / "dataset.jsonl"),
+                            "--vocab", str(pipeline / "vocab.txt"), "-o", str(tmp_path / name),
+                            "--layers", "1", "--heads", "2", "--d-model", "16",
+                            "--d-ff", "32", "--context-len", "96", "--dropout", "0.1",
+                            "--max-steps", "12", "--checkpoint-interval", "4",
+                            "--novelty-interval", "6", "--heldout-fraction", "0.2",
+                            "--seed", "11"], env=env, check=True, capture_output=True)
+        files = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert {"metrics.jsonl", "last.ckpt", "step-000004.ckpt"} <= set(files)
+        assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in files:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
     def test_bad_vocab_path_exits_1(self, capsys, pipeline, tmp_path):
         code, _, _ = run(capsys, "train", str(pipeline / "dataset.jsonl"),

@@ -72,6 +72,10 @@ CATALOG_ERRORS = [
      "<catalog>:5: rhyme slot 9 lies past the last line of a form of 4 lines"),
     (ENTRY.replace("5 5", "5 5 / 5 | 5 5") + "acrostic-slots = 1 7\nrhyme = 2",
      "<catalog>:5: acrostic slot 7 lies past the last line of a form of 3 or 4 lines"),
+    # a tone variant of a line count no poem of the groups can have
+    (ENTRY.replace("5 5", "5 5 / 5 5") + "tones = " + " ".join(["平平仄仄平"] * 4)
+     + " | " + " ".join(["平平仄仄平"] * 5),
+     "<catalog>:5: a tone variant of 5 lines fits no poem of a form of 4 lines"),
 ]
 
 

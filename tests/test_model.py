@@ -605,6 +605,72 @@ class TestBackward:
         assert all(np.all(np.isfinite(g)) for g in grads.values())
 
 
+def tensor_kind(name):
+    """A tensor's role: its name without the ``layerN.`` prefix."""
+    return name.partition(".")[2] if name.startswith("layer") else name
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.1])
+def test_gradients_match_central_differences_at_the_cli_shape(rate):
+    """The finite-difference checks above run at d <= 16, where GELU is one
+    block and attention runs are short.  This one runs at the CLI-default
+    architecture (4 layers, 4 heads, d=128, d_ff=512) with a trained
+    vocabulary's V=876, in float64.  Weight matrices are scaled by 4, so
+    30% of the GELU inputs lie beyond +-1, where its tanh is far from
+    linear; norm gains and biases are moved off 1 and 0.  Five rows reach
+    130, 130, 70, 70 and 40 positions, so GELU's (440, 512) input runs in
+    7 blocks and attention in 3 runs, two of them of two sequences.
+
+    One seeded unit direction per tensor kind, over every layer's tensor
+    of that kind, and one over all tensors: the analytic directional
+    derivative must match the central difference at step 1e-4, each pass
+    with dropout masks from one generator seed.  Measured errors are at
+    most 3.6e-8 relative, so the 1e-6 bound leaves a 28x margin.  A
+    gradient that drops one term puts its worst direction 2.8e-3 or more
+    off, over 2,000x the bound: a GELU derivative row lost in a later
+    block, a long run's last key lost in the attention backward (which
+    no smaller check catches), the last position's pos_emb row lost."""
+    config = ModelConfig(vocab_size=876, dropout_rate=rate)
+    rng = np.random.default_rng(20)
+    params = init_params(config, seed=20, dtype=np.float64)
+    for name, arr in params.tensors.items():
+        if arr.ndim == 1:     # a norm gain or a bias
+            arr += rng.normal(0.0, 0.2, arr.shape)
+        else:
+            arr *= 4.0
+    lengths = [130, 130, 70, 70, 40]
+    tokens = rng.integers(0, config.vocab_size, (len(lengths), max(lengths) + 1))
+    mask = np.zeros(tokens.shape)
+    for b, n in enumerate(lengths):     # holes in the mask; row b reaches n
+        mask[b, 1:n + 1] = rng.random(n) < 0.8
+        mask[b, n] = 1.0
+    batch = SequenceBatch(tokens=tokens, loss_mask=mask)
+
+    def generator():
+        return np.random.default_rng(7) if rate else None
+
+    _, grads = backward(params, batch, rng=generator())
+    rows = loss_rows(batch)
+    kinds = sorted({tensor_kind(name) for name in params.tensors})
+    directions = [[n for n in params.tensors if tensor_kind(n) == k] for k in kinds]
+    h = 1e-4
+    for i, names in enumerate([*directions, list(params.tensors)]):
+        draw = np.random.default_rng([3, i])
+        v = {n: draw.standard_normal(params.tensors[n].shape) for n in names}
+        norm = math.sqrt(sum(np.vdot(x, x) for x in v.values()))
+        want = sum(np.vdot(grads[n], v[n]) for n in names) / norm
+        saved = {n: params.tensors[n].copy() for n in names}
+        losses = []
+        for step in (h, -h):
+            for n in names:
+                params.tensors[n][...] = saved[n] + (step / norm) * v[n]
+            losses.append(nll_loss(forward(params, tokens, rng=generator(), rows=rows), batch))
+        for n in names:
+            params.tensors[n][...] = saved[n]
+        err = abs((losses[0] - losses[1]) / (2 * h) - want) / abs(want)
+        assert err < 1e-6, f"{kinds[i] if i < len(kinds) else 'joint'}: rel err {err:.1e}"
+
+
 def padded_wider(batch, extra):
     """The same batch with ``extra`` more pad columns (id 0, no loss)."""
     b, s = batch.tokens.shape

@@ -1,4 +1,5 @@
 import itertools
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from guti.forms import parse_catalog
 from guti.phonology import parse_table
 from guti.validator import (
     RuleResult,
-    _plan,
     check_acrostic,
     check_pairing,
     check_rhyme,
@@ -86,9 +86,22 @@ class TestStructure:
                 fresh.append(tuple(
                     (seg_len, "。" if j == len(alt) - 1 else "，")
                     for alt in picks for j, seg_len in enumerate(alt)))
-            cached = _plan(spec).templates
+            cached = spec.line_template.templates
             assert cached == tuple(fresh)
-            assert _plan(spec).templates is cached
+            assert spec.line_template.templates is cached
+        assert any(s.tone_patterns for s in specs)
+        for spec in specs:
+            width = max((len(p) for v in spec.tone_patterns for p in v), default=0)
+            fresh = {}
+            for variant in spec.tone_patterns:
+                # bit l * width + c is line l's character c, so the binary
+                # numeral runs from the last line's last slot to the first's first
+                text = "".join(p.ljust(width, "中")[::-1] for p in reversed(variant))
+                fresh.setdefault(len(variant), []).append(tuple(
+                    int("".join("1" if s == sym else "0" for s in text), 2) for sym in "平仄"))
+            cached = spec.tone_masks
+            assert cached == (width, fresh)
+            assert spec.tone_masks is cached
 
 
 class TestPairing:
@@ -233,7 +246,7 @@ TIE_CATALOG = parse_catalog(
     "tones = 中中中中中 仄中中中中 | 中中仄中中 中中中中中\n"
     # a seven-slot pattern over a five-character line, a three-slot one over
     # another; a 4-line variant the 2-line poem never meets
-    "[长短]\nclass = jintishi\nlines = 5 5\n"
+    "[长短]\nclass = jintishi\nlines = 5 5 | 5 5 5 5\n"
     "tones = 平平平平平仄仄 平平平 | 仄仄仄仄 仄仄仄仄 仄仄仄仄 仄仄仄仄\n",
     source="tie-test")
 # 光 明 平 are level, 月 仄 oblique; 叠 is missing from the table
@@ -360,6 +373,21 @@ class TestValidate:
         p = by_source(fixture_poems, "t4-五绝")
         report = validate(p, catalog, TEST_TABLE, strict_phonology=True)
         assert not report.well_formed
+
+    def test_validating_leaves_the_catalog_as_parsed(self, catalog, table, fixture_poems,
+                                                     toy_poems):
+        # what checking derives is kept on the specs, outside their fields
+        for p in [*fixture_poems, *toy_poems]:
+            for strict in (False, True):
+                validate(p, catalog, table, strict_phonology=strict)
+        specs = list(catalog.entries.values())
+        assert any("templates" in s.line_template.__dict__ for s in specs)
+        assert any("tone_masks" in s.__dict__ for s in specs)
+        text = resources.files("guti.data").joinpath("forms.catalog").read_text("utf-8")
+        fresh = parse_catalog(text, source="builtin")
+        assert catalog.entries == fresh.entries
+        assert [hash(s) for s in specs] == [hash(s) for s in fresh.entries.values()]
+        assert repr(list(catalog.entries.items())) == repr(list(fresh.entries.items()))
 
     def test_pure_function_same_report(self, catalog, table, fixture_poems):
         p = by_source(fixture_poems, "t4-七律")
