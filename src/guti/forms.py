@@ -57,7 +57,7 @@ class LineTemplate:
     each group lists one or more alternatives, an alternative being the
     character counts of its comma-separated segments.
     kind "uniform": every line has ``uniform_len`` characters and the line
-    count is even (old-style poetry, deliberately loose).
+    count is even and at least 2 (old-style poetry, deliberately loose).
     kind "mirror": the body must mirror the theme line (couplets).
     """
 
@@ -82,6 +82,14 @@ class LineTemplate:
                            for alt in picks for j, n in enumerate(alt))
                      for picks in itertools.product(*self.groups)) if self.groups else ()
 
+    def allows(self, n: int) -> bool:
+        """Whether a poem of ``n`` lines can fit: a count the groups allow, an
+        even count >= 2 for a uniform template, any count for a mirror one,
+        whose count follows the poem's first line."""
+        if self.kind == "uniform":
+            return n >= 2 and n % 2 == 0
+        return self.kind == "mirror" or n in self.line_counts
+
 
 @dataclass(frozen=True)
 class FormSpec:
@@ -98,7 +106,7 @@ class FormSpec:
     acrostic_slots: tuple[int, ...] = () # 1-indexed lines carrying the acrostic
                                          # characters; () = every line
 
-    @property
+    @cached_property
     def acrostic(self) -> bool:
         """Serialized with the acrostic marker pair; the theme is the acrostic."""
         return self.markers == MARKER_PAIRS["acrostic"]
@@ -157,7 +165,9 @@ class FormCatalog:
 #
 # Counts and 1-indexed line slots are integers >= 1, a ``rhyme`` or
 # ``acrostic-slots`` list repeats no slot, and a pair joins two different lines.
-# Under a groups template, each slot and tone variant fits a poem the groups allow.
+# Under a groups template, each slot and tone variant fits a poem the groups allow;
+# under a uniform template, each tone variant has an even line count >= 2.  A
+# mirror template fixes no count: a couplet's follows its first line.
 # ---------------------------------------------------------------------------
 
 
@@ -243,20 +253,19 @@ _KEYS = {
 def _check_slots(spec: FormSpec, wheres: dict[str, str]) -> None:
     """Raise for a line slot past the longest poem a groups template allows,
     or for a tone variant of a line count the template does not allow."""
-    counts = spec.line_template.line_counts
-    if not counts:
-        return      # mirror and uniform templates fix no line count
-    shown = " or ".join(map(str, counts))
+    template = spec.line_template
+    counts = template.line_counts       # () for mirror and uniform templates
+    shown = " or ".join(map(str, counts)) or "2, 4, 6, ..."
     for field_name, what, slots in (
             ("rhyme_slots", "rhyme slot", spec.rhyme_slots),
             ("pairing_slots", "pair slot", [s for pair in spec.pairing_slots for s in pair]),
             ("acrostic_slots", "acrostic slot", spec.acrostic_slots)):
-        past = [s for s in slots if s > counts[-1]]
+        past = [s for s in slots if counts and s > counts[-1]]
         if past:
             raise CatalogError(
                 f"{wheres[field_name]}: {what} {past[0]} lies past the last line of "
                 f"a form of {shown} lines")
-    unmet = [len(v) for v in spec.tone_patterns if len(v) not in counts]
+    unmet = [len(v) for v in spec.tone_patterns if not template.allows(len(v))]
     if unmet:
         raise CatalogError(f"{wheres['tone_patterns']}: a tone variant of {unmet[0]} "
                            f"lines fits no poem of a form of {shown} lines")

@@ -267,6 +267,10 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
 
     Checkpoints are written every ``checkpoint_interval`` steps when
     ``out_dir`` is given, with held-out loss evaluated at the same cadence.
+    ``metrics.jsonl`` is rewritten whole right after each checkpoint, so a
+    killed run keeps the records of every checkpoint it wrote, and once more
+    after the loop if a record came after the last checkpoint (a final
+    partial interval, a novelty record, an early stop) or none was written.
     Novelty probes run greedy generation from the first ``NOVELTY_PROBES``
     training prompts and score retrieval against the training corpus.
     """
@@ -303,6 +307,7 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
     window_losses: list[float] = []
     started = time.perf_counter()
     step = 0
+    written = None      # the record count metrics.jsonl holds, once written
 
     def record_interval():
         rec = {
@@ -313,6 +318,12 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
         }
         report.intervals.append(rec)
         window_losses.clear()
+
+    def write_metrics():
+        nonlocal written
+        write_atomic(out_path / "metrics.jsonl",
+                     ("\n".join(report.metric_lines()) + "\n").encode("utf-8"))
+        written = len(report.intervals) + len(report.novelty)
 
     while step < cfg.max_steps:
         if len(order) < cfg.batch_size:
@@ -339,6 +350,7 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
                 last = [out_path / "last.ckpt"] * (step == cfg.max_steps)   # same bytes
                 save_checkpoint(params, ckpt, *last)
                 report.checkpoint_paths += map(str, [ckpt, *last])
+                write_metrics()
         if index is not None and step % cfg.novelty_eval_interval == 0:
             score = _probe_novelty(params, probe_prompts, index, vocab)
             report.novelty.append({"step": step, "novelty": score})
@@ -354,8 +366,8 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
         if str(ckpt) not in report.checkpoint_paths:
             save_checkpoint(params, ckpt)
             report.checkpoint_paths.append(str(ckpt))
-        write_atomic(out_path / "metrics.jsonl",
-                     ("\n".join(report.metric_lines()) + "\n").encode("utf-8"))
+        if written != len(report.intervals) + len(report.novelty):
+            write_metrics()
     report.steps_run = step
     report.wall_clock_sec = time.perf_counter() - started
     return params, report

@@ -11,8 +11,11 @@ it derives from a form (line templates, tone masks) off the form's spec.
 Results are immutable records, and those that hold nothing of the poem are
 built once and shared between reports: the three structure results of a
 poem that fits a template, the three pairing results of a pair that passes
-them all, the passing acrostic result, and each fixed-message rhyme or tone
-result at each level.  Every check still returns a list of its own.
+them all, the passing acrostic result, each fixed-message rhyme or tone
+result at each level, and the passing rhyme result of each rhyme group of
+the phonology table at each level.  Every check returns a fresh list, so
+``validate`` takes the structure check's list as the report's own, extends
+it with the other checks' results and builds the report once.
 """
 
 from __future__ import annotations
@@ -57,7 +60,10 @@ class ValidationReport:
 
     @property
     def well_formed(self) -> bool:
-        return all(r.passed is not False for r in self.results if r.level == HARD)
+        for r in self.results:
+            if r.passed is False and r.level == HARD:
+                return False
+        return True
 
     def failures(self) -> list[RuleResult]:
         return [r for r in self.results if r.passed is False]
@@ -72,7 +78,7 @@ def _best_template(templates, lines: Sequence[Line]):
     def score(tpl):
         s = -abs(len(tpl) - len(lines)) * 2
         for (want_len, want_punct), line in zip(tpl, lines):
-            s += 2 * (len(line) == want_len) + (line.terminal_punct == want_punct)
+            s += 2 * (len(line.characters) == want_len) + (line.terminal_punct == want_punct)
         return s
     return max(templates, key=score)
 
@@ -91,10 +97,11 @@ _ACROSTIC_PASSED = RuleResult("acrostic.initials", HARD, True)
 
 
 @functools.cache
-def _unknown(rule: str, level: str, message: str) -> RuleResult:
-    """A verdict-less result whose message names no part of the poem,
-    built once for each rule, level and message."""
-    return RuleResult(rule, level, None, message=message)
+def _shared(rule: str, level: str, passed: bool | None, message: str) -> RuleResult:
+    """A result whose message names no character of the poem, built once
+    for each rule, level, verdict and message: the fixed messages, and a
+    rhyme group of the phonology table."""
+    return RuleResult(rule, level, passed, message=message)
 
 
 def check_structure(poem: Poem, spec: FormSpec) -> list[RuleResult]:
@@ -107,7 +114,7 @@ def check_structure(poem: Poem, spec: FormSpec) -> list[RuleResult]:
     lines = poem.body
     kind = spec.line_template.kind
     if kind == "uniform":
-        ok_count = len(lines) >= 2 and len(lines) % 2 == 0
+        ok_count = spec.line_template.allows(len(lines))
         count_message = (f"{len(lines)} lines" if ok_count else
                          f"old-style poems need an even line count >= 2, got {len(lines)}")
         # punctuation is not regulated, so no terminal is compared
@@ -122,7 +129,7 @@ def check_structure(poem: Poem, spec: FormSpec) -> list[RuleResult]:
         ok_count = len(theme_lines) == len(lines)
         count_message = "" if ok_count else (
             f"second line has {len(lines)} segments, first line has {len(theme_lines)}")
-        expected = [(len(ln), ln.terminal_punct) for ln in theme_lines]
+        expected = [(len(ln.characters), ln.terminal_punct) for ln in theme_lines]
         # the last segment both lines have may end either way
         checked = min(len(theme_lines), len(lines)) - 1
         faults = ("segment lengths must mirror the first line",
@@ -146,7 +153,7 @@ def check_structure(poem: Poem, spec: FormSpec) -> list[RuleResult]:
         faults = "line lengths: {detail}", "terminal punctuation deviates from the form template"
 
     bad_len = tuple([(i, None) for i, (ln, (n, _)) in enumerate(zip(lines, expected), 1)
-                     if len(ln) != n])
+                     if len(ln.characters) != n])
     length_message = "" if not bad_len else faults[0].format(
         width=expected[0][0], detail=", ".join(
             f"line {i}: {len(lines[i - 1])} chars (expected {expected[i - 1][0]})"
@@ -167,8 +174,10 @@ def check_structure(poem: Poem, spec: FormSpec) -> list[RuleResult]:
 def _pair_lines(first: str, second: str, first_punct: str | None,
                 second_punct: str | None, line_a: int, line_b: int) -> Sequence[RuleResult]:
     ok_len = len(first) == len(second)
-    repeats = tuple((line_b, i + 1) for i, (a, b) in enumerate(zip(first, second))
-                    if a == b and a not in PAIR_REPEAT_EXEMPT)
+    repeats = ()
+    if any(map(str.__eq__, first, second)):     # most pairs share no character
+        repeats = tuple((line_b, i + 1) for i, (a, b) in enumerate(zip(first, second))
+                        if a == b and a not in PAIR_REPEAT_EXEMPT)
     ok_punct = (first_punct, second_punct) in ((COMMA, PERIOD), (None, None))
     if ok_len and ok_punct and not repeats:
         return _PAIR_PASSED
@@ -216,13 +225,13 @@ def check_rhyme(poem: Poem, spec: FormSpec, table: PhonologyTable | None,
     """Final characters of the rhyme-slot lines must share a rhyme group."""
     slots = [s for s in spec.rhyme_slots if 1 <= s <= len(poem.body)]
     if len(slots) < 2:
-        return [_unknown("rhyme.group", level, "fewer than two rhyme slots available")]
+        return [_shared("rhyme.group", level, None, "fewer than two rhyme slots available")]
     finals = [(s, poem.body[s - 1].characters[-1]) for s in slots]
     if len({ch for _, ch in finals}) == 1:
         return [RuleResult("rhyme.group", level, True,
                            message=f"identical final character {finals[0][1]!r}")]
     if table is None:
-        return [_unknown("rhyme.group", level, "no phonology table loaded")]
+        return [_shared("rhyme.group", level, None, "no phonology table loaded")]
     known, unknown = [], []
     for s, ch in finals:
         group = table.rhyme_group.get(ch)
@@ -236,8 +245,9 @@ def check_rhyme(poem: Poem, spec: FormSpec, table: PhonologyTable | None,
     groups = {g for _, _, g in known}
     if len(groups) == 1:
         msg = f"shared rhyme group {groups.pop()!r}"
-        if unknown:
-            msg += "; unknown: " + " ".join(ch for _, ch, _ in unknown)
+        if not unknown:
+            return [_shared("rhyme.group", level, True, msg)]
+        msg += "; unknown: " + " ".join(ch for _, ch, _ in unknown)
         return [RuleResult("rhyme.group", level, True, message=msg)]
     detail = ", ".join(f"line {s}: {ch!r} -> {g}" for s, ch, g in known)
     return [RuleResult(
@@ -250,13 +260,13 @@ def check_tone(poem: Poem, spec: FormSpec, table: PhonologyTable | None,
                level: str = ADVISORY) -> list[RuleResult]:
     """Per-position level/oblique comparison against the tone template."""
     if not spec.tone_patterns:
-        return [_unknown("tone.pattern", level, "form carries no tone template")]
+        return [_shared("tone.pattern", level, None, "form carries no tone template")]
     if table is None:
-        return [_unknown("tone.pattern", level, "no phonology table loaded")]
+        return [_shared("tone.pattern", level, None, "no phonology table loaded")]
     width, masks = spec.tone_masks
     variants = masks.get(len(poem.body))
     if not variants:
-        return [_unknown("tone.pattern", level, "line count does not fit any tone template")]
+        return [_shared("tone.pattern", level, None, "line count does not fit any tone template")]
     # one lookup per character, into the ``tone_masks`` layout (characters
     # missing from the table, or past the longest pattern line, are never compared)
     tone_of = table.tone_class.get
@@ -284,7 +294,7 @@ def check_tone(poem: Poem, spec: FormSpec, table: PhonologyTable | None,
     (n_bad, compared), bad = best
     compared = -compared
     if compared == 0:
-        return [_unknown("tone.pattern", level, "no template character found in the table")]
+        return [_shared("tone.pattern", level, None, "no template character found in the table")]
     if n_bad == 0:
         return [RuleResult("tone.pattern", level, True,
                            message=f"{compared} fixed slots agree")]
@@ -328,14 +338,13 @@ def validate(poem: Poem, catalog: FormCatalog,
     """Run every applicable check; well_formed is the AND of hard rules."""
     spec = catalog.resolve(poem.form_id)
     phon_level = HARD if strict_phonology else ADVISORY
-    report = ValidationReport(form_id=poem.form_id)
-    report.results.extend(check_structure(poem, spec))
+    results = check_structure(poem, spec)
     if spec.line_template.kind == "mirror" or spec.pairing_slots:
-        report.results.extend(check_pairing(poem, spec))
+        results += check_pairing(poem, spec)
     if spec.rhyme_slots:
-        report.results.extend(check_rhyme(poem, spec, table, phon_level))
+        results += check_rhyme(poem, spec, table, phon_level)
     if spec.tone_patterns:
-        report.results.extend(check_tone(poem, spec, table, phon_level))
+        results += check_tone(poem, spec, table, phon_level)
     if spec.acrostic and poem.theme:
-        report.results.append(check_acrostic(poem, poem.theme, spec.acrostic_slots))
-    return report
+        results.append(check_acrostic(poem, poem.theme, spec.acrostic_slots))
+    return ValidationReport(poem.form_id, results)

@@ -76,6 +76,11 @@ CATALOG_ERRORS = [
     (ENTRY.replace("5 5", "5 5 / 5 5") + "tones = " + " ".join(["平平仄仄平"] * 4)
      + " | " + " ".join(["平平仄仄平"] * 5),
      "<catalog>:5: a tone variant of 5 lines fits no poem of a form of 4 lines"),
+    # old-style poems have an even line count >= 2
+    (ENTRY.replace("5 5", "5*") + "tones = " + " ".join(["平平仄仄平"] * 3),
+     "<catalog>:5: a tone variant of 3 lines fits no poem of a form of 2, 4, 6, ... lines"),
+    (ENTRY.replace("5 5", "5*") + "tones = 平平仄仄平 平平仄仄平 | 平平仄仄平",
+     "<catalog>:5: a tone variant of 1 lines fits no poem of a form of 2, 4, 6, ... lines"),
 ]
 
 
@@ -106,6 +111,12 @@ class TestCatalogParsing:
                                 "[古]\nclass = gushi\nlines = 7*\n")
         assert catalog.resolve("对").line_template.kind == "mirror"
         assert catalog.resolve("古").line_template.uniform_len == 7
+
+    def test_mirror_template_fixes_no_tone_variant_count(self):
+        # a couplet's line count follows its first line, so any variant can fit
+        catalog = parse_catalog("version = 1\n[对]\nclass = couplet\nlines = mirror\n"
+                                "tones = 平平仄 | 平仄 仄平 平平\n")
+        assert sorted(catalog.resolve("对").tone_masks[1]) == [1, 3]
 
     def test_missing_version_rejected(self):
         with pytest.raises(CatalogError):

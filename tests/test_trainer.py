@@ -440,6 +440,57 @@ class TestFineTune:
         assert ((tmp_path / "last.ckpt").read_bytes()
                 != (tmp_path / "step-000004.ckpt").read_bytes())
 
+    def test_killed_run_keeps_the_metrics_of_its_checkpoints(self, toy_samples, tmp_path,
+                                                             monkeypatch):
+        samples, vocab, params = self.small_setup(toy_samples)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=6, max_steps=8,
+                          checkpoint_interval=2, seed=5, heldout_fraction=0.25)
+        fine_tune(samples, vocab, params, cfg, out_dir=tmp_path / "full")
+        full = (tmp_path / "full" / "metrics.jsonl").read_text(encoding="utf-8")
+        real, calls = trainer.backward, []
+
+        def backward(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 7:
+                raise KeyboardInterrupt
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "backward", backward)
+        _, _, params = self.small_setup(toy_samples)
+        with pytest.raises(KeyboardInterrupt):
+            fine_tune(samples, vocab, params, cfg, out_dir=tmp_path / "killed")
+        killed = tmp_path / "killed"
+        text = (killed / "metrics.jsonl").read_text(encoding="utf-8")
+        assert [json.loads(line)["step"] for line in text.splitlines()] == [2, 4, 6]
+        assert text.splitlines() == full.splitlines()[:3]
+        assert sorted(p.name for p in killed.iterdir()) == [
+            "metrics.jsonl", "step-000002.ckpt", "step-000004.ckpt", "step-000006.ckpt"]
+
+    @pytest.mark.parametrize("max_steps, novelty_eval_interval, writes", [
+        (4, 0, [1, 2]),         # the last checkpoint holds every record
+        (5, 0, [1, 2, 3]),      # a final partial interval
+        (4, 4, [1, 2, 3]),      # a novelty record after the last checkpoint
+        (1, 0, [1]),            # no checkpoint: the final partial interval
+    ])
+    def test_metrics_rewritten_at_each_checkpoint(self, toy_samples, tmp_path, monkeypatch,
+                                                  max_steps, novelty_eval_interval, writes):
+        samples, vocab, params = self.small_setup(toy_samples)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=6, max_steps=max_steps,
+                          checkpoint_interval=2, novelty_eval_interval=novelty_eval_interval,
+                          seed=4, heldout_fraction=0.0)
+        real, written = trainer.write_atomic, []
+
+        def write_atomic(path, *chunks, **kwargs):
+            if path.name == "metrics.jsonl":
+                written.append(b"".join(chunks).count(b"\n"))
+            real(path, *chunks, **kwargs)
+
+        monkeypatch.setattr(trainer, "write_atomic", write_atomic)
+        _, report = fine_tune(samples, vocab, params, cfg, out_dir=tmp_path)
+        assert written == writes
+        assert (tmp_path / "metrics.jsonl").read_text(encoding="utf-8") == (
+            "\n".join(report.metric_lines()) + "\n")
+
     def test_batches_follow_the_shuffled_order(self, toy_samples, monkeypatch):
         # 12 samples in batches of 5: batches draw from the rest of one
         # permutation and the start of the next

@@ -9,8 +9,10 @@ from guti.corpus import Line, Poem, parse_body
 from guti.errors import UnknownFormError
 from guti.forms import parse_catalog
 from guti.phonology import parse_table
+from guti import validator
 from guti.validator import (
     RuleResult,
+    ValidationReport,
     check_acrostic,
     check_pairing,
     check_rhyme,
@@ -410,6 +412,60 @@ class TestValidate:
             assert check(p, spec), check
         with pytest.raises(AttributeError):
             second.results[0].passed = False
+
+    def test_well_formed_is_the_and_of_hard_results(self, catalog, table, fixture_poems,
+                                                    toy_poems):
+        def faulted(p):
+            body, first = p.body, p.body[0]
+            yield Poem(p.form_id, p.theme, body[:-1] or body * 2)
+            yield Poem(p.form_id, p.theme, (first, first, *body[2:]))
+            yield Poem(p.form_id, p.theme,
+                       (Line(first.characters + "田", first.terminal_punct), *body[1:]))
+            yield Poem(p.form_id, p.theme[::-1], body)
+
+        poems = [*fixture_poems, *toy_poems]
+        verdicts = set()
+        for p in [*poems, *(f for p in poems for f in faulted(p))]:
+            for strict in (False, True):
+                report = validate(p, catalog, table, strict_phonology=strict)
+                want = all(r.passed is not False for r in report.results if r.level == "hard")
+                assert report.well_formed is want, (p, report.results)
+                verdicts.add(want)
+        assert verdicts == {True, False}
+        advisory_false = RuleResult("rhyme.group", "advisory", False)
+        hard_none = RuleResult("tone.pattern", "hard", None)
+        hard_true = RuleResult("structure.line_count", "hard", True)
+        hard_false = RuleResult("pairing.length", "hard", False)
+        for results, want in [([], True), ([advisory_false], True), ([hard_none], True),
+                              ([hard_true, hard_false], False),
+                              ([advisory_false, hard_none, hard_true], True),
+                              ([hard_true, advisory_false, hard_false, hard_none], False)]:
+            assert ValidationReport("x", results).well_formed is want, results
+
+    def test_shared_results_stay_bounded(self, catalog, table, fixture_poems, toy_poems):
+        # a passing rhyme result is shared per level and rhyme group; the
+        # other shared results carry one of six fixed (rule, message) pairs
+        members: dict[str, list[str]] = {}
+        for ch, group in sorted(table.rhyme_group.items()):
+            members.setdefault(group, []).append(ch)
+        validator._shared.cache_clear()
+        spec, base = catalog.resolve("五绝"), parse_body(WUJUE_QIUSI)
+        for group, chars in members.items():
+            a, b = (chars * 2)[:2]
+            body = (base[0], Line(base[1].characters[:-1] + a, base[1].terminal_punct),
+                    base[2], Line(base[3].characters[:-1] + b, base[3].terminal_punct))
+            p = Poem("五绝", "秋思", body)
+            for level in ("advisory", "hard"):
+                (result,) = check_rhyme(p, spec, table, level)
+                assert result.passed and result.level == level
+                if a != b:
+                    assert result.message == f"shared rhyme group {group!r}"
+                    assert check_rhyme(p, spec, table, level)[0] is result
+        for p in [*fixture_poems, *toy_poems]:
+            for t in (table, None):
+                for strict in (False, True):
+                    validate(p, catalog, t, strict_phonology=strict)
+        assert validator._shared.cache_info().currsize <= 2 * len(members) + 2 * 6
 
     def test_every_fixture_poem_well_formed(self, catalog, table, fixture_poems):
         for p in fixture_poems:
