@@ -125,6 +125,13 @@ class FormSpec:
                 tuple(sum(b for s, b in bits if s == tone) for tone in (TONE_PING, TONE_ZE)))
         return width, masks
 
+    @cached_property
+    def tone_cells(self) -> tuple[tuple[int, int], ...]:
+        """The 1-indexed (line, character) of each bit of ``tone_masks``."""
+        width, masks = self.tone_masks
+        return tuple((b // width + 1, b % width + 1)
+                     for b in range(max(masks, default=0) * width))
+
 
 @dataclass
 class FormCatalog:

@@ -11,7 +11,7 @@ as failures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -30,15 +30,31 @@ class PhonologyError(GutiError):
 
 @dataclass
 class PhonologyTable:
-    """char -> rhyme group id, char -> tone class (ping/ze)."""
+    """char -> rhyme group id, char -> tone class (ping/ze).
+
+    ``parse_table`` refuses a character listed twice.  ``tone_digits`` is
+    derived from ``tone_class`` on first use and kept on the table, so a
+    table is read-only once parsed.
+    """
 
     rhyme_group: dict[str, str] = field(default_factory=dict)
     tone_class: dict[str, str] = field(default_factory=dict)
 
+    @cached_property
+    def tone_digits(self) -> dict[int, str]:
+        """``str.translate`` map from a 平 character to "1", a 仄 one to "2".
+
+        Whitespace, which no parsed table holds and no poem line contains,
+        is left out: the tone check pads lines with spaces."""
+        return {ord(ch): "1" if tone == PING else "2"
+                for ch, tone in self.tone_class.items() if not ch.isspace()}
+
 
 def parse_table(text: str, source: str = "<table>") -> PhonologyTable:
-    """One record per line: ``character<TAB>rhyme-group<TAB>tone-class``."""
+    """One record per line: ``character<TAB>rhyme-group<TAB>tone-class``,
+    each character on one line only."""
     table = PhonologyTable()
+    first_line: dict[str, int] = {}
     seen_header = False
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -58,6 +74,10 @@ def parse_table(text: str, source: str = "<table>") -> PhonologyTable:
             raise PhonologyError(f"{source}:{lineno}: key must be one character")
         if tone not in (PING, ZE):
             raise PhonologyError(f"{source}:{lineno}: tone must be ping or ze")
+        if ch in first_line:
+            raise PhonologyError(f"{source}:{lineno}: character {ch!r} already "
+                                 f"listed at line {first_line[ch]}")
+        first_line[ch] = lineno
         table.rhyme_group[ch] = group
         table.tone_class[ch] = tone
     if not seen_header:

@@ -16,18 +16,26 @@ result at each level, and the passing rhyme result of each rhyme group of
 the phonology table at each level.  Every check returns a fresh list, so
 ``validate`` takes the structure check's list as the report's own, extends
 it with the other checks' results and builds the report once.
+
+The tone check compares bit masks.  With w the length of the form's
+longest pattern line, line l's character c (0-indexed) is bit l * w + c of
+a 平 mask and a 仄 mask of the poem and of each template variant; a
+character past w, padding, or a character missing from the phonology table
+sets neither bit and so is not compared.  A mismatch's position is read off
+its set bit.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import NamedTuple, Sequence
 
-from .corpus import Line, Poem, parse_body
+from .corpus import Poem, parse_body
 from .errors import CorpusError
 from .forms import COMMA, PERIOD, FormCatalog, FormSpec
-from .phonology import PING, PhonologyTable
+from .phonology import PhonologyTable
 
 HARD = "hard"
 ADVISORY = "advisory"
@@ -73,12 +81,13 @@ class ValidationReport:
                 "rules": [r.to_dict() for r in self.results]}
 
 
-def _best_template(templates, lines: Sequence[Line]):
-    """Template variant agreeing with the poem in the most positions."""
+def _best_template(templates, shape: Sequence[tuple[int, str | None]]):
+    """Template variant agreeing with the poem's (length, terminal) per line
+    in the most positions."""
     def score(tpl):
-        s = -abs(len(tpl) - len(lines)) * 2
-        for (want_len, want_punct), line in zip(tpl, lines):
-            s += 2 * (len(line.characters) == want_len) + (line.terminal_punct == want_punct)
+        s = -abs(len(tpl) - len(shape)) * 2
+        for (want_len, want_punct), (n, punct) in zip(tpl, shape):
+            s += 2 * (n == want_len) + (punct == want_punct)
         return s
     return max(templates, key=score)
 
@@ -94,6 +103,10 @@ _UNREGULATED = RuleResult("structure.punctuation", ADVISORY, None,
 _PAIR_PASSED = tuple(RuleResult(rule, HARD, True) for rule in (
     "pairing.length", "pairing.position_repeat", "pairing.punctuation"))
 _ACROSTIC_PASSED = RuleResult("acrostic.initials", HARD, True)
+# bytes.translate tables: a tone digit string to the bits of one tone, each
+# byte but that tone's digit reading "0"; a binary digit string to 0/1 bytes
+_LEVEL_DIGIT, _OBLIQUE_DIGIT = (bytes(48 + (b == d) for b in range(256)) for d in b"12")
+_BIT = bytes.maketrans(b"01", b"\0\1")
 
 
 @functools.cache
@@ -148,7 +161,7 @@ def check_structure(poem: Poem, spec: FormSpec) -> list[RuleResult]:
                 f"expected {' or '.join(map(str, counts))} lines, got {len(lines)}")),
                 *_NOT_EVALUATED]
         count_message = ""
-        expected = templates[0] if len(templates) == 1 else _best_template(templates, lines)
+        expected = templates[0] if len(templates) == 1 else _best_template(templates, shape)
         checked = len(lines)
         faults = "line lengths: {detail}", "terminal punctuation deviates from the form template"
 
@@ -156,7 +169,7 @@ def check_structure(poem: Poem, spec: FormSpec) -> list[RuleResult]:
                      if len(ln.characters) != n])
     length_message = "" if not bad_len else faults[0].format(
         width=expected[0][0], detail=", ".join(
-            f"line {i}: {len(lines[i - 1])} chars (expected {expected[i - 1][0]})"
+            f"line {i}: {len(lines[i - 1].characters)} chars (expected {expected[i - 1][0]})"
             for i, _ in bad_len))
     results = [RuleResult("structure.line_count", HARD, ok_count, message=count_message),
                RuleResult("structure.line_lengths", HARD, not bad_len, bad_len,
@@ -267,19 +280,15 @@ def check_tone(poem: Poem, spec: FormSpec, table: PhonologyTable | None,
     variants = masks.get(len(poem.body))
     if not variants:
         return [_shared("tone.pattern", level, None, "line count does not fit any tone template")]
-    # one lookup per character, into the ``tone_masks`` layout (characters
-    # missing from the table, or past the longest pattern line, are never compared)
-    tone_of = table.tone_class.get
-    level_bits = oblique_bits = 0
-    for li, line in enumerate(poem.body):
-        bit = 1 << (li * width)
-        for ch in line.characters[:width]:
-            tone = tone_of(ch)
-            if tone == PING:
-                level_bits |= bit
-            elif tone is not None:
-                oblique_bits |= bit
-            bit <<= 1
+    # the poem in the ``tone_masks`` layout, reversed so that line l's
+    # character c is bit l * w + c: each line cut or padded with spaces to
+    # w characters, one translate writes "1" for a 平 character and "2" for
+    # a 仄 one, and what it leaves reads as "not compared": the padding and
+    # a character missing from the table (an ideograph, encoded as "?")
+    digits = "".join([ln.characters[:width].ljust(width) for ln in poem.body]
+                     ).translate(table.tone_digits).encode("ascii", "replace")[::-1]
+    level_bits = int(digits.translate(_LEVEL_DIGIT), 2)
+    oblique_bits = int(digits.translate(_OBLIQUE_DIGIT), 2)
     # the closest variant: fewest mismatches, then most compared slots,
     # then the smallest mismatch positions; of two mismatch sets of one
     # size, the smaller positions hold the lowest bit where the sets differ
@@ -298,8 +307,8 @@ def check_tone(poem: Poem, spec: FormSpec, table: PhonologyTable | None,
     if n_bad == 0:
         return [RuleResult("tone.pattern", level, True,
                            message=f"{compared} fixed slots agree")]
-    positions = tuple((b // width + 1, b % width + 1)
-                      for b in range(bad.bit_length()) if bad >> b & 1)
+    # one selector byte per bit, lowest first: the set bits pick their cells
+    positions = tuple(compress(spec.tone_cells, bin(bad)[:1:-1].encode().translate(_BIT)))
     return [RuleResult(
         "tone.pattern", level, False, positions,
         message=f"{n_bad} tone slots deviate from the closest template variant")]

@@ -252,6 +252,12 @@ class TestPhonologyTable:
         with pytest.raises(PhonologyError):
             parse_table("guti-phonology v1\n人\t文\tflat\n")
 
+    def test_repeated_character_refused(self):
+        # a polyphone listed twice would otherwise be judged by its last line
+        with pytest.raises(PhonologyError,
+                           match="^<table>:3: character '人' already listed at line 2$"):
+            parse_table("guti-phonology v1\n人\ta\tping\n人\tb\tze\n")
+
     @pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
     def test_line_break_inside_a_comment(self, brk):
         head = f"guti-phonology v1\n# note{brk}more\n"

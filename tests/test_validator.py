@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import validator_reference as reference
 from guti.corpus import Line, Poem, parse_body
 from guti.errors import UnknownFormError
-from guti.forms import parse_catalog
-from guti.phonology import parse_table
+from guti.forms import COMMA, PERIOD, parse_catalog
+from guti.phonology import PhonologyTable, parse_table
 from guti import validator
 from guti.validator import (
     RuleResult,
@@ -233,6 +234,45 @@ class TestTone:
         p = poem("五绝", "x", "叠叠叠叠叠，叠叠叠叠叠。叠叠叠叠叠，叠叠叠叠叠。")
         (result,) = check_tone(p, spec, TEST_TABLE)
         assert result.passed is None
+
+    def test_each_table_judges_by_its_own_tones(self, catalog):
+        # the second table is parsed after the first is gone, so it may be
+        # built where the first was: what a table derives stays its own
+        spec = self.make_spec(catalog, (("平平平平平",) * 4,))
+        p = poem("五绝", "x", "床前明月光，疑是地上霜。举头望明月，低头思故乡。")
+        chars = sorted({ch for line in p.body for ch in line.characters})
+        results = []
+        for tone in ("ping", "ze"):
+            table = parse_table("guti-phonology v1\n"
+                                + "".join(f"{ch}\tx\t{tone}\n" for ch in chars))
+            (result,) = check_tone(p, spec, table)
+            results.append(result)
+            del table
+        assert (results[0].passed, results[0].message) == (True, "20 fixed slots agree")
+        assert results[1].passed is False
+        assert results[1].positions == tuple((li, ci) for li in range(1, 5)
+                                             for ci in range(1, 6))
+
+    @pytest.mark.parametrize("space_tone", ["ping", "ze"])
+    def test_positions_up_to_the_highest_bit_equal_the_reference(self, catalog, space_tone):
+        """A 七律 mismatching at line 8, character 7 (the masks' highest bit),
+        with one line longer and one shorter than the pattern, under a table
+        that also lists a space, the character a short line is padded with."""
+        spec = catalog.resolve("七律")
+        pattern = spec.tone_patterns[0]
+        # 平 is level and 仄 oblique in TEST_TABLE; 叠 is missing from it
+        lines = [p.replace("中", "叠") for p in pattern]
+        lines[7] = lines[7][:6] + {"平": "仄", "仄": "平"}[pattern[7][6]]
+        lines[2] += "月明"
+        lines[4] = lines[4][:5]
+        p = Poem("七律", "x", tuple(Line(c, PERIOD if i % 2 else COMMA)
+                                   for i, c in enumerate(lines)))
+        table = PhonologyTable(dict(TEST_TABLE.rhyme_group),
+                               {**TEST_TABLE.tone_class, " ": space_tone})
+        (got,) = check_tone(p, spec, table)
+        (want,) = reference.check_tone(p, spec, table)
+        assert got.to_dict() == want.to_dict()
+        assert got.positions[-1] == (8, 7)
 
 
 TIE_CATALOG = parse_catalog(
