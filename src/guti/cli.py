@@ -240,9 +240,10 @@ def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, dropout,
 @click.option("--vocab", "vocab_path", required=True, metavar="PATH",
               help="Vocabulary file matching the checkpoint.")
 @click.option("--form", required=True, help="Form id from the catalog.")
-@click.option("--theme", default=None, help="Theme string.")
+@click.option("--theme", default=None, help="Theme string, stripped and 、？！-normalized "
+              "as ingest writes one; a marker, line break or lone surrogate is refused.")
 @click.option("--acrostic", "acrostic_target", default=None, metavar="CHARS",
-              help="Generate an acrostic on these line-initial characters.")
+              help="Generate an acrostic on these line-initial characters (as --theme).")
 @click.option("-n", "count", default=1, show_default=True,
               help="Number of candidates.")
 @click.option("-k", "top_k", default=SampleConfig.k, show_default=True,

@@ -60,6 +60,18 @@ def is_cjk(ch: str) -> bool:
     return any(a <= cp <= b for a, b in _CJK_RANGES)
 
 
+def check_theme(theme: str, error: type[GutiError]) -> None:
+    """Raise ``error`` if a theme holds a marker, a line break or a lone surrogate."""
+    marker = MARKER_RE.search(theme)
+    if marker:
+        raise error(f"theme contains identifier marker {marker[0]!r}")
+    # vocab.txt holds one token per line, so no token may be "\n" or "\r"
+    if "\n" in theme or "\r" in theme:
+        raise error("theme contains a line break")
+    if _SURROGATE.search(theme):
+        raise error("theme contains a lone surrogate")
+
+
 @dataclass(frozen=True, slots=True)
 class Line:
     """One punctuation-delimited segment of a poem body."""
@@ -92,15 +104,9 @@ class Poem:
     def __post_init__(self):
         if not self.body:
             raise CorpusError("poem body is empty")
-        marker = MARKER_RE.search(self.theme)
-        if marker:
-            raise CorpusError(f"theme contains identifier marker {marker[0]!r}")
-        # vocab.txt holds one token per line, so no token may be "\n" or "\r"
-        if "\n" in self.theme or "\r" in self.theme:
-            raise CorpusError("theme contains a line break")
-        for name in ("theme", "source_id"):
-            if _SURROGATE.search(getattr(self, name) or ""):
-                raise CorpusError(f"{name} contains a lone surrogate")
+        check_theme(self.theme, CorpusError)
+        if _SURROGATE.search(self.source_id or ""):
+            raise CorpusError("source_id contains a lone surrogate")
 
     def body_text(self) -> str:
         return "".join([line.characters + (line.terminal_punct or "")
@@ -155,14 +161,11 @@ class SerializedSample:
         return spans
 
 
-# Unchecked constructors: they set a frozen dataclass's slots directly, with
-# no ``__init__`` and none of its checks, for values that are already
-# proven (a body match proves every line it yields; a poem's line initials
-# are checked ideographs).
+# Unchecked constructor: it sets a frozen Line's slots directly, with no
+# ``__init__`` and none of its checks, for lines that are already proven
+# (a body match proves every line it yields).
 _new = object.__new__
 _set_characters, _set_terminal = Line.characters.__set__, Line.terminal_punct.__set__
-_set_form, _set_theme, _set_body, _set_source = (
-    getattr(Poem, name).__set__ for name in ("form_id", "theme", "body", "source_id"))
 
 
 def _line(characters: str, terminal_punct: str | None) -> Line:
@@ -170,15 +173,6 @@ def _line(characters: str, terminal_punct: str | None) -> Line:
     _set_characters(line, characters)
     _set_terminal(line, terminal_punct)
     return line
-
-
-def _poem(form_id: str, theme: str, body: tuple[Line, ...], source_id: str | None) -> Poem:
-    poem = _new(Poem)
-    _set_form(poem, form_id)
-    _set_theme(poem, theme)
-    _set_body(poem, body)
-    _set_source(poem, source_id)
-    return poem
 
 
 def normalize_body_text(text: str) -> str:
@@ -190,6 +184,11 @@ def normalize_body_text(text: str) -> str:
     for loose, canonical in _PUNCT_MAP:
         text = text.replace(loose, canonical)
     return text
+
+
+def normalize_theme(theme: str) -> str:
+    """A theme as a sample holds it: stripped, its punctuation normalized."""
+    return normalize_body_text(theme.strip())
 
 
 def parse_body(text: str) -> tuple[Line, ...]:
@@ -263,10 +262,10 @@ def _poem_from_record(record: dict, catalog: FormCatalog, source_id: str) -> Poe
         return couplet_transform(record.get("first", ""), record.get("second", ""),
                                  source_id=source_id)
     form_id = record["form"].strip()
-    if form_id not in catalog:
+    spec = catalog.entries.get(form_id)
+    if spec is None:
         raise UnknownFormError(form_id)
-    spec = catalog.resolve(form_id)
-    theme = normalize_body_text(record["theme"].strip())
+    theme = normalize_theme(record["theme"])
     lines = parse_body(record["body"])
     if spec.form_class in ("jintishi", "gushi"):
         lines = restore_punctuation(lines)
@@ -404,7 +403,7 @@ def sample_from_text(text: str, catalog: FormCatalog,
 def couplet_transform(first_line: str, second_line: str,
                       source_id: str | None = None) -> Poem:
     """Build the couplet poem: first line becomes the theme, second the body."""
-    first = normalize_body_text(first_line.strip())
+    first = normalize_theme(first_line)
     second = second_line.strip()
     if not first:
         raise CorpusError("empty couplet first line")
@@ -427,5 +426,5 @@ def acrostic_transform(poem: Poem, catalog: FormCatalog) -> Poem:
     if spec.acrostic_id is None:
         raise CorpusError(f"form {poem.form_id!r} has no acrostic variant")
     variant = catalog.resolve(spec.acrostic_id)
-    return _poem(variant.form_id, poem.line_initials(variant.acrostic_slots),
-                 poem.body, poem.source_id)
+    return Poem(variant.form_id, poem.line_initials(variant.acrostic_slots),
+                poem.body, poem.source_id)

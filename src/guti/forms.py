@@ -145,9 +145,6 @@ class FormCatalog:
         except KeyError:
             raise UnknownFormError(form_id, sorted(self.entries)) from None
 
-    def __contains__(self, form_id: str) -> bool:
-        return form_id in self.entries
-
     def form_ids(self) -> list[str]:
         return sorted(self.entries)
 

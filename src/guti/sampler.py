@@ -30,9 +30,9 @@ from functools import cached_property
 import numpy as np
 
 from . import vocab as vocab_mod
-from .corpus import Poem, SerializedSample, deserialize
+from .corpus import Poem, SerializedSample, check_theme, deserialize, normalize_theme
 from .errors import GutiError, SamplingError, check_counts
-from .forms import MARKER_RE, FormCatalog
+from .forms import FormCatalog
 from .model import KVCache, ModelParams, _forward_impl, forward, softmax_inplace
 from .validator import PhonologyTable, ValidationReport, validate
 from .vocab import Vocab
@@ -74,9 +74,8 @@ def _prompt(form_id: str, theme: str, catalog: FormCatalog, vocab: Vocab,
         if spec.acrostic_id is None:
             raise SamplingError(f"form {form_id!r} has no acrostic variant")
         spec = catalog.resolve(spec.acrostic_id)
-    marker = MARKER_RE.search(theme)
-    if marker:
-        raise SamplingError(f"theme contains identifier marker {marker[0]!r}")
+    theme = normalize_theme(theme)
+    check_theme(theme, SamplingError)
     id1, id2 = spec.markers
     text = SerializedSample(spec.form_id, id1, theme, id2, body="").prompt
     return text, [vocab.bos_id] + vocab_mod.encode(text, vocab)
@@ -86,8 +85,10 @@ def build_prompt(form_id: str, theme: str, catalog: FormCatalog, vocab: Vocab,
                  acrostic: bool = False) -> list[int]:
     """Token ids of ``form + id1 + theme + id2`` (markers atomic, BOS first).
 
-    With ``acrostic=True`` the form is re-pointed at its acrostic variant
-    so the prompt carries the acrostic identifier token.
+    The theme is cleaned and checked as a corpus record's is, so the prompt
+    is the prefix training saw.  With ``acrostic=True`` the form is
+    re-pointed at its acrostic variant so the prompt carries the acrostic
+    identifier token.
     """
     return _prompt(form_id, theme, catalog, vocab, acrostic)[1]
 
@@ -281,7 +282,7 @@ def generate_batch(params: ModelParams, form_id: str, theme: str, n: int,
     recorded on the candidate; the batch itself never aborts.
     """
     check_counts(SamplingError, 0, n=n)
-    # the text asked for: decoding the prompt ids would drop UNK characters
+    # the prompt as text, its theme cleaned: decoding its ids would drop UNKs
     prompt_text, prompt = _prompt(form_id, theme, catalog, vocab, acrostic)
     seeds = [int(np.random.default_rng([cfg.seed, i]).integers(0, 2 ** 31))
              for i in range(n)]

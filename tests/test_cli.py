@@ -611,6 +611,17 @@ class TestGenerate:
         assert code == 0
         assert out.count("(藏头诗)") == 2
 
+    @pytest.mark.parametrize("theme, message", [
+        ("春\n夏", "theme contains a line break"),
+        ("春\udcff", "theme contains a lone surrogate"),   # a non-UTF-8 argv byte
+    ], ids=["line-break", "surrogate"])
+    def test_refused_theme_exits_1(self, capsys, pipeline, theme, message):
+        code, out, err = run(capsys, "generate", str(pipeline / "run" / "last.ckpt"),
+                             "--vocab", str(pipeline / "vocab.txt"),
+                             "--form", "五绝", "--theme", theme, "-n", "2", "--seed", "1")
+        assert code == 1
+        assert out == "" and err == f"guti: {message}\n"
+
     def test_nan_temperature_exits_1(self, capsys, pipeline):
         code, out, err = run(capsys, "generate", str(pipeline / "run" / "last.ckpt"),
                              "--vocab", str(pipeline / "vocab.txt"),

@@ -1,10 +1,13 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from guti.corpus import acrostic_transform, serialize
-from guti.errors import SamplingError, UnknownFormError
+from guti import sampler
+from guti.cli import main
+from guti.corpus import Poem, acrostic_transform, parse_body, read_dataset, serialize
+from guti.errors import CorpusError, SamplingError, UnknownFormError
 from guti.model import ModelConfig, ModelParams, forward, init_params
 from guti.sampler import (
     SampleConfig,
@@ -17,7 +20,7 @@ from guti.sampler import (
     top_k_sample,
 )
 from guti.trainer import TrainConfig, encode_sample, fine_tune
-from guti.vocab import build_vocab, decode, encode
+from guti.vocab import build_vocab, decode, encode, load_vocab
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +65,30 @@ class TestBuildPrompt:
             plain = next(p for p in fixture_poems if p.source_id == twin.source_id)
             assert (build_prompt(plain.form_id, twin.theme, catalog, vocab, acrostic=True)
                     == build_prompt(twin.form_id, twin.theme, catalog, vocab))
+
+    @pytest.mark.parametrize("raw", [" 静夜、思 ", "床前？", "　秋思"],
+                             ids=["spaces-and-comma", "question-mark", "ideographic-space"])
+    def test_raw_theme_prompt_is_the_ingested_prefix(self, catalog, tmp_path, raw):
+        # ingest strips a theme and maps 、？！ onto ，。: the prompt must match
+        corpus = tmp_path / "corpus.jsonl"
+        record = {"form": "五绝", "theme": raw,
+                  "body": "床前明月光，疑是地上霜。举头望明月，低头思故乡。"}
+        corpus.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert main(["ingest", str(corpus), "-o", str(tmp_path / "ds")]) == 0
+        [sample] = read_dataset(tmp_path / "ds" / "dataset.jsonl", catalog)
+        vocab = load_vocab(tmp_path / "ds" / "vocab.txt")
+        ids = build_prompt("五绝", raw, catalog, vocab)
+        assert vocab.unk_id not in ids
+        assert encode_sample(sample, vocab)[:len(ids)] == ids
+
+    @pytest.mark.parametrize("theme", ["秋(标题)思", "春\r夏", "秋\udfff"],
+                             ids=["marker", "line-break", "surrogate"])
+    def test_poem_and_prompt_refuse_a_theme_alike(self, catalog, toy_vocab, theme):
+        with pytest.raises(CorpusError) as poem_exc:
+            Poem("五绝", theme, parse_body("床前明月光。"))
+        with pytest.raises(SamplingError) as prompt_exc:
+            build_prompt("五绝", theme, catalog, toy_vocab)
+        assert str(prompt_exc.value) == str(poem_exc.value)
 
     def test_empty_theme_accepted(self, catalog, wide_vocab):
         ids = build_prompt("五绝", "", catalog, wide_vocab)
@@ -448,6 +475,21 @@ class TestGenerateBatch:
                 assert cand.poem.theme == theme
             else:
                 assert "unknown form" not in cand.error
+
+    @pytest.mark.parametrize("theme, message", [
+        ("春\n夏", "theme contains a line break"),
+        ("秋\ud800", "theme contains a lone surrogate"),
+    ], ids=["line-break", "surrogate"])
+    def test_refused_theme_raises_before_any_decode(
+            self, monkeypatch, random_params, toy_vocab, catalog, table, theme, message):
+        decodes = []
+        monkeypatch.setattr(sampler, "_decode", lambda *args: decodes.append(args) or [])
+        with pytest.raises(SamplingError, match=f"^{message}$"):
+            build_prompt("五绝", theme, catalog, toy_vocab)
+        with pytest.raises(SamplingError, match=f"^{message}$"):
+            generate_batch(random_params, "五绝", theme, 2,
+                           SampleConfig(seed=0), toy_vocab, catalog, table)
+        assert decodes == []
 
     def test_negative_count_rejected(self, random_params, toy_vocab, catalog, table):
         with pytest.raises(SamplingError, match=">= 0"):
