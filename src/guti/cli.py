@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import secrets
 import sys
-from dataclasses import replace
+from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
 import click
@@ -154,18 +154,19 @@ def cmd_ingest(corpus_file, out_dir, catalog_path, acrostic, min_count, max_seq_
               help="Maximum sequence length.")
 @click.option("--dropout", default=ModelConfig.dropout_rate, show_default=True,
               help="Dropout rate during training.")
-@click.option("--lr", default=TrainConfig.learning_rate, show_default=True,
+@click.option("--lr", "learning_rate", default=TrainConfig.learning_rate, show_default=True,
               help="Adam learning rate.")
 @click.option("--batch-size", default=TrainConfig.batch_size, show_default=True,
               help="Sequences per optimizer step.")
 @click.option("--max-steps", default=TrainConfig.max_steps, show_default=True,
               help="Optimizer steps to run.")
-@click.option("--warmup", default=TrainConfig.warmup_steps, show_default=True,
+@click.option("--warmup", "warmup_steps", default=TrainConfig.warmup_steps, show_default=True,
               help="Linear learning-rate warmup steps.")
 @click.option("--checkpoint-interval", default=TrainConfig.checkpoint_interval,
               show_default=True,
               help="Write a checkpoint and metrics record every N steps.")
-@click.option("--novelty-interval", default=TrainConfig.novelty_eval_interval,
+@click.option("--novelty-interval", "novelty_eval_interval",
+              default=TrainConfig.novelty_eval_interval,
               show_default=True, help="Probe retrieval novelty every N steps (0 = off).")
 @click.option("--early-stop-novelty", default=TrainConfig.early_stop_novelty, type=float,
               help="Stop when probe novelty drops below this value.")
@@ -175,12 +176,12 @@ def cmd_ingest(corpus_file, out_dir, catalog_path, acrostic, min_count, max_seq_
               help="Training shuffle/dropout seed (random if omitted).")
 @click.option("--model-seed", default=0, show_default=True, type=click.IntRange(min=0),
               help="Seed for parameter initialization.")
-def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, dropout,
-              lr, batch_size, max_steps, warmup, checkpoint_interval,
-              novelty_interval, early_stop_novelty, heldout_fraction, seed,
-              model_seed, **arch):
+def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, dropout, seed,
+              model_seed, **fields):
     """Fine-tune the language model on a serialized dataset."""
-    # ``arch``: the architecture options, each named as its ModelConfig field
+    # ``fields``: each option named as the ModelConfig or TrainConfig field it sets
+    arch = {f.name: fields.pop(f.name) for f in dataclass_fields(ModelConfig)
+            if f.name in fields}
     catalog = _load_catalog_opt(catalog_path)
     vocab = vocab_mod.load_vocab(vocab_path)
     samples = corpus_mod.read_dataset(dataset, catalog)
@@ -215,12 +216,7 @@ def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, dropout,
     if not usable:
         raise click.ClickException("every sample exceeds the model context")
 
-    cfg = TrainConfig(
-        learning_rate=lr, batch_size=batch_size, max_steps=max_steps,
-        warmup_steps=warmup, checkpoint_interval=checkpoint_interval,
-        novelty_eval_interval=novelty_interval, seed=_resolve_seed(seed),
-        heldout_fraction=heldout_fraction,
-        early_stop_novelty=early_stop_novelty)
+    cfg = TrainConfig(**fields, seed=_resolve_seed(seed))
     params, report = trainer_mod.fine_tune(usable, vocab, params, cfg,
                                            out_dir=out_dir)
     for line in report.metric_lines():
@@ -246,7 +242,7 @@ def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, dropout,
               help="Generate an acrostic on these line-initial characters (as --theme).")
 @click.option("-n", "count", default=1, show_default=True,
               help="Number of candidates.")
-@click.option("-k", "top_k", default=SampleConfig.k, show_default=True,
+@click.option("-k", "k", default=SampleConfig.k, show_default=True,
               help="Top-k truncation width.")
 @click.option("--temperature", default=SampleConfig.temperature, show_default=True,
               help="Softmax temperature over the candidate set.")
@@ -263,9 +259,8 @@ def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, dropout,
 @table_option
 @click.option("--strict-phonology", is_flag=True,
               help="Count rhyme/tone deviations against well-formedness.")
-def cmd_generate(checkpoint, vocab_path, form, theme, acrostic_target, count,
-                 top_k, temperature, max_new_tokens, seed, as_json,
-                 catalog_path, table_path, strict_phonology):
+def cmd_generate(checkpoint, vocab_path, form, theme, acrostic_target, count, seed,
+                 as_json, catalog_path, table_path, strict_phonology, **sampling):
     """Sample poems from a trained model and validate each candidate."""
     catalog = _load_catalog_opt(catalog_path)
     table = _load_table_opt(table_path)
@@ -274,8 +269,7 @@ def cmd_generate(checkpoint, vocab_path, form, theme, acrostic_target, count,
     _check_vocab_size(params, vocab)
     if (theme is None) == (acrostic_target is None):
         raise click.UsageError("give exactly one of --theme or --acrostic")
-    cfg = SampleConfig(k=top_k, temperature=temperature,
-                       max_new_tokens=max_new_tokens, seed=_resolve_seed(seed))
+    cfg = SampleConfig(**sampling, seed=_resolve_seed(seed))
     report = generate_batch(
         params, form, theme if acrostic_target is None else acrostic_target,
         count, cfg, vocab, catalog, table, acrostic=acrostic_target is not None,
@@ -315,7 +309,8 @@ def cmd_generate(checkpoint, vocab_path, form, theme, acrostic_target, count,
 @click.option("--json", "as_json", is_flag=True,
               help="Emit line-delimited JSON reports instead of text.")
 @click.option("--skip-unknown", is_flag=True,
-              help="Skip records with unknown forms instead of failing.")
+              help="Skip unusable records (malformed JSON, unknown form, "
+              "refused theme or body) instead of failing.")
 @click.option("--strict-phonology", is_flag=True,
               help="Count rhyme/tone deviations against well-formedness.")
 def cmd_validate(poems, catalog_path, table_path, as_json, skip_unknown,
@@ -324,14 +319,11 @@ def cmd_validate(poems, catalog_path, table_path, as_json, skip_unknown,
     catalog = _load_catalog_opt(catalog_path)
     table = _load_table_opt(table_path)
     result = corpus_mod.ingest_corpus(poems, catalog)
-    if result.diagnostics and not skip_unknown:
-        for diag in result.diagnostics:
-            _err(f"{poems}:{diag.line_no}: {diag.message}")
-        raise click.ClickException(
-            f"{len(result.diagnostics)} unusable records "
-            "(use --skip-unknown to skip them)")
     for diag in result.diagnostics:
-        _err(f"{poems}:{diag.line_no}: skipped: {diag.message}")
+        _err(f"{poems}:{diag.line_no}: {'skipped: ' if skip_unknown else ''}{diag.message}")
+    if result.diagnostics and not skip_unknown:
+        raise click.ClickException(f"{len(result.diagnostics)} unusable records "
+                                   "(use --skip-unknown to skip them)")
 
     if not result.poems:
         click.echo("well-formed rate: n/a (no poems)")

@@ -392,10 +392,10 @@ def deserialize(text: str, catalog: FormCatalog, source_id: str | None = None) -
 
 def sample_from_text(text: str, catalog: FormCatalog,
                      source_id: str | None = None) -> SerializedSample:
-    """Rebuild a SerializedSample from serialized text, which must be canonical."""
+    """Rebuild a SerializedSample from text as ingest writes it, theme normalized."""
     poem = deserialize(text, catalog, source_id=source_id)
     sample = serialize(poem, catalog)
-    if sample.text != text:
+    if sample.text != text or poem.theme != normalize_theme(poem.theme):
         raise SerializationError("text is not in canonical serialized form")
     return sample
 

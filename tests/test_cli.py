@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -15,13 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import guti
-from guti import fileio
+from guti import cli, fileio
 from guti.cli import main
 from guti.corpus import deserialize, ingest_corpus, normalize_body_text, read_dataset
 from guti.errors import CatalogError, CorpusError, VocabError
 from guti.forms import ALL_MARKERS, COMMA, PERIOD, default_catalog, load_catalog
-from guti.model import load_checkpoint
+from guti.model import ModelConfig, load_checkpoint
 from guti.phonology import PhonologyError, load_table
+from guti.sampler import BatchReport, SampleConfig
+from guti.trainer import TrainConfig, TrainReport
 from guti.vocab import build_vocab, decode, encode, load_vocab
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -413,6 +416,25 @@ class TestTrain:
         assert code == 1
         assert f"{dataset}:2: bad dataset record: {message}" in err
 
+    @pytest.mark.parametrize("theme", [" 静夜思", "静夜思 ", "静夜、思", "静夜思？"],
+                             ids=["leading-space", "trailing-space", "dunhao", "question"])
+    def test_record_ingest_could_not_write_exits_1(self, capsys, pipeline, tmp_path,
+                                                   theme):
+        # ingest normalizes every theme, so no prompt can produce this prefix
+        dataset = tmp_path / "dataset.jsonl"
+        text = f"五绝(格式){theme}(标题)床前明月光，疑是地上霜。举头望明月，低头思故乡。"
+        dataset.write_text(json.dumps({"text": text}, ensure_ascii=False) + "\n",
+                           encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"{re.escape(str(dataset))}:1: "
+                           "bad dataset record: text is not in canonical serialized form"):
+            read_dataset(dataset, default_catalog())
+        code, _, err = run(capsys, "train", str(dataset),
+                           "--vocab", str(pipeline / "vocab.txt"),
+                           "-o", str(tmp_path / "run"), "--max-steps", "1")
+        assert code == 1
+        assert f"{dataset}:1: bad dataset record" in err
+        assert not (tmp_path / "run").exists()
+
     def test_early_stop_without_novelty_interval_exits_1(self, capsys, pipeline,
                                                          tmp_path):
         code, _, err = run(capsys, "train", str(pipeline / "dataset.jsonl"),
@@ -525,6 +547,63 @@ class TestTrain:
                            "--seed", "1", "--heldout-fraction", "0")
         assert code == 0
         assert "exceed the model context" in err
+
+
+class TestConfigOptions:
+    """Every option that sets a config field reaches that field."""
+
+    @staticmethod
+    def assert_fields(got, expected, default, derived=()):
+        for name, value in asdict(expected).items():
+            if name not in derived:      # a default value would prove nothing
+                assert value != getattr(default, name), name
+            assert getattr(got, name) == value, name
+
+    def test_train_options_set_their_fields(self, capsys, pipeline, tmp_path,
+                                            monkeypatch):
+        seen = {}
+
+        def fine_tune(samples, vocab, params, cfg, out_dir):
+            seen.update(model=params.config, train=cfg)
+            return params, TrainReport()
+
+        monkeypatch.setattr(cli.trainer_mod, "fine_tune", fine_tune)
+        code, _, err = run(capsys, "train", str(pipeline / "dataset.jsonl"),
+                           "--vocab", str(pipeline / "vocab.txt"),
+                           "-o", str(tmp_path / "run"),
+                           "--layers", "1", "--heads", "2", "--d-model", "16",
+                           "--d-ff", "24", "--context-len", "96", "--dropout", "0.1",
+                           "--lr", "1e-3", "--batch-size", "4", "--max-steps", "3",
+                           "--warmup", "1", "--checkpoint-interval", "2",
+                           "--novelty-interval", "2", "--early-stop-novelty", "0.5",
+                           "--heldout-fraction", "0.25", "--seed", "7")
+        assert code == 0, err
+        vocab_size = load_vocab(pipeline / "vocab.txt").size
+        self.assert_fields(seen["model"], ModelConfig(
+            n_layers=1, n_heads=2, d_model=16, d_ff=24, context_len=96,
+            vocab_size=vocab_size, dropout_rate=0.1), ModelConfig, derived={"vocab_size"})
+        self.assert_fields(seen["train"], TrainConfig(
+            learning_rate=1e-3, batch_size=4, max_steps=3, warmup_steps=1,
+            checkpoint_interval=2, novelty_eval_interval=2, seed=7,
+            heldout_fraction=0.25, early_stop_novelty=0.5), TrainConfig)
+
+    def test_generate_options_set_their_fields(self, capsys, pipeline, monkeypatch):
+        seen = {}
+
+        def generate_batch(params, form, theme, count, cfg, *args, **kwargs):
+            seen["sample"] = cfg
+            return BatchReport()
+
+        monkeypatch.setattr(cli, "generate_batch", generate_batch)
+        code, _, err = run(capsys, "generate", str(pipeline / "run" / "last.ckpt"),
+                           "--vocab", str(pipeline / "vocab.txt"),
+                           "--form", "五绝", "--theme", "春", "-k", "5",
+                           "--temperature", "0.7", "--max-new-tokens", "40",
+                           "--seed", "9")
+        assert code == 0, err
+        self.assert_fields(seen["sample"], SampleConfig(
+            k=5, temperature=0.7, max_new_tokens=40, seed=9), SampleConfig,
+            derived={"forbid"})
 
 
 class TestGenerate:
