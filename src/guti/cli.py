@@ -22,9 +22,9 @@ from . import corpus as corpus_mod
 from . import trainer as trainer_mod
 from . import vocab as vocab_mod
 from .errors import CorpusError, GutiError
-from .forms import FormCatalog, default_catalog, load_catalog
+from .forms import default_catalog, load_catalog
 from .model import ModelConfig, ModelParams, init_params, load_checkpoint
-from .phonology import PhonologyTable, default_table, load_table
+from .phonology import default_table, load_table
 from .sampler import SampleConfig, generate_batch
 from .trainer import TrainConfig
 from .validator import validate
@@ -38,12 +38,9 @@ def _err(message: str) -> None:
     click.echo(f"guti: {message}", err=True)
 
 
-def _load_catalog_opt(path: str | None) -> FormCatalog:
-    return load_catalog(path) if path else default_catalog()
-
-
-def _load_table_opt(path: str | None) -> PhonologyTable:
-    return load_table(path) if path else default_table()
+def _loads(load, default=lambda: None):
+    """A click callback that loads the file its parameter names, else ``default()``."""
+    return lambda ctx, param, path: load(path) if path else default()
 
 
 def _check_vocab_size(params: ModelParams, vocab: vocab_mod.Vocab) -> None:
@@ -60,11 +57,11 @@ def _resolve_seed(seed: int | None) -> int:
 
 
 catalog_option = click.option(
-    "--catalog", "catalog_path", envvar="GUTI_CATALOG", default=None,
+    "--catalog", envvar="GUTI_CATALOG", callback=_loads(load_catalog, default_catalog),
     metavar="PATH", help="Form catalog file (default: built-in; "
     "env GUTI_CATALOG overrides).")
 table_option = click.option(
-    "--table", "table_path", default=None, metavar="PATH",
+    "--table", callback=_loads(load_table, default_table), metavar="PATH",
     help="Phonology table file (default: built-in modern approximation).")
 
 
@@ -87,9 +84,8 @@ def cli():
 @click.option("--max-seq-len", default=0, show_default=True,
               type=click.IntRange(min=0),
               help="Skip samples longer than this many tokens (0 = no limit).")
-def cmd_ingest(corpus_file, out_dir, catalog_path, acrostic, min_count, max_seq_len):
+def cmd_ingest(corpus_file, out_dir, catalog, acrostic, min_count, max_seq_len):
     """Serialize a poem corpus and build its vocabulary."""
-    catalog = _load_catalog_opt(catalog_path)
     result = corpus_mod.ingest_corpus(corpus_file, catalog, serializable=True)
     for diag in result.diagnostics:
         _err(f"{corpus_file}:{diag.line_no}: skipped: {diag.message}")
@@ -133,12 +129,12 @@ def cmd_ingest(corpus_file, out_dir, catalog_path, acrostic, min_count, max_seq_
 
 @cli.command("train")
 @click.argument("dataset", metavar="DATASET")
-@click.option("--vocab", "vocab_path", required=True, metavar="PATH",
+@click.option("--vocab", required=True, callback=_loads(vocab_mod.load_vocab), metavar="PATH",
               help="Vocabulary file written by 'guti ingest'.")
 @click.option("-o", "--out", "out_dir", required=True, metavar="DIR",
               help="Output directory for checkpoints and metrics.jsonl.")
 @catalog_option
-@click.option("--init-from", "init_from", default=None, metavar="CKPT",
+@click.option("--init-from", callback=_loads(load_checkpoint), metavar="CKPT",
               help="Start from an existing checkpoint instead of random init. "
                    "The architecture is the checkpoint's: an architecture flag "
                    "given with it must agree; --dropout applies.")
@@ -176,20 +172,18 @@ def cmd_ingest(corpus_file, out_dir, catalog_path, acrostic, min_count, max_seq_
               help="Training shuffle/dropout seed (random if omitted).")
 @click.option("--model-seed", default=0, show_default=True, type=click.IntRange(min=0),
               help="Seed for parameter initialization.")
-def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, dropout, seed,
-              model_seed, **fields):
+def cmd_train(dataset, vocab, out_dir, catalog, init_from, dropout, seed, model_seed,
+              **fields):
     """Fine-tune the language model on a serialized dataset."""
     # ``fields``: each option named as the ModelConfig or TrainConfig field it sets
     arch = {f.name: fields.pop(f.name) for f in dataclass_fields(ModelConfig)
             if f.name in fields}
-    catalog = _load_catalog_opt(catalog_path)
-    vocab = vocab_mod.load_vocab(vocab_path)
     samples = corpus_mod.read_dataset(dataset, catalog)
     if not samples:
         raise click.ClickException(f"{dataset}: no samples")
 
-    if init_from:
-        params = load_checkpoint(init_from)
+    if init_from is not None:
+        params = init_from
         _check_vocab_size(params, vocab)
         ctx = click.get_current_context()
         given = {name for name in ctx.params
@@ -232,8 +226,8 @@ def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, dropout, se
 
 
 @cli.command("generate")
-@click.argument("checkpoint", metavar="CKPT")
-@click.option("--vocab", "vocab_path", required=True, metavar="PATH",
+@click.argument("params", metavar="CKPT", callback=_loads(load_checkpoint))
+@click.option("--vocab", required=True, callback=_loads(vocab_mod.load_vocab), metavar="PATH",
               help="Vocabulary file matching the checkpoint.")
 @click.option("--form", required=True, help="Form id from the catalog.")
 @click.option("--theme", default=None, help="Theme string, stripped and 、？！-normalized "
@@ -259,13 +253,9 @@ def cmd_train(dataset, vocab_path, out_dir, catalog_path, init_from, dropout, se
 @table_option
 @click.option("--strict-phonology", is_flag=True,
               help="Count rhyme/tone deviations against well-formedness.")
-def cmd_generate(checkpoint, vocab_path, form, theme, acrostic_target, count, seed,
-                 as_json, catalog_path, table_path, strict_phonology, **sampling):
+def cmd_generate(params, vocab, form, theme, acrostic_target, count, seed, as_json,
+                 catalog, table, strict_phonology, **sampling):
     """Sample poems from a trained model and validate each candidate."""
-    catalog = _load_catalog_opt(catalog_path)
-    table = _load_table_opt(table_path)
-    vocab = vocab_mod.load_vocab(vocab_path)
-    params = load_checkpoint(checkpoint)
     _check_vocab_size(params, vocab)
     if (theme is None) == (acrostic_target is None):
         raise click.UsageError("give exactly one of --theme or --acrostic")
@@ -313,11 +303,8 @@ def cmd_generate(checkpoint, vocab_path, form, theme, acrostic_target, count, se
               "refused theme or body) instead of failing.")
 @click.option("--strict-phonology", is_flag=True,
               help="Count rhyme/tone deviations against well-formedness.")
-def cmd_validate(poems, catalog_path, table_path, as_json, skip_unknown,
-                 strict_phonology):
+def cmd_validate(poems, catalog, table, as_json, skip_unknown, strict_phonology):
     """Check every poem in a corpus file against its declared form."""
-    catalog = _load_catalog_opt(catalog_path)
-    table = _load_table_opt(table_path)
     result = corpus_mod.ingest_corpus(poems, catalog)
     for diag in result.diagnostics:
         _err(f"{poems}:{diag.line_no}: {'skipped: ' if skip_unknown else ''}{diag.message}")

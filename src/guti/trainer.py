@@ -322,7 +322,7 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
     def write_metrics():
         nonlocal written
         write_atomic(out_path / "metrics.jsonl",
-                     ("\n".join(report.metric_lines()) + "\n").encode("utf-8"))
+                     "".join(line + "\n" for line in report.metric_lines()).encode("utf-8"))
         written = len(report.intervals) + len(report.novelty)
 
     while step < cfg.max_steps:

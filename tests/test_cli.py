@@ -469,7 +469,7 @@ class TestTrain:
         assert "ran 3 steps in" in err
         assert "(3 skipped for a non-finite second moment or update)" in err
         assert "no step was applied" in err
-        assert out == "" and (tmp_path / "run" / "metrics.jsonl").read_bytes() == b"\n"
+        assert out == "" and (tmp_path / "run" / "metrics.jsonl").read_bytes() == b""
 
     @pytest.mark.parametrize("lr", ["nan", "inf", "0"])
     def test_unusable_learning_rate_exits_1(self, capsys, pipeline, tmp_path, lr):
@@ -936,12 +936,37 @@ class TestUnreadableInput:
         ("vocab", lambda bad, out, data: [
             "generate", str(data / "run" / "last.ckpt"), "--vocab", bad,
             "--form", "五绝", "--theme", "静"]),
-    ], ids=["ingest", "validate", "catalog", "table", "train-dataset", "vocab"])
+        ("catalog", lambda bad, out, data: [
+            "ingest", str(FIXTURES / "toy_corpus.jsonl"), "-o", out, "--catalog", bad]),
+        ("catalog", lambda bad, out, data: [
+            "train", str(data / "dataset.jsonl"), "--vocab", str(data / "vocab.txt"),
+            "-o", out, "--catalog", bad]),
+        ("vocab", lambda bad, out, data: [
+            "train", str(data / "dataset.jsonl"), "--vocab", bad, "-o", out]),
+        ("checkpoint", lambda bad, out, data: [
+            "train", str(data / "dataset.jsonl"), "--vocab", str(data / "vocab.txt"),
+            "-o", out, "--init-from", bad]),
+        ("checkpoint", lambda bad, out, data: [
+            "generate", bad, "--vocab", str(data / "vocab.txt"),
+            "--form", "五绝", "--theme", "静"]),
+        ("catalog", lambda bad, out, data: [
+            "generate", str(data / "run" / "last.ckpt"), "--vocab", str(data / "vocab.txt"),
+            "--form", "五绝", "--theme", "静", "--catalog", bad]),
+        ("phonology table", lambda bad, out, data: [
+            "generate", str(data / "run" / "last.ckpt"), "--vocab", str(data / "vocab.txt"),
+            "--form", "五绝", "--theme", "静", "--table", bad]),
+    ], ids=["ingest", "validate", "catalog", "table", "train-dataset", "vocab",
+            "ingest-catalog", "train-catalog", "train-vocab", "train-init-from",
+            "generate-ckpt", "generate-catalog", "generate-table"])
     def test_cli_exits_1(self, capsys, tmp_path, pipeline, bad_file, what, argv):
         out = tmp_path / "out"
         code, _, err = run(capsys, *argv(str(bad_file), str(out), pipeline))
         assert code == 1, err
-        assert f"guti: cannot read {what} {bad_file}: " in err
+        if what == "checkpoint":    # a checkpoint that is not UTF-8 has bad magic bytes
+            assert any(line.startswith("guti: ") and str(bad_file) in line
+                       for line in err.splitlines()), err
+        else:
+            assert f"guti: cannot read {what} {bad_file}: " in err
         assert not out.exists()
 
 

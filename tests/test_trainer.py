@@ -580,6 +580,16 @@ class TestFineTune:
         for name in params.tensors:
             assert np.array_equal(out[name], params[name])
 
+    def test_run_without_records_writes_empty_metrics(self, toy_samples, tmp_path):
+        # every step skipped and no checkpoint cadence: no record, so no line
+        samples, vocab, params = self.small_setup(toy_samples)
+        cfg = TrainConfig(learning_rate=1e39, batch_size=6, max_steps=3,
+                          warmup_steps=0, checkpoint_interval=0, seed=1)
+        with np.errstate(over="ignore"):
+            _, report = fine_tune(samples, vocab, params, cfg, out_dir=tmp_path)
+        assert report.metric_lines() == []
+        assert (tmp_path / "metrics.jsonl").read_bytes() == b""
+
     def test_wall_clock_ignores_a_system_clock_step(self, toy_samples, monkeypatch):
         # the system clock can be stepped back mid-run; a measured duration cannot
         samples, vocab, params = self.small_setup(toy_samples)
