@@ -43,6 +43,15 @@ def _loads(load, default=lambda: None):
     return lambda ctx, param, path: load(path) if path else default()
 
 
+def _one_theme(ctx, param, value):
+    """--theme and --acrostic are eager, so the second of them click
+    processes refuses both or neither before CKPT and --vocab load."""
+    others = [ctx.params[n] for n in ("theme", "acrostic_target") if n in ctx.params]
+    if others and (value is None) == (others[0] is None):
+        raise click.UsageError("give exactly one of --theme or --acrostic")
+    return value
+
+
 def _check_vocab_size(params: ModelParams, vocab: vocab_mod.Vocab) -> None:
     if params.config.vocab_size != vocab.size:
         raise click.ClickException(f"checkpoint vocab size {params.config.vocab_size} "
@@ -230,9 +239,11 @@ def cmd_train(dataset, vocab, out_dir, catalog, init_from, dropout, seed, model_
 @click.option("--vocab", required=True, callback=_loads(vocab_mod.load_vocab), metavar="PATH",
               help="Vocabulary file matching the checkpoint.")
 @click.option("--form", required=True, help="Form id from the catalog.")
-@click.option("--theme", default=None, help="Theme string, stripped and 、？！-normalized "
-              "as ingest writes one; a marker, line break or lone surrogate is refused.")
-@click.option("--acrostic", "acrostic_target", default=None, metavar="CHARS",
+@click.option("--theme", is_eager=True, callback=_one_theme, help="Theme string, stripped "
+              "and 、？！-normalized as ingest writes one; a marker, line break or lone "
+              "surrogate is refused.")
+@click.option("--acrostic", "acrostic_target", is_eager=True, callback=_one_theme,
+              metavar="CHARS",
               help="Generate an acrostic on these line-initial characters (as --theme).")
 @click.option("-n", "count", default=1, show_default=True,
               help="Number of candidates.")
@@ -257,8 +268,6 @@ def cmd_generate(params, vocab, form, theme, acrostic_target, count, seed, as_js
                  catalog, table, strict_phonology, **sampling):
     """Sample poems from a trained model and validate each candidate."""
     _check_vocab_size(params, vocab)
-    if (theme is None) == (acrostic_target is None):
-        raise click.UsageError("give exactly one of --theme or --acrostic")
     cfg = SampleConfig(**sampling, seed=_resolve_seed(seed))
     report = generate_batch(
         params, form, theme if acrostic_target is None else acrostic_target,

@@ -590,17 +590,17 @@ def loss_rows(batch: SequenceBatch) -> tuple[np.ndarray, np.ndarray]:
     return b_idx, t_idx - 1
 
 
-def _nll(logits: np.ndarray, batch: SequenceBatch):
+def _nll(logits: np.ndarray, batch: SequenceBatch, rows):
     """Masked mean next-token NLL, in the logits' dtype: the one loss formula.
 
-    Overwrites ``logits``, the (n_loss, V) rows at ``loss_rows(batch)``, with
-    exp(shifted), z = its row sums.  Log-probabilities are ``shifted - log(z)``,
-    so a target far below its row max costs a large finite loss, not
+    Overwrites ``logits``, the (n_loss, V) rows at ``rows = loss_rows(batch)``,
+    with exp(shifted), z = its row sums.  Log-probabilities are ``shifted -
+    log(z)``, so a target far below its row max costs a large finite loss, not
     ``log(0)``.  Returns (loss, w = mask / n, z, the targets' index).
     """
-    b_idx, t_idx = np.nonzero(batch.loss_mask)
-    tgt = batch.tokens[b_idx, t_idx]
-    m = batch.loss_mask[b_idx, t_idx].astype(logits.dtype)
+    cells = rows[0], rows[1] + 1        # the token each loss row predicts
+    tgt = batch.tokens[cells]
+    m = batch.loss_mask[cells].astype(logits.dtype)
     n = m.sum()
     targets = (np.arange(tgt.size), tgt)
     logits -= logits.max(axis=-1, keepdims=True)
@@ -609,10 +609,10 @@ def _nll(logits: np.ndarray, batch: SequenceBatch):
     return float(-((picked - np.log(z)) * m).sum() / n), m / n, z, targets
 
 
-def _softmax_nll(logits: np.ndarray, batch: SequenceBatch):
+def _softmax_nll(logits: np.ndarray, batch: SequenceBatch, rows):
     """``_nll``'s loss and dL/dlogits = (softmax - one-hot target) * w, which
     overwrites ``logits``: exp(shifted) is scaled by w / z in one pass."""
-    loss, w, z, targets = _nll(logits, batch)
+    loss, w, z, targets = _nll(logits, batch, rows)
     logits *= (w / z)[:, None]
     logits[targets] -= w
     return loss, logits
@@ -630,7 +630,7 @@ def nll_loss(logits: np.ndarray, batch: SequenceBatch) -> float:
     logits = np.asarray(logits)
     if logits.ndim == 3:
         logits = logits[rows]
-    return _nll(logits.astype(np.float64), batch)[0]
+    return _nll(logits.astype(np.float64), batch, rows)[0]
 
 
 def backward(params: ModelParams, batch: SequenceBatch,
@@ -645,10 +645,9 @@ def backward(params: ModelParams, batch: SequenceBatch,
     As in ``forward``, dropout runs only when ``rng`` is given.
     """
     c, t = params.config, params.tensors
-    tokens = _check_inputs(params, batch.tokens)
-    logits, cache = _forward_impl(params, tokens, rng, want_cache=True,
-                                  rows=loss_rows(batch))
-    loss, dlogits = _softmax_nll(logits, batch)
+    tokens, rows = _check_inputs(params, batch.tokens), loss_rows(batch)
+    logits, cache = _forward_impl(params, tokens, rng, want_cache=True, rows=rows)
+    loss, dlogits = _softmax_nll(logits, batch, rows)
 
     grads = {}
     hf = cache.pop("hf")

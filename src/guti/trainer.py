@@ -233,7 +233,7 @@ def make_batch(sequences: list[list[int]], pad_id: int) -> SequenceBatch:
 
 
 def _eval_nll(params: ModelParams, sequences: list[list[int]], pad_id: int,
-              batch_size: int) -> float:
+              batch_size: int) -> float | None:
     total, count = 0.0, 0.0
     for start in range(0, len(sequences), batch_size):
         batch = make_batch(sequences[start:start + batch_size], pad_id)
@@ -242,7 +242,7 @@ def _eval_nll(params: ModelParams, sequences: list[list[int]], pad_id: int,
         n = float(batch.loss_mask.sum())
         total += loss * n
         count += n
-    return total / count if count else float("nan")
+    return total / count if count else None
 
 
 NOVELTY_PROBES = 5      # novelty probes prompt with this many training samples
@@ -260,19 +260,88 @@ def _probe_novelty(params, probe_prompts, index, vocab):
     return float(np.mean(scores)) if scores else None
 
 
+@dataclass
+class TrainState:
+    """``fine_tune``'s loop state: ``rng`` draws both the shuffle order and
+    the dropout masks, ``window`` holds the open interval's losses, and
+    ``written`` the record count ``metrics.jsonl`` holds, once written."""
+
+    cfg: TrainConfig
+    report: TrainReport
+    params: ModelParams
+    adam: AdamState
+    rng: np.random.Generator
+    order: list[int] = field(default_factory=list)     # the rest of the shuffle
+    step: int = 0
+    window: list[float] = field(default_factory=list)
+    written: int | None = None
+
+    def train_step(self, seqs: list[list[int]], pad_id: int) -> None:
+        """Take an Adam step on the next batch of the shuffle, or count it skipped."""
+        cfg = self.cfg
+        if len(self.order) < cfg.batch_size:
+            self.order += self.rng.permutation(len(seqs)).tolist()
+        picks = self.order[:cfg.batch_size]
+        del self.order[:cfg.batch_size]
+        batch = make_batch([seqs[i] for i in picks], pad_id)
+        loss, grads = backward(self.params, batch, rng=self.rng)
+        self.step += 1
+        lr_scale = min(1.0, self.step / cfg.warmup_steps) if cfg.warmup_steps else 1.0
+        try:
+            self.params, self.adam = adam_step(self.params, grads, self.adam, cfg, lr_scale)
+        except TrainingError:
+            self.report.skipped_nonfinite += 1
+        else:
+            self.window.append(loss)
+            self.report.step_losses.append(loss)
+
+    def close_interval(self, held_seqs: list[list[int]], pad_id: int,
+                       out_path: Path | None, final: bool = False) -> None:
+        """Record the open interval (at the end of a run, only a partial one).
+        Under ``out_path``, save ``step-N.ckpt`` on the cadence and
+        ``last.ckpt`` at ``max_steps`` or the end (one file when both), and
+        rewrite ``metrics.jsonl`` whole when it lacks a record, so a killed
+        run keeps the records of every checkpoint it wrote."""
+        cfg, report = self.cfg, self.report
+        if self.window or not final:
+            report.intervals.append({
+                "step": self.step,
+                "train_loss": float(np.mean(self.window)) if self.window else None,
+                "heldout_loss": _eval_nll(self.params, held_seqs, pad_id, cfg.batch_size),
+            })
+            self.window.clear()
+        if out_path is None or not self.step:
+            return
+        last = out_path / "last.ckpt"
+        ckpts = [] if final else [out_path / f"step-{self.step:06d}.ckpt"]
+        ckpts += [last] * ((final or self.step == cfg.max_steps)
+                           and str(last) not in report.checkpoint_paths)
+        if ckpts:
+            save_checkpoint(self.params, *ckpts)
+            report.checkpoint_paths += map(str, ckpts)
+        if self.written != len(report.intervals) + len(report.novelty):
+            write_atomic(out_path / "metrics.jsonl",
+                         "".join(line + "\n" for line in report.metric_lines()).encode("utf-8"))
+            self.written = len(report.intervals) + len(report.novelty)
+
+    def probe_novelty(self, prompts: list[list[int]], index: NoveltyIndex,
+                      vocab: Vocab) -> bool:
+        """Record a novelty probe; true when its score stops the run early."""
+        score = _probe_novelty(self.params, prompts, index, vocab)
+        self.report.novelty.append({"step": self.step, "novelty": score})
+        stop = self.cfg.early_stop_novelty
+        return score is not None and stop is not None and score < stop
+
+
 def fine_tune(samples: list[SerializedSample], vocab: Vocab,
               params: ModelParams, cfg: TrainConfig,
               out_dir: str | Path | None = None) -> tuple[ModelParams, TrainReport]:
     """Train the model on serialized samples; returns updated params + report.
 
-    Checkpoints are written every ``checkpoint_interval`` steps when
-    ``out_dir`` is given, with held-out loss evaluated at the same cadence.
-    ``metrics.jsonl`` is rewritten whole right after each checkpoint, so a
-    killed run keeps the records of every checkpoint it wrote, and once more
-    after the loop if a record came after the last checkpoint (a final
-    partial interval, a novelty record, an early stop) or none was written.
-    Novelty probes run greedy generation from the first ``NOVELTY_PROBES``
-    training prompts and score retrieval against the training corpus.
+    A loop over ``TrainState``'s steps, which closes an interval every
+    ``checkpoint_interval`` steps and once at the end.  Novelty probes run
+    greedy generation from the first ``NOVELTY_PROBES`` training prompts
+    and score retrieval against the training corpus.
     """
     if not samples:
         raise TrainingError("empty corpus")
@@ -301,73 +370,18 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    rng = np.random.default_rng(cfg.seed)
-    state = AdamState.zeros_like(params)
-    order: list[int] = []
-    window_losses: list[float] = []
+    state = TrainState(cfg, report, params, AdamState.zeros_like(params),
+                       np.random.default_rng(cfg.seed))
     started = time.perf_counter()
-    step = 0
-    written = None      # the record count metrics.jsonl holds, once written
-
-    def record_interval():
-        rec = {
-            "step": step,
-            "train_loss": float(np.mean(window_losses)) if window_losses else None,
-            "heldout_loss": (_eval_nll(params, held_seqs, vocab.pad_id,
-                                       cfg.batch_size) if held_seqs else None),
-        }
-        report.intervals.append(rec)
-        window_losses.clear()
-
-    def write_metrics():
-        nonlocal written
-        write_atomic(out_path / "metrics.jsonl",
-                     "".join(line + "\n" for line in report.metric_lines()).encode("utf-8"))
-        written = len(report.intervals) + len(report.novelty)
-
-    while step < cfg.max_steps:
-        if len(order) < cfg.batch_size:
-            perm = rng.permutation(len(train_seqs)).tolist()
-            order.extend(perm)
-        picks = order[:cfg.batch_size]
-        del order[:cfg.batch_size]
-        batch = make_batch([train_seqs[i] for i in picks], vocab.pad_id)
-        loss, grads = backward(params, batch, rng=rng)
-        step += 1
-        lr_scale = min(1.0, step / cfg.warmup_steps) if cfg.warmup_steps else 1.0
-        try:
-            params, state = adam_step(params, grads, state, cfg, lr_scale)
-        except TrainingError:
-            report.skipped_nonfinite += 1
-        else:
-            window_losses.append(loss)
-            report.step_losses.append(loss)
-
-        if cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
-            record_interval()
-            if out_path is not None:
-                ckpt = out_path / f"step-{step:06d}.ckpt"
-                last = [out_path / "last.ckpt"] * (step == cfg.max_steps)   # same bytes
-                save_checkpoint(params, ckpt, *last)
-                report.checkpoint_paths += map(str, [ckpt, *last])
-                write_metrics()
-        if index is not None and step % cfg.novelty_eval_interval == 0:
-            score = _probe_novelty(params, probe_prompts, index, vocab)
-            report.novelty.append({"step": step, "novelty": score})
-            if (score is not None and cfg.early_stop_novelty is not None
-                    and score < cfg.early_stop_novelty):
-                report.stopped_early = True
-                break
-
-    if window_losses and step > 0:
-        record_interval()
-    if out_path is not None and step > 0:
-        ckpt = out_path / "last.ckpt"
-        if str(ckpt) not in report.checkpoint_paths:
-            save_checkpoint(params, ckpt)
-            report.checkpoint_paths.append(str(ckpt))
-        if written != len(report.intervals) + len(report.novelty):
-            write_metrics()
-    report.steps_run = step
+    while state.step < cfg.max_steps:
+        state.train_step(train_seqs, vocab.pad_id)
+        if cfg.checkpoint_interval and state.step % cfg.checkpoint_interval == 0:
+            state.close_interval(held_seqs, vocab.pad_id, out_path)
+        if (index is not None and state.step % cfg.novelty_eval_interval == 0
+                and state.probe_novelty(probe_prompts, index, vocab)):
+            report.stopped_early = True
+            break
+    state.close_interval(held_seqs, vocab.pad_id, out_path, final=True)
+    report.steps_run = state.step
     report.wall_clock_sec = time.perf_counter() - started
-    return params, report
+    return state.params, report

@@ -750,6 +750,16 @@ class TestGenerate:
                          "--form", "五绝", "--theme", "a", "--acrostic", "b")
         assert code == 1
 
+    @pytest.mark.parametrize("themes", [
+        [], ["--theme", "a", "--acrostic", "b"], ["--acrostic", "b", "--theme", "a"],
+    ], ids=["neither", "both", "both-acrostic-first"])
+    def test_theme_checked_before_any_input_loads(self, capsys, tmp_path, themes):
+        missing = str(tmp_path / "missing")
+        code, _, err = run(capsys, "generate", missing, "--vocab", missing,
+                           "--form", "五绝", *themes)
+        assert code == 1
+        assert err == "guti: give exactly one of --theme or --acrostic\n"
+
 
 class TestValidate:
     def test_fixture_file_rate(self, capsys):

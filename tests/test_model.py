@@ -522,9 +522,9 @@ class TestBackward:
         params = init_params(config, seed=8, dtype=np.float64)
         batch = rand_batch(np.random.default_rng(9), config, b=1, s=20, full_mask=True)
         _, grads = backward(params, batch)
-        logits, cache = model._forward_impl(params, batch.tokens, None, True,
-                                            rows=loss_rows(batch))
-        want = model._softmax_nll(logits, batch)[1].T @ cache["hf"]
+        rows = loss_rows(batch)
+        logits, cache = model._forward_impl(params, batch.tokens, None, True, rows=rows)
+        want = model._softmax_nll(logits, batch, rows)[1].T @ cache["hf"]
         cells = batch.tokens[0, :19]          # position 19 is only a target
         np.add.at(want, cells, grads["pos_emb"][:19])
         assert len(set(cells.tolist())) < cells.size    # ids repeat
@@ -1193,9 +1193,10 @@ def edit_config_block(path, change=None, **fields):
                      + data[head + 4 + n:])
 
 
-def reference_softmax_nll(logits, batch):
+def reference_softmax_nll(logits, batch, rows=None):
     """The textbook loss and dL/dlogits = (softmax - one-hot) * mask / n, in
-    float64, returned in the logits' dtype."""
+    float64, returned in the logits' dtype; it finds the loss cells itself,
+    so it takes ``_softmax_nll``'s ``rows`` and reads none of them."""
     b_idx, t_idx = np.nonzero(batch.loss_mask)
     tgt, m = batch.tokens[b_idx, t_idx], batch.loss_mask[b_idx, t_idx]
     z = logits.astype(np.float64)
@@ -1242,7 +1243,7 @@ class TestKernelNumerics:
         logits = (rng.standard_normal((int(np.count_nonzero(batch.loss_mask)), 10))
                   * 4).astype(dtype)
         want_loss, want = reference_softmax_nll(logits, batch)
-        loss, got = model._softmax_nll(logits.copy(), batch)
+        loss, got = model._softmax_nll(logits.copy(), batch, loss_rows(batch))
         assert got.dtype == dtype and abs(loss - want_loss) < 1e-6 * want_loss
         w = batch.loss_mask[batch.loss_mask != 0] / batch.loss_mask.sum()
         assert np.all(np.abs(got - want) <= 4 * np.finfo(dtype).eps * w[:, None])
@@ -1378,9 +1379,10 @@ class TestGeluBlocks:
         self.check(u, rng.standard_normal((1, 128)).astype(dtype))
 
 
-def former_softmax_nll(logits, batch):
+def former_softmax_nll(logits, batch, rows=None):
     """The one-function loss and dL/dlogits that ``_nll`` and
-    ``_softmax_nll`` were split from, kept as their bitwise reference."""
+    ``_softmax_nll`` were split from, kept as their bitwise reference; it
+    finds the loss cells itself and reads none of ``rows``."""
     b_idx, t_idx = np.nonzero(batch.loss_mask)
     tgt = batch.tokens[b_idx, t_idx]
     m = batch.loss_mask[b_idx, t_idx].astype(logits.dtype)

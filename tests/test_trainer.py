@@ -539,6 +539,31 @@ class TestFineTune:
         assert report.steps_run < 800
         assert report.novelty[-1]["novelty"] < 0.5
 
+    @pytest.mark.parametrize("novelty_eval_interval, intervals", [
+        (2, [2]),       # stops on a checkpoint step: no partial interval after it
+        (3, [2, 3]),    # stops off one: the partial interval closes the run
+    ])
+    def test_early_stop_writes_its_outputs(self, toy_samples, tmp_path, monkeypatch,
+                                           novelty_eval_interval, intervals):
+        samples, vocab, params = self.small_setup(toy_samples)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=6, max_steps=8,
+                          checkpoint_interval=2,
+                          novelty_eval_interval=novelty_eval_interval,
+                          seed=4, heldout_fraction=0.25, early_stop_novelty=0.5)
+        monkeypatch.setattr(trainer, "_probe_novelty", lambda *args: 0.0)
+        out, report = fine_tune(samples, vocab, params, cfg, out_dir=tmp_path)
+        stop = novelty_eval_interval
+        assert report.stopped_early and report.steps_run == stop
+        assert [r["step"] for r in report.intervals] == intervals
+        assert report.novelty == [{"step": stop, "novelty": 0.0}]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "last.ckpt", "metrics.jsonl", "step-000002.ckpt"]
+        loaded = load_checkpoint(tmp_path / "last.ckpt")
+        assert loaded.config == out.config
+        assert all(loaded[n].tobytes() == a.tobytes() for n, a in out.tensors.items())
+        assert (tmp_path / "metrics.jsonl").read_text(encoding="utf-8") == "".join(
+            line + "\n" for line in report.metric_lines())
+
     def test_heldout_loss_reported(self, toy_samples):
         samples, vocab, params = self.small_setup(toy_samples)
         cfg = TrainConfig(learning_rate=1e-3, batch_size=6, max_steps=10,
