@@ -229,6 +229,10 @@ def cmd_train(dataset, vocab, out_dir, catalog, init_from, dropout, seed, model_
          f"train shard {len(report.train_indices)}, "
          f"held out {len(report.heldout_indices)}; "
          f"checkpoints: {', '.join(report.checkpoint_paths) or 'none'}")
+    if report.stopped_early:
+        probe = report.novelty[-1]
+        _err(f"stopped early at step {probe['step']}: probe novelty {probe['novelty']} "
+             f"is below --early-stop-novelty {cfg.early_stop_novelty}")
     if report.steps_run and report.skipped_nonfinite == report.steps_run:
         raise click.ClickException("no step was applied: every one had a non-finite "
                                    "second moment or update")

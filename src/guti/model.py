@@ -618,15 +618,15 @@ def _softmax_nll(logits: np.ndarray, batch: SequenceBatch, rows):
     return loss, logits
 
 
-def nll_loss(logits: np.ndarray, batch: SequenceBatch) -> float:
+def nll_loss(logits: np.ndarray, batch: SequenceBatch, rows=None) -> float:
     """Mean negative log-likelihood over masked next-token positions.
 
     ``logits`` is the (B, S, V) output of ``forward``, or only its rows at
-    ``loss_rows(batch)``, (n_loss, V).  Computed in float64 regardless of
-    the logits dtype.  Minimizing this maximizes the summed log-probability
-    of each sequence.
+    ``rows = loss_rows(batch)``, (n_loss, V); a caller that holds ``rows``
+    passes them.  Computed in float64 regardless of the logits dtype.
+    Minimizing this maximizes the summed log-probability of each sequence.
     """
-    rows = loss_rows(batch)
+    rows = loss_rows(batch) if rows is None else rows
     logits = np.asarray(logits)
     if logits.ndim == 3:
         logits = logits[rows]

@@ -234,13 +234,12 @@ def make_batch(sequences: list[list[int]], pad_id: int) -> SequenceBatch:
 
 def _eval_nll(params: ModelParams, sequences: list[list[int]], pad_id: int,
               batch_size: int) -> float | None:
-    total, count = 0.0, 0.0
+    total, count = 0.0, 0
     for start in range(0, len(sequences), batch_size):
         batch = make_batch(sequences[start:start + batch_size], pad_id)
-        logits = forward(params, batch.tokens, rows=loss_rows(batch))
-        loss = nll_loss(logits, batch)
-        n = float(batch.loss_mask.sum())
-        total += loss * n
+        rows = loss_rows(batch)
+        n = len(rows[0])        # make_batch's mask is 0/1: its sum
+        total += nll_loss(forward(params, batch.tokens, rows=rows), batch, rows) * n
         count += n
     return total / count if count else None
 
@@ -263,8 +262,7 @@ def _probe_novelty(params, probe_prompts, index, vocab):
 @dataclass
 class TrainState:
     """``fine_tune``'s loop state: ``rng`` draws both the shuffle order and
-    the dropout masks, ``window`` holds the open interval's losses, and
-    ``written`` the record count ``metrics.jsonl`` holds, once written."""
+    the dropout masks, and ``window`` holds the open interval's losses."""
 
     cfg: TrainConfig
     report: TrainReport
@@ -274,7 +272,6 @@ class TrainState:
     order: list[int] = field(default_factory=list)     # the rest of the shuffle
     step: int = 0
     window: list[float] = field(default_factory=list)
-    written: int | None = None
 
     def train_step(self, seqs: list[list[int]], pad_id: int) -> None:
         """Take an Adam step on the next batch of the shuffle, or count it skipped."""
@@ -295,42 +292,43 @@ class TrainState:
             self.window.append(loss)
             self.report.step_losses.append(loss)
 
-    def close_interval(self, held_seqs: list[list[int]], pad_id: int,
-                       out_path: Path | None, final: bool = False) -> None:
-        """Record the open interval (at the end of a run, only a partial one).
-        Under ``out_path``, save ``step-N.ckpt`` on the cadence and
-        ``last.ckpt`` at ``max_steps`` or the end (one file when both), and
-        rewrite ``metrics.jsonl`` whole when it lacks a record, so a killed
-        run keeps the records of every checkpoint it wrote."""
+    def probe_novelty(self, prompts: list[list[int]], index: NoveltyIndex,
+                      vocab: Vocab) -> None:
+        """Record a novelty probe; stop the run early when its score is below
+        ``early_stop_novelty``."""
+        score = _probe_novelty(self.params, prompts, index, vocab)
+        self.report.novelty.append({"step": self.step, "novelty": score})
+        stop = self.cfg.early_stop_novelty
+        self.report.stopped_early = score is not None and stop is not None and score < stop
+
+    def end_step(self, held_seqs: list[list[int]], pad_id: int,
+                 out_path: Path | None) -> None:
+        """Close what the step ends, after its novelty probe: nothing off the
+        checkpoint cadence before the run's end (``max_steps`` or an early
+        stop).  Else record the interval (at the end, only if a step was
+        applied since the last record) and, under ``out_path``, save
+        ``step-N.ckpt`` on the cadence and ``last.ckpt`` at the end in one
+        call (one file when both), and rewrite ``metrics.jsonl`` whole, so a
+        killed run keeps the records of every checkpoint it wrote."""
         cfg, report = self.cfg, self.report
-        if self.window or not final:
+        cadence = bool(cfg.checkpoint_interval) and self.step % cfg.checkpoint_interval == 0
+        end = self.step == cfg.max_steps or report.stopped_early
+        if not (cadence or end):
+            return
+        if cadence or self.window:
             report.intervals.append({
                 "step": self.step,
                 "train_loss": float(np.mean(self.window)) if self.window else None,
                 "heldout_loss": _eval_nll(self.params, held_seqs, pad_id, cfg.batch_size),
             })
             self.window.clear()
-        if out_path is None or not self.step:
-            return
-        last = out_path / "last.ckpt"
-        ckpts = [] if final else [out_path / f"step-{self.step:06d}.ckpt"]
-        ckpts += [last] * ((final or self.step == cfg.max_steps)
-                           and str(last) not in report.checkpoint_paths)
-        if ckpts:
+        if out_path is not None:
+            ckpts = ([out_path / f"step-{self.step:06d}.ckpt"] * cadence
+                     + [out_path / "last.ckpt"] * end)
             save_checkpoint(self.params, *ckpts)
             report.checkpoint_paths += map(str, ckpts)
-        if self.written != len(report.intervals) + len(report.novelty):
             write_atomic(out_path / "metrics.jsonl",
                          "".join(line + "\n" for line in report.metric_lines()).encode("utf-8"))
-            self.written = len(report.intervals) + len(report.novelty)
-
-    def probe_novelty(self, prompts: list[list[int]], index: NoveltyIndex,
-                      vocab: Vocab) -> bool:
-        """Record a novelty probe; true when its score stops the run early."""
-        score = _probe_novelty(self.params, prompts, index, vocab)
-        self.report.novelty.append({"step": self.step, "novelty": score})
-        stop = self.cfg.early_stop_novelty
-        return score is not None and stop is not None and score < stop
 
 
 def fine_tune(samples: list[SerializedSample], vocab: Vocab,
@@ -338,10 +336,12 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
               out_dir: str | Path | None = None) -> tuple[ModelParams, TrainReport]:
     """Train the model on serialized samples; returns updated params + report.
 
-    A loop over ``TrainState``'s steps, which closes an interval every
-    ``checkpoint_interval`` steps and once at the end.  Novelty probes run
-    greedy generation from the first ``NOVELTY_PROBES`` training prompts
-    and score retrieval against the training corpus.
+    A loop over ``TrainState``'s steps: each trains, probes novelty when one
+    is due, and ends with ``end_step``, which closes an interval every
+    ``checkpoint_interval`` steps and at the end of the run.  Novelty probes
+    run greedy generation from the first ``NOVELTY_PROBES`` training prompts
+    and score retrieval against the training corpus; one scoring below
+    ``early_stop_novelty`` ends the run at its step.
     """
     if not samples:
         raise TrainingError("empty corpus")
@@ -373,15 +373,11 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
     state = TrainState(cfg, report, params, AdamState.zeros_like(params),
                        np.random.default_rng(cfg.seed))
     started = time.perf_counter()
-    while state.step < cfg.max_steps:
+    while state.step < cfg.max_steps and not report.stopped_early:
         state.train_step(train_seqs, vocab.pad_id)
-        if cfg.checkpoint_interval and state.step % cfg.checkpoint_interval == 0:
-            state.close_interval(held_seqs, vocab.pad_id, out_path)
-        if (index is not None and state.step % cfg.novelty_eval_interval == 0
-                and state.probe_novelty(probe_prompts, index, vocab)):
-            report.stopped_early = True
-            break
-    state.close_interval(held_seqs, vocab.pad_id, out_path, final=True)
+        if index is not None and state.step % cfg.novelty_eval_interval == 0:
+            state.probe_novelty(probe_prompts, index, vocab)
+        state.end_step(held_seqs, vocab.pad_id, out_path)
     report.steps_run = state.step
     report.wall_clock_sec = time.perf_counter() - started
     return state.params, report

@@ -471,6 +471,22 @@ class TestTrain:
         assert "no step was applied" in err
         assert out == "" and (tmp_path / "run" / "metrics.jsonl").read_bytes() == b""
 
+    def test_early_stop_is_named_in_the_summary(self, capsys, pipeline, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setattr(cli.trainer_mod, "_probe_novelty", lambda *args: 0.25)
+        code, out, err = run(capsys, "train", str(pipeline / "dataset.jsonl"),
+                             "--vocab", str(pipeline / "vocab.txt"),
+                             "-o", str(tmp_path / "run"), "--layers", "1",
+                             "--heads", "2", "--d-model", "16", "--d-ff", "32",
+                             "--max-steps", "8", "--checkpoint-interval", "2",
+                             "--novelty-interval", "3", "--early-stop-novelty", "0.5",
+                             "--seed", "1")
+        assert code == 0, err
+        assert "ran 3 steps in" in err
+        assert ("stopped early at step 3: probe novelty 0.25 is below "
+                "--early-stop-novelty 0.5") in err
+        assert out == (tmp_path / "run" / "metrics.jsonl").read_text(encoding="utf-8")
+
     @pytest.mark.parametrize("lr", ["nan", "inf", "0"])
     def test_unusable_learning_rate_exits_1(self, capsys, pipeline, tmp_path, lr):
         code, _, err = run(capsys, "train", str(pipeline / "dataset.jsonl"),

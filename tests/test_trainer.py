@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -469,7 +470,7 @@ class TestFineTune:
     @pytest.mark.parametrize("max_steps, novelty_eval_interval, writes", [
         (4, 0, [1, 2]),         # the last checkpoint holds every record
         (5, 0, [1, 2, 3]),      # a final partial interval
-        (4, 4, [1, 2, 3]),      # a novelty record after the last checkpoint
+        (4, 4, [1, 3]),         # a checkpoint step's novelty record is in its rewrite
         (1, 0, [1]),            # no checkpoint: the final partial interval
     ])
     def test_metrics_rewritten_at_each_checkpoint(self, toy_samples, tmp_path, monkeypatch,
@@ -551,8 +552,18 @@ class TestFineTune:
                           novelty_eval_interval=novelty_eval_interval,
                           seed=4, heldout_fraction=0.25, early_stop_novelty=0.5)
         monkeypatch.setattr(trainer, "_probe_novelty", lambda *args: 0.0)
+        real, calls = trainer.save_checkpoint, []
+
+        def save_checkpoint(params, *paths):
+            calls.append([p.name for p in paths])
+            real(params, *paths)
+
+        monkeypatch.setattr(trainer, "save_checkpoint", save_checkpoint)
         out, report = fine_tune(samples, vocab, params, cfg, out_dir=tmp_path)
         stop = novelty_eval_interval
+        if stop == 2:       # the checkpoint step's file is last.ckpt, saved once
+            assert calls == [["step-000002.ckpt", "last.ckpt"]]
+            assert os.path.samefile(tmp_path / "last.ckpt", tmp_path / "step-000002.ckpt")
         assert report.stopped_early and report.steps_run == stop
         assert [r["step"] for r in report.intervals] == intervals
         assert report.novelty == [{"step": stop, "novelty": 0.0}]
