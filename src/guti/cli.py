@@ -102,20 +102,17 @@ def cmd_ingest(corpus_file, out_dir, catalog, acrostic, min_count, max_seq_len):
         raise click.ClickException("no usable records in the corpus file")
 
     samples = []
-    unexpandable = 0
     for poem in result.poems:
         samples.append(corpus_mod.serialize(poem, catalog))
         if acrostic:
-            if catalog.resolve(poem.form_id).acrostic_id is None:
-                unexpandable += 1
-                continue
             try:
                 twin = corpus_mod.acrostic_transform(poem, catalog)
-            except CorpusError:     # too few lines for the variant's slots
-                unexpandable += 1
-            else:
+            except CorpusError:     # no variant, or too few lines for its slots
+                continue
+            if twin != poem:        # else the poem is its own acrostic twin
                 samples.append(corpus_mod.serialize(twin, catalog))
-    if unexpandable:
+    unexpandable = 2 * len(result.poems) - len(samples)     # poems that wrote no twin
+    if acrostic and unexpandable:
         _err(f"{unexpandable} poems have no acrostic twin; kept as-is")
 
     if max_seq_len > 0:

@@ -416,15 +416,13 @@ def couplet_transform(first_line: str, second_line: str,
 def acrostic_transform(poem: Poem, catalog: FormCatalog) -> Poem:
     """Replace the theme with the line-initial characters.
 
-    The poem is re-pointed at the form's acrostic variant so that
-    serialization uses the acrostic identifier token, and the theme is
-    rebuilt from the variant's acrostic slots (every line for quatrains,
-    the odd sentences for eight-sentence regulated poems).  Applying the
-    transform twice is a no-op beyond the first application.
+    The poem is re-pointed at the form's acrostic variant (an acrostic form
+    is its own) so that serialization uses the acrostic identifier token, and
+    the theme is rebuilt from the variant's acrostic slots (every line for
+    quatrains, the odd sentences for eight-sentence regulated poems).  Applying
+    the transform twice is a no-op beyond the first application, so a poem
+    already in its variant whose theme spells its initials comes back equal.
     """
-    spec = catalog.resolve(poem.form_id)
-    if spec.acrostic_id is None:
-        raise CorpusError(f"form {poem.form_id!r} has no acrostic variant")
-    variant = catalog.resolve(spec.acrostic_id)
+    variant = catalog.acrostic_variant(poem.form_id, CorpusError)
     return Poem(variant.form_id, poem.line_initials(variant.acrostic_slots),
                 poem.body, poem.source_id)

@@ -17,7 +17,7 @@ from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 
-from .errors import CatalogError, UnknownFormError
+from .errors import CatalogError, GutiError, UnknownFormError
 from .fileio import read_text
 
 CATALOG_FORMAT_VERSION = 1
@@ -102,7 +102,7 @@ class FormSpec:
     rhyme_slots: tuple[int, ...] = ()    # 1-indexed lines sharing a rhyme group
     pairing_slots: tuple[tuple[int, int], ...] = ()  # 1-indexed line pairs
     tone_patterns: tuple[tuple[str, ...], ...] = ()  # variants of per-line 平/仄/中
-    acrostic_id: str | None = None       # form id of the acrostic variant
+    acrostic_id: str | None = None       # acrostic variant's form id; an acrostic form is its own
     acrostic_slots: tuple[int, ...] = () # 1-indexed lines carrying the acrostic
                                          # characters; () = every line
 
@@ -147,6 +147,14 @@ class FormCatalog:
 
     def form_ids(self) -> list[str]:
         return sorted(self.entries)
+
+    def acrostic_variant(self, form_id: str, error: type[GutiError]) -> FormSpec:
+        """The form an acrostic on ``form_id`` is written in: the form itself if it
+        is acrostic, else its ``acrostic_id``.  Raises ``error`` if it has neither."""
+        spec = self.resolve(form_id)
+        if not spec.acrostic and spec.acrostic_id is None:
+            raise error(f"form {form_id!r} has no acrostic variant")
+        return spec if spec.acrostic else self.resolve(spec.acrostic_id)
 
 
 # ---------------------------------------------------------------------------

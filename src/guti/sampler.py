@@ -69,11 +69,8 @@ def default_forbid(vocab: Vocab) -> frozenset[int]:
 def _prompt(form_id: str, theme: str, catalog: FormCatalog, vocab: Vocab,
             acrostic: bool) -> tuple[str, list[int]]:
     """(text, ids) of ``form + id1 + theme + id2``, re-pointed at the acrostic variant on request."""
-    spec = catalog.resolve(form_id)
-    if acrostic and not spec.acrostic:
-        if spec.acrostic_id is None:
-            raise SamplingError(f"form {form_id!r} has no acrostic variant")
-        spec = catalog.resolve(spec.acrostic_id)
+    spec = (catalog.acrostic_variant(form_id, SamplingError) if acrostic
+            else catalog.resolve(form_id))
     theme = normalize_theme(theme)
     check_theme(theme, SamplingError)
     id1, id2 = spec.markers

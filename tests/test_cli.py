@@ -99,6 +99,26 @@ class TestIngest:
         assert [json.loads(line)["text"].partition("(")[0] for line in lines] == [
             "五绝", "五言绝句", "七律", "对联"]
 
+    def test_acrostic_poem_is_its_own_twin(self, capsys, tmp_path):
+        # a 五言绝句 whose theme spells its line initials is already its twin:
+        # it is written once and counted among the poems with no twin
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in (
+            {"form": "五绝", "theme": "春晓",
+             "body": "春眠不觉晓，处处闻啼鸟。夜来风雨声，花落知多少。"},
+            {"form": "五言绝句", "theme": "床疑举低",
+             "body": "床前明月光，疑是地上霜。举头望明月，低头思故乡。"},
+            {"first": "秋月", "second": "春风"})), encoding="utf-8")
+        code, _, err = run(capsys, "ingest", str(corpus), "-o", str(tmp_path / "o"),
+                           "--acrostic")
+        assert code == 0, err
+        assert "2 poems have no acrostic twin; kept as-is" in err
+        lines = (tmp_path / "o" / "dataset.jsonl").read_text("utf-8").splitlines()
+        assert len(set(lines)) == len(lines)
+        assert [json.loads(line)["text"].partition("(藏头诗)")[0] for line in lines] == [
+            "五绝(格式)春晓(标题)春眠不觉晓，处处闻啼鸟。夜来风雨声，花落知多少。",
+            "五言绝句(格式)春处夜花", "五言绝句(格式)床疑举低", "对联(格式)秋月(对联)春风"]
+
     def test_escaped_lone_surrogate_is_skipped(self, capsys, tmp_path):
         good = {"form": "五绝", "theme": "静夜思",
                 "body": "床前明月光，疑是地上霜。举头望明月，低头思故乡。"}
@@ -275,20 +295,23 @@ class TestIngest:
     # per-character parser and tokenizer wrote them; the compiled-regex
     # passes that replaced those loops must write the same bytes.  The
     # "--max-seq-len 40 --min-count 2" rows are as the ingest that built the
-    # vocabulary, dropped long samples and built it again wrote them.
+    # vocabulary, dropped long samples and built it again wrote them.  The
+    # sample_poems "--acrostic" rows are as ingest wrote them once a poem that
+    # is its own acrostic twin was written once: each dataset.jsonl is the
+    # former one less its repeated lines, in the same order.
     GOLDEN = {
         ("sample_poems", ()): (
             "63f2af83b39ecfa4c422ac4655fe3419673fbcd10ea8661e8ff3a94deb4cb5db",
             "c0a8dcc53724d31df401f01bffa4de5fbb69fbf180534753d02681071fa15052"),
         ("sample_poems", ("--acrostic",)): (
-            "002b153a72c4e7b407f58257c4ff46c4d71da75cb06c22a0b167a1583774b484",
-            "fe68cbfcc7f36ca3ddee8deef509dc0b8c270fa63b82b8d40bcff2c4015acfbd"),
+            "7e75144ed6ea4036efd2413951b7d0154a178b767ae2629554e2b8f7cf382f9f",
+            "5ca5fe8da384bef29939a1822ea1582afbd07278468e0a2031b175aaac156754"),
         ("sample_poems", ("--acrostic", "--max-seq-len", "40")): (
-            "e013760de3104a213b238b60f0915632c24f604252cefa11099550b369e9cc14",
-            "15dcc696f360e015ed2babe021fcc538212dac9bcee86970bf8ff81c3543e6a2"),
+            "d5ffd5b4ca3aeef9653e1b8f280d7098fe5c12c01e08c436cdd751e52dfd16b7",
+            "8ab3e545605f121d6b2f9ebb02778fe501bea5645bcd5d1abb1221f6be5705d3"),
         ("sample_poems", ("--acrostic", "--max-seq-len", "40", "--min-count", "2")): (
-            "e013760de3104a213b238b60f0915632c24f604252cefa11099550b369e9cc14",
-            "d9b5e3f22b6ed9fdfed125091ccc6da7b727b69f9fea7d95fcc4c31cb584a6a5"),
+            "d5ffd5b4ca3aeef9653e1b8f280d7098fe5c12c01e08c436cdd751e52dfd16b7",
+            "61116b40dcdf7bae8468b16db44cd193eeab2f92f18191270c3c11f235e62f06"),
         ("sample_poems", ("--min-count", "2")): (
             "63f2af83b39ecfa4c422ac4655fe3419673fbcd10ea8661e8ff3a94deb4cb5db",
             "9f70551beaf437043131760a86e4f6d1d73875111d9cbc30b120fc30685317ab"),
@@ -696,6 +719,13 @@ class TestGenerate:
                            "--max-new-tokens", "40")
         assert code == 0
         assert "(藏头诗)" in out
+
+    def test_acrostic_on_a_form_without_variant_exits_1(self, capsys, pipeline):
+        code, out, err = run(capsys, "generate", str(pipeline / "run" / "last.ckpt"),
+                             "--vocab", str(pipeline / "vocab.txt"),
+                             "--form", "对联", "--acrostic", "春秋", "-n", "1", "--seed", "1")
+        assert code == 1
+        assert out == "" and err == "guti: form '对联' has no acrostic variant\n"
 
     def test_empty_acrostic_target(self, capsys, pipeline):
         code, out, _ = run(capsys, "generate", str(pipeline / "run" / "last.ckpt"),

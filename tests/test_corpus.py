@@ -25,7 +25,7 @@ from guti.corpus import (
     write_dataset,
 )
 from guti.errors import CorpusError, SerializationError
-from guti.forms import ALL_MARKERS, ID1_MARKERS, ID2_MARKERS
+from guti.forms import ALL_MARKERS, ID1_MARKERS, ID2_MARKERS, parse_catalog
 
 
 def make_poem(form_id, theme, body, catalog):
@@ -289,6 +289,15 @@ class TestAcrosticTransform:
         poem = make_poem("武陵春", "游园", "长忆西湖湖上宴，一笑倒琼彝。", catalog)
         with pytest.raises(CorpusError):
             acrostic_transform(poem, catalog)
+
+    def test_acrostic_entry_without_form_line_is_its_own_variant(self):
+        # an entry with the acrostic markers needs no acrostic-form line
+        catalog = parse_catalog("version = 1\n[藏]\nclass = jintishi\n"
+                                "markers = acrostic\nlines = 5 5\n")
+        poem = Poem(form_id="藏", theme="秋", body=parse_body("床前明月光，疑是地上霜。"))
+        twin = acrostic_transform(poem, catalog)
+        assert twin == dataclasses.replace(poem, theme="床疑")
+        assert acrostic_transform(twin, catalog) == twin
 
 
 class TestInvariants:

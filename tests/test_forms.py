@@ -221,6 +221,11 @@ class TestBuiltinCatalog:
             assert variant.markers == MARKER_PAIRS["acrostic"]
             assert variant.line_template == spec.line_template
 
+    @pytest.mark.parametrize("form_id, variant", [
+        ("五绝", "五言绝句"), ("五言绝句", "五言绝句"), ("七律", "七言律诗"), ("七言律诗", "七言律诗")])
+    def test_acrostic_variant(self, catalog, form_id, variant):
+        assert catalog.acrostic_variant(form_id, CatalogError).form_id == variant
+
     def test_unknown_form_lists_known(self, catalog):
         with pytest.raises(UnknownFormError) as exc:
             catalog.resolve("不存在")

@@ -8,6 +8,7 @@ from guti import sampler
 from guti.cli import main
 from guti.corpus import Poem, acrostic_transform, parse_body, read_dataset, serialize
 from guti.errors import CorpusError, SamplingError, UnknownFormError
+from guti.forms import parse_catalog
 from guti.model import ModelConfig, ModelParams, forward, init_params
 from guti.sampler import (
     SampleConfig,
@@ -51,6 +52,21 @@ class TestBuildPrompt:
     def test_acrostic_mode_switches_markers(self, catalog, wide_vocab):
         ids = build_prompt("七律", "一路平安", catalog, wide_vocab, acrostic=True)
         assert decode(ids, wide_vocab) == "七言律诗(格式)一路平安(藏头诗)"
+
+    @pytest.mark.parametrize("form_id", ["对联", "武陵春"])
+    def test_acrostic_mode_on_a_form_without_variant(self, catalog, wide_vocab, form_id):
+        with pytest.raises(SamplingError, match=f"form '{form_id}' has no acrostic variant"):
+            build_prompt(form_id, "春秋", catalog, wide_vocab, acrostic=True)
+
+    def test_acrostic_mode_on_an_acrostic_entry_without_form_line(self):
+        catalog = parse_catalog("version = 1\n[藏]\nclass = jintishi\n"
+                                "markers = acrostic\nlines = 5 5\n")
+        poem = Poem(form_id="藏", theme="床疑", body=parse_body("床前明月光，疑是地上霜。"))
+        sample = serialize(poem, catalog)
+        vocab = build_vocab([sample])
+        ids = build_prompt("藏", "床疑", catalog, vocab, acrostic=True)
+        assert ids == build_prompt("藏", "床疑", catalog, vocab)
+        assert decode(ids, vocab) == sample.prompt == "藏(格式)床疑(藏头诗)"
 
     def test_prompt_is_the_training_prefix(self, catalog, fixture_poems):
         twins = [acrostic_transform(p, catalog) for p in fixture_poems
