@@ -258,13 +258,13 @@ def _poem_from_record(record: dict, catalog: FormCatalog, source_id: str) -> Poe
             raise CorpusError(f"record missing required field {key!r}")
         if not isinstance(record.get(key, ""), str):
             raise CorpusError(f"record field {key!r} is not a string")
-    if couplet:
-        return couplet_transform(record.get("first", ""), record.get("second", ""),
-                                 source_id=source_id)
-    form_id = record["form"].strip()
+    form_id = "对联" if couplet else record["form"].strip()
     spec = catalog.entries.get(form_id)
     if spec is None:
         raise UnknownFormError(form_id)
+    if couplet:
+        return couplet_transform(record.get("first", ""), record.get("second", ""),
+                                 source_id=source_id)
     theme = normalize_theme(record["theme"])
     lines = parse_body(record["body"])
     if spec.form_class in ("jintishi", "gushi"):
@@ -373,8 +373,8 @@ def _find_unique_marker(text: str, markers: tuple[str, ...], what: str) -> tuple
     return hits[0]
 
 
-def deserialize(text: str, catalog: FormCatalog, source_id: str | None = None) -> Poem:
-    """Recover a Poem from serialized text (inverse of serialize)."""
+def deserialize(text: str, *, source_id: str | None = None) -> Poem:
+    """Recover a Poem from serialized text (inverse of serialize); its form is not looked up."""
     i1, m1 = _find_unique_marker(text, ID1_MARKERS, "field-1")
     i2, m2 = _find_unique_marker(text, ID2_MARKERS, "field-2")
     if i2 < i1 + len(m1):
@@ -393,7 +393,7 @@ def deserialize(text: str, catalog: FormCatalog, source_id: str | None = None) -
 def sample_from_text(text: str, catalog: FormCatalog,
                      source_id: str | None = None) -> SerializedSample:
     """Rebuild a SerializedSample from text as ingest writes it, theme normalized."""
-    poem = deserialize(text, catalog, source_id=source_id)
+    poem = deserialize(text, source_id=source_id)
     sample = serialize(poem, catalog)
     if sample.text != text or poem.theme != normalize_theme(poem.theme):
         raise SerializationError("text is not in canonical serialized form")

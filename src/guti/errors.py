@@ -15,11 +15,9 @@ class UnknownFormError(CatalogError):
     """A form id does not resolve in the catalog."""
 
     def __init__(self, form_id: str, known: list[str] | None = None):
-        self.form_id = form_id
-        self.known = known or []
         msg = f"unknown form: {form_id!r}"
-        if self.known:
-            msg += " (known forms: " + ", ".join(self.known) + ")"
+        if known:
+            msg += " (known forms: " + ", ".join(known) + ")"
         super().__init__(msg)
 
 

@@ -171,8 +171,8 @@ class FormCatalog:
 #   rhyme   = 2 4 6 8                            (optional)
 #   pairs   = 3-4 5-6                            (optional)
 #   tones   = 中仄平平仄 平平中仄平 ... | <variant 2> ...   (optional)
-#   acrostic-form = form id                      (optional; that entry must
-#                                                 declare markers = acrostic)
+#   acrostic-form = form id                      (optional; names an entry with
+#                                                 markers = acrostic: itself if acrostic)
 #   acrostic-slots = 1 3 5 7                     (optional; default every line)
 #
 # Counts and 1-indexed line slots are integers >= 1, a ``rhyme`` or
@@ -367,6 +367,9 @@ def _check_references(catalog: FormCatalog, source: str) -> None:
                 f"{source}: {spec.form_id!r} points at acrostic form "
                 f"{spec.acrostic_id!r}, which lacks 'markers = acrostic'"
             )
+        if spec.acrostic and spec.acrostic_id != spec.form_id:
+            raise CatalogError(f"{source}: acrostic form {spec.form_id!r} is its own "
+                               f"acrostic form, not {spec.acrostic_id!r}")
 
 
 def load_catalog(path: str | Path) -> FormCatalog:

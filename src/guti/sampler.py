@@ -44,7 +44,7 @@ class SampleConfig:
     temperature: float = 1.0
     max_new_tokens: int = 256
     seed: int = 0
-    forbid: frozenset[int] | None = None   # None = mask structural tokens
+    forbid: frozenset[int] | None = None   # None: _decode masks default_forbid, top_k_* nothing
 
     def __post_init__(self):
         check_counts(SamplingError, 1, k=self.k)
@@ -208,8 +208,8 @@ def _decode(params: ModelParams, prompts: list[list[int]], seeds: list[list[int]
     live = [c for c, p in enumerate(prompt_of) if budget[p]]   # each row's candidate
     src = [prompt_of[c] for c in live]                  # and the row it reads
     kv = KVCache(params, len(prompts), max(len(p) + n for p, n in zip(prompts, budget)))
-    tokens = np.array([prompt + [vocab.pad_id] * (width - len(prompt)) for prompt in prompts])
-    # the prompt pass projects each prompt's last position; a step has only one
+    tokens = np.array([prompt + [0] * (width - len(prompt)) for prompt in prompts])
+    # each prompt runs to its last position, the one projected, so no pad runs; a step has one
     rows = (np.arange(len(prompts)), [len(prompt) - 1 for prompt in prompts])
     while live:     # only the prompt pass checks ids: a step's are the loop's own draws
         logits = (_forward_impl(params, tokens, None, False, kv)[0] if rows is None
@@ -291,7 +291,7 @@ def generate_batch(params: ModelParams, form_id: str, theme: str, n: int,
                          prompt_ms=out.prompt_ms, decode_ms=out.decode_ms,
                          tokens=len(out.token_ids))
         try:
-            cand.poem = deserialize(cand.text, catalog)
+            cand.poem = deserialize(cand.text)
             cand.report = validate(cand.poem, catalog, table,
                                    strict_phonology=strict_phonology)
         except GutiError as exc:

@@ -222,9 +222,10 @@ def sample_token_count(sample: SerializedSample) -> int:
     return len(sample.form) + len(sample.theme) + len(sample.body) + 4
 
 
-def make_batch(sequences: list[list[int]], pad_id: int) -> SequenceBatch:
+def make_batch(sequences: list[list[int]]) -> SequenceBatch:
+    """Pad with id 0 (PAD): no pass reads a pad, each sequence runs only to its last loss row."""
     width = max(len(s) for s in sequences)
-    tokens = np.full((len(sequences), width), pad_id, dtype=np.int64)
+    tokens = np.zeros((len(sequences), width), dtype=np.int64)
     mask = np.zeros((len(sequences), width), dtype=np.float64)
     for i, seq in enumerate(sequences):
         tokens[i, :len(seq)] = seq
@@ -232,11 +233,10 @@ def make_batch(sequences: list[list[int]], pad_id: int) -> SequenceBatch:
     return SequenceBatch(tokens=tokens, loss_mask=mask)
 
 
-def _eval_nll(params: ModelParams, sequences: list[list[int]], pad_id: int,
-              batch_size: int) -> float | None:
+def _eval_nll(params: ModelParams, sequences: list[list[int]], batch_size: int) -> float | None:
     total, count = 0.0, 0
     for start in range(0, len(sequences), batch_size):
-        batch = make_batch(sequences[start:start + batch_size], pad_id)
+        batch = make_batch(sequences[start:start + batch_size])
         rows = loss_rows(batch)
         n = len(rows[0])        # make_batch's mask is 0/1: its sum
         total += nll_loss(forward(params, batch.tokens, rows=rows), batch, rows) * n
@@ -273,14 +273,14 @@ class TrainState:
     step: int = 0
     window: list[float] = field(default_factory=list)
 
-    def train_step(self, seqs: list[list[int]], pad_id: int) -> None:
+    def train_step(self, seqs: list[list[int]]) -> None:
         """Take an Adam step on the next batch of the shuffle, or count it skipped."""
         cfg = self.cfg
         if len(self.order) < cfg.batch_size:
             self.order += self.rng.permutation(len(seqs)).tolist()
         picks = self.order[:cfg.batch_size]
         del self.order[:cfg.batch_size]
-        batch = make_batch([seqs[i] for i in picks], pad_id)
+        batch = make_batch([seqs[i] for i in picks])
         loss, grads = backward(self.params, batch, rng=self.rng)
         self.step += 1
         lr_scale = min(1.0, self.step / cfg.warmup_steps) if cfg.warmup_steps else 1.0
@@ -301,8 +301,7 @@ class TrainState:
         stop = self.cfg.early_stop_novelty
         self.report.stopped_early = score is not None and stop is not None and score < stop
 
-    def end_step(self, held_seqs: list[list[int]], pad_id: int,
-                 out_path: Path | None) -> None:
+    def end_step(self, held_seqs: list[list[int]], out_path: Path | None) -> None:
         """Close what the step ends, after its novelty probe: nothing off the
         checkpoint cadence before the run's end (``max_steps`` or an early
         stop).  Else record the interval (at the end, only if a step was
@@ -319,7 +318,7 @@ class TrainState:
             report.intervals.append({
                 "step": self.step,
                 "train_loss": float(np.mean(self.window)) if self.window else None,
-                "heldout_loss": _eval_nll(self.params, held_seqs, pad_id, cfg.batch_size),
+                "heldout_loss": _eval_nll(self.params, held_seqs, cfg.batch_size),
             })
             self.window.clear()
         if out_path is not None:
@@ -374,10 +373,10 @@ def fine_tune(samples: list[SerializedSample], vocab: Vocab,
                        np.random.default_rng(cfg.seed))
     started = time.perf_counter()
     while state.step < cfg.max_steps and not report.stopped_early:
-        state.train_step(train_seqs, vocab.pad_id)
+        state.train_step(train_seqs)
         if index is not None and state.step % cfg.novelty_eval_interval == 0:
             state.probe_novelty(probe_prompts, index, vocab)
-        state.end_step(held_seqs, vocab.pad_id, out_path)
+        state.end_step(held_seqs, out_path)
     report.steps_run = state.step
     report.wall_clock_sec = time.perf_counter() - started
     return state.params, report

@@ -193,8 +193,7 @@ def test_c4_overfit_retrieval(overfit_plain, toy_poems, toy_samples, toy_vocab,
         out = generate(params, prompt, cfg, toy_vocab)
         if out.text != sample.fields()["body"]:
             continue
-        regen = deserialize(sample.text[:sample.field_spans["id2"][1]] + out.text,
-                            catalog)
+        regen = deserialize(sample.text[:sample.field_spans["id2"][1]] + out.text)
         if novelty_score(regen, index).score == 0.0:
             reproduced += 1
     batch_report = generate_batch(params, toy_poems[0].form_id,
@@ -309,7 +308,7 @@ def test_c8_acrostic_pipeline(overfit_acrostic, toy_poems, toy_vocab, catalog):
     assert prompt_text.endswith("床疑举低(藏头诗)")
     out = generate(params, prompt, SampleConfig(k=1, max_new_tokens=80, seed=0),
                    toy_vocab)
-    poem = deserialize(prompt_text + out.text, catalog)
+    poem = deserialize(prompt_text + out.text)
     initials = poem.line_initials()
     verdict("C8 acrostic-pipeline", initials == "床疑举低",
             f"theme transform ok; greedy body initials {initials!r}")
@@ -323,7 +322,7 @@ def test_c9_round_trips(fixture_poems, catalog, overfit_plain, toy_vocab,
                         tmp_path):
     samples = [serialize(p, catalog) for p in fixture_poems]
     serialization_ok = all(
-        deserialize(s.text, catalog, source_id=p.source_id) == p
+        deserialize(s.text, source_id=p.source_id) == p
         for p, s in zip(fixture_poems, samples))
     vocab = build_vocab(samples)
     encoding_ok = all(decode(encode(s.text, vocab), vocab) == s.text

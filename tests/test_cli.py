@@ -344,6 +344,26 @@ class TestIngest:
                      for f in ("dataset.jsonl", "vocab.txt")) == self.GOLDEN[name, flags]
 
 
+@pytest.mark.parametrize("command", ["ingest", "validate"])
+def test_couplet_form_missing_from_the_catalog_is_skipped(capsys, tmp_path, command):
+    """A couplet record is looked up like any record's form: with a catalog
+    that has no 对联, it is a skipped record, not the end of the run."""
+    catalog = tmp_path / "one.catalog"
+    catalog.write_text("version = 1\n[五绝]\nclass = jintishi\nlines = 5 5 / 5 5\n",
+                       encoding="utf-8")
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in (
+        {"first": "秋月", "second": "春风"},
+        {"form": "五绝", "theme": "静夜思",
+         "body": "床前明月光，疑是地上霜。举头望明月，低头思故乡。"})), encoding="utf-8")
+    flags = ["-o", str(tmp_path / "out")] if command == "ingest" else ["--skip-unknown"]
+    code, out, err = run(capsys, command, str(corpus), *flags, "--catalog", str(catalog))
+    assert code == 0, err
+    assert f"{corpus}:1: skipped: unknown form: '对联'\n" in err
+    assert ("ingested 1 poems (1 skipped records)" in err if command == "ingest"
+            else "well-formed rate: 1/1" in out)
+
+
 def _corpus_around(tmp_path, record):
     """A three-record corpus file: ``record`` between two good couplets."""
     good = {"first": "秋月", "second": "春风"}
@@ -764,6 +784,17 @@ class TestGenerate:
                            "--form", "五绝", "--theme", "静")
         assert code == 1
         assert "out of order (wanted 'tok_emb')" in err
+
+    def test_vocab_of_another_size_exits_1(self, capsys, pipeline, tmp_path):
+        text = (pipeline / "vocab.txt").read_text("utf-8")
+        short = tmp_path / "vocab.txt"
+        short.write_text(text.removesuffix("\n").rpartition("\n")[0] + "\n", encoding="utf-8")
+        size = load_vocab(pipeline / "vocab.txt").size
+        code, out, err = run(capsys, "generate", str(pipeline / "run" / "last.ckpt"),
+                             "--vocab", str(short), "--form", "五绝", "--theme", "静")
+        assert code == 1 and out == ""
+        assert err == (f"guti: checkpoint vocab size {size} does not match "
+                       f"vocab file size {size - 1}\n")
 
     def test_config_block_of_wrong_type_exits_1(self, capsys, pipeline, tmp_path):
         data = (pipeline / "run" / "last.ckpt").read_bytes()
@@ -1199,7 +1230,7 @@ def test_ingest_files_round_trip(theme, form, lines, data):
     ids = encode(sample.text, vocab)
     assert vocab.unk_id not in ids
     assert decode(ids, vocab) == sample.text
-    poem = deserialize(sample.text, catalog)
+    poem = deserialize(sample.text)
     assert poem.form_id == form
     assert poem.theme == normalize_body_text(theme.strip())
     assert poem.body_text() == body

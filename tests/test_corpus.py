@@ -112,7 +112,7 @@ class TestIngest:
         # without the flag the poem keeps its lines, as guti validate reads them
         (poem,) = ingest_corpus(p, catalog).poems
         assert poem.body[line - 1].terminal_punct is None
-        assert len(deserialize(serialize(poem, catalog).text, catalog).body) < len(poem.body)
+        assert len(deserialize(serialize(poem, catalog).text).body) < len(poem.body)
 
     def test_unpunctuated_regular_form_is_restored_when_serializable(self, catalog,
                                                                      tmp_path):
@@ -123,7 +123,7 @@ class TestIngest:
         result = ingest_corpus(p, catalog, serializable=True)
         assert not result.diagnostics
         (poem,) = result.poems
-        assert deserialize(serialize(poem, catalog).text, catalog).body == poem.body
+        assert deserialize(serialize(poem, catalog).text).body == poem.body
 
     def test_unreadable_file(self, catalog, tmp_path):
         with pytest.raises(CorpusError):
@@ -187,31 +187,31 @@ class TestSerialize:
 
 class TestDeserialize:
     def test_ci_text(self, catalog):
-        poem = deserialize("武陵春(词牌名)游园(标题)长忆西湖湖上宴，一笑倒琼彝。", catalog)
+        poem = deserialize("武陵春(词牌名)游园(标题)长忆西湖湖上宴，一笑倒琼彝。")
         assert poem.form_id == "武陵春"
         assert poem.theme == "游园"
         assert len(poem.body) == 2
 
     def test_missing_id2_marker(self, catalog):
         with pytest.raises(SerializationError):
-            deserialize("武陵春(词牌名)游园长忆西湖湖上宴", catalog)
+            deserialize("武陵春(词牌名)游园长忆西湖湖上宴")
 
     def test_duplicated_marker(self, catalog):
         with pytest.raises(SerializationError):
-            deserialize("五绝(格式)思(格式)(标题)床前明月光", catalog)
+            deserialize("五绝(格式)思(格式)(标题)床前明月光")
 
     def test_markers_out_of_order(self, catalog):
         with pytest.raises(SerializationError):
-            deserialize("五绝(标题)思(格式)床前明月光", catalog)
+            deserialize("五绝(标题)思(格式)床前明月光")
 
     def test_empty_body(self, catalog):
         with pytest.raises(SerializationError):
-            deserialize("五绝(格式)思(标题)", catalog)
+            deserialize("五绝(格式)思(标题)")
 
     def test_round_trip_over_fixture_corpus(self, catalog, fixture_poems):
         for poem in fixture_poems:
             sample = serialize(poem, catalog)
-            back = deserialize(sample.text, catalog, source_id=poem.source_id)
+            back = deserialize(sample.text, source_id=poem.source_id)
             assert back == poem
 
     def test_sample_from_text_rejects_non_canonical(self, catalog):
@@ -241,7 +241,7 @@ class TestCoupletTransform:
         assert couplets
         for poem in couplets:
             sample = serialize(poem, catalog)
-            assert deserialize(sample.text, catalog, poem.source_id) == poem
+            assert deserialize(sample.text, source_id=poem.source_id) == poem
 
 
 class TestAcrosticTransform:
@@ -354,7 +354,7 @@ class TestIdeographRanges:
         assert poem.body[-1].characters == "低头思故\U00020000"
         assert validate(poem, catalog, table).well_formed
         sample = serialize(poem, catalog)
-        assert deserialize(sample.text, catalog) == poem
+        assert deserialize(sample.text) == poem
         assert sample_from_text(sample.text, catalog) == sample
         index = NoveltyIndex.from_samples([sample])
         assert index.score_lines(["低头思故\U00020000"]).verbatim_lines == 1
@@ -381,7 +381,7 @@ def test_serialize_deserialize_identity(lines, theme, data):
         body.append(Line(chars, punct))
     poem = Poem(form_id="五绝", theme=theme, body=tuple(body))
     sample = serialize(poem, catalog)
-    assert deserialize(sample.text, catalog) == poem
+    assert deserialize(sample.text) == poem
 
 
 def _reference_find_unique_marker(text, markers, what):
@@ -435,12 +435,11 @@ def _outcome(fn, *args):
 @settings(max_examples=300, deadline=None)
 @given(_marker_text)
 def test_marker_errors_match_reference_loop(text):
-    from guti.forms import default_catalog
     for markers, what in ((ID1_MARKERS, "field-1"), (ID2_MARKERS, "field-2")):
         assert (_outcome(_find_unique_marker, text, markers, what)
                 == _outcome(_reference_find_unique_marker, text, markers, what))
     expected = _reference_marker_error(text)
-    got = _outcome(deserialize, text, default_catalog())
+    got = _outcome(deserialize, text)
     if expected is not None:
         assert got == expected
     else:

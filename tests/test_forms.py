@@ -59,6 +59,11 @@ CATALOG_ERRORS = [
      "<catalog>: 'x' points at missing acrostic form 'y'"),
     (ENTRY + "acrostic-form = y\n[y]\nclass = ci\nlines = 5",
      "<catalog>: 'x' points at acrostic form 'y', which lacks 'markers = acrostic'"),
+    # an acrostic entry is its own variant: an acrostic-form line naming
+    # another entry, acrostic or not, would be read by nothing
+    (ENTRY + "markers = acrostic\nacrostic-form = y\n[y]\nclass = ci\nlines = 5\n"
+     "markers = acrostic",
+     "<catalog>: acrostic form 'x' is its own acrostic form, not 'y'"),
     # two faults: the first section's missing class is reported at its
     # header, when the second header closes it, before the bad line after
     ("version = 1\n[a]\nlines = 5\n[b]\nclass ci\n", "<catalog>:2: missing 'class'"),

@@ -1169,6 +1169,30 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="bad config block"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("where, value, error, message", [
+        ("version", struct.pack("<I", 2), CheckpointError, "unsupported checkpoint version 2"),
+        ("count", struct.pack("<I", 21), CheckpointError, "expected 20 tensors, found 21"),
+        ("dims", struct.pack("<I", 11), CheckpointError,
+         r"tensor 'tok_emb' has shape \(11, 8\), expected \(10, 8\)"),
+        ("end", b"\0", CheckpointError, "trailing bytes after last tensor"),
+        ("data", struct.pack("<f", np.nan), ModelError, "non-finite values in parameter 'tok_emb'"),
+    ], ids=["version", "tensor-count", "shape", "trailing-bytes", "non-finite"])
+    def test_refusals(self, tmp_path, where, value, error, message):
+        """A file with ``value`` written over its bytes at ``where``: the
+        version, the tensor count, the first tensor's (tok_emb's) first
+        dimension or first value, or the end of the file."""
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(TINY, seed=8), p)
+        data = p.read_bytes()
+        head = len(model.CHECKPOINT_MAGIC) + 4
+        (n,) = struct.unpack("<I", data[head:head + 4])
+        dims = data.index(b"tok_emb") + len("tok_emb") + 1      # after the u8 ndim
+        at = {"version": head - 4, "count": head + 4 + n, "dims": dims, "data": dims + 8,
+              "end": len(data)}[where]
+        p.write_bytes(data[:at] + value + data[at + len(value):])
+        with pytest.raises(error, match=message):
+            load_checkpoint(p)
+
     def test_name_that_is_not_utf8_rejected(self, tmp_path):
         p = tmp_path / "model.ckpt"
         save_checkpoint(init_params(TINY, seed=8), p)
@@ -1407,7 +1431,7 @@ class TestLossSplit:
         samples = toy_samples + [serialize(p, catalog) for p in fixture_poems]
         vocab = build_vocab(samples)
         seqs = [encode_sample(s, vocab) for s in samples]
-        batches = [make_batch(seqs[i:i + 8], vocab.pad_id) for i in (0, 40, 80)]
+        batches = [make_batch(seqs[i:i + 8]) for i in (0, 40, 80)]
         config = ModelConfig(n_layers=1, n_heads=2, d_model=16, d_ff=32,
                              context_len=max(len(s) for s in seqs),
                              vocab_size=vocab.size)

@@ -13,6 +13,8 @@ from guti.forms import default_catalog
 from guti.model import (
     ModelConfig,
     ModelParams,
+    SequenceBatch,
+    backward,
     forward,
     init_params,
     load_checkpoint,
@@ -325,7 +327,7 @@ class TestNovelty:
 
 class TestBatching:
     def test_make_batch_pads_and_masks(self):
-        batch = make_batch([[1, 5, 6, 2], [1, 7, 2]], pad_id=0)
+        batch = make_batch([[1, 5, 6, 2], [1, 7, 2]])
         assert batch.tokens.shape == (2, 4)
         assert batch.tokens[1].tolist() == [1, 7, 2, 0]
         assert batch.loss_mask[0].tolist() == [0, 1, 1, 1]
@@ -340,12 +342,40 @@ class TestBatching:
                 for n in (5, 12, 3, 30, 8, 17, 9)]
         total = count = 0.0
         for start in range(0, len(seqs), 3):
-            batch = make_batch(seqs[start:start + 3], pad_id=0)
+            batch = make_batch(seqs[start:start + 3])
             n = batch.loss_mask.sum()
             total += nll_loss(forward(params, batch.tokens), batch) * n
             count += n
-        got = _eval_nll(params, seqs, pad_id=0, batch_size=3)
+        got = _eval_nll(params, seqs, batch_size=3)
         assert abs(got - total / count) < 1e-12
+
+    def test_pads_reach_no_loss_or_gradient(self, monkeypatch):
+        """A grid padded with V - 1 in place of 0 gives the same bits: each
+        sequence runs only up to its last loss row, so no pass reads a pad,
+        dropout's draws included."""
+        config = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_ff=24,
+                             context_len=40, vocab_size=11, dropout_rate=0.1)
+        params = init_params(config, seed=6)
+        rng = np.random.default_rng(2)
+        seqs = [rng.integers(1, 11, size=n).tolist() for n in (5, 12, 3, 30, 8, 17, 9)]
+        real = trainer.make_batch
+
+        def padded_high(sequences):
+            batch = real(sequences)
+            lengths = np.array([len(s) for s in sequences])
+            pads = np.arange(batch.tokens.shape[1]) >= lengths[:, None]
+            assert (batch.tokens[pads] == 0).all()
+            return SequenceBatch(np.where(pads, config.vocab_size - 1, batch.tokens),
+                                 batch.loss_mask)
+
+        (low_loss, low), (high_loss, high) = (
+            backward(params, pad(seqs), rng=np.random.default_rng(4))
+            for pad in (real, padded_high))
+        assert low_loss == high_loss
+        assert all(low[name].tobytes() == high[name].tobytes() for name in params.tensors)
+        low_nll = _eval_nll(params, seqs, batch_size=3)
+        monkeypatch.setattr(trainer, "make_batch", padded_high)
+        assert _eval_nll(params, seqs, batch_size=3) == low_nll
 
     def test_heldout_split_deterministic(self, toy_samples):
         a = heldout_split(toy_samples, 0.1)
@@ -500,9 +530,9 @@ class TestFineTune:
                           checkpoint_interval=0, seed=9, heldout_fraction=0.0)
         real, fed = trainer.make_batch, []
 
-        def make_batch(sequences, pad_id):
+        def make_batch(sequences):
             fed.append(sequences)
-            return real(sequences, pad_id)
+            return real(sequences)
 
         monkeypatch.setattr(trainer, "make_batch", make_batch)
         fine_tune(samples, vocab, params, cfg)

@@ -152,6 +152,16 @@ class TestPairing:
         assert all(r.passed for r in results)
         assert len(results) == 6  # three rules per slot pair
 
+    def test_pair_slot_outside_the_poem_fails(self, catalog):
+        # a 4-line 七律: slot pair (3, 4) pairs, (5, 6) lies past its last line
+        p = poem("七律", "早发白帝城",
+                 "朝辞白帝彩云间，千里江陵一日还。两岸猿声啼不住，轻舟已过万重山。")
+        results = check_pairing(p, catalog.resolve("七律"))
+        assert all(r.passed for r in results[:3])
+        assert results[3:] == [RuleResult("pairing.length", "hard", False,
+                                          ((5, None), (6, None)),
+                                          message="pair slot (5,6) outside the poem")]
+
     def test_paired_repeat_in_regulated_poem_fails(self, catalog, fixture_poems):
         qilu = by_source(fixture_poems, "t4-七律")
         body = list(qilu.body)
