@@ -253,7 +253,10 @@ class IngestResult:
 
 def _poem_from_record(record: dict, catalog: FormCatalog, source_id: str) -> Poem:
     couplet = "first" in record or "second" in record
-    for key in ("first", "second") if couplet else ("form", "theme", "body"):
+    if couplet and not record.keys().isdisjoint(("form", "theme", "body")):
+        raise CorpusError("record mixes couplet fields first/second with form/theme/body")
+    keys = ("first", "second") if couplet else ("form", "theme", "body")
+    for key in keys:
         if key not in record and not couplet:
             raise CorpusError(f"record missing required field {key!r}")
         if not isinstance(record.get(key, ""), str):
@@ -262,14 +265,13 @@ def _poem_from_record(record: dict, catalog: FormCatalog, source_id: str) -> Poe
     spec = catalog.entries.get(form_id)
     if spec is None:
         raise UnknownFormError(form_id)
-    if couplet:
-        return couplet_transform(record.get("first", ""), record.get("second", ""),
-                                 source_id=source_id)
-    theme = normalize_theme(record["theme"])
-    lines = parse_body(record["body"])
+    theme, body = (record.get(key, "") for key in keys[-2:])
+    if spec.line_template.kind == "mirror":     # a couplet, in either shape
+        return couplet_transform(theme, body, source_id, form_id)
+    lines = parse_body(body)
     if spec.form_class in ("jintishi", "gushi"):
         lines = restore_punctuation(lines)
-    return Poem(form_id=form_id, theme=theme, body=lines, source_id=source_id)
+    return Poem(form_id, normalize_theme(theme), lines, source_id)
 
 
 def _check_line_breaks(poem: Poem) -> None:
@@ -307,12 +309,13 @@ def ingest_corpus(path: str | Path, catalog: FormCatalog, *,
     """Read a line-delimited JSON corpus file.
 
     One object per line with string fields ``form``, ``theme``, ``body``
-    (couplet records use ``first``/``second`` instead) and an optional
-    string ``source_id`` (default: file name and line number).  Malformed
-    records and unknown forms become diagnostics with their line numbers; a
-    record is never silently dropped.  With ``serializable``, so does a
-    poem whose serialized text would merge two of its lines: a line other
-    than the last with no terminal punctuation once restoration has run.
+    (couplet records may use ``first``/``second`` instead, not beside them)
+    and an optional string ``source_id`` (default: file name and line
+    number).  Malformed records and unknown forms become diagnostics with
+    their line numbers; a record is never silently dropped.  With
+    ``serializable``, so does a poem whose serialized text would merge two
+    of its lines: a line other than the last with no terminal punctuation
+    once restoration has run.
     """
     name = Path(path).name
     result = IngestResult()
@@ -400,8 +403,8 @@ def sample_from_text(text: str, catalog: FormCatalog,
     return sample
 
 
-def couplet_transform(first_line: str, second_line: str,
-                      source_id: str | None = None) -> Poem:
+def couplet_transform(first_line: str, second_line: str, source_id: str | None = None,
+                      form_id: str = "对联") -> Poem:
     """Build the couplet poem: first line becomes the theme, second the body."""
     first = normalize_theme(first_line)
     second = second_line.strip()
@@ -409,7 +412,7 @@ def couplet_transform(first_line: str, second_line: str,
         raise CorpusError("empty couplet first line")
     if not second:
         raise CorpusError("empty couplet second line")
-    return Poem(form_id="对联", theme=first, body=parse_body(second),
+    return Poem(form_id=form_id, theme=first, body=parse_body(second),
                 source_id=source_id)
 
 

@@ -32,15 +32,16 @@ logits.  When every sequence runs all S positions from one start
 candidates) the layout is Python ints and slices and the rows are a
 reshape of the (B, S) grid.  A decode step pays for little but its
 arithmetic: ``forward`` checks ids, cache and lengths, so a step the decode
-loop sizes itself skips them; a layer writes its new keys and values with
-one index and reads them through views the ``KVCache`` keeps, the keys
-already transposed; and the step's numpy calls run on 0-d constants and
-(1, n) parameter rows, which a one-row ufunc takes without a conversion
-or a broadcast.  Each dropout mask is drawn where it is applied, shaped
-like the array it masks, so a pass draws one uniform per cell it runs, site
-by site: the embedding, then per layer each attention run's probabilities
-and the two residual branches.  The 1/sqrt(head_dim) score scale is applied
-to the query rows, once per layer, not to the scores.
+loop sizes itself skips them; an attention run writes its new key and value
+rows, the projection's k|v columns as they are, into the ``KVCache`` with
+one index and reads its sequences' rows back with one slice; and the step's
+numpy calls run on 0-d constants and (1, n) parameter rows, which a one-row
+ufunc takes without a conversion or a broadcast.  Each dropout mask is
+drawn where it is applied, shaped like the array it masks, so a pass draws
+one uniform per cell it runs, site by site: the embedding, then per layer
+each attention run's probabilities and the two residual branches.  The
+1/sqrt(head_dim) score scale is applied to the query rows, once per layer,
+not to the scores.
 
 Parameters are plain numpy arrays in an ordered name->array mapping.  The
 canonical storage dtype is float32 (matching the checkpoint format); the
@@ -342,7 +343,7 @@ def _causal(dtype: np.dtype, size: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(ramp, size)[::-1]
 
 
-def _layout(starts: list[int], lengths: list[int], dtype, heads: int, size: int):
+def _layout(starts: list[int], lengths: list[int], dtype, size: int):
     """The (batch, position) cells a forward pass runs, as rows, and the
     attention runs over them: ``(width, pos, cells, runs)``.
 
@@ -356,16 +357,16 @@ def _layout(starts: list[int], lengths: list[int], dtype, heads: int, size: int)
     grid's positions, as the slice ``hi:hi + width`` when all starts are hi.
 
     ``runs`` groups consecutive sequences of the same length L as ``(batch
-    slice, row slice, L, write, keys, values, mask)``; attention runs once
-    per run, on a (run size, heads, L, ·) view of its rows.  ``write``
-    indexes the run's cells in a layer's stacked K/V buffer, ``keys`` and
-    ``values`` the positions they attend to in ``KVCache.keys`` and
-    ``.values``, [:hi + L] for the largest start hi, and ``mask`` is the
-    run's additive causal mask, in which the query at position p sees keys
-    0..p: rows of ``_causal`` for positions below ``size``.  With one start
-    the indexes are slices and the mask the corner of one copy, and a lone
-    query row needs none; with several (a decode step on a ragged cache)
-    each row gathers its positions' rows.  Sequences of length 0 form no run.
+    slice, row slice, L, write, hi + L, mask)``; attention runs once per
+    run, on a (run size, heads, L, ·) view of its rows.  ``write`` indexes
+    the run's new rows in a layer's ``KVCache`` buffer, which the run reads
+    at ``[batch slice, :hi + L]`` for the largest start hi, and ``mask`` is
+    the run's additive causal mask, in which the query at position p sees
+    keys 0..p: rows of ``_causal`` for positions below ``size``.  With one
+    start ``write`` is two slices and the mask the corner of one copy, and a
+    lone query row needs none; with several (a decode step on a ragged
+    cache) ``write`` is the run's sequence ids and positions, and each row
+    gathers its positions' mask rows.  Sequences of length 0 form no run.
     """
     batch, hi, width = len(lengths), max(starts), max(lengths)
     cells, runs = None, [(slice(0, batch), slice(0, batch * width), width)]
@@ -380,45 +381,37 @@ def _layout(starts: list[int], lengths: list[int], dtype, heads: int, size: int)
         # a copy: adding a view whose rows overlap takes twice as long
         causal = _causal(dtype, size)[pos, :hi + width].copy() if width > 1 else None
         return width, pos, cells, [
-            (bs, rs, n, (slice(None), bs, slice(None), slice(hi, hi + n)),
-             (bs, Ellipsis, slice(hi + n)), (bs, slice(None), slice(hi + n)),
+            (bs, rs, n, (bs, slice(hi, hi + n)), hi + n,
              causal[:n, :hi + n] if n > 1 else None) for bs, rs, n in runs]
     pos = np.add.outer(starts, np.arange(width))
     mask = _causal(dtype, size)[pos[:, None]]                   # (B, 1, width, size)
-    at = (np.arange(batch)[:, None, None], np.arange(heads)[:, None], pos[:, None])
+    ids = np.arange(batch)[:, None]
     return width, pos, cells, [
-        (bs, rs, n, (slice(None), at[0][bs], at[1], at[2][bs, :, :n]),
-         (bs, Ellipsis, slice(hi + n)), (bs, slice(None), slice(hi + n)),
-         mask[bs, :, :n, :hi + n]) for bs, rs, n in runs]
+        (bs, rs, n, (ids[bs], pos[bs, :n]), hi + n, mask[bs, :, :n, :hi + n])
+        for bs, rs, n in runs]
 
 
 class KVCache:
-    """Keys and values of the positions decoded so far: ``buffers[i]`` stacks
-    layer i's (batch, heads, size, head_dim) keys and values, allocated once
-    (Pope et al., arXiv:2211.05102), so one index writes both; ``keys[i]``
-    views its keys transposed, (batch, heads, head_dim, size), as the score
-    product reads them, and ``values[i]`` its values.  Row b is filled at
-    ``[:lengths[b]]`` (the per-sequence lengths of vLLM, arXiv:2309.06180,
-    without paging), and its later slots hold zeros or stale keys, which
-    attention masks.  It serves one model config at one batch size;
-    ``select`` changes the batch."""
+    """Keys and values of the positions decoded so far: ``buffers[i]`` holds
+    layer i's (batch, size, 2 d_model) rows, allocated once (Pope et al.,
+    arXiv:2211.05102), each row a position's key and value columns as the
+    fused projection writes them, so one index writes a pass's new rows and
+    one slice reads a sequence's.  Row b is filled at ``[:lengths[b]]`` (the
+    per-sequence lengths of vLLM, arXiv:2309.06180, without paging), and its
+    later slots hold zeros or stale keys, which attention masks.  It serves
+    one model config at one batch size; ``select`` changes the batch."""
 
     def __init__(self, params: ModelParams, batch: int, size: int):
         c = self.config = params.config
         self.size = size
         self.lengths = [0] * batch
-        shape = (2, batch, c.n_heads, size, c.head_dim)
-        self._view([np.zeros(shape, params.dtype) for _ in range(c.n_layers)])
-
-    def _view(self, buffers: list[np.ndarray]) -> None:
-        self.buffers = buffers
-        self.keys = [buf[0].transpose(0, 1, 3, 2) for buf in buffers]
-        self.values = [buf[1] for buf in buffers]
+        self.buffers = [np.zeros((batch, size, 2 * c.d_model), params.dtype)
+                        for _ in range(c.n_layers)]
 
     def select(self, rows: list[int]) -> None:
         """Keep batch rows ``rows`` in that order, repeats allowed."""
         self.lengths = [self.lengths[r] for r in rows]
-        self._view([buf[:, rows] for buf in self.buffers])
+        self.buffers = [buf[rows] for buf in self.buffers]
 
 
 def _check_inputs(params: ModelParams, tokens: np.ndarray) -> np.ndarray:
@@ -455,7 +448,7 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, rng, want_cache: bool
         length = reach.tolist()
     d, h, hd = c.d_model, c.n_heads, c.head_dim
     w, pos, cells, runs = _layout([0] * b if kv is None else kv.lengths, length,
-                                  params.dtype, h, c.context_len)
+                                  params.dtype, c.context_len)
     rate = c.dropout_rate if rng is not None else 0.0
     tokens = tokens[:, :w] if w < s else tokens
 
@@ -474,20 +467,20 @@ def _forward_impl(params: ModelParams, tokens: np.ndarray, rng, want_cache: bool
         qkv += b_qkv
         qkv[:, :d] *= scale
         ctx, att = np.empty_like(x), []
-        for _, rs, n, write, keys, values, mask in runs:
-            # (3, sequences, heads, n, head_dim) views of the run's q, k, v
-            qkv_h = qkv[rs].reshape(-1, n, 3, h, hd).transpose(2, 0, 3, 1, 4)
-            if kv is None:
-                k_t, v_h = qkv_h[1].transpose(0, 1, 3, 2), qkv_h[2]
-            else:   # join the cache: write the run's keys and values, read all
-                kv.buffers[i][write] = qkv_h[1:]
-                k_t, v_h = kv.keys[i][keys], kv.values[i][values]
-            probs = qkv_h[0] @ k_t
+        for bs, rs, n, write, end, mask in runs:
+            kv_h = qkv[rs, d:].reshape(-1, n, 2 * d)   # the run's k|v columns
+            if kv is not None:  # join the cache: write the run's rows, read all
+                kv.buffers[i][write] = kv_h
+                kv_h = kv.buffers[i][bs, :end]
+            # (k or v, sequences, heads, positions, head_dim); uncached, end is n
+            kv_h = kv_h.reshape(-1, end, 2, h, hd).transpose(2, 0, 3, 1, 4)
+            q_h = qkv[rs, :d].reshape(-1, n, h, hd).transpose(0, 2, 1, 3)
+            probs = q_h @ kv_h[0].transpose(0, 1, 3, 2)
             if mask is not None:
                 probs += mask
             softmax_inplace(probs)
             probs_d, drop = _dropout(rng, rate, probs)
-            np.matmul(probs_d, v_h, out=ctx[rs].reshape(-1, n, h, hd).transpose(0, 2, 1, 3))
+            np.matmul(probs_d, kv_h[1], out=ctx[rs].reshape(-1, n, h, hd).transpose(0, 2, 1, 3))
             att.append((probs, drop, probs_d))
         # x + dropout(y + b), written over y: rebinding x frees the block's input
         y = ctx @ w_o
@@ -547,16 +540,16 @@ def forward(params: ModelParams, tokens: np.ndarray,
 
     ``kv`` is an optional ``KVCache(params, batch, size)``, empty at first.
     ``tokens`` then continue the sequences the cache holds: row b takes
-    positions from ``kv.lengths[b]`` on, writes the keys and values of the
-    positions it runs into the cache, one index per layer, attends to all
-    its cached positions, and its length grows by as many, so prompts of
-    different lengths fill one cache in one padded call with ``rows`` at
-    their ends.  Feeding a sequence in any split of chunks gives the logits
-    one full call would give.  A cache of another model config or batch
-    size, or one too short to hold the positions, raises ModelError.
-    Token ids, rows and the cache are checked here; a decode loop that
-    feeds back ids it drew, one position per step within the cache it
-    sized, may call ``_forward_impl`` directly for its steps.
+    positions from ``kv.lengths[b]`` on, writes the key and value rows of
+    the positions it runs into the cache with one index per layer and run,
+    reads all its cached rows with one slice, and its length grows by as
+    many, so prompts of different lengths fill one cache in one padded call
+    with ``rows`` at their ends.  Feeding a sequence in any split of chunks
+    gives the logits one full call would give.  A cache of another model
+    config or batch size, or one too short to hold the positions, raises
+    ModelError.  Token ids, rows and the cache are checked here; a decode
+    loop that feeds back ids it drew, one position per step within the cache
+    it sized, may call ``_forward_impl`` directly for its steps.
     """
     tokens = _check_inputs(params, tokens)
     c, (b, s) = params.config, tokens.shape

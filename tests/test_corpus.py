@@ -151,6 +151,25 @@ class TestIngest:
             (2, f"record field {field!r} is not a string")]
         assert [poem.source_id for poem in result.poems] == ["c.jsonl:1", "c.jsonl:3"]
 
+    # a couplet's content gives one poem or one diagnostic in either record
+    # shape, and a record holding fields of both shapes is refused
+    @pytest.mark.parametrize("records, outcome", [
+        ([{"form": "对联", "theme": " 秋月 ", "body": "春风\n"},
+          {"first": " 秋月 ", "second": "春风\n"}],
+         Poem("对联", "秋月", parse_body("春风"), "s")),
+        ([{"form": "对联", "theme": "", "body": "春风"}, {"first": "", "second": "春风"}],
+         "empty couplet first line"),
+        ([{"form": "五绝", "theme": "静夜思", "body": "床前明月光，疑是地上霜。",
+           "first": "秋月", "second": "春风"}, {"form": "对联", "second": "春风"}],
+         "record mixes couplet fields first/second with form/theme/body"),
+    ], ids=["same-content", "empty-theme", "mixed"])
+    def test_couplet_record_of_either_shape(self, catalog, tmp_path, records, outcome):
+        p = tmp_path / "c.jsonl"
+        p.write_text("\n".join(json.dumps({**r, "source_id": "s"}, ensure_ascii=False)
+                               for r in records), encoding="utf-8")
+        result = ingest_corpus(p, catalog)
+        assert result.poems + [d.message for d in result.diagnostics] == [outcome] * 2
+
 
 class TestSerialize:
     def test_ci_marker_pair(self, catalog):

@@ -223,7 +223,7 @@ class TestKVCache:
         params = init_params(TINY, seed=0, dtype=np.float64)
         tokens = np.random.default_rng(1).integers(0, TINY.vocab_size, size=(1, 5))
         short, full = KVCache(params, 1, 5), KVCache(params, 1, TINY.context_len)
-        assert short.buffers[0].shape[3] == 5 and full.buffers[0].shape[3] == TINY.context_len
+        assert short.buffers[0].shape[1] == 5 and full.buffers[0].shape[1] == TINY.context_len
         for a, b in ((0, 3), (3, 4), (4, 5)):
             np.testing.assert_array_equal(forward(params, tokens[:, a:b], kv=short),
                                           forward(params, tokens[:, a:b], kv=full))
@@ -856,7 +856,7 @@ def reaching_loss_rows(batch):
     b_idx, t_idx = loss_rows(batch)
     length = np.zeros(len(batch.tokens), np.int64)
     np.maximum.at(length, b_idx, t_idx + 1)
-    return _layout(np.zeros_like(length), length, np.float64, ROWS.n_heads, ROWS.context_len)
+    return _layout(np.zeros_like(length), length, np.float64, ROWS.context_len)
 
 
 class TestAttentionRuns:
@@ -1023,7 +1023,7 @@ class TestForwardRows:
         # outputs at (0, 2), (0, 4) and (2, 1) of a (3, 6) batch, cells
         # b * 5 + t of the (3, 5) grid; sequence 1 asks for nothing
         width, _, cells, _ = _layout(np.zeros(3, np.int64), np.array([5, 0, 2]),
-                                     np.float64, ROWS.n_heads, ROWS.context_len)
+                                     np.float64, ROWS.context_len)
         assert width == 5
         assert cells.tolist() == [0, 1, 2, 3, 4, 10, 11]
         params = init_params(ROWS, seed=6, dtype=np.float64)
@@ -1037,7 +1037,7 @@ class TestForwardRows:
         params = init_params(ROWS, seed=6, dtype=np.float64)
         for rows, width in ((([0, 1], [3, 3]), 4), (([0, 1, 0], [5, 5, 0]), 6)):
             got = _layout(np.zeros(2, np.int64), np.full(2, width), np.float64,
-                          ROWS.n_heads, ROWS.context_len)
+                          ROWS.context_len)
             assert got[0] == width and got[2] is None
             _, cache = model._forward_impl(params, grid, None, True,
                                            rows=tuple(map(np.array, rows)))
