@@ -209,7 +209,8 @@ def _decode(params: ModelParams, prompts: list[list[int]], seeds: list[list[int]
     src = [prompt_of[c] for c in live]                  # and the row it reads
     kv = KVCache(params, len(prompts), max(len(p) + n for p, n in zip(prompts, budget)))
     tokens = np.array([prompt + [0] * (width - len(prompt)) for prompt in prompts])
-    # each prompt runs to its last position, the one projected, so no pad runs; a step has one
+    # the grid pads with Vocab.pad_id, 0 by the layout; each prompt runs to its last position,
+    # the one projected, so no pad runs; a step has one
     rows = (np.arange(len(prompts)), [len(prompt) - 1 for prompt in prompts])
     while live:     # only the prompt pass checks ids: a step's are the loop's own draws
         logits = (_forward_impl(params, tokens, None, False, kv)[0] if rows is None

@@ -223,7 +223,8 @@ def sample_token_count(sample: SerializedSample) -> int:
 
 
 def make_batch(sequences: list[list[int]]) -> SequenceBatch:
-    """Pad with id 0 (PAD): no pass reads a pad, each sequence runs only to its last loss row."""
+    """Pad with ``Vocab.pad_id``, 0 by the layout: no pass reads a pad, each
+    sequence runs only to its last loss row."""
     width = max(len(s) for s in sequences)
     tokens = np.zeros((len(sequences), width), dtype=np.int64)
     mask = np.zeros((len(sequences), width), dtype=np.float64)

@@ -1,10 +1,13 @@
 """Character-level vocabulary with atomic identifier-marker tokens.
 
-Id layout is fixed: specials first (PAD, BOS, EOS, UNK), then the five
-identifier markers, then characters ordered by descending corpus frequency
-with codepoint ties.  Tokenization splits the text on ``forms.MARKER_RE``:
-each marker is one token and every other character is a token of its own,
-so a marker is never split into its constituent characters.
+Id layout is fixed: one prefix tuple, the specials (PAD, BOS, EOS, UNK)
+then the five identifier markers, heads every vocabulary that
+``build_vocab`` or ``load_vocab`` builds, so those tokens' ids are
+``Vocab`` constants, their places in it.  Characters follow, ordered by
+descending corpus frequency with codepoint ties.  Tokenization splits the
+text on ``forms.MARKER_RE``: each marker is one token and every other
+character is a token of its own, so a marker is never split into its
+constituent characters.
 A Vocab is immutable after build; encode/decode are safe for any number
 of concurrent readers.
 """
@@ -27,45 +30,28 @@ VOCAB_FORMAT_VERSION = 1
 
 PAD, BOS, EOS, UNK = "<pad>", "<bos>", "<eos>", "<unk>"
 _SPECIALS = (PAD, BOS, EOS, UNK)
+_PREFIX = _SPECIALS + ALL_MARKERS
 
 
 @dataclass(frozen=True)
 class Vocab:
+    """Built by ``build_vocab`` or ``load_vocab`` through ``_assemble``: ``tokens``
+    starts with ``_PREFIX``, so each fixed token's id is a constant, its place there."""
     tokens: tuple[str, ...]
     token_to_id: dict[str, int]
     min_count: int
+
+    pad_id, bos_id, eos_id, unk_id = map(_PREFIX.index, _SPECIALS)
+    marker_ids = tuple(map(_PREFIX.index, ALL_MARKERS))
 
     @property
     def size(self) -> int:
         return len(self.tokens)
 
-    @property
-    def pad_id(self) -> int:
-        return self.token_to_id[PAD]
-
-    @property
-    def bos_id(self) -> int:
-        return self.token_to_id[BOS]
-
-    @property
-    def eos_id(self) -> int:
-        return self.token_to_id[EOS]
-
-    @property
-    def unk_id(self) -> int:
-        return self.token_to_id[UNK]
-
-    @property
-    def marker_ids(self) -> tuple[int, ...]:
-        return tuple(self.token_to_id[m] for m in ALL_MARKERS)
-
 
 def _assemble(char_tokens: Sequence[str], min_count: int) -> Vocab:
-    tokens = tuple(_SPECIALS) + tuple(ALL_MARKERS) + tuple(char_tokens)
-    mapping = {tok: i for i, tok in enumerate(tokens)}
-    if len(mapping) != len(tokens):
-        raise VocabError("duplicate tokens in vocabulary")
-    return Vocab(tokens=tokens, token_to_id=mapping, min_count=min_count)
+    tokens = _PREFIX + tuple(char_tokens)
+    return Vocab(tokens, {tok: i for i, tok in enumerate(tokens)}, min_count)
 
 
 def build_vocab(texts: Iterable, min_count: int = 1) -> Vocab:
@@ -112,10 +98,8 @@ def decode(ids: Sequence[int], vocab: Vocab) -> str:
     for i in ids:
         if not 0 <= int(i) < vocab.size:
             raise VocabError(f"token id {i} out of range (vocab size {vocab.size})")
-        tok = vocab.tokens[int(i)]
-        if tok in _SPECIALS:
-            continue
-        parts.append(tok)
+        if int(i) >= len(_SPECIALS):
+            parts.append(vocab.tokens[int(i)])
     return "".join(parts)
 
 
@@ -127,8 +111,8 @@ def save_vocab(vocab: Vocab, path: str | Path) -> None:
 
 def load_vocab(path: str | Path) -> Vocab:
     p = Path(path)
-    lines = read_text(p, VocabError, "vocab").removesuffix("\n").split("\n")
-    version, _, count = lines[0].partition(" min_count=")
+    header, *tokens = read_text(p, VocabError, "vocab").removesuffix("\n").split("\n")
+    version, _, count = header.partition(" min_count=")
     if version != f"guti-vocab v{VOCAB_FORMAT_VERSION}":
         raise VocabError(f"{p}: missing or unsupported vocab header")
     try:
@@ -137,9 +121,11 @@ def load_vocab(path: str | Path) -> Vocab:
         min_count = 0
     # only the header line save_vocab writes, with a count build_vocab takes
     if count != str(min_count) or min_count < 1:
-        raise VocabError(f"{p}: bad vocab header {lines[0]!r}")
-    tokens = lines[1:]
-    expected = list(_SPECIALS) + list(ALL_MARKERS)
-    if tokens[: len(expected)] != expected:
+        raise VocabError(f"{p}: bad vocab header {header!r}")
+    if tuple(tokens[: len(_PREFIX)]) != _PREFIX:
         raise VocabError(f"{p}: vocab does not start with the fixed special tokens")
-    return _assemble(tuple(tokens[len(expected):]), min_count)
+    vocab = _assemble(tokens[len(_PREFIX):], min_count)
+    if len(vocab.token_to_id) < vocab.size:     # a repeated token maps to its last id
+        twice = next(tok for i, tok in enumerate(vocab.tokens) if vocab.token_to_id[tok] != i)
+        raise VocabError(f"{p}: token {twice!r} listed twice")
+    return vocab

@@ -607,6 +607,29 @@ class TestTrain:
         assert code == 0
         assert "exceed the model context" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--context-len", "8"), "every sample exceeds the model context"),
+        (("--heldout-fraction", "0.999"), "held-out split left no training samples"),
+    ], ids=["context", "heldout"])
+    def test_no_sample_left_to_train_exits_1(self, capsys, pipeline, tmp_path, flags,
+                                             message):
+        code, _, err = run(capsys, "train", str(pipeline / "dataset.jsonl"),
+                           "--vocab", str(pipeline / "vocab.txt"),
+                           "-o", str(tmp_path / "run"), "--max-steps", "2", *flags)
+        assert code == 1
+        assert err.endswith(f"guti: {message}\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_dataset_of_blank_lines_exits_1(self, capsys, pipeline, tmp_path):
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text("\n\n  \n", encoding="utf-8")
+        code, _, err = run(capsys, "train", str(dataset),
+                           "--vocab", str(pipeline / "vocab.txt"),
+                           "-o", str(tmp_path / "run"))
+        assert code == 1
+        assert err == f"guti: {dataset}: no samples\n"
+        assert not (tmp_path / "run").exists()
+
 
 class TestConfigOptions:
     """Every option that sets a config field reaches that field."""

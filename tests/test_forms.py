@@ -262,6 +262,15 @@ class TestPhonologyTable:
         with pytest.raises(PhonologyError):
             parse_table("guti-phonology v1\n人\t文\tflat\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("guti-phonology v1\n人\t文\n", "<table>:2: expected 3 tab-separated fields, got 2"),
+        ("guti-phonology v1\n人月\t文\tping\n", "<table>:2: key must be one character"),
+        ("# only a comment\n", "<table>: empty table"),
+    ], ids=["two-fields", "two-character-key", "comment-only"])
+    def test_malformed_table_refused(self, text, message):
+        with pytest.raises(PhonologyError, match=f"^{message}$"):
+            parse_table(text)
+
     def test_repeated_character_refused(self):
         # a polyphone listed twice would otherwise be judged by its last line
         with pytest.raises(PhonologyError,

@@ -24,32 +24,41 @@ def _parameters(node):
     return [a.arg for a in named + [a for a in (args.vararg, args.kwarg) if a]]
 
 
+def _scoped(node, scope=""):
+    """(node, name) of each node below ``node``.  A function or class is named
+    by its dotted path, a lambda by that of its function, or of the
+    module-level name it is assigned to, with ``.<lambda>`` added; any other
+    node by the name of the scope it is in."""
+    for child in ast.iter_child_nodes(node):
+        name = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{scope}.{child.name}" if scope else child.name
+        elif isinstance(child, ast.Lambda):
+            name = f"{scope}.<lambda>"
+        elif isinstance(child, ast.Assign) and not scope:
+            name = child.targets[0].id if isinstance(child.targets[0], ast.Name) else ""
+        yield child, name
+        yield from _scoped(child, name)
+
+
 def unread_parameters(tree, module):
     """(module, enclosing name, parameter) of each function or lambda
-    parameter, but ``self`` and ``cls``, that no name in its body reads.  A
-    lambda's enclosing name is that of its function, or of the module-level
-    name it is assigned to, with ``.<lambda>`` added."""
+    parameter, but ``self`` and ``cls``, that no name in its body reads."""
     found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            name = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = f"{scope}.{child.name}" if scope else child.name
-            elif isinstance(child, ast.Lambda):
-                name = f"{scope}.<lambda>"
-            elif isinstance(child, ast.Assign) and not scope:
-                name = child.targets[0].id if isinstance(child.targets[0], ast.Name) else ""
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                body = child.body if isinstance(child.body, list) else [child.body]
-                read = {n.id for stmt in body for n in ast.walk(stmt)
-                        if isinstance(n, ast.Name)}
-                found.extend((module, name, p) for p in _parameters(child)
-                             if p not in read and p not in ("self", "cls"))
-            visit(child, name)
-
-    visit(tree, "")
+    for node, name in _scoped(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            found.extend((module, name, p) for p in _parameters(node)
+                         if p not in read and p not in ("self", "cls"))
     return found
+
+
+def vocab_calls(tree, module):
+    """(module, enclosing name) of each call of a name or attribute ``Vocab``."""
+    return [(module, name) for node, name in _scoped(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Vocab"]
 
 
 def test_every_parameter_is_read():
@@ -69,3 +78,18 @@ def test_walk_finds_an_unread_parameter():
                      "G = {'k': lambda value, where: value}\n")
     assert unread_parameters(tree, "m") == [
         ("m", "f", "a"), ("m", "C.m", "x"), ("m", "G.<lambda>", "where")]
+
+
+def test_only_assemble_builds_a_vocab():
+    """``Vocab``'s id constants hold because ``_assemble`` lays out every
+    vocabulary: a second constructor could lay the ids out another way."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        found += vocab_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == [("vocab", "_assemble")]
+
+
+def test_walk_finds_vocab_calls():
+    tree = ast.parse("V = Vocab(())\ndef f():\n    return m.Vocab(), g(Vocab)\n"
+                     "class C:\n    def m(self):\n        return Vocab\n")
+    assert vocab_calls(tree, "m") == [("m", "V"), ("m", "f")]

@@ -230,6 +230,12 @@ class TestTrainConfig:
         with pytest.raises(TrainingError, match="learning_rate must be > 0"):
             TrainConfig(learning_rate=lr)
 
+    @pytest.mark.parametrize("fraction", [1.0, -0.1, math.nan])
+    def test_heldout_fraction_outside_unit_interval_rejected(self, fraction):
+        # a fraction of 1 holds every sample out, leaving none to train on
+        with pytest.raises(TrainingError, match=re.escape("heldout_fraction must lie in [0, 1)")):
+            TrainConfig(heldout_fraction=fraction)
+
     def test_nan_early_stop_threshold_rejected(self):
         # score < NaN never holds, so a NaN threshold turned early stopping off
         with pytest.raises(TrainingError, match="early_stop_novelty must not be NaN"):

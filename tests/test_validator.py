@@ -374,6 +374,16 @@ class TestAcrostic:
         result = check_acrostic(p, "一路平安", catalog.resolve("七言律诗").acrostic_slots)
         assert result.passed
 
+    def test_slots_beyond_the_poem_fail(self, catalog, table):
+        # a 4-line poem declared 七言律诗, whose acrostic reads lines 1, 3, 5 and 7
+        p = poem("七言律诗", "一路平安",
+                 "一片孤城万仞山，路人何处问江关。平生不见春风度，安得羌笛怨杨柳。")
+        report = validate(p, catalog, table)
+        assert not report.well_formed
+        assert [(r.passed, r.message) for r in report.results
+                if r.rule == "acrostic.initials"] == [
+            (False, "acrostic slots (1, 3, 5, 7) do not fit a 4-line poem")]
+
     def test_target_longer_than_lines_fails(self):
         assert check_acrostic(poem("五绝", "x", "床前明月光"), "床疑").passed is False
 

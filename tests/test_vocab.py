@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -8,16 +9,22 @@ from guti.corpus import SerializedSample, acrostic_transform, serialize
 from guti.errors import VocabError
 from guti.forms import ALL_MARKERS, MARKER_RE
 from guti.trainer import encode_sample, sample_token_count
-from guti.vocab import _scan, build_vocab, decode, encode, load_vocab, save_vocab
+from guti.vocab import (BOS, EOS, PAD, UNK, Vocab, _scan, build_vocab, decode, encode,
+                        load_vocab, save_vocab)
 
 
-def test_five_character_corpus():
+def test_five_character_corpus(tmp_path):
     vocab = build_vocab(["床前明月光"])
     # 4 specials + 5 markers + 5 characters
     assert vocab.size == 4 + 5 + 5
     assert vocab.pad_id == 0 and vocab.bos_id == 1
     assert vocab.eos_id == 2 and vocab.unk_id == 3
     assert all(m < 9 for m in vocab.marker_ids)
+    save_vocab(vocab, tmp_path / "vocab.txt")
+    fixed = [(PAD, Vocab.pad_id), (BOS, Vocab.bos_id), (EOS, Vocab.eos_id),
+             (UNK, Vocab.unk_id), *zip(ALL_MARKERS, Vocab.marker_ids)]
+    for v in (vocab, load_vocab(tmp_path / "vocab.txt")):
+        assert [v.token_to_id[tok] for tok, _ in fixed] == [i for _, i in fixed]
 
 
 def test_min_count_threshold_excludes_hapax():
@@ -116,6 +123,33 @@ def test_vocab_file_bad_header(tmp_path):
         p.write_text(header + good[good.index("\n"):], encoding="utf-8")
         with pytest.raises(VocabError, match=message):
             load_vocab(p)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda toks: [toks[1], toks[0], *toks[2:]],
+    lambda toks: [*toks[:2], toks[3], toks[2], *toks[4:]],
+    lambda toks: [*toks[:4], *toks[5:]],
+], ids=["pad-bos-swapped", "eos-unk-swapped", "marker-missing"])
+def test_vocab_file_without_the_fixed_prefix(tmp_path, edit):
+    p = tmp_path / "vocab.txt"
+    save_vocab(build_vocab(["床前明月光"]), p)
+    header, *tokens = p.read_text(encoding="utf-8").splitlines()
+    p.write_text("\n".join([header, *edit(tokens)]) + "\n", encoding="utf-8")
+    with pytest.raises(VocabError, match="^" + re.escape(
+            f"{p}: vocab does not start with the fixed special tokens") + "$"):
+        load_vocab(p)
+
+
+@pytest.mark.parametrize("token", ["床", ALL_MARKERS[2], UNK],
+                         ids=["character", "marker", "special"])
+def test_vocab_file_listing_a_token_twice(tmp_path, token):
+    # the refusal named neither the file nor the token.  明 is repeated too,
+    # after it: the token named is the first listed of those repeated
+    p = tmp_path / "vocab.txt"
+    save_vocab(build_vocab(["床前明月光"]), p)
+    p.write_text(p.read_text(encoding="utf-8") + f"明\n{token}\n", encoding="utf-8")
+    with pytest.raises(VocabError, match="^" + re.escape(f"{p}: token {token!r} listed twice") + "$"):
+        load_vocab(p)
 
 
 @settings(max_examples=80, deadline=None)
