@@ -72,6 +72,15 @@ catalog_option = click.option(
 table_option = click.option(
     "--table", callback=_loads(load_table, default_table), metavar="PATH",
     help="Phonology table file (default: built-in modern approximation).")
+strict_option = click.option(
+    "--strict-phonology", is_flag=True,
+    help="Count rhyme/tone deviations against well-formedness.")
+
+
+def field_option(flag: str, config: type, field: str, help: str, **extra):
+    """A click option that sets ``config``'s ``field``, defaulting to the field's default."""
+    return click.option(flag, field, default=getattr(config, field), show_default=True,
+                        help=help, **extra)
 
 
 @click.group()
@@ -144,42 +153,29 @@ def cmd_ingest(corpus_file, out_dir, catalog, acrostic, min_count, max_seq_len):
               help="Start from an existing checkpoint instead of random init. "
                    "The architecture is the checkpoint's: an architecture flag "
                    "given with it must agree; --dropout applies.")
-@click.option("--layers", "n_layers", default=ModelConfig.n_layers, show_default=True,
-              help="Transformer layer count.")
-@click.option("--heads", "n_heads", default=ModelConfig.n_heads, show_default=True,
-              help="Attention heads per layer.")
-@click.option("--d-model", default=ModelConfig.d_model, show_default=True,
-              help="Model width.")
-@click.option("--d-ff", default=ModelConfig.d_ff, show_default=True,
-              help="Feed-forward width.")
-@click.option("--context-len", default=ModelConfig.context_len, show_default=True,
-              help="Maximum sequence length.")
-@click.option("--dropout", default=ModelConfig.dropout_rate, show_default=True,
-              help="Dropout rate during training.")
-@click.option("--lr", "learning_rate", default=TrainConfig.learning_rate, show_default=True,
-              help="Adam learning rate.")
-@click.option("--batch-size", default=TrainConfig.batch_size, show_default=True,
-              help="Sequences per optimizer step.")
-@click.option("--max-steps", default=TrainConfig.max_steps, show_default=True,
-              help="Optimizer steps to run.")
-@click.option("--warmup", "warmup_steps", default=TrainConfig.warmup_steps, show_default=True,
-              help="Linear learning-rate warmup steps.")
-@click.option("--checkpoint-interval", default=TrainConfig.checkpoint_interval,
-              show_default=True,
-              help="Write a checkpoint and metrics record every N steps.")
-@click.option("--novelty-interval", "novelty_eval_interval",
-              default=TrainConfig.novelty_eval_interval,
-              show_default=True, help="Probe retrieval novelty every N steps (0 = off).")
-@click.option("--early-stop-novelty", default=TrainConfig.early_stop_novelty, type=float,
-              help="Stop when probe novelty drops below this value.")
-@click.option("--heldout-fraction", default=TrainConfig.heldout_fraction,
-              show_default=True, help="Deterministic held-out share for evaluation.")
+@field_option("--layers", ModelConfig, "n_layers", "Transformer layer count.")
+@field_option("--heads", ModelConfig, "n_heads", "Attention heads per layer.")
+@field_option("--d-model", ModelConfig, "d_model", "Model width.")
+@field_option("--d-ff", ModelConfig, "d_ff", "Feed-forward width.")
+@field_option("--context-len", ModelConfig, "context_len", "Maximum sequence length.")
+@field_option("--dropout", ModelConfig, "dropout_rate", "Dropout rate during training.")
+@field_option("--lr", TrainConfig, "learning_rate", "Adam learning rate.")
+@field_option("--batch-size", TrainConfig, "batch_size", "Sequences per optimizer step.")
+@field_option("--max-steps", TrainConfig, "max_steps", "Optimizer steps to run.")
+@field_option("--warmup", TrainConfig, "warmup_steps", "Linear learning-rate warmup steps.")
+@field_option("--checkpoint-interval", TrainConfig, "checkpoint_interval",
+              "Write a checkpoint and metrics record every N steps.")
+@field_option("--novelty-interval", TrainConfig, "novelty_eval_interval",
+              "Probe retrieval novelty every N steps (0 = off).")
+@field_option("--early-stop-novelty", TrainConfig, "early_stop_novelty",
+              "Stop when probe novelty drops below this value.", type=float)
+@field_option("--heldout-fraction", TrainConfig, "heldout_fraction",
+              "Deterministic held-out share for evaluation.")
 @click.option("--seed", default=None, type=click.IntRange(min=0),
               help="Training shuffle/dropout seed (random if omitted).")
 @click.option("--model-seed", default=0, show_default=True, type=click.IntRange(min=0),
               help="Seed for parameter initialization.")
-def cmd_train(dataset, vocab, out_dir, catalog, init_from, dropout, seed, model_seed,
-              **fields):
+def cmd_train(dataset, vocab, out_dir, catalog, init_from, seed, model_seed, **fields):
     """Fine-tune the language model on a serialized dataset."""
     # ``fields``: each option named as the ModelConfig or TrainConfig field it sets
     arch = {f.name: fields.pop(f.name) for f in dataclass_fields(ModelConfig)
@@ -195,18 +191,17 @@ def cmd_train(dataset, vocab, out_dir, catalog, init_from, dropout, seed, model_
         given = {name for name in ctx.params
                  if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT}
         for opt in ctx.command.params:      # in declaration order
-            if opt.name in given & arch.keys():
+            if opt.name in given & arch.keys() - {"dropout_rate"}:
                 have = getattr(params.config, opt.name)
                 if arch[opt.name] != have:
                     raise click.ClickException(
                         f"{opt.opts[0]} {arch[opt.name]} disagrees with the "
                         f"checkpoint's {opt.name} {have}")
-        if "dropout" in given:
+        if "dropout_rate" in given:
             params = replace(params, config=replace(params.config,
-                                                    dropout_rate=dropout))
+                                                    dropout_rate=arch["dropout_rate"]))
     else:
-        config = ModelConfig(**arch, vocab_size=vocab.size, dropout_rate=dropout)
-        params = init_params(config, seed=model_seed)
+        params = init_params(ModelConfig(**arch, vocab_size=vocab.size), seed=model_seed)
 
     context = params.config.context_len
     usable = [s for s in samples if trainer_mod.sample_token_count(s) <= context]
@@ -248,12 +243,11 @@ def cmd_train(dataset, vocab, out_dir, catalog, init_from, dropout, seed, model_
               help="Generate an acrostic on these line-initial characters (as --theme).")
 @click.option("-n", "count", default=1, show_default=True,
               help="Number of candidates.")
-@click.option("-k", "k", default=SampleConfig.k, show_default=True,
-              help="Top-k truncation width.")
-@click.option("--temperature", default=SampleConfig.temperature, show_default=True,
-              help="Softmax temperature over the candidate set.")
-@click.option("--max-new-tokens", default=SampleConfig.max_new_tokens, show_default=True,
-              help="Decoding budget per candidate.")
+@field_option("-k", SampleConfig, "k", "Top-k truncation width.")
+@field_option("--temperature", SampleConfig, "temperature",
+              "Softmax temperature over the candidate set.")
+@field_option("--max-new-tokens", SampleConfig, "max_new_tokens",
+              "Decoding budget per candidate.")
 @click.option("--seed", default=None, type=click.IntRange(min=0),
               help="Sampling seed (random if omitted).")
 @click.option("--json", "as_json", is_flag=True,
@@ -263,8 +257,7 @@ def cmd_train(dataset, vocab, out_dir, catalog, init_from, dropout, seed, model_
                    "every record; decode_ms runs on until it hit EOS or budget.")
 @catalog_option
 @table_option
-@click.option("--strict-phonology", is_flag=True,
-              help="Count rhyme/tone deviations against well-formedness.")
+@strict_option
 def cmd_generate(params, vocab, form, theme, acrostic_target, count, seed, as_json,
                  catalog, table, strict_phonology, **sampling):
     """Sample poems from a trained model and validate each candidate."""
@@ -311,8 +304,7 @@ def cmd_generate(params, vocab, form, theme, acrostic_target, count, seed, as_js
 @click.option("--skip-unknown", is_flag=True,
               help="Skip unusable records (malformed JSON, unknown form, "
               "refused theme or body) instead of failing.")
-@click.option("--strict-phonology", is_flag=True,
-              help="Count rhyme/tone deviations against well-formedness.")
+@strict_option
 def cmd_validate(poems, catalog, table, as_json, skip_unknown, strict_phonology):
     """Check every poem in a corpus file against its declared form."""
     result = corpus_mod.ingest_corpus(poems, catalog)

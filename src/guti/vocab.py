@@ -128,4 +128,6 @@ def load_vocab(path: str | Path) -> Vocab:
     if len(vocab.token_to_id) < vocab.size:     # a repeated token maps to its last id
         twice = next(tok for i, tok in enumerate(vocab.tokens) if vocab.token_to_id[tok] != i)
         raise VocabError(f"{p}: token {twice!r} listed twice")
+    if bad := [tok for tok in tokens[len(_PREFIX):] if len(tok) != 1]:
+        raise VocabError(f"{p}: token {bad[0]!r} is not one character")
     return vocab

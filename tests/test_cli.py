@@ -1153,6 +1153,21 @@ class TestExitCodes:
         assert code == 2
         assert "I/O failure" in err
 
+    @pytest.mark.parametrize("raised, code, message", [
+        (KeyboardInterrupt(), 1, "guti: aborted"),
+        (RuntimeError("boom"), 2, "guti: internal error: RuntimeError: boom")],
+        ids=["interrupt", "unexpected"])
+    def test_interrupted_or_failing_command_exit_code(self, capsys, tmp_path, pipeline,
+                                                      monkeypatch, raised, code, message):
+        def fail(*args, **kwargs):
+            raise raised
+        monkeypatch.setattr(cli.trainer_mod, "fine_tune", fail)
+        got, out, err = run(capsys, "train", str(pipeline / "dataset.jsonl"), "--vocab",
+                            str(pipeline / "vocab.txt"), "-o", str(tmp_path / "out"),
+                            "--seed", "1")
+        assert got == code
+        assert out == "" and err.splitlines()[-1] == message
+
 
 class TestAtomicWrites:
     """A write that fails leaves the previous file byte-identical and no
@@ -1237,16 +1252,24 @@ _theme = st.text(st.characters(blacklist_characters="\n\r",
        data=st.data())
 def test_ingest_files_round_trip(theme, form, lines, data):
     """ingest -> dataset.jsonl + vocab.txt -> read_dataset + load_vocab ->
-    encode/decode gives back the serialized text of the ingested poem."""
+    encode/decode gives back the serialized text of the ingested poem.  A
+    couplet's theme is its first line, so one that strips to nothing is
+    refused and ingest writes nothing."""
     puncts = data.draw(st.lists(st.sampled_from([COMMA, PERIOD]),
                                 min_size=len(lines), max_size=len(lines)))
     puncts[-1] = data.draw(st.sampled_from([COMMA, PERIOD, ""]))
     body = "".join(chars + p for chars, p in zip(lines, puncts))
     catalog = default_catalog()
+    refused = (catalog.resolve(form).line_template.kind == "mirror"
+               and not normalize_body_text(theme.strip()))
     with tempfile.TemporaryDirectory() as tmp:
         corpus, out = Path(tmp) / "corpus.jsonl", Path(tmp) / "data"
         corpus.write_text(json.dumps({"form": form, "theme": theme, "body": body},
                                      ensure_ascii=False) + "\n", encoding="utf-8")
+        if refused:
+            assert main(["ingest", str(corpus), "-o", str(out)]) == 1
+            assert not out.exists()
+            return
         assert main(["ingest", str(corpus), "-o", str(out)]) == 0
         (sample,) = read_dataset(str(out / "dataset.jsonl"), catalog)
         vocab = load_vocab(out / "vocab.txt")

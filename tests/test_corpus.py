@@ -336,6 +336,18 @@ class TestInvariants:
         with pytest.raises(CorpusError):
             parse_body("，床前明月光")
 
+    def test_line_rejects_empty_characters(self):
+        with pytest.raises(CorpusError, match="^empty line$"):
+            Line("")
+
+    def test_line_rejects_other_terminal_punctuation(self):
+        with pytest.raises(CorpusError, match="^bad terminal punctuation '!'$"):
+            Line("春", "!")
+
+    def test_poem_rejects_empty_body(self):
+        with pytest.raises(CorpusError, match="^poem body is empty$"):
+            Poem("五绝", "春", ())
+
 
 class TestIdeographRanges:
     def test_is_cjk_and_line_class_agree_at_range_edges(self):

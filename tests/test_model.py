@@ -427,6 +427,12 @@ class TestLoss:
         with pytest.raises(ModelError):
             nll_loss(np.zeros((1, 3, 4)), batch)
 
+    def test_loss_at_position_zero_rejected(self):
+        # no logits precede position 0, so nothing predicts its token
+        with pytest.raises(ModelError, match="^position 0 cannot carry next-token loss$"):
+            SequenceBatch(tokens=np.zeros((2, 3), dtype=int),
+                          loss_mask=np.array([[0, 1, 1], [1, 1, 0]]))
+
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(8)
         params = init_params(TINY, seed=4, dtype=np.float64)
@@ -999,6 +1005,13 @@ class TestForwardRows:
         got = forward(params, tokens, rows=rows)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_rows_selecting_nothing_rejected(self):
+        params = init_params(ROWS, seed=6, dtype=np.float64)
+        tokens = np.random.default_rng(10).integers(0, 13, size=(3, 10))
+        empty = np.array([], dtype=np.int64)
+        with pytest.raises(ModelError, match="^rows select no position$"):
+            forward(params, tokens, rows=(empty, empty))
 
     def test_rows_with_cache_fill_every_position(self):
         params = init_params(ROWS, seed=6, dtype=np.float64)

@@ -61,6 +61,20 @@ def vocab_calls(tree, module):
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Vocab"]
 
 
+CONFIGS = {"ModelConfig", "TrainConfig", "SampleConfig"}
+
+
+def config_defaults(tree):
+    """(enclosing name, default) of each call of a name or attribute
+    ``option`` whose ``default=`` is an attribute of a config class."""
+    return [(name, f"{kw.value.value.id}.{kw.value.attr}") for node, name in _scoped(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "option"
+            for kw in node.keywords
+            if kw.arg == "default" and isinstance(kw.value, ast.Attribute)
+            and getattr(kw.value.value, "id", None) in CONFIGS]
+
+
 def test_every_parameter_is_read():
     """A parameter that nothing reads is handed over for nothing: delete it,
     with every call site that passes it."""
@@ -93,3 +107,21 @@ def test_walk_finds_vocab_calls():
     tree = ast.parse("V = Vocab(())\ndef f():\n    return m.Vocab(), g(Vocab)\n"
                      "class C:\n    def m(self):\n        return Vocab\n")
     assert vocab_calls(tree, "m") == [("m", "V"), ("m", "f")]
+
+
+def test_config_options_take_their_default_from_field_option():
+    """An option that sets a config field names it once, through
+    ``cli.field_option``: a default restated beside the field could name
+    another field's default."""
+    tree = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    assert config_defaults(tree) == []
+
+
+def test_walk_finds_config_defaults():
+    tree = ast.parse("@click.option('--a', 'n_layers', default=ModelConfig.n_layers)\n"
+                     "@click.option('--b', default=1)\n"
+                     "@field_option('--c', TrainConfig, 'max_steps', 'Steps.')\n"
+                     "def f(n_layers, b, max_steps):\n    pass\n"
+                     "o = option('--d', default=SampleConfig.k, show_default=True)\n"
+                     "p = click.option('--e', default=other.k)\n")
+    assert config_defaults(tree) == [("f", "ModelConfig.n_layers"), ("o", "SampleConfig.k")]

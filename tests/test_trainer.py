@@ -25,6 +25,7 @@ from guti.trainer import (
     AdamState,
     NoveltyIndex,
     TrainConfig,
+    TrainReport,
     _eval_nll,
     adam_step,
     encode_sample,
@@ -661,6 +662,11 @@ class TestFineTune:
             _, report = fine_tune(samples, vocab, params, cfg, out_dir=tmp_path)
         assert report.metric_lines() == []
         assert (tmp_path / "metrics.jsonl").read_bytes() == b""
+
+    def test_short_loss_series_is_not_smoothed(self):
+        # fewer steps than the window: no mean is taken, the series is kept
+        assert TrainReport(step_losses=[1.0, 2.0]).smoothed_losses() == [1.0, 2.0]
+        assert TrainReport(step_losses=[1.0, 2.0]).smoothed_losses(window=2) == [1.5]
 
     def test_wall_clock_ignores_a_system_clock_step(self, toy_samples, monkeypatch):
         # the system clock can be stepped back mid-run; a measured duration cannot

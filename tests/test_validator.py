@@ -245,6 +245,12 @@ class TestTone:
         (result,) = check_tone(p, spec, TEST_TABLE)
         assert result.passed is None
 
+    def test_form_without_tone_template_is_advisory(self, catalog, fixture_poems):
+        (result,) = check_tone(by_source(fixture_poems, "t5-shuidiaogetou"),
+                               catalog.resolve("水调歌头"), TEST_TABLE)
+        assert (result.rule, result.level, result.passed) == ("tone.pattern", "advisory", None)
+        assert result.message == "form carries no tone template"
+
     def test_each_table_judges_by_its_own_tones(self, catalog):
         # the second table is parsed after the first is gone, so it may be
         # built where the first was: what a table derives stays its own

@@ -152,6 +152,18 @@ def test_vocab_file_listing_a_token_twice(tmp_path, token):
         load_vocab(p)
 
 
+@pytest.mark.parametrize("line, token", [("床\n", ""), ("床床", "床床")],
+                         ids=["blank-line", "two-characters"])
+def test_vocab_file_with_a_line_that_is_not_one_character(tmp_path, line, token):
+    # build_vocab writes one code point a line; a blank line took an id and
+    # shifted every later one, and 床床 left 床 to encode as <unk>
+    p = tmp_path / "vocab.txt"
+    save_vocab(build_vocab(["床前明月光"]), p)
+    p.write_text(p.read_text(encoding="utf-8").replace("\n床\n", f"\n{line}\n"),
+                 encoding="utf-8")
+    with pytest.raises(VocabError, match="^" + re.escape(
+            f"{p}: token {token!r} is not one character") + "$"):
+        load_vocab(p)
 @settings(max_examples=80, deadline=None)
 @given(st.text(alphabet=[chr(c) for c in range(0x4E00, 0x4E60)] + list("，。"),
                min_size=0, max_size=30))
