@@ -139,19 +139,34 @@ _LAYER = ("ln1.g", "ln1.b", "attn.wqkv", "attn.bqkv", "attn.wo", "attn.bo",
 
 def param_names(config: ModelConfig) -> list[str]:
     """Tensor declaration order; checkpoints store tensors in this order,
-    with each layer's attn.wqkv and attn.bqkv cut into thirds (``_split_qkv``)."""
+    with each layer's attn.wqkv and attn.bqkv cut into thirds (``_stored``)."""
     names = ["tok_emb", "pos_emb"]
     names += [f"layer{i}.{n}" for i in range(config.n_layers) for n in _LAYER]
     names += ["ln_f.g", "ln_f.b"]
     return names
 
 
-def _param_shape(name: str, c: ModelConfig) -> tuple[int, ...]:
-    d, f = c.d_model, c.d_ff
-    shapes = {"tok_emb": (c.vocab_size, d), "pos_emb": (c.context_len, d),
-              "attn.wqkv": (d, 3 * d), "attn.bqkv": (3 * d,), "attn.wo": (d, d),
-              "ff.w1": (d, f), "ff.b1": (f,), "ff.w2": (f, d)}
-    return shapes.get(name.split(".", 1)[-1], (d,))     # norms, attn.bo, ff.b2
+def _stored(config: ModelConfig) -> dict[str, tuple[str, slice, tuple[int, ...]]]:
+    """The tensors a checkpoint stores, in file order: name -> (the
+    ``param_names`` tensor it is cut from, the columns cut, its shape).
+    Each layer's attn.wqkv, attn.bqkv pair is stored as its q, k, v column
+    thirds attn.wq, attn.bq, attn.wk, attn.bk, attn.wv, attn.bv; every other
+    tensor is stored whole."""
+    d, f = config.d_model, config.d_ff
+    shapes = {"tok_emb": (config.vocab_size, d), "pos_emb": (config.context_len, d),
+              "attn.wo": (d, d), "ff.w1": (d, f), "ff.b1": (f,), "ff.w2": (f, d)}
+    out = {}
+    for name in param_names(config):
+        base = name.split(".", 1)[-1]
+        if base == "attn.wqkv":
+            p = name[:-4]
+            for j, x in enumerate("qkv"):
+                cols = slice(j * d, (j + 1) * d)
+                out[p + "w" + x] = (p + "wqkv", cols, (d, d))
+                out[p + "b" + x] = (p + "bqkv", cols, (d,))
+        elif base != "attn.bqkv":
+            out[name] = (name, slice(None), shapes.get(base, (d,)))  # norms, attn.bo, ff.b2
+    return out
 
 
 @dataclass
@@ -182,26 +197,33 @@ class ModelParams:
                 raise ModelError(f"non-finite values in parameter {name!r}")
 
 
+def _from_stored(config: ModelConfig, arrays, dtype) -> ModelParams:
+    """The ModelParams whose stored tensors are ``arrays``, in ``_stored``
+    order: each tensor's parts are joined side by side into a new aligned,
+    writable, native-endian array of ``dtype``, and dropped once joined."""
+    parts: dict[str, list[np.ndarray]] = {}
+    for (name, _, _), arr in zip(_stored(config).values(), arrays):
+        parts.setdefault(name, []).append(arr)
+    return ModelParams(config, {name: np.concatenate(parts.pop(name), axis=-1, dtype=dtype)
+                                for name in param_names(config)})
+
+
 def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
-    """Deterministic initialization: N(0, 0.02) weights, unit norms, zero biases."""
+    """Deterministic initialization: N(0, 0.02) weights, unit norms, zero
+    biases, the stored tensors drawn in ``_stored`` order, each cast to
+    ``dtype`` as it is drawn."""
     check_counts(ModelError, 0, seed=seed)     # numpy takes no negative seed
     rng = np.random.default_rng(seed)
-    tensors: dict[str, np.ndarray] = {}
-    d = config.d_model
-    for name in param_names(config):
-        shape = _param_shape(name, config)
+
+    def draw(name, shape):
         base = name.split(".")[-1]
         if base == "g":
-            t = np.ones(shape, dtype=dtype)
-        elif base[0] == "b":
-            t = np.zeros(shape, dtype=dtype)
-        elif base == "wqkv":    # wq, wk, wv drawn in turn, laid side by side
-            draw = rng.standard_normal((3, d, d)).transpose(1, 0, 2).reshape(shape)
-            t = (draw * 0.02).astype(dtype)
-        else:
-            t = (rng.standard_normal(shape) * 0.02).astype(dtype)
-        tensors[name] = t
-    return ModelParams(config, tensors)
+            return np.ones(shape, dtype=dtype)
+        if base[0] == "b":
+            return np.zeros(shape, dtype=dtype)
+        return (rng.standard_normal(shape) * 0.02).astype(dtype)
+    return _from_stored(config, (draw(name, shape) for name, (_, _, shape)
+                                 in _stored(config).items()), dtype)
 
 
 @dataclass
@@ -739,33 +761,11 @@ def backward(params: ModelParams, batch: SequenceBatch,
 #   u32 LE    config JSON byte length, then that many UTF-8 bytes: the
 #             ModelConfig fields and "tie_embeddings": true (always tied)
 #   u32 LE    tensor count
-#   per tensor, in ``_split_qkv`` order:
+#   per tensor, in ``_stored`` order:
 #     u16 LE name length + UTF-8 name
 #     u8 ndim, then ndim * u32 LE dims
 #     dims-product * f32 LE values (C order)
 # ---------------------------------------------------------------------------
-
-
-def _split_qkv(config: ModelConfig, tensors: dict) -> dict:
-    """``ModelParams.tensors`` -> the tensors a checkpoint stores, in its
-    order: each layer's attn.wqkv, attn.bqkv pair becomes the column
-    thirds attn.wq, attn.bq, attn.wk, attn.bk, attn.wv, attn.bv."""
-    out = {}
-    for name in param_names(config):
-        if name.endswith("attn.wqkv"):
-            p = name[:-4]
-            thirds = (np.split(tensors[p + y + "qkv"], 3, axis=-1) for y in "wb")
-            for x, w, b in zip("qkv", *thirds):
-                out[p + "w" + x], out[p + "b" + x] = w, b
-        elif not name.endswith("attn.bqkv"):
-            out[name] = tensors[name]
-    return out
-
-
-def _fuse_qkv(config: ModelConfig, tensors: dict) -> dict:
-    """The inverse of ``_split_qkv``."""
-    return {name: np.concatenate([tensors[name[:-3] + x] for x in "qkv"], axis=-1)
-            if name.endswith("qkv") else tensors[name] for name in param_names(config)}
 
 
 def save_checkpoint(params: ModelParams, path: str | Path, *copies: str | Path) -> None:
@@ -774,16 +774,16 @@ def save_checkpoint(params: ModelParams, path: str | Path, *copies: str | Path) 
     link of it where the filesystem allows, else a second write."""
     cfg = {**asdict(params.config), "tie_embeddings": True}
     cfg_json = json.dumps(cfg, sort_keys=True).encode("utf-8")
-    tensors = _split_qkv(params.config, params.tensors)
+    stored = _stored(params.config)
     chunks = [CHECKPOINT_MAGIC,
               struct.pack("<I", CHECKPOINT_VERSION),
               struct.pack("<I", len(cfg_json)), cfg_json,
-              struct.pack("<I", len(tensors))]
-    for name, arr in tensors.items():
+              struct.pack("<I", len(stored))]
+    for name, (source, cols, shape) in stored.items():
         name_b = name.encode("utf-8")
-        chunks.append(struct.pack(f"<H{len(name_b)}sB{arr.ndim}I", len(name_b), name_b,
-                                  arr.ndim, *arr.shape))
-        chunks.append(np.ascontiguousarray(arr, dtype="<f4"))
+        chunks.append(struct.pack(f"<H{len(name_b)}sB{len(shape)}I", len(name_b), name_b,
+                                  len(shape), *shape))
+        chunks.append(np.ascontiguousarray(params[source][..., cols], dtype="<f4"))
     write_atomic(path, *chunks, copies=copies)
 
 
@@ -818,32 +818,31 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     except (ValueError, TypeError, ModelError) as exc:
         raise CheckpointError(f"{p}: bad config block: {exc}") from exc
     (n_tensors,) = struct.unpack("<I", take(4))
-    # the stored names and shapes: a parameter set of zero-byte stand-ins, split
-    expected = {name: t.shape for name, t in _split_qkv(config, {
-        n: np.broadcast_to(np.float32(0), _param_shape(n, config))
-        for n in param_names(config)}).items()}
-    if n_tensors != len(expected):
-        raise CheckpointError(f"{p}: expected {len(expected)} tensors, found {n_tensors}")
-    tensors: dict[str, np.ndarray] = {}
-    for want in expected:
-        (name_len,) = struct.unpack("<H", take(2))
-        # bytes that are not UTF-8 become U+FFFD, which no tensor name holds
-        name = bytes(take(name_len)).decode("utf-8", "replace")
-        if name != want:
-            raise CheckpointError(f"{p}: tensor {name!r} out of order (wanted {want!r})")
-        (ndim,) = struct.unpack("<B", take(1))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        if shape != expected[name]:
-            raise CheckpointError(f"{p}: tensor {name!r} has shape {shape}, "
-                                  f"expected {expected[name]}")
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape)
-        # np.array forces an aligned, writable, native-endian copy; a view
-        # into the file buffer can sit at any byte offset, and unaligned
-        # operands may take different BLAS paths than the saved tensors did
-        tensors[name] = np.array(data, dtype=np.float32)
+    # the count ``_stored`` gives, checked before any per-layer table is built:
+    # tok_emb, pos_emb, ln_f.g, ln_f.b and 16 per layer
+    count = 4 + 16 * config.n_layers
+    if n_tensors != count:
+        raise CheckpointError(f"{p}: expected {count} tensors, found {n_tensors}")
+
+    def arrays():
+        for want, (_, _, expected) in _stored(config).items():
+            (name_len,) = struct.unpack("<H", take(2))
+            # bytes that are not UTF-8 become U+FFFD, which no tensor name holds
+            name = bytes(take(name_len)).decode("utf-8", "replace")
+            if name != want:
+                raise CheckpointError(f"{p}: tensor {name!r} out of order (wanted {want!r})")
+            (ndim,) = struct.unpack("<B", take(1))
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            if shape != expected:
+                raise CheckpointError(f"{p}: tensor {name!r} has shape {shape}, "
+                                      f"expected {expected}")
+            yield np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+
+    # _from_stored copies each view of the file buffer: a view can sit at any
+    # byte offset, and unaligned operands may take different BLAS paths than
+    # the saved tensors did
+    params = _from_stored(config, arrays(), np.float32)
     if pos != len(view):
         raise CheckpointError(f"{p}: trailing bytes after last tensor")
-    params = ModelParams(config, _fuse_qkv(config, tensors))
     params.check_finite()
     return params

@@ -844,6 +844,24 @@ class TestGenerate:
         assert code == 1
         assert "bad config block" in err
 
+    def test_config_block_past_numpy_dims_exits_1(self, capsys, pipeline, tmp_path):
+        """A config block whose dims no array could take is a malformed
+        checkpoint, exit 1, not an internal error."""
+        data = (pipeline / "run" / "last.ckpt").read_bytes()
+        (n,) = struct.unpack("<I", data[12:16])     # after the magic and the version
+        cfg = json.loads(data[16:16 + n])
+        vocab_size = cfg["vocab_size"]
+        cfg.update(vocab_size=2**40, d_model=2**40)
+        block = json.dumps(cfg, sort_keys=True).encode("utf-8")
+        ckpt = tmp_path / "huge.ckpt"
+        ckpt.write_bytes(data[:12] + struct.pack("<I", len(block)) + block + data[16 + n:])
+        code, out, err = run(capsys, "generate", str(ckpt),
+                             "--vocab", str(pipeline / "vocab.txt"),
+                             "--form", "五绝", "--theme", "静")
+        assert code == 1 and out == ""
+        assert err == (f"guti: {ckpt}: tensor 'tok_emb' has shape ({vocab_size}, 16), "
+                       "expected (1099511627776, 1099511627776)\n")
+
     def test_theme_and_acrostic_together_rejected(self, capsys, pipeline):
         code, _, _ = run(capsys, "generate", str(pipeline / "run" / "last.ckpt"),
                          "--vocab", str(pipeline / "vocab.txt"),

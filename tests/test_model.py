@@ -1216,6 +1216,98 @@ class TestCheckpoint:
                            match=r"tensor '\ufffdok_emb' out of order \(wanted 'tok_emb'\)"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("config", [TINY, ROWS, replace(ROWS, n_layers=5)],
+                             ids=["1-layer", "2-layer", "5-layer"])
+    def test_tensor_count_is_the_stored_table_length(self, tmp_path, config):
+        """The loader checks the tensor count the config implies before it
+        builds the table of stored tensors; that count is the table's."""
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(config, seed=0), p)
+        data = p.read_bytes()
+        head = len(model.CHECKPOINT_MAGIC) + 4
+        (n,) = struct.unpack("<I", data[head:head + 4])
+        count = len(model._stored(config))
+        assert struct.unpack("<I", data[head + 4 + n:head + 8 + n]) == (count,)
+        p.write_bytes(data[:head + 4 + n] + struct.pack("<I", count + 1) + data[head + 8 + n:])
+        with pytest.raises(CheckpointError,
+                           match=f"expected {count} tensors, found {count + 1}$"):
+            load_checkpoint(p)
+
+    def test_many_layers_refused_in_constant_memory(self, tmp_path):
+        """A config block claiming 50,000 layers over a 1-layer file is
+        refused by its tensor count, before any per-layer table exists."""
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(TINY, seed=8), p)
+        edit_config_block(p, n_layers=50_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="expected 800004 tensors, found 20$"):
+                load_checkpoint(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_dims_too_large_for_numpy_refused_as_a_shape(self, tmp_path):
+        """The expected shapes are plain tuples, so dims no array could take
+        are compared, not handed to numpy."""
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(TINY, seed=8), p)
+        edit_config_block(p, vocab_size=2**40, d_model=2**40)
+        with pytest.raises(CheckpointError, match=r"tensor 'tok_emb' has shape \(10, 8\), "
+                                                  r"expected \(1099511627776, 1099511627776\)"):
+            load_checkpoint(p)
+
+    def test_tensor_size_past_int64_refused_as_truncated(self, tmp_path):
+        """u32 dims whose product overflows int64: the size is exact, so the
+        file is too short for it."""
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(TINY, seed=8), p)
+        edit_config_block(p, vocab_size=4_000_000_000, d_model=4_000_000_000)
+        data = p.read_bytes()
+        dims = data.index(b"tok_emb") + len("tok_emb") + 1      # after the u8 ndim
+        p.write_bytes(data[:dims] + struct.pack("<2I", 4_000_000_000, 4_000_000_000)
+                      + data[dims + 8:])
+        with pytest.raises(CheckpointError, match="truncated checkpoint"):
+            load_checkpoint(p)
+
+    def test_multi_layer_round_trip_in_stored_order(self, tmp_path):
+        """A 2-layer, 2-head model's file, byte for byte: every layer's q/k/v
+        thirds are stored in turn, and load gives back every tensor's bits."""
+        params = init_params(ROWS, seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        data = path.read_bytes()
+        assert len(data) == 21_644
+        assert hashlib.sha256(data).hexdigest() == (
+            "7cf828453a9c4edeec3e04c5a37cd375cabbe32a816bea4efecc5b5e879252ac")
+        names = stored_names(data)
+        assert names == list(model._stored(ROWS))
+        assert names[18:34] == [f"layer1.{n}" for n in (
+            "ln1.g", "ln1.b", "attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv",
+            "attn.bv", "attn.wo", "attn.bo", "ln2.g", "ln2.b", "ff.w1", "ff.b1", "ff.w2",
+            "ff.b2")]
+        loaded = load_checkpoint(path)
+        assert list(loaded.tensors) == list(params.tensors)
+        for name, t in params.tensors.items():
+            assert loaded[name].dtype == t.dtype and loaded[name].tobytes() == t.tobytes()
+
+
+def stored_names(data):
+    """The tensor names of checkpoint bytes ``data``, in file order."""
+    head = len(model.CHECKPOINT_MAGIC) + 4
+    (n,) = struct.unpack_from("<I", data, head)
+    (count,) = struct.unpack_from("<I", data, head + 4 + n)
+    pos, names = head + 8 + n, []
+    for _ in range(count):
+        (size,) = struct.unpack_from("<H", data, pos)
+        names.append(data[pos + 2:pos + 2 + size].decode("utf-8"))
+        (ndim,) = struct.unpack_from("<B", data, pos + 2 + size)
+        shape = struct.unpack_from(f"<{ndim}I", data, pos + 3 + size)
+        pos += 3 + size + 4 * ndim + 4 * math.prod(shape)
+    assert pos == len(data)
+    return names
+
 
 def edit_config_block(path, change=None, **fields):
     """Rewrite the JSON config block of the checkpoint at ``path`` with
